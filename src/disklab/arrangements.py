@@ -13,11 +13,15 @@ equal radii:
   its homotopy type.
 * Two uncovered points p, q lie in different connected components of the
   complement of the union exactly when some cycle of the center graph has
-  odd crossing parity with a path from p to q.  Crossing parity with a fixed
-  closed curve is invariant under path choice, vanishes on boundaries of
-  covered triangles (no uncovered point sits inside one), and the resulting
-  pairing between union cycles and complement components is perfect, so a
-  spanning-forest parity sweep decides separation exactly.
+  odd crossing parity against the half-open horizontal rays from p and q,
+  which together join p to q through infinity.  A cycle's parity against
+  the rays is its winding number around p plus the one around q, mod 2.
+  It vanishes on boundaries of covered triangles (no uncovered point sits
+  inside one), and the resulting pairing between union cycles and
+  complement components is perfect, so a spanning-forest parity sweep
+  decides separation exactly.  No case is degenerate: a center-to-center
+  segment of intersecting disks is covered, so it never passes through an
+  uncovered point, and the half-open rule settles centers on a ray's line.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from .geometry import (
     point_on_segment,
     rational_from_str,
     rational_to_str,
+    ray_crossing,
     segment_intersection_point,
     segments_cross_properly,
     triple_intersection_nonempty,
@@ -44,10 +49,6 @@ from .geometry import (
 class VerificationError(ValueError):
     """Raised for malformed instances or certificates (as opposed to valid
     certificates that simply fail)."""
-
-
-class DegenerateGeometry(Exception):
-    """Internal: a probe path touched the structure it was testing."""
 
 
 # ---------------------------------------------------------------------------
@@ -274,40 +275,6 @@ def complement_regions(centers: Sequence[Point], r: Fraction) -> RegionSummary:
 # separation of points by a disk union
 # ---------------------------------------------------------------------------
 
-def _segment_crossing_parity(a: Point, b: Point, c: Point, d: Point) -> int:
-    if segments_cross_properly(a, b, c, d):
-        return 1
-    for p, (u, v) in ((a, (c, d)), (b, (c, d)), (c, (a, b)), (d, (a, b))):
-        if point_on_segment(p, u, v):
-            raise DegenerateGeometry
-    return 0
-
-
-def _probe_paths(p: Point, q: Point, attempts: int):
-    """Deterministic sequence of polyline paths from p to q: the straight
-    segment first, then bent variants for degeneracy recovery.
-
-    The bend point gets both a perpendicular and an axial offset so that no
-    line fixed by the configuration (for instance a mirror axis between p
-    and q that happens to carry a row of centers) can stay degenerate for
-    every attempt.
-    """
-    yield [p, q]
-    mx, my = (p[0] + q[0]) / 2, (p[1] + q[1]) / 2
-    dx, dy = q[0] - p[0], q[1] - p[1]
-    span = abs(dx) + abs(dy)
-    if span == 0:
-        span = Fraction(1)
-    for k in range(1, attempts):
-        t = span * Fraction((-1) ** k * (2 * k + 1), 3 * k * k + 7)
-        u = span * Fraction(2 * k + 3, 7 * k * k + 11 * k + 13)
-        yield [
-            p,
-            (mx + dx * u / span - dy * t / span, my + dy * u / span + dx * t / span),
-            q,
-        ]
-
-
 @dataclass
 class SeparationResult:
     separated: bool
@@ -319,29 +286,14 @@ def edge_crossing_parities(
     udg: UnitDiskGraph,
     p: Point,
     q: Point,
-    attempts: int = 48,
 ) -> Dict[Tuple[int, int], int]:
-    """Crossing parity of every center-graph edge against one generic probe
-    path from p to q.  Raises if all probe candidates hit a degeneracy."""
-    for path in _probe_paths(p, q, attempts):
-        pieces = list(zip(path, path[1:]))
-        try:
-            parity: Dict[Tuple[int, int], int] = {}
-            for (i, j) in udg.edges:
-                ci, cj = centers[i], centers[j]
-                if ci == cj:
-                    parity[(i, j)] = 0
-                    continue
-                x = 0
-                for (a, b) in pieces:
-                    x ^= _segment_crossing_parity(a, b, ci, cj)
-                parity[(i, j)] = x
-            return parity
-        except DegenerateGeometry:
-            continue
-    raise VerificationError(
-        "no generic probe path found between the query points"
-    )
+    """Crossing parity of every center-graph edge against the half-open
+    horizontal rays from p and q (see :func:`geometry.ray_crossing`)."""
+    parity: Dict[Tuple[int, int], int] = {}
+    for (i, j) in udg.edges:
+        ci, cj = centers[i], centers[j]
+        parity[(i, j)] = (ray_crossing(ci, cj, p) ^ ray_crossing(ci, cj, q)) & 1
+    return parity
 
 
 def separation(
@@ -350,16 +302,15 @@ def separation(
     udg: UnitDiskGraph,
     p: Point,
     q: Point,
-    attempts: int = 48,
 ) -> SeparationResult:
     """Decide whether the union separates ``p`` from ``q``.
 
-    Labels every center-graph edge with its crossing parity against a probe
-    path, then sweeps a spanning forest: an edge whose parity disagrees with
-    the endpoint potentials closes an odd cycle, which is returned as the
-    separating witness.
+    Labels every center-graph edge with its crossing parity against the
+    rays from p and q, then sweeps a spanning forest: an edge whose parity
+    disagrees with the endpoint potentials closes an odd cycle, which is
+    returned as the separating witness.
     """
-    parity = edge_crossing_parities(centers, udg, p, q, attempts)
+    parity = edge_crossing_parities(centers, udg, p, q)
     pot = [-1] * udg.n
     parent: List[Optional[int]] = [None] * udg.n
     for s in range(udg.n):

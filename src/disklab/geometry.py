@@ -534,6 +534,21 @@ def point_on_segment(p: Point, a: Point, b: Point) -> bool:
     )
 
 
+def ray_crossing(a: Point, b: Point, p: Point) -> int:
+    """Signed crossing of the directed segment ab with the ray
+    {(x, p.y) : x > p.x}: +1 upward, -1 downward, 0 otherwise.
+
+    Half-open rule: an endpoint on the ray's line counts as below it, so a
+    closed walk that avoids ``p`` sums to its winding number around ``p``
+    with no degenerate case (a symbolic perturbation of the ray).
+    """
+    if a[1] <= p[1] < b[1] and orient(a, b, p) > 0:
+        return 1
+    if b[1] <= p[1] < a[1] and orient(a, b, p) < 0:
+        return -1
+    return 0
+
+
 def segments_cross_properly(a: Point, b: Point, c: Point, d: Point) -> bool:
     """Open-interior crossing: the segments share exactly one interior point."""
     o1, o2 = orient(a, b, c), orient(a, b, d)

@@ -19,8 +19,8 @@ import networkx as nx
 
 from .geometry import (
     Point,
-    orient,
     point_on_segment,
+    ray_crossing,
     segments_cross_properly,
 )
 from .graphs import Dart, PlanarEmbeddedGraph, StructureError, Vertex, other_end
@@ -166,10 +166,7 @@ def winding_number(walk_points: Sequence[Tuple[Point, Point]], p: Point) -> int:
     for a, b in walk_points:
         if point_on_segment(p, a, b):
             raise DrawingError("query point lies on the walk")
-        if a[1] <= p[1] < b[1] and orient(a, b, p) > 0:
-            w += 1
-        elif b[1] <= p[1] < a[1] and orient(a, b, p) < 0:
-            w -= 1
+        w += ray_crossing(a, b, p)
     return w
 
 

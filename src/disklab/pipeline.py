@@ -280,11 +280,11 @@ def _isolation_params(emb: GridEmbedding, mode: str, overrides: Dict[str, Fracti
 def _reduce_subdivision(src: dict, mode: str, overrides) -> Tuple[dict, ReductionRecord]:
     sub = SubdivisionInstance.from_dict(src)
     emb = grid_embed(sub.graph)
-    params = _isolation_params(emb, mode, overrides)
-    report = check_constraints(params)
-    if mode == "sound" and not report.ok:
-        raise Rejected("constraints failed: " + ", ".join(report.failing()))
     try:
+        params = _isolation_params(emb, mode, overrides)
+        report = check_constraints(params)
+        if mode == "sound" and not report.ok:
+            raise Rejected("constraints failed: " + ", ".join(report.failing()))
         art = build_isolation_instance(sub, emb, params=params, mode=mode)
     except SynthesisError as exc:
         raise Rejected(str(exc)) from exc

@@ -10,7 +10,6 @@ synthesized instances directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -20,6 +19,7 @@ from .arrangements import (
     DiskInstance,
     VerificationError,
     complement_regions,
+    covering_disks,
     edge_crossing_parities,
     unit_disk_graph,
 )
@@ -155,10 +155,10 @@ def brute_min_isolation_two_points(
     """Exact minimum fence for an instance with exactly two marked points.
 
     The union of a chosen set separates the points iff the set's
-    intersection graph contains a cycle of odd crossing parity against a
-    generic probe path, so the optimum is the shortest odd cycle in the
-    parity double cover of the full intersection graph — polynomial, no
-    enumeration.
+    intersection graph contains a cycle of odd crossing parity against the
+    half-open rays from the two points, so the optimum is the shortest odd
+    cycle in the parity double cover of the full intersection graph —
+    polynomial, no enumeration.
     """
     instance.validate()
     if len(instance.points) != 2:
@@ -167,12 +167,10 @@ def brute_min_isolation_two_points(
         raise SolverCapExceeded(f"{len(instance.disks)} disks exceeds {max_disks}")
     centers = instance.centers()
     r = instance.radius
-    need2 = (r + Fraction(r, 1000)) ** 2
     p, q = [instance.points[k] for k in sorted(instance.points)]
     for pt in (p, q):
-        for c in centers:
-            if (c[0] - pt[0]) ** 2 + (c[1] - pt[1]) ** 2 <= need2:
-                raise VerificationError("a marked point is covered or nearly covered")
+        if covering_disks(centers, r, pt):
+            raise VerificationError("a marked point is covered")
     udg = unit_disk_graph(centers, r)
     parity = edge_crossing_parities(centers, udg, p, q)
 

@@ -142,13 +142,36 @@ def test_separation_is_symmetric_and_reflexive_false():
     assert not ar.separation(centers, inst.radius, udg, q, q).separated
 
 
-def test_separation_recovers_from_degenerate_probes():
+def test_separation_with_centres_on_the_ray_line():
     inst = ring4()
-    centers = inst.centers()
-    udg = ar.unit_disk_graph(centers, inst.radius)
-    # the straight probe passes through a disk center and two graph vertices
-    res = ar.separation(centers, inst.radius, udg, (F(0), F(0)), (F(4), F(0)))
-    assert res.separated
+    # p's ray runs through the center (2, 0), and q shares the line of the
+    # centers (+-2, 0); the second input adds an intersecting pair lying
+    # along both rays
+    for centers in (inst.centers(), inst.centers() + [(F(20), F(0)), (F(22), F(0))]):
+        udg = ar.unit_disk_graph(centers, inst.radius)
+        res = ar.separation(centers, inst.radius, udg, (F(0), F(0)), (F(4), F(0)))
+        assert res.separated
+
+
+def test_verify_isolation_with_disk_centres_on_every_probe_path():
+    # One pair of overlapping disks centred on the first-leg midpoint of each
+    # of 48 polyline paths from p to q (the straight segment, then paths bent
+    # at b_k): a verifier that counted crossings along any of these paths
+    # would meet a disk centre on every one and refuse the instance.
+    r = F(1, 1000)
+    bends = [(F(10), F(0))] + [
+        (5 + 10 * F(2 * k + 3, 7 * k * k + 11 * k + 13),
+         10 * F((-1) ** k * (2 * k + 1), 3 * k * k + 7))
+        for k in range(1, 48)
+    ]
+    disks = []
+    for bx, by in bends:
+        disks += [Disk(bx / 2, by / 2), Disk(bx / 2 + r, by / 2)]
+    inst = ar.DiskInstance(radius=r, disks=disks,
+                           points={"p": (F(0), F(0)), "q": (F(10), F(0))})
+    rep = ar.verify_isolation(inst, range(len(disks)))
+    assert not rep.ok
+    assert rep.pair_results == {("p", "q"): False}
 
 
 def test_far_disks_do_not_affect_separation():

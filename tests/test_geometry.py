@@ -4,7 +4,7 @@ disk and segment predicates."""
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from disklab import geometry as geo
 
@@ -267,6 +267,35 @@ def test_point_on_segment():
     assert geo.point_on_segment(a, a, b)
     assert not geo.point_on_segment((F(2), F(2)), a, b)
     assert not geo.point_on_segment((F(6), F(3)), a, b)
+
+
+def test_ray_crossing_signs_and_half_open_rule():
+    p = (F(0), F(0))
+    up, down = ((F(1), F(-1)), (F(1), F(1))), ((F(1), F(1)), (F(1), F(-1)))
+    assert geo.ray_crossing(*up, p) == 1
+    assert geo.ray_crossing(*down, p) == -1
+    # left of p: the ray points away from the segment
+    assert geo.ray_crossing((F(-1), F(-1)), (F(-1), F(1)), p) == 0
+    # an endpoint on the ray's line counts as below it
+    assert geo.ray_crossing((F(1), F(0)), (F(1), F(1)), p) == 1
+    assert geo.ray_crossing((F(1), F(-1)), (F(1), F(0)), p) == 0
+    # a horizontal segment on the ray never crosses it
+    assert geo.ray_crossing((F(1), F(0)), (F(3), F(0)), p) == 0
+    assert geo.ray_crossing((F(3), F(0)), (F(1), F(0)), p) == 0
+
+
+quarter = st.integers(min_value=-8, max_value=8).map(lambda k: F(k, 4))
+
+
+@given(quarter, quarter, quarter, quarter, quarter, quarter, quarter, quarter)
+@settings(max_examples=200)
+def test_ray_crossings_around_a_triangle_decide_inside(ax, ay, bx, by, cx, cy, px, py):
+    a, b, c, p = (ax, ay), (bx, by), (cx, cy), (px, py)
+    sides = ((a, b), (b, c), (c, a))
+    assume(not any(geo.point_on_segment(p, u, v) for u, v in sides))
+    signs = {geo.orient(u, v, p) for u, v in sides}
+    inside = len(signs) == 1 and 0 not in signs
+    assert (abs(sum(geo.ray_crossing(u, v, p) for u, v in sides)) == 1) == inside
 
 
 @given(

@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from disklab import pipeline
 from disklab.__main__ import main as cli_main
 from disklab.arrangements import DiskInstance
+from disklab.gadgets import SynthesisError
 from disklab.geometry import Disk
 from disklab.graphs import (
     MultiterminalInstance,
@@ -118,6 +120,19 @@ def test_reduce_rejects_restriction_violations(tmp_path):
     write_json(triangle_mc_dict(weights={0: 2}), weighted)
     code, lines = cli_reduce("pmc->subdivision", weighted, tmp_path / "x.json")
     assert code == 1 and "unweighted" in lines[0]
+
+
+def test_reduce_toy_budget_failure_is_a_rejection(tmp_path, monkeypatch):
+    mc, sub = tmp_path / "mc.json", tmp_path / "sub.json"
+    write_json(two_cycle_mc_dict(), mc)
+    assert cli_reduce("pmc->subdivision", mc, sub)[0] == 0
+
+    def no_budget(emb, params):
+        raise SynthesisError("no uniform per-edge count fits")
+
+    monkeypatch.setattr(pipeline, "toy_edge_budget", no_budget)
+    code, lines = cli_reduce("subdivision->isolation", sub, tmp_path / "x.json", mode="toy")
+    assert code == 1 and lines[0].startswith("rejected:")
 
 
 def test_reduce_malformed_inputs(tmp_path):

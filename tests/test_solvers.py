@@ -181,11 +181,14 @@ def test_two_point_requires_two_points():
         brute_min_isolation_two_points(inst)
 
 
-def test_two_point_rejects_nearly_covered_points():
+def test_two_point_rejects_covered_points():
     inst = ring4()
-    inst.points["in"] = (Fraction(2), Fraction(149, 100))  # r + r/150 away
-    with pytest.raises(VerificationError):
+    inst.points["in"] = (Fraction(2), Fraction(149, 100))  # inside disk (2, 0)
+    with pytest.raises(VerificationError, match="covered"):
         brute_min_isolation_two_points(inst)
+    # free, though within r/1000 of disk (2, 0)
+    inst.points["in"] = (Fraction(1, 2) - Fraction(1, 2000), Fraction(0))
+    assert brute_min_isolation_two_points(inst).optimum == 4
 
 
 def test_two_point_cap():
