@@ -10,6 +10,7 @@ third disk.
 """
 
 from fractions import Fraction
+import math
 import random
 
 import numpy as np
@@ -113,14 +114,43 @@ def _lens_corner_margins_ok(ca, cb, cc, r, mu):
     return True
 
 
+def robust_layout(centers, r) -> bool:
+    """Whether ``centers`` has fat features (see module docstring): every
+    pair overlaps or stays r/4 apart, and every lens corner of an
+    intersecting triple sits r/8 inside or outside the third disk."""
+    pair_lo = (2 * r - Fraction(r, 4)) ** 2
+    pair_hi = (2 * r + Fraction(r, 4)) ** 2
+    for i in range(len(centers)):
+        for j in range(i + 1, len(centers)):
+            d2 = dist_sq(centers[i], centers[j])
+            if pair_lo < d2 < pair_hi or d2 == 4 * r * r:
+                return False
+    adj = [
+        [j for j in range(len(centers))
+         if j != i and dist_sq(centers[i], centers[j]) <= 4 * r * r]
+        for i in range(len(centers))
+    ]
+    mu = Fraction(r, 8)
+    for i in range(len(centers)):
+        for j in adj[i]:
+            if j < i:
+                continue
+            for k in set(adj[i]) & set(adj[j]):
+                if k <= j:
+                    continue
+                for (a, b, c) in ((i, j, k), (i, k, j), (j, k, i)):
+                    if not _lens_corner_margins_ok(
+                        centers[a], centers[b], centers[c], r, mu
+                    ):
+                        return False
+    return True
+
+
 def random_robust_centers(rng: random.Random, n_lo=8, n_hi=26, attempts=400, span=36):
     """Random quarter-lattice disk centers with fat features (see module
     docstring).  Returns a list of Fraction pairs; raises if rejection
     sampling keeps failing.  ``span`` is the lattice extent in quarter
     units, so smaller spans pack the same disk count more densely."""
-    r = Fraction(1)
-    pair_lo = (2 * r - Fraction(r, 4)) ** 2
-    pair_hi = (2 * r + Fraction(r, 4)) ** 2
     for _ in range(attempts):
         n = rng.randint(n_lo, n_hi)
         centers = []
@@ -130,42 +160,7 @@ def random_robust_centers(rng: random.Random, n_lo=8, n_hi=26, attempts=400, spa
             if c not in seen:
                 seen.add(c)
                 centers.append(c)
-        ok = True
-        for i in range(len(centers)):
-            for j in range(i + 1, len(centers)):
-                d2 = dist_sq(centers[i], centers[j])
-                if pair_lo < d2 < pair_hi or d2 == 4 * r * r:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        adj = [
-            [j for j in range(len(centers))
-             if j != i and dist_sq(centers[i], centers[j]) <= 4 * r * r]
-            for i in range(len(centers))
-        ]
-        mu = Fraction(r, 8)
-        for i in range(len(centers)):
-            for j in adj[i]:
-                if j < i:
-                    continue
-                for k in set(adj[i]) & set(adj[j]):
-                    if k <= j:
-                        continue
-                    for (a, b, c) in ((i, j, k), (i, k, j), (j, k, i)):
-                        if not _lens_corner_margins_ok(
-                            centers[a], centers[b], centers[c], r, mu
-                        ):
-                            ok = False
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok and centers:
+        if centers and robust_layout(centers, Fraction(1)):
             return centers
     raise RuntimeError("rejection sampling failed to find a robust instance")
 
@@ -188,3 +183,54 @@ def random_robust_points(rng: random.Random, centers, r, count=2, span=36):
         if all(dist_sq(p, c) > lim2 for c in centers):
             pts.append(p)
     raise RuntimeError("could not place robust query points")
+
+
+def quarter(x):
+    """The quarter-lattice value nearest to the float ``x``."""
+    return Fraction(round(4 * x), 4)
+
+
+def ring_centers(rng, cx, cy, rad, spacing=(1.1, 1.45), gap_prob=0.0):
+    """Quarter-lattice centres of a ring of unit disks around (cx, cy),
+    neighbours about ``spacing`` apart, each dropped with probability
+    ``gap_prob``."""
+    k = math.ceil(2 * math.pi * rad / rng.uniform(*spacing))
+    phase = rng.uniform(0, 2 * math.pi)
+    return [
+        (cx + quarter(rad * math.cos(phase + 2 * math.pi * j / k)),
+         cy + quarter(rad * math.sin(phase + 2 * math.pi * j / k)))
+        for j in range(k) if rng.random() >= gap_prob
+    ]
+
+
+def random_robust_rings(rng: random.Random, attempts=400):
+    """Unit-disk rings with fat features: either one or two rings side by
+    side, or two nested rings, plus up to four stray disks.  Returns the
+    centers and one robust free point in each bounded hole the rings are
+    built to enclose (ring centres, and a point between nested rings)."""
+    lim2 = Fraction(9, 8) ** 2
+    for _ in range(attempts):
+        centers, holes = [], []
+        if rng.random() < 0.5:
+            inner, outer = rng.choice([2, 2.5]), rng.choice([5, 5.5])
+            cx, cy = quarter(rng.uniform(7, 8)), quarter(rng.uniform(7, 8))
+            centers += ring_centers(rng, cx, cy, inner) + ring_centers(rng, cx, cy, outer)
+            a, mid = rng.uniform(0, 2 * math.pi), (inner + outer) / 2
+            holes += [(cx, cy), (cx + quarter(mid * math.cos(a)), cy + quarter(mid * math.sin(a)))]
+        else:
+            x = 0
+            for _ in range(rng.randint(1, 2)):
+                rad = rng.choice([2, 2.5, 3, 3.5])
+                cx, cy = quarter(x + rad + 1), quarter(rng.uniform(rad + 1, 12 - rad))
+                centers += ring_centers(rng, cx, cy, rad)
+                holes.append((cx, cy))
+                x += 2 * rad + 2 + rng.uniform(0.3, 1)
+        for _ in range(rng.randint(0, 4)):
+            centers.append((Fraction(rng.randint(0, 60), 4), Fraction(rng.randint(0, 60), 4)))
+        if len(set(centers)) != len(centers):
+            continue
+        if not all(dist_sq(h, c) > lim2 for h in holes for c in centers):
+            continue
+        if robust_layout(centers, Fraction(1)):
+            return centers, holes
+    raise RuntimeError("rejection sampling failed to find a robust ring layout")

@@ -20,6 +20,7 @@ from floodfill import (
     flood_fill_summary,
     random_robust_centers,
     random_robust_points,
+    random_robust_rings,
 )
 
 from disklab import arrangements as ar
@@ -31,6 +32,7 @@ from disklab.gadgets import (
     build_isolation_instance,
     build_udmc_instance,
     build_weighted_edge_instance,
+    lift_fence_to_edges,
     lift_vertex_set_to_acc,
 )
 from disklab.geometry import (
@@ -61,6 +63,7 @@ ONE = Fraction(1)
 SOUND_CORPUS_SEED = 20260814   # criterion 4
 CUT_CORPUS_SEED = 31415        # criterion 5
 ORACLE_SEED = 271828           # criteria 9 and 10
+RING_ORACLE_SEED = 141421      # criterion 12
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +136,29 @@ def oracle_corpus():
         )
         report = ar.verify_isolation(inst, chosen)
         out.append((centers, chosen, inst, report))
+    return out
+
+
+@pytest.fixture(scope="module")
+def ring_oracle_corpus():
+    """Sixty robust ring layouts (single, side by side or nested) with a
+    random kept-subset, one query point in a hole the rings enclose and one
+    anywhere free, plus the exact verdicts.  Unlike ``oracle_corpus`` these
+    layouts have bounded holes and separated pairs."""
+    rng = random.Random(RING_ORACLE_SEED)
+    out = []
+    for _ in range(60):
+        centers, holes = random_robust_rings(rng)
+        chosen = [i for i in range(len(centers)) if rng.random() < 0.97]
+        p = rng.choice(holes)
+        others = [h for h in holes if h != p]
+        others += random_robust_points(rng, centers, ONE, count=1, span=60)
+        inst = ar.DiskInstance(
+            radius=ONE,
+            disks=[Disk(c[0], c[1]) for c in centers],
+            points={"a": p, "b": rng.choice(others)},
+        )
+        out.append((centers, chosen, inst, ar.verify_isolation(inst, chosen)))
     return out
 
 
@@ -344,3 +370,55 @@ def test_criterion_10_accepted_certificates_carry_udg_cycles(
                 assert dist_sq(centers[a], centers[b]) <= four_r2
             cycles_checked += 1
     assert cycles_checked >= len(accepted)
+
+
+def test_criterion_11_sound_fence_size_law_and_lift(tmp_path):
+    g = PlanarEmbeddedGraph.from_edge_rotation(
+        ["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")],
+        {"a": [0, 2], "b": [1, 0], "c": [2, 1]},
+    )
+    sub = SubdivisionInstance(
+        graph=g, terminals={f"p{f}": f for f in range(g.face_count())}
+    )
+    (tmp_path / "src.json").write_text(json.dumps(sub.to_dict()))
+    code, lines = pl.cli_reduce(
+        "subdivision->isolation", str(tmp_path / "src.json"),
+        str(tmp_path / "iso.json"), mode="sound",
+    )
+    assert code == 0, lines
+    code, lines = pl.cli_solve(
+        "isolation", str(tmp_path / "iso.json"), str(tmp_path / "sol.json")
+    )
+    assert code == 0, lines
+    inst = ar.DiskInstance.from_dict(json.loads((tmp_path / "iso.json").read_text()))
+    sol = json.loads((tmp_path / "sol.json").read_text())
+    c_edge = int(inst.meta["c_edge"])
+    b = len(brute_min_subdivision(sub).detail["kept_edges"])
+    assert b == 3
+    k1 = int(sol["optimum"])
+    assert b * c_edge <= k1 < (b + 1) * c_edge, (b, c_edge, k1)
+    assert not list(nx.bridges(nx.Graph(g.edges)))  # every edge is kept
+    assert lift_fence_to_edges(inst, sol["witness"]) == [0, 1, 2]
+
+
+def test_criterion_12_raster_oracle_on_ring_holes(ring_oracle_corpus):
+    assert len(ring_oracle_corpus) == 60
+    disagreements = holes = separated = 0
+    for centers, chosen, inst, report in ring_oracle_corpus:
+        exact = ar.complement_regions(centers, ONE)
+        if flood_fill_summary(centers, ONE) != (
+            exact.union_components, exact.bounded_complement_regions
+        ):
+            disagreements += 1
+        raster_sep = flood_fill_separated(
+            [centers[i] for i in chosen], ONE, inst.points["a"], inst.points["b"]
+        )
+        if report.pair_results[("a", "b")] != raster_sep:
+            disagreements += 1
+        holes += exact.bounded_complement_regions
+        separated += raster_sep
+    assert disagreements == 0
+    # the corpus must exercise what criterion 09's corpus cannot: 87 holes
+    # and 40 separated pairs of 60 at this seed
+    assert holes >= 60
+    assert 20 <= separated <= 50
