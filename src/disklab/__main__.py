@@ -33,17 +33,20 @@ def _diag(level: str, lines: List[str]) -> None:
               file=sys.stderr)
 
 
+OVERRIDES = ("r", "h", "s", "a", "spacing")
+
+
 def _override_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--params", choices=["sound", "toy"], default="sound",
                         help="parameter regime for synthesis")
-    for name in ("r", "h", "s", "a", "spacing"):
+    for name in OVERRIDES:
         parser.add_argument(f"--{name}", default=None, metavar="P/Q",
                             help=f"override parameter {name} (rational)")
 
 
 def _collect_overrides(args) -> Dict[str, Fraction]:
     out: Dict[str, Fraction] = {}
-    for name in ("r", "h", "s", "a", "spacing"):
+    for name in OVERRIDES:
         val = getattr(args, name, None)
         if val is not None:
             out[name] = rational_from_str(val)
@@ -56,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("reduce", help="compile an instance into a harder one")
-    p.add_argument("kind", choices=list(pipeline.REDUCTION_KINDS))
+    p.add_argument("kind", choices=list(pipeline.REDUCTIONS))
     p.add_argument("input")
     p.add_argument("--out", required=True)
     p.add_argument("--record", default=None,
@@ -64,15 +67,12 @@ def build_parser() -> argparse.ArgumentParser:
     _override_flags(p)
 
     p = sub.add_parser("verify", help="check a certificate against an instance")
-    p.add_argument("problem",
-                   choices=["isolation", "acc", "udmc", "mc", "subdivision"])
+    p.add_argument("problem", choices=list(pipeline.VERIFIERS))
     p.add_argument("instance")
     p.add_argument("certificate")
 
     p = sub.add_parser("solve", help="ground-truth optimum (may refuse)")
-    p.add_argument("problem",
-                   choices=["mc", "subdivision", "fvs", "isolation", "acc",
-                            "terminal-pair-cut", "udmc-bound"])
+    p.add_argument("problem", choices=list(pipeline.SOLVERS))
     p.add_argument("instance")
     p.add_argument("--out", required=True)
     p.add_argument("--cap-subset", type=int, default=None,
@@ -102,68 +102,42 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+# command -> pipeline call on the parsed arguments.  The file verbs return
+# (exit code, diagnostic lines); the reports return (exit code, payload).
+VERBS = {
+    "reduce": lambda a: pipeline.cli_reduce(
+        a.kind, a.input, a.out, record_path=a.record, mode=a.params,
+        overrides=_collect_overrides(a)),
+    "verify": lambda a: pipeline.cli_verify(a.problem, a.instance, a.certificate),
+    "solve": lambda a: pipeline.cli_solve(
+        a.problem, a.instance, a.out, cap_subset=a.cap_subset),
+    "lift": lambda a: pipeline.cli_lift(
+        a.record, a.solution, a.source_instance, a.target_instance, a.out),
+    "render": lambda a: pipeline.cli_render(a.input, a.out, guides=a.guides),
+}
+REPORTS = {
+    "check-params": lambda a: pipeline.cli_check_params(
+        a.n, a.params, _collect_overrides(a)),
+    "lemma-oracle": lambda a: (0, pipeline.cli_lemma_oracle(a.n)),
+}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-
-    if args.command == "reduce":
-        code, lines = pipeline.cli_reduce(
-            args.kind, args.input, args.out, record_path=args.record,
-            mode=args.params, overrides=_collect_overrides(args))
+    if args.command in VERBS:
+        code, lines = VERBS[args.command](args)
         _diag("info" if code == 0 else "error", lines)
         return code
-
-    if args.command == "verify":
-        code, lines = pipeline.cli_verify(args.problem, args.instance,
-                                          args.certificate)
-        _diag("info" if code == 0 else "error", lines)
-        return code
-
-    if args.command == "solve":
-        code, lines = pipeline.cli_solve(args.problem, args.instance, args.out,
-                                         cap_subset=args.cap_subset)
-        _diag("info" if code == 0 else "error", lines)
-        return code
-
-    if args.command == "lift":
-        code, lines = pipeline.cli_lift(
-            args.record, args.solution, args.source_instance,
-            args.target_instance, args.out)
-        _diag("info" if code == 0 else "error", lines)
-        return code
-
-    if args.command == "render":
-        code, lines = pipeline.cli_render(args.input, args.out,
-                                          guides=args.guides)
-        _diag("info" if code == 0 else "error", lines)
-        return code
-
-    if args.command == "check-params":
-        try:
-            code, payload = pipeline.cli_check_params(
-                args.n, args.params, _collect_overrides(args))
-        except ValueError as exc:
-            _diag("error", [f"malformed: {exc}"])
-            return 2
-        text = json.dumps(payload, sort_keys=True, indent=2)
-        if args.out:
-            pipeline.write_json(payload, args.out)
-        else:
-            print(text)
-        return code
-
-    if args.command == "lemma-oracle":
-        try:
-            payload = pipeline.cli_lemma_oracle(args.n)
-        except ValueError as exc:
-            _diag("error", [f"malformed: {exc}"])
-            return 2
-        if args.out:
-            pipeline.write_json(payload, args.out)
-        else:
-            print(json.dumps(payload, sort_keys=True, indent=2))
-        return 0
-
-    raise AssertionError(f"unhandled command {args.command!r}")
+    try:
+        code, payload = REPORTS[args.command](args)
+    except ValueError as exc:
+        _diag("error", [f"malformed: {exc}"])
+        return 2
+    if args.out:
+        pipeline.write_json(payload, args.out)
+    else:
+        print(json.dumps(payload, sort_keys=True, indent=2))
+    return code
 
 
 if __name__ == "__main__":

@@ -29,21 +29,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .geometry import (
     Disk,
     ParamSet,
     Point,
     dist_sq,
-    point_on_segment,
     rational_from_str,
     rational_to_str,
     ray_crossing,
-    segment_intersection_point,
-    segments_cross_properly,
     triple_intersection_nonempty,
 )
+from .graphs import components
 
 
 class VerificationError(ValueError):
@@ -184,24 +182,6 @@ def unit_disk_graph(centers: Sequence[Point], r: Fraction) -> UnitDiskGraph:
     return UnitDiskGraph(n, edges, adj)
 
 
-def udg_components(udg: UnitDiskGraph) -> List[int]:
-    comp = [-1] * udg.n
-    c = 0
-    for s in range(udg.n):
-        if comp[s] != -1:
-            continue
-        comp[s] = c
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for w in udg.adj[v]:
-                if comp[w] == -1:
-                    comp[w] = c
-                    stack.append(w)
-        c += 1
-    return comp
-
-
 def covering_disks(centers: Sequence[Point], r: Fraction, p: Point) -> List[int]:
     """Indices of disks containing ``p`` (closed)."""
     r2 = r * r
@@ -253,7 +233,7 @@ def complement_regions(centers: Sequence[Point], r: Fraction) -> RegionSummary:
     from the graph, holes from edges - vertices + components - rank of the
     filled-triangle boundary operator over GF(2)."""
     udg = unit_disk_graph(centers, r)
-    comps = len(set(udg_components(udg))) if udg.n else 0
+    comps = len(set(components(range(udg.n), udg.edges).values()))
     tris = filled_triangles(centers, r, udg)
     eidx = {e: i for i, e in enumerate(udg.edges)}
     masks = []
@@ -511,7 +491,7 @@ def verify_multiterminal_cut(
         raise VerificationError("cut instances need at least two terminal disks")
     removed = normalize_edge_list(removed_edges)
     udg = unit_disk_graph(instance.centers(), instance.radius)
-    edge_set = {(min(i, j), max(i, j)) for i, j in udg.edges}
+    edge_set = set(udg.edges)
     for e in removed:
         if e not in edge_set:
             raise VerificationError(
@@ -521,24 +501,8 @@ def verify_multiterminal_cut(
     if budget is not None and len(removed) > budget:
         reasons.append(f"budget: certificate removes {len(removed)} edges, cap {budget}")
     removed_set = set(removed)
-    adj: Dict[int, List[int]] = {v: [] for v in range(udg.n)}
-    for i, j in udg.edges:
-        if (min(i, j), max(i, j)) not in removed_set:
-            adj[i].append(j)
-            adj[j].append(i)
-    color: Dict[int, int] = {}
-    for start in range(udg.n):
-        if start in color:
-            continue
-        color[start] = start
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in color:
-                    color[y] = start
-                    stack.append(y)
-    terminal_components = {t: color[t] for t in terminals}
+    comp = components(range(udg.n), (e for e in udg.edges if e not in removed_set))
+    terminal_components = {t: comp[t] for t in terminals}
     separated = len(set(terminal_components.values())) == len(terminals)
     if not separated:
         reasons.append("two terminal disks stay connected")
@@ -548,69 +512,3 @@ def verify_multiterminal_cut(
         terminal_components=terminal_components,
         reasons=reasons,
     )
-
-
-# ---------------------------------------------------------------------------
-# segment arrangements
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ArrangementSummary:
-    vertices: int
-    edges: int
-    faces: int       # including the unbounded face
-    components: int
-
-
-def build_segment_arrangement(
-    segments: Sequence[Tuple[Point, Point]]
-) -> ArrangementSummary:
-    """Planarize a set of closed segments and count cells.
-
-    Splits every segment at each point where another segment's endpoint,
-    crossing, or collinear-overlap boundary touches it, dedupes the
-    resulting unit pieces, and gets the face count from Euler's relation
-    V - E + F = 1 + C.
-    """
-    segs = [(a, b) for a, b in segments if a != b]
-    pts_on: List[Set[Point]] = [set((a, b)) for a, b in segs]
-    for i in range(len(segs)):
-        a, b = segs[i]
-        for j in range(i + 1, len(segs)):
-            c, d = segs[j]
-            if segments_cross_properly(a, b, c, d):
-                x = segment_intersection_point(a, b, c, d)
-                pts_on[i].add(x)
-                pts_on[j].add(x)
-                continue
-            for p in (c, d):
-                if point_on_segment(p, a, b):
-                    pts_on[i].add(p)
-            for p in (a, b):
-                if point_on_segment(p, c, d):
-                    pts_on[j].add(p)
-    vertices: Set[Point] = set()
-    edge_set: Set[FrozenSet[Point]] = set()
-    for (a, b), cuts in zip(segs, pts_on):
-        ordered = sorted(cuts, key=lambda p: dist_sq(a, p))
-        vertices.update(ordered)
-        for u, v in zip(ordered, ordered[1:]):
-            edge_set.add(frozenset((u, v)))
-    # components over the vertex set
-    parent: Dict[Point, Point] = {v: v for v in vertices}
-
-    def find(x: Point) -> Point:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in edge_set:
-        u, v = tuple(e)
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    comps = len({find(v) for v in vertices})
-    V, E = len(vertices), len(edge_set)
-    F = E - V + 1 + comps
-    return ArrangementSummary(vertices=V, edges=E, faces=F, components=comps)

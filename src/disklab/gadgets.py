@@ -19,9 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .arrangements import DiskInstance, UnitDiskGraph, unit_disk_graph
+from .arrangements import DiskInstance, complement_regions, unit_disk_graph
 from .geometry import (
     Disk,
     ParamSet,
@@ -31,8 +31,8 @@ from .geometry import (
     dist_sq,
     pi_bounds,
 )
-from .graphs import PlanarEmbeddedGraph, StructureError, SubdivisionInstance, Vertex
-from .gridembed import GridEmbedding, locate_face
+from .graphs import SubdivisionInstance, Vertex, components
+from .gridembed import DrawingError, GridEmbedding, locate_face
 
 Tag = Tuple
 
@@ -154,23 +154,20 @@ def check_structure(instance: DiskInstance, spec: StructureSpec) -> ContactRepor
                 violations.append(f"forbidden contact between {ti} and {tj}")
             else:
                 cross[key] = cross.get(key, 0) + 1
-    four_r2 = 4 * instance.radius ** 2
+    contacts = set(udg.edges)
+
+    def touching(a: int, b: int) -> bool:
+        return (min(a, b), max(a, b)) in contacts
+
     for tag, ids in spec.chains.items():
         need = len(ids) - 1
-        have = sum(
-            1 for a, b in zip(ids, ids[1:])
-            if dist_sq(centers[a], centers[b]) <= four_r2
-        )
+        have = sum(1 for a, b in zip(ids, ids[1:]) if touching(a, b))
         if have != need:
             violations.append(f"chain {tag}: only {have}/{need} consecutive contacts")
     for tag, ids in spec.rings.items():
         if len(ids) >= 2:
             cyc = ids + ids[:1]
-            have = sum(
-                1 for a, b in zip(cyc, cyc[1:])
-                if dist_sq(centers[a], centers[b]) <= four_r2
-            )
-            if have != len(ids):
+            if sum(1 for a, b in zip(cyc, cyc[1:]) if touching(a, b)) != len(ids):
                 violations.append(f"ring {tag}: broken cycle")
     for key, (lo, hi) in spec.allowed_contacts.items():
         got = cross.get(key, 0)
@@ -351,7 +348,7 @@ def _place_face_points(
             try:
                 if locate_face(g, emb.coords, cand) != face:
                     continue
-            except Exception:
+            except DrawingError:
                 continue
             found = cand
             break
@@ -501,12 +498,6 @@ def _ring_is_cycle(centers: Sequence[Point], r: Fraction) -> bool:
     return True
 
 
-def isolation_budget(artifacts_meta: Dict[str, object], kept_edges: int) -> int:
-    """The certificate budget that admits ``kept_edges`` full walls plus all
-    vertex structures."""
-    return int(artifacts_meta["c_edge"]) * kept_edges + int(artifacts_meta["vertex_disk_total"])
-
-
 def lift_fence_to_edges(instance: DiskInstance, chosen_ids: Iterable[int]) -> List[int]:
     """Edges whose wall appears in full among the chosen disks.
 
@@ -608,21 +599,7 @@ def build_acc_instance(
             "acyclicity instance failed verification:\n  " + "\n  ".join(report.violations[:12])
         )
     # the union must have exactly one hole per independent cycle
-    from .arrangements import complement_regions
-
-    comp_labels: Dict[Vertex, Vertex] = {v: v for v in vertices}
-
-    def find(x):
-        while comp_labels[x] != x:
-            comp_labels[x] = comp_labels[comp_labels[x]]
-            x = comp_labels[x]
-        return x
-
-    for (u, w) in edges:
-        ru, rw = find(u), find(w)
-        if ru != rw:
-            comp_labels[ru] = rw
-    n_comp = len({find(v) for v in vertices})
+    n_comp = len(set(components(vertices, edges).values()))
     cycle_rank = len(edges) - len(vertices) + n_comp
     regions = complement_regions(inst.centers(), r)
     if regions.bounded_complement_regions != cycle_rank or \
@@ -838,13 +815,10 @@ def build_udmc_instance(
     for v, d in degree.items():
         if d > 3:
             raise SynthesisError(f"vertex {v!r} has degree {d}; at most 3 supported")
-    if copies < 2:
-        raise SynthesisError("bundles need at least two copies")
-    if copies <= 3 * 5:
-        # still buildable, but the cut accounting that makes solutions
-        # liftable needs copies > max_degree * max_weight
-        if copies < 16:
-            raise SynthesisError("fewer than 16 copies breaks the cut accounting")
+    # the cut accounting that makes solutions liftable needs
+    # copies > max_degree * max_weight = 15
+    if copies < 16:
+        raise SynthesisError("fewer than 16 copies breaks the cut accounting")
 
     rf = float(r)
     snapper = Snapper(r)

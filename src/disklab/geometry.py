@@ -447,10 +447,6 @@ def disks_intersect(c1: Point, c2: Point, r: Fraction) -> bool:
     return dist_sq(c1, c2) <= 4 * r * r
 
 
-def disk_contains(c: Point, r: Fraction, p: Point) -> bool:
-    return dist_sq(c, p) <= r * r
-
-
 def _sign_a_plus_b_sqrt_q(a: Fraction, b: Fraction, q: Fraction) -> int:
     """Exact sign of a + b*sqrt(q) for rational a, b and q >= 0."""
     if q < 0:

@@ -28,6 +28,29 @@ def other_end(dart: Dart) -> Dart:
     return (dart[0], 1 - dart[1])
 
 
+def components(
+    nodes: Iterable[Vertex], edges: Iterable[Tuple[Vertex, Vertex]]
+) -> Dict[Vertex, Vertex]:
+    """Connected components of the multigraph (``nodes``, ``edges``), as a
+    map from each node to the first node of its component in ``nodes``
+    order.  Self-loops and parallel edges are allowed; every edge end must
+    be one of ``nodes``."""
+    parent: Dict[Vertex, Vertex] = {v: v for v in nodes}
+
+    def find(x: Vertex) -> Vertex:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, w in edges:
+        ru, rw = find(u), find(w)
+        if ru != rw:
+            parent[ru] = rw
+    label: Dict[Vertex, Vertex] = {}
+    return {v: label.setdefault(find(v), v) for v in parent}
+
+
 class PlanarEmbeddedGraph:
     def __init__(
         self,
@@ -127,18 +150,7 @@ class PlanarEmbeddedGraph:
         return True
 
     def is_connected(self) -> bool:
-        if not self.vertices:
-            return True
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
-        while stack:
-            v = stack.pop()
-            for d in self.rot[v]:
-                w = self.dart_head(d)
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.vertices)
+        return len(set(components(self.vertices, self.edges).values())) <= 1
 
     def next_at_vertex(self, d: Dart) -> Dart:
         """Next dart clockwise after ``d`` around its tail vertex."""
@@ -433,23 +445,13 @@ def face_components(g: PlanarEmbeddedGraph, kept_edges: Iterable[int]) -> Dict[i
 
     Deleting an edge merges the two faces on its sides, so the faces of the
     retained subgraph are the components of the dual restricted to deleted
-    edges.  Returns a face-id -> representative map (union-find roots).
+    edges.  Returns a face-id -> smallest face id of its part map.
     """
     kept = set(kept_edges)
-    parent = list(range(g.face_count()))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for eid, (fa, fb) in enumerate(g.edge_faces()):
-        if eid not in kept:
-            ra, rb = find(fa), find(fb)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-    return {f: find(f) for f in range(g.face_count())}
+    return components(
+        range(g.face_count()),
+        (faces for eid, faces in enumerate(g.edge_faces()) if eid not in kept),
+    )
 
 
 def subdivision_solution_ok(inst: SubdivisionInstance, kept_edges: Iterable[int]) -> bool:
@@ -542,22 +544,6 @@ def multiterminal_solution_ok(mti: MultiterminalInstance, removed: Iterable[int]
     """True if deleting ``removed`` separates all terminals pairwise."""
     removed = set(removed)
     g = mti.graph
-    adj: Dict[Vertex, List[Vertex]] = {v: [] for v in g.vertices}
-    for eid, (u, v) in enumerate(g.edges):
-        if eid not in removed and u != v:
-            adj[u].append(v)
-            adj[v].append(u)
-    color: Dict[Vertex, int] = {}
-    for i, start in enumerate(g.vertices):
-        if start in color:
-            continue
-        color[start] = i
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in color:
-                    color[y] = i
-                    stack.append(y)
-    reps = [color[t] for t in mti.terminals]
+    comp = components(g.vertices, (e for eid, e in enumerate(g.edges) if eid not in removed))
+    reps = [comp[t] for t in mti.terminals]
     return len(set(reps)) == len(reps)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
@@ -23,7 +23,7 @@ from .geometry import (
     ray_crossing,
     segments_cross_properly,
 )
-from .graphs import Dart, PlanarEmbeddedGraph, StructureError, Vertex, other_end
+from .graphs import Dart, PlanarEmbeddedGraph, Vertex
 
 Coords = Dict[Vertex, Tuple[int, int]]
 
@@ -103,6 +103,28 @@ def rotation_equivalent(g: PlanarEmbeddedGraph, coords: Coords) -> bool:
     return all(cyclic_equal(list(g.rot[v]), drawn[v]) for v in g.vertices)
 
 
+def _segments_conflict(a: Point, b: Point, c: Point, d: Point) -> bool:
+    """Whether drawn edges ab and cd touch anywhere but at a shared vertex.
+
+    Distinct vertices sit at distinct points, so the edges share a vertex
+    exactly when they share an endpoint; edges sharing both ends are
+    parallel, which straight-line drawings of simple graphs never have.
+    """
+    shared = (a == c or a == d) + (b == c or b == d)
+    if shared == 1:
+        return (
+            (point_on_segment(c, a, b) and c not in (a, b))
+            or (point_on_segment(d, a, b) and d not in (a, b))
+            or (point_on_segment(a, c, d) and a not in (c, d))
+            or (point_on_segment(b, c, d) and b not in (c, d))
+        )
+    return shared == 0 and (
+        segments_cross_properly(a, b, c, d)
+        or point_on_segment(a, c, d) or point_on_segment(b, c, d)
+        or point_on_segment(c, a, b) or point_on_segment(d, a, b)
+    )
+
+
 def check_drawing(g: PlanarEmbeddedGraph, coords: Coords) -> None:
     """Exact validity: integer coordinates, distinct vertices, no segment
     contacts except at shared endpoints, no vertex on a foreign edge, and the
@@ -119,23 +141,15 @@ def check_drawing(g: PlanarEmbeddedGraph, coords: Coords) -> None:
     if len(set(pts.values())) != len(pts):
         raise DrawingError("two vertices share a grid point")
 
-    segs = [(pts[u], pts[v], (u, v)) for u, v in g.edges]
+    segs = [(pts[u], pts[v]) for u, v in g.edges]
     for i in range(len(segs)):
-        a, b, (u1, v1) = segs[i]
+        a, b = segs[i]
         for j in range(i + 1, len(segs)):
-            c, d, (u2, v2) = segs[j]
-            shared = {u1, v1} & {u2, v2}
-            if len(shared) == 1:
-                if (point_on_segment(c, a, b) and c not in (a, b)) or \
-                   (point_on_segment(d, a, b) and d not in (a, b)) or \
-                   (point_on_segment(a, c, d) and a not in (c, d)) or \
-                   (point_on_segment(b, c, d) and b not in (c, d)):
+            c, d = segs[j]
+            if _segments_conflict(a, b, c, d):
+                if a in (c, d) or b in (c, d):
                     raise DrawingError(f"edges {i} and {j} overlap beyond their shared vertex")
-            elif not shared:
-                if segments_cross_properly(a, b, c, d) or \
-                   point_on_segment(a, c, d) or point_on_segment(b, c, d) or \
-                   point_on_segment(c, a, b) or point_on_segment(d, a, b):
-                    raise DrawingError(f"edges {i} and {j} intersect")
+                raise DrawingError(f"edges {i} and {j} intersect")
     for w, p in pts.items():
         for eid, (u, v) in enumerate(g.edges):
             if w not in (u, v) and point_on_segment(p, pts[u], pts[v]):
@@ -402,21 +416,8 @@ def search_minimal_drawing(
             for eid2, (u2, v2) in enumerate(g.edges):
                 if eid2 == eid or u2 not in placed or v2 not in placed:
                     continue
-                if {u2, v2} - set(placed):
-                    continue
-                c, d = pts[u2], pts[v2]
-                shared = {u1, v1} & {u2, v2}
-                if len(shared) == 1:
-                    if (point_on_segment(c, sa, sb) and c not in (sa, sb)) or \
-                       (point_on_segment(d, sa, sb) and d not in (sa, sb)) or \
-                       (point_on_segment(sa, c, d) and sa not in (c, d)) or \
-                       (point_on_segment(sb, c, d) and sb not in (c, d)):
-                        return False
-                elif not shared:
-                    if segments_cross_properly(sa, sb, c, d) or \
-                       point_on_segment(sa, c, d) or point_on_segment(sb, c, d) or \
-                       point_on_segment(c, sa, sb) or point_on_segment(d, sa, sb):
-                        return False
+                if _segments_conflict(sa, sb, pts[u2], pts[v2]):
+                    return False
             for w2, p2 in pts.items():
                 if w2 not in (u1, v1) and point_on_segment(p2, sa, sb):
                     return False

@@ -25,7 +25,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 import networkx as nx
 
@@ -51,15 +51,16 @@ from .geometry import (
     compute_params,
     min_grid_angle_exceeds,
     min_grid_line_point_distance_sq,
-    rational_from_str,
     rational_to_str,
 )
 from .graphs import (
     MultiterminalInstance,
     PlanarEmbeddedGraph,
+    SolutionBackMap,
     StructureError,
     SubdivisionInstance,
     Vertex,
+    components,
     lift_subdivision_solution,
     multiterminal_solution_ok,
     reduce_pmc_to_subdivision,
@@ -91,14 +92,6 @@ MALFORMED_ERRORS = (
     OSError,
     json.JSONDecodeError,
 )
-
-REDUCTION_KINDS = (
-    "pmc->subdivision",
-    "subdivision->isolation",
-    "fvs->acc",
-    "mc->udmc",
-)
-
 
 class PipelineError(ValueError):
     """Malformed pipeline input (schema, digest, unknown kind)."""
@@ -179,7 +172,7 @@ class ReductionRecord:
     @classmethod
     def from_dict(cls, d: dict) -> "ReductionRecord":
         kind = str(d["kind"])
-        if kind not in REDUCTION_KINDS:
+        if kind not in REDUCTIONS:
             raise PipelineError(f"unknown reduction kind {kind!r}")
         params = d.get("params")
         return cls(
@@ -249,23 +242,19 @@ def embed_plain_graph(vertices, edges) -> GridEmbedding:
 # reductions
 # ---------------------------------------------------------------------------
 
-def _reduce_pmc(src: dict) -> Tuple[dict, ReductionRecord]:
+def _reduce_pmc(src: dict, mode: str, overrides) -> Tuple[dict, dict]:
     mti = MultiterminalInstance.from_dict(src)
     try:
         red = reduce_pmc_to_subdivision(mti)
     except StructureError as exc:
         raise Rejected(str(exc)) from exc
     target = red.instance.to_dict()
-    record = ReductionRecord(
-        kind="pmc->subdivision",
-        source_digest=canonical_digest(src),
-        target_digest=canonical_digest(target),
+    return target, dict(
         params=None,
         edges={str(e): list(frags) for e, frags in red.back.pairing.items()},
         vertices={str(v): f for v, f in red.vertex_face.items()},
         terminals={str(t): red.instance.terminals[str(t)] for t in mti.terminals},
     )
-    return target, record
 
 
 def _isolation_params(emb: GridEmbedding, mode: str, overrides: Dict[str, Fraction]) -> ParamSet:
@@ -277,7 +266,7 @@ def _isolation_params(emb: GridEmbedding, mode: str, overrides: Dict[str, Fracti
     return compute_params(emb.grid_size, "sound", overrides)
 
 
-def _reduce_subdivision(src: dict, mode: str, overrides) -> Tuple[dict, ReductionRecord]:
+def _reduce_subdivision(src: dict, mode: str, overrides) -> Tuple[dict, dict]:
     sub = SubdivisionInstance.from_dict(src)
     emb = grid_embed(sub.graph)
     try:
@@ -289,10 +278,7 @@ def _reduce_subdivision(src: dict, mode: str, overrides) -> Tuple[dict, Reductio
     except SynthesisError as exc:
         raise Rejected(str(exc)) from exc
     target = art.instance.to_dict()
-    record = ReductionRecord(
-        kind="subdivision->isolation",
-        source_digest=canonical_digest(src),
-        target_digest=canonical_digest(target),
+    return target, dict(
         params=params,
         edges={str(e): list(ids) for e, ids in art.wall_ids.items()},
         vertices={str(v): list(ids) for v, ids in art.vertex_ids.items()},
@@ -302,10 +288,9 @@ def _reduce_subdivision(src: dict, mode: str, overrides) -> Tuple[dict, Reductio
         },
         notes={"grid_size": emb.grid_size, "constraints_ok": report.ok},
     )
-    return target, record
 
 
-def _reduce_fvs(src: dict, overrides) -> Tuple[dict, ReductionRecord]:
+def _reduce_fvs(src: dict, mode: str, overrides) -> Tuple[dict, dict]:
     vertices, edges, coords = plain_graph_from_dict(src)
     degree: Dict[object, int] = {}
     for (u, w) in edges:
@@ -330,10 +315,7 @@ def _reduce_fvs(src: dict, overrides) -> Tuple[dict, ReductionRecord]:
     for i, d in enumerate(art.instance.disks):
         if d.tag and d.tag[0] == "conn":
             chain_ids[str(d.tag[1])].append(i)
-    record = ReductionRecord(
-        kind="fvs->acc",
-        source_digest=canonical_digest(src),
-        target_digest=canonical_digest(target),
+    return target, dict(
         params=None,
         edges=chain_ids,
         vertices={str(v): art.hub_of_vertex[v] for v in vertices},
@@ -341,10 +323,9 @@ def _reduce_fvs(src: dict, overrides) -> Tuple[dict, ReductionRecord]:
         notes={"r": rational_to_str(r), "cycle_rank": art.cycle_rank,
                "edge_ends": {str(e): [str(u), str(w)] for e, (u, w) in enumerate(edges)}},
     )
-    return target, record
 
 
-def _reduce_mc(src: dict, overrides) -> Tuple[dict, ReductionRecord]:
+def _reduce_mc(src: dict, mode: str, overrides) -> Tuple[dict, dict]:
     mti = MultiterminalInstance.from_dict(src)
     emb = grid_embed(mti.graph)
     r = overrides.get("r", Fraction(1, 10))
@@ -361,10 +342,7 @@ def _reduce_mc(src: dict, overrides) -> Tuple[dict, ReductionRecord]:
             "lanes": [list(art.lane_ids[k]) for k in lanes],
             "cut_pairs": [list(art.lane_cut_edge[k]) for k in lanes],
         }
-    record = ReductionRecord(
-        kind="mc->udmc",
-        source_digest=canonical_digest(src),
-        target_digest=canonical_digest(target),
+    return target, dict(
         params=None,
         edges=edges_table,
         vertices={
@@ -374,7 +352,6 @@ def _reduce_mc(src: dict, overrides) -> Tuple[dict, ReductionRecord]:
         terminals={str(t): art.hub_of_vertex[t] for t in mti.terminals},
         notes={"r": rational_to_str(r), "grid_size": emb.grid_size},
     )
-    return target, record
 
 
 def cli_reduce(
@@ -390,19 +367,16 @@ def cli_reduce(
     overrides = dict(overrides or {})
     try:
         src = read_json(input_path)
-        if kind == "pmc->subdivision":
-            target, record = _reduce_pmc(src)
-            _check_total(record.terminals, src.get("terminals", []), "terminal")
-        elif kind == "subdivision->isolation":
-            target, record = _reduce_subdivision(src, mode, overrides)
-            _check_total(record.terminals, dict(src["terminals"]).keys(), "terminal")
-        elif kind == "fvs->acc":
-            target, record = _reduce_fvs(src, overrides)
-        elif kind == "mc->udmc":
-            target, record = _reduce_mc(src, overrides)
-            _check_total(record.terminals, src.get("terminals", []), "terminal")
-        else:
+        if kind not in REDUCTIONS:
             raise PipelineError(f"unknown reduction kind {kind!r}")
+        target, tables = REDUCTIONS[kind].reduce(src, mode, overrides)
+        record = ReductionRecord(
+            kind=kind,
+            source_digest=canonical_digest(src),
+            target_digest=canonical_digest(target),
+            **tables,
+        )
+        _check_total(record.terminals, src.get("terminals", []), "terminal")
         _check_total(record.edges, range(len(src["edges"])), "edge")
         _check_total(record.vertices, src["vertices"], "vertex")
     except Rejected as exc:
@@ -451,6 +425,24 @@ def _verify_graph_subdivision(src: dict, candidate, budget) -> Tuple[bool, List[
     return separated and not reasons, reasons or [f"separated at mass {mass}"]
 
 
+def _disk_report(report) -> Tuple[bool, List[str]]:
+    return report.ok, report.lines()
+
+
+# problem -> check of (instance dict, candidate, budget) giving (ok, lines).
+# Entries call the stage functions by name at call time (see REDUCTIONS).
+VERIFIERS = {
+    "isolation": lambda d, candidate, budget: _disk_report(
+        verify_isolation(DiskInstance.from_dict(d), candidate, budget)),
+    "acc": lambda d, candidate, budget: _disk_report(
+        verify_acc(DiskInstance.from_dict(d), candidate, budget)),
+    "udmc": lambda d, candidate, budget: _disk_report(
+        verify_multiterminal_cut(DiskInstance.from_dict(d), candidate, budget)),
+    "mc": _verify_graph_mc,
+    "subdivision": _verify_graph_subdivision,
+}
+
+
 def cli_verify(problem: str, instance_path, certificate_path) -> Tuple[int, List[str]]:
     """Check a certificate file; returns (exit code, human-readable lines)."""
     try:
@@ -459,25 +451,10 @@ def cli_verify(problem: str, instance_path, certificate_path) -> Tuple[int, List
         candidate = certificate_candidate(cert)
         budget = cert.get("budget")
         budget = int(budget) if budget is not None else None
-        if problem == "isolation":
-            report = verify_isolation(
-                DiskInstance.from_dict(inst_dict), candidate, budget)
-            return (0 if report.ok else 1), report.lines()
-        if problem == "acc":
-            report = verify_acc(
-                DiskInstance.from_dict(inst_dict), candidate, budget)
-            return (0 if report.ok else 1), report.lines()
-        if problem == "udmc":
-            report = verify_multiterminal_cut(
-                DiskInstance.from_dict(inst_dict), candidate, budget)
-            return (0 if report.ok else 1), report.lines()
-        if problem == "mc":
-            ok, lines = _verify_graph_mc(inst_dict, candidate, budget)
-            return (0 if ok else 1), lines
-        if problem == "subdivision":
-            ok, lines = _verify_graph_subdivision(inst_dict, candidate, budget)
-            return (0 if ok else 1), lines
-        raise PipelineError(f"unknown problem {problem!r}")
+        if problem not in VERIFIERS:
+            raise PipelineError(f"unknown problem {problem!r}")
+        ok, lines = VERIFIERS[problem](inst_dict, candidate, budget)
+        return (0 if ok else 1), lines
     except MALFORMED_ERRORS as exc:
         return 2, [f"malformed: {exc}"]
 
@@ -486,35 +463,33 @@ def cli_verify(problem: str, instance_path, certificate_path) -> Tuple[int, List
 # solving
 # ---------------------------------------------------------------------------
 
-def _solve(problem: str, inst_dict: dict, cap_subset: Optional[int]) -> OptimumCertificate:
-    caps = {} if cap_subset is None else {"max_subset": cap_subset}
-    if problem == "mc":
-        mti = MultiterminalInstance.from_dict(inst_dict)
-        return brute_min_multiterminal(mti)
-    if problem == "subdivision":
-        return brute_min_subdivision(SubdivisionInstance.from_dict(inst_dict))
-    if problem == "fvs":
-        vertices, edges, _ = plain_graph_from_dict(inst_dict)
-        return brute_min_fvs(vertices, edges)
-    if problem == "isolation":
-        inst = DiskInstance.from_dict(inst_dict)
-        if len(inst.points) == 2:
-            return brute_min_isolation_two_points(inst)
-        return brute_min_isolation(inst, **caps)
-    if problem == "acc":
-        return brute_min_acc(DiskInstance.from_dict(inst_dict), **caps)
-    if problem == "terminal-pair-cut":
-        return min_terminal_pair_cut(DiskInstance.from_dict(inst_dict))
-    if problem == "udmc-bound":
-        inst = DiskInstance.from_dict(inst_dict)
-        return OptimumCertificate(
-            problem="multiterminal-cut-bound",
-            optimum=multiterminal_cut_lower_bound(inst),
-            witness=[],
-            method="isolating-cuts",
-            detail={"lower_bound_only": True},
-        )
-    raise PipelineError(f"unknown problem {problem!r}")
+def _solve_isolation(d: dict, caps: dict) -> OptimumCertificate:
+    inst = DiskInstance.from_dict(d)
+    if len(inst.points) == 2:
+        return brute_min_isolation_two_points(inst)
+    return brute_min_isolation(inst, **caps)
+
+
+def _solve_udmc_bound(d: dict, caps: dict) -> OptimumCertificate:
+    return OptimumCertificate(
+        problem="multiterminal-cut-bound",
+        optimum=multiterminal_cut_lower_bound(DiskInstance.from_dict(d)),
+        witness=[],
+        method="isolating-cuts",
+        detail={"lower_bound_only": True},
+    )
+
+
+# problem -> solver of (instance dict, subset caps), called like VERIFIERS
+SOLVERS = {
+    "mc": lambda d, caps: brute_min_multiterminal(MultiterminalInstance.from_dict(d)),
+    "subdivision": lambda d, caps: brute_min_subdivision(SubdivisionInstance.from_dict(d)),
+    "fvs": lambda d, caps: brute_min_fvs(*plain_graph_from_dict(d)[:2]),
+    "isolation": _solve_isolation,
+    "acc": lambda d, caps: brute_min_acc(DiskInstance.from_dict(d), **caps),
+    "terminal-pair-cut": lambda d, caps: min_terminal_pair_cut(DiskInstance.from_dict(d)),
+    "udmc-bound": _solve_udmc_bound,
+}
 
 
 def cli_solve(
@@ -523,7 +498,10 @@ def cli_solve(
     """Solve to optimality (or refuse); writes an OptimumCertificate JSON."""
     try:
         inst_dict = read_json(instance_path)
-        cert = _solve(problem, inst_dict, cap_subset)
+        if problem not in SOLVERS:
+            raise PipelineError(f"unknown problem {problem!r}")
+        cert = SOLVERS[problem](
+            inst_dict, {} if cap_subset is None else {"max_subset": cap_subset})
     except SolverCapExceeded as exc:
         return 1, [f"refused: {exc}"]
     except MALFORMED_ERRORS as exc:
@@ -553,8 +531,6 @@ def _lift_pmc(record, src, tgt, cert) -> Tuple[List[int], dict]:
     if not subdivision_solution_ok(sub, kept):
         raise Rejected("target solution does not separate the marked faces")
     pairing = {int(e): [int(f) for f in frags] for e, frags in record.edges.items()}
-    from .graphs import SolutionBackMap
-
     lifted = lift_subdivision_solution(SolutionBackMap(pairing=pairing), kept)
     mti = MultiterminalInstance.from_dict(src)
     if not multiterminal_solution_ok(mti, lifted):
@@ -597,11 +573,11 @@ def _lift_acc(record, src, tgt, cert) -> Tuple[List[str], dict]:
             # a chain deletion is dominated by deleting either endpoint hub
             lifted.add(edge_ends[int(tag[1])][0])
     vertices, edges, _ = plain_graph_from_dict(src)
-    g = nx.MultiGraph()
-    g.add_nodes_from(str(v) for v in vertices)
-    g.add_edges_from((str(u), str(w)) for u, w in edges)
-    g.remove_nodes_from(lifted)
-    if g.number_of_nodes() and not nx.is_forest(g):
+    kept = [str(v) for v in vertices if str(v) not in lifted]
+    kept_edges = [(str(u), str(w)) for u, w in edges
+                  if str(u) not in lifted and str(w) not in lifted]
+    comp = components(kept, kept_edges)
+    if len(kept_edges) - len(comp) + len(set(comp.values())) != 0:
         raise Rejected("lifted vertex set leaves a cycle in the source graph")
     return sorted(lifted), {}
 
@@ -642,6 +618,25 @@ def _lift_udmc(record, src, tgt, cert) -> Tuple[List[int], dict]:
     return lifted, {"weight": sum(mti.weight(e) for e in lifted)}
 
 
+class Reduction(NamedTuple):
+    # (source, mode, overrides) -> (target, the record's params, edges,
+    # vertices, terminals and notes)
+    reduce: Callable[[dict, str, Dict[str, Fraction]], Tuple[dict, dict]]
+    lift: Callable[[ReductionRecord, dict, dict, dict], Tuple[list, dict]]
+    problem: str   # problem of the lifted source solution
+
+
+# kind -> its stages.  The private stage functions call the public ones by
+# name at call time, so a wrapper installed on a module attribute sees them.
+REDUCTIONS = {
+    "pmc->subdivision": Reduction(_reduce_pmc, _lift_pmc, "multiterminal-cut"),
+    "subdivision->isolation": Reduction(
+        _reduce_subdivision, _lift_isolation, "face-separation"),
+    "fvs->acc": Reduction(_reduce_fvs, _lift_acc, "feedback-vertex-set"),
+    "mc->udmc": Reduction(_reduce_mc, _lift_udmc, "multiterminal-cut"),
+}
+
+
 def cli_lift(
     record_path, solution_path, source_path, target_path, out_path
 ) -> Tuple[int, List[str]]:
@@ -655,25 +650,13 @@ def cli_lift(
         if canonical_digest(tgt) != record.target_digest:
             raise PipelineError("target file does not match the record digest")
         cert = read_json(solution_path)
-        lifter = {
-            "pmc->subdivision": _lift_pmc,
-            "subdivision->isolation": _lift_isolation,
-            "fvs->acc": _lift_acc,
-            "mc->udmc": _lift_udmc,
-        }[record.kind]
-        lifted, detail = lifter(record, src, tgt, cert)
+        lifted, detail = REDUCTIONS[record.kind].lift(record, src, tgt, cert)
     except Rejected as exc:
         return 1, [f"rejected: {exc}"]
     except MALFORMED_ERRORS as exc:
         return 2, [f"malformed: {exc}"]
-    problem_of = {
-        "pmc->subdivision": "multiterminal-cut",
-        "subdivision->isolation": "face-separation",
-        "fvs->acc": "feedback-vertex-set",
-        "mc->udmc": "multiterminal-cut",
-    }
     write_json(
-        {"problem": problem_of[record.kind], "candidate": lifted, "detail": detail},
+        {"problem": REDUCTIONS[record.kind].problem, "candidate": lifted, "detail": detail},
         out_path,
     )
     return 0, [f"lifted solution of size {len(lifted)}"]

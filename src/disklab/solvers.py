@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
@@ -26,9 +26,9 @@ from .arrangements import (
 )
 from .graphs import (
     MultiterminalInstance,
-    PlanarEmbeddedGraph,
     SubdivisionInstance,
     Vertex,
+    components,
     multiterminal_solution_ok,
     subdivision_solution_ok,
 )
@@ -117,29 +117,14 @@ def brute_min_fvs(
             f"{len(vs)} vertices exceeds the enumeration cap {max_vertices}"
         )
 
-    def acyclic_without(removed: Set[Vertex]) -> bool:
-        parent: Dict[Vertex, Vertex] = {v: v for v in vs if v not in removed}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for (u, w) in edges:
-            if u in removed or w in removed:
-                continue
-            if u == w:
-                return False
-            ru, rw = find(u), find(w)
-            if ru == rw:
-                return False
-            parent[ru] = rw
-        return True
-
     for size in range(len(vs) + 1):
         for combo in combinations(vs, size):
-            if acyclic_without(set(combo)):
+            removed = set(combo)
+            kept = [v for v in vs if v not in removed]
+            kept_edges = [(u, w) for u, w in edges if u not in removed and w not in removed]
+            comp = components(kept, kept_edges)
+            # cycle rank edges - nodes + components is zero exactly for a forest
+            if len(kept_edges) - len(comp) + len(set(comp.values())) == 0:
                 return OptimumCertificate(
                     problem="cycle-hitting-set", optimum=size, witness=list(combo)
                 )
@@ -329,7 +314,8 @@ def brute_min_acc(
         return OptimumCertificate(problem="acyclic-cover", optimum=0, witness=[])
     for size in range(1, min(max_subset, n) + 1):
         for combo in combinations(range(n), size):
-            remaining = [c for k, c in enumerate(centers) if k not in set(combo)]
+            removed = set(combo)
+            remaining = [c for k, c in enumerate(centers) if k not in removed]
             if complement_regions(remaining, r).bounded_complement_regions == 0:
                 return OptimumCertificate(
                     problem="acyclic-cover", optimum=size, witness=list(combo)

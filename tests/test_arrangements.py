@@ -1,5 +1,4 @@
-"""Disk-union topology, separation verdicts, cut/acyclicity verifiers, and
-segment arrangements."""
+"""Disk-union topology, separation verdicts and cut/acyclicity verifiers."""
 
 import random
 from fractions import Fraction as F
@@ -9,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from disklab import arrangements as ar
 from disklab.geometry import Disk
+from disklab.graphs import components
 
 from floodfill import flood_fill_summary, random_robust_centers
 
@@ -60,8 +60,8 @@ def test_unit_disk_graph_matches_quadratic_scan(seed):
 
 def test_components():
     centers = [(F(0), F(0)), (F(1), F(0)), (F(10), F(0)), (F(11), F(0))]
-    comp = ar.udg_components(ar.unit_disk_graph(centers, ONE))
-    assert comp[0] == comp[1] != comp[2] == comp[3]
+    comp = components(range(4), ar.unit_disk_graph(centers, ONE).edges)
+    assert comp == {0: 0, 1: 0, 2: 2, 3: 2}
 
 
 # ---------------------------------------------------------------------------
@@ -280,47 +280,3 @@ def test_flood_fill_agreement_sample():
         occ, holes = flood_fill_summary(centers, ONE)
         assert occ == exact.union_components
         assert holes == exact.bounded_complement_regions
-
-
-# ---------------------------------------------------------------------------
-# segment arrangements
-# ---------------------------------------------------------------------------
-
-def seg(ax, ay, bx, by):
-    return ((F(ax), F(ay)), (F(bx), F(by)))
-
-
-def test_crossing_pair_has_single_face():
-    s = ar.build_segment_arrangement([seg(0, 0, 2, 2), seg(0, 2, 2, 0)])
-    assert (s.vertices, s.edges, s.faces, s.components) == (5, 4, 1, 1)
-
-
-def test_triangle_cells():
-    s = ar.build_segment_arrangement(
-        [seg(0, 0, 2, 0), seg(2, 0, 1, 1), seg(1, 1, 0, 0)]
-    )
-    assert (s.vertices, s.edges, s.faces, s.components) == (3, 3, 2, 1)
-
-
-def test_collinear_overlap_is_decomposed():
-    s = ar.build_segment_arrangement([seg(0, 0, 4, 0), seg(2, 0, 6, 0)])
-    assert (s.vertices, s.edges, s.faces, s.components) == (4, 3, 1, 1)
-
-
-def test_tic_tac_toe_grid():
-    s = ar.build_segment_arrangement(
-        [seg(0, 1, 3, 1), seg(0, 2, 3, 2), seg(1, 0, 1, 3), seg(2, 0, 2, 3)]
-    )
-    assert s.components == 1
-    assert s.vertices == 12 and s.edges == 12
-    assert s.faces == 2  # one bounded cell plus the outer face
-
-
-def test_disjoint_segments():
-    s = ar.build_segment_arrangement([seg(0, 0, 1, 0), seg(5, 5, 6, 5)])
-    assert (s.vertices, s.edges, s.faces, s.components) == (4, 2, 1, 2)
-
-
-def test_degenerate_segments_dropped():
-    s = ar.build_segment_arrangement([seg(0, 0, 0, 0), seg(1, 1, 2, 2)])
-    assert (s.vertices, s.edges) == (2, 1)

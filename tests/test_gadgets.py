@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from disklab import gadgets
 from disklab.arrangements import (
     DiskInstance,
     complement_regions,
@@ -30,7 +31,6 @@ from disklab.gadgets import (
     build_udmc_instance,
     build_weighted_edge_instance,
     check_structure,
-    isolation_budget,
     lift_fence_to_edges,
     lift_multiterminal_to_udmc,
     lift_vertex_set_to_acc,
@@ -46,7 +46,7 @@ from disklab.graphs import (
     PlanarEmbeddedGraph,
     reduce_pmc_to_subdivision,
 )
-from disklab.gridembed import GridEmbedding, grid_embed, locate_face
+from disklab.gridembed import DrawingError, GridEmbedding, grid_embed, locate_face
 
 
 def p2_reduction():
@@ -255,10 +255,22 @@ def test_lift_fence_complete_walls_only():
     assert lift_fence_to_edges(inst, partial) == [0, 2]
 
 
-def test_isolation_budget_formula():
-    _, _, art = toy_triangle()
-    assert isolation_budget(art.instance.meta, 3) == 3 * 7 + 3
-    assert isolation_budget(art.instance.meta, 0) == 3
+def test_place_face_points_lets_locate_face_bugs_surface(monkeypatch):
+    def broken(*args):
+        raise RuntimeError("bug inside locate_face")
+
+    monkeypatch.setattr(gadgets, "locate_face", broken)
+    with pytest.raises(RuntimeError, match="bug inside locate_face"):
+        toy_triangle()
+
+
+def test_place_face_points_skips_candidates_locate_face_refuses(monkeypatch):
+    def refuse(*args):
+        raise DrawingError("query point lies on the walk")
+
+    monkeypatch.setattr(gadgets, "locate_face", refuse)
+    with pytest.raises(SynthesisError, match="no clear marked point"):
+        toy_triangle()
 
 
 def test_build_rejects_mismatched_drawing():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from disklab import geometry as geo
+from disklab.arrangements import covering_disks
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +197,11 @@ def test_disks_intersect_closed_tangency():
     st.fractions(min_value=F(1, 8), max_value=2),
 )
 def test_disk_contains_center(x, y, r):
-    assert geo.disk_contains((x, y), r, (x, y))
-    assert geo.disk_contains((x, y), r, (x + r, y))
-    assert not geo.disk_contains((x, y), r, (x + r + F(1, 1000), y))
+    # disks are closed: the center and the boundary are covered, no farther
+    c = (x, y)
+    assert covering_disks([c], r, c) == [0]
+    assert covering_disks([c], r, (x + r, y)) == [0]
+    assert covering_disks([c], r, (x + r + F(1, 1000), y)) == []
 
 
 def test_triple_intersection_cases():

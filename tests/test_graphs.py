@@ -3,6 +3,7 @@ reduction."""
 
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -262,6 +263,44 @@ def test_subdivision_preserves_faces_and_is_simple(g):
 # ---------------------------------------------------------------------------
 # face components / solution checking
 # ---------------------------------------------------------------------------
+
+@st.composite
+def multigraphs(draw):
+    """Nodes named by ints or strings, edges with self-loops and parallels;
+    some nodes stay isolated."""
+    nodes = draw(st.lists(
+        st.one_of(st.integers(min_value=-3, max_value=20), st.text(min_size=1, max_size=2)),
+        unique=True, max_size=12))
+    if not nodes:
+        return nodes, []
+    node = st.sampled_from(nodes)
+    return nodes, draw(st.lists(st.tuples(node, node), max_size=20))
+
+
+@given(multigraphs())
+@settings(max_examples=300)
+def test_components_match_networkx(graph):
+    nodes, edges = graph
+    comp = gr.components(nodes, edges)
+    assert list(comp) == nodes
+    g = nx.MultiGraph()
+    g.add_nodes_from(nodes)
+    g.add_edges_from(edges)
+    parts = list(nx.connected_components(g))
+    assert len(set(comp.values())) == len(parts)
+    for part in parts:
+        first = min(part, key=nodes.index)
+        assert {comp[v] for v in part} == {first}
+    # the cycle-rank test the acyclicity checks use
+    forest = not nodes or nx.is_forest(g)
+    assert (len(edges) - len(comp) + len(parts) == 0) == forest
+
+
+def test_components_label_by_first_node():
+    comp = gr.components(["c", "a", "b", "d"], [("a", "c"), ("b", "b"), ("b", "d"), ("d", "b")])
+    assert comp == {"c": "c", "a": "c", "b": "b", "d": "b"}
+    assert gr.components([], []) == {}
+
 
 def test_face_components_full_and_empty():
     g = triangle()
