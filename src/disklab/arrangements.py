@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .geometry import (
     Disk,
@@ -67,6 +67,9 @@ class DiskInstance:
     points: Dict[str, Point] = field(default_factory=dict)
     params: Optional[ParamSet] = None
     meta: Dict[str, object] = field(default_factory=dict)
+    # integer centres, set by the synthesizer or filled on first use; the
+    # disks must not change after that
+    scaled: Optional["IntCenters"] = field(default=None, compare=False, repr=False)
 
     def validate(self) -> None:
         if self.radius <= 0:
@@ -79,6 +82,13 @@ class DiskInstance:
 
     def centers(self) -> List[Point]:
         return [(d.x, d.y) for d in self.disks]
+
+    def int_centers(self) -> "IntCenters":
+        """The disk centres as integer numerators over one common
+        denominator; computed on first use and kept."""
+        if self.scaled is None:
+            self.scaled = _integer_scaled(self.centers(), self.radius)
+        return self.scaled
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -132,32 +142,91 @@ class UnitDiskGraph:
         return len(self.adj[i])
 
 
-def _integer_scaled(centers: Sequence[Point], r: Fraction):
-    """Common-denominator integer coordinates and the scaled squared
-    diameter, so all pair tests are big-int only."""
-    den = r.denominator
-    for (x, y) in centers:
-        den = den * x.denominator // math.gcd(den, x.denominator)
-        den = den * y.denominator // math.gcd(den, y.denominator)
-    xs = [int(x * den) for x, _ in centers]
-    ys = [int(y * den) for _, y in centers]
-    two_r = 2 * r * den
-    assert two_r.denominator == 1
-    return xs, ys, int(two_r) ** 2, den
+class IntCenters(NamedTuple):
+    """Disk centres (xs[i] / den, ys[i] / den): integer numerators over one
+    common denominator that is a multiple of the radius' denominator, so
+    every distance test against the radius runs on Python ints.
+
+    Tuples, not lists: the garbage collector stops tracking a tuple of ints,
+    so a cached instance adds nothing to every later full collection."""
+
+    xs: Tuple[int, ...]
+    ys: Tuple[int, ...]
+    den: int
+
+    def subset(self, ids: Sequence[int]) -> "IntCenters":
+        xs, ys = self.xs, self.ys
+        return IntCenters(tuple([xs[i] for i in ids]), tuple([ys[i] for i in ids]), self.den)
 
 
-def unit_disk_graph(centers: Sequence[Point], r: Fraction) -> UnitDiskGraph:
+def _integer_scaled(centers: Sequence[Point], r: Fraction) -> IntCenters:
+    """Integer centres over the least common denominator of ``r`` and every
+    coordinate."""
+    den = math.lcm(r.denominator, *{c.denominator for p in centers for c in p})
+    return IntCenters(
+        tuple([x.numerator * (den // x.denominator) for x, _ in centers]),
+        tuple([y.numerator * (den // y.denominator) for _, y in centers]),
+        den,
+    )
+
+
+def _as_int_centers(centers: Union[Sequence[Point], IntCenters], r: Fraction) -> IntCenters:
+    return centers if isinstance(centers, IntCenters) else _integer_scaled(centers, r)
+
+
+class CenterIndex:
+    """Exact proximity queries on integer centres.
+
+    Centres are bucketed in square cells one unit wider than a disk
+    diameter, so every centre within 2r of a point lies in the point's cell
+    or one of the eight around it; an integer distance test decides.
+    """
+
+    def __init__(self, sc: IntCenters, r: Fraction):
+        two_r = 2 * r * sc.den
+        assert two_r.denominator == 1
+        self.sc = sc
+        self.four_r2 = int(two_r) ** 2
+        self.cell = cell = int(two_r) + 1
+        self.buckets: Dict[Tuple[int, int], List[int]] = {}
+        for i, (x, y) in enumerate(zip(sc.xs, sc.ys)):
+            self.buckets.setdefault((x // cell, y // cell), []).append(i)
+
+    def within(self, p: Point, rho: Fraction) -> List[int]:
+        """Indices, ascending, of the centres at distance at most ``rho``
+        from ``p``; ``rho`` must not exceed 2r."""
+        xs, ys, den = self.sc
+        q = math.lcm(p[0].denominator, p[1].denominator)
+        # p and the centres scaled by den * q, the bound squared likewise
+        px = p[0].numerator * (q // p[0].denominator) * den
+        py = p[1].numerator * (q // p[1].denominator) * den
+        lim = (rho.numerator * den * q) ** 2
+        k = rho.denominator ** 2
+        step = self.cell * q
+        cx, cy = px // step, py // step
+        out = []
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                for i in self.buckets.get((cx + dx, cy + dy), ()):
+                    ex = xs[i] * q - px
+                    ey = ys[i] * q - py
+                    if (ex * ex + ey * ey) * k <= lim:
+                        out.append(i)
+        out.sort()
+        return out
+
+
+def unit_disk_graph(
+    centers: Union[Sequence[Point], IntCenters], r: Fraction
+) -> UnitDiskGraph:
     """Intersection graph of equal closed disks (tangency included), built
-    with a uniform spatial hash so synthesized instances with hundreds of
-    thousands of disks stay tractable."""
-    n = len(centers)
-    if n == 0:
-        return UnitDiskGraph(0, [], [])
-    xs, ys, four_r2, den = _integer_scaled(centers, r)
-    cell = int(math.isqrt(four_r2)) + 1
-    grid: Dict[Tuple[int, int], List[int]] = {}
-    for i in range(n):
-        grid.setdefault((xs[i] // cell, ys[i] // cell), []).append(i)
+    on the bucket grid of :class:`CenterIndex` so synthesized instances with
+    hundreds of thousands of disks stay tractable.  ``centers`` are rational
+    points or an instance's :meth:`DiskInstance.int_centers`."""
+    sc = _as_int_centers(centers, r)
+    n = len(sc.xs)
+    index = CenterIndex(sc, r)
+    xs, ys, four_r2, grid = sc.xs, sc.ys, index.four_r2, index.buckets
     edges: List[Tuple[int, int]] = []
     adj: List[List[int]] = [[] for _ in range(n)]
     for (cx, cy), bucket in grid.items():
@@ -182,10 +251,11 @@ def unit_disk_graph(centers: Sequence[Point], r: Fraction) -> UnitDiskGraph:
     return UnitDiskGraph(n, edges, adj)
 
 
-def covering_disks(centers: Sequence[Point], r: Fraction, p: Point) -> List[int]:
+def covering_disks(
+    centers: Union[Sequence[Point], IntCenters], r: Fraction, p: Point
+) -> List[int]:
     """Indices of disks containing ``p`` (closed)."""
-    r2 = r * r
-    return [i for i, c in enumerate(centers) if dist_sq(c, p) <= r2]
+    return CenterIndex(_as_int_centers(centers, r), r).within(p, r)
 
 
 # ---------------------------------------------------------------------------
@@ -373,15 +443,16 @@ def verify_isolation(
     messages = []
     if budget is not None and len(chosen) > budget:
         messages.append(f"budget: certificate uses {len(chosen)} disks, cap {budget}")
-    all_centers = instance.centers()
+    sc = instance.int_centers()
+    index = CenterIndex(sc, instance.radius)
     for pid, p in instance.points.items():
-        hit = covering_disks(all_centers, instance.radius, p)
+        hit = index.within(p, instance.radius)
         if hit:
             raise VerificationError(
                 f"marked point {pid!r} is covered by disk {hit[0]}"
             )
-    centers = [all_centers[i] for i in chosen]
-    udg = unit_disk_graph(centers, instance.radius)
+    centers = [instance.disks[i].center for i in chosen]
+    udg = unit_disk_graph(sc.subset(chosen), instance.radius)
     ids = sorted(instance.points)
     pair_results: Dict[Tuple[str, str], bool] = {}
     witnesses: Dict[Tuple[str, str], List[int]] = {}
@@ -490,7 +561,7 @@ def verify_multiterminal_cut(
     if len(terminals) < 2:
         raise VerificationError("cut instances need at least two terminal disks")
     removed = normalize_edge_list(removed_edges)
-    udg = unit_disk_graph(instance.centers(), instance.radius)
+    udg = unit_disk_graph(instance.int_centers(), instance.radius)
     edge_set = set(udg.edges)
     for e in removed:
         if e not in edge_set:

@@ -21,14 +21,19 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .arrangements import DiskInstance, complement_regions, unit_disk_graph
+from .arrangements import (
+    CenterIndex,
+    DiskInstance,
+    IntCenters,
+    complement_regions,
+    unit_disk_graph,
+)
 from .geometry import (
     Disk,
     ParamSet,
     Point,
     ceil_frac,
     compute_params,
-    dist_sq,
     pi_bounds,
 )
 from .graphs import SubdivisionInstance, Vertex, components
@@ -53,11 +58,23 @@ class Snapper:
     def __init__(self, r: Fraction):
         self.M = r.denominator * (1 << 34)
 
-    def snap(self, x: float) -> Fraction:
-        return Fraction(round(Fraction(x) * self.M), self.M)
+    def numerator(self, x: float) -> int:
+        """``round(Fraction(x) * M)``, ties to even, in integer arithmetic."""
+        n, d = x.as_integer_ratio()
+        q, rem = divmod(n * self.M, d)
+        if 2 * rem > d or (2 * rem == d and q & 1):
+            q += 1
+        return q
 
-    def snap_point(self, p: Tuple[float, float]) -> Point:
-        return (self.snap(p[0]), self.snap(p[1]))
+    def snap(self, x: float) -> Fraction:
+        return Fraction(self.numerator(x), self.M)
+
+    def snap_point(self, p: Tuple[float, float]) -> Tuple[int, int]:
+        """Integer numerators over M of the snapped point."""
+        return (self.numerator(p[0]), self.numerator(p[1]))
+
+    def disk(self, num: Tuple[int, int], tag: Tag) -> Disk:
+        return Disk(Fraction(num[0], self.M), Fraction(num[1], self.M), tag)
 
 
 def _unit(dx: float, dy: float) -> Tuple[float, float]:
@@ -119,8 +136,7 @@ class ContactReport:
 
 def check_structure(instance: DiskInstance, spec: StructureSpec) -> ContactReport:
     """Exact check of intra-structure shape and cross-structure contacts."""
-    centers = instance.centers()
-    udg = unit_disk_graph(centers, instance.radius)
+    udg = unit_disk_graph(instance.int_centers(), instance.radius)
     owner: Dict[int, Tag] = {}
     index_in: Dict[int, int] = {}
     for tag, ids in {**spec.chains, **spec.rings}.items():
@@ -310,15 +326,14 @@ class IsolationArtifacts:
 def _place_face_points(
     emb: GridEmbedding,
     terminals: Dict[str, int],
-    centers: Sequence[Point],
+    sc: IntCenters,
     r: Fraction,
 ) -> Dict[str, Point]:
     """A marked point per terminal face, strictly inside the face and at
     exact distance > 5r/4 from every disk center."""
     g = emb.graph
-    need2 = (r + Fraction(r, 4)) ** 2
-    fcs = [(float(x), float(y)) for (x, y) in centers]
-    rf = float(r)
+    clearance = r + Fraction(r, 4)
+    index = CenterIndex(sc, r)
     points: Dict[str, Point] = {}
     for pid, face in terminals.items():
         found = None
@@ -338,12 +353,7 @@ def _place_face_points(
             v = g.vertices[0]
             candidates.append((Fraction(emb.coords[v][0] + 1), Fraction(emb.coords[v][1])))
         for cand in candidates:
-            cx, cy = float(cand[0]), float(cand[1])
-            close = [
-                i for i, (fx, fy) in enumerate(fcs)
-                if (fx - cx) ** 2 + (fy - cy) ** 2 < (2.0 * rf) ** 2
-            ]
-            if any(dist_sq(centers[i], cand) <= need2 for i in close):
+            if index.within(cand, clearance):
                 continue
             try:
                 if locate_face(g, emb.coords, cand) != face:
@@ -389,6 +399,18 @@ def build_isolation_instance(
         )
     snapper = Snapper(p.r)
     disks: List[Disk] = []
+    # centres as numerators over snapper.M, in two flat lists: a tuple per
+    # disk kept to the end would sit between the Disk objects in memory and
+    # slow every later full garbage collection
+    xs: List[int] = []
+    ys: List[int] = []
+
+    def add_disk(num: Tuple[int, int], tag: Tag) -> int:
+        xs.append(num[0])
+        ys.append(num[1])
+        disks.append(snapper.disk(num, tag))
+        return len(disks) - 1
+
     wall_ids: Dict[int, List[int]] = {}
     vertex_ids: Dict[Vertex, List[int]] = {}
     spec = StructureSpec()
@@ -397,27 +419,24 @@ def build_isolation_instance(
     toy_attach = 1.8
     if p.mode == "toy":
         for v in g.vertices:
-            i = len(disks)
             x, y = emb.coords[v]
-            disks.append(Disk(Fraction(x), Fraction(y), ("anchor", str(v))))
+            i = add_disk((x * snapper.M, y * snapper.M), ("anchor", str(v)))
             vertex_ids[v] = [i]
             spec.chains[("anchor", str(v))] = [i]
     else:
+        two_r = int(2 * p.r * snapper.M)
         for v in g.vertices:
             phase_try = (0.0, math.pi / p.c_vertex, math.pi / (2 * p.c_vertex))
             placed = None
             for phase in phase_try:
                 ring = _ring_centers(*coords_f[v], float(p.s), p.c_vertex, phase)
                 snapped = [snapper.snap_point(c) for c in ring]
-                if _ring_is_cycle(snapped, p.r):
+                if _ring_is_cycle(snapped, two_r):
                     placed = snapped
                     break
             if placed is None:
                 raise SynthesisError(f"vertex ring at {v!r} failed to close")
-            ids = []
-            for j, c in enumerate(placed):
-                ids.append(len(disks))
-                disks.append(Disk(c[0], c[1], ("ring", str(v), j)))
+            ids = [add_disk(c, ("ring", str(v), j)) for j, c in enumerate(placed)]
             vertex_ids[v] = ids
             spec.rings[("ring", str(v))] = ids
 
@@ -427,11 +446,8 @@ def build_isolation_instance(
             plan = _toy_wall_plan(ax, ay, bx, by, p, toy_attach)
         else:
             plan = _sound_wall_plan(ax, ay, bx, by, p)
-        ids = []
-        for j, c in enumerate(plan.centers):
-            sc = snapper.snap_point(c)
-            ids.append(len(disks))
-            disks.append(Disk(sc[0], sc[1], ("wall", eid, j)))
+        ids = [add_disk(snapper.snap_point(c), ("wall", eid, j))
+               for j, c in enumerate(plan.centers)]
         wall_ids[eid] = ids
         wt = ("wall", eid)
         spec.chains[wt] = ids
@@ -452,8 +468,8 @@ def build_isolation_instance(
                     key = (("wall", eids[i]), ("wall", eids[j]))
                     spec.allowed_contacts[key] = (0, 4)
 
-    centers = [(d.x, d.y) for d in disks]
-    points = _place_face_points(emb, sub.terminals, centers, p.r)
+    scaled = IntCenters(tuple(xs), tuple(ys), snapper.M)
+    points = _place_face_points(emb, sub.terminals, scaled, p.r)
     vertex_disk_total = sum(len(v) for v in vertex_ids.values())
     inst = DiskInstance(
         radius=p.r,
@@ -467,6 +483,7 @@ def build_isolation_instance(
             "groups": sub.groups,
             "terminal_faces": dict(sub.terminals),
         },
+        scaled=scaled,
     )
     inst.validate()
     report = check_structure(inst, spec)
@@ -484,16 +501,19 @@ def build_isolation_instance(
     )
 
 
-def _ring_is_cycle(centers: Sequence[Point], r: Fraction) -> bool:
-    n = len(centers)
+def _ring_is_cycle(ring: Sequence[Tuple[int, int]], two_r: int) -> bool:
+    """Consecutive disks of the ring touch and no other pair does; centres
+    and the diameter ``two_r`` are integers in one unit."""
+    n = len(ring)
     if n < 3:
         return False
-    four_r2 = 4 * r * r
+    four_r2 = two_r * two_r
     for i in range(n):
+        xi, yi = ring[i]
         for j in range(i + 1, n):
-            gap = min(j - i, n - (j - i))
-            touching = dist_sq(centers[i], centers[j]) <= four_r2
-            if touching != (gap == 1):
+            dx = xi - ring[j][0]
+            dy = yi - ring[j][1]
+            if (dx * dx + dy * dy <= four_r2) != (j - i == 1 or j - i == n - 1):
                 return False
     return True
 
@@ -571,9 +591,8 @@ def build_acc_instance(
         )
         ids = []
         for j, c in enumerate(pts):
-            sc = snapper.snap_point(c)
             ids.append(len(disks))
-            disks.append(Disk(sc[0], sc[1], ("conn", eid, j)))
+            disks.append(snapper.disk(snapper.snap_point(c), ("conn", eid, j)))
         tag = ("conn", eid)
         spec.chains[tag] = ids
         spec.allowed_contacts[(tag, ("hub", str(u)))] = (1, 1)
@@ -675,9 +694,8 @@ def build_weighted_edge_instance(
         pts = _walk_polyline(way, m)
         ids = []
         for k, c in enumerate(pts):
-            sc = snapper.snap_point(c)
             ids.append(len(disks))
-            disks.append(Disk(sc[0], sc[1], ("lane", 0, j, k)))
+            disks.append(snapper.disk(snapper.snap_point(c), ("lane", 0, j, k)))
         lane_ids[(0, j)] = ids
         tag = ("lane", 0, j)
         spec.chains[tag] = ids
@@ -704,7 +722,7 @@ def build_weighted_edge_instance(
     # (between the fans) lanes must be pairwise disjoint so that deleting one
     # mid-lane disk per lane really disconnects the ends
     centers = inst.centers()
-    udg = unit_disk_graph(centers, r)
+    udg = unit_disk_graph(inst.int_centers(), r)
     adj = [set(a) for a in udg.adj]
     for (eid, j), ids in lane_ids.items():
         if not (0 in adj[ids[0]] and 1 in adj[ids[-1]]):
@@ -844,8 +862,7 @@ def build_udmc_instance(
         cx, cy = pos[v]
         hub_id = len(disks)
         hub_tag: Tag = ("hub", str(v))
-        sc = snapper.snap_point((cx, cy))
-        disks.append(Disk(sc[0], sc[1], hub_tag))
+        disks.append(snapper.disk(snapper.snap_point((cx, cy)), hub_tag))
         spec.chains[hub_tag] = [hub_id]
         hub_of_vertex[v] = hub_id
         sigma_ids[v] = []
@@ -861,7 +878,7 @@ def build_udmc_instance(
                 base = (cx + ring_r * math.cos(ang), cy + ring_r * math.sin(ang))
                 q = snapper.snap_point(perturb_copy(base, j, r))
                 ids.append(len(disks))
-                disks.append(Disk(q[0], q[1], ring_tag + (p_idx,)))
+                disks.append(snapper.disk(q, ring_tag + (p_idx,)))
             spec.rings[ring_tag] = ids
             sigma_ids[v].extend(ids)
             sigma_tags[v].append(ring_tag)
@@ -871,7 +888,7 @@ def build_udmc_instance(
                 base = (cx + rad * sdx, cy + rad * sdy)
                 q = snapper.snap_point(perturb_copy(base, j, r))
                 ids.append(len(disks))
-                disks.append(Disk(q[0], q[1], spur_tag + (len(ids),)))
+                disks.append(snapper.disk(q, spur_tag + (len(ids),)))
             spec.chains[spur_tag] = ids
             gamma_tags.append(spur_tag)
             spec.allowed_contacts[(spur_tag, hub_tag)] = (1, 1)
@@ -916,9 +933,8 @@ def build_udmc_instance(
             ids = []
             lane_tag: Tag = ("lane", eid, i)
             for k, c in enumerate(pts):
-                q = snapper.snap_point(c)
                 ids.append(len(disks))
-                disks.append(Disk(q[0], q[1], lane_tag + (k,)))
+                disks.append(snapper.disk(snapper.snap_point(c), lane_tag + (k,)))
             spec.chains[lane_tag] = ids
             lane_ids[(eid, i)] = ids
             for end_v in (u, v):
@@ -946,7 +962,7 @@ def build_udmc_instance(
         )
 
     centers = inst.centers()
-    udg = unit_disk_graph(centers, r)
+    udg = unit_disk_graph(inst.int_centers(), r)
     adj = [set(a) for a in udg.adj]
     for v in g.vertices:
         if len(adj[hub_of_vertex[v]]) != copies:

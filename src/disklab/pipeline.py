@@ -217,6 +217,8 @@ def embed_plain_graph(vertices, edges) -> GridEmbedding:
     """Deterministic straight-line grid drawing of a plain (connected,
     planar, simple) graph: take any combinatorial embedding and hand it to
     the grid drawer."""
+    if not vertices:
+        raise Rejected("graph has no vertices")
     g = nx.Graph()
     g.add_nodes_from(vertices)
     g.add_edges_from(edges)

@@ -17,10 +17,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import networkx as nx
 
 from .arrangements import (
+    CenterIndex,
     DiskInstance,
     VerificationError,
     complement_regions,
-    covering_disks,
     edge_crossing_parities,
     unit_disk_graph,
 )
@@ -163,14 +163,15 @@ def brute_min_isolation_two_points(
         raise VerificationError("this solver handles exactly two marked points")
     if len(instance.disks) > max_disks:
         raise SolverCapExceeded(f"{len(instance.disks)} disks exceeds {max_disks}")
-    centers = instance.centers()
     r = instance.radius
     p, q = [instance.points[k] for k in sorted(instance.points)]
+    sc = instance.int_centers()
+    index = CenterIndex(sc, r)
     for pt in (p, q):
-        if covering_disks(centers, r, pt):
+        if index.within(pt, r):
             raise VerificationError("a marked point is covered")
-    udg = unit_disk_graph(centers, r)
-    parity = edge_crossing_parities(centers, udg, p, q)
+    udg = unit_disk_graph(sc, r)
+    parity = edge_crossing_parities(instance.centers(), udg, p, q)
 
     n = udg.n
     adj: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
@@ -339,7 +340,7 @@ def min_terminal_pair_cut(
     if len(terminals) != 2:
         raise VerificationError("terminal-pair cut needs exactly two terminal disks")
     s_id, t_id = terminals
-    udg = unit_disk_graph(instance.centers(), instance.radius)
+    udg = unit_disk_graph(instance.int_centers(), instance.radius)
     g = nx.DiGraph()
     for (i, j) in udg.edges:
         g.add_edge(i, j, capacity=1)
@@ -387,7 +388,7 @@ def multiterminal_cut_lower_bound(instance: DiskInstance) -> int:
     terminals = [int(t) for t in instance.meta.get("terminal_disks", [])]
     if len(terminals) < 2:
         return 0
-    udg = unit_disk_graph(instance.centers(), instance.radius)
+    udg = unit_disk_graph(instance.int_centers(), instance.radius)
     g = nx.DiGraph()
     for (i, j) in udg.edges:
         g.add_edge(i, j, capacity=1)

@@ -22,6 +22,7 @@ from floodfill import (
     random_robust_points,
     random_robust_rings,
 )
+from test_gadgets import assert_cached_centers_match_round_trip
 
 from disklab import arrangements as ar
 from disklab import pipeline as pl
@@ -236,6 +237,11 @@ def test_criterion_04_sound_corpus_gadget_contacts(sound_corpus):
             for end_disk in (ids[0], ids[-1]):
                 assert 1 <= ring_contacts.get(end_disk, 0) <= 3, (eid, end_disk)
     assert grids == {2, 3}  # the seed covers both parameter scales
+
+
+def test_sound_corpus_cached_centers_match_round_trip(sound_corpus):
+    emb, art = next((e, a) for e, a in sound_corpus if e.grid_size == 3)
+    assert_cached_centers_match_round_trip(art.instance)
 
 
 def test_criterion_05_subdivision_optimum_doubles_cut_optimum():

@@ -217,6 +217,34 @@ def test_verify_isolation_rejects_covered_point():
         ar.verify_isolation(inst, [0, 1, 2, 3])
 
 
+def square_ring(p):
+    """Sixteen tangent disks of radius 1/2 on the boundary of [-2, 2]^2,
+    with marked points ``p`` (inside) and ``q`` (outside)."""
+    side = [F(k) for k in range(-2, 2)]
+    centers = ([(k, F(-2)) for k in side] + [(F(2), k) for k in side]
+               + [(-k, F(2)) for k in side] + [(F(-2), -k) for k in side])
+    return ar.DiskInstance(
+        radius=F(1, 2),
+        disks=[Disk(x, y) for x, y in centers],
+        points={"p": p, "q": (F(5), F(0))},
+    )
+
+
+def test_marked_point_at_exactly_r_is_covered():
+    from disklab.solvers import brute_min_isolation_two_points
+
+    tangent = square_ring((F(3, 2), F(0)))   # distance r from the disk at (2, 0)
+    assert ar.covering_disks(tangent.int_centers(), tangent.radius, tangent.points["p"]) == [6]
+    with pytest.raises(ar.VerificationError, match="'p' is covered by disk 6"):
+        ar.verify_isolation(tangent, range(16))
+    with pytest.raises(ar.VerificationError, match="a marked point is covered"):
+        brute_min_isolation_two_points(tangent)
+
+    clear = square_ring((F(3, 2) - F(1, 1000), F(0)))   # distance r + 1/1000
+    assert ar.verify_isolation(clear, range(16)).ok
+    assert brute_min_isolation_two_points(clear).optimum == 16
+
+
 def test_verify_isolation_needs_two_points():
     inst = ring4()
     inst.points = {"only": (F(0), F(0))}

@@ -11,6 +11,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from disklab import gadgets
 from disklab.arrangements import (
@@ -44,6 +45,7 @@ from disklab.geometry import Disk, compute_params, dist_sq
 from disklab.graphs import (
     MultiterminalInstance,
     PlanarEmbeddedGraph,
+    SubdivisionInstance,
     reduce_pmc_to_subdivision,
 )
 from disklab.gridembed import DrawingError, GridEmbedding, grid_embed, locate_face
@@ -95,6 +97,35 @@ def test_snapper_is_fine_and_rational():
     assert isinstance(x, Fraction)
     assert abs(x - Fraction(0.123456789)) <= Fraction(1, 2 * sn.M)
     assert sn.M == 640 * 2**34
+
+
+SNAP_RADII = [compute_params(2, "sound").r, compute_params(3, "sound").r, Fraction(1, 10)]
+
+
+@pytest.mark.parametrize("r", SNAP_RADII, ids=str)
+@given(x=st.floats(allow_nan=False, allow_infinity=False))
+@example(x=-0.0)
+@example(x=5e-324)
+@example(x=-2.2250738585072014e-308)
+@example(x=1.7976931348623157e308)
+@example(x=-123456.789)
+def test_snapper_numerator_is_fraction_rounding(r, x):
+    sn = Snapper(r)
+    assert sn.numerator(x) == round(Fraction(x) * sn.M)
+
+
+@pytest.mark.parametrize("r", SNAP_RADII, ids=str)
+@given(k=st.integers(min_value=-(2**51), max_value=2**51))
+def test_snapper_numerator_breaks_exact_ties_to_even(r, k):
+    # x * M is exactly halfway between two integers when x = (2k+1) / 2**j
+    # and 2**(j-1) is the power of two in M
+    sn = Snapper(r)
+    twos = (sn.M & -sn.M).bit_length() - 1
+    x = math.ldexp(2 * k + 1, -(twos + 1))
+    exact = Fraction(x) * sn.M
+    assert exact.denominator == 2
+    assert sn.numerator(x) == round(exact)
+    assert sn.numerator(x) % 2 == 0
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +340,104 @@ def test_sound_triangle_separates_with_everything_kept():
     art = build_isolation_instance(red.instance, emb, mode="sound")
     rep = verify_isolation(art.instance, range(len(art.instance.disks)))
     assert rep.ok
+
+
+def fraction_ring_is_cycle(centers, r):
+    """The ring check as it ran on Fraction centres before the integer
+    kernel: consecutive disks touch and no other pair does."""
+    n = len(centers)
+    if n < 3:
+        return False
+    four_r2 = 4 * r * r
+    for i in range(n):
+        for j in range(i + 1, n):
+            gap = min(j - i, n - (j - i))
+            touching = dist_sq(centers[i], centers[j]) <= four_r2
+            if touching != (gap == 1):
+                return False
+    return True
+
+
+def integer_ring_is_cycle(centers, r, unit):
+    """The synthesizer's integer ring check on centres scaled by ``unit``."""
+    ints = [(int(x * unit), int(y * unit)) for x, y in centers]
+    assert all(Fraction(a, unit) == x and Fraction(b, unit) == y
+               for (a, b), (x, y) in zip(ints, centers))
+    return gadgets._ring_is_cycle(ints, int(2 * r * unit))
+
+
+def test_ring_check_agrees_with_fraction_oracle():
+    red = p2_reduction()
+    emb = grid_embed(red.instance.graph)
+    art = build_isolation_instance(red.instance, emb, mode="sound")
+    inst = art.instance
+    r = inst.radius
+    assert inst.params.s == 24 * r
+    unit = 32 * Snapper(r).M   # room for the perturbations below
+    for v, ids in art.vertex_ids.items():
+        ring = [inst.disks[i].center for i in ids]
+        assert fraction_ring_is_cycle(ring, r) and integer_ring_is_cycle(ring, r, unit)
+        cx, cy = emb.coords[v]
+        for k in (0, 17, len(ring) - 1):
+            x, y = ring[k]
+            # pushed out radially by s/16 = 3r/2: a gap on both sides
+            out = Fraction(1, 16)
+            pushed = ring[:k] + [(x + (x - cx) * out, y + (y - cy) * out)] + ring[k + 1:]
+            # moved between its next two neighbours: touches a non-neighbour
+            a, b = ring[(k + 1) % len(ring)], ring[(k + 2) % len(ring)]
+            moved = ring[:k] + [((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)] + ring[k + 1:]
+            for bad in (pushed, moved):
+                assert not fraction_ring_is_cycle(bad, r)
+                assert not integer_ring_is_cycle(bad, r, unit)
+
+
+@pytest.mark.parametrize("nudge, closes", [(Fraction(0), False), (Fraction(1, 10**12), True)])
+def test_ring_check_at_exact_tangency(nudge, closes):
+    # a rhombus whose short diagonal is exactly one diameter: the only
+    # non-neighbour contact is a tangency, which counts as touching
+    r = Fraction(1, 640)
+    a, b = r + nudge, 3 * r / 2
+    ring = [(a, Fraction(0)), (Fraction(0), b), (-a, Fraction(0)), (Fraction(0), -b)]
+    assert fraction_ring_is_cycle(ring, r) is closes
+    assert integer_ring_is_cycle(ring, r, 10**12 * 1280) is closes
+
+
+def k4_every_face_marked():
+    g = PlanarEmbeddedGraph.from_edge_rotation(
+        [0, 1, 2, 3],
+        [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)],
+        {0: [1, 2, 0], 1: [0, 4, 3], 2: [3, 5, 1], 3: [4, 2, 5]},
+    )
+    sub = SubdivisionInstance(graph=g, terminals={f"p{f}": f for f in range(g.face_count())})
+    return sub, grid_embed(g)
+
+
+def assert_cached_centers_match_round_trip(inst):
+    """The synthesizer's integer centres and intersection graph equal the
+    ones recomputed from the serialized instance."""
+    cached = inst.scaled
+    assert cached is not None and inst.int_centers() is cached
+    again = DiskInstance.from_dict(inst.to_dict())
+    assert again.scaled is None and again == inst
+    fresh = again.int_centers()
+    assert [x * fresh.den for x in cached.xs] == [x * cached.den for x in fresh.xs]
+    assert [y * fresh.den for y in cached.ys] == [y * cached.den for y in fresh.ys]
+    assert all(Fraction(x, cached.den) == d.x and Fraction(y, cached.den) == d.y
+               for x, y, d in zip(cached.xs, cached.ys, inst.disks))
+    r = inst.radius
+    assert unit_disk_graph(cached, r).edges == unit_disk_graph(fresh, r).edges \
+        == unit_disk_graph(again.centers(), r).edges
+
+
+def test_cached_integer_centers_match_round_trip():
+    red = p2_reduction()
+    triangle = build_isolation_instance(red.instance, grid_embed(red.instance.graph))
+    assert "scaled" not in repr(triangle.instance)
+    assert "scaled" not in triangle.instance.to_dict()
+    k4 = build_isolation_instance(*k4_every_face_marked(), mode="sound")
+    assert len(k4.instance.points) == 4
+    for art in (triangle, k4):
+        assert_cached_centers_match_round_trip(art.instance)
 
 
 def test_sound_refuses_oversized_budgets():

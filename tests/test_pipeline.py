@@ -148,6 +148,14 @@ def test_reduce_malformed_inputs(tmp_path):
     assert code == 2
 
 
+def test_reduce_refuses_a_graph_without_vertices(tmp_path):
+    empty = tmp_path / "empty.json"
+    write_json({"vertices": [], "edges": []}, empty)
+    code, lines = cli_reduce("fvs->acc", empty, tmp_path / "x.json")
+    assert code == 1
+    assert lines == ["rejected: graph has no vertices"]
+
+
 # ---------------------------------------------------------------------------
 # verify and solve exit codes
 # ---------------------------------------------------------------------------
