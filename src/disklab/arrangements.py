@@ -53,23 +53,68 @@ class VerificationError(ValueError):
 # instances
 # ---------------------------------------------------------------------------
 
-@dataclass
 class DiskInstance:
     """A collection of equal closed disks plus marked points.
 
     ``meta`` carries problem-specific extras: ``kind`` (``isolation``,
     ``acc`` or ``udmc``), terminal disk ids for cut instances, and the
     intended budget when the instance ships with one.
+
+    The disks are held either as a list of :class:`Disk` (how synthesizers
+    and tests build instances) or as integer centres plus one tag per disk
+    (how :meth:`from_dict` reads them).  Each form is derived from the other
+    on first use and kept, so the disks must not change after construction.
+    The verifiers, solvers and the renderer read :meth:`int_centers` and
+    :attr:`tags` only, so a parsed instance never builds a ``Fraction`` per
+    disk unless ``disks`` is asked for.
     """
 
-    radius: Fraction
-    disks: List[Disk]
-    points: Dict[str, Point] = field(default_factory=dict)
-    params: Optional[ParamSet] = None
-    meta: Dict[str, object] = field(default_factory=dict)
-    # integer centres, set by the synthesizer or filled on first use; the
-    # disks must not change after that
-    scaled: Optional["IntCenters"] = field(default=None, compare=False, repr=False)
+    def __init__(
+        self,
+        radius: Fraction,
+        disks: Optional[List[Disk]] = None,
+        points: Optional[Dict[str, Point]] = None,
+        params: Optional[ParamSet] = None,
+        meta: Optional[Dict[str, object]] = None,
+        scaled: Optional["IntCenters"] = None,
+        tags: Optional[Tuple[tuple, ...]] = None,
+    ):
+        if disks is None and (scaled is None or tags is None):
+            raise TypeError("DiskInstance needs disks, or integer centres and tags")
+        self.radius = radius
+        self._disks = disks
+        self.points = {} if points is None else points
+        self.params = params
+        self.meta = {} if meta is None else meta
+        self.scaled = scaled
+        self._tags = tags
+
+    @property
+    def disks(self) -> List[Disk]:
+        if self._disks is None:
+            xs, ys, den = self.scaled
+            self._disks = [
+                Disk(Fraction(x, den), Fraction(y, den), tag)
+                for x, y, tag in zip(xs, ys, self._tags)
+            ]
+        return self._disks
+
+    @property
+    def tags(self) -> Tuple[tuple, ...]:
+        """The disks' tags, in disk order; ``len(tags)`` is the disk count."""
+        if self._tags is None:
+            self._tags = tuple(d.tag for d in self._disks)
+        return self._tags
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.radius, self.disks, self.points, self.params, self.meta) == (
+            other.radius, other.disks, other.points, other.params, other.meta)
+
+    def __repr__(self) -> str:
+        return (f"DiskInstance(radius={self.radius!r}, disks={self.disks!r}, "
+                f"points={self.points!r}, params={self.params!r}, meta={self.meta!r})")
 
     def validate(self) -> None:
         if self.radius <= 0:
@@ -77,7 +122,7 @@ class DiskInstance:
         if len(self.points) != len(set(self.points.values())):
             raise VerificationError("marked points must be distinct")
         for t in self.meta.get("terminal_disks", []):
-            if not (0 <= int(t) < len(self.disks)):
+            if not (0 <= int(t) < len(self.tags)):
                 raise VerificationError(f"terminal disk id {t} out of range")
 
     def centers(self) -> List[Point]:
@@ -107,25 +152,62 @@ class DiskInstance:
 
     @classmethod
     def from_dict(cls, d: Dict[str, object]) -> "DiskInstance":
-        disks = [
-            Disk(rational_from_str(e["c"][0]), rational_from_str(e["c"][1]),
-                 tuple(e.get("prov", ())))
-            for e in d["disks"]
-        ]
+        xn: List[int] = []
+        xd: List[int] = []
+        yn: List[int] = []
+        yd: List[int] = []
+        tags = []
+        dens: Dict[str, int] = {}
+        for e in d["disks"]:
+            x, dx = _parse_rational(e["c"][0], dens)
+            y, dy = _parse_rational(e["c"][1], dens)
+            xn.append(x)
+            xd.append(dx)
+            yn.append(y)
+            yd.append(dy)
+            tags.append(tuple(e.get("prov", ())))
         points = {
             str(k): (rational_from_str(v[0]), rational_from_str(v[1]))
             for k, v in dict(d.get("points", {})).items()
         }
         params = d.get("params")
+        radius = rational_from_str(d["radius"])
         inst = cls(
-            radius=rational_from_str(d["radius"]),
-            disks=disks,
+            radius=radius,
             points=points,
             params=ParamSet.from_dict(params) if params else None,
             meta=dict(d.get("meta", {})),
+            scaled=_over_common_denominator(xn, xd, yn, yd, radius),
+            tags=tuple(tags),
         )
         inst.validate()
         return inst
+
+
+def _parse_rational(s, dens: Dict[str, int]) -> Tuple[int, int]:
+    """Numerator and positive denominator of a JSON rational.
+
+    The canonical spelling ``-?[0-9]+/[0-9]+`` (ASCII, non-zero
+    denominator) is split with ``int``; ``dens`` maps the denominator
+    spellings met so far to their values, so coordinates over one
+    denominator share one int.  Every other value goes through
+    :func:`geometry.rational_from_str`, so which spellings are accepted and
+    how the others are refused stay those of ``Fraction``."""
+    if type(s) is str and s.isascii():
+        num, _, den = s.partition("/")
+        q = dens.get(den)
+        if q is None and den.isdigit():
+            try:
+                q = dens[den] = int(den)
+            except ValueError:  # past the int string-conversion digit limit
+                pass
+        if q and (num.isdigit() or (num[:1] == "-" and num[1:].isdigit())):
+            try:
+                return int(num), q
+            except ValueError:  # likewise
+                pass
+    f = rational_from_str(s)
+    return f.numerator, f.denominator
 
 
 # ---------------------------------------------------------------------------
@@ -159,15 +241,33 @@ class IntCenters(NamedTuple):
         return IntCenters(tuple([xs[i] for i in ids]), tuple([ys[i] for i in ids]), self.den)
 
 
+def _over_common_denominator(
+    xn: Sequence[int], xd: Sequence[int], yn: Sequence[int], yd: Sequence[int], r: Fraction
+) -> IntCenters:
+    """Integer centres (xn[i] / xd[i], yn[i] / yd[i]) over the least common
+    denominator of ``r`` and every coordinate; the fractions need not be in
+    lowest terms."""
+    dens = set(xd)
+    dens.update(yd)
+    den = math.lcm(r.denominator, *dens)
+    factor = {q: den // q for q in dens}
+    xs = [n * factor[q] for n, q in zip(xn, xd)]
+    ys = [n * factor[q] for n, q in zip(yn, yd)]
+    # a common factor is left only by fractions not in lowest terms
+    g = math.gcd(den, r.numerator * (den // r.denominator), *xs, *ys)
+    if g > 1:
+        den //= g
+        xs = [x // g for x in xs]
+        ys = [y // g for y in ys]
+    return IntCenters(tuple(xs), tuple(ys), den)
+
+
 def _integer_scaled(centers: Sequence[Point], r: Fraction) -> IntCenters:
     """Integer centres over the least common denominator of ``r`` and every
     coordinate."""
-    den = math.lcm(r.denominator, *{c.denominator for p in centers for c in p})
-    return IntCenters(
-        tuple([x.numerator * (den // x.denominator) for x, _ in centers]),
-        tuple([y.numerator * (den // y.denominator) for _, y in centers]),
-        den,
-    )
+    return _over_common_denominator(
+        [x.numerator for x, _ in centers], [x.denominator for x, _ in centers],
+        [y.numerator for _, y in centers], [y.denominator for _, y in centers], r)
 
 
 def _as_int_centers(centers: Union[Sequence[Point], IntCenters], r: Fraction) -> IntCenters:
@@ -271,15 +371,21 @@ class RegionSummary:
 
 
 def filled_triangles(
-    centers: Sequence[Point], r: Fraction, udg: UnitDiskGraph
+    centers: Union[Sequence[Point], IntCenters], r: Fraction, udg: UnitDiskGraph
 ) -> List[Tuple[int, int, int]]:
     """Triples of pairwise-intersecting disks with a common point."""
+    xs, ys, den = _as_int_centers(centers, r)
+
+    def center(i: int) -> Point:
+        # rational, because the predicate divides
+        return (Fraction(xs[i], den), Fraction(ys[i], den))
+
     out = []
     adjset = [set(a) for a in udg.adj]
     for i, j in udg.edges:
         for k in sorted(adjset[i] & adjset[j]):
             if k > j:
-                if triple_intersection_nonempty(centers[i], centers[j], centers[k], r):
+                if triple_intersection_nonempty(center(i), center(j), center(k), r):
                     out.append((i, j, k))
     return out
 
@@ -297,14 +403,18 @@ def _gf2_rank(masks: Iterable[int]) -> int:
     return len(pivots)
 
 
-def complement_regions(centers: Sequence[Point], r: Fraction) -> RegionSummary:
+def complement_regions(
+    centers: Union[Sequence[Point], IntCenters], r: Fraction
+) -> RegionSummary:
     """Connected components of the union and the number of bounded holes in
     its complement, computed from the intersection complex: components come
     from the graph, holes from edges - vertices + components - rank of the
-    filled-triangle boundary operator over GF(2)."""
-    udg = unit_disk_graph(centers, r)
+    filled-triangle boundary operator over GF(2).  ``centers`` are rational
+    points or integer centres, as for :func:`unit_disk_graph`."""
+    sc = _as_int_centers(centers, r)
+    udg = unit_disk_graph(sc, r)
     comps = len(set(components(range(udg.n), udg.edges).values()))
-    tris = filled_triangles(centers, r, udg)
+    tris = filled_triangles(sc, r, udg)
     eidx = {e: i for i, e in enumerate(udg.edges)}
     masks = []
     for (i, j, k) in tris:
@@ -331,23 +441,47 @@ class SeparationResult:
     witness_cycle: Optional[List[int]] = None  # disk ids, consecutive ones intersect
 
 
+def _with_points(
+    sc: IntCenters, pts: Sequence[Point]
+) -> Tuple[IntCenters, List[Tuple[int, int]]]:
+    """The centres and the rational points ``pts`` as integers in one unit:
+    1/den, refined only when some point's denominator does not divide den.
+    Scaling by a positive integer keeps the sign of every comparison,
+    difference and product the ray test makes."""
+    q = math.lcm(*(c.denominator for pt in pts for c in pt))
+    q //= math.gcd(q, sc.den)
+    if q > 1:
+        sc = IntCenters(tuple([x * q for x in sc.xs]), tuple([y * q for y in sc.ys]),
+                        sc.den * q)
+    den = sc.den
+    return sc, [
+        (pt[0].numerator * (den // pt[0].denominator),
+         pt[1].numerator * (den // pt[1].denominator))
+        for pt in pts
+    ]
+
+
 def edge_crossing_parities(
-    centers: Sequence[Point],
+    centers: Union[Sequence[Point], IntCenters],
     udg: UnitDiskGraph,
     p: Point,
     q: Point,
 ) -> Dict[Tuple[int, int], int]:
     """Crossing parity of every center-graph edge against the half-open
-    horizontal rays from p and q (see :func:`geometry.ray_crossing`)."""
+    horizontal rays from the rational points p and q (see
+    :func:`geometry.ray_crossing`), decided on integers.  ``centers`` are
+    rational points or integer centres, as for :func:`unit_disk_graph`."""
+    sc, (ip, iq) = _with_points(_as_int_centers(centers, Fraction(1)), (p, q))
+    xs, ys = sc.xs, sc.ys
     parity: Dict[Tuple[int, int], int] = {}
     for (i, j) in udg.edges:
-        ci, cj = centers[i], centers[j]
-        parity[(i, j)] = (ray_crossing(ci, cj, p) ^ ray_crossing(ci, cj, q)) & 1
+        ci, cj = (xs[i], ys[i]), (xs[j], ys[j])
+        parity[(i, j)] = (ray_crossing(ci, cj, ip) ^ ray_crossing(ci, cj, iq)) & 1
     return parity
 
 
 def separation(
-    centers: Sequence[Point],
+    centers: Union[Sequence[Point], IntCenters],
     r: Fraction,
     udg: UnitDiskGraph,
     p: Point,
@@ -439,7 +573,7 @@ def verify_isolation(
     instance.validate()
     if len(instance.points) < 2:
         raise VerificationError("isolation needs at least two marked points")
-    chosen = _check_ids(chosen_ids, len(instance.disks), "certificate")
+    chosen = _check_ids(chosen_ids, len(instance.tags), "certificate")
     messages = []
     if budget is not None and len(chosen) > budget:
         messages.append(f"budget: certificate uses {len(chosen)} disks, cap {budget}")
@@ -451,8 +585,8 @@ def verify_isolation(
             raise VerificationError(
                 f"marked point {pid!r} is covered by disk {hit[0]}"
             )
-    centers = [instance.disks[i].center for i in chosen]
-    udg = unit_disk_graph(sc.subset(chosen), instance.radius)
+    sub = sc.subset(chosen)
+    udg = unit_disk_graph(sub, instance.radius)
     ids = sorted(instance.points)
     pair_results: Dict[Tuple[str, str], bool] = {}
     witnesses: Dict[Tuple[str, str], List[int]] = {}
@@ -460,7 +594,7 @@ def verify_isolation(
         for y in range(x + 1, len(ids)):
             a, b = ids[x], ids[y]
             res = separation(
-                centers, instance.radius, udg,
+                sub, instance.radius, udg,
                 instance.points[a], instance.points[b],
             )
             pair_results[(a, b)] = res.separated
@@ -500,13 +634,13 @@ def verify_acc(
     """Check that deleting the given disks leaves a union with no bounded
     complement region (an acyclic disk collection)."""
     instance.validate()
-    removed = _check_ids(removed_ids, len(instance.disks), "certificate")
+    removed = _check_ids(removed_ids, len(instance.tags), "certificate")
     reasons = []
     if budget is not None and len(removed) > budget:
         reasons.append(f"budget: certificate removes {len(removed)} disks, cap {budget}")
     removed_set = set(removed)
-    centers = [c for i, c in enumerate(instance.centers()) if i not in removed_set]
-    regions = complement_regions(centers, instance.radius)
+    kept = [i for i in range(len(instance.tags)) if i not in removed_set]
+    regions = complement_regions(instance.int_centers().subset(kept), instance.radius)
     return AccReport(
         ok=regions.bounded_complement_regions == 0 and not reasons,
         removed=removed,

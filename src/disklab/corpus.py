@@ -12,8 +12,6 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Tuple
 
-import networkx as nx
-
 from .graphs import MultiterminalInstance, PlanarEmbeddedGraph, Vertex
 from .gridembed import GridEmbedding, grid_embed
 
@@ -29,6 +27,8 @@ def random_planar_edges(
     kept only while the graph stays planar."""
     if n_vertices < 1:
         raise ValueError("need at least one vertex")
+    import networkx as nx
+
     names: List[Vertex] = [f"v{i}" for i in range(n_vertices)]
     edges: List[Edge] = [
         (names[rng.randrange(i)], names[i]) for i in range(1, n_vertices)
@@ -52,6 +52,8 @@ def random_planar_edges(
 def rotation_graph(vertices: List[Vertex], edges: List[Edge]) -> PlanarEmbeddedGraph:
     """Combinatorial embedding of a connected simple planar graph, with the
     rotation taken from networkx's planarity test."""
+    import networkx as nx
+
     g = nx.Graph()
     g.add_nodes_from(vertices)
     g.add_edges_from(edges)

@@ -25,6 +25,7 @@ from .arrangements import (
     CenterIndex,
     DiskInstance,
     IntCenters,
+    UnitDiskGraph,
     complement_regions,
     unit_disk_graph,
 )
@@ -132,6 +133,8 @@ class ContactReport:
     ok: bool
     violations: List[str]
     contact_counts: Dict[Tuple[Tag, Tag], int]
+    # the intersection graph the check ran on, for the synthesizers' checks
+    graph: UnitDiskGraph = field(compare=False, repr=False)
 
 
 def check_structure(instance: DiskInstance, spec: StructureSpec) -> ContactReport:
@@ -142,7 +145,7 @@ def check_structure(instance: DiskInstance, spec: StructureSpec) -> ContactRepor
     for tag, ids in {**spec.chains, **spec.rings}.items():
         for pos, i in enumerate(ids):
             if i in owner:
-                return ContactReport(False, [f"disk {i} owned by two structures"], {})
+                return ContactReport(False, [f"disk {i} owned by two structures"], {}, udg)
             owner[i] = tag
             index_in[i] = pos
     violations: List[str] = []
@@ -191,7 +194,8 @@ def check_structure(instance: DiskInstance, spec: StructureSpec) -> ContactRepor
             violations.append(
                 f"contact {key[0]} ~ {key[1]}: {got} intersecting pairs, wanted [{lo}, {hi}]"
             )
-    return ContactReport(ok=not violations, violations=violations, contact_counts=cross)
+    return ContactReport(ok=not violations, violations=violations, contact_counts=cross,
+                         graph=udg)
 
 
 # ---------------------------------------------------------------------------
@@ -526,8 +530,9 @@ def lift_fence_to_edges(instance: DiskInstance, chosen_ids: Iterable[int]) -> Li
     """
     c_edge = int(instance.meta["c_edge"])
     per_edge: Dict[int, int] = {}
+    tags = instance.tags
     for i in set(int(x) for x in chosen_ids):
-        tag = instance.disks[i].tag
+        tag = tags[i]
         if tag and tag[0] == "wall":
             per_edge[tag[1]] = per_edge.get(tag[1], 0) + 1
     return sorted(e for e, cnt in per_edge.items() if cnt == c_edge)
@@ -620,7 +625,7 @@ def build_acc_instance(
     # the union must have exactly one hole per independent cycle
     n_comp = len(set(components(vertices, edges).values()))
     cycle_rank = len(edges) - len(vertices) + n_comp
-    regions = complement_regions(inst.centers(), r)
+    regions = complement_regions(inst.int_centers(), r)
     if regions.bounded_complement_regions != cycle_rank or \
             regions.union_components != n_comp:
         raise SynthesisError(
@@ -722,7 +727,7 @@ def build_weighted_edge_instance(
     # (between the fans) lanes must be pairwise disjoint so that deleting one
     # mid-lane disk per lane really disconnects the ends
     centers = inst.centers()
-    udg = unit_disk_graph(inst.int_centers(), r)
+    udg = report.graph
     adj = [set(a) for a in udg.adj]
     for (eid, j), ids in lane_ids.items():
         if not (0 in adj[ids[0]] and 1 in adj[ids[-1]]):
@@ -962,8 +967,7 @@ def build_udmc_instance(
         )
 
     centers = inst.centers()
-    udg = unit_disk_graph(inst.int_centers(), r)
-    adj = [set(a) for a in udg.adj]
+    adj = [set(a) for a in report.graph.adj]
     for v in g.vertices:
         if len(adj[hub_of_vertex[v]]) != copies:
             raise SynthesisError(

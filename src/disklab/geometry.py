@@ -550,14 +550,3 @@ def segments_cross_properly(a: Point, b: Point, c: Point, d: Point) -> bool:
     o1, o2 = orient(a, b, c), orient(a, b, d)
     o3, o4 = orient(c, d, a), orient(c, d, b)
     return o1 * o2 < 0 and o3 * o4 < 0
-
-
-def segment_intersection_point(a: Point, b: Point, c: Point, d: Point) -> Point:
-    """Intersection point of the supporting lines (caller ensures non-parallel)."""
-    rx, ry = b[0] - a[0], b[1] - a[1]
-    sx, sy = d[0] - c[0], d[1] - c[1]
-    den = rx * sy - ry * sx
-    if den == 0:
-        raise ValueError("parallel segments have no unique intersection point")
-    t = ((c[0] - a[0]) * sy - (c[1] - a[1]) * sx) / den
-    return (a[0] + t * rx, a[1] + t * ry)

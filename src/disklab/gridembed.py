@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from .geometry import (
     Point,
     point_on_segment,
@@ -270,7 +268,9 @@ def point_in_face(g: PlanarEmbeddedGraph, coords: Coords, face: int) -> Point:
 # drawing synthesis
 # ---------------------------------------------------------------------------
 
-def _nx_embedding(g: PlanarEmbeddedGraph) -> nx.PlanarEmbedding:
+def _nx_embedding(g: PlanarEmbeddedGraph) -> "nx.PlanarEmbedding":
+    import networkx as nx
+
     emb = nx.PlanarEmbedding()
     for v in g.vertices:
         ref = None
@@ -307,6 +307,8 @@ def draw_with_networkx(g: PlanarEmbeddedGraph) -> Coords:
         return {a: (0, 0), b: (1, 0)}
     if not g.is_connected():
         raise DrawingError("drawing requires a connected graph")
+    import networkx as nx
+
     pos = nx.combinatorial_embedding_to_pos(_nx_embedding(g), fully_triangulate=False)
     coords = {v: (int(x), int(y)) for v, (x, y) in pos.items()}
     return _normalize(coords)

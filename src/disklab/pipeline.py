@@ -24,10 +24,9 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
-
-import networkx as nx
 
 from .arrangements import (
     DiskInstance,
@@ -119,10 +118,59 @@ def read_json(path) -> dict:
 
 
 def write_json(obj, path) -> None:
+    """Write ``json.dumps(obj, sort_keys=True, indent=2)`` and a newline.
+
+    ``indent`` selects json's pure-Python encoder, which is slow on a large
+    instance, so the entries of a top-level ``disks`` list are written from
+    a template (:func:`_disk_entry`) with C-encoded strings; everything else
+    goes through json's encoder.  Nothing is held as one string."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
+        if isinstance(obj, dict) and type(obj.get("disks")) is list \
+                and all(type(k) is str for k in obj):
+            fh.write("{")
+            for n, key in enumerate(sorted(obj)):
+                fh.write(("," if n else "") + "\n  " + encode_basestring_ascii(key) + ": ")
+                if key == "disks" and obj[key]:
+                    fh.write("[")
+                    fh.writelines(
+                        ("," if m else "") + "\n    " + _disk_entry(e)
+                        for m, e in enumerate(obj[key]))
+                    fh.write("\n  ]")
+                else:
+                    fh.write(json.dumps(obj[key], sort_keys=True, indent=2).replace("\n", "\n  "))
+            fh.write("\n}")
+        else:
+            json.dump(obj, fh, sort_keys=True, indent=2)
         fh.write("\n")
+
+
+def _disk_entry(e) -> str:
+    """The text ``json.dumps`` with ``indent=2`` gives an entry of a
+    top-level ``disks`` list.  An entry ``{"c": [x, y], "prov": [...]}``
+    with string coordinates and string or int tags is filled into a
+    template; any other value is left to json (raw newlines only ever
+    separate items, since strings escape theirs, so indenting the text
+    means rewriting its newlines)."""
+    if type(e) is dict and len(e) == 2:
+        c, prov = e.get("c"), e.get("prov")
+        if type(c) is list and len(c) == 2 and type(prov) is list \
+                and type(c[0]) is str and type(c[1]) is str:
+            tags = []
+            for v in prov:
+                if type(v) is str:
+                    tags.append(encode_basestring_ascii(v))
+                elif type(v) is int:
+                    tags.append(int.__repr__(v))
+                else:
+                    break
+            else:
+                prov_text = ("[\n        " + ",\n        ".join(tags) + "\n      ]"
+                             if tags else "[]")
+                return ('{\n      "c": [\n        ' + encode_basestring_ascii(c[0])
+                        + ",\n        " + encode_basestring_ascii(c[1])
+                        + '\n      ],\n      "prov": ' + prov_text + "\n    }")
+    return json.dumps(e, sort_keys=True, indent=2).replace("\n", "\n    ")
 
 
 def certificate_candidate(cert: dict):
@@ -219,6 +267,8 @@ def embed_plain_graph(vertices, edges) -> GridEmbedding:
     the grid drawer."""
     if not vertices:
         raise Rejected("graph has no vertices")
+    import networkx as nx
+
     g = nx.Graph()
     g.add_nodes_from(vertices)
     g.add_edges_from(edges)
@@ -568,7 +618,7 @@ def _lift_acc(record, src, tgt, cert) -> Tuple[List[str], dict]:
     edge_ends = {int(e): ends for e, ends in record.notes["edge_ends"].items()}
     lifted = set()
     for i in removed:
-        tag = inst.disks[i].tag
+        tag = inst.tags[i]
         if tag and tag[0] == "hub":
             lifted.add(hub_vertex[i])
         elif tag and tag[0] == "conn":

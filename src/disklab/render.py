@@ -90,11 +90,15 @@ def _guide_pitch(span: float) -> float:
 def svg_for_instance(instance: DiskInstance, guides: bool = False) -> str:
     """Render a disk instance; colors follow disk tags, crosses mark points."""
     r = float(instance.radius)
-    xs: List[float] = []
-    ys: List[float] = []
-    for d in instance.disks:
-        xs += [float(d.x) - r, float(d.x) + r]
-        ys += [float(d.y) - r, float(d.y) + r]
+    sc = instance.int_centers()
+    # int / int is correctly rounded, so this is float() of each rational
+    # centre
+    fx = [x / sc.den for x in sc.xs]
+    fy = [y / sc.den for y in sc.ys]
+    # rounding is monotone, so the extremes of x ± r over all disks are
+    # those of min(x) ± r and max(x) ± r
+    xs = [c + s for c in (min(fx), max(fx)) for s in (-r, r)] if fx else []
+    ys = [c + s for c in (min(fy), max(fy)) for s in (-r, r)] if fy else []
     for (px, py) in instance.points.values():
         xs.append(float(px))
         ys.append(float(py))
@@ -103,24 +107,25 @@ def svg_for_instance(instance: DiskInstance, guides: bool = False) -> str:
     frame = _Frame(min(xs), min(ys), max(xs), max(ys))
     out: List[str] = []
     _open_svg(frame, out)
-    if guides and instance.disks:
+    if guides and fx:
         span = max(max(xs) - min(xs), max(ys) - min(ys))
         _grid_lines(frame, min(xs), min(ys), max(xs), max(ys),
                     _guide_pitch(span), out)
 
     color_of: Dict[Tuple, str] = {}
     terminal = set(int(t) for t in instance.meta.get("terminal_disks", []))
+    radius = _fmt(r * frame.k)
     out.append('<g stroke="#333333" stroke-width="0.6" fill-opacity="0.5">')
-    for i, d in enumerate(instance.disks):
+    for i, (tag, x, y) in enumerate(zip(instance.tags, fx, fy)):
         # the last tag component indexes disks inside one structure; the
         # prefix identifies the structure itself
-        key = tuple(str(t) for t in d.tag[:-1]) if len(d.tag) >= 2 else ("disk",)
+        key = tuple(map(str, tag[:-1])) if len(tag) >= 2 else ("disk",)
         if key not in color_of:
             color_of[key] = _PALETTE[len(color_of) % len(_PALETTE)]
-        cx, cy = frame.pt(float(d.x), float(d.y))
+        cx, cy = frame.pt(x, y)
         extra = ' stroke="#000000" stroke-width="2.4"' if i in terminal else ""
         out.append(
-            f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r * frame.k)}" '
+            f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{radius}" '
             f'fill="{color_of[key]}"{extra}/>'
         )
     out.append("</g>")

@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from .arrangements import (
     CenterIndex,
     DiskInstance,
@@ -161,8 +159,8 @@ def brute_min_isolation_two_points(
     instance.validate()
     if len(instance.points) != 2:
         raise VerificationError("this solver handles exactly two marked points")
-    if len(instance.disks) > max_disks:
-        raise SolverCapExceeded(f"{len(instance.disks)} disks exceeds {max_disks}")
+    if len(instance.tags) > max_disks:
+        raise SolverCapExceeded(f"{len(instance.tags)} disks exceeds {max_disks}")
     r = instance.radius
     p, q = [instance.points[k] for k in sorted(instance.points)]
     sc = instance.int_centers()
@@ -171,7 +169,7 @@ def brute_min_isolation_two_points(
         if index.within(pt, r):
             raise VerificationError("a marked point is covered")
     udg = unit_disk_graph(sc, r)
-    parity = edge_crossing_parities(instance.centers(), udg, p, q)
+    parity = edge_crossing_parities(sc, udg, p, q)
 
     n = udg.n
     adj: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
@@ -281,7 +279,7 @@ def brute_min_isolation(
     from .arrangements import verify_isolation
 
     instance.validate()
-    n = len(instance.disks)
+    n = len(instance.tags)
     if n > max_disks:
         raise SolverCapExceeded(
             f"{n} disks exceeds the enumeration cap {max_disks}; "
@@ -306,17 +304,17 @@ def brute_min_acc(
     """Minimum number of deleted disks leaving a union with no bounded
     complement region, by subset enumeration over deletions."""
     instance.validate()
-    n = len(instance.disks)
+    n = len(instance.tags)
     if n > max_disks:
         raise SolverCapExceeded(f"{n} disks exceeds the enumeration cap {max_disks}")
-    centers = instance.centers()
+    sc = instance.int_centers()
     r = instance.radius
-    if complement_regions(centers, r).bounded_complement_regions == 0:
+    if complement_regions(sc, r).bounded_complement_regions == 0:
         return OptimumCertificate(problem="acyclic-cover", optimum=0, witness=[])
     for size in range(1, min(max_subset, n) + 1):
         for combo in combinations(range(n), size):
             removed = set(combo)
-            remaining = [c for k, c in enumerate(centers) if k not in removed]
+            remaining = sc.subset([k for k in range(n) if k not in removed])
             if complement_regions(remaining, r).bounded_complement_regions == 0:
                 return OptimumCertificate(
                     problem="acyclic-cover", optimum=size, witness=list(combo)
@@ -341,6 +339,8 @@ def min_terminal_pair_cut(
         raise VerificationError("terminal-pair cut needs exactly two terminal disks")
     s_id, t_id = terminals
     udg = unit_disk_graph(instance.int_centers(), instance.radius)
+    import networkx as nx
+
     g = nx.DiGraph()
     for (i, j) in udg.edges:
         g.add_edge(i, j, capacity=1)
@@ -389,6 +389,8 @@ def multiterminal_cut_lower_bound(instance: DiskInstance) -> int:
     if len(terminals) < 2:
         return 0
     udg = unit_disk_graph(instance.int_centers(), instance.radius)
+    import networkx as nx
+
     g = nx.DiGraph()
     for (i, j) in udg.edges:
         g.add_edge(i, j, capacity=1)

