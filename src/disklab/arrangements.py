@@ -29,13 +29,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .geometry import (
     Disk,
     ParamSet,
     Point,
-    dist_sq,
     rational_from_str,
     rational_to_str,
     ray_crossing,
@@ -60,57 +59,54 @@ class DiskInstance:
     ``acc`` or ``udmc``), terminal disk ids for cut instances, and the
     intended budget when the instance ships with one.
 
-    The disks are held either as a list of :class:`Disk` (how synthesizers
-    and tests build instances) or as integer centres plus one tag per disk
-    (how :meth:`from_dict` reads them).  Each form is derived from the other
-    on first use and kept, so the disks must not change after construction.
-    The verifiers, solvers and the renderer read :meth:`int_centers` and
-    :attr:`tags` only, so a parsed instance never builds a ``Fraction`` per
-    disk unless ``disks`` is asked for.
+    The disks are stored once, as integer centres over one denominator
+    (:class:`IntCenters`, a multiple of the radius' denominator) plus one
+    tag per disk, from synthesis to JSON.  ``Fraction`` is met only at the
+    JSON boundary, in the radius and the marked points, in the
+    triple-intersection predicate and in the :attr:`disks` view.  Two
+    instances are equal when their centres are equal as rationals, whatever
+    denominators they are stored over.  The disks must not change after
+    construction.
     """
 
     def __init__(
         self,
         radius: Fraction,
-        disks: Optional[List[Disk]] = None,
+        centers: "IntCenters",
+        tags: Sequence[tuple],
         points: Optional[Dict[str, Point]] = None,
         params: Optional[ParamSet] = None,
         meta: Optional[Dict[str, object]] = None,
-        scaled: Optional["IntCenters"] = None,
-        tags: Optional[Tuple[tuple, ...]] = None,
     ):
-        if disks is None and (scaled is None or tags is None):
-            raise TypeError("DiskInstance needs disks, or integer centres and tags")
         self.radius = radius
-        self._disks = disks
+        self.centers = centers
+        self.tags = tuple(tags)
         self.points = {} if points is None else points
         self.params = params
         self.meta = {} if meta is None else meta
-        self.scaled = scaled
-        self._tags = tags
+        self._disks: Optional[List[Disk]] = None
 
     @property
     def disks(self) -> List[Disk]:
+        """The disks with rational centres, built on first use and kept."""
         if self._disks is None:
-            xs, ys, den = self.scaled
+            xs, ys, den = self.centers
             self._disks = [
                 Disk(Fraction(x, den), Fraction(y, den), tag)
-                for x, y, tag in zip(xs, ys, self._tags)
+                for x, y, tag in zip(xs, ys, self.tags)
             ]
         return self._disks
-
-    @property
-    def tags(self) -> Tuple[tuple, ...]:
-        """The disks' tags, in disk order; ``len(tags)`` is the disk count."""
-        if self._tags is None:
-            self._tags = tuple(d.tag for d in self._disks)
-        return self._tags
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.radius, self.disks, self.points, self.params, self.meta) == (
-            other.radius, other.disks, other.points, other.params, other.meta)
+        a, b = self.centers, other.centers
+        return (
+            (self.radius, self.tags, self.points, self.params, self.meta)
+            == (other.radius, other.tags, other.points, other.params, other.meta)
+            and [x * b.den for x in a.xs] == [x * a.den for x in b.xs]
+            and [y * b.den for y in a.ys] == [y * a.den for y in b.ys]
+        )
 
     def __repr__(self) -> str:
         return (f"DiskInstance(radius={self.radius!r}, disks={self.disks!r}, "
@@ -125,22 +121,20 @@ class DiskInstance:
             if not (0 <= int(t) < len(self.tags)):
                 raise VerificationError(f"terminal disk id {t} out of range")
 
-    def centers(self) -> List[Point]:
-        return [(d.x, d.y) for d in self.disks]
-
-    def int_centers(self) -> "IntCenters":
-        """The disk centres as integer numerators over one common
-        denominator; computed on first use and kept."""
-        if self.scaled is None:
-            self.scaled = _integer_scaled(self.centers(), self.radius)
-        return self.scaled
-
     def to_dict(self) -> Dict[str, object]:
+        xs, ys, den = self.centers
+        gcd = math.gcd
+
+        def coord(n: int) -> str:
+            # rational_to_str(Fraction(n, den)), without the Fraction
+            g = gcd(n, den)
+            return f"{n // g}/{den // g}"
+
         return {
             "radius": rational_to_str(self.radius),
             "disks": [
-                {"c": [rational_to_str(d.x), rational_to_str(d.y)], "prov": list(d.tag)}
-                for d in self.disks
+                {"c": [coord(x), coord(y)], "prov": list(tag)}
+                for x, y, tag in zip(xs, ys, self.tags)
             ],
             "points": {
                 k: [rational_to_str(p[0]), rational_to_str(p[1])]
@@ -174,11 +168,11 @@ class DiskInstance:
         radius = rational_from_str(d["radius"])
         inst = cls(
             radius=radius,
+            centers=_over_common_denominator(xn, xd, yn, yd, radius),
+            tags=tags,
             points=points,
             params=ParamSet.from_dict(params) if params else None,
             meta=dict(d.get("meta", {})),
-            scaled=_over_common_denominator(xn, xd, yn, yd, radius),
-            tags=tuple(tags),
         )
         inst.validate()
         return inst
@@ -230,7 +224,7 @@ class IntCenters(NamedTuple):
     every distance test against the radius runs on Python ints.
 
     Tuples, not lists: the garbage collector stops tracking a tuple of ints,
-    so a cached instance adds nothing to every later full collection."""
+    so a held instance adds nothing to every later full collection."""
 
     xs: Tuple[int, ...]
     ys: Tuple[int, ...]
@@ -241,15 +235,28 @@ class IntCenters(NamedTuple):
         return IntCenters(tuple([xs[i] for i in ids]), tuple([ys[i] for i in ids]), self.den)
 
 
+# Sound instances need about 46 bits (3240 * 2**34 at grid size 3); a file
+# whose denominators fold to more than this is refused before any centre is
+# scaled, so distinct hostile denominators cannot grow the work quadratically.
+MAX_DENOMINATOR_BITS = 4096
+
+
 def _over_common_denominator(
     xn: Sequence[int], xd: Sequence[int], yn: Sequence[int], yd: Sequence[int], r: Fraction
 ) -> IntCenters:
     """Integer centres (xn[i] / xd[i], yn[i] / yd[i]) over the least common
     denominator of ``r`` and every coordinate; the fractions need not be in
-    lowest terms."""
+    lowest terms.  Raises :class:`VerificationError` when the denominators
+    as given fold to more than ``MAX_DENOMINATOR_BITS`` bits."""
     dens = set(xd)
     dens.update(yd)
-    den = math.lcm(r.denominator, *dens)
+    den = r.denominator
+    for q in dens:
+        den = math.lcm(den, q)
+        if den.bit_length() > MAX_DENOMINATOR_BITS:
+            raise VerificationError(
+                f"coordinate denominators need more than {MAX_DENOMINATOR_BITS} bits "
+                "in common")
     factor = {q: den // q for q in dens}
     xs = [n * factor[q] for n, q in zip(xn, xd)]
     ys = [n * factor[q] for n, q in zip(yn, yd)]
@@ -260,18 +267,6 @@ def _over_common_denominator(
         xs = [x // g for x in xs]
         ys = [y // g for y in ys]
     return IntCenters(tuple(xs), tuple(ys), den)
-
-
-def _integer_scaled(centers: Sequence[Point], r: Fraction) -> IntCenters:
-    """Integer centres over the least common denominator of ``r`` and every
-    coordinate."""
-    return _over_common_denominator(
-        [x.numerator for x, _ in centers], [x.denominator for x, _ in centers],
-        [y.numerator for _, y in centers], [y.denominator for _, y in centers], r)
-
-
-def _as_int_centers(centers: Union[Sequence[Point], IntCenters], r: Fraction) -> IntCenters:
-    return centers if isinstance(centers, IntCenters) else _integer_scaled(centers, r)
 
 
 class CenterIndex:
@@ -316,14 +311,10 @@ class CenterIndex:
         return out
 
 
-def unit_disk_graph(
-    centers: Union[Sequence[Point], IntCenters], r: Fraction
-) -> UnitDiskGraph:
+def unit_disk_graph(sc: IntCenters, r: Fraction) -> UnitDiskGraph:
     """Intersection graph of equal closed disks (tangency included), built
     on the bucket grid of :class:`CenterIndex` so synthesized instances with
-    hundreds of thousands of disks stay tractable.  ``centers`` are rational
-    points or an instance's :meth:`DiskInstance.int_centers`."""
-    sc = _as_int_centers(centers, r)
+    hundreds of thousands of disks stay tractable."""
     n = len(sc.xs)
     index = CenterIndex(sc, r)
     xs, ys, four_r2, grid = sc.xs, sc.ys, index.four_r2, index.buckets
@@ -351,13 +342,6 @@ def unit_disk_graph(
     return UnitDiskGraph(n, edges, adj)
 
 
-def covering_disks(
-    centers: Union[Sequence[Point], IntCenters], r: Fraction, p: Point
-) -> List[int]:
-    """Indices of disks containing ``p`` (closed)."""
-    return CenterIndex(_as_int_centers(centers, r), r).within(p, r)
-
-
 # ---------------------------------------------------------------------------
 # complement topology via the intersection complex
 # ---------------------------------------------------------------------------
@@ -371,10 +355,10 @@ class RegionSummary:
 
 
 def filled_triangles(
-    centers: Union[Sequence[Point], IntCenters], r: Fraction, udg: UnitDiskGraph
+    sc: IntCenters, r: Fraction, udg: UnitDiskGraph
 ) -> List[Tuple[int, int, int]]:
     """Triples of pairwise-intersecting disks with a common point."""
-    xs, ys, den = _as_int_centers(centers, r)
+    xs, ys, den = sc
 
     def center(i: int) -> Point:
         # rational, because the predicate divides
@@ -403,15 +387,11 @@ def _gf2_rank(masks: Iterable[int]) -> int:
     return len(pivots)
 
 
-def complement_regions(
-    centers: Union[Sequence[Point], IntCenters], r: Fraction
-) -> RegionSummary:
+def complement_regions(sc: IntCenters, r: Fraction) -> RegionSummary:
     """Connected components of the union and the number of bounded holes in
     its complement, computed from the intersection complex: components come
     from the graph, holes from edges - vertices + components - rank of the
-    filled-triangle boundary operator over GF(2).  ``centers`` are rational
-    points or integer centres, as for :func:`unit_disk_graph`."""
-    sc = _as_int_centers(centers, r)
+    filled-triangle boundary operator over GF(2)."""
     udg = unit_disk_graph(sc, r)
     comps = len(set(components(range(udg.n), udg.edges).values()))
     tris = filled_triangles(sc, r, udg)
@@ -462,16 +442,12 @@ def _with_points(
 
 
 def edge_crossing_parities(
-    centers: Union[Sequence[Point], IntCenters],
-    udg: UnitDiskGraph,
-    p: Point,
-    q: Point,
+    sc: IntCenters, udg: UnitDiskGraph, p: Point, q: Point
 ) -> Dict[Tuple[int, int], int]:
     """Crossing parity of every center-graph edge against the half-open
     horizontal rays from the rational points p and q (see
-    :func:`geometry.ray_crossing`), decided on integers.  ``centers`` are
-    rational points or integer centres, as for :func:`unit_disk_graph`."""
-    sc, (ip, iq) = _with_points(_as_int_centers(centers, Fraction(1)), (p, q))
+    :func:`geometry.ray_crossing`), decided on integers."""
+    sc, (ip, iq) = _with_points(sc, (p, q))
     xs, ys = sc.xs, sc.ys
     parity: Dict[Tuple[int, int], int] = {}
     for (i, j) in udg.edges:
@@ -480,13 +456,7 @@ def edge_crossing_parities(
     return parity
 
 
-def separation(
-    centers: Union[Sequence[Point], IntCenters],
-    r: Fraction,
-    udg: UnitDiskGraph,
-    p: Point,
-    q: Point,
-) -> SeparationResult:
+def separation(sc: IntCenters, udg: UnitDiskGraph, p: Point, q: Point) -> SeparationResult:
     """Decide whether the union separates ``p`` from ``q``.
 
     Labels every center-graph edge with its crossing parity against the
@@ -494,7 +464,7 @@ def separation(
     disagrees with the endpoint potentials closes an odd cycle, which is
     returned as the separating witness.
     """
-    parity = edge_crossing_parities(centers, udg, p, q)
+    parity = edge_crossing_parities(sc, udg, p, q)
     pot = [-1] * udg.n
     parent: List[Optional[int]] = [None] * udg.n
     for s in range(udg.n):
@@ -577,7 +547,7 @@ def verify_isolation(
     messages = []
     if budget is not None and len(chosen) > budget:
         messages.append(f"budget: certificate uses {len(chosen)} disks, cap {budget}")
-    sc = instance.int_centers()
+    sc = instance.centers
     index = CenterIndex(sc, instance.radius)
     for pid, p in instance.points.items():
         hit = index.within(p, instance.radius)
@@ -593,10 +563,7 @@ def verify_isolation(
     for x in range(len(ids)):
         for y in range(x + 1, len(ids)):
             a, b = ids[x], ids[y]
-            res = separation(
-                sub, instance.radius, udg,
-                instance.points[a], instance.points[b],
-            )
+            res = separation(sub, udg, instance.points[a], instance.points[b])
             pair_results[(a, b)] = res.separated
             if res.witness_cycle is not None:
                 witnesses[(a, b)] = [chosen[k] for k in res.witness_cycle]
@@ -640,7 +607,7 @@ def verify_acc(
         reasons.append(f"budget: certificate removes {len(removed)} disks, cap {budget}")
     removed_set = set(removed)
     kept = [i for i in range(len(instance.tags)) if i not in removed_set]
-    regions = complement_regions(instance.int_centers().subset(kept), instance.radius)
+    regions = complement_regions(instance.centers.subset(kept), instance.radius)
     return AccReport(
         ok=regions.bounded_complement_regions == 0 and not reasons,
         removed=removed,
@@ -695,7 +662,7 @@ def verify_multiterminal_cut(
     if len(terminals) < 2:
         raise VerificationError("cut instances need at least two terminal disks")
     removed = normalize_edge_list(removed_edges)
-    udg = unit_disk_graph(instance.int_centers(), instance.radius)
+    udg = unit_disk_graph(instance.centers, instance.radius)
     edge_set = set(udg.edges)
     for e in removed:
         if e not in edge_set:

@@ -30,7 +30,6 @@ from .arrangements import (
     unit_disk_graph,
 )
 from .geometry import (
-    Disk,
     ParamSet,
     Point,
     ceil_frac,
@@ -67,15 +66,31 @@ class Snapper:
             q += 1
         return q
 
-    def snap(self, x: float) -> Fraction:
-        return Fraction(self.numerator(x), self.M)
-
     def snap_point(self, p: Tuple[float, float]) -> Tuple[int, int]:
         """Integer numerators over M of the snapped point."""
         return (self.numerator(p[0]), self.numerator(p[1]))
 
-    def disk(self, num: Tuple[int, int], tag: Tag) -> Disk:
-        return Disk(Fraction(num[0], self.M), Fraction(num[1], self.M), tag)
+
+class _Disks:
+    """Disk centres as integer numerators over one denominator and their
+    tags, collected in disk order: the form a :class:`DiskInstance`
+    stores."""
+
+    def __init__(self, den: int):
+        self.den = den
+        self.xs: List[int] = []
+        self.ys: List[int] = []
+        self.tags: List[Tag] = []
+
+    def add(self, num: Tuple[int, int], tag: Tag) -> int:
+        """Append a disk centred at ``num`` / den; returns its id."""
+        self.xs.append(num[0])
+        self.ys.append(num[1])
+        self.tags.append(tag)
+        return len(self.tags) - 1
+
+    def centers(self) -> IntCenters:
+        return IntCenters(tuple(self.xs), tuple(self.ys), self.den)
 
 
 def _unit(dx: float, dy: float) -> Tuple[float, float]:
@@ -139,7 +154,7 @@ class ContactReport:
 
 def check_structure(instance: DiskInstance, spec: StructureSpec) -> ContactReport:
     """Exact check of intra-structure shape and cross-structure contacts."""
-    udg = unit_disk_graph(instance.int_centers(), instance.radius)
+    udg = unit_disk_graph(instance.centers, instance.radius)
     owner: Dict[int, Tag] = {}
     index_in: Dict[int, int] = {}
     for tag, ids in {**spec.chains, **spec.rings}.items():
@@ -402,19 +417,7 @@ def build_isolation_instance(
             f"instance would need {total_edge_disks} wall disks; refusing"
         )
     snapper = Snapper(p.r)
-    disks: List[Disk] = []
-    # centres as numerators over snapper.M, in two flat lists: a tuple per
-    # disk kept to the end would sit between the Disk objects in memory and
-    # slow every later full garbage collection
-    xs: List[int] = []
-    ys: List[int] = []
-
-    def add_disk(num: Tuple[int, int], tag: Tag) -> int:
-        xs.append(num[0])
-        ys.append(num[1])
-        disks.append(snapper.disk(num, tag))
-        return len(disks) - 1
-
+    disks = _Disks(snapper.M)
     wall_ids: Dict[int, List[int]] = {}
     vertex_ids: Dict[Vertex, List[int]] = {}
     spec = StructureSpec()
@@ -424,7 +427,7 @@ def build_isolation_instance(
     if p.mode == "toy":
         for v in g.vertices:
             x, y = emb.coords[v]
-            i = add_disk((x * snapper.M, y * snapper.M), ("anchor", str(v)))
+            i = disks.add((x * snapper.M, y * snapper.M), ("anchor", str(v)))
             vertex_ids[v] = [i]
             spec.chains[("anchor", str(v))] = [i]
     else:
@@ -440,7 +443,7 @@ def build_isolation_instance(
                     break
             if placed is None:
                 raise SynthesisError(f"vertex ring at {v!r} failed to close")
-            ids = [add_disk(c, ("ring", str(v), j)) for j, c in enumerate(placed)]
+            ids = [disks.add(c, ("ring", str(v), j)) for j, c in enumerate(placed)]
             vertex_ids[v] = ids
             spec.rings[("ring", str(v))] = ids
 
@@ -450,7 +453,7 @@ def build_isolation_instance(
             plan = _toy_wall_plan(ax, ay, bx, by, p, toy_attach)
         else:
             plan = _sound_wall_plan(ax, ay, bx, by, p)
-        ids = [add_disk(snapper.snap_point(c), ("wall", eid, j))
+        ids = [disks.add(snapper.snap_point(c), ("wall", eid, j))
                for j, c in enumerate(plan.centers)]
         wall_ids[eid] = ids
         wt = ("wall", eid)
@@ -472,12 +475,13 @@ def build_isolation_instance(
                     key = (("wall", eids[i]), ("wall", eids[j]))
                     spec.allowed_contacts[key] = (0, 4)
 
-    scaled = IntCenters(tuple(xs), tuple(ys), snapper.M)
-    points = _place_face_points(emb, sub.terminals, scaled, p.r)
+    centers = disks.centers()
+    points = _place_face_points(emb, sub.terminals, centers, p.r)
     vertex_disk_total = sum(len(v) for v in vertex_ids.values())
     inst = DiskInstance(
         radius=p.r,
-        disks=disks,
+        centers=centers,
+        tags=disks.tags,
         points=points,
         params=p,
         meta={
@@ -487,7 +491,6 @@ def build_isolation_instance(
             "groups": sub.groups,
             "terminal_faces": dict(sub.terminals),
         },
-        scaled=scaled,
     )
     inst.validate()
     report = check_structure(inst, spec)
@@ -566,13 +569,12 @@ def build_acc_instance(
     """
     snapper = Snapper(r)
     rf = float(r)
-    disks: List[Disk] = []
+    disks = _Disks(snapper.M)
     spec = StructureSpec()
     hub_of_vertex: Dict[Vertex, int] = {}
     for v in vertices:
-        hub_of_vertex[v] = len(disks)
         x, y = coords[v]
-        disks.append(Disk(Fraction(x), Fraction(y), ("hub", str(v))))
+        hub_of_vertex[v] = disks.add((x * snapper.M, y * snapper.M), ("hub", str(v)))
         spec.chains[("hub", str(v))] = [hub_of_vertex[v]]
     for eid, (u, w) in enumerate(edges):
         if u == w:
@@ -594,10 +596,7 @@ def build_acc_instance(
         pts = _walk_polyline(
             [(ax + attach * ux, ay + attach * uy), (bx - attach * ux, by - attach * uy)], m
         )
-        ids = []
-        for j, c in enumerate(pts):
-            ids.append(len(disks))
-            disks.append(snapper.disk(snapper.snap_point(c), ("conn", eid, j)))
+        ids = [disks.add(snapper.snap_point(c), ("conn", eid, j)) for j, c in enumerate(pts)]
         tag = ("conn", eid)
         spec.chains[tag] = ids
         spec.allowed_contacts[(tag, ("hub", str(u)))] = (1, 1)
@@ -613,8 +612,8 @@ def build_acc_instance(
 
     inst = DiskInstance(
         radius=r,
-        disks=disks,
-        params=None,
+        centers=disks.centers(),
+        tags=disks.tags,
         meta={"kind": "acc", "hubs": {str(v): i for v, i in hub_of_vertex.items()}},
     )
     report = check_structure(inst, spec)
@@ -625,7 +624,7 @@ def build_acc_instance(
     # the union must have exactly one hole per independent cycle
     n_comp = len(set(components(vertices, edges).values()))
     cycle_rank = len(edges) - len(vertices) + n_comp
-    regions = complement_regions(inst.int_centers(), r)
+    regions = complement_regions(inst.centers, r)
     if regions.bounded_complement_regions != cycle_rank or \
             regions.union_components != n_comp:
         raise SynthesisError(
@@ -668,10 +667,9 @@ def build_weighted_edge_instance(
         raise SynthesisError("weight must be at least 1")
     rf = float(r)
     snapper = Snapper(r)
-    disks: List[Disk] = [
-        Disk(Fraction(0), Fraction(0), ("terminal", "u")),
-        Disk(snapper.snap(span), Fraction(0), ("terminal", "v")),
-    ]
+    disks = _Disks(snapper.M)
+    disks.add((0, 0), ("terminal", "u"))
+    disks.add((snapper.numerator(span), 0), ("terminal", "v"))
     spec = StructureSpec()
     spec.chains[("terminal", "u")] = [0]
     spec.chains[("terminal", "v")] = [1]
@@ -697,10 +695,7 @@ def build_weighted_edge_instance(
         )
         m = max(2, math.ceil(length / (1.7 * rf)) + 1)
         pts = _walk_polyline(way, m)
-        ids = []
-        for k, c in enumerate(pts):
-            ids.append(len(disks))
-            disks.append(snapper.disk(snapper.snap_point(c), ("lane", 0, j, k)))
+        ids = [disks.add(snapper.snap_point(c), ("lane", 0, j, k)) for k, c in enumerate(pts)]
         lane_ids[(0, j)] = ids
         tag = ("lane", 0, j)
         spec.chains[tag] = ids
@@ -715,7 +710,8 @@ def build_weighted_edge_instance(
             spec.allowed_contacts[(("lane", 0, j), ("lane", 0, j2))] = (0, 10**9)
     inst = DiskInstance(
         radius=r,
-        disks=disks,
+        centers=disks.centers(),
+        tags=disks.tags,
         meta={"kind": "udmc", "terminal_disks": [0, 1], "weight": weight},
     )
     report = check_structure(inst, spec)
@@ -726,20 +722,21 @@ def build_weighted_edge_instance(
     # each lane alone must connect the terminals, and in the middle zone
     # (between the fans) lanes must be pairwise disjoint so that deleting one
     # mid-lane disk per lane really disconnects the ends
-    centers = inst.centers()
     udg = report.graph
     adj = [set(a) for a in udg.adj]
     for (eid, j), ids in lane_ids.items():
         if not (0 in adj[ids[0]] and 1 in adj[ids[-1]]):
             raise SynthesisError(f"lane {j} fails to reach both terminals")
-    mid_lo = Fraction(snapper.snap(bend + 2 * rf))
-    mid_hi = Fraction(snapper.snap(span - bend - 2 * rf))
-    lane_of = {i: tag[2] for i, d in enumerate(disks) if (tag := d.tag)[0] == "lane"}
+    # every centre is a numerator over snapper.M
+    mid_lo = snapper.numerator(bend + 2 * rf)
+    mid_hi = snapper.numerator(span - bend - 2 * rf)
+    xs = disks.xs
+    lane_of = {i: tag[2] for i, tag in enumerate(disks.tags) if tag[0] == "lane"}
     for (i, j) in udg.edges:
         li, lj = lane_of.get(i), lane_of.get(j)
         if li is None or lj is None or li == lj:
             continue
-        if mid_lo <= centers[i][0] <= mid_hi and mid_lo <= centers[j][0] <= mid_hi:
+        if mid_lo <= xs[i] <= mid_hi and mid_lo <= xs[j] <= mid_hi:
             raise SynthesisError(
                 f"lanes {li} and {lj} touch in the middle zone; cut size would drift"
             )
@@ -852,7 +849,7 @@ def build_udmc_instance(
     pi_hi = pi_bounds()[1]
     m = ceil_frac(Fraction(5) * pi_hi)   # ring positions per copy
 
-    disks: List[Disk] = []
+    disks = _Disks(snapper.M)
     spec = StructureSpec()
     hub_of_vertex: Dict[Vertex, int] = {}
     sigma_ids: Dict[Vertex, List[int]] = {}
@@ -865,9 +862,8 @@ def build_udmc_instance(
 
     for v in g.vertices:
         cx, cy = pos[v]
-        hub_id = len(disks)
         hub_tag: Tag = ("hub", str(v))
-        disks.append(snapper.disk(snapper.snap_point((cx, cy)), hub_tag))
+        hub_id = disks.add(snapper.snap_point((cx, cy)), hub_tag)
         spec.chains[hub_tag] = [hub_id]
         hub_of_vertex[v] = hub_id
         sigma_ids[v] = []
@@ -882,18 +878,16 @@ def build_udmc_instance(
                 ang = 2 * math.pi * p_idx / m
                 base = (cx + ring_r * math.cos(ang), cy + ring_r * math.sin(ang))
                 q = snapper.snap_point(perturb_copy(base, j, r))
-                ids.append(len(disks))
-                disks.append(snapper.disk(q, ring_tag + (p_idx,)))
+                ids.append(disks.add(q, ring_tag + (p_idx,)))
             spec.rings[ring_tag] = ids
             sigma_ids[v].extend(ids)
             sigma_tags[v].append(ring_tag)
             spur_tag: Tag = ("gamma", str(v), j)
             ids = []
-            for rad in (1.5 * rf, 3.3 * rf):
+            for k, rad in enumerate((1.5 * rf, 3.3 * rf), 1):
                 base = (cx + rad * sdx, cy + rad * sdy)
                 q = snapper.snap_point(perturb_copy(base, j, r))
-                ids.append(len(disks))
-                disks.append(snapper.disk(q, spur_tag + (len(ids),)))
+                ids.append(disks.add(q, spur_tag + (k,)))
             spec.chains[spur_tag] = ids
             gamma_tags.append(spur_tag)
             spec.allowed_contacts[(spur_tag, hub_tag)] = (1, 1)
@@ -935,11 +929,8 @@ def build_udmc_instance(
                          for (x0, y0), (x1, y1) in zip(way, way[1:]))
             count = max(2, math.ceil(length / (1.7 * rf)) + 1)
             pts = _walk_polyline(way, count)
-            ids = []
             lane_tag: Tag = ("lane", eid, i)
-            for k, c in enumerate(pts):
-                ids.append(len(disks))
-                disks.append(snapper.disk(snapper.snap_point(c), lane_tag + (k,)))
+            ids = [disks.add(snapper.snap_point(c), lane_tag + (k,)) for k, c in enumerate(pts)]
             spec.chains[lane_tag] = ids
             lane_ids[(eid, i)] = ids
             for end_v in (u, v):
@@ -950,7 +941,8 @@ def build_udmc_instance(
 
     inst = DiskInstance(
         radius=r,
-        disks=disks,
+        centers=disks.centers(),
+        tags=disks.tags,
         meta={
             "kind": "udmc",
             "terminal_disks": [hub_of_vertex[t] for t in mti.terminals],
@@ -966,7 +958,7 @@ def build_udmc_instance(
             + "\n  ".join(report.violations[:12])
         )
 
-    centers = inst.centers()
+    xs, ys, den = inst.centers
     adj = [set(a) for a in report.graph.adj]
     for v in g.vertices:
         if len(adj[hub_of_vertex[v]]) != copies:
@@ -982,10 +974,8 @@ def build_udmc_instance(
         for (e2, i), ids in lane_ids.items():
             if e2 != eid:
                 continue
-            proj = [
-                (float(centers[d][0]) - ax) * ux + (float(centers[d][1]) - ay) * uy
-                for d in ids
-            ]
+            # int / int is correctly rounded, so this is float() of the centre
+            proj = [(xs[d] / den - ax) * ux + (ys[d] / den - ay) * uy for d in ids]
             inside = [k for k, t in enumerate(proj) if lo <= t <= hi]
             for k in inside:
                 mid[ids[k]] = i

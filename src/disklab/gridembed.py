@@ -3,9 +3,10 @@
 The drawing pipeline has to respect the prescribed rotation system exactly —
 downstream synthesis carves disk chains along the drawn segments and the
 separation argument needs the drawn cyclic edge order at every vertex to be
-the combinatorial one.  All drawing validity checks run in exact rational
-arithmetic; floats appear only inside networkx's coordinate assignment,
-whose integer output is then re-verified from scratch.
+the combinatorial one.  All drawing validity checks run in exact integer
+arithmetic on the grid coordinates (face location takes rational query
+points); floats appear only inside networkx's coordinate assignment, whose
+integer output is then re-verified from scratch.
 """
 
 from __future__ import annotations
@@ -33,10 +34,6 @@ class DrawingError(ValueError):
 # ---------------------------------------------------------------------------
 # exact validity checks
 # ---------------------------------------------------------------------------
-
-def _as_point(xy: Tuple[int, int]) -> Point:
-    return (Fraction(xy[0]), Fraction(xy[1]))
-
 
 def _cw_angle_cmp(u: Tuple[int, int], v: Tuple[int, int]) -> int:
     """Total order on nonzero integer vectors by clockwise angle from the
@@ -131,11 +128,11 @@ def check_drawing(g: PlanarEmbeddedGraph, coords: Coords) -> None:
         raise DrawingError("straight-line drawings require a simple graph")
     if set(coords) != set(g.vertices):
         raise DrawingError("coordinate map does not cover the vertex set")
-    pts: Dict[Vertex, Point] = {}
+    pts: Dict[Vertex, Tuple[int, int]] = {}
     for v, xy in coords.items():
         if len(xy) != 2 or not all(isinstance(c, int) for c in xy):
             raise DrawingError(f"vertex {v!r} has non-integer coordinates {xy!r}")
-        pts[v] = _as_point(xy)
+        pts[v] = (xy[0], xy[1])
     if len(set(pts.values())) != len(pts):
         raise DrawingError("two vertices share a grid point")
 
@@ -183,9 +180,8 @@ def winding_number(walk_points: Sequence[Tuple[Point, Point]], p: Point) -> int:
 
 
 def _walk_segments(g: PlanarEmbeddedGraph, coords: Coords, face: int):
-    pts = {v: _as_point(coords[v]) for v in g.vertices}
     return [
-        (pts[g.dart_tail(d)], pts[g.dart_head(d)])
+        (coords[g.dart_tail(d)], coords[g.dart_head(d)])
         for d in g.facial_walks()[face]
     ]
 
@@ -248,14 +244,14 @@ def point_in_face(g: PlanarEmbeddedGraph, coords: Coords, face: int) -> Point:
         v = g.vertices[0]
         return (Fraction(coords[v][0] + 1), Fraction(coords[v][1]))
     for d in walk:
-        a = _as_point(coords[g.dart_tail(d)])
-        b = _as_point(coords[g.dart_head(d)])
-        mx, my = (a[0] + b[0]) / 2, (a[1] + b[1]) / 2
+        a = coords[g.dart_tail(d)]
+        b = coords[g.dart_head(d)]
+        mx, my = Fraction(a[0] + b[0], 2), Fraction(a[1] + b[1], 2)
         # left normal of the dart direction: face side under our convention
         nx_, ny_ = -(b[1] - a[1]), (b[0] - a[0])
         scale = max(abs(nx_), abs(ny_))
         for k in (2, 4, 8, 16, 64, 256, 1024):
-            p = (mx + nx_ / (scale * k), my + ny_ / (scale * k))
+            p = (mx + Fraction(nx_, scale * k), my + Fraction(ny_, scale * k))
             try:
                 if locate_face(g, coords, p) == face:
                     return p

@@ -364,9 +364,9 @@ def _reduce_fvs(src: dict, mode: str, overrides) -> Tuple[dict, dict]:
         raise Rejected(str(exc)) from exc
     target = art.instance.to_dict()
     chain_ids: Dict[str, List[int]] = {str(e): [] for e in range(len(edges))}
-    for i, d in enumerate(art.instance.disks):
-        if d.tag and d.tag[0] == "conn":
-            chain_ids[str(d.tag[1])].append(i)
+    for i, tag in enumerate(art.instance.tags):
+        if tag and tag[0] == "conn":
+            chain_ids[str(tag[1])].append(i)
     return target, dict(
         params=None,
         edges=chain_ids,

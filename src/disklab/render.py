@@ -8,7 +8,7 @@ points are drawn as crosses, terminal disks get a heavy outline.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .arrangements import DiskInstance
@@ -58,23 +58,31 @@ def _open_svg(frame: _Frame, lines: List[str]) -> None:
     )
 
 
+def _guide_positions(lo: float, hi: float, pitch: float) -> List[float]:
+    """The distinct floats ``i * pitch``, i an integer, in [lo, hi],
+    ascending; ``pitch`` is a power of two.  Far from the origin
+    consecutive i round to one float, so each step jumps to the first i
+    whose product is larger: the loop runs once per distinct position."""
+    out = []
+    i = int(lo / pitch) - 1
+    while (v := i * pitch) <= hi:
+        if v >= lo:
+            out.append(v)
+        i = max(i + 1, int(math.nextafter(v, math.inf) / pitch))
+    return out
+
+
 def _grid_lines(frame: _Frame, x0: float, y0: float, x1: float, y1: float,
                 pitch: float, lines: List[str]) -> None:
     lines.append('<g stroke="#dddddd" stroke-width="1">')
-    i = int(x0 / pitch) - 1
-    while i * pitch <= x1:
-        if i * pitch >= x0:
-            ax, ay = frame.pt(i * pitch, y0)
-            bx, by = frame.pt(i * pitch, y1)
-            lines.append(f'<line x1="{_fmt(ax)}" y1="{_fmt(ay)}" x2="{_fmt(bx)}" y2="{_fmt(by)}"/>')
-        i += 1
-    j = int(y0 / pitch) - 1
-    while j * pitch <= y1:
-        if j * pitch >= y0:
-            ax, ay = frame.pt(x0, j * pitch)
-            bx, by = frame.pt(x1, j * pitch)
-            lines.append(f'<line x1="{_fmt(ax)}" y1="{_fmt(ay)}" x2="{_fmt(bx)}" y2="{_fmt(by)}"/>')
-        j += 1
+    for x in _guide_positions(x0, x1, pitch):
+        ax, ay = frame.pt(x, y0)
+        bx, by = frame.pt(x, y1)
+        lines.append(f'<line x1="{_fmt(ax)}" y1="{_fmt(ay)}" x2="{_fmt(bx)}" y2="{_fmt(by)}"/>')
+    for y in _guide_positions(y0, y1, pitch):
+        ax, ay = frame.pt(x0, y)
+        bx, by = frame.pt(x1, y)
+        lines.append(f'<line x1="{_fmt(ax)}" y1="{_fmt(ay)}" x2="{_fmt(bx)}" y2="{_fmt(by)}"/>')
     lines.append("</g>")
 
 
@@ -90,7 +98,7 @@ def _guide_pitch(span: float) -> float:
 def svg_for_instance(instance: DiskInstance, guides: bool = False) -> str:
     """Render a disk instance; colors follow disk tags, crosses mark points."""
     r = float(instance.radius)
-    sc = instance.int_centers()
+    sc = instance.centers
     # int / int is correctly rounded, so this is float() of each rational
     # centre
     fx = [x / sc.den for x in sc.xs]

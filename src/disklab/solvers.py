@@ -163,7 +163,7 @@ def brute_min_isolation_two_points(
         raise SolverCapExceeded(f"{len(instance.tags)} disks exceeds {max_disks}")
     r = instance.radius
     p, q = [instance.points[k] for k in sorted(instance.points)]
-    sc = instance.int_centers()
+    sc = instance.centers
     index = CenterIndex(sc, r)
     for pt in (p, q):
         if index.within(pt, r):
@@ -307,7 +307,7 @@ def brute_min_acc(
     n = len(instance.tags)
     if n > max_disks:
         raise SolverCapExceeded(f"{n} disks exceeds the enumeration cap {max_disks}")
-    sc = instance.int_centers()
+    sc = instance.centers
     r = instance.radius
     if complement_regions(sc, r).bounded_complement_regions == 0:
         return OptimumCertificate(problem="acyclic-cover", optimum=0, witness=[])
@@ -338,7 +338,7 @@ def min_terminal_pair_cut(
     if len(terminals) != 2:
         raise VerificationError("terminal-pair cut needs exactly two terminal disks")
     s_id, t_id = terminals
-    udg = unit_disk_graph(instance.int_centers(), instance.radius)
+    udg = unit_disk_graph(instance.centers, instance.radius)
     import networkx as nx
 
     g = nx.DiGraph()
@@ -388,7 +388,7 @@ def multiterminal_cut_lower_bound(instance: DiskInstance) -> int:
     terminals = [int(t) for t in instance.meta.get("terminal_disks", [])]
     if len(terminals) < 2:
         return 0
-    udg = unit_disk_graph(instance.int_centers(), instance.radius)
+    udg = unit_disk_graph(instance.centers, instance.radius)
     import networkx as nx
 
     g = nx.DiGraph()

@@ -22,7 +22,8 @@ from floodfill import (
     random_robust_points,
     random_robust_rings,
 )
-from test_gadgets import assert_cached_centers_match_round_trip
+from instances import disk_instance
+from test_gadgets import assert_round_trip_equal
 
 from disklab import arrangements as ar
 from disklab import pipeline as pl
@@ -130,11 +131,8 @@ def oracle_corpus():
         centers = random_robust_centers(rng, n_lo=1, n_hi=10, span=20)
         chosen = [i for i in range(len(centers)) if rng.random() < 0.75]
         p, q = random_robust_points(rng, centers, ONE, span=20)
-        inst = ar.DiskInstance(
-            radius=ONE,
-            disks=[Disk(c[0], c[1]) for c in centers],
-            points={"a": p, "b": q},
-        )
+        inst = disk_instance(ONE, [Disk(c[0], c[1]) for c in centers],
+                             points={"a": p, "b": q})
         report = ar.verify_isolation(inst, chosen)
         out.append((centers, chosen, inst, report))
     return out
@@ -154,11 +152,8 @@ def ring_oracle_corpus():
         p = rng.choice(holes)
         others = [h for h in holes if h != p]
         others += random_robust_points(rng, centers, ONE, count=1, span=60)
-        inst = ar.DiskInstance(
-            radius=ONE,
-            disks=[Disk(c[0], c[1]) for c in centers],
-            points={"a": p, "b": rng.choice(others)},
-        )
+        inst = disk_instance(ONE, [Disk(c[0], c[1]) for c in centers],
+                             points={"a": p, "b": rng.choice(others)})
         out.append((centers, chosen, inst, ar.verify_isolation(inst, chosen)))
     return out
 
@@ -217,9 +212,9 @@ def test_criterion_04_sound_corpus_gadget_contacts(sound_corpus):
         grids.add(emb.grid_size)
         assert 3 <= len(g.vertices) <= 8
         inst = art.instance
-        tags = [d.tag for d in inst.disks]
+        tags = inst.tags
         ends = {eid: (str(u), str(w)) for eid, (u, w) in enumerate(g.edges)}
-        udg = ar.unit_disk_graph(inst.centers(), inst.radius)
+        udg = ar.unit_disk_graph(inst.centers, inst.radius)
         ring_contacts = {}
         for i, j in udg.edges:
             ti, tj = tags[i], tags[j]
@@ -241,7 +236,7 @@ def test_criterion_04_sound_corpus_gadget_contacts(sound_corpus):
 
 def test_sound_corpus_cached_centers_match_round_trip(sound_corpus):
     emb, art = next((e, a) for e, a in sound_corpus if e.grid_size == 3)
-    assert_cached_centers_match_round_trip(art.instance)
+    assert_round_trip_equal(art.instance)
 
 
 def test_criterion_05_subdivision_optimum_doubles_cut_optimum():
@@ -310,7 +305,7 @@ def test_criterion_08_weighted_lane_cuts_and_bundle_flow():
         cert = min_terminal_pair_cut(art.instance)
         assert cert.optimum == w
         # removing the witness edge pairs really disconnects the terminals
-        udg = ar.unit_disk_graph(art.instance.centers(), art.instance.radius)
+        udg = ar.unit_disk_graph(art.instance.centers, art.instance.radius)
         nxg = nx.Graph(udg.edges)
         nxg.add_nodes_from(range(udg.n))
         nxg.remove_edges_from([tuple(e) for e in cert.witness])
@@ -320,7 +315,7 @@ def test_criterion_08_weighted_lane_cuts_and_bundle_flow():
     mti = MultiterminalInstance(graph=g, terminals=["v"], weights={})
     emb = GridEmbedding(graph=g, coords={"v": (0, 0)}, grid_size=1)
     art = build_udmc_instance(mti, emb)
-    udg = ar.unit_disk_graph(art.instance.centers(), art.instance.radius)
+    udg = ar.unit_disk_graph(art.instance.centers, art.instance.radius)
     nxg = nx.Graph(udg.edges)
     hub = art.hub_of_vertex["v"]
     assert BUNDLE_COPIES >= 16
@@ -333,7 +328,7 @@ def test_criterion_09_raster_oracle_agreement(oracle_corpus):
     assert len(oracle_corpus) == 1000
     disagreements = 0
     for centers, chosen, inst, report in oracle_corpus:
-        exact = ar.complement_regions(centers, ONE)
+        exact = ar.complement_regions(inst.centers, ONE)
         occ, holes = flood_fill_summary(centers, ONE)
         if (occ, holes) != (exact.union_components,
                             exact.bounded_complement_regions):
@@ -362,7 +357,7 @@ def test_criterion_10_accepted_certificates_carry_udg_cycles(
     assert len(accepted) >= 5
     cycles_checked = 0
     for inst, report in accepted:
-        centers = inst.centers()
+        centers = [d.center for d in inst.disks]
         four_r2 = 4 * inst.radius ** 2
         chosen = set(report.chosen)
         for pair, separated in report.pair_results.items():
@@ -411,7 +406,7 @@ def test_criterion_12_raster_oracle_on_ring_holes(ring_oracle_corpus):
     assert len(ring_oracle_corpus) == 60
     disagreements = holes = separated = 0
     for centers, chosen, inst, report in ring_oracle_corpus:
-        exact = ar.complement_regions(centers, ONE)
+        exact = ar.complement_regions(inst.centers, ONE)
         if flood_fill_summary(centers, ONE) != (
             exact.union_components, exact.bounded_complement_regions
         ):

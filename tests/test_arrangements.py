@@ -1,26 +1,26 @@
 """Disk-union topology, separation verdicts and cut/acyclicity verifiers."""
 
-import math
 import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from disklab import arrangements as ar
-from disklab.geometry import Disk, rational_from_str, ray_crossing
+from disklab.geometry import Disk, dist_sq, rational_from_str, rational_to_str, ray_crossing
 from disklab.graphs import components
 
 from floodfill import flood_fill_summary, random_robust_centers
+from instances import disk_instance, int_centers, rational_centers
 
 ONE = F(1)
 
 
 def ring4(r=F(3, 2)):
     centers = [(F(2), F(0)), (F(0), F(2)), (F(-2), F(0)), (F(0), F(-2))]
-    return ar.DiskInstance(
-        radius=r,
-        disks=[Disk(x, y, ("ring", i)) for i, (x, y) in enumerate(centers)],
+    return disk_instance(
+        r,
+        [Disk(x, y, ("ring", i)) for i, (x, y) in enumerate(centers)],
         points={"in": (F(0), F(0)), "out": (F(10), F(10))},
     )
 
@@ -31,13 +31,13 @@ def ring4(r=F(3, 2)):
 
 def test_unit_disk_graph_tangency_counts():
     centers = [(F(0), F(0)), (F(2), F(0)), (F(5), F(0))]
-    udg = ar.unit_disk_graph(centers, ONE)
+    udg = ar.unit_disk_graph(int_centers(centers, ONE), ONE)
     assert udg.edges == [(0, 1)]
     assert udg.adj[0] == [1] and udg.adj[2] == []
 
 
 def test_unit_disk_graph_empty():
-    udg = ar.unit_disk_graph([], ONE)
+    udg = ar.unit_disk_graph(int_centers([], ONE), ONE)
     assert udg.n == 0 and udg.edges == []
 
 
@@ -49,19 +49,19 @@ def test_unit_disk_graph_matches_quadratic_scan(seed):
         (F(rng.randint(-20, 20), rng.randint(1, 4)), F(rng.randint(-20, 20), rng.randint(1, 4)))
         for _ in range(rng.randint(0, 18))
     ]
-    udg = ar.unit_disk_graph(centers, ONE)
+    udg = ar.unit_disk_graph(int_centers(centers, ONE), ONE)
     brute = [
         (i, j)
         for i in range(len(centers))
         for j in range(i + 1, len(centers))
-        if ar.dist_sq(centers[i], centers[j]) <= 4
+        if dist_sq(centers[i], centers[j]) <= 4
     ]
     assert udg.edges == sorted(brute)
 
 
 def test_components():
     centers = [(F(0), F(0)), (F(1), F(0)), (F(10), F(0)), (F(11), F(0))]
-    comp = components(range(4), ar.unit_disk_graph(centers, ONE).edges)
+    comp = components(range(4), ar.unit_disk_graph(int_centers(centers, ONE), ONE).edges)
     assert comp == {0: 0, 1: 0, 2: 2, 3: 2}
 
 
@@ -71,7 +71,7 @@ def test_components():
 
 def test_filled_trio_has_no_hole():
     centers = [(F(0), F(0)), (F(2), F(0)), (F(1), F(1))]
-    rs = ar.complement_regions(centers, ONE)
+    rs = ar.complement_regions(int_centers(centers, ONE), ONE)
     assert rs.union_components == 1
     assert rs.bounded_complement_regions == 0
     assert rs.nerve_triangles == 1
@@ -79,7 +79,7 @@ def test_filled_trio_has_no_hole():
 
 def test_open_trio_has_one_hole():
     centers = [(F(0), F(0)), (F(2), F(0)), (F(1), F(17, 10))]
-    rs = ar.complement_regions(centers, ONE)
+    rs = ar.complement_regions(int_centers(centers, ONE), ONE)
     assert rs.union_components == 1
     assert rs.bounded_complement_regions == 1
     assert rs.nerve_triangles == 0
@@ -88,23 +88,24 @@ def test_open_trio_has_one_hole():
 def test_two_separate_rings_two_holes():
     ring = [(F(2), F(0)), (F(0), F(2)), (F(-2), F(0)), (F(0), F(-2))]
     far = [(x + 20, y) for x, y in ring]
-    rs = ar.complement_regions(ring + far, F(3, 2))
+    rs = ar.complement_regions(int_centers(ring + far, F(3, 2)), F(3, 2))
     assert rs.union_components == 2
     assert rs.bounded_complement_regions == 2
 
 
 def test_duplicate_disks_change_nothing():
     centers = [(F(0), F(0)), (F(2), F(0)), (F(1), F(17, 10))]
-    rs1 = ar.complement_regions(centers, ONE)
-    rs2 = ar.complement_regions(centers + centers[:1], ONE)
+    rs1 = ar.complement_regions(int_centers(centers, ONE), ONE)
+    rs2 = ar.complement_regions(int_centers(centers + centers[:1], ONE), ONE)
     assert rs1.union_components == rs2.union_components
     assert rs1.bounded_complement_regions == rs2.bounded_complement_regions
 
 
 def test_single_disks_and_chains():
-    assert ar.complement_regions([(F(0), F(0))], ONE).bounded_complement_regions == 0
+    assert ar.complement_regions(int_centers([(F(0), F(0))], ONE), ONE) \
+        .bounded_complement_regions == 0
     chain = [(F(i), F(0)) for i in range(8)]
-    rs = ar.complement_regions(chain, ONE)
+    rs = ar.complement_regions(int_centers(chain, ONE), ONE)
     assert rs.union_components == 1
     assert rs.bounded_complement_regions == 0
 
@@ -115,32 +116,30 @@ def test_single_disks_and_chains():
 
 def test_ring_separates_inside_from_outside():
     inst = ring4()
-    centers = inst.centers()
-    udg = ar.unit_disk_graph(centers, inst.radius)
-    res = ar.separation(centers, inst.radius, udg, (F(0), F(0)), (F(10), F(10)))
+    udg = ar.unit_disk_graph(inst.centers, inst.radius)
+    res = ar.separation(inst.centers, udg, (F(0), F(0)), (F(10), F(10)))
     assert res.separated
     cyc = res.witness_cycle
     assert cyc is not None and len(cyc) >= 3
     for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-        assert ar.dist_sq(centers[a], centers[b]) <= 4 * inst.radius ** 2
+        assert dist_sq(inst.disks[a].center, inst.disks[b].center) <= 4 * inst.radius ** 2
 
 
 def test_no_separation_without_cycle():
     inst = ring4(r=F(13, 10))  # gaps between consecutive disks
-    centers = inst.centers()
-    udg = ar.unit_disk_graph(centers, inst.radius)
-    res = ar.separation(centers, inst.radius, udg, (F(0), F(0)), (F(10), F(10)))
+    udg = ar.unit_disk_graph(inst.centers, inst.radius)
+    res = ar.separation(inst.centers, udg, (F(0), F(0)), (F(10), F(10)))
     assert not res.separated and res.witness_cycle is None
 
 
 def test_separation_is_symmetric_and_reflexive_false():
     inst = ring4()
-    centers = inst.centers()
+    centers = inst.centers
     udg = ar.unit_disk_graph(centers, inst.radius)
     p, q = (F(0), F(0)), (F(10), F(10))
-    assert ar.separation(centers, inst.radius, udg, p, q).separated
-    assert ar.separation(centers, inst.radius, udg, q, p).separated
-    assert not ar.separation(centers, inst.radius, udg, q, q).separated
+    assert ar.separation(centers, udg, p, q).separated
+    assert ar.separation(centers, udg, q, p).separated
+    assert not ar.separation(centers, udg, q, q).separated
 
 
 def test_separation_with_centres_on_the_ray_line():
@@ -148,9 +147,11 @@ def test_separation_with_centres_on_the_ray_line():
     # p's ray runs through the center (2, 0), and q shares the line of the
     # centers (+-2, 0); the second input adds an intersecting pair lying
     # along both rays
-    for centers in (inst.centers(), inst.centers() + [(F(20), F(0)), (F(22), F(0))]):
-        udg = ar.unit_disk_graph(centers, inst.radius)
-        res = ar.separation(centers, inst.radius, udg, (F(0), F(0)), (F(4), F(0)))
+    ring = [d.center for d in inst.disks]
+    for centers in (ring, ring + [(F(20), F(0)), (F(22), F(0))]):
+        sc = int_centers(centers, inst.radius)
+        udg = ar.unit_disk_graph(sc, inst.radius)
+        res = ar.separation(sc, udg, (F(0), F(0)), (F(4), F(0)))
         assert res.separated
 
 
@@ -168,8 +169,7 @@ def test_verify_isolation_with_disk_centres_on_every_probe_path():
     disks = []
     for bx, by in bends:
         disks += [Disk(bx / 2, by / 2), Disk(bx / 2 + r, by / 2)]
-    inst = ar.DiskInstance(radius=r, disks=disks,
-                           points={"p": (F(0), F(0)), "q": (F(10), F(0))})
+    inst = disk_instance(r, disks, points={"p": (F(0), F(0)), "q": (F(10), F(0))})
     rep = ar.verify_isolation(inst, range(len(disks)))
     assert not rep.ok
     assert rep.pair_results == {("p", "q"): False}
@@ -177,9 +177,10 @@ def test_verify_isolation_with_disk_centres_on_every_probe_path():
 
 def test_far_disks_do_not_affect_separation():
     inst = ring4()
-    centers = inst.centers() + [(F(50), F(50)), (F(53), F(50))]
-    udg = ar.unit_disk_graph(centers, inst.radius)
-    res = ar.separation(centers, inst.radius, udg, (F(0), F(0)), (F(10), F(10)))
+    sc = int_centers([d.center for d in inst.disks] + [(F(50), F(50)), (F(53), F(50))],
+                     inst.radius)
+    udg = ar.unit_disk_graph(sc, inst.radius)
+    res = ar.separation(sc, udg, (F(0), F(0)), (F(10), F(10)))
     assert res.separated
 
 
@@ -224,18 +225,16 @@ def square_ring(p):
     side = [F(k) for k in range(-2, 2)]
     centers = ([(k, F(-2)) for k in side] + [(F(2), k) for k in side]
                + [(-k, F(2)) for k in side] + [(F(-2), -k) for k in side])
-    return ar.DiskInstance(
-        radius=F(1, 2),
-        disks=[Disk(x, y) for x, y in centers],
-        points={"p": p, "q": (F(5), F(0))},
-    )
+    return disk_instance(F(1, 2), [Disk(x, y) for x, y in centers],
+                         points={"p": p, "q": (F(5), F(0))})
 
 
 def test_marked_point_at_exactly_r_is_covered():
     from disklab.solvers import brute_min_isolation_two_points
 
     tangent = square_ring((F(3, 2), F(0)))   # distance r from the disk at (2, 0)
-    assert ar.covering_disks(tangent.int_centers(), tangent.radius, tangent.points["p"]) == [6]
+    index = ar.CenterIndex(tangent.centers, tangent.radius)
+    assert index.within(tangent.points["p"], tangent.radius) == [6]
     with pytest.raises(ar.VerificationError, match="'p' is covered by disk 6"):
         ar.verify_isolation(tangent, range(16))
     with pytest.raises(ar.VerificationError, match="a marked point is covered"):
@@ -255,7 +254,7 @@ def test_verify_isolation_needs_two_points():
 
 def test_verify_acc():
     centers = [(F(0), F(0)), (F(2), F(0)), (F(1), F(17, 10))]
-    inst = ar.DiskInstance(radius=ONE, disks=[Disk(x, y) for x, y in centers])
+    inst = disk_instance(ONE, [Disk(x, y) for x, y in centers])
     assert not ar.verify_acc(inst, []).ok
     rep = ar.verify_acc(inst, [1])
     assert rep.ok and rep.remaining_regions.bounded_complement_regions == 0
@@ -264,11 +263,8 @@ def test_verify_acc():
 
 def test_verify_multiterminal_cut():
     chain = [(F(2 * i), F(0)) for i in range(5)]
-    inst = ar.DiskInstance(
-        radius=ONE,
-        disks=[Disk(x, y) for x, y in chain],
-        meta={"kind": "udmc", "terminal_disks": [0, 4]},
-    )
+    inst = disk_instance(ONE, [Disk(x, y) for x, y in chain],
+                         meta={"kind": "udmc", "terminal_disks": [0, 4]})
     assert ar.verify_multiterminal_cut(inst, [(2, 3)]).ok
     assert not ar.verify_multiterminal_cut(inst, []).ok
     rep = ar.verify_multiterminal_cut(inst, [(1, 2), (2, 3)], budget=1)
@@ -305,7 +301,7 @@ def test_flood_fill_agreement_sample():
     rng = random.Random(987123)
     for _ in range(40):
         centers = random_robust_centers(rng)
-        exact = ar.complement_regions(centers, ONE)
+        exact = ar.complement_regions(int_centers(centers, ONE), ONE)
         occ, holes = flood_fill_summary(centers, ONE)
         assert occ == exact.union_components
         assert holes == exact.bounded_complement_regions
@@ -325,17 +321,6 @@ def fraction_parse(d):
         for e in d["disks"]
     ]
     return rational_from_str(d["radius"]), disks
-
-
-def fraction_integer_scaled(centers, r):
-    """The integer centres as first computed from rational centres: one
-    lcm over the reduced denominators (the oracle for ``int_centers``)."""
-    den = math.lcm(r.denominator, *{c.denominator for p in centers for c in p})
-    return ar.IntCenters(
-        tuple([x.numerator * (den // x.denominator) for x, _ in centers]),
-        tuple([y.numerator * (den // y.denominator) for _, y in centers]),
-        den,
-    )
 
 
 def outcome(f):
@@ -380,14 +365,29 @@ def test_parse_matches_fraction_oracle(entries, radius):
     inst, (r, disks) = got[1], want[1]
     assert inst.radius == r and inst.disks == disks
     assert inst.tags == tuple(disk.tag for disk in disks)
-    assert inst.int_centers() == fraction_integer_scaled([disk.center for disk in disks], r)
+    assert inst.centers == int_centers([disk.center for disk in disks], r)
+
+
+@given(st.lists(st.tuples(st.integers(-10**40, 10**40), st.integers(-10**40, 10**40)),
+                max_size=6),
+       st.integers(1, 10**40), st.sampled_from([1, 2, 6, 2**34, 10**40]))
+@example([(0, 0), (-6, 4), (3 * 10**40, -10**40)], 6, 1)
+def test_to_dict_coordinates_match_rational_to_str(nums, den, k):
+    # numerators and the denominator share the factor k, so most are not
+    # in lowest terms
+    xs = tuple(x * k for x, _ in nums)
+    ys = tuple(y * k for _, y in nums)
+    inst = ar.DiskInstance(ONE, ar.IntCenters(xs, ys, den * k), [()] * len(nums))
+    got = [e["c"] for e in inst.to_dict()["disks"]]
+    assert got == [[rational_to_str(F(x, den * k)), rational_to_str(F(y, den * k))]
+                   for x, y in zip(xs, ys)]
 
 
 def test_parsed_disks_are_built_on_demand_and_kept():
     inst = ring4()
     inst.meta = {"kind": "isolation"}
     again = ar.DiskInstance.from_dict(inst.to_dict())
-    assert again.scaled is not None and again.tags == tuple(d.tag for d in inst.disks)
+    assert again.tags == tuple(d.tag for d in inst.disks)
     assert again.disks is again.disks and again.disks == inst.disks
     assert again == inst and repr(again) == repr(inst)
     with pytest.raises(TypeError):
@@ -441,22 +441,27 @@ def test_integer_parity_and_separation_match_fraction_oracle(monkeypatch):
     layouts = [lattice_layout(rng) for _ in range(150)]
     parities, verdicts = [], []
     for centers, r, points in layouts:
-        udg = ar.unit_disk_graph(centers, r)
-        scaled = ar.unit_disk_graph(ar._integer_scaled(centers, r), r)
-        assert scaled.edges == udg.edges
+        sc = int_centers(centers, r)
+        udg = ar.unit_disk_graph(sc, r)
+        assert udg.edges == [
+            (i, j) for i in range(len(centers)) for j in range(i + 1, len(centers))
+            if dist_sq(centers[i], centers[j]) <= 4 * r * r
+        ]
         for p, q in zip(points, points[1:]):
             want = fraction_edge_crossing_parities(centers, udg, p, q)
-            assert ar.edge_crossing_parities(centers, udg, p, q) == want
-            assert ar.edge_crossing_parities(ar._integer_scaled(centers, r), udg, p, q) == want
+            assert ar.edge_crossing_parities(sc, udg, p, q) == want
             parities.append(sum(want.values()))
-            verdicts.append(ar.separation(ar._integer_scaled(centers, r), r, udg, p, q))
+            verdicts.append(ar.separation(sc, udg, p, q))
     # the same sweep with the Fraction parities is the old separation
-    monkeypatch.setattr(ar, "edge_crossing_parities", fraction_edge_crossing_parities)
+    monkeypatch.setattr(
+        ar, "edge_crossing_parities",
+        lambda sc, udg, p, q: fraction_edge_crossing_parities(rational_centers(sc), udg, p, q))
     k = 0
     for centers, r, points in layouts:
-        udg = ar.unit_disk_graph(centers, r)
+        sc = int_centers(centers, r)
+        udg = ar.unit_disk_graph(sc, r)
         for p, q in zip(points, points[1:]):
-            assert ar.separation(centers, r, udg, p, q) == verdicts[k]
+            assert ar.separation(sc, udg, p, q) == verdicts[k]
             k += 1
     assert sum(1 for x in parities if x) >= 100
     assert 40 <= sum(1 for v in verdicts if v.separated) <= len(verdicts) - 40

@@ -50,6 +50,8 @@ from disklab.graphs import (
 )
 from disklab.gridembed import DrawingError, GridEmbedding, grid_embed, locate_face
 
+from instances import disk_instance
+
 
 def p2_reduction():
     g = PlanarEmbeddedGraph.from_edge_rotation(
@@ -93,8 +95,7 @@ def test_walk_polyline_rejects_tiny_counts():
 def test_snapper_is_fine_and_rational():
     r = Fraction(1, 640)
     sn = Snapper(r)
-    x = sn.snap(0.123456789)
-    assert isinstance(x, Fraction)
+    x = Fraction(sn.numerator(0.123456789), sn.M)
     assert abs(x - Fraction(0.123456789)) <= Fraction(1, 2 * sn.M)
     assert sn.M == 640 * 2**34
 
@@ -190,8 +191,7 @@ def test_toy_edge_budget_refuses_stretched_drawings():
 # ---------------------------------------------------------------------------
 
 def chain_instance(xs, r=Fraction(1, 2)):
-    disks = [Disk(Fraction(x), Fraction(0), ("c", k)) for k, x in enumerate(xs)]
-    return DiskInstance(radius=r, disks=disks)
+    return disk_instance(r, [Disk(Fraction(x), Fraction(0), ("c", k)) for k, x in enumerate(xs)])
 
 
 def test_check_structure_accepts_clean_chain():
@@ -219,7 +219,7 @@ def test_check_structure_flags_nonconsecutive_touch():
 
 def test_check_structure_flags_forbidden_and_missing_contacts():
     disks = [Disk(Fraction(0), Fraction(0), ("a",)), Disk(Fraction(1, 2), Fraction(0), ("b",))]
-    inst = DiskInstance(radius=Fraction(1, 2), disks=disks)
+    inst = disk_instance(Fraction(1, 2), disks)
     rep = check_structure(inst, StructureSpec(chains={("a",): [0], ("b",): [1]}))
     assert not rep.ok and any("forbidden" in v for v in rep.violations)
     spec = StructureSpec(
@@ -266,7 +266,7 @@ def test_toy_triangle_marked_points_clear_and_in_faces():
     for pid, face in inst.meta["terminal_faces"].items():
         pt = inst.points[pid]
         assert locate_face(emb.graph, emb.coords, pt) == face
-        assert all(dist_sq(c, pt) > (r + r / 4) ** 2 for c in inst.centers())
+        assert all(dist_sq(d.center, pt) > (r + r / 4) ** 2 for d in inst.disks)
 
 
 def test_toy_triangle_full_fence_separates():
@@ -412,34 +412,29 @@ def k4_every_face_marked():
     return sub, grid_embed(g)
 
 
-def assert_cached_centers_match_round_trip(inst):
-    """The synthesizer's integer centres and intersection graph equal the
-    ones recomputed from the serialized instance."""
-    cached = inst.scaled
-    assert cached is not None and inst.int_centers() is cached
+def assert_round_trip_equal(inst):
+    """The synthesizer's instance (centres over its snapping denominator)
+    equals the one read back from its JSON (centres over the least common
+    denominator), disk for disk, with the same intersection graph."""
     again = DiskInstance.from_dict(inst.to_dict())
-    assert again == inst
-    # the parse computes the centres from the serialized text itself
-    fresh = again.scaled
-    assert fresh is not None and again.int_centers() is fresh
-    assert [x * fresh.den for x in cached.xs] == [x * cached.den for x in fresh.xs]
-    assert [y * fresh.den for y in cached.ys] == [y * cached.den for y in fresh.ys]
-    assert all(Fraction(x, cached.den) == d.x and Fraction(y, cached.den) == d.y
-               for x, y, d in zip(cached.xs, cached.ys, inst.disks))
+    assert again == inst and again.disks == inst.disks
+    assert again.to_dict() == inst.to_dict()
     r = inst.radius
-    assert unit_disk_graph(cached, r).edges == unit_disk_graph(fresh, r).edges \
-        == unit_disk_graph(again.centers(), r).edges
+    assert unit_disk_graph(again.centers, r).edges == unit_disk_graph(inst.centers, r).edges
 
 
 def test_cached_integer_centers_match_round_trip():
+    # every builder, both isolation modes
     red = p2_reduction()
     triangle = build_isolation_instance(red.instance, grid_embed(red.instance.graph))
-    assert "scaled" not in repr(triangle.instance)
-    assert "scaled" not in triangle.instance.to_dict()
     k4 = build_isolation_instance(*k4_every_face_marked(), mode="sound")
     assert len(k4.instance.points) == 4
-    for art in (triangle, k4):
-        assert_cached_centers_match_round_trip(art.instance)
+    _, _, toy = toy_triangle()
+    mti, emb = _star_k13()
+    for art in (triangle, k4, toy, build_acc_instance(*TRI), build_weighted_edge_instance(3),
+                build_udmc_instance(mti, emb)):
+        assert art.instance.centers.den == Snapper(art.instance.radius).M
+        assert_round_trip_equal(art.instance)
 
 
 def test_sound_refuses_oversized_budgets():
@@ -462,7 +457,7 @@ def test_acc_triangle_counts_and_topology():
     art = build_acc_instance(*TRI)
     assert len(art.instance.disks) == 21  # 3 hubs + chains of 5, 8, 5
     assert art.cycle_rank == 1
-    reg = complement_regions(art.instance.centers(), art.instance.radius)
+    reg = complement_regions(art.instance.centers, art.instance.radius)
     assert reg.union_components == 1
     assert reg.bounded_complement_regions == 1
 
@@ -472,7 +467,7 @@ def test_acc_forest_has_no_holes():
         ["a", "b", "c"], [("a", "b"), ("b", "c")],
         {"a": (0, 0), "b": (1, 0), "c": (1, 1)})
     assert art.cycle_rank == 0
-    reg = complement_regions(art.instance.centers(), art.instance.radius)
+    reg = complement_regions(art.instance.centers, art.instance.radius)
     assert reg.bounded_complement_regions == 0
 
 
@@ -483,7 +478,7 @@ def test_acc_disconnected_components_counted():
         {"a": (0, 0), "b": (1, 0), "c": (0, 1),
          "x": (4, 0), "y": (5, 0), "z": (4, 1)})
     assert art.cycle_rank == 2
-    reg = complement_regions(art.instance.centers(), art.instance.radius)
+    reg = complement_regions(art.instance.centers, art.instance.radius)
     assert reg.union_components == 2
     assert reg.bounded_complement_regions == 2
 
@@ -515,7 +510,7 @@ def test_weighted_counts_and_terminals():
 def test_weighted_lanes_disjoint_mid_span():
     art = build_weighted_edge_instance(5)
     inst = art.instance
-    udg = unit_disk_graph(inst.centers(), inst.radius)
+    udg = unit_disk_graph(inst.centers, inst.radius)
     lane_of = {}
     for (e, j), ids in art.lane_ids.items():
         for k, i in enumerate(ids):
@@ -566,7 +561,7 @@ def test_udmc_lone_bundle_is_unbreakable():
     emb = GridEmbedding(graph=g, coords={"v": (0, 0)}, grid_size=1)
     art = build_udmc_instance(mti, emb)
     assert len(art.instance.disks) == 1 + BUNDLE_COPIES * 18 == 289
-    udg = unit_disk_graph(art.instance.centers(), art.instance.radius)
+    udg = unit_disk_graph(art.instance.centers, art.instance.radius)
     hub = art.hub_of_vertex["v"]
     assert udg.degree(hub) == BUNDLE_COPIES
     import networkx as nx

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from disklab import geometry as geo
-from disklab.arrangements import covering_disks
+from disklab.arrangements import CenterIndex
+
+from instances import int_centers
 
 
 # ---------------------------------------------------------------------------
@@ -199,9 +201,10 @@ def test_disks_intersect_closed_tangency():
 def test_disk_contains_center(x, y, r):
     # disks are closed: the center and the boundary are covered, no farther
     c = (x, y)
-    assert covering_disks([c], r, c) == [0]
-    assert covering_disks([c], r, (x + r, y)) == [0]
-    assert covering_disks([c], r, (x + r + F(1, 1000), y)) == []
+    index = CenterIndex(int_centers([c], r), r)
+    assert index.within(c, r) == [0]
+    assert index.within((x + r, y), r) == [0]
+    assert index.within((x + r + F(1, 1000), y), r) == []
 
 
 def test_triple_intersection_cases():

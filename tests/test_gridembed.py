@@ -1,11 +1,14 @@
 """Grid drawings: exact validity checking, rotation faithfulness, face
 location, compaction."""
 
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from disklab import graphs as gr
 from disklab import gridembed as ge
+from disklab.geometry import point_on_segment
 
 
 def triangle():
@@ -276,3 +279,91 @@ def test_grid_embed_random_graphs(g):
     emb = ge.grid_embed(g, search_small=False)
     ge.check_drawing(g, emb.coords)
     assert emb.grid_size >= 2
+
+
+# ---------------------------------------------------------------------------
+# integer validity checks against the Fraction oracle
+# ---------------------------------------------------------------------------
+
+def fraction_check_drawing(g, coords):
+    """``check_drawing`` as it ran on ``Fraction`` points, kept as the
+    oracle for the one running on the integer grid coordinates."""
+    if not g.is_simple():
+        raise ge.DrawingError("straight-line drawings require a simple graph")
+    if set(coords) != set(g.vertices):
+        raise ge.DrawingError("coordinate map does not cover the vertex set")
+    pts = {}
+    for v, xy in coords.items():
+        if len(xy) != 2 or not all(isinstance(c, int) for c in xy):
+            raise ge.DrawingError(f"vertex {v!r} has non-integer coordinates {xy!r}")
+        pts[v] = (Fraction(xy[0]), Fraction(xy[1]))
+    if len(set(pts.values())) != len(pts):
+        raise ge.DrawingError("two vertices share a grid point")
+    segs = [(pts[u], pts[v]) for u, v in g.edges]
+    for i in range(len(segs)):
+        a, b = segs[i]
+        for j in range(i + 1, len(segs)):
+            c, d = segs[j]
+            if ge._segments_conflict(a, b, c, d):
+                if a in (c, d) or b in (c, d):
+                    raise ge.DrawingError(f"edges {i} and {j} overlap beyond their shared vertex")
+                raise ge.DrawingError(f"edges {i} and {j} intersect")
+    for w, p in pts.items():
+        for eid, (u, v) in enumerate(g.edges):
+            if w not in (u, v) and point_on_segment(p, pts[u], pts[v]):
+                raise ge.DrawingError(f"vertex {w!r} lies on edge {eid}")
+    if not ge.rotation_equivalent(g, coords):
+        raise ge.DrawingError("drawn rotation differs from the prescribed one")
+
+
+def drawing_outcome(check, g, coords):
+    try:
+        check(g, coords)
+        return None
+    except ge.DrawingError as exc:
+        return str(exc)
+
+
+def lattice_case(coords, edges, drawn_rotation=True):
+    """The graph of ``edges`` with the rotation its drawing induces, or the
+    edges' id order where the drawing has none (or when asked to)."""
+    n = len(coords)
+    g = gr.PlanarEmbeddedGraph.from_edge_rotation(
+        list(range(n)), edges, {v: [e for e, uv in enumerate(edges) if v in uv] for v in range(n)})
+    if drawn_rotation:
+        try:
+            drawn = ge.induced_rotation(g, coords)
+        except ge.DrawingError:
+            return g, coords
+        g = gr.PlanarEmbeddedGraph.from_edge_rotation(
+            list(range(n)), edges, {v: [d[0] for d in drawn[v]] for v in range(n)})
+    return g, coords
+
+
+@st.composite
+def lattice_drawings(draw):
+    """Simple graphs placed on a 4 x 4 lattice, so collinear, overlapping
+    and touching segments and shared points are common."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    coords = {v: (draw(st.integers(0, 3)), draw(st.integers(0, 3))) for v in range(n)}
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=8, unique=True))
+    return lattice_case(coords, edges, draw(st.booleans()))
+
+
+@given(lattice_drawings())
+@example(lattice_case({0: (0, 0), 1: (2, 0), 2: (1, 0), 3: (3, 0)}, [(0, 1), (2, 3)]))  # overlap
+@example(lattice_case({0: (0, 0), 1: (2, 0), 2: (1, 0), 3: (1, 2)}, [(0, 1), (2, 3)]))  # touch
+@example(lattice_case({0: (0, 0), 1: (2, 0), 2: (3, 0)}, [(0, 1), (0, 2)]))  # collinear, shared
+@example(lattice_case({0: (0, 0), 1: (1, 0), 2: (2, 0)}, [(0, 1), (1, 2)]))  # collinear path
+@settings(max_examples=400, deadline=None)
+def test_check_drawing_matches_fraction_oracle(case):
+    g, coords = case
+    got = drawing_outcome(ge.check_drawing, g, coords)
+    assert got == drawing_outcome(fraction_check_drawing, g, coords)
+    if got is not None or len(set(gr.components(g.vertices, g.edges).values())) > 1:
+        return  # faces are defined for valid drawings of connected graphs
+    for f in range(g.face_count()):
+        p = ge.point_in_face(g, coords, f)
+        assert all(type(c) is Fraction for c in p)
+        assert ge.locate_face(g, coords, p) == f

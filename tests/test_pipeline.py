@@ -12,7 +12,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from disklab import pipeline
 from disklab.__main__ import main as cli_main
-from disklab.arrangements import DiskInstance
 from disklab.gadgets import SynthesisError
 from disklab.geometry import Disk
 from disklab.graphs import (
@@ -33,6 +32,8 @@ from disklab.pipeline import (
     read_json,
     write_json,
 )
+
+from instances import disk_instance
 
 
 def triangle_mc_dict(terminals=("a", "b"), weights=None):
@@ -223,8 +224,36 @@ def test_verify_graph_level_problems(toy_chain, tmp_path):
     assert cli_verify("subdivision", sub, cert)[0] == 1
 
 
+def seven_digit_primes(count):
+    """The first ``count`` primes above 10**6, by a sieve over a window."""
+    lo, hi = 10**6, 10**6 + 40_000
+    alive = bytearray([1]) * (hi - lo)
+    for q in range(2, int(hi ** 0.5) + 1):
+        for m in range(max(q * q, (lo + q - 1) // q * q), hi, q):
+            alive[m - lo] = 0
+    primes = [lo + k for k, a in enumerate(alive) if a]
+    assert len(primes) >= count
+    return primes[:count]
+
+
+def test_verify_refuses_hostile_denominators(tmp_path):
+    # 2,000 disks over distinct 7-digit prime denominators: their lcm would
+    # need some 40,000 bits, so the parse refuses before scaling any centre
+    inst = {
+        "radius": "1/2",
+        "disks": [{"c": [f"{k}/{q}", "0/1"], "prov": []}
+                  for k, q in enumerate(seven_digit_primes(2000))],
+        "points": {"a": ["100/1", "0/1"], "b": ["200/1", "0/1"]},
+    }
+    path, cert = tmp_path / "hostile.json", tmp_path / "cert.json"
+    write_json(inst, path)
+    write_json({"candidate": [0]}, cert)
+    code, lines = cli_verify("isolation", path, cert)
+    assert code == 2 and "bits" in lines[0], lines
+
+
 def test_solve_refuses_oversized_instances(tmp_path):
-    inst = DiskInstance(
+    inst = disk_instance(
         radius=Fraction(1, 4),
         disks=[Disk(Fraction(i), Fraction(0)) for i in range(41)],
         points={"a": (Fraction(100), Fraction(0)),

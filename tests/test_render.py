@@ -17,13 +17,14 @@ from disklab.render import (
     svg_for_instance,
 )
 
+from instances import disk_instance
 from test_gadgets import k4_every_face_marked, p2_reduction
 
 GOLDEN = Path(__file__).parent / "golden"
 
 
 def ring_instance():
-    return DiskInstance(
+    return disk_instance(
         radius=Fraction(3, 2),
         disks=[Disk(Fraction(2), Fraction(0), ("ring", 0)),
                Disk(Fraction(0), Fraction(2), ("ring", 0)),
@@ -34,7 +35,7 @@ def ring_instance():
 
 
 def test_empty_instance_is_valid_svg():
-    svg = svg_for_instance(DiskInstance(radius=Fraction(1), disks=[]))
+    svg = svg_for_instance(disk_instance(radius=Fraction(1), disks=[]))
     assert svg.startswith("<svg ") and svg.endswith("</svg>\n")
     assert "<circle" not in svg
 
@@ -83,8 +84,18 @@ def test_guides_draw_grid_lines():
     assert gridded.count("<line") > bare.count("<line")
 
 
+@pytest.mark.parametrize("x", [10**9, 10**12])
+def test_guides_far_from_the_origin(x):
+    # with r = 10**-12 the guide pitch is 2**-40, and far from the origin
+    # many multiples of it round to one float: each distinct position is
+    # drawn once (3 rows, 1 column), not once per multiple
+    inst = disk_instance(Fraction(1, 10**12), [Disk(Fraction(x), Fraction(0))])
+    svg = svg_for_instance(inst, guides=True)
+    assert svg.count("<line") <= 5
+
+
 def test_y_axis_points_up():
-    inst = DiskInstance(
+    inst = disk_instance(
         radius=Fraction(1),
         disks=[Disk(Fraction(0), Fraction(0)), Disk(Fraction(0), Fraction(5))],
     )
@@ -166,7 +177,7 @@ def test_goldens_render_like_fraction_oracle():
     assert fraction_svg_for_instance(ring) == (GOLDEN / "ring4.svg").read_text()
     weight5 = build_weighted_edge_instance(5).instance
     assert fraction_svg_for_instance(weight5) == (GOLDEN / "weight5.svg").read_text()
-    for inst in (ring, weight5, DiskInstance(radius=Fraction(1), disks=[])):
+    for inst in (ring, weight5, disk_instance(radius=Fraction(1), disks=[])):
         assert_renders_like_fraction_oracle(inst)
 
 
@@ -179,8 +190,8 @@ def test_sound_instances_render_like_fraction_oracle(synthesize):
     assert_renders_like_fraction_oracle(synthesize().instance)
 
 
-# within 50 of the origin: the guide lines step by floats, which stop
-# advancing once a coordinate is some 2**53 pitches from zero
+# within 50 of the origin; test_guides_far_from_the_origin covers guides
+# where multiples of the pitch round together
 coordinates = st.one_of(
     st.fractions(min_value=-50, max_value=50, max_denominator=64),
     st.integers(1, 10**40).flatmap(
@@ -205,7 +216,7 @@ def test_instances_render_like_fraction_oracle(r, disks, points, terminals, tang
         # an exact tangency and a shared row with the first disk
         d = disks[0]
         disks += [Disk(d.x + 2 * r, d.y, ("tangent", 0)), Disk(d.x - 4 * r, d.y, ("tangent", 1))]
-    inst = DiskInstance(
+    inst = disk_instance(
         radius=r, disks=disks,
         points={f"p{k}": pt for k, pt in enumerate(points)},
         meta={"terminal_disks": [t for t in terminals if t < len(disks)]},

@@ -10,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from floodfill import quarter, ring_centers
+from instances import disk_instance, int_centers
 
 from disklab.arrangements import (
-    DiskInstance,
+    CenterIndex,
     VerificationError,
-    covering_disks,
     edge_crossing_parities,
     unit_disk_graph,
     verify_acc,
@@ -136,7 +136,7 @@ def ring4(extra=True):
     ]
     if extra:
         disks.append(Disk(Fraction(8), Fraction(8)))
-    return DiskInstance(
+    return disk_instance(
         radius=Fraction(3, 2),
         disks=disks,
         points={"in": (Fraction(0), Fraction(0)), "out": (Fraction(12), Fraction(0))},
@@ -163,7 +163,7 @@ def test_two_point_prefers_smaller_ring():
              enumerate([(1, 0), (0, 1), (-1, 0), (0, -1)])]
     mids = [Disk(Fraction(9, 2) * a + Fraction(3, 2) * b, Fraction(9, 2) * c + Fraction(3, 2) * d, ("m", k))
             for k, (a, b, c, d) in enumerate([(1, 0, 0, 1), (0, -1, 1, 0), (-1, 0, 0, -1), (0, 1, -1, 0)])]
-    inst = DiskInstance(
+    inst = disk_instance(
         radius=Fraction(3, 2), disks=disks + outer + mids,
         points={"p": (Fraction(0), Fraction(0)), "q": (Fraction(20), Fraction(0))},
     )
@@ -173,7 +173,7 @@ def test_two_point_prefers_smaller_ring():
 
 
 def test_two_point_unseparable_raises():
-    inst = DiskInstance(
+    inst = disk_instance(
         radius=Fraction(1),
         disks=[Disk(Fraction(0), Fraction(0)), Disk(Fraction(3, 2), Fraction(0))],
         points={"p": (Fraction(0), Fraction(5)), "q": (Fraction(0), Fraction(-5))},
@@ -216,7 +216,7 @@ def all_roots_shortest_odd_cycle(instance):
     closed walk or None, number of odd edges), by an unpruned double-cover
     BFS rooted at every disk.  A shortest odd closed walk is a simple odd
     cycle, so its length is the optimum."""
-    centers = instance.centers()
+    centers = instance.centers
     p, q = [instance.points[k] for k in sorted(instance.points)]
     udg = unit_disk_graph(centers, instance.radius)
     parity = edge_crossing_parities(centers, udg, p, q)
@@ -290,6 +290,7 @@ def two_point_oracle_instances(seed, count):
         centers = list(dict.fromkeys(centers))
         if not centers:
             continue
+        index = CenterIndex(int_centers(centers, r), r)
         xs = [c[0] for c in centers]
         ys = [c[1] for c in centers]
         if rng.random() < 0.125:
@@ -303,14 +304,14 @@ def two_point_oracle_instances(seed, count):
                 else:
                     pt = (quarter(rng.uniform(float(min(xs)) - 2, float(max(xs)) + 2)),
                           quarter(rng.uniform(float(min(ys)) - 2, float(max(ys)) + 2)))
-                if pt not in pts and not covering_disks(centers, r, pt):
+                if pt not in pts and not index.within(pt, r):
                     pts.append(pt)
                 if len(pts) == 2:
                     break
             else:
                 continue
-        out.append(DiskInstance(radius=r, disks=[Disk(x, y) for x, y in centers],
-                                points={"p": pts[0], "q": pts[1]}))
+        out.append(disk_instance(radius=r, disks=[Disk(x, y) for x, y in centers],
+                                 points={"p": pts[0], "q": pts[1]}))
     return out
 
 
@@ -331,7 +332,7 @@ def test_two_point_odd_edge_roots_match_all_roots_oracle():
         cycle = cert.detail["cycle"]
         assert len(cycle) == len(set(cycle)) == cert.optimum
         assert sorted(cycle) == cert.witness
-        centers, four_r2 = inst.centers(), 4 * inst.radius ** 2
+        centers, four_r2 = [d.center for d in inst.disks], 4 * inst.radius ** 2
         for a, b in zip(cycle, cycle[1:] + cycle[:1]):
             assert dist_sq(centers[a], centers[b]) <= four_r2
         assert verify_isolation(inst, cert.witness).ok
@@ -356,14 +357,14 @@ def test_brute_isolation_caps():
 
 
 def test_brute_acc_ring_needs_one_deletion():
-    inst = DiskInstance(radius=Fraction(3, 2), disks=ring4(extra=False).disks)
+    inst = disk_instance(radius=Fraction(3, 2), disks=ring4(extra=False).disks)
     cert = brute_min_acc(inst)
     assert cert.optimum == 1
     assert verify_acc(inst, cert.witness).ok
 
 
 def test_brute_acc_chain_is_free():
-    inst = DiskInstance(
+    inst = disk_instance(
         radius=Fraction(3, 2),
         disks=[Disk(Fraction(2 * k), Fraction(0)) for k in range(4)],
     )
@@ -375,14 +376,14 @@ def test_brute_acc_two_rings():
     disks = ring4(extra=False).disks + [
         Disk(d.x + shift, d.y) for d in ring4(extra=False).disks
     ]
-    inst = DiskInstance(radius=Fraction(3, 2), disks=disks)
+    inst = disk_instance(radius=Fraction(3, 2), disks=disks)
     cert = brute_min_acc(inst)
     assert cert.optimum == 2
     assert verify_acc(inst, cert.witness).ok
 
 
 def test_brute_acc_cap():
-    inst = DiskInstance(radius=Fraction(3, 2), disks=ring4(extra=False).disks)
+    inst = disk_instance(radius=Fraction(3, 2), disks=ring4(extra=False).disks)
     with pytest.raises(SolverCapExceeded):
         brute_min_acc(inst, max_disks=3)
 
@@ -429,14 +430,14 @@ def test_cut_cutoff_mode():
 
 
 def test_cut_requires_two_terminals():
-    inst = DiskInstance(radius=Fraction(1), disks=[Disk(Fraction(0), Fraction(0))],
-                        meta={"terminal_disks": [0]})
+    inst = disk_instance(radius=Fraction(1), disks=[Disk(Fraction(0), Fraction(0))],
+                         meta={"terminal_disks": [0]})
     with pytest.raises(VerificationError):
         min_terminal_pair_cut(inst)
 
 
 def test_cut_of_touching_terminals_is_the_direct_edge():
-    inst = DiskInstance(
+    inst = disk_instance(
         radius=Fraction(1),
         disks=[Disk(Fraction(0), Fraction(0)), Disk(Fraction(1), Fraction(0))],
         meta={"terminal_disks": [0, 1]},
@@ -446,7 +447,7 @@ def test_cut_of_touching_terminals_is_the_direct_edge():
 
 
 def test_cut_of_disconnected_terminals_is_empty():
-    inst = DiskInstance(
+    inst = disk_instance(
         radius=Fraction(1),
         disks=[Disk(Fraction(0), Fraction(0)), Disk(Fraction(9), Fraction(0))],
         meta={"terminal_disks": [0, 1]},
@@ -458,7 +459,7 @@ def test_cut_of_disconnected_terminals_is_empty():
 def test_cut_lower_bound_on_touching_path():
     # 0-1-2 chain, terminals at the ends: each isolating cut is one edge,
     # so the bound is ceil(2/2) = 1 and that is also the true optimum.
-    inst = DiskInstance(
+    inst = disk_instance(
         radius=Fraction(1, 2),
         disks=[Disk(Fraction(k), Fraction(0)) for k in range(3)],
         meta={"terminal_disks": [0, 2]},
@@ -469,7 +470,7 @@ def test_cut_lower_bound_on_touching_path():
 def test_cut_lower_bound_tight_on_touching_triangle():
     # three mutually intersecting disks, all terminals: every edge must go,
     # and ceil(3 * 2 / 2) = 3 meets that exactly.
-    inst = DiskInstance(
+    inst = disk_instance(
         radius=Fraction(1, 2),
         disks=[
             Disk(Fraction(0), Fraction(0)),
@@ -484,13 +485,13 @@ def test_cut_lower_bound_tight_on_touching_triangle():
 
 
 def test_cut_lower_bound_degenerate_cases():
-    lone = DiskInstance(
+    lone = disk_instance(
         radius=Fraction(1),
         disks=[Disk(Fraction(0), Fraction(0))],
         meta={"terminal_disks": [0]},
     )
     assert multiterminal_cut_lower_bound(lone) == 0
-    apart = DiskInstance(
+    apart = disk_instance(
         radius=Fraction(1),
         disks=[Disk(Fraction(0), Fraction(0)), Disk(Fraction(9), Fraction(0))],
         meta={"terminal_disks": [0, 1]},
@@ -513,7 +514,7 @@ def test_ring_of_any_size_is_its_own_optimum(k, seed):
         pts.append((Fraction(round(math.cos(ang) * 10**6), 10**6) * 4,
                     Fraction(round(math.sin(ang) * 10**6), 10**6) * 4))
     radius = Fraction(9, 4) * Fraction(round(math.sin(math.pi / n) * 10**6) + 2, 10**6) * 2
-    inst = DiskInstance(
+    inst = disk_instance(
         radius=radius,
         disks=[Disk(x, y) for x, y in pts],
         points={"p": (Fraction(0), Fraction(0)), "q": (Fraction(40), Fraction(0))},
