@@ -2,8 +2,8 @@
 topology, and certificate verification.
 
 Everything here treats disks as closed (touching counts as intersecting) and
-runs in exact rational arithmetic.  The two load-bearing facts, both for
-equal radii:
+runs in exact integer arithmetic on centres over one common denominator.
+The two load-bearing facts, both for equal radii:
 
 * The segment between centers of two intersecting disks lies inside their
   union, and the triangle spanned by three disks with a common point is
@@ -27,6 +27,7 @@ equal radii:
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
@@ -62,11 +63,10 @@ class DiskInstance:
     The disks are stored once, as integer centres over one denominator
     (:class:`IntCenters`, a multiple of the radius' denominator) plus one
     tag per disk, from synthesis to JSON.  ``Fraction`` is met only at the
-    JSON boundary, in the radius and the marked points, in the
-    triple-intersection predicate and in the :attr:`disks` view.  Two
-    instances are equal when their centres are equal as rationals, whatever
-    denominators they are stored over.  The disks must not change after
-    construction.
+    JSON boundary, in the radius and the marked points, and in the
+    :attr:`disks` view.  Two instances are equal when their centres are
+    equal as rationals, whatever denominators they are stored over.  The
+    disks must not change after construction.
     """
 
     def __init__(
@@ -359,18 +359,15 @@ def filled_triangles(
 ) -> List[Tuple[int, int, int]]:
     """Triples of pairwise-intersecting disks with a common point."""
     xs, ys, den = sc
-
-    def center(i: int) -> Point:
-        # rational, because the predicate divides
-        return (Fraction(xs[i], den), Fraction(ys[i], den))
-
+    two_r, rem = divmod(2 * r.numerator * den, r.denominator)
+    assert rem == 0
     out = []
     adjset = [set(a) for a in udg.adj]
     for i, j in udg.edges:
         for k in sorted(adjset[i] & adjset[j]):
-            if k > j:
-                if triple_intersection_nonempty(center(i), center(j), center(k), r):
-                    out.append((i, j, k))
+            if k > j and triple_intersection_nonempty(
+                    (xs[i], ys[i]), (xs[j], ys[j]), (xs[k], ys[k]), two_r):
+                out.append((i, j, k))
     return out
 
 
@@ -442,29 +439,49 @@ def _with_points(
 
 
 def edge_crossing_parities(
-    sc: IntCenters, udg: UnitDiskGraph, p: Point, q: Point
-) -> Dict[Tuple[int, int], int]:
-    """Crossing parity of every center-graph edge against the half-open
-    horizontal rays from the rational points p and q (see
-    :func:`geometry.ray_crossing`), decided on integers."""
-    sc, (ip, iq) = _with_points(sc, (p, q))
+    sc: IntCenters, udg: UnitDiskGraph, points: Sequence[Point]
+) -> List[int]:
+    """One crossing mask per center-graph edge, in ``udg.edges`` order: bit
+    t is the parity of the edge's crossing with the half-open horizontal
+    ray from the rational point ``points[t]`` (see
+    :func:`geometry.ray_crossing`), decided on integers.  Only the rays
+    whose line an edge's y-span reaches can cross it, and bisecting the
+    points sorted by y finds those."""
+    sc, ipts = _with_points(sc, points)
     xs, ys = sc.xs, sc.ys
-    parity: Dict[Tuple[int, int], int] = {}
+    order = sorted(range(len(ipts)), key=lambda t: ipts[t][1])
+    pys = [ipts[t][1] for t in order]
+    masks = []
     for (i, j) in udg.edges:
         ci, cj = (xs[i], ys[i]), (xs[j], ys[j])
-        parity[(i, j)] = (ray_crossing(ci, cj, ip) ^ ray_crossing(ci, cj, iq)) & 1
-    return parity
+        lo, hi = (ci[1], cj[1]) if ci[1] <= cj[1] else (cj[1], ci[1])
+        m = 0
+        for s in range(bisect_left(pys, lo), bisect_left(pys, hi)):
+            t = order[s]
+            if ray_crossing(ci, cj, ipts[t]):
+                m |= 1 << t
+        masks.append(m)
+    return masks
 
 
-def separation(sc: IntCenters, udg: UnitDiskGraph, p: Point, q: Point) -> SeparationResult:
-    """Decide whether the union separates ``p`` from ``q``.
+def separation(
+    sc: IntCenters, udg: UnitDiskGraph, points: Dict[str, Point]
+) -> Dict[Tuple[str, str], SeparationResult]:
+    """Decide, for every pair of ids a < b in sorted order, whether the
+    union separates ``points[a]`` from ``points[b]``.
 
-    Labels every center-graph edge with its crossing parity against the
-    rays from p and q, then sweeps a spanning forest: an edge whose parity
-    disagrees with the endpoint potentials closes an odd cycle, which is
-    returned as the separating witness.
+    One crossing pass masks every center-graph edge (bit t for the t-th
+    id), and one spanning forest carries k-bit potentials.  A non-tree
+    edge's signature, its mask XOR its endpoints' potentials, is the
+    crossing mask of the cycle it closes, so (a, b) is separated exactly
+    when some signature differs at their two bits.  The witness is that
+    cycle for the first such edge in ``udg.edges`` order; neither the
+    forest nor the order depends on the pair, so it is the cycle a sweep
+    of the pair alone would return.
     """
-    parity = edge_crossing_parities(sc, udg, p, q)
+    ids = sorted(points)
+    masks = edge_crossing_parities(sc, udg, [points[a] for a in ids])
+    mask_of = dict(zip(udg.edges, masks))
     pot = [-1] * udg.n
     parent: List[Optional[int]] = [None] * udg.n
     for s in range(udg.n):
@@ -476,14 +493,26 @@ def separation(sc: IntCenters, udg: UnitDiskGraph, p: Point, q: Point) -> Separa
             v = stack.pop()
             for w in udg.adj[v]:
                 if pot[w] == -1:
-                    key = (v, w) if v < w else (w, v)
-                    pot[w] = pot[v] ^ parity[key]
+                    pot[w] = pot[v] ^ mask_of[(v, w) if v < w else (w, v)]
                     parent[w] = v
                     stack.append(w)
-    for (i, j), x in parity.items():
-        if pot[i] ^ pot[j] != x:
-            return SeparationResult(True, _tree_cycle(parent, i, j))
-    return SeparationResult(False, None)
+    pairs = [(x, y) for x in range(len(ids)) for y in range(x + 1, len(ids))]
+    found: Dict[Tuple[int, int], List[int]] = {}
+    for (i, j), m in zip(udg.edges, masks):
+        if len(found) == len(pairs):
+            break
+        sig = pot[i] ^ pot[j] ^ m
+        if not sig:
+            continue  # every tree edge
+        hit = [xy for xy in pairs if xy not in found and (sig >> xy[0] ^ sig >> xy[1]) & 1]
+        if hit:
+            cycle = _tree_cycle(parent, i, j)
+            for xy in hit:
+                found[xy] = list(cycle)
+    return {
+        (ids[x], ids[y]): SeparationResult((x, y) in found, found.get((x, y)))
+        for x, y in pairs
+    }
 
 
 def _tree_cycle(parent: List[Optional[int]], i: int, j: int) -> List[int]:
@@ -556,21 +585,13 @@ def verify_isolation(
                 f"marked point {pid!r} is covered by disk {hit[0]}"
             )
     sub = sc.subset(chosen)
-    udg = unit_disk_graph(sub, instance.radius)
-    ids = sorted(instance.points)
-    pair_results: Dict[Tuple[str, str], bool] = {}
-    witnesses: Dict[Tuple[str, str], List[int]] = {}
-    for x in range(len(ids)):
-        for y in range(x + 1, len(ids)):
-            a, b = ids[x], ids[y]
-            res = separation(sub, udg, instance.points[a], instance.points[b])
-            pair_results[(a, b)] = res.separated
-            if res.witness_cycle is not None:
-                witnesses[(a, b)] = [chosen[k] for k in res.witness_cycle]
+    results = separation(sub, unit_disk_graph(sub, instance.radius), instance.points)
+    pair_results = {pair: res.separated for pair, res in results.items()}
     return IsolationReport(
         ok=all(pair_results.values()) and not messages,
         pair_results=pair_results,
-        witnesses=witnesses,
+        witnesses={pair: [chosen[k] for k in res.witness_cycle]
+                   for pair, res in results.items() if res.separated},
         chosen=chosen,
         messages=messages,
     )

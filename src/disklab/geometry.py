@@ -1,9 +1,11 @@
-"""Exact rational geometry: parameters, grid oracles, disk predicates.
+"""Exact geometry: parameters, grid oracles, disk and segment predicates.
 
-All predicates in this module are decided with arbitrary-precision rational
-arithmetic (``fractions.Fraction``).  Irrational quantities (square roots and
-pi) never enter a comparison directly; they are replaced by certified rational
-bounds whose direction of error is tracked explicitly.
+Every predicate in this module is decided exactly: the parameter checks on
+``fractions.Fraction``, the disk and segment predicates on Python ints (or
+on rationals where a caller passes them).  Irrational quantities (square
+roots and pi) never enter a comparison directly; they are squared away or
+replaced by certified rational bounds whose direction of error is tracked
+explicitly.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from fractions import Fraction
 from math import isqrt
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-Rational = Fraction
 Point = Tuple[Fraction, Fraction]
 
 
@@ -436,77 +437,35 @@ class Disk:
         return (self.x, self.y)
 
 
-def dist_sq(p: Point, q: Point) -> Fraction:
-    dx = p[0] - q[0]
-    dy = p[1] - q[1]
-    return dx * dx + dy * dy
+def triple_intersection_nonempty(
+    a: Tuple[int, int], b: Tuple[int, int], c: Tuple[int, int], two_r: int
+) -> bool:
+    """Whether three closed disks of equal radius share a point, for
+    integer centres and the integer diameter ``two_r`` in the same unit.
 
-
-def disks_intersect(c1: Point, c2: Point, r: Fraction) -> bool:
-    """Closed disks of common radius r intersect (tangency counts)."""
-    return dist_sq(c1, c2) <= 4 * r * r
-
-
-def _sign_a_plus_b_sqrt_q(a: Fraction, b: Fraction, q: Fraction) -> int:
-    """Exact sign of a + b*sqrt(q) for rational a, b and q >= 0."""
-    if q < 0:
-        raise ValueError("negative radicand")
-    if b == 0 or q == 0:
-        return (a > 0) - (a < 0)
-    if a == 0:
-        return 1 if b > 0 else -1
-    if a > 0 and b > 0:
-        return 1
-    if a < 0 and b < 0:
-        return -1
-    # opposite signs: compare a^2 with b^2 q, the larger magnitude wins
-    lhs = a * a
-    rhs = b * b * q
-    if lhs == rhs:
-        return 0
-    if a > 0:  # b < 0
-        return 1 if lhs > rhs else -1
-    return -1 if lhs > rhs else 1
-
-
-def triple_intersection_nonempty(c1: Point, c2: Point, c3: Point, r: Fraction) -> bool:
-    """Exact emptiness test for the common intersection of three closed
-    disks of equal radius.
-
-    The region, when nonempty, either contains a boundary crossing point of
-    two of the circles inside the third disk, or degenerates to a tangency
-    point; both cases reduce to sign evaluations of a + b*sqrt(q) with
-    rational a, b, q.
+    A nonempty common region contains a corner of some pair's lens inside
+    the third disk.  For the lens of p and q, with d² = |q - p|²,
+    w = perp(q - p) and e = p + q - 2s, the corners are (p + q)/2 ± t·w,
+    t = √(4r² - d²) / (2d), and 4d² (|corner - s|² - r²) = A ± B√Q for the
+    integers A = (|e|² - d²) d², B = 2 (e·w) and Q = (4r² - d²) d².  So a
+    corner is in the disk at s exactly when A ≤ |B|√Q: when A ≤ 0 or
+    A² ≤ B²Q.
     """
-    centers = (c1, c2, c3)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if not disks_intersect(centers[i], centers[j], r):
-                return False
-    for i in range(3):
-        for j in range(3):
-            if i != j and centers[i] == centers[j]:
-                # coincident disks: triple reduces to the remaining pair
-                k = 3 - i - j
-                return disks_intersect(centers[i], centers[k], r)
-
-    r2 = r * r
-    for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
-        a, b, c = centers[i], centers[j], centers[k]
-        d2 = dist_sq(a, b)
-        q = r2 / d2 - Fraction(1, 4)  # (offset/|ab|)^2, nonnegative since disks meet
-        mx = (a[0] + b[0]) / 2
-        my = (a[1] + b[1]) / 2
-        wx = -(b[1] - a[1])
-        wy = b[0] - a[0]
-        # lens corner P = M +- sqrt(q) * w ; test |P - c|^2 <= r^2
-        ex = mx - c[0]
-        ey = my - c[1]
-        base = ex * ex + ey * ey + q * d2 - r2
-        coef = 2 * (ex * wx + ey * wy)
-        for sgn in (1, -1):
-            if _sign_a_plus_b_sqrt_q(base, sgn * coef, q) <= 0:
-                return True
+    four_r2 = two_r * two_r
+    for p, q in ((a, b), (a, c), (b, c)):
+        dx, dy = q[0] - p[0], q[1] - p[1]
+        if dx * dx + dy * dy > four_r2:
+            return False
+    if a == b or a == c or b == c:
+        return True  # coincident disks: the triple is the remaining pair, which meets
+    for p, q, s in ((a, b, c), (a, c, b), (b, c, a)):
+        dx, dy = q[0] - p[0], q[1] - p[1]
+        d2 = dx * dx + dy * dy
+        ex, ey = p[0] + q[0] - 2 * s[0], p[1] + q[1] - 2 * s[1]
+        big_a = (ex * ex + ey * ey - d2) * d2
+        big_b = 2 * (ey * dx - ex * dy)
+        if big_a <= 0 or big_a * big_a <= big_b * big_b * (four_r2 - d2) * d2:
+            return True
     return False
 
 

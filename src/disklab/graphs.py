@@ -177,7 +177,7 @@ class PlanarEmbeddedGraph:
         if self._faces is not None:
             return self._faces
         if not self.edges:
-            self._faces = [[]] if len(self.vertices) == 1 else [[] for _ in range(1)]
+            self._faces = [[]]
             self._face_of_dart = {}
             return self._faces
         unvisited = {(e, end) for e in range(len(self.edges)) for end in (0, 1)}

@@ -265,14 +265,18 @@ def point_in_face(g: PlanarEmbeddedGraph, coords: Coords, face: int) -> Point:
 # ---------------------------------------------------------------------------
 
 def _nx_embedding(g: PlanarEmbeddedGraph) -> "nx.PlanarEmbedding":
+    """The rotation system on vertex indices into ``g.vertices``: networkx
+    iterates over node sets, and int order does not depend on
+    ``PYTHONHASHSEED`` as string order does."""
     import networkx as nx
 
+    index = {v: i for i, v in enumerate(g.vertices)}
     emb = nx.PlanarEmbedding()
     for v in g.vertices:
         ref = None
         for d in g.rot[v]:
-            w = g.dart_head(d)
-            emb.add_half_edge_cw(v, w, ref)
+            w = index[g.dart_head(d)]
+            emb.add_half_edge_cw(index[v], w, ref)
             ref = w
     emb.check_structure()
     return emb
@@ -306,7 +310,7 @@ def draw_with_networkx(g: PlanarEmbeddedGraph) -> Coords:
     import networkx as nx
 
     pos = nx.combinatorial_embedding_to_pos(_nx_embedding(g), fully_triangulate=False)
-    coords = {v: (int(x), int(y)) for v, (x, y) in pos.items()}
+    coords = {g.vertices[i]: (int(x), int(y)) for i, (x, y) in pos.items()}
     return _normalize(coords)
 
 

@@ -321,14 +321,11 @@ def _isolation_params(emb: GridEmbedding, mode: str, overrides: Dict[str, Fracti
 def _reduce_subdivision(src: dict, mode: str, overrides) -> Tuple[dict, dict]:
     sub = SubdivisionInstance.from_dict(src)
     emb = grid_embed(sub.graph)
-    try:
-        params = _isolation_params(emb, mode, overrides)
-        report = check_constraints(params)
-        if mode == "sound" and not report.ok:
-            raise Rejected("constraints failed: " + ", ".join(report.failing()))
-        art = build_isolation_instance(sub, emb, params=params, mode=mode)
-    except SynthesisError as exc:
-        raise Rejected(str(exc)) from exc
+    params = _isolation_params(emb, mode, overrides)
+    report = check_constraints(params)
+    if mode == "sound" and not report.ok:
+        raise Rejected("constraints failed: " + ", ".join(report.failing()))
+    art = build_isolation_instance(sub, emb, params=params, mode=mode)
     target = art.instance.to_dict()
     return target, dict(
         params=params,
@@ -358,10 +355,7 @@ def _reduce_fvs(src: dict, mode: str, overrides) -> Tuple[dict, dict]:
         coords = {str(v): emb.coords[v] for v in vertices}
     placed = {v: tuple(coords[str(v)]) for v in vertices}
     r = overrides.get("r", Fraction(1, 10))
-    try:
-        art = build_acc_instance(vertices, edges, placed, r=r)
-    except SynthesisError as exc:
-        raise Rejected(str(exc)) from exc
+    art = build_acc_instance(vertices, edges, placed, r=r)
     target = art.instance.to_dict()
     chain_ids: Dict[str, List[int]] = {str(e): [] for e in range(len(edges))}
     for i, tag in enumerate(art.instance.tags):
@@ -381,10 +375,7 @@ def _reduce_mc(src: dict, mode: str, overrides) -> Tuple[dict, dict]:
     mti = MultiterminalInstance.from_dict(src)
     emb = grid_embed(mti.graph)
     r = overrides.get("r", Fraction(1, 10))
-    try:
-        art = build_udmc_instance(mti, emb, r=r)
-    except SynthesisError as exc:
-        raise Rejected(str(exc)) from exc
+    art = build_udmc_instance(mti, emb, r=r)
     target = art.instance.to_dict()
     edges_table: Dict[str, object] = {}
     for eid, (u, w) in enumerate(mti.graph.edges):
@@ -431,7 +422,7 @@ def cli_reduce(
         _check_total(record.terminals, src.get("terminals", []), "terminal")
         _check_total(record.edges, range(len(src["edges"])), "edge")
         _check_total(record.vertices, src["vertices"], "vertex")
-    except Rejected as exc:
+    except (Rejected, SynthesisError) as exc:
         return 1, [f"rejected: {exc}"]
     except MALFORMED_ERRORS as exc:
         return 2, [f"malformed: {exc}"]
@@ -463,12 +454,13 @@ def _verify_graph_mc(src: dict, candidate, budget) -> Tuple[bool, List[str]]:
 
 def _verify_graph_subdivision(src: dict, candidate, budget) -> Tuple[bool, List[str]]:
     sub = SubdivisionInstance.from_dict(src)
-    kept = sorted(set(int(e) for e in candidate))
+    kept_set = set(int(e) for e in candidate)
+    kept = sorted(kept_set)
     if kept and not (0 <= kept[0] and kept[-1] < len(sub.graph.edges)):
         raise VerificationError("certificate names an unknown edge id")
     reasons = []
     groups = sub.groups or [[e] for e in range(len(sub.graph.edges))]
-    mass = 2 * sum(1 for grp in groups if all(e in set(kept) for e in grp))
+    mass = 2 * sum(1 for grp in groups if kept_set.issuperset(grp))
     if budget is not None and mass > budget:
         reasons.append(f"budget: certificate has mass {mass}, cap {budget}")
     separated = subdivision_solution_ok(sub, kept)

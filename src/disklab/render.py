@@ -9,6 +9,7 @@ points are drawn as crosses, terminal disks get a heavy outline.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .arrangements import DiskInstance
@@ -96,20 +97,33 @@ def _guide_pitch(span: float) -> float:
 
 
 def svg_for_instance(instance: DiskInstance, guides: bool = False) -> str:
-    """Render a disk instance; colors follow disk tags, crosses mark points."""
-    r = float(instance.radius)
+    """Render a disk instance; colors follow disk tags, crosses mark points.
+
+    Raises ``ValueError`` when the radius, a centre coordinate or a marked
+    point is beyond the float range."""
     sc = instance.centers
-    # int / int is correctly rounded, so this is float() of each rational
-    # centre
-    fx = [x / sc.den for x in sc.xs]
-    fy = [y / sc.den for y in sc.ys]
+    try:
+        r = float(instance.radius)
+        # int / int is correctly rounded, so this is float() of each
+        # rational centre
+        fx = [x / sc.den for x in sc.xs]
+        fy = [y / sc.den for y in sc.ys]
+        points = {k: (float(px), float(py)) for k, (px, py) in instance.points.items()}
+    except OverflowError:
+        for v in (instance.radius, *(Fraction(n, sc.den) for n in sc.xs + sc.ys),
+                  *(c for pt in instance.points.values() for c in pt)):
+            try:
+                float(v)
+            except OverflowError:
+                raise ValueError(f"{v} is beyond the float range") from None
+        raise
     # rounding is monotone, so the extremes of x ± r over all disks are
     # those of min(x) ± r and max(x) ± r
     xs = [c + s for c in (min(fx), max(fx)) for s in (-r, r)] if fx else []
     ys = [c + s for c in (min(fy), max(fy)) for s in (-r, r)] if fy else []
-    for (px, py) in instance.points.values():
-        xs.append(float(px))
-        ys.append(float(py))
+    for (px, py) in points.values():
+        xs.append(px)
+        ys.append(py)
     if not xs:
         xs, ys = [0.0, 1.0], [0.0, 1.0]
     frame = _Frame(min(xs), min(ys), max(xs), max(ys))
@@ -140,9 +154,8 @@ def svg_for_instance(instance: DiskInstance, guides: bool = False) -> str:
 
     if instance.points:
         out.append('<g stroke="#cc0000" stroke-width="2">')
-        for label in sorted(instance.points):
-            px, py = frame.pt(float(instance.points[label][0]),
-                              float(instance.points[label][1]))
+        for label in sorted(points):
+            px, py = frame.pt(*points[label])
             m = 7.0
             out.append(f'<line x1="{_fmt(px - m)}" y1="{_fmt(py - m)}" x2="{_fmt(px + m)}" y2="{_fmt(py + m)}"/>')
             out.append(f'<line x1="{_fmt(px - m)}" y1="{_fmt(py + m)}" x2="{_fmt(px + m)}" y2="{_fmt(py - m)}"/>')

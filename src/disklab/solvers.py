@@ -169,7 +169,9 @@ def brute_min_isolation_two_points(
         if index.within(pt, r):
             raise VerificationError("a marked point is covered")
     udg = unit_disk_graph(sc, r)
-    parity = edge_crossing_parities(sc, udg, p, q)
+    # an edge's parity against both rays is the XOR of its two mask bits
+    parity = {e: (m ^ (m >> 1)) & 1
+              for e, m in zip(udg.edges, edge_crossing_parities(sc, udg, (p, q)))}
 
     n = udg.n
     adj: List[List[Tuple[int, int]]] = [[] for _ in range(n)]

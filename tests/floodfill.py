@@ -16,11 +16,9 @@ import random
 import numpy as np
 from scipy import ndimage
 
-from disklab.geometry import (
-    Disk,
-    _sign_a_plus_b_sqrt_q,
-    dist_sq,
-)
+from disklab.geometry import Disk
+
+from oracles import _sign_a_plus_b_sqrt_q, dist_sq
 
 FOUR_CONN = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
 EIGHT_CONN = np.ones((3, 3), dtype=int)

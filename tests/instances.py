@@ -7,7 +7,6 @@ integer form, which stays the oracle for the parse.
 """
 
 import math
-from fractions import Fraction
 
 from disklab.arrangements import DiskInstance, IntCenters
 
@@ -21,11 +20,6 @@ def int_centers(centers, r):
         tuple([y.numerator * (den // y.denominator) for _, y in centers]),
         den,
     )
-
-
-def rational_centers(sc):
-    """The centres of ``sc`` as ``Fraction`` points."""
-    return [(Fraction(x, sc.den), Fraction(y, sc.den)) for x, y in zip(sc.xs, sc.ys)]
 
 
 def disk_instance(radius, disks, points=None, params=None, meta=None):

@@ -23,6 +23,7 @@ from floodfill import (
     random_robust_rings,
 )
 from instances import disk_instance
+from oracles import assert_all_pairs_match_oracle, dist_sq
 from test_gadgets import assert_round_trip_equal
 
 from disklab import arrangements as ar
@@ -41,7 +42,6 @@ from disklab.geometry import (
     Disk,
     check_constraints,
     compute_params,
-    dist_sq,
     min_grid_angle_exceeds,
     min_grid_line_point_distance_sq,
 )
@@ -423,3 +423,41 @@ def test_criterion_12_raster_oracle_on_ring_holes(ring_oracle_corpus):
     # and 40 separated pairs of 60 at this seed
     assert holes >= 60
     assert 20 <= separated <= 50
+
+
+# ---------------------------------------------------------------------------
+# all-pairs separation against the per-pair sweep
+# ---------------------------------------------------------------------------
+
+def test_all_pairs_separation_matches_per_pair_oracle_on_raster_corpora(
+    oracle_corpus, ring_oracle_corpus
+):
+    separated = 0
+    for corpus in (oracle_corpus, ring_oracle_corpus):
+        for centers, chosen, inst, report in corpus:
+            sub = inst.centers.subset(chosen)
+            udg = ar.unit_disk_graph(sub, inst.radius)
+            (res,) = assert_all_pairs_match_oracle(sub, udg, inst.points)
+            assert report.pair_results == {("a", "b"): res.separated}
+            assert report.witnesses == (
+                {("a", "b"): [chosen[k] for k in res.witness_cycle]} if res.separated else {})
+            separated += res.separated
+    assert separated == 40  # all in the ring corpus
+
+
+def test_all_pairs_separation_matches_per_pair_oracle_on_sound_corpus(sound_corpus):
+    merged = 0
+    for emb, art in sound_corpus:
+        inst = art.instance
+        wall = set(art.wall_ids[0])
+        everything = range(len(inst.tags))
+        for kept in (list(everything), [i for i in everything if i not in wall]):
+            sub = inst.centers.subset(kept)
+            udg = ar.unit_disk_graph(sub, inst.radius)
+            results = assert_all_pairs_match_oracle(sub, udg, inst.points)
+            if len(kept) == len(inst.tags):
+                assert all(res.separated for res in results)
+            else:
+                merged += sum(not res.separated for res in results)
+    # with wall 0 dropped, 19 of the corpus' 245 pairs of face points merge
+    assert merged == 19

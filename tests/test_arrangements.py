@@ -7,11 +7,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from disklab import arrangements as ar
-from disklab.geometry import Disk, dist_sq, rational_from_str, rational_to_str, ray_crossing
+from disklab.geometry import Disk, rational_from_str, rational_to_str, ray_crossing
 from disklab.graphs import components
 
 from floodfill import flood_fill_summary, random_robust_centers
-from instances import disk_instance, int_centers, rational_centers
+from instances import disk_instance, int_centers
+from oracles import dist_sq, pair_separation, pair_sweep, separation
 
 ONE = F(1)
 
@@ -117,7 +118,7 @@ def test_single_disks_and_chains():
 def test_ring_separates_inside_from_outside():
     inst = ring4()
     udg = ar.unit_disk_graph(inst.centers, inst.radius)
-    res = ar.separation(inst.centers, udg, (F(0), F(0)), (F(10), F(10)))
+    res = separation(inst.centers, udg, (F(0), F(0)), (F(10), F(10)))
     assert res.separated
     cyc = res.witness_cycle
     assert cyc is not None and len(cyc) >= 3
@@ -128,7 +129,7 @@ def test_ring_separates_inside_from_outside():
 def test_no_separation_without_cycle():
     inst = ring4(r=F(13, 10))  # gaps between consecutive disks
     udg = ar.unit_disk_graph(inst.centers, inst.radius)
-    res = ar.separation(inst.centers, udg, (F(0), F(0)), (F(10), F(10)))
+    res = separation(inst.centers, udg, (F(0), F(0)), (F(10), F(10)))
     assert not res.separated and res.witness_cycle is None
 
 
@@ -137,9 +138,9 @@ def test_separation_is_symmetric_and_reflexive_false():
     centers = inst.centers
     udg = ar.unit_disk_graph(centers, inst.radius)
     p, q = (F(0), F(0)), (F(10), F(10))
-    assert ar.separation(centers, udg, p, q).separated
-    assert ar.separation(centers, udg, q, p).separated
-    assert not ar.separation(centers, udg, q, q).separated
+    assert separation(centers, udg, p, q).separated
+    assert separation(centers, udg, q, p).separated
+    assert not separation(centers, udg, q, q).separated
 
 
 def test_separation_with_centres_on_the_ray_line():
@@ -151,7 +152,7 @@ def test_separation_with_centres_on_the_ray_line():
     for centers in (ring, ring + [(F(20), F(0)), (F(22), F(0))]):
         sc = int_centers(centers, inst.radius)
         udg = ar.unit_disk_graph(sc, inst.radius)
-        res = ar.separation(sc, udg, (F(0), F(0)), (F(4), F(0)))
+        res = separation(sc, udg, (F(0), F(0)), (F(4), F(0)))
         assert res.separated
 
 
@@ -180,7 +181,7 @@ def test_far_disks_do_not_affect_separation():
     sc = int_centers([d.center for d in inst.disks] + [(F(50), F(50)), (F(53), F(50))],
                      inst.radius)
     udg = ar.unit_disk_graph(sc, inst.radius)
-    res = ar.separation(sc, udg, (F(0), F(0)), (F(10), F(10)))
+    res = separation(sc, udg, (F(0), F(0)), (F(10), F(10)))
     assert res.separated
 
 
@@ -436,32 +437,27 @@ def lattice_layout(rng):
     return centers, r, points
 
 
-def test_integer_parity_and_separation_match_fraction_oracle(monkeypatch):
+def test_integer_parity_and_separation_match_fraction_oracle():
     rng = random.Random(161803)
-    layouts = [lattice_layout(rng) for _ in range(150)]
     parities, verdicts = [], []
-    for centers, r, points in layouts:
+    for centers, r, points in (lattice_layout(rng) for _ in range(150)):
         sc = int_centers(centers, r)
         udg = ar.unit_disk_graph(sc, r)
         assert udg.edges == [
             (i, j) for i in range(len(centers)) for j in range(i + 1, len(centers))
             if dist_sq(centers[i], centers[j]) <= 4 * r * r
         ]
-        for p, q in zip(points, points[1:]):
-            want = fraction_edge_crossing_parities(centers, udg, p, q)
-            assert ar.edge_crossing_parities(sc, udg, p, q) == want
+        masks = ar.edge_crossing_parities(sc, udg, points)
+        for t, p in enumerate(points):
+            assert [(m >> t) & 1 for m in masks] == [
+                ray_crossing(centers[i], centers[j], p) & 1 for i, j in udg.edges]
+        named = {f"p{t}": p for t, p in enumerate(points)}
+        for (a, b), res in ar.separation(sc, udg, named).items():
+            # the per-pair sweep on the Fraction parities is the old separation
+            want = fraction_edge_crossing_parities(centers, udg, named[a], named[b])
+            assert res == pair_sweep(udg, want) == pair_separation(sc, udg, named[a], named[b])
             parities.append(sum(want.values()))
-            verdicts.append(ar.separation(sc, udg, p, q))
-    # the same sweep with the Fraction parities is the old separation
-    monkeypatch.setattr(
-        ar, "edge_crossing_parities",
-        lambda sc, udg, p, q: fraction_edge_crossing_parities(rational_centers(sc), udg, p, q))
-    k = 0
-    for centers, r, points in layouts:
-        sc = int_centers(centers, r)
-        udg = ar.unit_disk_graph(sc, r)
-        for p, q in zip(points, points[1:]):
-            assert ar.separation(sc, udg, p, q) == verdicts[k]
-            k += 1
+            verdicts.append(res)
+    assert len(verdicts) == 900
     assert sum(1 for x in parities if x) >= 100
     assert 40 <= sum(1 for v in verdicts if v.separated) <= len(verdicts) - 40

@@ -41,7 +41,7 @@ from disklab.gadgets import (
     _toy_wall_plan,
     _walk_polyline,
 )
-from disklab.geometry import Disk, compute_params, dist_sq
+from disklab.geometry import Disk, compute_params
 from disklab.graphs import (
     MultiterminalInstance,
     PlanarEmbeddedGraph,
@@ -51,6 +51,7 @@ from disklab.graphs import (
 from disklab.gridembed import DrawingError, GridEmbedding, grid_embed, locate_face
 
 from instances import disk_instance
+from oracles import dist_sq
 
 
 def p2_reduction():

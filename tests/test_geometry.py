@@ -4,11 +4,12 @@ disk and segment predicates."""
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from disklab import geometry as geo
-from disklab.arrangements import CenterIndex
+from disklab.arrangements import CenterIndex, unit_disk_graph
 
+import oracles
 from instances import int_centers
 
 
@@ -188,9 +189,12 @@ def test_min_grid_angle_witness_at_n2():
 
 def test_disks_intersect_closed_tangency():
     r = F(1, 4)
-    assert geo.disks_intersect((F(0), F(0)), (2 * r, F(0)), r)          # tangent
-    assert not geo.disks_intersect((F(0), F(0)), (2 * r + F(1, 10**9), F(0)), r)
-    assert geo.disks_intersect((F(0), F(0)), (F(0), F(0)), r)
+    origin = (F(0), F(0))
+    for other, meets in (((2 * r, F(0)), True),                   # tangent
+                         ((2 * r + F(1, 10**9), F(0)), False),
+                         (origin, True)):
+        udg = unit_disk_graph(int_centers([origin, other], r), r)
+        assert (udg.edges == [(0, 1)]) == meets
 
 
 @given(
@@ -208,29 +212,23 @@ def test_disk_contains_center(x, y, r):
 
 
 def test_triple_intersection_cases():
-    one = F(1)
+    # r = 1, so the diameter is 2
     # two tangent disks meet only at (1, 0); third centered at (1, 2) misses it
-    assert not geo.triple_intersection_nonempty((F(0), F(0)), (F(2), F(0)), (F(1), F(2)), one)
+    assert not geo.triple_intersection_nonempty((0, 0), (2, 0), (1, 2), 2)
     # ... but a third at distance exactly r reaches the tangency point
-    assert geo.triple_intersection_nonempty((F(0), F(0)), (F(2), F(0)), (F(1), F(1)), one)
-    assert geo.triple_intersection_nonempty(
-        (F(0), F(0)), (F(1), F(0)), (F(1, 2), F(1, 2)), one
-    )
-    assert geo.triple_intersection_nonempty((F(0), F(0)), (F(0), F(0)), (F(1), F(0)), one)
+    assert geo.triple_intersection_nonempty((0, 0), (2, 0), (1, 1), 2)
+    # (0, 0), (1, 0), (1/2, 1/2) with r = 1, in halves
+    assert geo.triple_intersection_nonempty((0, 0), (2, 0), (1, 1), 4)
+    assert geo.triple_intersection_nonempty((0, 0), (0, 0), (1, 0), 2)
     # pairwise-intersecting trio whose common region is empty: the first two
-    # overlap along x in [1/2, 3/2] x {0-ish}, the third sits too high
-    assert geo.disks_intersect((F(0), F(0)), (F(1), F(17, 10)), one)
-    assert geo.disks_intersect((F(2), F(0)), (F(1), F(17, 10)), one)
-    assert not geo.triple_intersection_nonempty(
-        (F(0), F(0)), (F(2), F(0)), (F(1), F(17, 10)), one
-    )
+    # overlap along x in [1/2, 3/2] x {0-ish}, the third at (1, 17/10) sits
+    # too high (in tenths, r = 10)
+    assert 10**2 + 17**2 <= 20**2
+    assert not geo.triple_intersection_nonempty((0, 0), (20, 0), (10, 17), 20)
 
 
 def test_triple_intersection_requires_pairwise():
-    one = F(1)
-    assert not geo.triple_intersection_nonempty(
-        (F(0), F(0)), (F(5), F(0)), (F(2), F(1)), one
-    )
+    assert not geo.triple_intersection_nonempty((0, 0), (5, 0), (2, 1), 2)
 
 
 @given(
@@ -242,7 +240,28 @@ def test_triple_intersection_requires_pairwise():
 def test_triple_intersection_common_point_implies_true(ax, ay, bx, by):
     # all three disks contain the origin by construction
     r = F(3)
-    assert geo.triple_intersection_nonempty((ax, ay), (bx, by), (F(1), F(1)), r)
+    sc = int_centers([(ax, ay), (bx, by), (F(1), F(1))], r)
+    assert geo.triple_intersection_nonempty(*zip(sc.xs, sc.ys), int(2 * r * sc.den))
+
+
+LATTICE = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
+
+
+@given(LATTICE, LATTICE, LATTICE, st.integers(1, 9))
+@settings(max_examples=400)
+@example((0, 0), (2, 0), (1, 1), 2)         # tangent pair, third through its point
+@example((0, 0), (2, 0), (1, 2), 2)         # tangent pair, third misses it
+@example((0, 0), (6, 8), (3, -1), 10)       # likewise on a 3-4-5 diagonal
+@example((0, 0), (6, 0), (3, 9), 10)        # lens corner (3, 4) exactly on the third
+@example((0, 0), (6, 0), (4, 9), 10)
+@example((1, 1), (1, 1), (3, 1), 2)         # coincident, the pair tangent
+@example((1, 1), (1, 1), (4, 1), 2)         # coincident, the pair apart
+@example((0, 0), (0, 0), (0, 0), 1)
+@example((0, 0), (5, 0), (2, 1), 2)         # one pair apart
+def test_triple_intersection_matches_fraction_oracle(a, b, c, two_r):
+    want = oracles.triple_intersection_nonempty(
+        *[(F(x), F(y)) for x, y in (a, b, c)], F(two_r, 2))
+    assert geo.triple_intersection_nonempty(a, b, c, two_r) == want
 
 
 # ---------------------------------------------------------------------------

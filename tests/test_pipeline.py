@@ -397,6 +397,26 @@ def test_render_dispatch(toy_chain, tmp_path):
     assert cli_render(other, tmp_path / "n.svg")[0] == 2
 
 
+@pytest.mark.parametrize("where", ["centre", "radius", "point"])
+def test_render_refuses_values_beyond_the_float_range(tmp_path, where):
+    huge = f"{10**400}/1"
+    inst = {"radius": "1/2", "disks": [{"c": ["0/1", "0/1"], "prov": []}],
+            "points": {"p": ["3/1", "0/1"]}, "meta": {}}
+    if where == "centre":
+        inst["disks"][0]["c"][0] = huge
+    elif where == "radius":
+        inst["radius"] = huge
+    else:
+        inst["points"]["p"][1] = "-" + huge
+    path = tmp_path / "huge.json"
+    write_json(inst, path)
+    code, lines = cli_render(path, tmp_path / "huge.svg")
+    assert code == 2
+    assert lines == [f"malformed: {'-' if where == 'point' else ''}{10**400} "
+                     "is beyond the float range"]
+    assert not (tmp_path / "huge.svg").exists()
+
+
 def test_main_entry_point(toy_chain, tmp_path):
     out = tmp_path / "oracle.json"
     assert cli_main(["lemma-oracle", "--n", "2", "--out", str(out)]) == 0

@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 
 from floodfill import quarter, ring_centers
 from instances import disk_instance, int_centers
+from oracles import dist_sq, pair_parities
 
 from disklab.arrangements import (
     CenterIndex,
     VerificationError,
-    edge_crossing_parities,
     unit_disk_graph,
     verify_acc,
     verify_isolation,
@@ -25,7 +25,7 @@ from disklab.gadgets import (
     build_acc_instance,
     build_weighted_edge_instance,
 )
-from disklab.geometry import Disk, dist_sq
+from disklab.geometry import Disk
 from disklab.graphs import (
     MultiterminalInstance,
     PlanarEmbeddedGraph,
@@ -219,7 +219,7 @@ def all_roots_shortest_odd_cycle(instance):
     centers = instance.centers
     p, q = [instance.points[k] for k in sorted(instance.points)]
     udg = unit_disk_graph(centers, instance.radius)
-    parity = edge_crossing_parities(centers, udg, p, q)
+    parity = pair_parities(centers, udg, p, q)
     adj = [[] for _ in range(udg.n)]
     for (i, j), x in parity.items():
         adj[i].append((j, x))
