@@ -117,9 +117,12 @@ class DiskInstance:
             raise VerificationError("radius must be positive")
         if len(self.points) != len(set(self.points.values())):
             raise VerificationError("marked points must be distinct")
-        for t in self.meta.get("terminal_disks", []):
-            if not (0 <= int(t) < len(self.tags)):
+        terminals = [int(t) for t in self.meta.get("terminal_disks", [])]
+        for t in terminals:
+            if not (0 <= t < len(self.tags)):
                 raise VerificationError(f"terminal disk id {t} out of range")
+        if len(set(terminals)) != len(terminals):
+            raise VerificationError("terminal disk ids must be distinct")
 
     def to_dict(self) -> Dict[str, object]:
         xs, ys, den = self.centers

@@ -13,8 +13,9 @@ the same vertex and are distinguished by their position in the rotation.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 Vertex = Hashable
 Dart = Tuple[int, int]
@@ -49,6 +50,61 @@ def components(
             parent[ru] = rw
     label: Dict[Vertex, Vertex] = {}
     return {v: label.setdefault(find(v), v) for v in parent}
+
+
+def edge_disjoint_paths(
+    adj: Sequence[Sequence[int]],
+    sources: Iterable[int],
+    sinks: Iterable[int],
+    cutoff: Optional[int] = None,
+) -> Tuple[int, Set[int]]:
+    """Maximum number of edge-disjoint paths from ``sources`` to ``sinks``
+    (disjoint node sets) in the simple graph with adjacency lists ``adj``,
+    stopping at ``cutoff``, and the sink side of the final residual graph.
+
+    BFS augmenting paths in the unit-capacity residual, one skew-symmetric
+    flow per ordered pair; a path never enters a source and ends at its
+    first sink, so each adds exactly 1: O(value · (n + m)).  ``sink_side``
+    holds the nodes that can still reach a sink over residual arcs; for a
+    maximum flow it is the same whichever one was found, and the edges
+    with one end in it form a minimum cut.
+    """
+    sources, sink_set = list(sources), set(sinks)
+    flow: Dict[int, Set[int]] = {}  # w in flow[v]: one unit flows v -> w
+    value = 0
+    while cutoff is None or value < cutoff:
+        prev: Dict[int, Optional[int]] = dict.fromkeys(sources)
+        queue = deque(sources)
+        end = None
+        while queue and end is None:
+            v = queue.popleft()
+            full = flow.get(v, ())
+            for w in adj[v]:
+                if w not in prev and w not in full:
+                    prev[w] = v
+                    if w in sink_set:
+                        end = w
+                        break
+                    queue.append(w)
+        if end is None:
+            break
+        w = end
+        while (v := prev[w]) is not None:
+            if v in flow.get(w, ()):
+                flow[w].remove(v)
+            else:
+                flow.setdefault(v, set()).add(w)
+            w = v
+        value += 1
+    sink_side = set(sink_set)
+    queue = deque(sink_side)
+    while queue:
+        w = queue.popleft()
+        for v in adj[w]:
+            if v not in sink_side and w not in flow.get(v, ()):
+                sink_side.add(v)
+                queue.append(v)
+    return value, sink_side
 
 
 class PlanarEmbeddedGraph:

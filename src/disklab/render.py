@@ -42,6 +42,8 @@ class _Frame:
         self.x0, self.y1 = x0, y1
         self.width = (x1 - x0) * self.k
         self.height = (y1 - y0) * self.k
+        if not (math.isfinite(self.width) and math.isfinite(self.height)):
+            raise ValueError("the drawing's extent is beyond the float range")
 
     def pt(self, x: float, y: float) -> Tuple[float, float]:
         return ((x - self.x0) * self.k, (self.y1 - y) * self.k)
@@ -100,7 +102,7 @@ def svg_for_instance(instance: DiskInstance, guides: bool = False) -> str:
     """Render a disk instance; colors follow disk tags, crosses mark points.
 
     Raises ``ValueError`` when the radius, a centre coordinate or a marked
-    point is beyond the float range."""
+    point is beyond the float range, or the frame around them is."""
     sc = instance.centers
     try:
         r = float(instance.radius)

@@ -27,6 +27,7 @@ from .graphs import (
     SubdivisionInstance,
     Vertex,
     components,
+    edge_disjoint_paths,
     multiterminal_solution_ok,
     subdivision_solution_ok,
 )
@@ -329,11 +330,14 @@ def min_terminal_pair_cut(
     cutoff: Optional[int] = None,
 ) -> OptimumCertificate:
     """Minimum number of intersection-graph edges whose deletion disconnects
-    the two terminal disks, via max-flow with unit edge capacities.
+    the two terminal disks: by Menger's theorem, the number of edge-disjoint
+    paths between them (:func:`~disklab.graphs.edge_disjoint_paths`).
 
-    The witness is a list of disk-id pairs.  With ``cutoff`` the search
-    stops once the flow reaches it; the reported optimum is then a lower
-    bound marked in the detail dict.
+    The witness lists the disk-id pairs across the flow's sink side, in
+    ``udg.edges`` order.  With ``cutoff`` the search stops once the flow
+    reaches it; the reported optimum is then a lower bound marked in the
+    detail dict.  Disconnected terminals answer 0 with an empty witness,
+    with or without ``cutoff``.
     """
     instance.validate()
     terminals = [int(t) for t in instance.meta.get("terminal_disks", [])]
@@ -341,37 +345,23 @@ def min_terminal_pair_cut(
         raise VerificationError("terminal-pair cut needs exactly two terminal disks")
     s_id, t_id = terminals
     udg = unit_disk_graph(instance.centers, instance.radius)
-    import networkx as nx
-
-    g = nx.DiGraph()
-    for (i, j) in udg.edges:
-        g.add_edge(i, j, capacity=1)
-        g.add_edge(j, i, capacity=1)
-    if s_id not in g or t_id not in g or not nx.has_path(g, s_id, t_id):
-        return OptimumCertificate(
-            problem="terminal-pair-cut", optimum=0, witness=[], method="max-flow"
-        )
-    if cutoff is not None:
-        res = nx.algorithms.flow.edmonds_karp(g, s_id, t_id, cutoff=cutoff)
-        value = res.graph["flow_value"]
+    value, sink_side = edge_disjoint_paths(udg.adj, [s_id], [t_id], cutoff)
+    # without flow, sink_side is the whole component of the sink terminal
+    connected = value > 0 or s_id in sink_side
+    if cutoff is not None and connected:
         return OptimumCertificate(
             problem="terminal-pair-cut",
-            optimum=int(value),
+            optimum=value,
             witness=[],
             method="max-flow (cutoff)",
             detail={"lower_bound_only": value >= cutoff},
         )
-    value, (side_s, _) = nx.minimum_cut(g, s_id, t_id)
-    cut_edges = sorted(
-        (min(i, j), max(i, j))
-        for i, j in udg.edges
-        if (i in side_s) != (j in side_s)
-    )
-    assert len(cut_edges) == int(value)
+    cut_edges = [[i, j] for i, j in udg.edges if (i in sink_side) != (j in sink_side)]
+    assert len(cut_edges) == value
     return OptimumCertificate(
         problem="terminal-pair-cut",
-        optimum=int(value),
-        witness=[list(e) for e in cut_edges],
+        optimum=value,
+        witness=cut_edges,
         method="max-flow",
     )
 
@@ -379,7 +369,8 @@ def min_terminal_pair_cut(
 def multiterminal_cut_lower_bound(instance: DiskInstance) -> int:
     """Certified lower bound on the minimum intersection-edge cut that
     pairwise separates the terminal disks: half the sum of single-terminal
-    isolating cuts, rounded up.
+    isolating cuts (edge-disjoint paths from one terminal to the others),
+    rounded up.
 
     Sound because every edge of an optimal cut lies on the boundary of at
     most two terminal components, while the cut's restriction to one
@@ -391,20 +382,8 @@ def multiterminal_cut_lower_bound(instance: DiskInstance) -> int:
     if len(terminals) < 2:
         return 0
     udg = unit_disk_graph(instance.centers, instance.radius)
-    import networkx as nx
-
-    g = nx.DiGraph()
-    for (i, j) in udg.edges:
-        g.add_edge(i, j, capacity=1)
-        g.add_edge(j, i, capacity=1)
-    sink = ("sink",)
-    total = 0
-    for t in terminals:
-        g.add_node(sink)
-        for o in terminals:
-            if o != t:
-                g.add_edge(o, sink, capacity=float("inf"))
-        if t in g and nx.has_path(g, t, sink):
-            total += int(nx.maximum_flow_value(g, t, sink))
-        g.remove_node(sink)
+    total = sum(
+        edge_disjoint_paths(udg.adj, [t], [o for o in terminals if o != t])[0]
+        for t in terminals
+    )
     return -(-total // 2)

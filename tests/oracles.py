@@ -7,13 +7,23 @@
   points, then one spanning forest with 0/1 potentials.  The
   all-pairs :func:`disklab.arrangements.separation` must return the same
   verdict and witness for every pair.
+* The networkx max-flow cut solvers: the two-terminal cut and the
+  isolating-cut lower bound on an ``nx.DiGraph`` with unit capacities,
+  which :func:`disklab.graphs.edge_disjoint_paths` replaced.
 """
 
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
+import networkx as nx
+
 from disklab import arrangements as ar
 from disklab.geometry import Point, ray_crossing
+from disklab.solvers import (
+    OptimumCertificate,
+    min_terminal_pair_cut,
+    multiterminal_cut_lower_bound,
+)
 
 
 def dist_sq(p: Point, q: Point) -> Fraction:
@@ -154,3 +164,82 @@ def assert_all_pairs_match_oracle(sc, udg, points) -> List[ar.SeparationResult]:
 def separation(sc, udg, p, q) -> ar.SeparationResult:
     """``separation`` of the single pair (p, q)."""
     return ar.separation(sc, udg, {"p": p, "q": q})[("p", "q")]
+
+
+def _unit_digraph(udg: ar.UnitDiskGraph) -> nx.DiGraph:
+    g = nx.DiGraph()
+    for (i, j) in udg.edges:
+        g.add_edge(i, j, capacity=1)
+        g.add_edge(j, i, capacity=1)
+    return g
+
+
+def nx_terminal_pair_cut(instance: ar.DiskInstance, cutoff=None) -> OptimumCertificate:
+    """The two-terminal cut by networkx max-flow; ``cutoff`` runs
+    Edmonds-Karp and stops once the flow reaches it."""
+    instance.validate()
+    terminals = [int(t) for t in instance.meta.get("terminal_disks", [])]
+    if len(terminals) != 2:
+        raise ar.VerificationError("terminal-pair cut needs exactly two terminal disks")
+    s_id, t_id = terminals
+    udg = ar.unit_disk_graph(instance.centers, instance.radius)
+    g = _unit_digraph(udg)
+    if s_id not in g or t_id not in g or not nx.has_path(g, s_id, t_id):
+        return OptimumCertificate(
+            problem="terminal-pair-cut", optimum=0, witness=[], method="max-flow"
+        )
+    if cutoff is not None:
+        res = nx.algorithms.flow.edmonds_karp(g, s_id, t_id, cutoff=cutoff)
+        value = res.graph["flow_value"]
+        return OptimumCertificate(
+            problem="terminal-pair-cut",
+            optimum=int(value),
+            witness=[],
+            method="max-flow (cutoff)",
+            detail={"lower_bound_only": value >= cutoff},
+        )
+    value, (side_s, _) = nx.minimum_cut(g, s_id, t_id)
+    cut_edges = sorted(
+        (min(i, j), max(i, j))
+        for i, j in udg.edges
+        if (i in side_s) != (j in side_s)
+    )
+    assert len(cut_edges) == int(value)
+    return OptimumCertificate(
+        problem="terminal-pair-cut",
+        optimum=int(value),
+        witness=[list(e) for e in cut_edges],
+        method="max-flow",
+    )
+
+
+def nx_multiterminal_cut_lower_bound(instance: ar.DiskInstance) -> int:
+    """Half the sum of the single-terminal isolating cuts, rounded up, each
+    a networkx max-flow into one sink joined to the other terminals."""
+    instance.validate()
+    terminals = [int(t) for t in instance.meta.get("terminal_disks", [])]
+    if len(terminals) < 2:
+        return 0
+    g = _unit_digraph(ar.unit_disk_graph(instance.centers, instance.radius))
+    sink = ("sink",)
+    total = 0
+    for t in terminals:
+        g.add_node(sink)
+        for o in terminals:
+            if o != t:
+                g.add_edge(o, sink, capacity=float("inf"))
+        if t in g and nx.has_path(g, t, sink):
+            total += int(nx.maximum_flow_value(g, t, sink))
+        g.remove_node(sink)
+    return -(-total // 2)
+
+
+def assert_cuts_match_networkx(inst: ar.DiskInstance) -> None:
+    """Both cut solvers equal their networkx oracles: the lower bound on
+    every terminal, the pair cut (with and without cutoff) on the first
+    two."""
+    assert multiterminal_cut_lower_bound(inst) == nx_multiterminal_cut_lower_bound(inst)
+    pair = ar.DiskInstance(inst.radius, inst.centers, inst.tags,
+                           meta={"terminal_disks": inst.meta["terminal_disks"][:2]})
+    for cutoff in (None, 0, 1, 2, 3):
+        assert min_terminal_pair_cut(pair, cutoff) == nx_terminal_pair_cut(pair, cutoff)

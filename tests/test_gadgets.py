@@ -51,7 +51,7 @@ from disklab.graphs import (
 from disklab.gridembed import DrawingError, GridEmbedding, grid_embed, locate_face
 
 from instances import disk_instance
-from oracles import dist_sq
+from oracles import assert_cuts_match_networkx, dist_sq
 
 
 def p2_reduction():
@@ -609,6 +609,7 @@ def test_udmc_law_on_star_and_triangle():
         assert rep.ok, rep.reasons
         assert len(lifted) == src.optimum
         assert multiterminal_cut_lower_bound(art.instance) == src.optimum
+        assert_cuts_match_networkx(art.instance)
 
 
 def test_udmc_lane_cut_edges_are_severable():

@@ -302,6 +302,58 @@ def test_components_label_by_first_node():
     assert gr.components([], []) == {}
 
 
+@st.composite
+def graphs_with_terminals(draw):
+    """Adjacency lists of a simple graph on nodes 0..n-1, its edges, one
+    source and one to three sinks, all distinct."""
+    n = draw(st.integers(2, 9))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = sorted(draw(st.sets(st.sampled_from(pairs))))
+    adj = [[] for _ in range(n)]
+    for i, j in edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    ends = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=4, unique=True))
+    return adj, edges, ends[0], ends[1:]
+
+
+@given(graphs_with_terminals(), st.one_of(st.none(), st.integers(0, 4)))
+@settings(max_examples=300)
+def test_edge_disjoint_paths_match_networkx(graph, cutoff):
+    adj, edges, s, sinks = graph
+    g = nx.Graph(edges)
+    g.add_nodes_from(range(len(adj)))
+    d = g.to_directed()
+    nx.set_edge_attributes(d, 1, "capacity")
+    for k in sinks:
+        d.add_edge(k, "sink")  # no capacity attribute: unbounded
+    flow, (_, reaches_sink) = nx.minimum_cut(d, s, "sink")
+    if len(sinks) == 1:
+        assert flow == nx.edge_connectivity(g, s, sinks[0])
+    value, sink_side = gr.edge_disjoint_paths(adj, [s], sinks, cutoff)
+    assert value == (flow if cutoff is None else min(flow, cutoff))
+    if cutoff is None:
+        assert sink_side == reaches_sink - {"sink"}
+        assert sum((i in sink_side) != (j in sink_side) for i, j in edges) == flow
+
+
+def test_edge_disjoint_paths_small_cases():
+    star = [[1, 2, 3], [0], [0], [0]]
+    assert gr.edge_disjoint_paths(star, [0], [1, 2, 3]) == (3, {1, 2, 3})
+    assert gr.edge_disjoint_paths(star, [1], [2]) == (1, {2})
+    assert gr.edge_disjoint_paths(star, [1], [2, 3], cutoff=0) == (0, {0, 1, 2, 3})
+    assert gr.edge_disjoint_paths([[], []], [0], [1]) == (0, {1})
+    # a later augmenting path cancels flow on an edge of an earlier one;
+    # blocking that edge both ways instead would leave 3 and 7 off the sink side
+    edges = [(0, 2), (0, 7), (0, 9), (0, 11), (1, 7), (1, 8), (2, 10), (3, 6), (3, 7),
+             (4, 6), (4, 8), (4, 9), (5, 9), (5, 10), (6, 9), (6, 10), (10, 11)]
+    adj = [[] for _ in range(12)]
+    for i, j in edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    assert gr.edge_disjoint_paths(adj, [4], [0]) == (3, {0, 2, 3, 5, 6, 7, 9, 10, 11})
+
+
 def test_face_components_full_and_empty():
     g = triangle()
     comp_all = gr.face_components(g, range(3))

@@ -417,6 +417,44 @@ def test_render_refuses_values_beyond_the_float_range(tmp_path, where):
     assert not (tmp_path / "huge.svg").exists()
 
 
+def test_render_refuses_a_frame_beyond_the_float_range(tmp_path):
+    # each centre fits a float, the frame's width 3.4e308 does not
+    far = 17 * 10**307
+    inst = {"radius": "1/2",
+            "disks": [{"c": [f"{-far}/1", "0/1"], "prov": []},
+                      {"c": [f"{far}/1", "0/1"], "prov": []}],
+            "points": {}, "meta": {}}
+    path = tmp_path / "wide.json"
+    write_json(inst, path)
+    code, lines = cli_render(path, tmp_path / "wide.svg")
+    assert code == 2 and "beyond the float range" in lines[0], lines
+    assert not (tmp_path / "wide.svg").exists()
+
+
+REPEATED_TERMINALS = {
+    "radius": "1/2",
+    "disks": [{"c": ["0/1", "0/1"], "prov": []}, {"c": ["1/1", "0/1"], "prov": []}],
+    "points": {},
+    "meta": {"kind": "udmc", "terminal_disks": [0, 0]},
+}
+
+
+@pytest.mark.parametrize("problem", ["terminal-pair-cut", "udmc-bound"])
+def test_solve_refuses_repeated_terminal_disks(tmp_path, problem):
+    path = tmp_path / "inst.json"
+    write_json(REPEATED_TERMINALS, path)
+    code, lines = cli_solve(problem, path, tmp_path / "opt.json")
+    assert code == 2 and "distinct" in lines[0], lines
+
+
+def test_verify_refuses_repeated_terminal_disks(tmp_path):
+    path, cert = tmp_path / "inst.json", tmp_path / "cert.json"
+    write_json(REPEATED_TERMINALS, path)
+    write_json({"candidate": [[0, 1]]}, cert)
+    code, lines = cli_verify("udmc", path, cert)
+    assert code == 2 and "distinct" in lines[0], lines
+
+
 def test_main_entry_point(toy_chain, tmp_path):
     out = tmp_path / "oracle.json"
     assert cli_main(["lemma-oracle", "--n", "2", "--out", str(out)]) == 0

@@ -206,7 +206,7 @@ tags = st.lists(st.one_of(st.integers(-3, 3), st.sampled_from(["wall", "ring", "
     st.fractions(min_value=Fraction(1, 10**6), max_value=10, max_denominator=10**12),
     st.lists(st.tuples(coordinates, coordinates, tags), max_size=8),
     st.lists(st.tuples(coordinates, coordinates), max_size=3, unique=True),
-    st.lists(st.integers(0, 7), max_size=3),
+    st.lists(st.integers(0, 7), max_size=3, unique=True),
     st.booleans(),
 )
 @settings(max_examples=200, deadline=None)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from floodfill import quarter, ring_centers
 from instances import disk_instance, int_centers
-from oracles import dist_sq, pair_parities
+from oracles import assert_cuts_match_networkx, dist_sq, pair_parities
 
 from disklab.arrangements import (
     CenterIndex,
@@ -413,6 +413,28 @@ def test_cut_matches_weight():
         assert cert.optimum == w
         assert len(cert.witness) == w
         assert verify_multiterminal_cut(art.instance, cert.witness).ok
+        assert_cuts_match_networkx(art.instance)
+
+
+@st.composite
+def lattice_cut_instances(draw):
+    """Up to 16 disks centred on a 7 x 7 integer lattice (repeats allowed)
+    with radius 1/2, 3/4 or 1, and 2 to 5 distinct terminal disks: sparse
+    enough that isolated, touching and disconnected terminals all occur."""
+    radius = draw(st.sampled_from([Fraction(1, 2), Fraction(3, 4), Fraction(1)]))
+    cells = draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                          min_size=2, max_size=16))
+    terminals = draw(st.lists(st.integers(0, len(cells) - 1), min_size=2,
+                              max_size=min(5, len(cells)), unique=True))
+    return disk_instance(radius=radius,
+                         disks=[Disk(Fraction(x), Fraction(y)) for x, y in cells],
+                         meta={"terminal_disks": terminals})
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattice_cut_instances())
+def test_cut_solvers_match_networkx(inst):
+    assert_cuts_match_networkx(inst)
 
 
 def test_cut_witness_edges_exist():
