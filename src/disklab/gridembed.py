@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .geometry import (
@@ -225,41 +224,6 @@ def _face_is_unbounded(g: PlanarEmbeddedGraph, coords: Coords, face: int) -> boo
     return twice_area <= 0
 
 
-def unbounded_face(g: PlanarEmbeddedGraph, coords: Coords) -> int:
-    for f in range(g.face_count()):
-        if _face_is_unbounded(g, coords, f):
-            return f
-    raise DrawingError("no unbounded face found")
-
-
-def point_in_face(g: PlanarEmbeddedGraph, coords: Coords, face: int) -> Point:
-    """Some rational point strictly inside ``face``, off all edges.
-
-    Probes points perpendicular to walk edges at shrinking offsets and
-    verifies each candidate by exact location.
-    """
-    walk = g.facial_walks()[face]
-    if not walk:
-        # single-vertex graph: everything but the vertex is the one face
-        v = g.vertices[0]
-        return (Fraction(coords[v][0] + 1), Fraction(coords[v][1]))
-    for d in walk:
-        a = coords[g.dart_tail(d)]
-        b = coords[g.dart_head(d)]
-        mx, my = Fraction(a[0] + b[0], 2), Fraction(a[1] + b[1], 2)
-        # left normal of the dart direction: face side under our convention
-        nx_, ny_ = -(b[1] - a[1]), (b[0] - a[0])
-        scale = max(abs(nx_), abs(ny_))
-        for k in (2, 4, 8, 16, 64, 256, 1024):
-            p = (mx + Fraction(nx_, scale * k), my + Fraction(ny_, scale * k))
-            try:
-                if locate_face(g, coords, p) == face:
-                    return p
-            except DrawingError:
-                continue
-    raise DrawingError(f"could not produce an interior point for face {face}")
-
-
 # ---------------------------------------------------------------------------
 # drawing synthesis
 # ---------------------------------------------------------------------------
@@ -300,13 +264,13 @@ def grid_size_of(coords: Coords) -> int:
 
 
 def draw_with_networkx(g: PlanarEmbeddedGraph) -> Coords:
+    if not g.is_connected():
+        raise DrawingError("drawing requires a connected graph")
     if len(g.vertices) == 1:
         return {g.vertices[0]: (0, 0)}
     if len(g.vertices) == 2:
         a, b = g.vertices
         return {a: (0, 0), b: (1, 0)}
-    if not g.is_connected():
-        raise DrawingError("drawing requires a connected graph")
     import networkx as nx
 
     pos = nx.combinatorial_embedding_to_pos(_nx_embedding(g), fully_triangulate=False)
@@ -372,90 +336,123 @@ def compact_drawing(g: PlanarEmbeddedGraph, coords: Coords, passes: int = 8) -> 
     return best
 
 
+class _BoxTable:
+    """Bit masks for the [0,k] x [0,k] box.  Cell ``c`` is the point
+    ``(c // (k + 1), c % (k + 1))``, so ascending cells are the search's
+    x-major order; segment ``s`` joins a pair of distinct cells."""
+
+    def __init__(self, k: int):
+        side = k + 1
+        self.points = [(x, y) for x in range(side) for y in range(side)]
+        cells = len(self.points)
+        # seg_id[a][b]: the segment joining cells a and b
+        self.seg_id = [[-1] * cells for _ in range(cells)]
+        self.ends: List[Tuple[Tuple[int, int], Tuple[int, int]]] = []
+        # seg_cells[s]: the cells on the closed segment s
+        self.seg_cells: List[int] = []
+        for a in range(cells):
+            for b in range(a + 1, cells):
+                self.seg_id[a][b] = self.seg_id[b][a] = len(self.ends)
+                pa, pb = self.points[a], self.points[b]
+                self.ends.append((pa, pb))
+                self.seg_cells.append(sum(
+                    1 << c for c, p in enumerate(self.points) if point_on_segment(p, pa, pb)
+                ))
+        # conflicts[s]: the segments s conflicts with, filled on first use
+        self.conflicts: List[Optional[int]] = [None] * len(self.ends)
+
+    def fill_conflicts(self, s: int) -> int:
+        a, b = self.ends[s]
+        row = 0
+        for t, (c, d) in enumerate(self.ends):
+            if _segments_conflict(a, b, c, d):
+                row |= 1 << t
+        self.conflicts[s] = row
+        return row
+
+
+@functools.lru_cache(maxsize=None)
+def _box_table(k: int) -> _BoxTable:
+    return _BoxTable(k)
+
+
 def search_minimal_drawing(
     g: PlanarEmbeddedGraph,
     max_size: int = 4,
     node_budget: int = 300_000,
 ) -> Optional[Coords]:
     """Backtracking search for a rotation-faithful drawing in the smallest
-    [0,k] x [0,k] box, k ascending.  Returns None when the budget runs out or
-    nothing fits."""
+    [0,k] x [0,k] box, k ascending.  Returns None when no box up to
+    ``max_size`` yields one.
+
+    Vertices are placed by descending degree, each tried at every cell in
+    x-major order, and a complete placement is re-checked by
+    :func:`drawing_valid`.  The search is table-driven: a candidate cell is
+    checked against the drawing so far by a few ANDs with the box's bit
+    masks (:class:`_BoxTable`, built with the exact predicates once per box
+    size), and three ints carry the occupied cells, the placed segments and
+    the cells those segments cover.  ``node_budget`` counts candidate cells
+    tried, rejected ones included: a box gives up at its
+    ``node_budget``-th candidate, and the next box starts afresh.
+    """
     if not g.is_simple() or not g.is_connected():
         return None
     verts = sorted(g.vertices, key=lambda v: -g.degree(v))
     n = len(verts)
-    budget = [node_budget]
+    rank = {v: i for i, v in enumerate(verts)}
+    # the already placed neighbours of each vertex, by their place in verts
+    prev = [
+        [rank[g.dart_head(d)] for d in g.rot[v] if rank[g.dart_head(d)] < i]
+        for i, v in enumerate(verts)
+    ]
 
-    adj_prev: List[List[Tuple[int, Vertex]]] = []
-    for i, v in enumerate(verts):
-        prev = []
-        before = set(verts[:i])
-        for d in g.rot[v]:
-            w = g.dart_head(d)
-            if w in before:
-                prev.append((d[0], w))
-        adj_prev.append(prev)
-
-    def feasible(placed: Dict[Vertex, Tuple[int, int]], v: Vertex, xy, i: int) -> bool:
-        if xy in placed.values():
-            return False
-        a = xy  # integer tuples work directly with the exact predicates
-        new_segs = []
-        for eid, w in adj_prev[i]:
-            b = placed[w]
-            if a == b:
-                return False
-            new_segs.append((eid, a, b))
-        for x in range(len(new_segs)):
-            for y in range(x + 1, len(new_segs)):
-                _, _, b1 = new_segs[x]
-                _, _, b2 = new_segs[y]
-                if point_on_segment(b1, a, b2) or point_on_segment(b2, a, b1):
-                    return False
-        pts = dict(placed)
-        for eid, sa, sb in new_segs:
-            u1, v1 = g.edges[eid]
-            for eid2, (u2, v2) in enumerate(g.edges):
-                if eid2 == eid or u2 not in placed or v2 not in placed:
-                    continue
-                if _segments_conflict(sa, sb, pts[u2], pts[v2]):
-                    return False
-            for w2, p2 in pts.items():
-                if w2 not in (u1, v1) and point_on_segment(p2, sa, sb):
-                    return False
-        for eid2, (u2, v2) in enumerate(g.edges):
-            if u2 in placed and v2 in placed and v not in (u2, v2):
-                if point_on_segment(a, pts[u2], pts[v2]):
-                    return False
-        return True
-
-    def rec(i: int, placed: Dict[Vertex, Tuple[int, int]], k: int) -> Optional[Coords]:
-        if budget[0] <= 0:
+    def rec(i: int, pos: List[int], occupied: int, segs: int, covered: int) -> Optional[Coords]:
+        nonlocal budget
+        if budget <= 0:
             return None
         if i == n:
-            cand = dict(placed)
+            cand = {v: box.points[c] for v, c in zip(verts, pos)}
             if drawing_valid(g, cand):
                 return _normalize(cand)
             return None
-        v = verts[i]
-        for x in range(k + 1):
-            for y in range(k + 1):
-                budget[0] -= 1
-                if budget[0] <= 0:
-                    return None
-                if feasible(placed, v, (x, y), i):
-                    placed[v] = (x, y)
-                    got = rec(i + 1, placed, k)
-                    if got is not None:
-                        return got
-                    del placed[v]
+        blocked = occupied | covered
+        seg_cells, conflicts = box.seg_cells, box.conflicts
+        for c, seg_row in enumerate(box.seg_id):
+            budget -= 1
+            if budget <= 0:
+                return None
+            bit = 1 << c
+            if blocked & bit:
+                continue  # occupied, or on a placed edge
+            new_segs = new_cells = 0
+            for j in prev[i]:
+                b = pos[j]
+                s = seg_row[b]
+                row = conflicts[s]
+                if row is None:
+                    row = box.fill_conflicts(s)
+                # the new segment crosses or touches a placed one, or passes
+                # through a placed vertex other than its neighbour (which
+                # also catches two new segments overlapping: each one's far
+                # end is a placed vertex)
+                if row & segs or seg_cells[s] & occupied != 1 << b:
+                    break
+                new_segs |= 1 << s
+                new_cells |= seg_cells[s]
+            else:
+                pos.append(c)
+                got = rec(i + 1, pos, occupied | bit, segs | new_segs, covered | new_cells)
+                if got is not None:
+                    return got
+                pos.pop()
         return None
 
     for k in range(1, max_size + 1):
         if (k + 1) ** 2 < n:
             continue
-        budget[0] = node_budget
-        got = rec(0, {}, k)
+        box = _box_table(k)
+        budget = node_budget
+        got = rec(0, [], 0, 0, 0)
         if got is not None:
             return got
     return None
@@ -500,8 +497,9 @@ def grid_embed(
         if compact:
             coords = compact_drawing(g, coords)
         if search_small:
+            # only a drawing of span below target is kept
             target = max(_spans(coords))
-            limit = min(4, max(2, target - 1))
+            limit = min(4, target - 1)
             found = search_minimal_drawing(g, max_size=limit, node_budget=search_budget)
             if found is not None and max(_spans(found)) < max(_spans(coords)):
                 coords = found

@@ -10,6 +10,10 @@
 * The networkx max-flow cut solvers: the two-terminal cut and the
   isolating-cut lower bound on an ``nx.DiGraph`` with unit capacities,
   which :func:`disklab.graphs.edge_disjoint_paths` replaced.
+* The minimal-grid drawing search with its per-candidate ``feasible``
+  loops over every edge and vertex, which the bit-mask tables of
+  :func:`disklab.gridembed.search_minimal_drawing` replaced; it also counts
+  the candidate cells it tries.
 """
 
 from fractions import Fraction
@@ -18,7 +22,9 @@ from typing import Dict, List, Optional, Tuple
 import networkx as nx
 
 from disklab import arrangements as ar
-from disklab.geometry import Point, ray_crossing
+from disklab import gridembed as ge
+from disklab.geometry import Point, point_on_segment, ray_crossing
+from disklab.graphs import PlanarEmbeddedGraph
 from disklab.solvers import (
     OptimumCertificate,
     min_terminal_pair_cut,
@@ -243,3 +249,94 @@ def assert_cuts_match_networkx(inst: ar.DiskInstance) -> None:
                            meta={"terminal_disks": inst.meta["terminal_disks"][:2]})
     for cutoff in (None, 0, 1, 2, 3):
         assert min_terminal_pair_cut(pair, cutoff) == nx_terminal_pair_cut(pair, cutoff)
+
+
+def reference_search_minimal_drawing(
+    g: PlanarEmbeddedGraph,
+    max_size: int = 4,
+    node_budget: int = 300_000,
+) -> Tuple[Optional[ge.Coords], int]:
+    """The minimal-grid search with ``feasible`` checking each candidate
+    cell against every placed edge and vertex.  Returns the drawing (or
+    None) and the number of candidate cells the level that found it tried
+    (0 for None): that level succeeds under any ``node_budget`` above the
+    count and runs out under any budget at or below it."""
+    if not g.is_simple() or not g.is_connected():
+        return None, 0
+    verts = sorted(g.vertices, key=lambda v: -g.degree(v))
+    n = len(verts)
+    budget = [node_budget]
+
+    adj_prev: List[List[Tuple[int, object]]] = []
+    for i, v in enumerate(verts):
+        prev = []
+        before = set(verts[:i])
+        for d in g.rot[v]:
+            w = g.dart_head(d)
+            if w in before:
+                prev.append((d[0], w))
+        adj_prev.append(prev)
+
+    def feasible(placed, v, xy, i: int) -> bool:
+        if xy in placed.values():
+            return False
+        a = xy
+        new_segs = []
+        for eid, w in adj_prev[i]:
+            b = placed[w]
+            if a == b:
+                return False
+            new_segs.append((eid, a, b))
+        for x in range(len(new_segs)):
+            for y in range(x + 1, len(new_segs)):
+                _, _, b1 = new_segs[x]
+                _, _, b2 = new_segs[y]
+                if point_on_segment(b1, a, b2) or point_on_segment(b2, a, b1):
+                    return False
+        pts = dict(placed)
+        for eid, sa, sb in new_segs:
+            u1, v1 = g.edges[eid]
+            for eid2, (u2, v2) in enumerate(g.edges):
+                if eid2 == eid or u2 not in placed or v2 not in placed:
+                    continue
+                if ge._segments_conflict(sa, sb, pts[u2], pts[v2]):
+                    return False
+            for w2, p2 in pts.items():
+                if w2 not in (u1, v1) and point_on_segment(p2, sa, sb):
+                    return False
+        for eid2, (u2, v2) in enumerate(g.edges):
+            if u2 in placed and v2 in placed and v not in (u2, v2):
+                if point_on_segment(a, pts[u2], pts[v2]):
+                    return False
+        return True
+
+    def rec(i: int, placed, k: int):
+        if budget[0] <= 0:
+            return None
+        if i == n:
+            cand = dict(placed)
+            if ge.drawing_valid(g, cand):
+                return ge._normalize(cand)
+            return None
+        v = verts[i]
+        for x in range(k + 1):
+            for y in range(k + 1):
+                budget[0] -= 1
+                if budget[0] <= 0:
+                    return None
+                if feasible(placed, v, (x, y), i):
+                    placed[v] = (x, y)
+                    got = rec(i + 1, placed, k)
+                    if got is not None:
+                        return got
+                    del placed[v]
+        return None
+
+    for k in range(1, max_size + 1):
+        if (k + 1) ** 2 < n:
+            continue
+        budget[0] = node_budget
+        got = rec(0, {}, k)
+        if got is not None:
+            return got, node_budget - budget[0]
+    return None, 0

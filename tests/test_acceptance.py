@@ -7,6 +7,7 @@ with a wall-clock cap assert it with ``time.monotonic`` around the
 measured work.
 """
 
+import hashlib
 import json
 import random
 import time
@@ -232,6 +233,14 @@ def test_criterion_04_sound_corpus_gadget_contacts(sound_corpus):
             for end_disk in (ids[0], ids[-1]):
                 assert 1 <= ring_contacts.get(end_disk, 0) <= 3, (eid, end_disk)
     assert grids == {2, 3}  # the seed covers both parameter scales
+
+
+def test_sound_corpus_drawings_are_pinned(sound_corpus):
+    # the minimal-grid search's budget decides which draws fit grid 3, so a
+    # change to how it counts candidates would change the corpus
+    blob = json.dumps([emb.to_dict() for emb, _ in sound_corpus], sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == (
+        "bca5966f53734bbe382456036c009c56be329f11523a1fd24a38c4f240d657fe")
 
 
 def test_sound_corpus_cached_centers_match_round_trip(sound_corpus):

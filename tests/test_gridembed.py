@@ -2,6 +2,7 @@
 location, compaction."""
 
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,7 +13,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from disklab import graphs as gr
 from disklab import gridembed as ge
+from disklab.corpus import random_planar_edges, rotation_graph
 from disklab.geometry import point_on_segment
+
+from oracles import reference_search_minimal_drawing
 
 
 def triangle():
@@ -162,6 +166,64 @@ def test_search_minimal_drawing_respects_budget():
     assert ge.search_minimal_drawing(k4(), max_size=4, node_budget=1) is None
 
 
+def _search_cases():
+    # seed 2's first twelve graphs: 3 to 8 vertices, one search that finds
+    # nothing, and the oracle's searches take a few seconds in all
+    rng = random.Random(2)
+    cases = []
+    for i in range(12):
+        names, edges = random_planar_edges(rng, rng.randint(3, 8))
+        cases.append(pytest.param(rotation_graph(names, edges), 2 + i % 3,
+                                  id=f"graph{i}-k{2 + i % 3}"))
+    # K_{2,m} places its two hubs first, apart: only the vertex-on-segment
+    # mask rejects a spoke through the hub that has no placed edge yet
+    for m in (3, 4):
+        names = ["u0", "u1"] + [f"w{j}" for j in range(m)]
+        edges = [(u, w) for w in names[2:] for u in names[:2]]
+        cases.append(pytest.param(rotation_graph(names, edges), 3, id=f"k2_{m}-k3"))
+    # b and a are placed and joined first, then c with no placed neighbour:
+    # only the covered-cells mask keeps c off the segment ab
+    edges = [("a", "b"), ("a", "d"), ("a", "e"), ("b", "d"), ("b", "e"),
+             ("c", "d"), ("c", "e"), ("c", "f"), ("f", "b")]
+    cases.append(pytest.param(rotation_graph(list("abcdef"), edges), 3, id="apart-k3"))
+    return cases
+
+
+@pytest.mark.parametrize("g,max_size", _search_cases())
+def test_search_minimal_drawing_matches_reference(g, max_size):
+    """The table-driven search returns what the per-candidate loops of the
+    reference return, at the default budget and at the budgets just above
+    and at the count of cells the finding level tries, where that level
+    first succeeds and last runs out."""
+    want, tried = reference_search_minimal_drawing(g, max_size)
+    got = ge.search_minimal_drawing(g, max_size)
+    assert got == want and (got is None or list(got) == list(want))
+    if want is None:
+        return
+    assert ge.search_minimal_drawing(g, max_size, node_budget=tried + 1) == want
+    short, _ = reference_search_minimal_drawing(g, max_size, node_budget=tried)
+    assert short != want
+    assert ge.search_minimal_drawing(g, max_size, node_budget=tried) == short
+
+
+def test_search_budget_decides_a_sound_corpus_draw():
+    # the twelfth draw of the sound corpus' seed (8 vertices, 14 edges):
+    # the default budget runs out on grid 3, so grid_embed keeps a grid-4
+    # drawing and the corpus discards it, though a grid-3 drawing is the
+    # 390,650th candidate cell
+    names = [f"v{i}" for i in range(8)]
+    edges = [("v0", "v1"), ("v0", "v2"), ("v1", "v3"), ("v1", "v4"), ("v1", "v5"),
+             ("v0", "v6"), ("v3", "v7"), ("v7", "v2"), ("v3", "v2"), ("v4", "v6"),
+             ("v6", "v5"), ("v4", "v3"), ("v1", "v6"), ("v0", "v3")]
+    g = rotation_graph(names, edges)
+    assert ge.search_minimal_drawing(g, max_size=3) is None
+    assert ge.grid_embed(g).grid_size == 4
+    want, tried = reference_search_minimal_drawing(g, max_size=3, node_budget=400_000)
+    assert tried == 390_650
+    assert ge.search_minimal_drawing(g, max_size=3, node_budget=400_000) == want
+    assert max(ge._spans(want)) == 3
+
+
 def test_disconnected_graph_rejected():
     g = gr.PlanarEmbeddedGraph.from_edge_rotation(
         ["a", "b", "c", "d"],
@@ -176,12 +238,47 @@ def test_disconnected_graph_rejected():
 # face location
 # ---------------------------------------------------------------------------
 
+def unbounded_face(g, coords):
+    for f in range(g.face_count()):
+        if ge._face_is_unbounded(g, coords, f):
+            return f
+    raise ge.DrawingError("no unbounded face found")
+
+
+def point_in_face(g, coords, face):
+    """Some rational point strictly inside ``face``, off all edges.
+
+    Probes points perpendicular to walk edges at shrinking offsets and
+    verifies each candidate by exact location.
+    """
+    walk = g.facial_walks()[face]
+    if not walk:
+        # single-vertex graph: everything but the vertex is the one face
+        v = g.vertices[0]
+        return (Fraction(coords[v][0] + 1), Fraction(coords[v][1]))
+    for d in walk:
+        a = coords[g.dart_tail(d)]
+        b = coords[g.dart_head(d)]
+        mx, my = Fraction(a[0] + b[0], 2), Fraction(a[1] + b[1], 2)
+        # left normal of the dart direction: face side under our convention
+        nx_, ny_ = -(b[1] - a[1]), (b[0] - a[0])
+        scale = max(abs(nx_), abs(ny_))
+        for k in (2, 4, 8, 16, 64, 256, 1024):
+            p = (mx + Fraction(nx_, scale * k), my + Fraction(ny_, scale * k))
+            try:
+                if ge.locate_face(g, coords, p) == face:
+                    return p
+            except ge.DrawingError:
+                continue
+    raise ge.DrawingError(f"could not produce an interior point for face {face}")
+
+
 def test_locate_and_interior_points_cover_all_faces():
     g = k4()
     emb = ge.grid_embed(g)
     seen = set()
     for f in range(g.face_count()):
-        p = ge.point_in_face(g, emb.coords, f)
+        p = point_in_face(g, emb.coords, f)
         assert ge.locate_face(g, emb.coords, p) == f
         seen.add(f)
     assert seen == set(range(4))
@@ -190,8 +287,8 @@ def test_locate_and_interior_points_cover_all_faces():
 def test_unbounded_face_unique_and_located():
     g = triangle()
     emb = ge.grid_embed(g)
-    outer = ge.unbounded_face(g, emb.coords)
-    far = (ge.Fraction(10**6), ge.Fraction(7))
+    outer = unbounded_face(g, emb.coords)
+    far = (Fraction(10**6), Fraction(7))
     assert ge.locate_face(g, emb.coords, far) == outer
 
 
@@ -199,7 +296,7 @@ def test_locate_face_rejects_boundary_points():
     g = triangle()
     emb = ge.grid_embed(g)
     v = g.vertices[0]
-    p = (ge.Fraction(emb.coords[v][0]), ge.Fraction(emb.coords[v][1]))
+    p = (Fraction(emb.coords[v][0]), Fraction(emb.coords[v][1]))
     with pytest.raises(ge.DrawingError):
         ge.locate_face(g, emb.coords, p)
 
@@ -210,7 +307,7 @@ def test_tree_has_single_locatable_face():
     )
     emb = ge.grid_embed(g)
     assert g.face_count() == 1
-    p = ge.point_in_face(g, emb.coords, 0)
+    p = point_in_face(g, emb.coords, 0)
     assert ge.locate_face(g, emb.coords, p) == 0
 
 
@@ -368,7 +465,7 @@ def test_check_drawing_matches_fraction_oracle(case):
     if got is not None or len(set(gr.components(g.vertices, g.edges).values())) > 1:
         return  # faces are defined for valid drawings of connected graphs
     for f in range(g.face_count()):
-        p = ge.point_in_face(g, coords, f)
+        p = point_in_face(g, coords, f)
         assert all(type(c) is Fraction for c in p)
         assert ge.locate_face(g, coords, p) == f
 

@@ -162,6 +162,22 @@ def test_reduce_refuses_a_graph_without_vertices(tmp_path):
     assert lines == ["rejected: graph has no vertices"]
 
 
+@pytest.mark.parametrize("mode", ["toy", "sound"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_reduce_refuses_a_disconnected_graph(tmp_path, n, mode):
+    # two vertices used to be drawn before the connectivity check: toy mode
+    # then failed on the marked point (exit 1), sound mode wrote an instance
+    names = [f"v{i}" for i in range(n)]
+    src = tmp_path / "apart.json"
+    write_json({"vertices": names, "edges": [], "rotation": {v: [] for v in names},
+                "terminals": {"p": 0}}, src)
+    out = tmp_path / "x.json"
+    code, lines = cli_reduce("subdivision->isolation", src, out, mode=mode)
+    assert code == 2
+    assert lines == ["malformed: drawing requires a connected graph"]
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # verify and solve exit codes
 # ---------------------------------------------------------------------------
