@@ -4,8 +4,10 @@ Layout happens in floating point (direction vectors, serpentine waypoints,
 arclength walks), then every center is snapped to a fine rational grid and
 all structural claims are re-established by exact arithmetic: chains must
 induce simple paths, rings simple cycles, and cross-structure contacts must
-match an explicit allow-list.  A failed check raises
-:class:`SynthesisError`; no instance leaves this module unverified.
+match an explicit allow-list.  All four synthesizers add their disks
+through one builder, :class:`_Disks`, which snaps, tags and registers each
+structure and runs that check; a failed check raises
+:class:`SynthesisError`, so no instance leaves this module unverified.
 
 Scale conventions.  Drawings live on the integer grid; disk radii come from
 the parameter schedule, which makes structures tiny relative to grid edges
@@ -69,28 +71,6 @@ class Snapper:
     def snap_point(self, p: Tuple[float, float]) -> Tuple[int, int]:
         """Integer numerators over M of the snapped point."""
         return (self.numerator(p[0]), self.numerator(p[1]))
-
-
-class _Disks:
-    """Disk centres as integer numerators over one denominator and their
-    tags, collected in disk order: the form a :class:`DiskInstance`
-    stores."""
-
-    def __init__(self, den: int):
-        self.den = den
-        self.xs: List[int] = []
-        self.ys: List[int] = []
-        self.tags: List[Tag] = []
-
-    def add(self, num: Tuple[int, int], tag: Tag) -> int:
-        """Append a disk centred at ``num`` / den; returns its id."""
-        self.xs.append(num[0])
-        self.ys.append(num[1])
-        self.tags.append(tag)
-        return len(self.tags) - 1
-
-    def centers(self) -> IntCenters:
-        return IntCenters(tuple(self.xs), tuple(self.ys), self.den)
 
 
 def _unit(dx: float, dy: float) -> Tuple[float, float]:
@@ -214,6 +194,103 @@ def check_structure(instance: DiskInstance, spec: StructureSpec) -> ContactRepor
 
 
 # ---------------------------------------------------------------------------
+# the builder every synthesizer adds its disks through
+# ---------------------------------------------------------------------------
+
+class _Disks:
+    """The one builder of synthesized instances.  Disks are added a whole
+    structure at a time: a single disk carries the structure's tag itself,
+    disk k of a chain or ring carries the tag plus ``(k,)``.  Centres are
+    integer numerators over the snapper's denominator; every structure is
+    registered in the spec :meth:`finish` checks the instance against."""
+
+    def __init__(self, r: Fraction):
+        self.r = r
+        self.snapper = Snapper(r)
+        self.M = self.snapper.M
+        self.xs: List[int] = []
+        self.ys: List[int] = []
+        self.tags: List[Tag] = []
+        self.spec = StructureSpec()
+
+    def single(self, tag: Tag, num: Tuple[int, int]) -> int:
+        """One disk centred at ``num`` / M; returns its id."""
+        self.xs.append(num[0])
+        self.ys.append(num[1])
+        self.tags.append(tag)
+        self.spec.chains[tag] = [len(self.tags) - 1]
+        return len(self.tags) - 1
+
+    def chain(self, tag: Tag, points: Sequence[Tuple[float, float]], first: int) -> List[int]:
+        """A chain through the snapped layout ``points``, its disks numbered
+        from ``first``; returns their ids."""
+        snap = self.snapper.snap_point
+        return self._structure(self.spec.chains, tag, [snap(c) for c in points], first)
+
+    def ring(self, tag: Tag, nums: Sequence[Tuple[int, int]]) -> List[int]:
+        """A ring through the snapped centres ``nums``; returns their ids."""
+        return self._structure(self.spec.rings, tag, nums, 0)
+
+    def _structure(self, into: Dict[Tag, List[int]], tag: Tag,
+                   nums: Sequence[Tuple[int, int]], first: int) -> List[int]:
+        start = len(self.tags)
+        self.xs.extend(x for x, _ in nums)
+        self.ys.extend(y for _, y in nums)
+        self.tags.extend(tag + (k,) for k in range(first, first + len(nums)))
+        into[tag] = ids = list(range(start, len(self.tags)))
+        return ids
+
+    def allow(self, a: Tag, b: Tag, lo: int, hi: int) -> None:
+        """Structures ``a`` and ``b`` may meet in ``lo``..``hi`` disk pairs."""
+        self.spec.allowed_contacts[(a, b)] = (lo, hi)
+
+    def centers(self) -> IntCenters:
+        return IntCenters(tuple(self.xs), tuple(self.ys), self.M)
+
+    def finish(self, what: str, meta: Dict[str, object], points: Optional[Dict[str, Point]],
+               params: Optional[ParamSet]) -> Tuple[DiskInstance, ContactReport]:
+        """The instance, once its intersection graph matches the spec."""
+        inst = DiskInstance(radius=self.r, centers=self.centers(), tags=self.tags,
+                            points=points, params=params, meta=meta)
+        report = check_structure(inst, self.spec)
+        if not report.ok:
+            raise SynthesisError(
+                f"{what} instance failed verification:\n  " + "\n  ".join(report.violations[:12])
+            )
+        inst.validate()
+        return inst, report
+
+
+def _incident_pairs(edges: Sequence[Tuple[Vertex, Vertex]]) -> List[Tuple[int, int]]:
+    """Pairs of edge ids that share an endpoint, endpoint by endpoint."""
+    by_vertex: Dict[Vertex, List[int]] = {}
+    for eid, (u, w) in enumerate(edges):
+        by_vertex.setdefault(u, []).append(eid)
+        by_vertex.setdefault(w, []).append(eid)
+    return [(a, b) for eids in by_vertex.values() for k, a in enumerate(eids) for b in eids[k + 1:]]
+
+
+def _attached_span(ax: float, ay: float, bx: float, by: float, off: float):
+    """Length of segment ab less ``off`` at each end, and the two points
+    ``off`` in from its ends: the endpoints of a straight chain."""
+    L = math.hypot(bx - ax, by - ay)
+    ux, uy = _unit(bx - ax, by - ay)
+    return L - 2 * off, [(ax + off * ux, ay + off * uy), (bx - off * ux, by - off * uy)]
+
+
+def _lane_points(way: Sequence[Tuple[float, float]], rf: float) -> List[Tuple[float, float]]:
+    """Chain points along the polyline ``way`` at pitch at most 1.7 r."""
+    length = sum(math.hypot(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(way, way[1:]))
+    return _walk_polyline(way, max(2, math.ceil(length / (1.7 * rf)) + 1))
+
+
+def _check_drawing_matches(g, emb: GridEmbedding) -> None:
+    if set(g.vertices) != set(emb.graph.vertices) or \
+            [tuple(e) for e in g.edges] != [tuple(e) for e in emb.graph.edges]:
+        raise SynthesisError("drawing does not match the instance graph")
+
+
+# ---------------------------------------------------------------------------
 # walls and vertex structures
 # ---------------------------------------------------------------------------
 
@@ -288,9 +365,7 @@ def _sound_wall_plan(
 def _toy_wall_plan(ax, ay, bx, by, p: ParamSet, attach: float) -> WallPlan:
     r = float(p.r)
     c = p.c_edge
-    L = math.hypot(bx - ax, by - ay)
-    ux, uy = _unit(bx - ax, by - ay)
-    straight = L - 2 * attach * r
+    straight, ends = _attached_span(ax, ay, bx, by, attach * r)
     if straight <= 0:
         raise SynthesisError("edge too short for toy attachments")
     sigma = straight / (c - 1)
@@ -299,10 +374,7 @@ def _toy_wall_plan(ax, ay, bx, by, p: ParamSet, attach: float) -> WallPlan:
             f"toy spacing sigma/r={sigma / r:.3f} outside (1.02, 1.95); "
             "adjust the per-edge disk budget"
         )
-    start = (ax + attach * r * ux, ay + attach * r * uy)
-    end = (bx - attach * r * ux, by - attach * r * uy)
-    pts = _walk_polyline([start, end], c)
-    return WallPlan(pts, sigma / r)
+    return WallPlan(_walk_polyline(ends, c), sigma / r)
 
 
 def toy_edge_budget(emb: GridEmbedding, p: ParamSet, cap: int = 10, attach: float = 1.8) -> int:
@@ -336,7 +408,6 @@ def _ring_centers(cx: float, cy: float, s: float, count: int, phase: float) -> L
 @dataclass
 class IsolationArtifacts:
     instance: DiskInstance
-    spec: StructureSpec
     wall_ids: Dict[int, List[int]]        # edge id -> disk ids in chain order
     vertex_ids: Dict[Vertex, List[int]]   # vertex -> ring/anchor disk ids
     report: ContactReport
@@ -404,9 +475,7 @@ def build_isolation_instance(
     argument tolerates because entire walls still stand or fall as units.
     """
     sub.validate()
-    if set(sub.graph.vertices) != set(emb.graph.vertices) or \
-            [tuple(e) for e in sub.graph.edges] != [tuple(e) for e in emb.graph.edges]:
-        raise SynthesisError("drawing does not match the instance graph")
+    _check_drawing_matches(sub.graph, emb)
     g = emb.graph
     if params is None:
         params = compute_params(emb.grid_size, mode=mode)
@@ -416,95 +485,59 @@ def build_isolation_instance(
         raise SynthesisError(
             f"instance would need {total_edge_disks} wall disks; refusing"
         )
-    snapper = Snapper(p.r)
-    disks = _Disks(snapper.M)
-    wall_ids: Dict[int, List[int]] = {}
-    vertex_ids: Dict[Vertex, List[int]] = {}
-    spec = StructureSpec()
+    b = _Disks(p.r)
+    M = b.M
     coords_f = {v: (float(x), float(y)) for v, (x, y) in emb.coords.items()}
-
-    toy_attach = 1.8
-    if p.mode == "toy":
-        for v in g.vertices:
+    toy = p.mode == "toy"
+    vertex_kind = "anchor" if toy else "ring"
+    two_r = int(2 * p.r * M)
+    vertex_ids: Dict[Vertex, List[int]] = {}
+    for v in g.vertices:
+        if toy:
             x, y = emb.coords[v]
-            i = disks.add((x * snapper.M, y * snapper.M), ("anchor", str(v)))
-            vertex_ids[v] = [i]
-            spec.chains[("anchor", str(v))] = [i]
-    else:
-        two_r = int(2 * p.r * snapper.M)
-        for v in g.vertices:
-            phase_try = (0.0, math.pi / p.c_vertex, math.pi / (2 * p.c_vertex))
-            placed = None
-            for phase in phase_try:
-                ring = _ring_centers(*coords_f[v], float(p.s), p.c_vertex, phase)
-                snapped = [snapper.snap_point(c) for c in ring]
-                if _ring_is_cycle(snapped, two_r):
-                    placed = snapped
-                    break
-            if placed is None:
-                raise SynthesisError(f"vertex ring at {v!r} failed to close")
-            ids = [disks.add(c, ("ring", str(v), j)) for j, c in enumerate(placed)]
-            vertex_ids[v] = ids
-            spec.rings[("ring", str(v))] = ids
+            vertex_ids[v] = [b.single(("anchor", str(v)), (x * M, y * M))]
+            continue
+        for phase in (0.0, math.pi / p.c_vertex, math.pi / (2 * p.c_vertex)):
+            ring = _ring_centers(*coords_f[v], float(p.s), p.c_vertex, phase)
+            snapped = [b.snapper.snap_point(c) for c in ring]
+            if _ring_is_cycle(snapped, two_r):
+                break
+        else:
+            raise SynthesisError(f"vertex ring at {v!r} failed to close")
+        vertex_ids[v] = b.ring(("ring", str(v)), snapped)
 
+    wall_ids: Dict[int, List[int]] = {}
     for eid, (u, w) in enumerate(g.edges):
         (ax, ay), (bx, by) = coords_f[u], coords_f[w]
-        if p.mode == "toy":
-            plan = _toy_wall_plan(ax, ay, bx, by, p, toy_attach)
+        if toy:
+            plan = _toy_wall_plan(ax, ay, bx, by, p, 1.8)
         else:
             plan = _sound_wall_plan(ax, ay, bx, by, p)
-        ids = [disks.add(snapper.snap_point(c), ("wall", eid, j))
-               for j, c in enumerate(plan.centers)]
-        wall_ids[eid] = ids
-        wt = ("wall", eid)
-        spec.chains[wt] = ids
-        ukey = ("anchor", str(u)) if p.mode == "toy" else ("ring", str(u))
-        wkey = ("anchor", str(w)) if p.mode == "toy" else ("ring", str(w))
-        spec.allowed_contacts[(wt, ukey)] = (1, 3)
-        spec.allowed_contacts[(wt, wkey)] = (1, 3)
-
-    if p.mode == "toy":
+        wall_ids[eid] = b.chain(("wall", eid), plan.centers, 0)
+        b.allow(("wall", eid), (vertex_kind, str(u)), 1, 3)
+        b.allow(("wall", eid), (vertex_kind, str(w)), 1, 3)
+    if toy:
         # walls meeting at a shared endpoint may brush near the anchor
-        by_vertex: Dict[Vertex, List[int]] = {}
-        for eid, (u, w) in enumerate(g.edges):
-            by_vertex.setdefault(u, []).append(eid)
-            by_vertex.setdefault(w, []).append(eid)
-        for v, eids in by_vertex.items():
-            for i in range(len(eids)):
-                for j in range(i + 1, len(eids)):
-                    key = (("wall", eids[i]), ("wall", eids[j]))
-                    spec.allowed_contacts[key] = (0, 4)
+        for e1, e2 in _incident_pairs(g.edges):
+            b.allow(("wall", e1), ("wall", e2), 0, 4)
 
-    centers = disks.centers()
-    points = _place_face_points(emb, sub.terminals, centers, p.r)
+    points = _place_face_points(emb, sub.terminals, b.centers(), p.r)
     vertex_disk_total = sum(len(v) for v in vertex_ids.values())
-    inst = DiskInstance(
-        radius=p.r,
-        centers=centers,
-        tags=disks.tags,
-        points=points,
-        params=p,
-        meta={
-            "kind": "isolation",
-            "c_edge": p.c_edge,
-            "vertex_disk_total": vertex_disk_total,
-            "groups": sub.groups,
-            "terminal_faces": dict(sub.terminals),
-        },
-    )
-    inst.validate()
-    report = check_structure(inst, spec)
-    if not report.ok:
-        raise SynthesisError(
-            "isolation instance failed verification:\n  " + "\n  ".join(report.violations[:12])
-        )
+    meta = {
+        "kind": "isolation",
+        "c_edge": p.c_edge,
+        "vertex_disk_total": vertex_disk_total,
+        "groups": sub.groups,
+        "terminal_faces": dict(sub.terminals),
+    }
+    inst, report = b.finish("isolation", meta, points=points, params=p)
     if vertex_disk_total >= p.c_edge:
         raise SynthesisError(
             f"vertex structures use {vertex_disk_total} disks, which reaches the "
             f"per-wall budget {p.c_edge} and breaks the size law"
         )
     return IsolationArtifacts(
-        instance=inst, spec=spec, wall_ids=wall_ids, vertex_ids=vertex_ids, report=report
+        instance=inst, wall_ids=wall_ids, vertex_ids=vertex_ids, report=report
     )
 
 
@@ -549,7 +582,6 @@ def lift_fence_to_edges(instance: DiskInstance, chosen_ids: Iterable[int]) -> Li
 class AccArtifacts:
     instance: DiskInstance
     hub_of_vertex: Dict[Vertex, int]
-    spec: StructureSpec
     cycle_rank: int
 
 
@@ -567,60 +599,31 @@ def build_acc_instance(
     of holes equals the graph's cycle rank, so no accidental contact has
     added or filled anything.
     """
-    snapper = Snapper(r)
     rf = float(r)
-    disks = _Disks(snapper.M)
-    spec = StructureSpec()
+    b = _Disks(r)
     hub_of_vertex: Dict[Vertex, int] = {}
     for v in vertices:
         x, y = coords[v]
-        hub_of_vertex[v] = disks.add((x * snapper.M, y * snapper.M), ("hub", str(v)))
-        spec.chains[("hub", str(v))] = [hub_of_vertex[v]]
+        hub_of_vertex[v] = b.single(("hub", str(v)), (x * b.M, y * b.M))
     for eid, (u, w) in enumerate(edges):
         if u == w:
             raise SynthesisError("loops are not drawable as chains")
         (ax, ay), (bx, by) = coords[u], coords[w]
-        L = math.hypot(bx - ax, by - ay)
-        ux, uy = _unit(bx - ax, by - ay)
-        attach = 1.5 * rf
-        inner = L - 2 * attach
+        inner, ends = _attached_span(ax, ay, bx, by, 1.5 * rf)
         if inner <= 0:
             raise SynthesisError(f"edge {eid} too short for hub clearance")
         m = max(2, math.ceil(inner / (1.8 * rf)) + 1)
-        sigma = inner / (m - 1)
-        if not (1.02 * rf < sigma <= 1.95 * rf):
+        if not (1.02 * rf < inner / (m - 1) <= 1.95 * rf):
             m += 1
-            sigma = inner / (m - 1)
-            if not (1.02 * rf < sigma <= 1.95 * rf):
+            if not (1.02 * rf < inner / (m - 1) <= 1.95 * rf):
                 raise SynthesisError(f"edge {eid}: no admissible chain spacing")
-        pts = _walk_polyline(
-            [(ax + attach * ux, ay + attach * uy), (bx - attach * ux, by - attach * uy)], m
-        )
-        ids = [disks.add(snapper.snap_point(c), ("conn", eid, j)) for j, c in enumerate(pts)]
-        tag = ("conn", eid)
-        spec.chains[tag] = ids
-        spec.allowed_contacts[(tag, ("hub", str(u)))] = (1, 1)
-        spec.allowed_contacts[(tag, ("hub", str(w)))] = (1, 1)
-    by_vertex: Dict[Vertex, List[int]] = {}
-    for eid, (u, w) in enumerate(edges):
-        by_vertex.setdefault(u, []).append(eid)
-        by_vertex.setdefault(w, []).append(eid)
-    for v, eids in by_vertex.items():
-        for i in range(len(eids)):
-            for j in range(i + 1, len(eids)):
-                spec.allowed_contacts[(("conn", eids[i]), ("conn", eids[j]))] = (0, 1)
-
-    inst = DiskInstance(
-        radius=r,
-        centers=disks.centers(),
-        tags=disks.tags,
-        meta={"kind": "acc", "hubs": {str(v): i for v, i in hub_of_vertex.items()}},
-    )
-    report = check_structure(inst, spec)
-    if not report.ok:
-        raise SynthesisError(
-            "acyclicity instance failed verification:\n  " + "\n  ".join(report.violations[:12])
-        )
+        b.chain(("conn", eid), _walk_polyline(ends, m), 0)
+        b.allow(("conn", eid), ("hub", str(u)), 1, 1)
+        b.allow(("conn", eid), ("hub", str(w)), 1, 1)
+    for e1, e2 in _incident_pairs(edges):
+        b.allow(("conn", e1), ("conn", e2), 0, 1)
+    meta = {"kind": "acc", "hubs": {str(v): i for v, i in hub_of_vertex.items()}}
+    inst, _ = b.finish("acyclicity", meta, points=None, params=None)
     # the union must have exactly one hole per independent cycle
     n_comp = len(set(components(vertices, edges).values()))
     cycle_rank = len(edges) - len(vertices) + n_comp
@@ -631,9 +634,7 @@ def build_acc_instance(
             f"drawn topology mismatch: {regions} vs cycle rank {cycle_rank}, "
             f"{n_comp} component(s)"
         )
-    return AccArtifacts(
-        instance=inst, hub_of_vertex=hub_of_vertex, spec=spec, cycle_rank=cycle_rank
-    )
+    return AccArtifacts(instance=inst, hub_of_vertex=hub_of_vertex, cycle_rank=cycle_rank)
 
 
 def lift_vertex_set_to_acc(art: AccArtifacts, fvs: Iterable[Vertex]) -> List[int]:
@@ -647,7 +648,6 @@ def lift_vertex_set_to_acc(art: AccArtifacts, fvs: Iterable[Vertex]) -> List[int
 @dataclass
 class CutArtifacts:
     instance: DiskInstance
-    terminal_of_vertex: Dict[Vertex, int]
     lane_ids: Dict[Tuple[int, int], List[int]]  # (edge id, copy) -> chain disk ids
 
 
@@ -666,13 +666,9 @@ def build_weighted_edge_instance(
     if weight < 1:
         raise SynthesisError("weight must be at least 1")
     rf = float(r)
-    snapper = Snapper(r)
-    disks = _Disks(snapper.M)
-    disks.add((0, 0), ("terminal", "u"))
-    disks.add((snapper.numerator(span), 0), ("terminal", "v"))
-    spec = StructureSpec()
-    spec.chains[("terminal", "u")] = [0]
-    spec.chains[("terminal", "v")] = [1]
+    b = _Disks(r)
+    b.single(("terminal", "u"), (0, 0))
+    b.single(("terminal", "v"), (b.snapper.numerator(span), 0))
     lane_ids: Dict[Tuple[int, int], List[int]] = {}
     lane_pitch = 2.4 * rf
     bend = max(6 * rf, lane_pitch * weight / 1.5)
@@ -684,41 +680,20 @@ def build_weighted_edge_instance(
         y = (j - (weight - 1) / 2.0) * lane_pitch
         ang = math.atan2(y, bend)
         sx, sy = 1.8 * rf * math.cos(ang), 1.8 * rf * math.sin(ang)
-        way = [
-            (sx, sy),
-            (bend, y),
-            (span - bend, y),
-            (span - sx, sy),
-        ]
-        length = sum(
-            math.hypot(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(way, way[1:])
-        )
-        m = max(2, math.ceil(length / (1.7 * rf)) + 1)
-        pts = _walk_polyline(way, m)
-        ids = [disks.add(snapper.snap_point(c), ("lane", 0, j, k)) for k, c in enumerate(pts)]
-        lane_ids[(0, j)] = ids
+        way = [(sx, sy), (bend, y), (span - bend, y), (span - sx, sy)]
         tag = ("lane", 0, j)
-        spec.chains[tag] = ids
-        spec.allowed_contacts[(tag, ("terminal", "u"))] = (1, 1)
-        spec.allowed_contacts[(tag, ("terminal", "v"))] = (1, 1)
+        lane_ids[(0, j)] = b.chain(tag, _lane_points(way, rf), 0)
+        b.allow(tag, ("terminal", "u"), 1, 1)
+        b.allow(tag, ("terminal", "v"), 1, 1)
     # lanes may brush inside the end fans; extra contacts there never lower the
     # cut (a surviving lane still reaches both terminals on its own).  The
     # middle-zone disjointness that makes the cut *achievable* is checked
     # positionally below.
     for j in range(weight):
         for j2 in range(j + 1, weight):
-            spec.allowed_contacts[(("lane", 0, j), ("lane", 0, j2))] = (0, 10**9)
-    inst = DiskInstance(
-        radius=r,
-        centers=disks.centers(),
-        tags=disks.tags,
-        meta={"kind": "udmc", "terminal_disks": [0, 1], "weight": weight},
-    )
-    report = check_structure(inst, spec)
-    if not report.ok:
-        raise SynthesisError(
-            "cut instance failed verification:\n  " + "\n  ".join(report.violations[:12])
-        )
+            b.allow(("lane", 0, j), ("lane", 0, j2), 0, 10**9)
+    meta = {"kind": "udmc", "terminal_disks": [0, 1], "weight": weight}
+    inst, report = b.finish("cut", meta, points=None, params=None)
     # each lane alone must connect the terminals, and in the middle zone
     # (between the fans) lanes must be pairwise disjoint so that deleting one
     # mid-lane disk per lane really disconnects the ends
@@ -727,11 +702,11 @@ def build_weighted_edge_instance(
     for (eid, j), ids in lane_ids.items():
         if not (0 in adj[ids[0]] and 1 in adj[ids[-1]]):
             raise SynthesisError(f"lane {j} fails to reach both terminals")
-    # every centre is a numerator over snapper.M
-    mid_lo = snapper.numerator(bend + 2 * rf)
-    mid_hi = snapper.numerator(span - bend - 2 * rf)
-    xs = disks.xs
-    lane_of = {i: tag[2] for i, tag in enumerate(disks.tags) if tag[0] == "lane"}
+    # every centre is a numerator over M
+    mid_lo = b.snapper.numerator(bend + 2 * rf)
+    mid_hi = b.snapper.numerator(span - bend - 2 * rf)
+    xs = b.xs
+    lane_of = {i: tag[2] for i, tag in enumerate(b.tags) if tag[0] == "lane"}
     for (i, j) in udg.edges:
         li, lj = lane_of.get(i), lane_of.get(j)
         if li is None or lj is None or li == lj:
@@ -740,9 +715,7 @@ def build_weighted_edge_instance(
             raise SynthesisError(
                 f"lanes {li} and {lj} touch in the middle zone; cut size would drift"
             )
-    return CutArtifacts(
-        instance=inst, terminal_of_vertex={"u": 0, "v": 1}, lane_ids=lane_ids
-    )
+    return CutArtifacts(instance=inst, lane_ids=lane_ids)
 
 
 def perturb_copy(p: Tuple[float, float], j: int, r: Fraction) -> Tuple[float, float]:
@@ -764,7 +737,6 @@ BUNDLE_COPIES = 16
 @dataclass
 class UdmcArtifacts:
     instance: DiskInstance
-    spec: StructureSpec
     hub_of_vertex: Dict[Vertex, int]
     sigma_ids: Dict[Vertex, List[int]]             # all ring-copy disk ids
     lane_ids: Dict[Tuple[int, int], List[int]]     # (edge id, lane) -> chain ids
@@ -815,9 +787,7 @@ def build_udmc_instance(
     """
     mti.validate()
     g = mti.graph
-    if set(g.vertices) != set(emb.graph.vertices) or \
-            [tuple(e) for e in g.edges] != [tuple(e) for e in emb.graph.edges]:
-        raise SynthesisError("drawing does not match the instance graph")
+    _check_drawing_matches(g, emb)
     seen_pairs: Set[Tuple[Vertex, Vertex]] = set()
     degree: Dict[Vertex, int] = {v: 0 for v in g.vertices}
     for eid, (u, v) in enumerate(g.edges):
@@ -841,7 +811,6 @@ def build_udmc_instance(
         raise SynthesisError("fewer than 16 copies breaks the cut accounting")
 
     rf = float(r)
-    snapper = Snapper(r)
     pos = {v: (float(x) * scale, float(y) * scale) for v, (x, y) in emb.coords.items()}
     ring_r = 5.0 * rf
     lane_start = 6.0 * rf
@@ -849,8 +818,8 @@ def build_udmc_instance(
     pi_hi = pi_bounds()[1]
     m = ceil_frac(Fraction(5) * pi_hi)   # ring positions per copy
 
-    disks = _Disks(snapper.M)
-    spec = StructureSpec()
+    b = _Disks(r)
+    snap = b.snapper.snap_point
     hub_of_vertex: Dict[Vertex, int] = {}
     sigma_ids: Dict[Vertex, List[int]] = {}
     sigma_tags: Dict[Vertex, List[Tag]] = {}
@@ -863,40 +832,29 @@ def build_udmc_instance(
     for v in g.vertices:
         cx, cy = pos[v]
         hub_tag: Tag = ("hub", str(v))
-        hub_id = disks.add(snapper.snap_point((cx, cy)), hub_tag)
-        spec.chains[hub_tag] = [hub_id]
-        hub_of_vertex[v] = hub_id
+        hub_of_vertex[v] = b.single(hub_tag, snap((cx, cy)))
         sigma_ids[v] = []
-        sigma_tags[v] = []
+        sigma_tags[v] = [("sigma", str(v), j) for j in range(copies)]
+        gamma_tags = [("gamma", str(v), j) for j in range(copies)]
         spur_ang = _gap_midangle(incident_angles[v])
         sdx, sdy = math.cos(spur_ang), math.sin(spur_ang)
-        gamma_tags: List[Tag] = []
         for j in range(copies):
-            ring_tag: Tag = ("sigma", str(v), j)
-            ids = []
+            ring = []
             for p_idx in range(m):
                 ang = 2 * math.pi * p_idx / m
                 base = (cx + ring_r * math.cos(ang), cy + ring_r * math.sin(ang))
-                q = snapper.snap_point(perturb_copy(base, j, r))
-                ids.append(disks.add(q, ring_tag + (p_idx,)))
-            spec.rings[ring_tag] = ids
-            sigma_ids[v].extend(ids)
-            sigma_tags[v].append(ring_tag)
-            spur_tag: Tag = ("gamma", str(v), j)
-            ids = []
-            for k, rad in enumerate((1.5 * rf, 3.3 * rf), 1):
-                base = (cx + rad * sdx, cy + rad * sdy)
-                q = snapper.snap_point(perturb_copy(base, j, r))
-                ids.append(disks.add(q, spur_tag + (k,)))
-            spec.chains[spur_tag] = ids
-            gamma_tags.append(spur_tag)
-            spec.allowed_contacts[(spur_tag, hub_tag)] = (1, 1)
+                ring.append(snap(perturb_copy(base, j, r)))
+            sigma_ids[v].extend(b.ring(sigma_tags[v][j], ring))
+            spur = [perturb_copy((cx + rad * sdx, cy + rad * sdy), j, r)
+                    for rad in (1.5 * rf, 3.3 * rf)]
+            b.chain(gamma_tags[j], spur, 1)
+            b.allow(gamma_tags[j], hub_tag, 1, 1)
         for j in range(copies):
             for k in range(j + 1, copies):
-                spec.allowed_contacts[(sigma_tags[v][j], sigma_tags[v][k])] = (3 * m, 3 * m)
-                spec.allowed_contacts[(gamma_tags[j], gamma_tags[k])] = (4, 4)
+                b.allow(sigma_tags[v][j], sigma_tags[v][k], 3 * m, 3 * m)
+                b.allow(gamma_tags[j], gamma_tags[k], 4, 4)
             for k in range(copies):
-                spec.allowed_contacts[(gamma_tags[j], sigma_tags[v][k])] = (1, 2)
+                b.allow(gamma_tags[j], sigma_tags[v][k], 1, 2)
 
     lane_ids: Dict[Tuple[int, int], List[int]] = {}
     lane_window: Dict[int, Tuple[float, float, Tuple[float, float], Tuple[float, float]]] = {}
@@ -925,38 +883,22 @@ def build_udmc_instance(
                 (bx - lane_start * math.cos(theta - delta),
                  by - lane_start * math.sin(theta - delta)),
             ]
-            length = sum(math.hypot(x1 - x0, y1 - y0)
-                         for (x0, y0), (x1, y1) in zip(way, way[1:]))
-            count = max(2, math.ceil(length / (1.7 * rf)) + 1)
-            pts = _walk_polyline(way, count)
             lane_tag: Tag = ("lane", eid, i)
-            ids = [disks.add(snapper.snap_point(c), lane_tag + (k,)) for k, c in enumerate(pts)]
-            spec.chains[lane_tag] = ids
-            lane_ids[(eid, i)] = ids
+            lane_ids[(eid, i)] = b.chain(lane_tag, _lane_points(way, rf), 0)
             for end_v in (u, v):
                 for ring_tag in sigma_tags[end_v]:
-                    spec.allowed_contacts[(lane_tag, ring_tag)] = (1, 2)
+                    b.allow(lane_tag, ring_tag, 1, 2)
             for i2 in range(i):
-                spec.allowed_contacts[(("lane", eid, i2), lane_tag)] = (0, 10**9)
+                b.allow(("lane", eid, i2), lane_tag, 0, 10**9)
 
-    inst = DiskInstance(
-        radius=r,
-        centers=disks.centers(),
-        tags=disks.tags,
-        meta={
-            "kind": "udmc",
-            "terminal_disks": [hub_of_vertex[t] for t in mti.terminals],
-            "weights": {str(eid): mti.weights.get(eid, 1) for eid in range(len(g.edges))},
-            "copies": copies,
-            "scale": scale,
-        },
-    )
-    report = check_structure(inst, spec)
-    if not report.ok:
-        raise SynthesisError(
-            "bundle instance failed verification:\n  "
-            + "\n  ".join(report.violations[:12])
-        )
+    meta = {
+        "kind": "udmc",
+        "terminal_disks": [hub_of_vertex[t] for t in mti.terminals],
+        "weights": {str(eid): mti.weights.get(eid, 1) for eid in range(len(g.edges))},
+        "copies": copies,
+        "scale": scale,
+    }
+    inst, report = b.finish("bundle", meta, points=None, params=None)
 
     xs, ys, den = inst.centers
     adj = [set(a) for a in report.graph.adj]
@@ -970,10 +912,9 @@ def build_udmc_instance(
     lane_cut_edge: Dict[Tuple[int, int], Tuple[int, int]] = {}
     for eid, (u, v) in enumerate(g.edges):
         lo, hi, (ax, ay), (ux, uy) = lane_window[eid]
+        lanes = [(i, lane_ids[(eid, i)]) for i in range(mti.weights.get(eid, 1))]
         mid: Dict[int, int] = {}     # disk id -> lane, for mid-zone disks
-        for (e2, i), ids in lane_ids.items():
-            if e2 != eid:
-                continue
+        for i, ids in lanes:
             # int / int is correctly rounded, so this is float() of the centre
             proj = [(xs[d] / den - ax) * ux + (ys[d] / den - ay) * uy for d in ids]
             inside = [k for k, t in enumerate(proj) if lo <= t <= hi]
@@ -1000,15 +941,12 @@ def build_udmc_instance(
                     )
         # every lane must enter both rings on its own
         sig_u, sig_v = set(sigma_ids[u]), set(sigma_ids[v])
-        for (e2, i), ids in lane_ids.items():
-            if e2 != eid:
-                continue
+        for i, ids in lanes:
             if not (adj[ids[0]] & sig_u) or not (adj[ids[-1]] & sig_v):
                 raise SynthesisError(f"lane {i} of edge {eid} misses a ring")
 
     return UdmcArtifacts(
         instance=inst,
-        spec=spec,
         hub_of_vertex=hub_of_vertex,
         sigma_ids=sigma_ids,
         lane_ids=lane_ids,

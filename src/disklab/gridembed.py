@@ -278,9 +278,10 @@ def draw_with_networkx(g: PlanarEmbeddedGraph) -> Coords:
     return _normalize(coords)
 
 
-def compact_drawing(g: PlanarEmbeddedGraph, coords: Coords, passes: int = 8) -> Coords:
+def compact_drawing(g: PlanarEmbeddedGraph, coords: Coords) -> Coords:
     """Shrink a valid drawing by deleting empty grid rows/columns and nudging
-    vertices toward the origin, keeping only moves that re-verify exactly."""
+    vertices toward the origin, keeping only moves that re-verify exactly;
+    at most eight moves."""
     best = _normalize(dict(coords))
 
     def try_axis_compression(cur: Coords) -> Optional[Coords]:
@@ -326,7 +327,7 @@ def compact_drawing(g: PlanarEmbeddedGraph, coords: Coords, passes: int = 8) -> 
                         return _normalize(cand)
         return None
 
-    for _ in range(passes):
+    for _ in range(8):
         step = try_axis_compression(best)
         if step is None:
             step = try_nudges(best)
@@ -386,12 +387,14 @@ def search_minimal_drawing(
     ``max_size`` yields one.
 
     Vertices are placed by descending degree, each tried at every cell in
-    x-major order, and a complete placement is re-checked by
-    :func:`drawing_valid`.  The search is table-driven: a candidate cell is
+    x-major order.  The search is table-driven: a candidate cell is
     checked against the drawing so far by a few ANDs with the box's bit
     masks (:class:`_BoxTable`, built with the exact predicates once per box
     size), and three ints carry the occupied cells, the placed segments and
-    the cells those segments cover.  ``node_budget`` counts candidate cells
+    the cells those segments cover.  The masks rule out every clause of
+    :func:`check_drawing` but the rotation, so a complete placement is
+    accepted when its drawn rotation is the prescribed one.
+    ``node_budget`` counts candidate cells
     tried, rejected ones included: a box gives up at its
     ``node_budget``-th candidate, and the next box starts afresh.
     """
@@ -412,9 +415,7 @@ def search_minimal_drawing(
             return None
         if i == n:
             cand = {v: box.points[c] for v, c in zip(verts, pos)}
-            if drawing_valid(g, cand):
-                return _normalize(cand)
-            return None
+            return _normalize(cand) if rotation_equivalent(g, cand) else None
         blocked = occupied | covered
         seg_cells, conflicts = box.seg_cells, box.conflicts
         for c, seg_row in enumerate(box.seg_id):
@@ -483,24 +484,18 @@ class GridEmbedding:
         return emb
 
 
-def grid_embed(
-    g: PlanarEmbeddedGraph,
-    compact: bool = True,
-    search_small: bool = True,
-    search_budget: int = 300_000,
-) -> GridEmbedding:
+def grid_embed(g: PlanarEmbeddedGraph, search_small: bool = True) -> GridEmbedding:
     """Rotation-faithful straight-line drawing on the smallest integer grid
     this module can find.  The result is always re-verified exactly."""
     coords = draw_with_networkx(g)
     if len(g.vertices) > 2:
         check_drawing(g, coords)
-        if compact:
-            coords = compact_drawing(g, coords)
+        coords = compact_drawing(g, coords)
         if search_small:
             # only a drawing of span below target is kept
             target = max(_spans(coords))
             limit = min(4, target - 1)
-            found = search_minimal_drawing(g, max_size=limit, node_budget=search_budget)
+            found = search_minimal_drawing(g, max_size=limit)
             if found is not None and max(_spans(found)) < max(_spans(coords)):
                 coords = found
     check_drawing(g, coords)

@@ -243,6 +243,13 @@ def test_sound_corpus_drawings_are_pinned(sound_corpus):
         "bca5966f53734bbe382456036c009c56be329f11523a1fd24a38c4f240d657fe")
 
 
+def test_sound_corpus_instances_are_pinned(sound_corpus):
+    # one digest over the 20 synthesized instances, in corpus order
+    digests = [pl.canonical_digest(art.instance.to_dict()) for _, art in sound_corpus]
+    assert pl.canonical_digest(digests) == (
+        "805fa896180598ab7be360380ee196b30941371e86bdf45f242d0b0387b556bf")
+
+
 def test_sound_corpus_cached_centers_match_round_trip(sound_corpus):
     emb, art = next((e, a) for e, a in sound_corpus if e.grid_size == 3)
     assert_round_trip_equal(art.instance)

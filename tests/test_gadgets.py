@@ -42,6 +42,7 @@ from disklab.gadgets import (
     _walk_polyline,
 )
 from disklab.geometry import Disk, compute_params
+from disklab.pipeline import canonical_digest
 from disklab.graphs import (
     MultiterminalInstance,
     PlanarEmbeddedGraph,
@@ -463,21 +464,23 @@ def test_acc_triangle_counts_and_topology():
     assert reg.bounded_complement_regions == 1
 
 
+FOREST = (["a", "b", "c"], [("a", "b"), ("b", "c")],
+          {"a": (0, 0), "b": (1, 0), "c": (1, 1)})
+TWO_TRIANGLES = (
+    ["a", "b", "c", "x", "y", "z"],
+    [("a", "b"), ("b", "c"), ("c", "a"), ("x", "y"), ("y", "z"), ("z", "x")],
+    {"a": (0, 0), "b": (1, 0), "c": (0, 1), "x": (4, 0), "y": (5, 0), "z": (4, 1)})
+
+
 def test_acc_forest_has_no_holes():
-    art = build_acc_instance(
-        ["a", "b", "c"], [("a", "b"), ("b", "c")],
-        {"a": (0, 0), "b": (1, 0), "c": (1, 1)})
+    art = build_acc_instance(*FOREST)
     assert art.cycle_rank == 0
     reg = complement_regions(art.instance.centers, art.instance.radius)
     assert reg.bounded_complement_regions == 0
 
 
 def test_acc_disconnected_components_counted():
-    art = build_acc_instance(
-        ["a", "b", "c", "x", "y", "z"],
-        [("a", "b"), ("b", "c"), ("c", "a"), ("x", "y"), ("y", "z"), ("z", "x")],
-        {"a": (0, 0), "b": (1, 0), "c": (0, 1),
-         "x": (4, 0), "y": (5, 0), "z": (4, 1)})
+    art = build_acc_instance(*TWO_TRIANGLES)
     assert art.cycle_rank == 2
     reg = complement_regions(art.instance.centers, art.instance.radius)
     assert reg.union_components == 2
@@ -552,6 +555,15 @@ def _star_k13():
     return mti, emb
 
 
+def _triangle_mti():
+    tri = PlanarEmbeddedGraph.from_edge_rotation(
+        ["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")],
+        {"a": [0, 2], "b": [1, 0], "c": [2, 1]})
+    mti = MultiterminalInstance(
+        graph=tri, terminals=("a", "b", "c"), weights={0: 1, 1: 1, 2: 1})
+    return mti, grid_embed(tri)
+
+
 def test_udmc_lone_bundle_is_unbreakable():
     # one isolated vertex: hub + 16 perturbed ring copies of 16 disks each
     # plus a two-disk spur per copy = 1 + 16 * 18 = 289 disks, and the hub
@@ -593,13 +605,7 @@ def test_udmc_single_edge_cut_equals_weight():
 def test_udmc_law_on_star_and_triangle():
     """Source optimum == lifted certificate size == certified lower bound."""
     from disklab.solvers import brute_min_multiterminal, multiterminal_cut_lower_bound
-    mti, emb = _star_k13()
-    tri = PlanarEmbeddedGraph.from_edge_rotation(
-        ["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")],
-        {"a": [0, 2], "b": [1, 0], "c": [2, 1]})
-    tri_mti = MultiterminalInstance(
-        graph=tri, terminals=("a", "b", "c"), weights={0: 1, 1: 1, 2: 1})
-    cases = [(mti, emb, 1220), (tri_mti, grid_embed(tri), 931)]
+    cases = [(*_star_k13(), 1220), (*_triangle_mti(), 931)]
     for src_inst, drawing, disk_count in cases:
         art = build_udmc_instance(src_inst, drawing)
         assert len(art.instance.disks) == disk_count
@@ -672,3 +678,47 @@ def test_udmc_lift_rejects_unknown_edges():
     art = build_udmc_instance(mti, emb)
     with pytest.raises(SynthesisError, match="unknown edge"):
         lift_multiterminal_to_udmc(art, [7])
+
+
+# ---------------------------------------------------------------------------
+# byte pins: every synthesizer's output, as canonical digests
+# ---------------------------------------------------------------------------
+
+def _sound_triangle():
+    red = p2_reduction()
+    return build_isolation_instance(red.instance, grid_embed(red.instance.graph), mode="sound")
+
+
+SYNTHESIS_PINS = {
+    "toy triangle": (lambda: toy_triangle()[2],
+                     "991b6faa538969b788f82eefb6eb14ffaa8c79ab72d55aabfbbf9a89c807b000"),
+    "sound triangle": (_sound_triangle,
+                       "3ba67869e8487233df1ec976eb5e58d0b7d24a89b0d83f7da929c4cdb2f05a6b"),
+    "acc triangle": (lambda: build_acc_instance(*TRI),
+                     "afea028245cc3565e0828c2302162581601b4c1a58475735048c96de6741f5c5"),
+    "acc forest": (lambda: build_acc_instance(*FOREST),
+                   "cb5a610ebde1ba4e1f56da7cedfc368758852945a408284b5c6ea592cfc9d28a"),
+    "acc two triangles": (lambda: build_acc_instance(*TWO_TRIANGLES),
+                          "92e826dae67eb9c0350374ad29d1252265b6eb0289a13ccb63b31dad36c82891"),
+    "weighted 1": (lambda: build_weighted_edge_instance(1),
+                   "a5909481069baab54e02649d88bdffc32a58aeb20f5954fa23a9423e65755fdf"),
+    "weighted 2": (lambda: build_weighted_edge_instance(2),
+                   "c8f1b83be67da002fb158a222650f1a563d0e5d6ab134503e867d5b525f71ff8"),
+    "weighted 3": (lambda: build_weighted_edge_instance(3),
+                   "e21a962a4644d4ef3ed4f7dd8b54f6a0f2c8ccf17f0a3edfc5815d5608eb1da0"),
+    "weighted 4": (lambda: build_weighted_edge_instance(4),
+                   "c33f84f220c1dc1e724365b73e927ab3c6cbe2cdc41b68d1ae20d3ead350a9ae"),
+    "weighted 5": (lambda: build_weighted_edge_instance(5),
+                   "3c5eff2503655184ee9b8dfe5ad9908be617fc1e04bcfc93a27870fcb0bfc33a"),
+    "udmc star": (lambda: build_udmc_instance(*_star_k13()),
+                  "884defa0661e04b458de5ff25c8ddbb781826f4d8c76d1c9de7cc05c680951f8"),
+    "udmc triangle": (lambda: build_udmc_instance(*_triangle_mti()),
+                      "0f07404c3ec0d135bb12def64a594f2517d5ad124f5f363d619e4457b6ba9846"),
+}
+
+
+@pytest.mark.parametrize("case", list(SYNTHESIS_PINS))
+def test_synthesized_instances_are_pinned(case):
+    # layout floats, snapping, disk order and tags all reach the digest
+    build, digest = SYNTHESIS_PINS[case]
+    assert canonical_digest(build().instance.to_dict()) == digest
