@@ -119,6 +119,7 @@ class PlanarEmbeddedGraph:
         self.rot: Dict[Vertex, Tuple[Dart, ...]] = {v: tuple(rotation.get(v, ())) for v in self.vertices}
         self._faces: Optional[List[List[Dart]]] = None
         self._face_of_dart: Optional[Dict[Dart, int]] = None
+        self._edge_faces: Optional[Tuple[Tuple[int, int], ...]] = None
         self._validate()
 
     # -- construction -------------------------------------------------------
@@ -262,13 +263,15 @@ class PlanarEmbeddedGraph:
     def face_count(self) -> int:
         return len(self.facial_walks())
 
-    def edge_faces(self) -> List[Tuple[int, int]]:
-        """For each edge, the pair (face of dart 0, face of dart 1)."""
-        self.facial_walks()
-        return [
-            (self.face_of_dart((e, 0)), self.face_of_dart((e, 1)))
-            for e in range(len(self.edges))
-        ]
+    def edge_faces(self) -> Tuple[Tuple[int, int], ...]:
+        """For each edge, the pair (face of dart 0, face of dart 1),
+        computed once per graph."""
+        if self._edge_faces is None:
+            self._edge_faces = tuple(
+                (self.face_of_dart((e, 0)), self.face_of_dart((e, 1)))
+                for e in range(len(self.edges))
+            )
+        return self._edge_faces
 
     def euler_characteristic_ok(self) -> bool:
         """V - E + F == 2 for a connected rotation system of genus zero."""

@@ -250,6 +250,8 @@ def plain_graph_from_dict(d: dict) -> Tuple[List[Vertex], List[Tuple[Vertex, Ver
     vertices = list(d["vertices"])
     edges = [(e[0], e[1]) for e in d["edges"]]
     vset = set(vertices)
+    if len(vset) != len(vertices):
+        raise StructureError("duplicate vertex ids")
     for (u, w) in edges:
         if u not in vset or w not in vset:
             raise PipelineError(f"edge {(u, w)!r} uses an unknown vertex")
@@ -339,7 +341,16 @@ def _reduce_subdivision(src: dict, mode: str, overrides) -> Tuple[dict, dict]:
     )
 
 
+def _chain_radius(overrides) -> Fraction:
+    """The disk radius of the ACC and UDMC chains: ``--r``, default 1/10."""
+    r = overrides.get("r", Fraction(1, 10))
+    if r <= 0:
+        raise ValueError("parameters must be positive")
+    return r
+
+
 def _reduce_fvs(src: dict, mode: str, overrides) -> Tuple[dict, dict]:
+    r = _chain_radius(overrides)
     vertices, edges, coords = plain_graph_from_dict(src)
     degree: Dict[object, int] = {}
     for (u, w) in edges:
@@ -354,7 +365,6 @@ def _reduce_fvs(src: dict, mode: str, overrides) -> Tuple[dict, dict]:
         emb = embed_plain_graph(vertices, edges)
         coords = {str(v): emb.coords[v] for v in vertices}
     placed = {v: tuple(coords[str(v)]) for v in vertices}
-    r = overrides.get("r", Fraction(1, 10))
     art = build_acc_instance(vertices, edges, placed, r=r)
     target = art.instance.to_dict()
     chain_ids: Dict[str, List[int]] = {str(e): [] for e in range(len(edges))}
@@ -372,9 +382,9 @@ def _reduce_fvs(src: dict, mode: str, overrides) -> Tuple[dict, dict]:
 
 
 def _reduce_mc(src: dict, mode: str, overrides) -> Tuple[dict, dict]:
+    r = _chain_radius(overrides)
     mti = MultiterminalInstance.from_dict(src)
     emb = grid_embed(mti.graph)
-    r = overrides.get("r", Fraction(1, 10))
     art = build_udmc_instance(mti, emb, r=r)
     target = art.instance.to_dict()
     edges_table: Dict[str, object] = {}

@@ -2,9 +2,13 @@
 
 These establish ground-truth optima for small instances so the reduction
 laws can be checked end to end.  Enumeration solvers refuse instances above
-hard caps instead of silently running forever; the two-point isolation
-solver and the terminal-pair cut solver are polynomial and handle the
-synthesized instances directly.
+hard caps instead of silently running forever.  The three graph-level
+solvers (multiterminal cut, face separation, cycle-hitting set) enumerate
+in combinations order, pruned by upward-closed feasibility: a superset of a
+feasible set is feasible, so a subtree whose largest set fails is skipped,
+and the first feasible subset found is the one plain enumeration finds.
+The two-point isolation solver and the terminal-pair cut solver are
+polynomial and handle the synthesized instances directly.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .arrangements import (
     CenterIndex,
@@ -53,24 +57,55 @@ class OptimumCertificate:
 # graph-level problems
 # ---------------------------------------------------------------------------
 
+def _feasible_subsets(
+    n: int, ok: Callable[[Tuple[int, ...]], bool]
+) -> Iterator[Tuple[int, ...]]:
+    """Every index tuple ``t`` over ``range(n)`` with ``ok(t)``, in
+    ``itertools.combinations`` order (by size, then lexicographic), for an
+    upward-closed ``ok``: a superset of a feasible set is feasible.
+
+    The full set is tested first, so an infeasible instance yields nothing
+    at once.  Each size then walks the combinations tree depth first.
+    Before it descends at index ``c`` under prefix ``P`` it tests
+    ``P + range(c, n)``, the largest set below; when that fails, no leaf
+    below ``c``, nor any to its right, can pass, so the level stops.  The
+    first branch of a level is not tested again: its largest set is the one
+    tested before descending to that level.
+    """
+
+    def below(prefix: Tuple[int, ...], start: int, need: int) -> Iterator[Tuple[int, ...]]:
+        # here ok(prefix + range(start, n)) holds
+        if need == 0:
+            if start == n or ok(prefix):
+                yield prefix
+            return
+        for c in range(start, n - need + 1):
+            if c > start and not ok(prefix + tuple(range(c, n))):
+                return
+            yield from below(prefix + (c,), c + 1, need - 1)
+
+    if ok(tuple(range(n))):
+        for size in range(n + 1):
+            yield from below((), 0, size)
+
+
 def brute_min_multiterminal(
     inst: MultiterminalInstance, max_edges: int = 18
 ) -> OptimumCertificate:
     """Minimum total weight of deleted edges leaving all terminals in
-    pairwise distinct components, by subset enumeration."""
+    pairwise distinct components, by enumeration in combinations order,
+    pruned by upward-closed feasibility (:func:`_feasible_subsets`)."""
     inst.validate()
     m = len(inst.graph.edges)
     if m > max_edges:
         raise SolverCapExceeded(f"{m} edges exceeds the enumeration cap {max_edges}")
     best: Optional[Tuple[int, List[int]]] = None
-    for size in range(m + 1):
-        for combo in combinations(range(m), size):
-            if multiterminal_solution_ok(inst, combo):
-                w = sum(inst.weights.get(e, 1) for e in combo)
-                if best is None or w < best[0]:
-                    best = (w, list(combo))
-        if best is not None and best[0] <= size:
-            # any larger subset weighs at least its own cardinality
+    for combo in _feasible_subsets(m, lambda t: multiterminal_solution_ok(inst, t)):
+        w = sum(inst.weights.get(e, 1) for e in combo)
+        if best is None or w < best[0]:
+            best = (w, list(combo))
+        if best[0] <= len(combo):
+            # every later subset is at least as large, so weighs at least best[0]
             break
     if best is None:
         raise VerificationError("no edge subset separates the terminals")
@@ -83,24 +118,27 @@ def brute_min_subdivision(
     inst: SubdivisionInstance, max_groups: int = 18
 ) -> OptimumCertificate:
     """Minimum group-counted mass of kept edges that separate the marked
-    faces.  Only whole groups are worth keeping, and each used group counts
-    two regardless of its fragment count."""
+    faces, by enumeration of kept groups in combinations order, pruned by
+    upward-closed feasibility (:func:`_feasible_subsets`).  Only whole
+    groups are worth keeping, and each used group counts two regardless of
+    its fragment count."""
     inst.validate()
     groups = inst.groups or [[e] for e in range(len(inst.graph.edges))]
     g = len(groups)
     if g > max_groups:
         raise SolverCapExceeded(f"{g} groups exceeds the enumeration cap {max_groups}")
-    # mass is twice the number of used groups, so the first feasible size wins
-    for size in range(g + 1):
-        for combo in combinations(range(g), size):
-            kept = [e for gi in combo for e in groups[gi]]
-            if subdivision_solution_ok(inst, kept):
-                return OptimumCertificate(
-                    problem="face-separation",
-                    optimum=2 * size,
-                    witness=list(combo),
-                    detail={"kept_edges": sorted(kept)},
-                )
+
+    def kept(combo: Tuple[int, ...]) -> List[int]:
+        return [e for gi in combo for e in groups[gi]]
+
+    # mass is twice the number of used groups, so the first feasible set wins
+    for combo in _feasible_subsets(g, lambda t: subdivision_solution_ok(inst, kept(t))):
+        return OptimumCertificate(
+            problem="face-separation",
+            optimum=2 * len(combo),
+            witness=list(combo),
+            detail={"kept_edges": sorted(kept(combo))},
+        )
     raise VerificationError("no group subset separates the marked faces")
 
 
@@ -109,24 +147,28 @@ def brute_min_fvs(
     edges: Sequence[Tuple[Vertex, Vertex]],
     max_vertices: int = 20,
 ) -> OptimumCertificate:
-    """Minimum vertex set meeting every cycle, by subset enumeration."""
+    """Minimum vertex set meeting every cycle, by enumeration of removed
+    vertices in combinations order, pruned by upward-closed feasibility
+    (:func:`_feasible_subsets`)."""
     vs = list(vertices)
     if len(vs) > max_vertices:
         raise SolverCapExceeded(
             f"{len(vs)} vertices exceeds the enumeration cap {max_vertices}"
         )
 
-    for size in range(len(vs) + 1):
-        for combo in combinations(vs, size):
-            removed = set(combo)
-            kept = [v for v in vs if v not in removed]
-            kept_edges = [(u, w) for u, w in edges if u not in removed and w not in removed]
-            comp = components(kept, kept_edges)
-            # cycle rank edges - nodes + components is zero exactly for a forest
-            if len(kept_edges) - len(comp) + len(set(comp.values())) == 0:
-                return OptimumCertificate(
-                    problem="cycle-hitting-set", optimum=size, witness=list(combo)
-                )
+    def acyclic_without(combo: Tuple[int, ...]) -> bool:
+        removed = {vs[i] for i in combo}
+        kept = [v for v in vs if v not in removed]
+        kept_edges = [(u, w) for u, w in edges if u not in removed and w not in removed]
+        comp = components(kept, kept_edges)
+        # cycle rank edges - nodes + components is zero exactly for a forest
+        return len(kept_edges) - len(comp) + len(set(comp.values())) == 0
+
+    for combo in _feasible_subsets(len(vs), acyclic_without):
+        return OptimumCertificate(
+            problem="cycle-hitting-set", optimum=len(combo),
+            witness=[vs[i] for i in combo],
+        )
     raise AssertionError("removing all vertices always leaves an acyclic graph")
 
 

@@ -14,9 +14,15 @@
   loops over every edge and vertex, which the bit-mask tables of
   :func:`disklab.gridembed.search_minimal_drawing` replaced; it also counts
   the candidate cells it tries.
+* The graph-level solvers by plain subset enumeration in combinations
+  order: multiterminal cut, face separation and cycle-hitting set, which
+  the enumeration in combinations order, pruned by upward-closed
+  feasibility, of :mod:`disklab.solvers` replaced; each must return the
+  same optimum, witness, ``detail`` and ``method``.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from typing import Dict, List, Optional, Tuple
 
 import networkx as nx
@@ -24,7 +30,14 @@ import networkx as nx
 from disklab import arrangements as ar
 from disklab import gridembed as ge
 from disklab.geometry import Point, point_on_segment, ray_crossing
-from disklab.graphs import PlanarEmbeddedGraph
+from disklab.graphs import (
+    MultiterminalInstance,
+    PlanarEmbeddedGraph,
+    SubdivisionInstance,
+    components,
+    multiterminal_solution_ok,
+    subdivision_solution_ok,
+)
 from disklab.solvers import (
     OptimumCertificate,
     min_terminal_pair_cut,
@@ -340,3 +353,60 @@ def reference_search_minimal_drawing(
         if got is not None:
             return got, node_budget - budget[0]
     return None, 0
+
+
+def reference_min_multiterminal(inst: MultiterminalInstance) -> OptimumCertificate:
+    """The multiterminal cut by plain subset enumeration: every edge subset
+    of each size, stopping after the first size that reaches the best
+    weight."""
+    inst.validate()
+    m = len(inst.graph.edges)
+    best: Optional[Tuple[int, List[int]]] = None
+    for size in range(m + 1):
+        for combo in combinations(range(m), size):
+            if multiterminal_solution_ok(inst, combo):
+                w = sum(inst.weights.get(e, 1) for e in combo)
+                if best is None or w < best[0]:
+                    best = (w, list(combo))
+        if best is not None and best[0] <= size:
+            # any larger subset weighs at least its own cardinality
+            break
+    if best is None:
+        raise ar.VerificationError("no edge subset separates the terminals")
+    return OptimumCertificate(
+        problem="multiterminal-cut", optimum=best[0], witness=best[1]
+    )
+
+
+def reference_min_subdivision(inst: SubdivisionInstance) -> OptimumCertificate:
+    """Face separation by plain enumeration of kept groups."""
+    inst.validate()
+    groups = inst.groups or [[e] for e in range(len(inst.graph.edges))]
+    g = len(groups)
+    for size in range(g + 1):
+        for combo in combinations(range(g), size):
+            kept = [e for gi in combo for e in groups[gi]]
+            if subdivision_solution_ok(inst, kept):
+                return OptimumCertificate(
+                    problem="face-separation",
+                    optimum=2 * size,
+                    witness=list(combo),
+                    detail={"kept_edges": sorted(kept)},
+                )
+    raise ar.VerificationError("no group subset separates the marked faces")
+
+
+def reference_min_fvs(vertices, edges) -> OptimumCertificate:
+    """The cycle-hitting set by plain enumeration of removed vertices."""
+    vs = list(vertices)
+    for size in range(len(vs) + 1):
+        for combo in combinations(vs, size):
+            removed = set(combo)
+            kept = [v for v in vs if v not in removed]
+            kept_edges = [(u, w) for u, w in edges if u not in removed and w not in removed]
+            comp = components(kept, kept_edges)
+            if len(kept_edges) - len(comp) + len(set(comp.values())) == 0:
+                return OptimumCertificate(
+                    problem="cycle-hitting-set", optimum=size, witness=list(combo)
+                )
+    raise AssertionError("removing all vertices always leaves an acyclic graph")

@@ -7,6 +7,8 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import reference_min_subdivision
+
 from disklab import graphs as gr
 
 
@@ -378,15 +380,8 @@ def test_subdivision_solution_check_on_theta():
 # ---------------------------------------------------------------------------
 
 def brute_min_group_mass(inst):
-    from itertools import combinations
-
-    k = len(inst.groups)
-    for size in range(k + 1):
-        for chosen in combinations(range(k), size):
-            kept = [e for gi in chosen for e in inst.groups[gi]]
-            if gr.subdivision_solution_ok(inst, kept):
-                return 2 * size, kept
-    raise AssertionError("keeping everything must always succeed")
+    cert = reference_min_subdivision(inst)
+    return cert.optimum, cert.detail["kept_edges"]
 
 
 def test_path_reduction_round_trip():

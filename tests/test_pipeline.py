@@ -178,6 +178,49 @@ def test_reduce_refuses_a_disconnected_graph(tmp_path, n, mode):
     assert not out.exists()
 
 
+TRIANGLE_PLAIN = {"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"], ["c", "a"]]}
+
+
+def chain_source(kind):
+    return triangle_mc_dict() if kind == "mc->udmc" else TRIANGLE_PLAIN
+
+
+@pytest.mark.parametrize("r", ["0", "-1/10", "-1"])
+@pytest.mark.parametrize("kind", ["fvs->acc", "mc->udmc"])
+def test_reduce_refuses_a_non_positive_chain_radius(tmp_path, kind, r):
+    src, out = tmp_path / "src.json", tmp_path / "x.json"
+    write_json(chain_source(kind), src)
+    code, lines = cli_reduce(kind, src, out, overrides={"r": Fraction(r)})
+    assert (code, lines) == (2, ["malformed: parameters must be positive"])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, r, code, digest", [
+    ("fvs->acc", "1/10", 0, "afea028245cc3565e0828c2302162581601b4c1a58475735048c96de6741f5c5"),
+    ("fvs->acc", "1/7", 0, "ad3db8c18fe782f6624bb147029b29861fa70dd77ea0d9d4db0fee4c4a8e56f1"),
+    ("mc->udmc", "1/10", 0, "c97a73a486f2506f0886c880fecc51bd63880eaeada688162549c1a71a68edfc"),
+    ("mc->udmc", "1/7", 1, None),
+])
+def test_reduce_keeps_the_outcome_of_a_positive_chain_radius(tmp_path, kind, r, code, digest):
+    src, out = tmp_path / "src.json", tmp_path / "x.json"
+    write_json(chain_source(kind), src)
+    got, lines = cli_reduce(kind, src, out, overrides={"r": Fraction(r)})
+    assert got == code, lines
+    if digest is None:
+        assert lines == ["rejected: edge 0 is too short (28.0r) for 1 lanes; needs 36.0r"]
+        assert not out.exists()
+    else:
+        assert canonical_digest(read_json(out)) == digest
+
+
+def test_plain_graph_refuses_duplicate_vertex_ids(tmp_path):
+    src = tmp_path / "dup.json"
+    write_json({**TRIANGLE_PLAIN, "vertices": ["a", "a", "b", "c"]}, src)
+    for code, lines in (cli_solve("fvs", src, tmp_path / "opt.json"),
+                        cli_reduce("fvs->acc", src, tmp_path / "x.json")):
+        assert (code, lines) == (2, ["malformed: duplicate vertex ids"])
+
+
 # ---------------------------------------------------------------------------
 # verify and solve exit codes
 # ---------------------------------------------------------------------------
@@ -280,6 +323,25 @@ def test_solve_refuses_oversized_instances(tmp_path):
     write_json(inst.to_dict(), path)
     code, lines = cli_solve("isolation", path, tmp_path / "x.json")
     assert code == 1 and "refused" in lines[0]
+
+
+def test_solve_refuses_graphs_above_the_enumeration_caps(tmp_path):
+    path = PlanarEmbeddedGraph.from_edge_rotation(
+        list(range(20)), [(i, i + 1) for i in range(19)],
+        {v: [e for e in (v - 1, v) if 0 <= e < 19] for v in range(20)})
+    cases = [
+        ("mc", MultiterminalInstance(graph=path, terminals=[0, 19]).to_dict(),
+         "19 edges exceeds the enumeration cap 18"),
+        ("subdivision", SubdivisionInstance(graph=path, terminals={"p": 0}).to_dict(),
+         "19 groups exceeds the enumeration cap 18"),
+        ("fvs", {"vertices": list(range(21)), "edges": []},
+         "21 vertices exceeds the enumeration cap 20"),
+    ]
+    for problem, inst, why in cases:
+        src, out = tmp_path / f"{problem}.json", tmp_path / f"{problem}.opt.json"
+        write_json(inst, src)
+        assert cli_solve(problem, src, out) == (1, [f"refused: {why}"])
+        assert not out.exists()
 
 
 def test_solve_writes_certificate(toy_chain, tmp_path):

@@ -4,15 +4,24 @@ import math
 import random
 from collections import deque
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from floodfill import quarter, ring_centers
 from instances import disk_instance, int_centers
-from oracles import assert_cuts_match_networkx, dist_sq, pair_parities
+from oracles import (
+    assert_cuts_match_networkx,
+    dist_sq,
+    pair_parities,
+    reference_min_fvs,
+    reference_min_multiterminal,
+    reference_min_subdivision,
+)
 
+from disklab import solvers
 from disklab.arrangements import (
     CenterIndex,
     VerificationError,
@@ -21,6 +30,7 @@ from disklab.arrangements import (
     verify_isolation,
     verify_multiterminal_cut,
 )
+from disklab.corpus import seeded_multiterminal_instances, seeded_planar_graphs
 from disklab.gadgets import (
     build_acc_instance,
     build_weighted_edge_instance,
@@ -29,6 +39,7 @@ from disklab.geometry import Disk
 from disklab.graphs import (
     MultiterminalInstance,
     PlanarEmbeddedGraph,
+    SubdivisionInstance,
     reduce_pmc_to_subdivision,
 )
 from disklab.solvers import (
@@ -123,6 +134,114 @@ def test_fvs_witness_breaks_all_cycles():
     edges = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)]
     cert = brute_min_fvs([0, 1, 2, 3, 4], edges)
     assert cert.optimum == 1 and cert.witness == [2]
+
+
+# ---------------------------------------------------------------------------
+# pruned enumeration against plain enumeration
+# ---------------------------------------------------------------------------
+
+SOUND_CORPUS_SEED = 20260814   # the graphs of the acceptance suite's sound corpus
+CUT_CORPUS_SEED = 31415        # the acceptance suite's criterion-05 corpus
+
+
+@st.composite
+def upward_closed_families(draw):
+    """A ground-set size n <= 10 and up to five sets generating an
+    upward-closed family of subsets of range(n): the supersets of any."""
+    n = draw(st.integers(0, 10))
+    elems = st.integers(0, n - 1) if n else st.nothing()
+    return n, draw(st.lists(st.frozensets(elems, max_size=n), max_size=5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(upward_closed_families())
+@example((0, []))                       # the empty family
+@example((0, [frozenset()]))            # the family {()}
+@example((6, []))
+@example((6, [frozenset()]))            # every subset
+@example((6, [frozenset(range(6))]))    # the full set alone
+def test_feasible_subsets_equal_the_filtered_combinations(family):
+    n, gens = family
+
+    def ok(t):
+        assert list(t) == sorted(set(t)) and all(0 <= i < n for i in t), t
+        return any(g <= set(t) for g in gens)
+
+    expect = [c for k in range(n + 1) for c in combinations(range(n), k) if ok(c)]
+    assert list(solvers._feasible_subsets(n, ok)) == expect
+
+
+@pytest.fixture(scope="module")
+def sound_graphs():
+    return [emb.graph for emb in seeded_planar_graphs(
+        SOUND_CORPUS_SEED, 20, min_vertices=3, max_vertices=8, max_grid=3)]
+
+
+def every_face_marked(g):
+    return SubdivisionInstance(graph=g, terminals={f"p{f}": f for f in range(g.face_count())})
+
+
+def test_subdivision_matches_oracle_with_every_face_marked(sound_graphs):
+    for g in sound_graphs:
+        sub = every_face_marked(g)
+        assert brute_min_subdivision(sub) == reference_min_subdivision(sub)
+
+
+def test_subdivision_matches_oracle_on_seeded_terminal_subsets(sound_graphs):
+    rng = random.Random(4242)
+    for g in sound_graphs:
+        nf = g.face_count()
+        for _ in range(5):
+            faces = sorted(rng.sample(range(nf), rng.randint(1, nf)))
+            sub = SubdivisionInstance(graph=g, terminals={f"p{f}": f for f in faces})
+            assert brute_min_subdivision(sub) == reference_min_subdivision(sub)
+
+
+def test_multiterminal_matches_oracle_on_seeded_terminals(sound_graphs):
+    # weights exercise the stop once the best weight is reached
+    rng = random.Random(2718)
+    for g in sound_graphs:
+        for weighted in (False, True):
+            terminals = rng.sample(g.vertices, rng.randint(2, min(4, len(g.vertices))))
+            weights = {e: rng.randint(2, 3) for e in range(len(g.edges))
+                       if weighted and rng.random() < 0.5}
+            mti = MultiterminalInstance(graph=g, terminals=terminals, weights=weights)
+            assert brute_min_multiterminal(mti) == reference_min_multiterminal(mti)
+
+
+def test_graph_solvers_match_oracles_on_the_criterion_05_corpus():
+    for mti in seeded_multiterminal_instances(CUT_CORPUS_SEED, 12):
+        assert brute_min_multiterminal(mti) == reference_min_multiterminal(mti)
+        sub = reduce_pmc_to_subdivision(mti).instance
+        assert brute_min_subdivision(sub) == reference_min_subdivision(sub)
+
+
+def test_fvs_matches_oracle_on_seeded_graphs():
+    rng = random.Random(1618)
+    for n in range(3, 12):
+        for _ in range(4):
+            vs = [f"v{i}" for i in rng.sample(range(n), n)]
+            # pairs with probability 0.35, loops with probability 0.05
+            es = [(u, w) for x, u in enumerate(vs) for w in vs[x:]
+                  if rng.random() < (0.05 if u == w else 0.35)]
+            assert brute_min_fvs(vs, es) == reference_min_fvs(vs, es)
+
+
+def test_every_face_marked_subdivision_prunes_to_quadratic_checks(sound_graphs, monkeypatch):
+    # the non-bridge edges are the one minimal answer; plain enumeration
+    # checks nearly all 2^g subsets, 16,384 on the 14-edge first graph
+    calls = [0]
+    check = solvers.subdivision_solution_ok
+
+    def counted(inst, kept):
+        calls[0] += 1
+        return check(inst, kept)
+
+    monkeypatch.setattr(solvers, "subdivision_solution_ok", counted)
+    for g in sound_graphs:
+        calls[0] = 0
+        brute_min_subdivision(every_face_marked(g))
+        assert calls[0] <= (len(g.edges) + 1) ** 2, (len(g.edges), calls[0])
 
 
 # ---------------------------------------------------------------------------
