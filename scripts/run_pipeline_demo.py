@@ -3,12 +3,14 @@
 Runs, in-process, the same verbs the ``disklab`` CLI exposes:
 
   fences    two-terminal cut -> face separation -> toy fence instance,
-            solved exactly, verified, lifted back, rendered to SVG
+            solved exactly, verified, lifted back to the cut, rendered to SVG
   acyclic   feedback vertex set -> disk deletion for an acyclic union
   weighted  weighted multiterminal cut -> intersection-edge deletion
 
-All artifacts (instances, reduction records, certificates, lifted
-solutions, SVG previews) land in --out-dir.
+Every solver output is checked with ``verify`` of its own problem, and
+every lifted solution with ``verify`` of the source problem.  All
+artifacts (instances, reduction records, certificates, lifted solutions,
+SVG previews) land in --out-dir.
 """
 
 import argparse
@@ -45,19 +47,28 @@ def fence_chain(out: pathlib.Path) -> None:
     )
     mid, iso = out / "fence_mid.json", out / "fence_iso.json"
     run("fences/reduce 1", pl.cli_reduce, "pmc->subdivision", str(src), str(mid))
+    mid_sol = out / "fence_mid_sol.json"
+    run("fences/solve mid", pl.cli_solve, "subdivision", str(mid), str(mid_sol))
+    run("fences/verify mid", pl.cli_verify, "subdivision", str(mid), str(mid_sol))
     run("fences/reduce 2", pl.cli_reduce, "subdivision->isolation", str(mid),
         str(iso), mode="toy")
     sol = out / "fence_sol.json"
     run("fences/solve", pl.cli_solve, "isolation", str(iso), str(sol))
+    run("fences/verify solve", pl.cli_verify, "isolation", str(iso), str(sol))
     cert = write(
         {"problem": "isolation", "candidate": json.loads(sol.read_text())["witness"]},
         out / "fence_cert.json",
     )
     run("fences/verify", pl.cli_verify, "isolation", str(iso), str(cert))
+    lifted, lifted_src = out / "fence_lifted.json", out / "fence_lifted_src.json"
     run("fences/lift", pl.cli_lift,
         record_path=str(iso) + ".record.json", solution_path=str(sol),
-        source_path=str(mid), target_path=str(iso),
-        out_path=str(out / "fence_lifted.json"))
+        source_path=str(mid), target_path=str(iso), out_path=str(lifted))
+    run("fences/verify lift", pl.cli_verify, "subdivision", str(mid), str(lifted))
+    run("fences/lift 2", pl.cli_lift,
+        record_path=str(mid) + ".record.json", solution_path=str(lifted),
+        source_path=str(src), target_path=str(mid), out_path=str(lifted_src))
+    run("fences/verify lift 2", pl.cli_verify, "mc", str(src), str(lifted_src))
     run("fences/render", pl.cli_render, str(iso), str(out / "fence.svg"))
 
 
@@ -74,10 +85,12 @@ def acyclic_chain(out: pathlib.Path) -> None:
     run("acyclic/reduce", pl.cli_reduce, "fvs->acc", str(src), str(acc))
     sol = out / "acc_sol.json"
     run("acyclic/solve", pl.cli_solve, "acc", str(acc), str(sol))
+    run("acyclic/verify solve", pl.cli_verify, "acc", str(acc), str(sol))
+    lifted = out / "acc_lifted.json"
     run("acyclic/lift", pl.cli_lift,
         record_path=str(acc) + ".record.json", solution_path=str(sol),
-        source_path=str(src), target_path=str(acc),
-        out_path=str(out / "acc_lifted.json"))
+        source_path=str(src), target_path=str(acc), out_path=str(lifted))
+    run("acyclic/verify lift", pl.cli_verify, "fvs", str(src), str(lifted))
     run("acyclic/render", pl.cli_render, str(acc), str(out / "acc.svg"))
 
 
@@ -99,16 +112,18 @@ def weighted_chain(out: pathlib.Path) -> None:
     # cut pairs for a minimum source cut, then check and lift it
     mc_sol = out / "udmc_srcsol.json"
     run("weighted/solve src", pl.cli_solve, "mc", str(src), str(mc_sol))
+    run("weighted/verify src", pl.cli_verify, "mc", str(src), str(mc_sol))
     record = json.loads(pathlib.Path(str(tgt) + ".record.json").read_text())
     pairs = []
     for eid in json.loads(mc_sol.read_text())["witness"]:
         pairs.extend(record["edges"][str(eid)]["cut_pairs"])
     cert = write({"problem": "udmc", "candidate": pairs}, out / "udmc_cert.json")
     run("weighted/verify", pl.cli_verify, "udmc", str(tgt), str(cert))
+    lifted = out / "udmc_lifted.json"
     run("weighted/lift", pl.cli_lift,
         record_path=str(tgt) + ".record.json", solution_path=str(cert),
-        source_path=str(src), target_path=str(tgt),
-        out_path=str(out / "udmc_lifted.json"))
+        source_path=str(src), target_path=str(tgt), out_path=str(lifted))
+    run("weighted/verify lift", pl.cli_verify, "mc", str(src), str(lifted))
 
 
 def main() -> None:

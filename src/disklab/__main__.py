@@ -67,12 +67,12 @@ def build_parser() -> argparse.ArgumentParser:
     _override_flags(p)
 
     p = sub.add_parser("verify", help="check a certificate against an instance")
-    p.add_argument("problem", choices=list(pipeline.VERIFIERS))
+    p.add_argument("problem", choices=pipeline.problems_with("verify"))
     p.add_argument("instance")
     p.add_argument("certificate")
 
     p = sub.add_parser("solve", help="ground-truth optimum (may refuse)")
-    p.add_argument("problem", choices=list(pipeline.SOLVERS))
+    p.add_argument("problem", choices=pipeline.problems_with("solve"))
     p.add_argument("instance")
     p.add_argument("--out", required=True)
     p.add_argument("--cap-subset", type=int, default=None,

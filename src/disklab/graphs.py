@@ -606,3 +606,14 @@ def multiterminal_solution_ok(mti: MultiterminalInstance, removed: Iterable[int]
     comp = components(g.vertices, (e for eid, e in enumerate(g.edges) if eid not in removed))
     reps = [comp[t] for t in mti.terminals]
     return len(set(reps)) == len(reps)
+
+
+def fvs_solution_ok(
+    vertices: Sequence[Vertex], edges: Sequence[Tuple[Vertex, Vertex]], removed: Set[Vertex]
+) -> bool:
+    """True if deleting the vertices in ``removed`` leaves a forest."""
+    kept = [v for v in vertices if v not in removed]
+    kept_edges = [(u, w) for u, w in edges if u not in removed and w not in removed]
+    comp = components(kept, kept_edges)
+    # cycle rank edges - nodes + components is zero exactly for a forest
+    return len(kept_edges) - len(comp) + len(set(comp.values())) == 0

@@ -11,15 +11,20 @@ owning modules.  Exit-code convention, shared by all verbs:
 * 2 — malformed input (unparseable files, schema violations, out-of-range
   ids, digest mismatches).
 
-Certificate files are ``{"problem": ..., "candidate": [...], "budget": n?}``;
-solver outputs use ``witness`` instead of ``candidate`` and both spellings
-are accepted everywhere.  All outputs are deterministic: JSON is written
-with sorted keys and instance digests are SHA-256 over the compact
-canonical encoding.
+Certificate files are ``{"problem": ..., "candidate": [...], "budget": n?}``
+(:func:`read_certificate`): the candidate is a JSON list of element ids and
+the budget, if present and not null, a JSON integer.  Solver outputs carry
+``witness`` instead of ``candidate``; where their ``detail`` holds
+``kept_edges`` (the face-separation solver, whose witness lists group ids)
+those edge ids are the candidate.  ``verify`` and ``lift`` read
+certificates and check them with the same :data:`PROBLEMS` entry.  All
+outputs are deterministic: JSON is written with sorted keys and instance
+digests are SHA-256 over the compact canonical encoding.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -59,7 +64,7 @@ from .graphs import (
     StructureError,
     SubdivisionInstance,
     Vertex,
-    components,
+    fvs_solution_ok,
     lift_subdivision_solution,
     multiterminal_solution_ok,
     reduce_pmc_to_subdivision,
@@ -173,12 +178,25 @@ def _disk_entry(e) -> str:
     return json.dumps(e, sort_keys=True, indent=2).replace("\n", "\n    ")
 
 
-def certificate_candidate(cert: dict):
+def read_certificate(cert: dict) -> Tuple[list, Optional[int]]:
+    """The candidate and budget of a certificate.  A ``candidate`` comes
+    first; a solver output's ``detail.kept_edges`` goes before its
+    ``witness``."""
+    detail = cert.get("detail")
     if "candidate" in cert:
-        return cert["candidate"]
-    if "witness" in cert:
-        return cert["witness"]
-    raise PipelineError("certificate carries neither 'candidate' nor 'witness'")
+        candidate = cert["candidate"]
+    elif isinstance(detail, dict) and "kept_edges" in detail:
+        candidate = detail["kept_edges"]
+    elif "witness" in cert:
+        candidate = cert["witness"]
+    else:
+        raise PipelineError("certificate carries neither 'candidate' nor 'witness'")
+    if type(candidate) is not list:
+        raise PipelineError("certificate candidate must be a JSON list")
+    budget = cert.get("budget")
+    if budget is not None and type(budget) is not int:
+        raise PipelineError("certificate budget must be a JSON integer")
+    return candidate, budget
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +211,8 @@ class ReductionRecord:
     appears in ``edges``, every source vertex in ``vertices`` and every
     source terminal/marked point in ``terminals``.  Values are target
     element descriptors (disk-id lists, face ids, point coordinates) whose
-    shape depends on the kind; ``lift`` below is the authoritative reader.
+    shape depends on the kind; the back-maps below are its authoritative
+    readers.
     """
 
     kind: str
@@ -407,48 +426,62 @@ def _reduce_mc(src: dict, mode: str, overrides) -> Tuple[dict, dict]:
     )
 
 
-def cli_reduce(
-    kind: str,
-    input_path,
-    out_path,
-    record_path=None,
-    mode: str = "sound",
-    overrides: Optional[Dict[str, Fraction]] = None,
-) -> Tuple[int, List[str]]:
+def _file_verb(verb):
+    """The one exit mapping of the file verbs.  ``verb`` returns (exit code,
+    lines, files to write as (payload, path) pairs) and the wrapped verb
+    (exit code, lines).  An expected failure becomes its exit code and one
+    prefixed line.  The files are written after, outside that mapping, so a
+    failed write is not reported as malformed input: a string payload (an
+    SVG) as text, anything else as JSON."""
+    @functools.wraps(verb)
+    def run(*args, **kwargs) -> Tuple[int, List[str]]:
+        try:
+            code, lines, files = verb(*args, **kwargs)
+        except SolverCapExceeded as exc:
+            return 1, [f"refused: {exc}"]
+        except (Rejected, SynthesisError) as exc:
+            return 1, [f"rejected: {exc}"]
+        except MALFORMED_ERRORS as exc:
+            return 2, [f"malformed: {exc}"]
+        for payload, path in files:
+            if isinstance(payload, str):
+                Path(path).parent.mkdir(parents=True, exist_ok=True)
+                Path(path).write_text(payload, encoding="utf-8")
+            else:
+                write_json(payload, path)
+        return code, lines
+    return run
+
+
+@_file_verb
+def cli_reduce(kind: str, input_path, out_path, record_path=None, mode: str = "sound",
+               overrides: Optional[Dict[str, Fraction]] = None):
     """Run one reduction end to end; writes the target instance and its
     provenance record (default: target path + '.record.json')."""
-    overrides = dict(overrides or {})
-    try:
-        src = read_json(input_path)
-        if kind not in REDUCTIONS:
-            raise PipelineError(f"unknown reduction kind {kind!r}")
-        target, tables = REDUCTIONS[kind].reduce(src, mode, overrides)
-        record = ReductionRecord(
-            kind=kind,
-            source_digest=canonical_digest(src),
-            target_digest=canonical_digest(target),
-            **tables,
-        )
-        _check_total(record.terminals, src.get("terminals", []), "terminal")
-        _check_total(record.edges, range(len(src["edges"])), "edge")
-        _check_total(record.vertices, src["vertices"], "vertex")
-    except (Rejected, SynthesisError) as exc:
-        return 1, [f"rejected: {exc}"]
-    except MALFORMED_ERRORS as exc:
-        return 2, [f"malformed: {exc}"]
+    src = read_json(input_path)
+    if kind not in REDUCTIONS:
+        raise PipelineError(f"unknown reduction kind {kind!r}")
+    target, tables = REDUCTIONS[kind].reduce(src, mode, dict(overrides or {}))
+    record = ReductionRecord(
+        kind=kind,
+        source_digest=canonical_digest(src),
+        target_digest=canonical_digest(target),
+        **tables,
+    )
+    _check_total(record.terminals, src.get("terminals", []), "terminal")
+    _check_total(record.edges, range(len(src["edges"])), "edge")
+    _check_total(record.vertices, src["vertices"], "vertex")
     if record_path is None:
         record_path = str(out_path) + ".record.json"
-    write_json(target, out_path)
-    write_json(record.to_dict(), record_path)
-    return 0, [f"wrote {out_path}", f"wrote {record_path}"]
+    return 0, [f"wrote {out_path}", f"wrote {record_path}"], [
+        (target, out_path), (record.to_dict(), record_path)]
 
 
 # ---------------------------------------------------------------------------
-# verification
+# problems: parse, verify, solve
 # ---------------------------------------------------------------------------
 
-def _verify_graph_mc(src: dict, candidate, budget) -> Tuple[bool, List[str]]:
-    mti = MultiterminalInstance.from_dict(src)
+def _verify_mc(mti: MultiterminalInstance, candidate, budget) -> Tuple[bool, List[str]]:
     removed = sorted(set(int(e) for e in candidate))
     if removed and not (0 <= removed[0] and removed[-1] < len(mti.graph.edges)):
         raise VerificationError("certificate names an unknown edge id")
@@ -462,8 +495,7 @@ def _verify_graph_mc(src: dict, candidate, budget) -> Tuple[bool, List[str]]:
     return separated and not reasons, reasons or [f"separated at weight {mass}"]
 
 
-def _verify_graph_subdivision(src: dict, candidate, budget) -> Tuple[bool, List[str]]:
-    sub = SubdivisionInstance.from_dict(src)
+def _verify_subdivision(sub: SubdivisionInstance, candidate, budget) -> Tuple[bool, List[str]]:
     kept_set = set(int(e) for e in candidate)
     kept = sorted(kept_set)
     if kept and not (0 <= kept[0] and kept[-1] < len(sub.graph.edges)):
@@ -479,196 +511,154 @@ def _verify_graph_subdivision(src: dict, candidate, budget) -> Tuple[bool, List[
     return separated and not reasons, reasons or [f"separated at mass {mass}"]
 
 
+def _verify_fvs(graph, candidate, budget) -> Tuple[bool, List[str]]:
+    # vertex ids match by their string form: a lifted solution names them so
+    vertices, edges, _ = graph
+    by_name = {str(v): v for v in vertices}
+    names = set(str(v) for v in candidate)
+    if not names <= by_name.keys():
+        raise VerificationError("certificate names an unknown vertex")
+    reasons = []
+    if budget is not None and len(names) > budget:
+        reasons.append(f"budget: certificate removes {len(names)} vertices, cap {budget}")
+    acyclic = fvs_solution_ok(vertices, edges, {by_name[n] for n in names})
+    if not acyclic:
+        reasons.append("a cycle survives the removal")
+    return acyclic and not reasons, reasons or [f"acyclic after removing {len(names)} vertices"]
+
+
 def _disk_report(report) -> Tuple[bool, List[str]]:
     return report.ok, report.lines()
 
 
-# problem -> check of (instance dict, candidate, budget) giving (ok, lines).
-# Entries call the stage functions by name at call time (see REDUCTIONS).
-VERIFIERS = {
-    "isolation": lambda d, candidate, budget: _disk_report(
-        verify_isolation(DiskInstance.from_dict(d), candidate, budget)),
-    "acc": lambda d, candidate, budget: _disk_report(
-        verify_acc(DiskInstance.from_dict(d), candidate, budget)),
-    "udmc": lambda d, candidate, budget: _disk_report(
-        verify_multiterminal_cut(DiskInstance.from_dict(d), candidate, budget)),
-    "mc": _verify_graph_mc,
-    "subdivision": _verify_graph_subdivision,
-}
-
-
-def cli_verify(problem: str, instance_path, certificate_path) -> Tuple[int, List[str]]:
-    """Check a certificate file; returns (exit code, human-readable lines)."""
-    try:
-        inst_dict = read_json(instance_path)
-        cert = read_json(certificate_path)
-        candidate = certificate_candidate(cert)
-        budget = cert.get("budget")
-        budget = int(budget) if budget is not None else None
-        if problem not in VERIFIERS:
-            raise PipelineError(f"unknown problem {problem!r}")
-        ok, lines = VERIFIERS[problem](inst_dict, candidate, budget)
-        return (0 if ok else 1), lines
-    except MALFORMED_ERRORS as exc:
-        return 2, [f"malformed: {exc}"]
-
-
-# ---------------------------------------------------------------------------
-# solving
-# ---------------------------------------------------------------------------
-
-def _solve_isolation(d: dict, caps: dict) -> OptimumCertificate:
-    inst = DiskInstance.from_dict(d)
+def _solve_isolation(inst: DiskInstance, caps: dict) -> OptimumCertificate:
     if len(inst.points) == 2:
         return brute_min_isolation_two_points(inst)
     return brute_min_isolation(inst, **caps)
 
 
-def _solve_udmc_bound(d: dict, caps: dict) -> OptimumCertificate:
+def _solve_udmc_bound(inst: DiskInstance, caps: dict) -> OptimumCertificate:
     return OptimumCertificate(
         problem="multiterminal-cut-bound",
-        optimum=multiterminal_cut_lower_bound(DiskInstance.from_dict(d)),
+        optimum=multiterminal_cut_lower_bound(inst),
         witness=[],
         method="isolating-cuts",
         detail={"lower_bound_only": True},
     )
 
 
-# problem -> solver of (instance dict, subset caps), called like VERIFIERS
-SOLVERS = {
-    "mc": lambda d, caps: brute_min_multiterminal(MultiterminalInstance.from_dict(d)),
-    "subdivision": lambda d, caps: brute_min_subdivision(SubdivisionInstance.from_dict(d)),
-    "fvs": lambda d, caps: brute_min_fvs(*plain_graph_from_dict(d)[:2]),
-    "isolation": _solve_isolation,
-    "acc": lambda d, caps: brute_min_acc(DiskInstance.from_dict(d), **caps),
-    "terminal-pair-cut": lambda d, caps: min_terminal_pair_cut(DiskInstance.from_dict(d)),
-    "udmc-bound": _solve_udmc_bound,
+class Problem(NamedTuple):
+    parse: Callable[[dict], object]    # instance dict -> instance
+    # (instance, candidate, budget or None) -> (ok, lines); None: no verify
+    verify: Optional[Callable[[object, list, Optional[int]], Tuple[bool, List[str]]]] = None
+    # (instance, subset caps) -> optimum; None: no solve
+    solve: Optional[Callable[[object, dict], OptimumCertificate]] = None
+
+
+def _disks(d: dict) -> DiskInstance:
+    return DiskInstance.from_dict(d)
+
+
+# problem -> its stages.  Like REDUCTIONS, the entries call the public stage
+# functions and ``from_dict`` by name at call time.
+PROBLEMS = {
+    "mc": Problem(lambda d: MultiterminalInstance.from_dict(d), _verify_mc,
+                  lambda mti, caps: brute_min_multiterminal(mti)),
+    "subdivision": Problem(lambda d: SubdivisionInstance.from_dict(d), _verify_subdivision,
+                           lambda sub, caps: brute_min_subdivision(sub)),
+    "fvs": Problem(plain_graph_from_dict, _verify_fvs,
+                   lambda graph, caps: brute_min_fvs(graph[0], graph[1])),
+    "isolation": Problem(
+        _disks, lambda inst, c, b: _disk_report(verify_isolation(inst, c, b)), _solve_isolation),
+    "acc": Problem(_disks, lambda inst, c, b: _disk_report(verify_acc(inst, c, b)),
+                   lambda inst, caps: brute_min_acc(inst, **caps)),
+    "udmc": Problem(
+        _disks, lambda inst, c, b: _disk_report(verify_multiterminal_cut(inst, c, b))),
+    "terminal-pair-cut": Problem(_disks, solve=lambda inst, caps: min_terminal_pair_cut(inst)),
+    "udmc-bound": Problem(_disks, solve=_solve_udmc_bound),
 }
 
 
-def cli_solve(
-    problem: str, instance_path, out_path, cap_subset: Optional[int] = None
-) -> Tuple[int, List[str]]:
+def problems_with(verb: str) -> List[str]:
+    """The problems that have a ``verb`` ("verify" or "solve") entry."""
+    return [name for name, entry in PROBLEMS.items() if getattr(entry, verb) is not None]
+
+
+def _problem(name: str, verb: str) -> Problem:
+    if name not in problems_with(verb):
+        raise PipelineError(f"unknown problem {name!r}")
+    return PROBLEMS[name]
+
+
+@_file_verb
+def cli_verify(problem: str, instance_path, certificate_path):
+    """Check a certificate file; exit 1 if it fails."""
+    inst_dict = read_json(instance_path)
+    candidate, budget = read_certificate(read_json(certificate_path))
+    entry = _problem(problem, "verify")
+    ok, lines = entry.verify(entry.parse(inst_dict), candidate, budget)
+    return (0 if ok else 1), lines, []
+
+
+@_file_verb
+def cli_solve(problem: str, instance_path, out_path, cap_subset: Optional[int] = None):
     """Solve to optimality (or refuse); writes an OptimumCertificate JSON."""
-    try:
-        inst_dict = read_json(instance_path)
-        if problem not in SOLVERS:
-            raise PipelineError(f"unknown problem {problem!r}")
-        cert = SOLVERS[problem](
-            inst_dict, {} if cap_subset is None else {"max_subset": cap_subset})
-    except SolverCapExceeded as exc:
-        return 1, [f"refused: {exc}"]
-    except MALFORMED_ERRORS as exc:
-        return 2, [f"malformed: {exc}"]
-    out = {
-        "problem": cert.problem,
-        "optimum": cert.optimum,
-        "witness": cert.witness,
-        "method": cert.method,
-        "detail": cert.detail,
-    }
-    write_json(out, out_path)
-    return 0, [f"optimum {cert.optimum} with witness of size {len(cert.witness)}"]
+    inst_dict = read_json(instance_path)
+    entry = _problem(problem, "solve")
+    cert = entry.solve(
+        entry.parse(inst_dict), {} if cap_subset is None else {"max_subset": cap_subset})
+    out = {"problem": cert.problem, "optimum": cert.optimum, "witness": cert.witness,
+           "method": cert.method, "detail": cert.detail}
+    return 0, [f"optimum {cert.optimum} with witness of size {len(cert.witness)}"], [
+        (out, out_path)]
 
 
 # ---------------------------------------------------------------------------
-# lifting
+# lifting: the back-maps of (record, source, target, verified target
+# candidate) to (source candidate, detail)
 # ---------------------------------------------------------------------------
 
-def _lift_pmc(record, src, tgt, cert) -> Tuple[List[int], dict]:
-    sub = SubdivisionInstance.from_dict(tgt)
-    detail = cert.get("detail") or {}
-    if "kept_edges" in detail:
-        kept = [int(e) for e in detail["kept_edges"]]
-    else:
-        kept = [int(e) for e in certificate_candidate(cert)]
-    if not subdivision_solution_ok(sub, kept):
-        raise Rejected("target solution does not separate the marked faces")
+def _back_pmc(record, mti, sub, kept) -> Tuple[List[int], dict]:
+    kept = [int(e) for e in kept]
     pairing = {int(e): [int(f) for f in frags] for e, frags in record.edges.items()}
     lifted = lift_subdivision_solution(SolutionBackMap(pairing=pairing), kept)
-    mti = MultiterminalInstance.from_dict(src)
-    if not multiterminal_solution_ok(mti, lifted):
-        raise Rejected("lifted edge set does not separate the source terminals")
     return lifted, {"kept_edges": sorted(set(kept))}
 
 
-def _lift_isolation(record, src, tgt, cert) -> Tuple[List[int], dict]:
-    inst = DiskInstance.from_dict(tgt)
-    chosen = [int(i) for i in certificate_candidate(cert)]
-    report = verify_isolation(inst, chosen, cert.get("budget"))
-    if not report.ok:
-        raise Rejected("target solution rejected: " + "; ".join(report.lines()))
-    kept = lift_fence_to_edges(inst, chosen)
-    sub = SubdivisionInstance.from_dict(src)
-    if not subdivision_solution_ok(sub, kept):
-        raise Rejected("lifted edge set does not separate the marked faces")
+def _back_isolation(record, sub, inst, chosen) -> Tuple[List[int], dict]:
+    k1 = len(set(int(i) for i in chosen))
     c_edge = int(inst.meta["c_edge"])
-    return kept, {
-        "k1": len(set(chosen)),
-        "c_edge": c_edge,
-        "floor_bound": len(set(chosen)) // c_edge,
-    }
+    return lift_fence_to_edges(inst, chosen), {
+        "k1": k1, "c_edge": c_edge, "floor_bound": k1 // c_edge}
 
 
-def _lift_acc(record, src, tgt, cert) -> Tuple[List[str], dict]:
-    inst = DiskInstance.from_dict(tgt)
-    removed = [int(i) for i in certificate_candidate(cert)]
-    report = verify_acc(inst, removed, cert.get("budget"))
-    if not report.ok:
-        raise Rejected("target solution rejected: " + "; ".join(report.lines()))
+def _back_acc(record, graph, inst, removed) -> Tuple[List[str], dict]:
     hub_vertex = {int(h): v for v, h in record.vertices.items()}
     edge_ends = {int(e): ends for e, ends in record.notes["edge_ends"].items()}
     lifted = set()
     for i in removed:
-        tag = inst.tags[i]
+        tag = inst.tags[int(i)]
         if tag and tag[0] == "hub":
-            lifted.add(hub_vertex[i])
+            lifted.add(hub_vertex[int(i)])
         elif tag and tag[0] == "conn":
             # a chain deletion is dominated by deleting either endpoint hub
             lifted.add(edge_ends[int(tag[1])][0])
-    vertices, edges, _ = plain_graph_from_dict(src)
-    kept = [str(v) for v in vertices if str(v) not in lifted]
-    kept_edges = [(str(u), str(w)) for u, w in edges
-                  if str(u) not in lifted and str(w) not in lifted]
-    comp = components(kept, kept_edges)
-    if len(kept_edges) - len(comp) + len(set(comp.values())) != 0:
-        raise Rejected("lifted vertex set leaves a cycle in the source graph")
     return sorted(lifted), {}
 
 
-def _lift_udmc(record, src, tgt, cert) -> Tuple[List[int], dict]:
-    inst = DiskInstance.from_dict(tgt)
-    pairs = normalize_edge_list(certificate_candidate(cert))
-    report = verify_multiterminal_cut(inst, pairs, cert.get("budget"))
-    if not report.ok:
-        raise Rejected("target solution rejected: " + "; ".join(report.reasons))
-    removed = set(pairs)
-    sigma_of = {}
-    for v, entry in record.vertices.items():
-        for i in entry["sigma"]:
-            sigma_of[int(i)] = v
-    lifted = []
-    for e_str, entry in record.edges.items():
-        ends = set(entry["ends"])
-        severed = 0
-        for lane in entry["lanes"]:
-            lane_set = set(int(i) for i in lane)
-            end_ids = {int(lane[0]), int(lane[-1])}
-            for (i, j) in removed:
-                internal = i in lane_set and j in lane_set
-                attachment = (
-                    (i in end_ids and sigma_of.get(j) in ends)
-                    or (j in end_ids and sigma_of.get(i) in ends)
-                )
-                if internal or attachment:
-                    severed += 1
-                    break
-        if severed == len(entry["lanes"]):
-            lifted.append(int(e_str))
-    lifted.sort()
-    mti = MultiterminalInstance.from_dict(src)
-    if not multiterminal_solution_ok(mti, lifted):
-        raise Rejected("lifted edge set does not separate the source terminals")
+def _back_udmc(record, mti, inst, pairs) -> Tuple[List[int], dict]:
+    removed = normalize_edge_list(pairs)
+    sigma_of = {int(i): v for v, entry in record.vertices.items() for i in entry["sigma"]}
+
+    def severed(lane, ends) -> bool:
+        # a removed pair inside the lane, or joining a lane end to the
+        # ring copies of the edge's end vertices
+        ids, tips = set(int(i) for i in lane), {int(lane[0]), int(lane[-1])}
+        return any((i in ids and j in ids) or (i in tips and sigma_of.get(j) in ends)
+                   or (j in tips and sigma_of.get(i) in ends) for i, j in removed)
+
+    lifted = sorted(int(e) for e, entry in record.edges.items()
+                    if all(severed(lane, set(entry["ends"])) for lane in entry["lanes"]))
     return lifted, {"weight": sum(mti.weight(e) for e in lifted)}
 
 
@@ -676,64 +666,65 @@ class Reduction(NamedTuple):
     # (source, mode, overrides) -> (target, the record's params, edges,
     # vertices, terminals and notes)
     reduce: Callable[[dict, str, Dict[str, Fraction]], Tuple[dict, dict]]
-    lift: Callable[[ReductionRecord, dict, dict, dict], Tuple[list, dict]]
-    problem: str   # problem of the lifted source solution
+    back_map: Callable[[ReductionRecord, object, object, list], Tuple[list, dict]]
+    source: str    # PROBLEMS entry of the source instance
+    target: str    # PROBLEMS entry of the target instance
+    label: str     # "problem" of the lifted certificate
 
 
 # kind -> its stages.  The private stage functions call the public ones by
 # name at call time, so a wrapper installed on a module attribute sees them.
 REDUCTIONS = {
-    "pmc->subdivision": Reduction(_reduce_pmc, _lift_pmc, "multiterminal-cut"),
+    "pmc->subdivision": Reduction(
+        _reduce_pmc, _back_pmc, "mc", "subdivision", "multiterminal-cut"),
     "subdivision->isolation": Reduction(
-        _reduce_subdivision, _lift_isolation, "face-separation"),
-    "fvs->acc": Reduction(_reduce_fvs, _lift_acc, "feedback-vertex-set"),
-    "mc->udmc": Reduction(_reduce_mc, _lift_udmc, "multiterminal-cut"),
+        _reduce_subdivision, _back_isolation, "subdivision", "isolation", "face-separation"),
+    "fvs->acc": Reduction(_reduce_fvs, _back_acc, "fvs", "acc", "feedback-vertex-set"),
+    "mc->udmc": Reduction(_reduce_mc, _back_udmc, "mc", "udmc", "multiterminal-cut"),
 }
 
 
-def cli_lift(
-    record_path, solution_path, source_path, target_path, out_path
-) -> Tuple[int, List[str]]:
-    """Map a verified target solution back to the source problem."""
-    try:
-        record = ReductionRecord.from_dict(read_json(record_path))
-        src = read_json(source_path)
-        tgt = read_json(target_path)
-        if canonical_digest(src) != record.source_digest:
-            raise PipelineError("source file does not match the record digest")
-        if canonical_digest(tgt) != record.target_digest:
-            raise PipelineError("target file does not match the record digest")
-        cert = read_json(solution_path)
-        lifted, detail = REDUCTIONS[record.kind].lift(record, src, tgt, cert)
-    except Rejected as exc:
-        return 1, [f"rejected: {exc}"]
-    except MALFORMED_ERRORS as exc:
-        return 2, [f"malformed: {exc}"]
-    write_json(
-        {"problem": REDUCTIONS[record.kind].problem, "candidate": lifted, "detail": detail},
-        out_path,
-    )
-    return 0, [f"lifted solution of size {len(lifted)}"]
+@_file_verb
+def cli_lift(record_path, solution_path, source_path, target_path, out_path):
+    """Map a target solution back to the source: verify it as ``verify``
+    does, back-map it, and verify the lifted solution the same way."""
+    record = ReductionRecord.from_dict(read_json(record_path))
+    src = read_json(source_path)
+    tgt = read_json(target_path)
+    if canonical_digest(src) != record.source_digest:
+        raise PipelineError("source file does not match the record digest")
+    if canonical_digest(tgt) != record.target_digest:
+        raise PipelineError("target file does not match the record digest")
+    candidate, budget = read_certificate(read_json(solution_path))
+    red = REDUCTIONS[record.kind]
+    source, target = PROBLEMS[red.source], PROBLEMS[red.target]
+    tgt_inst = target.parse(tgt)
+    ok, lines = target.verify(tgt_inst, candidate, budget)
+    if not ok:
+        raise Rejected("target solution rejected: " + "; ".join(lines))
+    src_inst = source.parse(src)
+    lifted, detail = red.back_map(record, src_inst, tgt_inst, candidate)
+    ok, lines = source.verify(src_inst, lifted, None)
+    if not ok:
+        raise Rejected("lifted solution rejected: " + "; ".join(lines))
+    out = {"problem": red.label, "candidate": lifted, "detail": detail}
+    return 0, [f"lifted solution of size {len(lifted)}"], [(out, out_path)]
 
 
 # ---------------------------------------------------------------------------
 # rendering and reports
 # ---------------------------------------------------------------------------
 
-def cli_render(input_path, out_path, guides: bool = False) -> Tuple[int, List[str]]:
-    try:
-        data = read_json(input_path)
-        if "disks" in data:
-            svg = svg_for_instance(DiskInstance.from_dict(data), guides=guides)
-        elif "coords" in data and "graph" in data:
-            svg = svg_for_embedding(GridEmbedding.from_dict(data))
-        else:
-            raise PipelineError("file is neither a disk instance nor an embedding")
-    except MALFORMED_ERRORS as exc:
-        return 2, [f"malformed: {exc}"]
-    Path(out_path).parent.mkdir(parents=True, exist_ok=True)
-    Path(out_path).write_text(svg, encoding="utf-8")
-    return 0, [f"wrote {out_path}"]
+@_file_verb
+def cli_render(input_path, out_path, guides: bool = False):
+    data = read_json(input_path)
+    if "disks" in data:
+        svg = svg_for_instance(DiskInstance.from_dict(data), guides=guides)
+    elif "coords" in data and "graph" in data:
+        svg = svg_for_embedding(GridEmbedding.from_dict(data))
+    else:
+        raise PipelineError("file is neither a disk instance nor an embedding")
+    return 0, [f"wrote {out_path}"], [(svg, out_path)]
 
 
 def cli_check_params(

@@ -30,8 +30,8 @@ from .graphs import (
     MultiterminalInstance,
     SubdivisionInstance,
     Vertex,
-    components,
     edge_disjoint_paths,
+    fvs_solution_ok,
     multiterminal_solution_ok,
     subdivision_solution_ok,
 )
@@ -157,12 +157,7 @@ def brute_min_fvs(
         )
 
     def acyclic_without(combo: Tuple[int, ...]) -> bool:
-        removed = {vs[i] for i in combo}
-        kept = [v for v in vs if v not in removed]
-        kept_edges = [(u, w) for u, w in edges if u not in removed and w not in removed]
-        comp = components(kept, kept_edges)
-        # cycle rank edges - nodes + components is zero exactly for a forest
-        return len(kept_edges) - len(comp) + len(set(comp.values())) == 0
+        return fvs_solution_ok(vs, edges, {vs[i] for i in combo})
 
     for combo in _feasible_subsets(len(vs), acyclic_without):
         return OptimumCertificate(

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from disklab import pipeline
 from disklab.__main__ import main as cli_main
+from disklab.corpus import seeded_multiterminal_instances
 from disklab.gadgets import SynthesisError
 from disklab.geometry import Disk
 from disklab.graphs import (
@@ -283,6 +284,104 @@ def test_verify_graph_level_problems(toy_chain, tmp_path):
     assert cli_verify("subdivision", sub, cert)[0] == 1
 
 
+def test_verify_fvs(tmp_path):
+    src, cert = tmp_path / "tri.json", tmp_path / "cert.json"
+    write_json({**TRIANGLE_PLAIN, "vertices": ["a", "b", "c", "d"]}, src)
+    for candidate, budget, code in ((["b"], None, 0), (["b", "d"], 2, 0),
+                                    (["b", "d"], 1, 1), ([], None, 1), (["z"], None, 2)):
+        write_json({"candidate": candidate, "budget": budget}, cert)
+        assert cli_verify("fvs", src, cert)[0] == code, (candidate, budget)
+    # integer vertex ids match their string form, as a lifted solution names them
+    write_json({"vertices": [0, 1, 2], "edges": [[0, 1], [1, 2], [2, 0]]}, src)
+    for candidate in ([1], ["1"]):
+        write_json({"candidate": candidate}, cert)
+        assert cli_verify("fvs", src, cert)[0] == 0
+    assert cli_main(["verify", "fvs", str(src), str(cert)]) == 0
+
+
+def pmc_grouped(root):
+    mc, sub = root / "mc.json", root / "sub.json"
+    write_json(triangle_mc_dict(terminals=("a", "b", "c")), mc)
+    assert cli_reduce("pmc->subdivision", mc, sub)[0] == 0
+    return mc, sub
+
+
+def test_verify_subdivision_accepts_the_solvers_grouped_optimum(tmp_path):
+    # the face-separation witness lists group ids; its edge ids are in
+    # detail.kept_edges, which the certificate reader takes instead
+    _, sub = pmc_grouped(tmp_path)
+    sol = tmp_path / "opt.json"
+    assert cli_solve("subdivision", sub, sol)[0] == 0
+    opt = read_json(sol)
+    assert (opt["optimum"], opt["witness"], opt["detail"]["kept_edges"]) == (
+        6, [0, 1, 2], [0, 1, 2, 3, 4, 5])
+    assert cli_verify("subdivision", sub, sol) == (0, ["separated at mass 6"])
+
+
+@pytest.mark.parametrize("cert, code", [
+    ({"candidate": "0123"}, 2),
+    ({"candidate": {"0": 1, "5": 2}}, 2),
+    ({"witness": "0123"}, 2),
+    ({"candidate": None}, 2),
+    ({"candidate": [0, 1], "budget": True}, 2),
+    ({"candidate": [0, 1], "budget": "7"}, 2),
+    ({"candidate": [0, 1], "budget": 7.0}, 2),
+    ({"candidate": [0, 1], "budget": [7]}, 2),
+    ({"candidate": [0, 1], "budget": None}, 1),
+    ({"candidate": [0, 1], "budget": 7}, 1),
+])
+def test_verify_refuses_certificate_schema_holes(toy_chain, tmp_path, cert, code):
+    path = tmp_path / "cert.json"
+    write_json(cert, path)
+    got, lines = cli_verify("isolation", toy_chain["iso"], path)
+    assert got == code, lines
+    if code == 2:
+        assert lines[0].startswith("malformed: certificate"), lines
+
+
+TOY_ACC_SOURCES = [
+    TRIANGLE_PLAIN,
+    {"vertices": ["a", "b", "c", "d"],
+     "edges": [["a", "b"], ["b", "c"], ["c", "d"], ["d", "a"]],
+     "coords": {"a": [0, 0], "b": [1, 0], "c": [1, 1], "d": [0, 1]}},
+]
+
+
+@pytest.fixture(scope="module")
+def toy_corpora(tmp_path_factory, toy_chain):
+    """(problem, instance path) of small instances each brute-force solver
+    handles: seeded cut instances, their grouped face-separation targets and
+    plain graphs, the toy fence instance and toy acyclicity instances."""
+    root = tmp_path_factory.mktemp("corpora")
+    out = [("isolation", toy_chain["iso"]), ("subdivision", toy_chain["sub"])]
+    for k, mti in enumerate(seeded_multiterminal_instances(2718, 8)):
+        mc, sub, plain = root / f"mc{k}.json", root / f"sub{k}.json", root / f"fvs{k}.json"
+        write_json(mti.to_dict(), mc)
+        assert cli_reduce("pmc->subdivision", mc, sub)[0] == 0
+        write_json({"vertices": mti.graph.vertices,
+                    "edges": [list(e) for e in mti.graph.edges]}, plain)
+        out += [("mc", mc), ("subdivision", sub), ("fvs", plain)]
+    for k, graph in enumerate(TOY_ACC_SOURCES):
+        src, acc = root / f"plain{k}.json", root / f"acc{k}.json"
+        write_json(graph, src)
+        assert cli_reduce("fvs->acc", src, acc)[0] == 0
+        out.append(("acc", acc))
+    return out
+
+
+def test_verify_accepts_every_solve_output(toy_corpora, tmp_path):
+    assert {p for p, _ in toy_corpora} == {"mc", "subdivision", "fvs", "isolation", "acc"}
+    for k, (problem, inst) in enumerate(toy_corpora):
+        sol = tmp_path / f"opt{k}.json"
+        assert cli_solve(problem, inst, sol)[0] == 0, (problem, inst)
+        assert cli_verify(problem, inst, sol)[0] == 0, (problem, inst)
+        # the optimum is a tight budget: one less is an overrun
+        opt = read_json(sol)
+        for budget, code in ((opt["optimum"], 0), (opt["optimum"] - 1, 1)):
+            write_json({**opt, "budget": budget}, sol)
+            assert cli_verify(problem, inst, sol)[0] == code, (problem, inst, budget)
+
+
 def seven_digit_primes(count):
     """The first ``count`` primes above 10**6, by a sieve over a window."""
     lo, hi = 10**6, 10**6 + 40_000
@@ -344,6 +443,17 @@ def test_solve_refuses_graphs_above_the_enumeration_caps(tmp_path):
         assert not out.exists()
 
 
+def test_a_failed_output_write_is_not_malformed_input(toy_chain, tmp_path):
+    # the file verbs write their outputs after the exit mapping, so an
+    # unwritable --out surfaces as the OS error, not as exit 2 "malformed"
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    with pytest.raises(OSError):
+        cli_solve("isolation", toy_chain["iso"], blocker / "opt.json")
+    with pytest.raises(OSError):
+        cli_render(toy_chain["iso"], blocker / "iso.svg")
+
+
 def test_solve_writes_certificate(toy_chain, tmp_path):
     out = tmp_path / "opt.json"
     code, _ = cli_solve("subdivision", toy_chain["sub"], out)
@@ -391,6 +501,9 @@ def test_lift_pmc_round_trip(tmp_path):
     mc_opt = tmp_path / "mc_opt.json"
     assert cli_solve("mc", mc, mc_opt)[0] == 0
     assert len(out["candidate"]) == read_json(mc_opt)["optimum"] == 2
+    # the lifted certificate's candidate, not its detail.kept_edges (the
+    # target's edges), is the cut
+    assert cli_verify("mc", mc, lifted) == (0, ["separated at weight 2"])
 
 
 def test_lift_acc_round_trip(tmp_path):
@@ -405,6 +518,7 @@ def test_lift_acc_round_trip(tmp_path):
     assert cli_lift(str(acc) + ".record.json", sol, fvs, acc, lifted)[0] == 0
     out = read_json(lifted)
     assert len(out["candidate"]) == 1  # triangle FVS optimum
+    assert cli_verify("fvs", fvs, lifted)[0] == 0
 
 
 def test_lift_udmc_round_trip(tmp_path):
@@ -448,6 +562,68 @@ def test_lift_rejects_digest_mismatch_and_bad_solutions(toy_chain, tmp_path):
     write_json({"candidate": []}, empty)
     code, lines = cli_lift(record, empty, sub, iso, tmp_path / "x.json")
     assert code == 1 and "rejected" in lines[0]
+
+
+@pytest.fixture(scope="module")
+def lift_cases(tmp_path_factory, toy_chain):
+    """kind -> (record, source, target, target problem, an accepted target
+    candidate, its size as the budget), one reduction of each kind."""
+    root = tmp_path_factory.mktemp("lifts")
+    mc, sub = pmc_grouped(root)
+    sub_opt = root / "sub_opt.json"
+    assert cli_solve("subdivision", sub, sub_opt)[0] == 0
+    sub_opt = read_json(sub_opt)
+
+    iso_opt = root / "iso_opt.json"
+    assert cli_solve("isolation", toy_chain["iso"], iso_opt)[0] == 0
+    iso_opt = read_json(iso_opt)
+
+    plain, acc, acc_opt = root / "fvs.json", root / "acc.json", root / "acc_opt.json"
+    write_json(TRIANGLE_PLAIN, plain)
+    assert cli_reduce("fvs->acc", plain, acc)[0] == 0
+    assert cli_solve("acc", acc, acc_opt)[0] == 0
+    acc_opt = read_json(acc_opt)
+
+    star, udmc, star_opt = root / "star.json", root / "udmc.json", root / "star_opt.json"
+    write_json(star_mc_dict(), star)
+    assert cli_reduce("mc->udmc", star, udmc)[0] == 0
+    assert cli_solve("mc", star, star_opt)[0] == 0
+    edges = read_json(str(udmc) + ".record.json")["edges"]
+    pairs = [p for e in read_json(star_opt)["witness"] for p in edges[str(e)]["cut_pairs"]]
+
+    def case(source, target, problem, candidate, budget):
+        return (str(target) + ".record.json", source, target, problem, candidate, budget)
+
+    return {
+        "pmc->subdivision": case(mc, sub, "subdivision",
+                                 sub_opt["detail"]["kept_edges"], sub_opt["optimum"]),
+        "subdivision->isolation": case(toy_chain["sub"], toy_chain["iso"], "isolation",
+                                       iso_opt["witness"], iso_opt["optimum"]),
+        "fvs->acc": case(plain, acc, "acc", acc_opt["witness"], acc_opt["optimum"]),
+        "mc->udmc": case(star, udmc, "udmc", pairs, len(pairs)),
+    }
+
+
+CERTIFICATE_VARIANTS = {
+    "accepted": (lambda c, b: {"candidate": c, "budget": b}, 0),
+    "one-dropped": (lambda c, b: {"candidate": c[1:], "budget": b}, 1),
+    "budget-short": (lambda c, b: {"candidate": c, "budget": b - 1}, 1),
+    "string-budget": (lambda c, b: {"candidate": c, "budget": str(b)}, 2),
+    "non-list": (lambda c, b: {"candidate": dict(enumerate(map(str, c))), "budget": b}, 2),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(CERTIFICATE_VARIANTS))
+@pytest.mark.parametrize("kind", sorted(pipeline.REDUCTIONS))
+def test_lift_and_verify_agree(lift_cases, tmp_path, kind, variant):
+    record, source, target, problem, candidate, budget = lift_cases[kind]
+    make, code = CERTIFICATE_VARIANTS[variant]
+    cert = tmp_path / "cert.json"
+    write_json(make(candidate, budget), cert)
+    verified, lines = cli_verify(problem, target, cert)
+    assert verified == code, lines
+    lifted, lines = cli_lift(record, cert, source, target, tmp_path / "lifted.json")
+    assert lifted == code, lines
 
 
 # ---------------------------------------------------------------------------
