@@ -10,6 +10,10 @@ Usage:
     python -m disklab check-params --n 2 --params sound
     python -m disklab lemma-oracle --n 3
 
+``reduce`` and ``check-params`` take ``--params sound|toy`` and the
+rational overrides ``--r``, ``--h``, ``--s`` and ``--a``.  ``solve`` has no
+cap option: each solver's caps are fixed, and it refuses above them.
+
 Exit codes: 0 accepted/succeeded, 1 rejected/refused, 2 malformed input.
 Diagnostics go to stderr as JSON lines; result payloads go to --out files
 (or stdout for the report commands).
@@ -33,7 +37,7 @@ def _diag(level: str, lines: List[str]) -> None:
               file=sys.stderr)
 
 
-OVERRIDES = ("r", "h", "s", "a", "spacing")
+OVERRIDES = ("r", "h", "s", "a")
 
 
 def _override_flags(parser: argparse.ArgumentParser) -> None:
@@ -75,8 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("problem", choices=pipeline.problems_with("solve"))
     p.add_argument("instance")
     p.add_argument("--out", required=True)
-    p.add_argument("--cap-subset", type=int, default=None,
-                   help="subset-size cap for enumeration solvers")
 
     p = sub.add_parser("lift", help="map a target solution back to the source")
     p.add_argument("--record", required=True)
@@ -109,8 +111,7 @@ VERBS = {
         a.kind, a.input, a.out, record_path=a.record, mode=a.params,
         overrides=_collect_overrides(a)),
     "verify": lambda a: pipeline.cli_verify(a.problem, a.instance, a.certificate),
-    "solve": lambda a: pipeline.cli_solve(
-        a.problem, a.instance, a.out, cap_subset=a.cap_subset),
+    "solve": lambda a: pipeline.cli_solve(a.problem, a.instance, a.out),
     "lift": lambda a: pipeline.cli_lift(
         a.record, a.solution, a.source_instance, a.target_instance, a.out),
     "render": lambda a: pipeline.cli_render(a.input, a.out, guides=a.guides),

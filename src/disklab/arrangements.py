@@ -117,7 +117,7 @@ class DiskInstance:
             raise VerificationError("radius must be positive")
         if len(self.points) != len(set(self.points.values())):
             raise VerificationError("marked points must be distinct")
-        terminals = [int(t) for t in self.meta.get("terminal_disks", [])]
+        terminals = json_ints(self.meta.get("terminal_disks", []), "terminal disk")
         for t in terminals:
             if not (0 <= t < len(self.tags)):
                 raise VerificationError(f"terminal disk id {t} out of range")
@@ -554,11 +554,30 @@ class IsolationReport:
         return out
 
 
+def json_ints(ids: Iterable, what: str) -> list:
+    """``ids`` as a list, refused unless each is an ``int``, what a JSON
+    integer parses to (``int()`` would truncate a float and read ``true``
+    as 1)."""
+    out = list(ids)
+    if any(type(i) is not int for i in out):
+        raise VerificationError(f"{what} ids must be JSON integers")
+    return out
+
+
 def _check_ids(ids: Iterable[int], n: int, what: str) -> List[int]:
-    out = sorted(set(int(i) for i in ids))
+    out = sorted(set(json_ints(ids, what)))
     if out and (out[0] < 0 or out[-1] >= n):
         raise VerificationError(f"{what} contains out-of-range disk ids")
     return out
+
+
+def check_points_uncovered(instance: DiskInstance) -> None:
+    """Raise :class:`VerificationError` if a disk covers a marked point."""
+    index = CenterIndex(instance.centers, instance.radius)
+    for pid, p in instance.points.items():
+        hit = index.within(p, instance.radius)
+        if hit:
+            raise VerificationError(f"marked point {pid!r} is covered by disk {hit[0]}")
 
 
 def verify_isolation(
@@ -579,15 +598,8 @@ def verify_isolation(
     messages = []
     if budget is not None and len(chosen) > budget:
         messages.append(f"budget: certificate uses {len(chosen)} disks, cap {budget}")
-    sc = instance.centers
-    index = CenterIndex(sc, instance.radius)
-    for pid, p in instance.points.items():
-        hit = index.within(p, instance.radius)
-        if hit:
-            raise VerificationError(
-                f"marked point {pid!r} is covered by disk {hit[0]}"
-            )
-    sub = sc.subset(chosen)
+    check_points_uncovered(instance)
+    sub = instance.centers.subset(chosen)
     results = separation(sub, unit_disk_graph(sub, instance.radius), instance.points)
     pair_results = {pair: res.separated for pair, res in results.items()}
     return IsolationReport(
@@ -661,7 +673,7 @@ def normalize_edge_list(pairs: Iterable) -> List[Tuple[int, int]]:
     """Canonical (min, max) pairs, deduplicated and sorted."""
     out = set()
     for p in pairs:
-        seq = tuple(int(x) for x in p)
+        seq = tuple(json_ints(p, "certificate"))
         if len(seq) != 2 or seq[0] == seq[1]:
             raise VerificationError(f"not an edge: {p!r}")
         out.add((min(seq), max(seq)))
@@ -682,7 +694,7 @@ def verify_multiterminal_cut(
     errored.
     """
     instance.validate()
-    terminals = [int(t) for t in instance.meta.get("terminal_disks", [])]
+    terminals = instance.meta.get("terminal_disks", [])
     if len(terminals) < 2:
         raise VerificationError("cut instances need at least two terminal disks")
     removed = normalize_edge_list(removed_edges)

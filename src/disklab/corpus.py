@@ -19,12 +19,11 @@ Edge = Tuple[Vertex, Vertex]
 
 
 def random_planar_edges(
-    rng: random.Random,
-    n_vertices: int,
-    extra_tries: Optional[int] = None,
+    rng: random.Random, n_vertices: int
 ) -> Tuple[List[Vertex], List[Edge]]:
-    """Random connected simple planar graph: a random tree plus extra edges
-    kept only while the graph stays planar."""
+    """Random connected simple planar graph: a random tree plus
+    ``2 * n_vertices`` tries at an extra edge, each kept only while the
+    graph stays planar."""
     if n_vertices < 1:
         raise ValueError("need at least one vertex")
     import networkx as nx
@@ -35,9 +34,7 @@ def random_planar_edges(
     ]
     g = nx.Graph(edges)
     g.add_nodes_from(names)
-    if extra_tries is None:
-        extra_tries = 2 * n_vertices
-    for _ in range(extra_tries):
+    for _ in range(2 * n_vertices):
         u, w = rng.sample(names, 2) if n_vertices >= 2 else (names[0], names[0])
         if u == w or g.has_edge(u, w):
             continue

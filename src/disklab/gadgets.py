@@ -35,7 +35,6 @@ from .geometry import (
     ParamSet,
     Point,
     ceil_frac,
-    compute_params,
     pi_bounds,
 )
 from .graphs import SubdivisionInstance, Vertex, components
@@ -362,10 +361,17 @@ def _sound_wall_plan(
     return WallPlan(pts, sigma / r)
 
 
-def _toy_wall_plan(ax, ay, bx, by, p: ParamSet, attach: float) -> WallPlan:
+# a toy wall is a straight chain whose ends sit TOY_ATTACH * r from the
+# centres of its endpoints' anchor disks
+TOY_ATTACH = 1.8
+# the largest uniform per-edge disk count toy_edge_budget tries
+TOY_MAX_EDGE_DISKS = 10
+
+
+def _toy_wall_plan(ax, ay, bx, by, p: ParamSet) -> WallPlan:
     r = float(p.r)
     c = p.c_edge
-    straight, ends = _attached_span(ax, ay, bx, by, attach * r)
+    straight, ends = _attached_span(ax, ay, bx, by, TOY_ATTACH * r)
     if straight <= 0:
         raise SynthesisError("edge too short for toy attachments")
     sigma = straight / (c - 1)
@@ -377,19 +383,20 @@ def _toy_wall_plan(ax, ay, bx, by, p: ParamSet, attach: float) -> WallPlan:
     return WallPlan(_walk_polyline(ends, c), sigma / r)
 
 
-def toy_edge_budget(emb: GridEmbedding, p: ParamSet, cap: int = 10, attach: float = 1.8) -> int:
-    """Smallest uniform per-edge disk count (at most ``cap``) whose straight
-    chains have admissible spacing on every drawn edge, or raise."""
+def toy_edge_budget(emb: GridEmbedding, p: ParamSet) -> int:
+    """Smallest uniform per-edge disk count (at most
+    :data:`TOY_MAX_EDGE_DISKS`) whose straight chains have admissible
+    spacing on every drawn edge, or raise."""
     r = float(p.r)
     lengths = []
     for (u, w) in emb.graph.edges:
         (ax, ay), (bx, by) = emb.coords[u], emb.coords[w]
-        lengths.append(math.hypot(bx - ax, by - ay) - 2 * attach * r)
-    for c in range(3, cap + 1):
+        lengths.append(math.hypot(bx - ax, by - ay) - 2 * TOY_ATTACH * r)
+    for c in range(3, TOY_MAX_EDGE_DISKS + 1):
         if all(1.05 * r <= L / (c - 1) <= 1.93 * r for L in lengths):
             return c
     raise SynthesisError(
-        f"no uniform per-edge count up to {cap} fits every edge of this drawing"
+        f"no uniform per-edge count up to {TOY_MAX_EDGE_DISKS} fits every edge of this drawing"
     )
 
 
@@ -461,14 +468,13 @@ def _place_face_points(
 def build_isolation_instance(
     sub: SubdivisionInstance,
     emb: GridEmbedding,
-    params: Optional[ParamSet] = None,
-    mode: str = "sound",
+    params: ParamSet,
 ) -> IsolationArtifacts:
     """Compile a drawn subdivision instance into disks.
 
     Every edge becomes a wall of exactly ``c_edge`` disks; every vertex a
-    ring (sound) or a single anchor disk (toy).  Marked points land inside
-    their faces.  The result is exactly verified: walls are simple paths,
+    ring or, when ``params.mode`` is toy, a single anchor disk.  Marked
+    points land inside their faces.  The result is exactly verified: walls are simple paths,
     rings simple cycles, wall ends touch exactly their endpoint's vertex
     structure 1-3 times, and nothing else intersects — except, in toy mode,
     end-of-wall pairs meeting at a shared vertex, which the counting
@@ -477,8 +483,6 @@ def build_isolation_instance(
     sub.validate()
     _check_drawing_matches(sub.graph, emb)
     g = emb.graph
-    if params is None:
-        params = compute_params(emb.grid_size, mode=mode)
     p = params
     total_edge_disks = p.c_edge * len(g.edges)
     if total_edge_disks > 2_000_000:
@@ -510,7 +514,7 @@ def build_isolation_instance(
     for eid, (u, w) in enumerate(g.edges):
         (ax, ay), (bx, by) = coords_f[u], coords_f[w]
         if toy:
-            plan = _toy_wall_plan(ax, ay, bx, by, p, 1.8)
+            plan = _toy_wall_plan(ax, ay, bx, by, p)
         else:
             plan = _sound_wall_plan(ax, ay, bx, by, p)
         wall_ids[eid] = b.chain(("wall", eid), plan.centers, 0)
@@ -567,7 +571,7 @@ def lift_fence_to_edges(instance: DiskInstance, chosen_ids: Iterable[int]) -> Li
     c_edge = int(instance.meta["c_edge"])
     per_edge: Dict[int, int] = {}
     tags = instance.tags
-    for i in set(int(x) for x in chosen_ids):
+    for i in set(chosen_ids):
         tag = tags[i]
         if tag and tag[0] == "wall":
             per_edge[tag[1]] = per_edge.get(tag[1], 0) + 1
@@ -651,11 +655,7 @@ class CutArtifacts:
     lane_ids: Dict[Tuple[int, int], List[int]]  # (edge id, copy) -> chain disk ids
 
 
-def build_weighted_edge_instance(
-    weight: int,
-    span: float = 4.0,
-    r: Fraction = Fraction(1, 10),
-) -> CutArtifacts:
+def build_weighted_edge_instance(weight: int) -> CutArtifacts:
     """Two terminal disks joined by ``weight`` disjoint disk lanes.
 
     Weights become multiplicities: cutting the terminals apart requires one
@@ -665,6 +665,7 @@ def build_weighted_edge_instance(
     """
     if weight < 1:
         raise SynthesisError("weight must be at least 1")
+    r, span = Fraction(1, 10), 4.0    # disk radius, terminal centre distance
     rf = float(r)
     b = _Disks(r)
     b.single(("terminal", "u"), (0, 0))
@@ -731,7 +732,10 @@ def perturb_copy(p: Tuple[float, float], j: int, r: Fraction) -> Tuple[float, fl
 # full unit-disk multiterminal instances: bundles at vertices, lanes on edges
 # ---------------------------------------------------------------------------
 
+# perturbed ring copies per bundle: more than max degree (3) times max
+# weight (5), which the cut accounting needs
 BUNDLE_COPIES = 16
+BUNDLE_SCALE = 4
 
 
 @dataclass
@@ -763,12 +767,11 @@ def build_udmc_instance(
     mti,
     emb: GridEmbedding,
     r: Fraction = Fraction(1, 10),
-    scale: int = 4,
-    copies: int = BUNDLE_COPIES,
 ) -> UdmcArtifacts:
     """Compile a weighted terminal-separation graph into unit disks.
 
-    Every vertex becomes a bundle: ``copies`` perturbed copies of a ring of
+    The drawing is scaled by :data:`BUNDLE_SCALE`.  Every vertex becomes a
+    bundle: ``copies`` (:data:`BUNDLE_COPIES`) perturbed copies of a ring of
     disks around the vertex plus ``copies`` perturbed two-disk connector
     chains joining a central hub disk to the ring.  Every edge of weight w
     becomes w disk lanes that leave the ring, fan out to a fixed pitch, run
@@ -805,11 +808,8 @@ def build_udmc_instance(
     for v, d in degree.items():
         if d > 3:
             raise SynthesisError(f"vertex {v!r} has degree {d}; at most 3 supported")
-    # the cut accounting that makes solutions liftable needs
-    # copies > max_degree * max_weight = 15
-    if copies < 16:
-        raise SynthesisError("fewer than 16 copies breaks the cut accounting")
 
+    copies, scale = BUNDLE_COPIES, BUNDLE_SCALE
     rf = float(r)
     pos = {v: (float(x) * scale, float(y) * scale) for v, (x, y) in emb.coords.items()}
     ring_r = 5.0 * rf

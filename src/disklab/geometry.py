@@ -10,7 +10,7 @@ explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -116,8 +116,10 @@ class ParamSet:
 
     ``n`` is the bounding grid size of the embedding the instance lives on.
     ``s`` is the clearance radius kept free around every vertex, ``a`` the
-    straight run at both gadget ends, ``h`` the gadget height and ``spacing``
-    the preferred center distance of consecutive path disks.  ``c_edge`` and
+    straight run at both gadget ends and ``h`` the gadget height.
+    ``spacing`` is always 9/5 r, a preferred centre distance of consecutive
+    path disks that is recorded with the parameters but not used for
+    layout: each wall plan picks its own pitch.  ``c_edge`` and
     ``c_vertex`` are the uniform per-gadget disk counts.
     """
 
@@ -130,7 +132,6 @@ class ParamSet:
     c_edge: int
     c_vertex: int
     mode: str = "sound"
-    sqrt2n_upper: Fraction = field(default=Fraction(0), compare=False)
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -196,9 +197,10 @@ def compute_params(
     Sound mode uses r = 1/(40 n^4), h = 1/(12 n^2), a = 1/4 and the rational
     clearance surrogate s = 6 r n^2 (an upper bound on the irrational
     closed form; see check_constraints, which re-verifies everything with the
-    surrogate in place).  Toy mode starts from desk-scale defaults and lets
-    the caller override any field; toy parameter sets are allowed to violate
-    the soundness constraints and are reported as such by check_constraints.
+    surrogate in place).  Toy mode starts from desk-scale defaults; toy
+    parameter sets are allowed to violate the soundness constraints and are
+    reported as such by check_constraints.  In either mode ``overrides`` may
+    replace ``r``, ``s``, ``a``, ``h`` and the per-edge count ``c_edge``.
     """
     overrides = dict(overrides or {})
     if mode == "sound":
@@ -221,22 +223,15 @@ def compute_params(
     if mode == "sound" and "s" not in overrides:
         s = 6 * r * n * n  # dependent default tracks an overridden radius
     s = overrides.pop("s", s)
-    spacing = overrides.pop("spacing", Fraction(9, 5) * r)
     c_edge_override = overrides.pop("c_edge", None)
-    c_vertex_override = overrides.pop("c_vertex", None)
     if overrides:
         raise ValueError(f"unknown parameter overrides: {sorted(overrides)}")
     if not (0 < r and 0 < s and 0 < h and 0 <= a):
         raise ValueError("parameters must be positive")
-    if not (0 < spacing < 2 * r):
-        raise ValueError("path spacing must lie strictly between 0 and 2r")
-    c_edge, ub = count_edge_disks(n, r, s)
-    if c_edge_override is not None:
-        c_edge = int(c_edge_override)
-    c_vertex = count_vertex_disks(r, s) if c_vertex_override is None else int(c_vertex_override)
+    c_edge = count_edge_disks(n, r, s)[0] if c_edge_override is None else int(c_edge_override)
     return ParamSet(
-        n=n, r=r, s=s, a=a, h=h, spacing=spacing,
-        c_edge=c_edge, c_vertex=c_vertex, mode=mode, sqrt2n_upper=ub,
+        n=n, r=r, s=s, a=a, h=h, spacing=Fraction(9, 5) * r,
+        c_edge=c_edge, c_vertex=count_vertex_disks(r, s), mode=mode,
     )
 
 

@@ -56,11 +56,10 @@ def edge_disjoint_paths(
     adj: Sequence[Sequence[int]],
     sources: Iterable[int],
     sinks: Iterable[int],
-    cutoff: Optional[int] = None,
 ) -> Tuple[int, Set[int]]:
     """Maximum number of edge-disjoint paths from ``sources`` to ``sinks``
     (disjoint node sets) in the simple graph with adjacency lists ``adj``,
-    stopping at ``cutoff``, and the sink side of the final residual graph.
+    and the sink side of the final residual graph.
 
     BFS augmenting paths in the unit-capacity residual, one skew-symmetric
     flow per ordered pair; a path never enters a source and ends at its
@@ -72,7 +71,7 @@ def edge_disjoint_paths(
     sources, sink_set = list(sources), set(sinks)
     flow: Dict[int, Set[int]] = {}  # w in flow[v]: one unit flows v -> w
     value = 0
-    while cutoff is None or value < cutoff:
+    while True:
         prev: Dict[int, Optional[int]] = dict.fromkeys(sources)
         queue = deque(sources)
         end = None
@@ -304,7 +303,6 @@ class PlanarEmbeddedGraph:
 @dataclass
 class DualResult:
     dual: PlanarEmbeddedGraph          # vertex i of the dual is face i of the primal
-    primal_face_of_dart: Dict[Dart, int]
     vertex_face: Dict[Vertex, int]     # primal vertex -> face id of the dual
 
 
@@ -335,7 +333,7 @@ def geometric_dual(g: PlanarEmbeddedGraph) -> DualResult:
             vertex_face[v] = 0
         else:
             raise StructureError(f"isolated vertex {v!r} in a connected dual computation")
-    return DualResult(dual=dual, primal_face_of_dart=face_of, vertex_face=vertex_face)
+    return DualResult(dual=dual, vertex_face=vertex_face)
 
 
 # ---------------------------------------------------------------------------
@@ -347,13 +345,13 @@ class SubdivisionMap:
     graph: PlanarEmbeddedGraph
     fragments: Dict[int, List[int]]    # original edge id -> new edge ids in order
     face_map: Dict[int, int]           # original face id -> new face id
-    new_vertices: List[Vertex]
 
 
-def subdivide_all_edges(g: PlanarEmbeddedGraph, label_prefix: str = "x") -> SubdivisionMap:
-    """Subdivide every edge once; self-loops are subdivided twice so the
-    result is simple.  Fragment groups and the face correspondence are
-    returned so solutions can be mapped back.
+def subdivide_all_edges(g: PlanarEmbeddedGraph) -> SubdivisionMap:
+    """Subdivide every edge once, with new vertex ``x<edge id>``; self-loops
+    are subdivided twice (``x<edge id>a``, ``x<edge id>b``) so the result is
+    simple.  Fragment groups and the face correspondence are returned so
+    solutions can be mapped back.
     """
     new_vertices = list(g.vertices)
     new_edges: List[Tuple[Vertex, Vertex]] = []
@@ -361,22 +359,20 @@ def subdivide_all_edges(g: PlanarEmbeddedGraph, label_prefix: str = "x") -> Subd
     # replacement darts for the two original ends
     end_replacement: Dict[Dart, Dart] = {}
     mid_rotation: Dict[Vertex, List[Dart]] = {}
-    added: List[Vertex] = []
 
     for eid, (u, v) in enumerate(g.edges):
         if u != v:
-            m = f"{label_prefix}{eid}"
+            m = f"x{eid}"
             f1 = len(new_edges); new_edges.append((u, m))
             f2 = len(new_edges); new_edges.append((m, v))
             fragments[eid] = [f1, f2]
             end_replacement[(eid, 0)] = (f1, 0)
             end_replacement[(eid, 1)] = (f2, 1)
             mid_rotation[m] = [(f1, 1), (f2, 0)]
-            added.append(m)
             new_vertices.append(m)
         else:
-            m1 = f"{label_prefix}{eid}a"
-            m2 = f"{label_prefix}{eid}b"
+            m1 = f"x{eid}a"
+            m2 = f"x{eid}b"
             f1 = len(new_edges); new_edges.append((u, m1))
             f2 = len(new_edges); new_edges.append((m1, m2))
             f3 = len(new_edges); new_edges.append((m2, v))
@@ -385,7 +381,6 @@ def subdivide_all_edges(g: PlanarEmbeddedGraph, label_prefix: str = "x") -> Subd
             end_replacement[(eid, 1)] = (f3, 1)
             mid_rotation[m1] = [(f1, 1), (f2, 0)]
             mid_rotation[m2] = [(f2, 1), (f3, 0)]
-            added.extend([m1, m2])
             new_vertices.extend([m1, m2])
 
     rotation: Dict[Vertex, List[Dart]] = {
@@ -400,7 +395,7 @@ def subdivide_all_edges(g: PlanarEmbeddedGraph, label_prefix: str = "x") -> Subd
             face_map[i] = g2.face_of_dart(end_replacement[walk[0]])
     if len(g2.facial_walks()) != len(g.facial_walks()):
         raise StructureError("subdivision changed the face count")
-    return SubdivisionMap(graph=g2, fragments=fragments, face_map=face_map, new_vertices=added)
+    return SubdivisionMap(graph=g2, fragments=fragments, face_map=face_map)
 
 
 # ---------------------------------------------------------------------------

@@ -36,11 +36,13 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 from .arrangements import (
     DiskInstance,
     VerificationError,
+    json_ints,
     normalize_edge_list,
     verify_acc,
     verify_isolation,
     verify_multiterminal_cut,
 )
+from .corpus import rotation_graph
 from .gadgets import (
     SynthesisError,
     build_acc_instance,
@@ -59,11 +61,11 @@ from .geometry import (
 )
 from .graphs import (
     MultiterminalInstance,
-    PlanarEmbeddedGraph,
     SolutionBackMap,
     StructureError,
     SubdivisionInstance,
     Vertex,
+    components,
     fvs_solution_ok,
     lift_subdivision_solution,
     multiterminal_solution_ok,
@@ -284,30 +286,19 @@ def plain_graph_from_dict(d: dict) -> Tuple[List[Vertex], List[Tuple[Vertex, Ver
 
 def embed_plain_graph(vertices, edges) -> GridEmbedding:
     """Deterministic straight-line grid drawing of a plain (connected,
-    planar, simple) graph: take any combinatorial embedding and hand it to
-    the grid drawer."""
+    planar, simple) graph: take networkx's combinatorial embedding
+    (:func:`~disklab.corpus.rotation_graph`) and hand it to the grid
+    drawer."""
     if not vertices:
         raise Rejected("graph has no vertices")
-    import networkx as nx
-
-    g = nx.Graph()
-    g.add_nodes_from(vertices)
-    g.add_edges_from(edges)
-    if len(edges) != g.number_of_edges() or any(u == w for u, w in edges):
+    if len({frozenset(e) for e in edges}) != len(edges) or any(u == w for u, w in edges):
         raise Rejected("graph must be simple for automatic drawing")
-    if not nx.is_connected(g):
+    if len(set(components(vertices, edges).values())) != 1:
         raise Rejected("graph is disconnected: supply explicit 'coords'")
-    ok, emb = nx.check_planarity(g)
-    if not ok:
-        raise Rejected("graph is not planar")
-    eid_of = {}
-    for i, (u, w) in enumerate(edges):
-        eid_of[(u, w)] = i
-        eid_of[(w, u)] = i
-    rotation = {
-        v: [eid_of[(v, nb)] for nb in emb.neighbors_cw_order(v)] for v in vertices
-    }
-    peg = PlanarEmbeddedGraph.from_edge_rotation(vertices, edges, rotation)
+    try:
+        peg = rotation_graph(vertices, edges)
+    except ValueError as exc:    # not planar
+        raise Rejected(str(exc)) from exc
     return grid_embed(peg)
 
 
@@ -346,7 +337,7 @@ def _reduce_subdivision(src: dict, mode: str, overrides) -> Tuple[dict, dict]:
     report = check_constraints(params)
     if mode == "sound" and not report.ok:
         raise Rejected("constraints failed: " + ", ".join(report.failing()))
-    art = build_isolation_instance(sub, emb, params=params, mode=mode)
+    art = build_isolation_instance(sub, emb, params)
     target = art.instance.to_dict()
     return target, dict(
         params=params,
@@ -482,7 +473,7 @@ def cli_reduce(kind: str, input_path, out_path, record_path=None, mode: str = "s
 # ---------------------------------------------------------------------------
 
 def _verify_mc(mti: MultiterminalInstance, candidate, budget) -> Tuple[bool, List[str]]:
-    removed = sorted(set(int(e) for e in candidate))
+    removed = sorted(set(json_ints(candidate, "certificate")))
     if removed and not (0 <= removed[0] and removed[-1] < len(mti.graph.edges)):
         raise VerificationError("certificate names an unknown edge id")
     reasons = []
@@ -496,7 +487,7 @@ def _verify_mc(mti: MultiterminalInstance, candidate, budget) -> Tuple[bool, Lis
 
 
 def _verify_subdivision(sub: SubdivisionInstance, candidate, budget) -> Tuple[bool, List[str]]:
-    kept_set = set(int(e) for e in candidate)
+    kept_set = set(json_ints(candidate, "certificate"))
     kept = sorted(kept_set)
     if kept and not (0 <= kept[0] and kept[-1] < len(sub.graph.edges)):
         raise VerificationError("certificate names an unknown edge id")
@@ -531,13 +522,13 @@ def _disk_report(report) -> Tuple[bool, List[str]]:
     return report.ok, report.lines()
 
 
-def _solve_isolation(inst: DiskInstance, caps: dict) -> OptimumCertificate:
+def _solve_isolation(inst: DiskInstance) -> OptimumCertificate:
     if len(inst.points) == 2:
         return brute_min_isolation_two_points(inst)
-    return brute_min_isolation(inst, **caps)
+    return brute_min_isolation(inst)
 
 
-def _solve_udmc_bound(inst: DiskInstance, caps: dict) -> OptimumCertificate:
+def _solve_udmc_bound(inst: DiskInstance) -> OptimumCertificate:
     return OptimumCertificate(
         problem="multiterminal-cut-bound",
         optimum=multiterminal_cut_lower_bound(inst),
@@ -551,8 +542,8 @@ class Problem(NamedTuple):
     parse: Callable[[dict], object]    # instance dict -> instance
     # (instance, candidate, budget or None) -> (ok, lines); None: no verify
     verify: Optional[Callable[[object, list, Optional[int]], Tuple[bool, List[str]]]] = None
-    # (instance, subset caps) -> optimum; None: no solve
-    solve: Optional[Callable[[object, dict], OptimumCertificate]] = None
+    # instance -> optimum; None: no solve
+    solve: Optional[Callable[[object], OptimumCertificate]] = None
 
 
 def _disks(d: dict) -> DiskInstance:
@@ -563,18 +554,18 @@ def _disks(d: dict) -> DiskInstance:
 # functions and ``from_dict`` by name at call time.
 PROBLEMS = {
     "mc": Problem(lambda d: MultiterminalInstance.from_dict(d), _verify_mc,
-                  lambda mti, caps: brute_min_multiterminal(mti)),
+                  lambda mti: brute_min_multiterminal(mti)),
     "subdivision": Problem(lambda d: SubdivisionInstance.from_dict(d), _verify_subdivision,
-                           lambda sub, caps: brute_min_subdivision(sub)),
+                           lambda sub: brute_min_subdivision(sub)),
     "fvs": Problem(plain_graph_from_dict, _verify_fvs,
-                   lambda graph, caps: brute_min_fvs(graph[0], graph[1])),
+                   lambda graph: brute_min_fvs(graph[0], graph[1])),
     "isolation": Problem(
         _disks, lambda inst, c, b: _disk_report(verify_isolation(inst, c, b)), _solve_isolation),
     "acc": Problem(_disks, lambda inst, c, b: _disk_report(verify_acc(inst, c, b)),
-                   lambda inst, caps: brute_min_acc(inst, **caps)),
+                   lambda inst: brute_min_acc(inst)),
     "udmc": Problem(
         _disks, lambda inst, c, b: _disk_report(verify_multiterminal_cut(inst, c, b))),
-    "terminal-pair-cut": Problem(_disks, solve=lambda inst, caps: min_terminal_pair_cut(inst)),
+    "terminal-pair-cut": Problem(_disks, solve=lambda inst: min_terminal_pair_cut(inst)),
     "udmc-bound": Problem(_disks, solve=_solve_udmc_bound),
 }
 
@@ -601,12 +592,11 @@ def cli_verify(problem: str, instance_path, certificate_path):
 
 
 @_file_verb
-def cli_solve(problem: str, instance_path, out_path, cap_subset: Optional[int] = None):
+def cli_solve(problem: str, instance_path, out_path):
     """Solve to optimality (or refuse); writes an OptimumCertificate JSON."""
     inst_dict = read_json(instance_path)
     entry = _problem(problem, "solve")
-    cert = entry.solve(
-        entry.parse(inst_dict), {} if cap_subset is None else {"max_subset": cap_subset})
+    cert = entry.solve(entry.parse(inst_dict))
     out = {"problem": cert.problem, "optimum": cert.optimum, "witness": cert.witness,
            "method": cert.method, "detail": cert.detail}
     return 0, [f"optimum {cert.optimum} with witness of size {len(cert.witness)}"], [
@@ -619,14 +609,13 @@ def cli_solve(problem: str, instance_path, out_path, cap_subset: Optional[int] =
 # ---------------------------------------------------------------------------
 
 def _back_pmc(record, mti, sub, kept) -> Tuple[List[int], dict]:
-    kept = [int(e) for e in kept]
     pairing = {int(e): [int(f) for f in frags] for e, frags in record.edges.items()}
     lifted = lift_subdivision_solution(SolutionBackMap(pairing=pairing), kept)
     return lifted, {"kept_edges": sorted(set(kept))}
 
 
 def _back_isolation(record, sub, inst, chosen) -> Tuple[List[int], dict]:
-    k1 = len(set(int(i) for i in chosen))
+    k1 = len(set(chosen))
     c_edge = int(inst.meta["c_edge"])
     return lift_fence_to_edges(inst, chosen), {
         "k1": k1, "c_edge": c_edge, "floor_bound": k1 // c_edge}
@@ -637,9 +626,9 @@ def _back_acc(record, graph, inst, removed) -> Tuple[List[str], dict]:
     edge_ends = {int(e): ends for e, ends in record.notes["edge_ends"].items()}
     lifted = set()
     for i in removed:
-        tag = inst.tags[int(i)]
+        tag = inst.tags[i]
         if tag and tag[0] == "hub":
-            lifted.add(hub_vertex[int(i)])
+            lifted.add(hub_vertex[i])
         elif tag and tag[0] == "conn":
             # a chain deletion is dominated by deleting either endpoint hub
             lifted.add(edge_ends[int(tag[1])][0])

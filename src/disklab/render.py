@@ -170,16 +170,16 @@ def svg_for_instance(instance: DiskInstance, guides: bool = False) -> str:
     return "\n".join(out) + "\n"
 
 
-def svg_for_embedding(emb: GridEmbedding, guides: bool = True) -> str:
-    """Render a straight-line grid drawing with vertex labels."""
+def svg_for_embedding(emb: GridEmbedding) -> str:
+    """Render a straight-line grid drawing with unit guide lines and vertex
+    labels."""
     coords = emb.coords
     xs = [float(x) for x, _ in coords.values()] or [0.0]
     ys = [float(y) for _, y in coords.values()] or [0.0]
     frame = _Frame(min(xs), min(ys), max(xs), max(ys))
     out: List[str] = []
     _open_svg(frame, out)
-    if guides:
-        _grid_lines(frame, min(xs), min(ys), max(xs), max(ys), 1.0, out)
+    _grid_lines(frame, min(xs), min(ys), max(xs), max(ys), 1.0, out)
     out.append('<g stroke="#4477aa" stroke-width="3">')
     for (u, v) in emb.graph.edges:
         ax, ay = frame.pt(*[float(c) for c in coords[u]])

@@ -3,10 +3,11 @@
 These establish ground-truth optima for small instances so the reduction
 laws can be checked end to end.  Enumeration solvers refuse instances above
 hard caps instead of silently running forever.  The three graph-level
-solvers (multiterminal cut, face separation, cycle-hitting set) enumerate
-in combinations order, pruned by upward-closed feasibility: a superset of a
-feasible set is feasible, so a subtree whose largest set fails is skipped,
-and the first feasible subset found is the one plain enumeration finds.
+solvers (multiterminal cut, face separation, cycle-hitting set) and the
+k-point fence solver enumerate in combinations order, pruned by
+upward-closed feasibility: a superset of a feasible set is feasible, so a
+subtree whose largest set fails is skipped, and the first feasible subset
+found is the one plain enumeration finds.
 The two-point isolation solver and the terminal-pair cut solver are
 polynomial and handle the synthesized instances directly.
 """
@@ -22,8 +23,10 @@ from .arrangements import (
     CenterIndex,
     DiskInstance,
     VerificationError,
+    check_points_uncovered,
     complement_regions,
     edge_crossing_parities,
+    separation,
     unit_disk_graph,
 )
 from .graphs import (
@@ -65,12 +68,23 @@ def _feasible_subsets(
     upward-closed ``ok``: a superset of a feasible set is feasible.
 
     The full set is tested first, so an infeasible instance yields nothing
-    at once.  Each size then walks the combinations tree depth first.
-    Before it descends at index ``c`` under prefix ``P`` it tests
-    ``P + range(c, n)``, the largest set below; when that fails, no leaf
-    below ``c``, nor any to its right, can pass, so the level stops.  The
-    first branch of a level is not tested again: its largest set is the one
-    tested before descending to that level.
+    at once.
+    """
+    if ok(tuple(range(n))):
+        for size in range(n + 1):
+            yield from _feasible_of_size(n, ok, size)
+
+
+def _feasible_of_size(
+    n: int, ok: Callable[[Tuple[int, ...]], bool], size: int
+) -> Iterator[Tuple[int, ...]]:
+    """The ``size``-element tuples of :func:`_feasible_subsets`, in order,
+    for an ``ok`` that holds on the full set, by a depth-first walk of the
+    combinations tree.  Before it descends at index ``c`` under prefix ``P``
+    it tests ``P + range(c, n)``, the largest set below; when that fails,
+    no leaf below ``c``, nor any to its right, can pass, so the level stops.
+    The first branch of a level is not tested again: its largest set is the
+    one tested before descending to that level.
     """
 
     def below(prefix: Tuple[int, ...], start: int, need: int) -> Iterator[Tuple[int, ...]]:
@@ -84,9 +98,7 @@ def _feasible_subsets(
                 return
             yield from below(prefix + (c,), c + 1, need - 1)
 
-    if ok(tuple(range(n))):
-        for size in range(n + 1):
-            yield from below((), 0, size)
+    return below((), 0, size)
 
 
 def brute_min_multiterminal(
@@ -312,12 +324,12 @@ def brute_min_isolation(
     max_subset: int = 12,
     max_disks: int = 40,
 ) -> OptimumCertificate:
-    """Minimum fence by subset enumeration, any number of marked points.
-
-    Strictly capped; use the two-point solver for synthesized instances.
+    """Minimum fence for any number of marked points, by enumeration in
+    combinations order up to ``max_subset`` disks, pruned by upward-closed
+    feasibility (:func:`_feasible_of_size`): with the marked points
+    uncovered, a superset of a fence is a fence.  Strictly capped; use the
+    two-point solver for synthesized instances.
     """
-    from .arrangements import verify_isolation
-
     instance.validate()
     n = len(instance.tags)
     if n > max_disks:
@@ -325,9 +337,19 @@ def brute_min_isolation(
             f"{n} disks exceeds the enumeration cap {max_disks}; "
             "use the two-point solver or shrink the instance"
         )
-    for size in range(min(max_subset, n) + 1):
-        for combo in combinations(range(n), size):
-            if verify_isolation(instance, list(combo)).ok:
+    if len(instance.points) < 2:
+        raise VerificationError("isolation needs at least two marked points")
+    check_points_uncovered(instance)
+    sc, r = instance.centers, instance.radius
+
+    def fences(combo: Tuple[int, ...]) -> bool:
+        sub = sc.subset(combo)
+        results = separation(sub, unit_disk_graph(sub, r), instance.points)
+        return all(res.separated for res in results.values())
+
+    if fences(tuple(range(n))):
+        for size in range(min(max_subset, n) + 1):
+            for combo in _feasible_of_size(n, fences, size):
                 return OptimumCertificate(
                     problem="point-isolation", optimum=size, witness=list(combo)
                 )
@@ -362,37 +384,22 @@ def brute_min_acc(
     raise SolverCapExceeded(f"no deletion set of size <= {max_subset} found")
 
 
-def min_terminal_pair_cut(
-    instance: DiskInstance,
-    cutoff: Optional[int] = None,
-) -> OptimumCertificate:
+def min_terminal_pair_cut(instance: DiskInstance) -> OptimumCertificate:
     """Minimum number of intersection-graph edges whose deletion disconnects
     the two terminal disks: by Menger's theorem, the number of edge-disjoint
     paths between them (:func:`~disklab.graphs.edge_disjoint_paths`).
 
     The witness lists the disk-id pairs across the flow's sink side, in
-    ``udg.edges`` order.  With ``cutoff`` the search stops once the flow
-    reaches it; the reported optimum is then a lower bound marked in the
-    detail dict.  Disconnected terminals answer 0 with an empty witness,
-    with or without ``cutoff``.
+    ``udg.edges`` order.  Disconnected terminals answer 0 with an empty
+    witness.
     """
     instance.validate()
-    terminals = [int(t) for t in instance.meta.get("terminal_disks", [])]
+    terminals = instance.meta.get("terminal_disks", [])
     if len(terminals) != 2:
         raise VerificationError("terminal-pair cut needs exactly two terminal disks")
     s_id, t_id = terminals
     udg = unit_disk_graph(instance.centers, instance.radius)
-    value, sink_side = edge_disjoint_paths(udg.adj, [s_id], [t_id], cutoff)
-    # without flow, sink_side is the whole component of the sink terminal
-    connected = value > 0 or s_id in sink_side
-    if cutoff is not None and connected:
-        return OptimumCertificate(
-            problem="terminal-pair-cut",
-            optimum=value,
-            witness=[],
-            method="max-flow (cutoff)",
-            detail={"lower_bound_only": value >= cutoff},
-        )
+    value, sink_side = edge_disjoint_paths(udg.adj, [s_id], [t_id])
     cut_edges = [[i, j] for i, j in udg.edges if (i in sink_side) != (j in sink_side)]
     assert len(cut_edges) == value
     return OptimumCertificate(
@@ -415,7 +422,7 @@ def multiterminal_cut_lower_bound(instance: DiskInstance) -> int:
     a verified certificate of the same size this pins the optimum exactly.
     """
     instance.validate()
-    terminals = [int(t) for t in instance.meta.get("terminal_disks", [])]
+    terminals = instance.meta.get("terminal_disks", [])
     if len(terminals) < 2:
         return 0
     udg = unit_disk_graph(instance.centers, instance.radius)

@@ -14,11 +14,12 @@
   loops over every edge and vertex, which the bit-mask tables of
   :func:`disklab.gridembed.search_minimal_drawing` replaced; it also counts
   the candidate cells it tries.
-* The graph-level solvers by plain subset enumeration in combinations
-  order: multiterminal cut, face separation and cycle-hitting set, which
-  the enumeration in combinations order, pruned by upward-closed
-  feasibility, of :mod:`disklab.solvers` replaced; each must return the
-  same optimum, witness, ``detail`` and ``method``.
+* The solvers by plain subset enumeration in combinations order:
+  multiterminal cut, face separation, cycle-hitting set and the k-point
+  fence, which the enumeration in combinations order, pruned by
+  upward-closed feasibility, of :mod:`disklab.solvers` replaced; each must
+  return the same optimum, witness, ``detail`` and ``method``, or refuse
+  alike.
 """
 
 from fractions import Fraction
@@ -40,6 +41,7 @@ from disklab.graphs import (
 )
 from disklab.solvers import (
     OptimumCertificate,
+    SolverCapExceeded,
     min_terminal_pair_cut,
     multiterminal_cut_lower_bound,
 )
@@ -193,9 +195,8 @@ def _unit_digraph(udg: ar.UnitDiskGraph) -> nx.DiGraph:
     return g
 
 
-def nx_terminal_pair_cut(instance: ar.DiskInstance, cutoff=None) -> OptimumCertificate:
-    """The two-terminal cut by networkx max-flow; ``cutoff`` runs
-    Edmonds-Karp and stops once the flow reaches it."""
+def nx_terminal_pair_cut(instance: ar.DiskInstance) -> OptimumCertificate:
+    """The two-terminal cut by networkx max-flow."""
     instance.validate()
     terminals = [int(t) for t in instance.meta.get("terminal_disks", [])]
     if len(terminals) != 2:
@@ -206,16 +207,6 @@ def nx_terminal_pair_cut(instance: ar.DiskInstance, cutoff=None) -> OptimumCerti
     if s_id not in g or t_id not in g or not nx.has_path(g, s_id, t_id):
         return OptimumCertificate(
             problem="terminal-pair-cut", optimum=0, witness=[], method="max-flow"
-        )
-    if cutoff is not None:
-        res = nx.algorithms.flow.edmonds_karp(g, s_id, t_id, cutoff=cutoff)
-        value = res.graph["flow_value"]
-        return OptimumCertificate(
-            problem="terminal-pair-cut",
-            optimum=int(value),
-            witness=[],
-            method="max-flow (cutoff)",
-            detail={"lower_bound_only": value >= cutoff},
         )
     value, (side_s, _) = nx.minimum_cut(g, s_id, t_id)
     cut_edges = sorted(
@@ -255,13 +246,11 @@ def nx_multiterminal_cut_lower_bound(instance: ar.DiskInstance) -> int:
 
 def assert_cuts_match_networkx(inst: ar.DiskInstance) -> None:
     """Both cut solvers equal their networkx oracles: the lower bound on
-    every terminal, the pair cut (with and without cutoff) on the first
-    two."""
+    every terminal, the pair cut on the first two."""
     assert multiterminal_cut_lower_bound(inst) == nx_multiterminal_cut_lower_bound(inst)
     pair = ar.DiskInstance(inst.radius, inst.centers, inst.tags,
                            meta={"terminal_disks": inst.meta["terminal_disks"][:2]})
-    for cutoff in (None, 0, 1, 2, 3):
-        assert min_terminal_pair_cut(pair, cutoff) == nx_terminal_pair_cut(pair, cutoff)
+    assert min_terminal_pair_cut(pair) == nx_terminal_pair_cut(pair)
 
 
 def reference_search_minimal_drawing(
@@ -410,3 +399,27 @@ def reference_min_fvs(vertices, edges) -> OptimumCertificate:
                     problem="cycle-hitting-set", optimum=size, witness=list(combo)
                 )
     raise AssertionError("removing all vertices always leaves an acyclic graph")
+
+
+def reference_min_isolation(
+    instance: ar.DiskInstance, max_subset: int = 12, max_disks: int = 40
+) -> OptimumCertificate:
+    """The minimum fence by plain subset enumeration, each subset checked
+    by ``verify_isolation``, with the caps of
+    :func:`disklab.solvers.brute_min_isolation`."""
+    instance.validate()
+    n = len(instance.tags)
+    if n > max_disks:
+        raise SolverCapExceeded(
+            f"{n} disks exceeds the enumeration cap {max_disks}; "
+            "use the two-point solver or shrink the instance"
+        )
+    for size in range(min(max_subset, n) + 1):
+        for combo in combinations(range(n), size):
+            if ar.verify_isolation(instance, list(combo)).ok:
+                return OptimumCertificate(
+                    problem="point-isolation", optimum=size, witness=list(combo)
+                )
+    raise SolverCapExceeded(
+        f"no fence of size <= {max_subset} found within the subset cap"
+    )

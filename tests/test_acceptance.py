@@ -25,7 +25,7 @@ from floodfill import (
 )
 from instances import disk_instance
 from oracles import assert_all_pairs_match_oracle, dist_sq
-from test_gadgets import assert_round_trip_equal
+from test_gadgets import assert_round_trip_equal, build_sound
 
 from disklab import arrangements as ar
 from disklab import pipeline as pl
@@ -33,7 +33,6 @@ from disklab.corpus import seeded_multiterminal_instances, seeded_planar_graphs
 from disklab.gadgets import (
     BUNDLE_COPIES,
     build_acc_instance,
-    build_isolation_instance,
     build_udmc_instance,
     build_weighted_edge_instance,
     lift_fence_to_edges,
@@ -87,7 +86,7 @@ def sound_corpus():
             graph=g, terminals={f"p{f}": f for f in range(g.face_count())}
         )
         sub.validate()
-        art = build_isolation_instance(sub, emb, mode="sound")
+        art = build_sound(sub, emb)
         built.append((emb, art))
     return built
 

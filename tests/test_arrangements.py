@@ -274,6 +274,10 @@ def test_verify_multiterminal_cut():
         ar.verify_multiterminal_cut(inst, [(0, 4)])
     with pytest.raises(ar.VerificationError, match="not an edge"):
         ar.verify_multiterminal_cut(inst, [(2, 2)])
+    for terminals in ([0.0, 4], [True, 4]):
+        inst.meta["terminal_disks"] = terminals
+        with pytest.raises(ar.VerificationError, match="JSON integers"):
+            ar.verify_multiterminal_cut(inst, [(2, 3)])
     inst.meta["terminal_disks"] = [0]
     with pytest.raises(ar.VerificationError, match="two terminal"):
         ar.verify_multiterminal_cut(inst, [(2, 3)])

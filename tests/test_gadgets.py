@@ -68,8 +68,13 @@ def toy_triangle():
     base = compute_params(emb.grid_size, "toy")
     c = toy_edge_budget(emb, base)
     params = compute_params(emb.grid_size, "toy", {"c_edge": c})
-    art = build_isolation_instance(red.instance, emb, params=params, mode="toy")
+    art = build_isolation_instance(red.instance, emb, params)
     return red, emb, art
+
+
+def build_sound(sub, emb):
+    """The sound isolation instance of a drawn subdivision instance."""
+    return build_isolation_instance(sub, emb, compute_params(emb.grid_size))
 
 
 # ---------------------------------------------------------------------------
@@ -165,11 +170,11 @@ def test_sound_wall_detour_outside_vertex_zones():
 
 def test_toy_wall_spacing_window():
     p = compute_params(2, "toy", {"c_edge": 7})
-    plan = _toy_wall_plan(0.0, 0.0, 1.0, 0.0, p, 1.8)
+    plan = _toy_wall_plan(0.0, 0.0, 1.0, 0.0, p)
     assert len(plan.centers) == 7
     assert 1.02 <= plan.spacing_over_r <= 1.95
     with pytest.raises(SynthesisError):
-        _toy_wall_plan(0.0, 0.0, 3.0, 0.0, p, 1.8)  # too long for 7 disks
+        _toy_wall_plan(0.0, 0.0, 3.0, 0.0, p)  # too long for 7 disks
 
 
 def test_toy_edge_budget_triangle():
@@ -311,7 +316,7 @@ def test_build_rejects_mismatched_drawing():
     other = grid_embed(PlanarEmbeddedGraph.from_edge_rotation(
         ["x", "y"], [("x", "y")], {"x": [0], "y": [0]}))
     with pytest.raises(SynthesisError):
-        build_isolation_instance(red.instance, other, mode="toy")
+        build_isolation_instance(red.instance, other, compute_params(other.grid_size, "toy"))
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +326,7 @@ def test_build_rejects_mismatched_drawing():
 def test_sound_triangle_builds_and_counts():
     red = p2_reduction()
     emb = grid_embed(red.instance.graph)
-    art = build_isolation_instance(red.instance, emb, mode="sound")
+    art = build_sound(red.instance, emb)
     inst = art.instance
     assert len(inst.disks) == 3 * 882 + 3 * 76 == 2874
     assert inst.meta["vertex_disk_total"] == 228 < 882
@@ -339,7 +344,7 @@ def test_sound_triangle_builds_and_counts():
 def test_sound_triangle_separates_with_everything_kept():
     red = p2_reduction()
     emb = grid_embed(red.instance.graph)
-    art = build_isolation_instance(red.instance, emb, mode="sound")
+    art = build_sound(red.instance, emb)
     rep = verify_isolation(art.instance, range(len(art.instance.disks)))
     assert rep.ok
 
@@ -371,7 +376,7 @@ def integer_ring_is_cycle(centers, r, unit):
 def test_ring_check_agrees_with_fraction_oracle():
     red = p2_reduction()
     emb = grid_embed(red.instance.graph)
-    art = build_isolation_instance(red.instance, emb, mode="sound")
+    art = build_sound(red.instance, emb)
     inst = art.instance
     r = inst.radius
     assert inst.params.s == 24 * r
@@ -428,8 +433,8 @@ def assert_round_trip_equal(inst):
 def test_cached_integer_centers_match_round_trip():
     # every builder, both isolation modes
     red = p2_reduction()
-    triangle = build_isolation_instance(red.instance, grid_embed(red.instance.graph))
-    k4 = build_isolation_instance(*k4_every_face_marked(), mode="sound")
+    triangle = build_sound(red.instance, grid_embed(red.instance.graph))
+    k4 = build_sound(*k4_every_face_marked())
     assert len(k4.instance.points) == 4
     _, _, toy = toy_triangle()
     mti, emb = _star_k13()
@@ -444,7 +449,7 @@ def test_sound_refuses_oversized_budgets():
     emb = grid_embed(red.instance.graph)
     big = compute_params(emb.grid_size, "sound", {"c_edge": 10**6})
     with pytest.raises(SynthesisError):
-        build_isolation_instance(red.instance, emb, params=big, mode="sound")
+        build_isolation_instance(red.instance, emb, big)
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +536,7 @@ def test_weighted_rejects_bad_args():
     with pytest.raises(SynthesisError):
         build_weighted_edge_instance(0)
     with pytest.raises(SynthesisError):
-        build_weighted_edge_instance(16, span=4.0)  # fan would not fit
+        build_weighted_edge_instance(16)  # fan would not fit
 
 
 def test_perturb_copy_distinct():
@@ -666,11 +671,9 @@ def test_udmc_rejects_unsupported_shapes():
             GridEmbedding(graph=doubled, coords={"u": (0, 0), "v": (1, 0)},
                           grid_size=2))
 
+    # a larger radius leaves each lane too little of its edge
     with pytest.raises(SynthesisError, match="short"):
-        build_udmc_instance(ok_mti, ok_emb, scale=2)
-
-    with pytest.raises(SynthesisError, match="copies"):
-        build_udmc_instance(ok_mti, ok_emb, copies=8)
+        build_udmc_instance(ok_mti, ok_emb, r=Fraction(1, 7))
 
 
 def test_udmc_lift_rejects_unknown_edges():
@@ -686,7 +689,7 @@ def test_udmc_lift_rejects_unknown_edges():
 
 def _sound_triangle():
     red = p2_reduction()
-    return build_isolation_instance(red.instance, grid_embed(red.instance.graph), mode="sound")
+    return build_sound(red.instance, grid_embed(red.instance.graph))
 
 
 SYNTHESIS_PINS = {

@@ -109,8 +109,6 @@ def test_params_round_trip_and_overrides():
     assert o.s == 6 * F(1, 100) * 4  # dependent values recomputed
     with pytest.raises(ValueError):
         geo.compute_params(1)
-    with pytest.raises(ValueError):
-        geo.compute_params(2, overrides={"spacing": F(1)})  # not below disk span
 
 
 def test_toy_params():

@@ -163,6 +163,24 @@ def test_reduce_refuses_a_graph_without_vertices(tmp_path):
     assert lines == ["rejected: graph has no vertices"]
 
 
+K5_EDGES = [[u, w] for u in "abcde" for w in "abcde" if u < w]
+
+
+@pytest.mark.parametrize("edges, why", [
+    ([["a", "b"], ["b", "a"], ["b", "c"]], "graph must be simple for automatic drawing"),
+    ([["a", "a"], ["a", "b"], ["b", "c"]], "graph must be simple for automatic drawing"),
+    # simple before connected: this graph is neither
+    ([["a", "b"], ["a", "b"]], "graph must be simple for automatic drawing"),
+    ([["a", "b"]], "graph is disconnected: supply explicit 'coords'"),
+    (K5_EDGES, "graph is not planar"),
+])
+def test_reduce_rejects_a_graph_it_cannot_draw(tmp_path, edges, why):
+    src = tmp_path / "plain.json"
+    write_json({"vertices": sorted({v for e in edges for v in e} | {"a", "b", "c"}),
+                "edges": edges}, src)
+    assert cli_reduce("fvs->acc", src, tmp_path / "x.json") == (1, [f"rejected: {why}"])
+
+
 @pytest.mark.parametrize("mode", ["toy", "sound"])
 @pytest.mark.parametrize("n", [2, 3])
 def test_reduce_refuses_a_disconnected_graph(tmp_path, n, mode):
@@ -329,6 +347,11 @@ def test_verify_subdivision_accepts_the_solvers_grouped_optimum(tmp_path):
     ({"candidate": [0, 1], "budget": [7]}, 2),
     ({"candidate": [0, 1], "budget": None}, 1),
     ({"candidate": [0, 1], "budget": 7}, 1),
+    # ids are JSON integers: int() would read 0.9 as 0 and true as 1
+    ({"candidate": [0.9, 1.9]}, 2),
+    ({"candidate": [0, 1.0]}, 2),
+    ({"candidate": [True, 1]}, 2),
+    ({"witness": [0.5]}, 2),
 ])
 def test_verify_refuses_certificate_schema_holes(toy_chain, tmp_path, cert, code):
     path = tmp_path / "cert.json"
@@ -604,12 +627,25 @@ def lift_cases(tmp_path_factory, toy_chain):
     }
 
 
+def as_floats(ids):
+    """``ids`` with every integer, in pairs too, made a float."""
+    return [as_floats(i) if isinstance(i, list) else float(i) for i in ids]
+
+
+def with_true(ids):
+    """``ids`` with its first integer, in a pair too, made ``true``."""
+    first = ids[0]
+    return [with_true(first) if isinstance(first, list) else True] + ids[1:]
+
+
 CERTIFICATE_VARIANTS = {
     "accepted": (lambda c, b: {"candidate": c, "budget": b}, 0),
     "one-dropped": (lambda c, b: {"candidate": c[1:], "budget": b}, 1),
     "budget-short": (lambda c, b: {"candidate": c, "budget": b - 1}, 1),
     "string-budget": (lambda c, b: {"candidate": c, "budget": str(b)}, 2),
     "non-list": (lambda c, b: {"candidate": dict(enumerate(map(str, c))), "budget": b}, 2),
+    "float-ids": (lambda c, b: {"candidate": as_floats(c), "budget": b}, 2),
+    "bool-id": (lambda c, b: {"candidate": with_true(c), "budget": b}, 2),
 }
 
 

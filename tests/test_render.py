@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from disklab.arrangements import DiskInstance
-from disklab.gadgets import build_isolation_instance, build_weighted_edge_instance
+from disklab.gadgets import build_weighted_edge_instance
 from disklab.geometry import Disk
 from disklab.graphs import PlanarEmbeddedGraph
 from disklab.gridembed import grid_embed
@@ -18,7 +18,7 @@ from disklab.render import (
 )
 
 from instances import disk_instance
-from test_gadgets import k4_every_face_marked, p2_reduction
+from test_gadgets import build_sound, k4_every_face_marked, p2_reduction
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -182,9 +182,8 @@ def test_goldens_render_like_fraction_oracle():
 
 
 @pytest.mark.parametrize("synthesize", [
-    lambda: build_isolation_instance(p2_reduction().instance,
-                                     grid_embed(p2_reduction().instance.graph)),
-    lambda: build_isolation_instance(*k4_every_face_marked(), mode="sound"),
+    lambda: build_sound(p2_reduction().instance, grid_embed(p2_reduction().instance.graph)),
+    lambda: build_sound(*k4_every_face_marked()),
 ], ids=["sound-triangle", "sound-k4"])
 def test_sound_instances_render_like_fraction_oracle(synthesize):
     assert_renders_like_fraction_oracle(synthesize().instance)
