@@ -104,12 +104,12 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-# command -> pipeline call on the parsed arguments.  The file verbs return
-# (exit code, diagnostic lines); the reports return (exit code, payload).
+# command -> pipeline call on the parsed arguments and ``overrides``.  The file
+# verbs return (exit code, diagnostic lines); the reports (exit code, payload).
 VERBS = {
     "reduce": lambda a: pipeline.cli_reduce(
         a.kind, a.input, a.out, record_path=a.record, mode=a.params,
-        overrides=_collect_overrides(a)),
+        overrides=a.overrides),
     "verify": lambda a: pipeline.cli_verify(a.problem, a.instance, a.certificate),
     "solve": lambda a: pipeline.cli_solve(a.problem, a.instance, a.out),
     "lift": lambda a: pipeline.cli_lift(
@@ -117,23 +117,24 @@ VERBS = {
     "render": lambda a: pipeline.cli_render(a.input, a.out, guides=a.guides),
 }
 REPORTS = {
-    "check-params": lambda a: pipeline.cli_check_params(
-        a.n, a.params, _collect_overrides(a)),
+    "check-params": lambda a: pipeline.cli_check_params(a.n, a.params, a.overrides),
     "lemma-oracle": lambda a: (0, pipeline.cli_lemma_oracle(a.n)),
 }
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    try:    # the file verbs map their own exceptions
+        args.overrides = _collect_overrides(args)
+        if args.command in REPORTS:
+            code, payload = REPORTS[args.command](args)
+    except ValueError as exc:
+        _diag("error", [f"malformed: {exc}"])
+        return 2
     if args.command in VERBS:
         code, lines = VERBS[args.command](args)
         _diag("info" if code == 0 else "error", lines)
         return code
-    try:
-        code, payload = REPORTS[args.command](args)
-    except ValueError as exc:
-        _diag("error", [f"malformed: {exc}"])
-        return 2
     if args.out:
         pipeline.write_json(payload, args.out)
     else:

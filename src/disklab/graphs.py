@@ -272,10 +272,6 @@ class PlanarEmbeddedGraph:
             )
         return self._edge_faces
 
-    def euler_characteristic_ok(self) -> bool:
-        """V - E + F == 2 for a connected rotation system of genus zero."""
-        return len(self.vertices) - len(self.edges) + self.face_count() == 2
-
     # -- serialization -------------------------------------------------------
 
     def to_dict(self) -> Dict[str, object]:

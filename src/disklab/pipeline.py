@@ -27,6 +27,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -126,58 +127,59 @@ def read_json(path) -> dict:
 
 def write_json(obj, path) -> None:
     """Write ``json.dumps(obj, sort_keys=True, indent=2)`` and a newline.
-
-    ``indent`` selects json's pure-Python encoder, which is slow on a large
-    instance, so the entries of a top-level ``disks`` list are written from
-    a template (:func:`_disk_entry`) with C-encoded strings; everything else
-    goes through json's encoder.  Nothing is held as one string."""
+    Disk instances are written from :func:`instance_json`'s text instead."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        if isinstance(obj, dict) and type(obj.get("disks")) is list \
-                and all(type(k) is str for k in obj):
-            fh.write("{")
-            for n, key in enumerate(sorted(obj)):
-                fh.write(("," if n else "") + "\n  " + encode_basestring_ascii(key) + ": ")
-                if key == "disks" and obj[key]:
-                    fh.write("[")
-                    fh.writelines(
-                        ("," if m else "") + "\n    " + _disk_entry(e)
-                        for m, e in enumerate(obj[key]))
-                    fh.write("\n  ]")
-                else:
-                    fh.write(json.dumps(obj[key], sort_keys=True, indent=2).replace("\n", "\n  "))
-            fh.write("\n}")
-        else:
-            json.dump(obj, fh, sort_keys=True, indent=2)
+        json.dump(obj, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
-def _disk_entry(e) -> str:
-    """The text ``json.dumps`` with ``indent=2`` gives an entry of a
-    top-level ``disks`` list.  An entry ``{"c": [x, y], "prov": [...]}``
-    with string coordinates and string or int tags is filled into a
-    template; any other value is left to json (raw newlines only ever
-    separate items, since strings escape theirs, so indenting the text
-    means rewriting its newlines)."""
-    if type(e) is dict and len(e) == 2:
-        c, prov = e.get("c"), e.get("prov")
-        if type(c) is list and len(c) == 2 and type(prov) is list \
-                and type(c[0]) is str and type(c[1]) is str:
-            tags = []
-            for v in prov:
-                if type(v) is str:
-                    tags.append(encode_basestring_ascii(v))
-                elif type(v) is int:
-                    tags.append(int.__repr__(v))
-                else:
-                    break
-            else:
-                prov_text = ("[\n        " + ",\n        ".join(tags) + "\n      ]"
-                             if tags else "[]")
-                return ('{\n      "c": [\n        ' + encode_basestring_ascii(c[0])
-                        + ",\n        " + encode_basestring_ascii(c[1])
-                        + '\n      ],\n      "prov": ' + prov_text + "\n    }")
-    return json.dumps(e, sort_keys=True, indent=2).replace("\n", "\n    ")
+def instance_json(inst) -> Tuple[str, str]:
+    """The file text and the canonical digest of ``d = inst.to_dict()``:
+    ``json.dumps(d, sort_keys=True, indent=2) + "\\n"`` and
+    ``canonical_digest(d)``.  A :class:`DiskInstance` whose tags are
+    non-empty runs of ``str`` and ``int`` (every synthesized one) has its
+    disks encoded in one pass over the integer centres, without ``d``: the
+    text of all but a tag's last component is made once per run of disks
+    that share them, and the compact entries are hashed a block at a time."""
+    tags = inst.tags if isinstance(inst, DiskInstance) else ()
+    # a bool or a float can equal an int, so a shared tag prefix stands for
+    # one text only when every component is a str or an int
+    if not (tags and all(tags) and {type(v) for tag in tags for v in tag} <= {str, int}):
+        d = inst.to_dict()
+        return json.dumps(d, sort_keys=True, indent=2) + "\n", canonical_digest(d)
+    # the instance's dict with no disks; "disks" sorts first, so both texts
+    # of this head open with its empty list
+    head = DiskInstance(inst.radius, inst.centers.subset(()), (), inst.points, inst.params,
+                        inst.meta).to_dict()
+    text_open, compact_open = '{\n  "disks": [', '{"disks":['
+    text_rest = json.dumps(head, sort_keys=True, indent=2)[len(text_open):]
+    compact_rest = json.dumps(head, sort_keys=True, separators=(",", ":"))[len(compact_open):]
+    xs, ys, den = inst.centers
+    gcd, esc = math.gcd, encode_basestring_ascii
+    digest = hashlib.sha256(compact_open.encode())
+    blocks = []
+    prefix = None
+    for start in range(0, len(tags), 4096):    # never the whole compact text at once
+        block = slice(start, start + 4096)
+        texts, compacts = [], []
+        for x, y, tag in zip(xs[block], ys[block], tags[block]):
+            g, h = gcd(x, den), gcd(y, den)
+            cx, cy = f"{x // g}/{den // g}", f"{y // h}/{den // h}"
+            if tag[:-1] != prefix:
+                prefix = tag[:-1]
+                parts = [esc(v) if type(v) is str else int.__repr__(v) for v in prefix]
+                lead = "".join(p + ",\n        " for p in parts)
+                lead_compact = "".join(p + "," for p in parts)
+            last = esc(last) if type(last := tag[-1]) is str else int.__repr__(last)
+            texts.append(f'{{\n      "c": [\n        "{cx}",\n        "{cy}"\n      ],\n'
+                         f'      "prov": [\n        {lead}{last}\n      ]\n    }}')
+            compacts.append(f'{{"c":["{cx}","{cy}"],"prov":[{lead_compact}{last}]}}')
+        digest.update((("," if start else "") + ",".join(compacts)).encode())
+        blocks.append(",\n    ".join(texts))
+    digest.update(compact_rest.encode())
+    text = text_open + "\n    " + ",\n    ".join(blocks) + "\n  " + text_rest + "\n"
+    return text, digest.hexdigest()
 
 
 def read_certificate(cert: dict) -> Tuple[list, Optional[int]]:
@@ -306,14 +308,13 @@ def embed_plain_graph(vertices, edges) -> GridEmbedding:
 # reductions
 # ---------------------------------------------------------------------------
 
-def _reduce_pmc(src: dict, mode: str, overrides) -> Tuple[dict, dict]:
+def _reduce_pmc(src: dict, mode: str, overrides) -> Tuple[SubdivisionInstance, dict]:
     mti = MultiterminalInstance.from_dict(src)
     try:
         red = reduce_pmc_to_subdivision(mti)
     except StructureError as exc:
         raise Rejected(str(exc)) from exc
-    target = red.instance.to_dict()
-    return target, dict(
+    return red.instance, dict(
         params=None,
         edges={str(e): list(frags) for e, frags in red.back.pairing.items()},
         vertices={str(v): f for v, f in red.vertex_face.items()},
@@ -330,7 +331,7 @@ def _isolation_params(emb: GridEmbedding, mode: str, overrides: Dict[str, Fracti
     return compute_params(emb.grid_size, "sound", overrides)
 
 
-def _reduce_subdivision(src: dict, mode: str, overrides) -> Tuple[dict, dict]:
+def _reduce_subdivision(src: dict, mode: str, overrides) -> Tuple[DiskInstance, dict]:
     sub = SubdivisionInstance.from_dict(src)
     emb = grid_embed(sub.graph)
     params = _isolation_params(emb, mode, overrides)
@@ -338,8 +339,7 @@ def _reduce_subdivision(src: dict, mode: str, overrides) -> Tuple[dict, dict]:
     if mode == "sound" and not report.ok:
         raise Rejected("constraints failed: " + ", ".join(report.failing()))
     art = build_isolation_instance(sub, emb, params)
-    target = art.instance.to_dict()
-    return target, dict(
+    return art.instance, dict(
         params=params,
         edges={str(e): list(ids) for e, ids in art.wall_ids.items()},
         vertices={str(v): list(ids) for v, ids in art.vertex_ids.items()},
@@ -359,7 +359,7 @@ def _chain_radius(overrides) -> Fraction:
     return r
 
 
-def _reduce_fvs(src: dict, mode: str, overrides) -> Tuple[dict, dict]:
+def _reduce_fvs(src: dict, mode: str, overrides) -> Tuple[DiskInstance, dict]:
     r = _chain_radius(overrides)
     vertices, edges, coords = plain_graph_from_dict(src)
     degree: Dict[object, int] = {}
@@ -376,12 +376,11 @@ def _reduce_fvs(src: dict, mode: str, overrides) -> Tuple[dict, dict]:
         coords = {str(v): emb.coords[v] for v in vertices}
     placed = {v: tuple(coords[str(v)]) for v in vertices}
     art = build_acc_instance(vertices, edges, placed, r=r)
-    target = art.instance.to_dict()
     chain_ids: Dict[str, List[int]] = {str(e): [] for e in range(len(edges))}
     for i, tag in enumerate(art.instance.tags):
         if tag and tag[0] == "conn":
             chain_ids[str(tag[1])].append(i)
-    return target, dict(
+    return art.instance, dict(
         params=None,
         edges=chain_ids,
         vertices={str(v): art.hub_of_vertex[v] for v in vertices},
@@ -391,12 +390,11 @@ def _reduce_fvs(src: dict, mode: str, overrides) -> Tuple[dict, dict]:
     )
 
 
-def _reduce_mc(src: dict, mode: str, overrides) -> Tuple[dict, dict]:
+def _reduce_mc(src: dict, mode: str, overrides) -> Tuple[DiskInstance, dict]:
     r = _chain_radius(overrides)
     mti = MultiterminalInstance.from_dict(src)
     emb = grid_embed(mti.graph)
     art = build_udmc_instance(mti, emb, r=r)
-    target = art.instance.to_dict()
     edges_table: Dict[str, object] = {}
     for eid, (u, w) in enumerate(mti.graph.edges):
         lanes = [k for k in sorted(art.lane_ids) if k[0] == eid]
@@ -405,7 +403,7 @@ def _reduce_mc(src: dict, mode: str, overrides) -> Tuple[dict, dict]:
             "lanes": [list(art.lane_ids[k]) for k in lanes],
             "cut_pairs": [list(art.lane_cut_edge[k]) for k in lanes],
         }
-    return target, dict(
+    return art.instance, dict(
         params=None,
         edges=edges_table,
         vertices={
@@ -422,8 +420,8 @@ def _file_verb(verb):
     lines, files to write as (payload, path) pairs) and the wrapped verb
     (exit code, lines).  An expected failure becomes its exit code and one
     prefixed line.  The files are written after, outside that mapping, so a
-    failed write is not reported as malformed input: a string payload (an
-    SVG) as text, anything else as JSON."""
+    failed write is not reported as malformed input: a string payload (an SVG
+    or an :func:`instance_json` text) as it is, anything else as JSON."""
     @functools.wraps(verb)
     def run(*args, **kwargs) -> Tuple[int, List[str]]:
         try:
@@ -453,10 +451,11 @@ def cli_reduce(kind: str, input_path, out_path, record_path=None, mode: str = "s
     if kind not in REDUCTIONS:
         raise PipelineError(f"unknown reduction kind {kind!r}")
     target, tables = REDUCTIONS[kind].reduce(src, mode, dict(overrides or {}))
+    text, target_digest = instance_json(target)
     record = ReductionRecord(
         kind=kind,
         source_digest=canonical_digest(src),
-        target_digest=canonical_digest(target),
+        target_digest=target_digest,
         **tables,
     )
     _check_total(record.terminals, src.get("terminals", []), "terminal")
@@ -465,7 +464,7 @@ def cli_reduce(kind: str, input_path, out_path, record_path=None, mode: str = "s
     if record_path is None:
         record_path = str(out_path) + ".record.json"
     return 0, [f"wrote {out_path}", f"wrote {record_path}"], [
-        (target, out_path), (record.to_dict(), record_path)]
+        (text, out_path), (record.to_dict(), record_path)]
 
 
 # ---------------------------------------------------------------------------
@@ -652,9 +651,9 @@ def _back_udmc(record, mti, inst, pairs) -> Tuple[List[int], dict]:
 
 
 class Reduction(NamedTuple):
-    # (source, mode, overrides) -> (target, the record's params, edges,
-    # vertices, terminals and notes)
-    reduce: Callable[[dict, str, Dict[str, Fraction]], Tuple[dict, dict]]
+    # (source, mode, overrides) -> (target instance, the record's params,
+    # edges, vertices, terminals and notes)
+    reduce: Callable[[dict, str, Dict[str, Fraction]], Tuple[object, dict]]
     back_map: Callable[[ReductionRecord, object, object, list], Tuple[list, dict]]
     source: str    # PROBLEMS entry of the source instance
     target: str    # PROBLEMS entry of the target instance

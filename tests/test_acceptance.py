@@ -23,7 +23,7 @@ from floodfill import (
     random_robust_points,
     random_robust_rings,
 )
-from instances import disk_instance
+from instances import build_weighted_edge_instance, disk_instance
 from oracles import assert_all_pairs_match_oracle, dist_sq
 from test_gadgets import assert_round_trip_equal, build_sound
 
@@ -34,7 +34,6 @@ from disklab.gadgets import (
     BUNDLE_COPIES,
     build_acc_instance,
     build_udmc_instance,
-    build_weighted_edge_instance,
     lift_fence_to_edges,
     lift_vertex_set_to_acc,
 )
@@ -243,10 +242,13 @@ def test_sound_corpus_drawings_are_pinned(sound_corpus):
 
 
 def test_sound_corpus_instances_are_pinned(sound_corpus):
-    # one digest over the 20 synthesized instances, in corpus order
+    # one digest over the 20 synthesized instances, in corpus order, made
+    # by to_dict and by the encoder reduce records with
     digests = [pl.canonical_digest(art.instance.to_dict()) for _, art in sound_corpus]
-    assert pl.canonical_digest(digests) == (
-        "805fa896180598ab7be360380ee196b30941371e86bdf45f242d0b0387b556bf")
+    shipped = [pl.instance_json(art.instance)[1] for _, art in sound_corpus]
+    for got in (digests, shipped):
+        assert pl.canonical_digest(got) == (
+            "805fa896180598ab7be360380ee196b30941371e86bdf45f242d0b0387b556bf")
 
 
 def test_sound_corpus_cached_centers_match_round_trip(sound_corpus):

@@ -7,6 +7,7 @@ schedule gives 882 disks per wall and 76 per ring, hence 3*882 + 3*76 = 2874
 for the same shape.
 """
 
+import json
 import math
 from fractions import Fraction
 
@@ -30,7 +31,6 @@ from disklab.gadgets import (
     build_acc_instance,
     build_isolation_instance,
     build_udmc_instance,
-    build_weighted_edge_instance,
     check_structure,
     lift_fence_to_edges,
     lift_multiterminal_to_udmc,
@@ -42,7 +42,7 @@ from disklab.gadgets import (
     _walk_polyline,
 )
 from disklab.geometry import Disk, compute_params
-from disklab.pipeline import canonical_digest
+from disklab.pipeline import canonical_digest, instance_json
 from disklab.graphs import (
     MultiterminalInstance,
     PlanarEmbeddedGraph,
@@ -51,7 +51,7 @@ from disklab.graphs import (
 )
 from disklab.gridembed import DrawingError, GridEmbedding, grid_embed, locate_face
 
-from instances import disk_instance
+from instances import build_weighted_edge_instance, disk_instance
 from oracles import assert_cuts_match_networkx, dist_sq
 
 
@@ -724,4 +724,8 @@ SYNTHESIS_PINS = {
 def test_synthesized_instances_are_pinned(case):
     # layout floats, snapping, disk order and tags all reach the digest
     build, digest = SYNTHESIS_PINS[case]
-    assert canonical_digest(build().instance.to_dict()) == digest
+    inst = build().instance
+    d = inst.to_dict()
+    assert canonical_digest(d) == digest
+    # reduce writes and records what its encoder makes, not to_dict's encoding
+    assert instance_json(inst) == (json.dumps(d, sort_keys=True, indent=2) + "\n", digest)

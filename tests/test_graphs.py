@@ -42,6 +42,11 @@ def cycle(k):
     return gr.PlanarEmbeddedGraph.from_edge_rotation(verts, edges, rot)
 
 
+def euler_characteristic_ok(g):
+    """V - E + F == 2 for a connected rotation system of genus zero."""
+    return len(g.vertices) - len(g.edges) + g.face_count() == 2
+
+
 # ---------------------------------------------------------------------------
 # faces
 # ---------------------------------------------------------------------------
@@ -59,7 +64,7 @@ def test_triangle_two_triangular_faces():
     g = triangle()
     walks = g.facial_walks()
     assert sorted(len(w) for w in walks) == [3, 3]
-    assert g.euler_characteristic_ok()
+    assert euler_characteristic_ok(g)
 
 
 def test_path_has_single_face():
@@ -72,7 +77,7 @@ def test_k4_has_four_faces():
     g = k4()
     assert g.face_count() == 4
     assert all(len(w) == 3 for w in g.facial_walks())
-    assert g.euler_characteristic_ok()
+    assert euler_characteristic_ok(g)
 
 
 def test_face_ids_deterministic():
@@ -89,7 +94,7 @@ def test_loop_rotation_and_faces():
         ["v"], [("v", "v")], {"v": [0, 0]}
     )
     assert g.face_count() == 2
-    assert g.euler_characteristic_ok()
+    assert euler_characteristic_ok(g)
 
 
 def test_edgeless_single_vertex():

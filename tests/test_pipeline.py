@@ -8,10 +8,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from disklab import pipeline
 from disklab.__main__ import main as cli_main
+from disklab.arrangements import DiskInstance
 from disklab.corpus import seeded_multiterminal_instances
 from disklab.gadgets import SynthesisError
 from disklab.geometry import Disk
@@ -30,6 +31,7 @@ from disklab.pipeline import (
     cli_render,
     cli_solve,
     cli_verify,
+    instance_json,
     read_json,
     write_json,
 )
@@ -108,6 +110,28 @@ def test_reduce_pmc_record_and_determinism(tmp_path):
     first = out.read_bytes()
     cli_reduce("pmc->subdivision", src, out)
     assert out.read_bytes() == first
+
+
+@pytest.mark.parametrize("kind, mode", [
+    ("pmc->subdivision", "sound"),
+    ("subdivision->isolation", "toy"),
+    ("subdivision->isolation", "sound"),
+    ("fvs->acc", "sound"),
+    ("mc->udmc", "sound"),
+])
+def test_reduce_record_digest_matches_the_file_read_back(tmp_path, kind, mode):
+    # lift recomputes the digest from the file it reads; reduce takes it
+    # from the encoder that wrote the file
+    sources = {"pmc->subdivision": triangle_mc_dict(),
+               "subdivision->isolation": {**triangle_mc_dict(), "terminals": {"p": 0, "q": 1}},
+               "fvs->acc": TRIANGLE_PLAIN, "mc->udmc": triangle_mc_dict()}
+    src, out = tmp_path / "src.json", tmp_path / "target.json"
+    write_json(sources[kind], src)
+    assert cli_reduce(kind, src, out, mode=mode)[0] == 0
+    record = ReductionRecord.from_dict(read_json(str(out) + ".record.json"))
+    target = read_json(out)
+    assert record.target_digest == canonical_digest(target)
+    assert out.read_text(encoding="utf-8") == json.dumps(target, sort_keys=True, indent=2) + "\n"
 
 
 def test_reduce_rejects_restriction_violations(tmp_path):
@@ -211,6 +235,28 @@ def test_reduce_refuses_a_non_positive_chain_radius(tmp_path, kind, r):
     write_json(chain_source(kind), src)
     code, lines = cli_reduce(kind, src, out, overrides={"r": Fraction(r)})
     assert (code, lines) == (2, ["malformed: parameters must be positive"])
+    assert not out.exists()
+
+
+def run_python(*args):
+    """A fresh interpreter on this checkout's sources."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("r", ["abc", "1/0"])
+def test_reduce_refuses_an_unparseable_override_as_malformed(tmp_path, r):
+    src, out = tmp_path / "src.json", tmp_path / "t.json"
+    write_json({**triangle_mc_dict(), "terminals": {"p": 0, "q": 1}}, src)
+    run = run_python("-m", "disklab", "reduce", "subdivision->isolation", str(src),
+                     "--out", str(out), "--r", r)
+    assert run.returncode == 2
+    assert "Traceback" not in run.stderr
+    [line] = run.stderr.splitlines()
+    diag = json.loads(line)
+    assert diag["level"] == "error" and diag["msg"].startswith("malformed: ")
     assert not out.exists()
 
 
@@ -785,8 +831,8 @@ json_values = st.recursive(
     ),
     max_leaves=24,
 )
-coordinate_text = st.one_of(st.builds(lambda n, d: f"{n}/{d}", st.integers(), st.integers(1)),
-                            tricky_text)
+rational_text = st.builds(lambda n, d: f"{n}/{d}", st.integers(), st.integers(1))
+coordinate_text = st.one_of(rational_text, tricky_text)
 template_entries = st.fixed_dictionaries({
     "c": st.lists(coordinate_text, min_size=2, max_size=2),
     "prov": st.lists(st.one_of(st.integers(), tricky_text), max_size=4),
@@ -834,9 +880,56 @@ def test_write_json_matches_indented_json_dumps(tmp_path, obj):
     assert path.read_bytes() == want.encode("utf-8")
 
 
+plain_tag_components = st.one_of(st.sampled_from(["wall", "ring", 0, 1]), st.integers(), tricky_text)
+# bools and 1.0 beside the ints they equal: tags that compare equal but
+# encode apart
+any_tag_components = st.one_of(plain_tag_components, st.sampled_from([True, False, 1.0, None]))
+
+
+def disk_lists(components, min_tags):
+    """Disk entries whose tags are drawn from ``components``, many of them
+    one shared prefix and a last component, as a synthesized structure's."""
+    def disks(prefix):
+        prov = st.one_of(st.lists(components, min_size=min_tags, max_size=3),
+                         components.map(lambda last: prefix + [last]))
+        return st.lists(st.fixed_dictionaries({
+            "c": st.lists(rational_text, min_size=2, max_size=2), "prov": prov}), max_size=8)
+    return st.lists(components, max_size=2).flatmap(disks)
+
+
+accepted_instance_dicts = st.fixed_dictionaries({
+    "disks": st.one_of(disk_lists(plain_tag_components, 1), disk_lists(any_tag_components, 0)),
+    "meta": st.dictionaries(tricky_text, json_values, max_size=3),
+    "points": st.dictionaries(tricky_text, st.lists(rational_text, min_size=2, max_size=2),
+                              max_size=3),
+    "radius": st.builds(lambda n, d: f"{n}/{d}", st.integers(1), st.integers(1)),
+})
+
+
+@given(st.one_of(instance_dicts, accepted_instance_dicts))
+@example({"disks": [{"c": ["6/4", "-3/9"], "prov": ["wall", 1, 0]},
+                    {"c": ["0/7", "10/5"], "prov": ["wall", 1, 1]},
+                    {"c": ["1/2", "1/3"], "prov": ["wall", True, 2]}],
+          "meta": {}, "points": {"p": ["1/2", "1/2"]}, "radius": "2/4"})
+@example({"disks": [{"c": ["6/4", "1/1"], "prov": []}], "meta": {}, "points": {}, "radius": "1/2"})
+@example({"disks": [], "meta": {"kind": "isolation"}, "points": {}, "radius": "1/2"})
+# past two hash blocks of 4,096 disks
+@example({"disks": [{"c": [f"{k}/6", "1/2"], "prov": ["wall", k // 1000, k]} for k in range(9000)],
+          "meta": {}, "points": {}, "radius": "1/2"})
+@settings(max_examples=400, deadline=None)
+def test_instance_json_matches_to_dict(obj):
+    # as read from a file: every dict from_dict accepts (what it refuses,
+    # and how, is not this test's subject)
+    try:
+        inst = DiskInstance.from_dict(json.loads(json.dumps(obj)))
+    except Exception:
+        return
+    d = inst.to_dict()
+    text, digest = instance_json(inst)
+    assert text == json.dumps(d, sort_keys=True, indent=2) + "\n"
+    assert digest == canonical_digest(d) == canonical_digest(json.loads(text))
+
+
 def test_cli_import_leaves_networkx_unloaded():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])}
     code = "import sys, disklab.__main__; sys.exit('networkx' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    assert run_python("-c", code).returncode == 0

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from disklab.arrangements import DiskInstance
-from disklab.gadgets import build_weighted_edge_instance
 from disklab.geometry import Disk
 from disklab.graphs import PlanarEmbeddedGraph
 from disklab.gridembed import grid_embed
@@ -17,7 +16,7 @@ from disklab.render import (
     svg_for_instance,
 )
 
-from instances import disk_instance
+from instances import build_weighted_edge_instance, disk_instance
 from test_gadgets import build_sound, k4_every_face_marked, p2_reduction
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from floodfill import quarter, ring_centers
-from instances import disk_instance, int_centers
+from instances import build_weighted_edge_instance, disk_instance, int_centers
 from oracles import (
     assert_cuts_match_networkx,
     dist_sq,
@@ -34,7 +34,6 @@ from disklab.arrangements import (
 from disklab.corpus import seeded_multiterminal_instances, seeded_planar_graphs
 from disklab.gadgets import (
     build_acc_instance,
-    build_weighted_edge_instance,
 )
 from disklab.geometry import Disk
 from disklab.graphs import (
