@@ -156,8 +156,11 @@ class DiskInstance:
         tags = []
         dens: Dict[str, int] = {}
         for e in d["disks"]:
-            x, dx = _parse_rational(e["c"][0], dens)
-            y, dy = _parse_rational(e["c"][1], dens)
+            c = e["c"]
+            if type(c) is not list or len(c) != 2:
+                raise VerificationError("a disk centre must be a JSON list of two coordinates")
+            x, dx = _parse_rational(c[0], dens)
+            y, dy = _parse_rational(c[1], dens)
             xn.append(x)
             xd.append(dx)
             yn.append(y)
@@ -564,10 +567,12 @@ def json_ints(ids: Iterable, what: str) -> list:
     return out
 
 
-def _check_ids(ids: Iterable[int], n: int, what: str) -> List[int]:
+def check_ids(ids: Iterable[int], n: int, what: str) -> List[int]:
+    """``ids`` sorted and deduplicated, refused unless each is a JSON
+    integer in ``range(n)``."""
     out = sorted(set(json_ints(ids, what)))
     if out and (out[0] < 0 or out[-1] >= n):
-        raise VerificationError(f"{what} contains out-of-range disk ids")
+        raise VerificationError(f"{what} contains out-of-range ids")
     return out
 
 
@@ -594,7 +599,7 @@ def verify_isolation(
     instance.validate()
     if len(instance.points) < 2:
         raise VerificationError("isolation needs at least two marked points")
-    chosen = _check_ids(chosen_ids, len(instance.tags), "certificate")
+    chosen = check_ids(chosen_ids, len(instance.tags), "certificate")
     messages = []
     if budget is not None and len(chosen) > budget:
         messages.append(f"budget: certificate uses {len(chosen)} disks, cap {budget}")
@@ -637,7 +642,7 @@ def verify_acc(
     """Check that deleting the given disks leaves a union with no bounded
     complement region (an acyclic disk collection)."""
     instance.validate()
-    removed = _check_ids(removed_ids, len(instance.tags), "certificate")
+    removed = check_ids(removed_ids, len(instance.tags), "certificate")
     reasons = []
     if budget is not None and len(removed) > budget:
         reasons.append(f"budget: certificate removes {len(removed)} disks, cap {budget}")

@@ -147,6 +147,7 @@ def check_structure(instance: DiskInstance, spec: StructureSpec) -> ContactRepor
         if i not in owner:
             violations.append(f"disk {i} belongs to no declared structure")
     cross: Dict[Tuple[Tag, Tag], int] = {}
+    linked: Dict[Tag, int] = {}    # structure -> its contacts at index gap 1
     for (i, j) in udg.edges:
         ti, tj = owner.get(i), owner.get(j)
         if ti is None or tj is None:
@@ -157,7 +158,9 @@ def check_structure(instance: DiskInstance, spec: StructureSpec) -> ContactRepor
             is_ring = ti in spec.rings
             if is_ring:
                 gap = min(gap, size - gap)
-            if gap != 1:
+            if gap == 1:
+                linked[ti] = linked.get(ti, 0) + 1
+            else:
                 violations.append(
                     f"structure {ti}: disks {i} and {j} touch at index gap {gap}"
                 )
@@ -167,21 +170,14 @@ def check_structure(instance: DiskInstance, spec: StructureSpec) -> ContactRepor
                 violations.append(f"forbidden contact between {ti} and {tj}")
             else:
                 cross[key] = cross.get(key, 0) + 1
-    contacts = set(udg.edges)
-
-    def touching(a: int, b: int) -> bool:
-        return (min(a, b), max(a, b)) in contacts
-
     for tag, ids in spec.chains.items():
-        need = len(ids) - 1
-        have = sum(1 for a, b in zip(ids, ids[1:]) if touching(a, b))
+        need, have = len(ids) - 1, linked.get(tag, 0)
         if have != need:
             violations.append(f"chain {tag}: only {have}/{need} consecutive contacts")
     for tag, ids in spec.rings.items():
-        if len(ids) >= 2:
-            cyc = ids + ids[:1]
-            if sum(1 for a, b in zip(cyc, cyc[1:]) if touching(a, b)) != len(ids):
-                violations.append(f"ring {tag}: broken cycle")
+        # a two-disk ring closes with its one contact
+        if len(ids) >= 2 and linked.get(tag, 0) != (len(ids) if len(ids) > 2 else 1):
+            violations.append(f"ring {tag}: broken cycle")
     for key, (lo, hi) in spec.allowed_contacts.items():
         got = cross.get(key, 0)
         if not (lo <= got <= hi):
@@ -582,10 +578,15 @@ def lift_fence_to_edges(instance: DiskInstance, chosen_ids: Iterable[int]) -> Li
 # acyclicity instances (vertex-deletion cycle breaking)
 # ---------------------------------------------------------------------------
 
+# the default disk radius of the ACC and UDMC chains
+CHAIN_RADIUS = Fraction(1, 10)
+
+
 @dataclass
 class AccArtifacts:
     instance: DiskInstance
     hub_of_vertex: Dict[Vertex, int]
+    chain_ids: Dict[int, List[int]]    # edge id -> disk ids in chain order
     cycle_rank: int
 
 
@@ -593,7 +594,7 @@ def build_acc_instance(
     vertices: Sequence[Vertex],
     edges: Sequence[Tuple[Vertex, Vertex]],
     coords: Dict[Vertex, Tuple[int, int]],
-    r: Fraction = Fraction(1, 10),
+    r: Fraction = CHAIN_RADIUS,
 ) -> AccArtifacts:
     """Hub disk per vertex, chain of disks per edge along its drawn segment.
 
@@ -606,6 +607,7 @@ def build_acc_instance(
     rf = float(r)
     b = _Disks(r)
     hub_of_vertex: Dict[Vertex, int] = {}
+    chain_ids: Dict[int, List[int]] = {}
     for v in vertices:
         x, y = coords[v]
         hub_of_vertex[v] = b.single(("hub", str(v)), (x * b.M, y * b.M))
@@ -621,7 +623,7 @@ def build_acc_instance(
             m += 1
             if not (1.02 * rf < inner / (m - 1) <= 1.95 * rf):
                 raise SynthesisError(f"edge {eid}: no admissible chain spacing")
-        b.chain(("conn", eid), _walk_polyline(ends, m), 0)
+        chain_ids[eid] = b.chain(("conn", eid), _walk_polyline(ends, m), 0)
         b.allow(("conn", eid), ("hub", str(u)), 1, 1)
         b.allow(("conn", eid), ("hub", str(w)), 1, 1)
     for e1, e2 in _incident_pairs(edges):
@@ -638,7 +640,8 @@ def build_acc_instance(
             f"drawn topology mismatch: {regions} vs cycle rank {cycle_rank}, "
             f"{n_comp} component(s)"
         )
-    return AccArtifacts(instance=inst, hub_of_vertex=hub_of_vertex, cycle_rank=cycle_rank)
+    return AccArtifacts(instance=inst, hub_of_vertex=hub_of_vertex, chain_ids=chain_ids,
+                        cycle_rank=cycle_rank)
 
 
 def lift_vertex_set_to_acc(art: AccArtifacts, fvs: Iterable[Vertex]) -> List[int]:
@@ -692,7 +695,7 @@ def _gap_midangle(angles: Sequence[float]) -> float:
 def build_udmc_instance(
     mti,
     emb: GridEmbedding,
-    r: Fraction = Fraction(1, 10),
+    r: Fraction = CHAIN_RADIUS,
 ) -> UdmcArtifacts:
     """Compile a weighted terminal-separation graph into unit disks.
 

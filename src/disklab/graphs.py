@@ -517,29 +517,11 @@ def subdivision_solution_ok(inst: SubdivisionInstance, kept_edges: Iterable[int]
 # ---------------------------------------------------------------------------
 
 @dataclass
-class SolutionBackMap:
-    """Pairing between subdivision edges and source edges.
-
-    ``pairing`` groups every dual-fragment edge of the target instance under
-    its source edge id; every target edge appears in exactly one group and
-    the fragments of one group share their subdivision vertices.
-    """
-
-    pairing: Dict[int, List[int]]
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"pairing": {str(k): list(v) for k, v in self.pairing.items()}}
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, object]) -> "SolutionBackMap":
-        return cls(pairing={int(k): list(v) for k, v in dict(d["pairing"]).items()})
-
-
-@dataclass
 class PmcReduction:
     instance: SubdivisionInstance
-    back: SolutionBackMap
-    dual: PlanarEmbeddedGraph
+    # source edge id -> its dual-fragment edges in the target; every target
+    # edge lies in exactly one group
+    pairing: Dict[int, List[int]]
     vertex_face: Dict[Vertex, int] = field(default_factory=dict)  # source vertex -> target face
 
 
@@ -570,12 +552,13 @@ def reduce_pmc_to_subdivision(mti: MultiterminalInstance) -> PmcReduction:
     groups = [sub.fragments[e] for e in range(len(dres.dual.edges))]
     inst = SubdivisionInstance(graph=sub.graph, terminals=terminals, groups=groups)
     inst.validate()
-    back = SolutionBackMap(pairing=dict(sub.fragments))
     vertex_face = {v: sub.face_map[dual_face_map[v]] for v in g.vertices}
-    return PmcReduction(instance=inst, back=back, dual=dres.dual, vertex_face=vertex_face)
+    return PmcReduction(instance=inst, pairing=dict(sub.fragments), vertex_face=vertex_face)
 
 
-def lift_subdivision_solution(back: SolutionBackMap, kept_edges: Iterable[int]) -> List[int]:
+def lift_subdivision_solution(
+    pairing: Dict[int, List[int]], kept_edges: Iterable[int]
+) -> List[int]:
     """Source edges whose fragment group is entirely kept.
 
     Fragments of a partially-kept group never change the face partition, so
@@ -583,11 +566,7 @@ def lift_subdivision_solution(back: SolutionBackMap, kept_edges: Iterable[int]) 
     separation power.
     """
     kept = set(kept_edges)
-    out = []
-    for src, frags in back.pairing.items():
-        if all(f in kept for f in frags):
-            out.append(src)
-    return sorted(out)
+    return sorted(src for src, frags in pairing.items() if kept.issuperset(frags))
 
 
 def multiterminal_solution_ok(mti: MultiterminalInstance, removed: Iterable[int]) -> bool:

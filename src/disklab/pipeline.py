@@ -16,10 +16,11 @@ Certificate files are ``{"problem": ..., "candidate": [...], "budget": n?}``
 the budget, if present and not null, a JSON integer.  Solver outputs carry
 ``witness`` instead of ``candidate``; where their ``detail`` holds
 ``kept_edges`` (the face-separation solver, whose witness lists group ids)
-those edge ids are the candidate.  ``verify`` and ``lift`` read
-certificates and check them with the same :data:`PROBLEMS` entry.  All
-outputs are deterministic: JSON is written with sorted keys and instance
-digests are SHA-256 over the compact canonical encoding.
+those edge ids are the candidate.  Every verb but ``render`` parses its
+instances with the :data:`PROBLEMS` entry of their problem, and ``verify``
+and ``lift`` check certificates with that entry too.  All outputs are
+deterministic: JSON is written with sorted keys and instance digests are
+SHA-256 over the compact canonical encoding.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 from .arrangements import (
     DiskInstance,
     VerificationError,
-    json_ints,
+    check_ids,
     normalize_edge_list,
     verify_acc,
     verify_isolation,
@@ -45,6 +46,7 @@ from .arrangements import (
 )
 from .corpus import rotation_graph
 from .gadgets import (
+    CHAIN_RADIUS,
     SynthesisError,
     build_acc_instance,
     build_isolation_instance,
@@ -62,7 +64,6 @@ from .geometry import (
 )
 from .graphs import (
     MultiterminalInstance,
-    SolutionBackMap,
     StructureError,
     SubdivisionInstance,
     Vertex,
@@ -308,15 +309,15 @@ def embed_plain_graph(vertices, edges) -> GridEmbedding:
 # reductions
 # ---------------------------------------------------------------------------
 
-def _reduce_pmc(src: dict, mode: str, overrides) -> Tuple[SubdivisionInstance, dict]:
-    mti = MultiterminalInstance.from_dict(src)
+def _reduce_pmc(mti: MultiterminalInstance, mode: str,
+                overrides) -> Tuple[SubdivisionInstance, dict]:
     try:
         red = reduce_pmc_to_subdivision(mti)
     except StructureError as exc:
         raise Rejected(str(exc)) from exc
     return red.instance, dict(
         params=None,
-        edges={str(e): list(frags) for e, frags in red.back.pairing.items()},
+        edges={str(e): list(frags) for e, frags in red.pairing.items()},
         vertices={str(v): f for v, f in red.vertex_face.items()},
         terminals={str(t): red.instance.terminals[str(t)] for t in mti.terminals},
     )
@@ -331,8 +332,8 @@ def _isolation_params(emb: GridEmbedding, mode: str, overrides: Dict[str, Fracti
     return compute_params(emb.grid_size, "sound", overrides)
 
 
-def _reduce_subdivision(src: dict, mode: str, overrides) -> Tuple[DiskInstance, dict]:
-    sub = SubdivisionInstance.from_dict(src)
+def _reduce_subdivision(sub: SubdivisionInstance, mode: str,
+                        overrides) -> Tuple[DiskInstance, dict]:
     emb = grid_embed(sub.graph)
     params = _isolation_params(emb, mode, overrides)
     report = check_constraints(params)
@@ -352,16 +353,16 @@ def _reduce_subdivision(src: dict, mode: str, overrides) -> Tuple[DiskInstance, 
 
 
 def _chain_radius(overrides) -> Fraction:
-    """The disk radius of the ACC and UDMC chains: ``--r``, default 1/10."""
-    r = overrides.get("r", Fraction(1, 10))
+    """The disk radius of the ACC and UDMC chains: ``--r``, default ``CHAIN_RADIUS``."""
+    r = overrides.get("r", CHAIN_RADIUS)
     if r <= 0:
         raise ValueError("parameters must be positive")
     return r
 
 
-def _reduce_fvs(src: dict, mode: str, overrides) -> Tuple[DiskInstance, dict]:
+def _reduce_fvs(graph, mode: str, overrides) -> Tuple[DiskInstance, dict]:
     r = _chain_radius(overrides)
-    vertices, edges, coords = plain_graph_from_dict(src)
+    vertices, edges, coords = graph
     degree: Dict[object, int] = {}
     for (u, w) in edges:
         degree[u] = degree.get(u, 0) + 1
@@ -376,13 +377,9 @@ def _reduce_fvs(src: dict, mode: str, overrides) -> Tuple[DiskInstance, dict]:
         coords = {str(v): emb.coords[v] for v in vertices}
     placed = {v: tuple(coords[str(v)]) for v in vertices}
     art = build_acc_instance(vertices, edges, placed, r=r)
-    chain_ids: Dict[str, List[int]] = {str(e): [] for e in range(len(edges))}
-    for i, tag in enumerate(art.instance.tags):
-        if tag and tag[0] == "conn":
-            chain_ids[str(tag[1])].append(i)
     return art.instance, dict(
         params=None,
-        edges=chain_ids,
+        edges={str(e): ids for e, ids in art.chain_ids.items()},
         vertices={str(v): art.hub_of_vertex[v] for v in vertices},
         terminals={},
         notes={"r": rational_to_str(r), "cycle_rank": art.cycle_rank,
@@ -390,9 +387,8 @@ def _reduce_fvs(src: dict, mode: str, overrides) -> Tuple[DiskInstance, dict]:
     )
 
 
-def _reduce_mc(src: dict, mode: str, overrides) -> Tuple[DiskInstance, dict]:
+def _reduce_mc(mti: MultiterminalInstance, mode: str, overrides) -> Tuple[DiskInstance, dict]:
     r = _chain_radius(overrides)
-    mti = MultiterminalInstance.from_dict(src)
     emb = grid_embed(mti.graph)
     art = build_udmc_instance(mti, emb, r=r)
     edges_table: Dict[str, object] = {}
@@ -450,7 +446,8 @@ def cli_reduce(kind: str, input_path, out_path, record_path=None, mode: str = "s
     src = read_json(input_path)
     if kind not in REDUCTIONS:
         raise PipelineError(f"unknown reduction kind {kind!r}")
-    target, tables = REDUCTIONS[kind].reduce(src, mode, dict(overrides or {}))
+    red = REDUCTIONS[kind]
+    target, tables = red.reduce(PROBLEMS[red.source].parse(src), mode, dict(overrides or {}))
     text, target_digest = instance_json(target)
     record = ReductionRecord(
         kind=kind,
@@ -472,9 +469,7 @@ def cli_reduce(kind: str, input_path, out_path, record_path=None, mode: str = "s
 # ---------------------------------------------------------------------------
 
 def _verify_mc(mti: MultiterminalInstance, candidate, budget) -> Tuple[bool, List[str]]:
-    removed = sorted(set(json_ints(candidate, "certificate")))
-    if removed and not (0 <= removed[0] and removed[-1] < len(mti.graph.edges)):
-        raise VerificationError("certificate names an unknown edge id")
+    removed = check_ids(candidate, len(mti.graph.edges), "certificate")
     reasons = []
     mass = sum(mti.weight(e) for e in removed)
     if budget is not None and mass > budget:
@@ -486,10 +481,8 @@ def _verify_mc(mti: MultiterminalInstance, candidate, budget) -> Tuple[bool, Lis
 
 
 def _verify_subdivision(sub: SubdivisionInstance, candidate, budget) -> Tuple[bool, List[str]]:
-    kept_set = set(json_ints(candidate, "certificate"))
-    kept = sorted(kept_set)
-    if kept and not (0 <= kept[0] and kept[-1] < len(sub.graph.edges)):
-        raise VerificationError("certificate names an unknown edge id")
+    kept = check_ids(candidate, len(sub.graph.edges), "certificate")
+    kept_set = set(kept)
     reasons = []
     groups = sub.groups or [[e] for e in range(len(sub.graph.edges))]
     mass = 2 * sum(1 for grp in groups if kept_set.issuperset(grp))
@@ -609,7 +602,7 @@ def cli_solve(problem: str, instance_path, out_path):
 
 def _back_pmc(record, mti, sub, kept) -> Tuple[List[int], dict]:
     pairing = {int(e): [int(f) for f in frags] for e, frags in record.edges.items()}
-    lifted = lift_subdivision_solution(SolutionBackMap(pairing=pairing), kept)
+    lifted = lift_subdivision_solution(pairing, kept)
     return lifted, {"kept_edges": sorted(set(kept))}
 
 
@@ -621,17 +614,12 @@ def _back_isolation(record, sub, inst, chosen) -> Tuple[List[int], dict]:
 
 
 def _back_acc(record, graph, inst, removed) -> Tuple[List[str], dict]:
-    hub_vertex = {int(h): v for v, h in record.vertices.items()}
-    edge_ends = {int(e): ends for e, ends in record.notes["edge_ends"].items()}
-    lifted = set()
-    for i in removed:
-        tag = inst.tags[i]
-        if tag and tag[0] == "hub":
-            lifted.add(hub_vertex[i])
-        elif tag and tag[0] == "conn":
-            # a chain deletion is dominated by deleting either endpoint hub
-            lifted.add(edge_ends[int(tag[1])][0])
-    return sorted(lifted), {}
+    # a hub lifts to its vertex; a chain deletion is dominated by deleting
+    # either endpoint hub, so a chain disk lifts to its edge's first end
+    vertex_of = {int(h): v for v, h in record.vertices.items()}
+    for e, ids in record.edges.items():
+        vertex_of.update(dict.fromkeys(map(int, ids), record.notes["edge_ends"][e][0]))
+    return sorted({vertex_of[i] for i in removed}), {}
 
 
 def _back_udmc(record, mti, inst, pairs) -> Tuple[List[int], dict]:
@@ -651,9 +639,9 @@ def _back_udmc(record, mti, inst, pairs) -> Tuple[List[int], dict]:
 
 
 class Reduction(NamedTuple):
-    # (source, mode, overrides) -> (target instance, the record's params,
-    # edges, vertices, terminals and notes)
-    reduce: Callable[[dict, str, Dict[str, Fraction]], Tuple[object, dict]]
+    # (source instance, mode, overrides) -> (target instance, the record's
+    # params, edges, vertices, terminals and notes)
+    reduce: Callable[[object, str, Dict[str, Fraction]], Tuple[object, dict]]
     back_map: Callable[[ReductionRecord, object, object, list], Tuple[list, dict]]
     source: str    # PROBLEMS entry of the source instance
     target: str    # PROBLEMS entry of the target instance

@@ -20,7 +20,6 @@ from itertools import combinations
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .arrangements import (
-    CenterIndex,
     DiskInstance,
     VerificationError,
     check_points_uncovered,
@@ -211,14 +210,10 @@ def brute_min_isolation_two_points(
         raise VerificationError("this solver handles exactly two marked points")
     if len(instance.tags) > max_disks:
         raise SolverCapExceeded(f"{len(instance.tags)} disks exceeds {max_disks}")
-    r = instance.radius
+    check_points_uncovered(instance)
     p, q = [instance.points[k] for k in sorted(instance.points)]
     sc = instance.centers
-    index = CenterIndex(sc, r)
-    for pt in (p, q):
-        if index.within(pt, r):
-            raise VerificationError("a marked point is covered")
-    udg = unit_disk_graph(sc, r)
+    udg = unit_disk_graph(sc, instance.radius)
     # an edge's parity against both rays is the XOR of its two mask bits
     parity = {e: (m ^ (m >> 1)) & 1
               for e, m in zip(udg.edges, edge_crossing_parities(sc, udg, (p, q)))}

@@ -238,7 +238,7 @@ def test_marked_point_at_exactly_r_is_covered():
     assert index.within(tangent.points["p"], tangent.radius) == [6]
     with pytest.raises(ar.VerificationError, match="'p' is covered by disk 6"):
         ar.verify_isolation(tangent, range(16))
-    with pytest.raises(ar.VerificationError, match="a marked point is covered"):
+    with pytest.raises(ar.VerificationError, match="'p' is covered by disk 6"):
         brute_min_isolation_two_points(tangent)
 
     clear = square_ring((F(3, 2) - F(1, 1000), F(0)))   # distance r + 1/1000

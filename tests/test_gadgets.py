@@ -237,6 +237,27 @@ def test_check_structure_flags_forbidden_and_missing_contacts():
     assert not rep.ok and any("wanted [2, 3]" in v for v in rep.violations)
 
 
+def test_check_structure_flags_a_broken_ring():
+    # four disks on a square of side 9/10 touch their neighbours only;
+    # moving the last corner out loses its one contact with the first disk
+    square = [(0, 0), (Fraction(9, 10), 0), (Fraction(9, 10), Fraction(9, 10)),
+              (0, Fraction(9, 10))]
+
+    def ring(corners):
+        return disk_instance(Fraction(1, 2), [Disk(Fraction(x), Fraction(y), ("r", k))
+                                              for k, (x, y) in enumerate(corners)])
+
+    spec = StructureSpec(rings={("r",): [0, 1, 2, 3]})
+    assert check_structure(ring(square), spec).ok
+    rep = check_structure(ring(square[:3] + [(Fraction(-1, 20), Fraction(21, 20))]), spec)
+    assert rep.violations == ["ring ('r',): broken cycle"]
+    # a two-disk ring closes with its one contact
+    pair = StructureSpec(rings={("r",): [0, 1]})
+    assert check_structure(ring(square[:2]), pair).ok
+    assert check_structure(ring([(0, 0), (2, 0)]), pair).violations == [
+        "ring ('r',): broken cycle"]
+
+
 def test_check_structure_requires_ownership():
     inst = chain_instance([0, Fraction(9, 10)])
     rep = check_structure(inst, StructureSpec(chains={("c",): [0]}))

@@ -393,7 +393,7 @@ def test_path_reduction_round_trip():
     assert len(red.instance.terminals) == 2
     mass, kept = brute_min_group_mass(red.instance)
     assert mass == 2
-    lifted = gr.lift_subdivision_solution(red.back, kept)
+    lifted = gr.lift_subdivision_solution(red.pairing, kept)
     assert len(lifted) == 1
     assert gr.multiterminal_solution_ok(mti, lifted)
 
@@ -403,7 +403,7 @@ def test_triangle_reduction_needs_all_edges():
     red = gr.reduce_pmc_to_subdivision(mti)
     mass, kept = brute_min_group_mass(red.instance)
     assert mass == 6
-    assert gr.lift_subdivision_solution(red.back, kept) == [0, 1, 2]
+    assert gr.lift_subdivision_solution(red.pairing, kept) == [0, 1, 2]
 
 
 def test_cycle_reduction_two_terminals():
@@ -412,16 +412,16 @@ def test_cycle_reduction_two_terminals():
     red = gr.reduce_pmc_to_subdivision(mti)
     mass, kept = brute_min_group_mass(red.instance)
     assert mass == 4  # the source optimum deletes two opposite edges
-    lifted = gr.lift_subdivision_solution(red.back, kept)
+    lifted = gr.lift_subdivision_solution(red.pairing, kept)
     assert len(lifted) == 2
     assert gr.multiterminal_solution_ok(mti, lifted)
 
 
 def test_lift_drops_incomplete_groups():
-    back = gr.SolutionBackMap(pairing={0: [0, 1], 1: [2, 3, 4]})
-    assert gr.lift_subdivision_solution(back, [0, 1, 2, 3]) == [0]
-    assert gr.lift_subdivision_solution(back, [0, 1, 2, 3, 4]) == [0, 1]
-    assert gr.lift_subdivision_solution(back, []) == []
+    pairing = {0: [0, 1], 1: [2, 3, 4]}
+    assert gr.lift_subdivision_solution(pairing, [0, 1, 2, 3]) == [0]
+    assert gr.lift_subdivision_solution(pairing, [0, 1, 2, 3, 4]) == [0, 1]
+    assert gr.lift_subdivision_solution(pairing, []) == []
 
 
 def test_reduction_rejects_weights():
@@ -435,7 +435,7 @@ def test_reduction_target_is_simple_even_with_loops_in_dual():
     mti = gr.MultiterminalInstance(graph=path3(), terminals=["a", "b"])
     red = gr.reduce_pmc_to_subdivision(mti)
     assert red.instance.graph.is_simple()
-    assert red.dual.edges == [(0, 0), (0, 0)]
+    assert gr.geometric_dual(mti.graph).dual.edges == [(0, 0), (0, 0)]
 
 
 # ---------------------------------------------------------------------------
@@ -461,9 +461,6 @@ def test_instance_round_trips():
     inst2 = gr.SubdivisionInstance.from_dict(red.instance.to_dict())
     assert inst2.terminals == red.instance.terminals
     assert inst2.groups == red.instance.groups
-
-    back = gr.SolutionBackMap.from_dict(red.back.to_dict())
-    assert back.pairing == red.back.pairing
 
 
 def test_subdivision_instance_validation():

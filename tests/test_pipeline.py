@@ -767,6 +767,23 @@ def test_render_refuses_a_frame_beyond_the_float_range(tmp_path):
     assert not (tmp_path / "wide.svg").exists()
 
 
+@pytest.mark.parametrize("centre", [["0/1"], "12", ["0/1", "0/1", "7/1"]])
+@pytest.mark.parametrize("verb", ["verify", "render"])
+def test_a_disk_centre_that_is_not_two_coordinates_is_malformed(tmp_path, verb, centre):
+    inst, cert = tmp_path / "inst.json", tmp_path / "cert.json"
+    write_json({"disks": [{"c": centre, "prov": []}], "radius": "1/2", "points": {}}, inst)
+    write_json({"candidate": [0]}, cert)
+    args = (["verify", "isolation", str(inst), str(cert)] if verb == "verify"
+            else ["render", str(inst), "--out", str(tmp_path / "inst.svg")])
+    run = run_python("-m", "disklab", *args)
+    assert run.returncode == 2, run.stderr
+    assert "Traceback" not in run.stderr
+    [line] = run.stderr.splitlines()
+    assert json.loads(line)["msg"] == (
+        "malformed: a disk centre must be a JSON list of two coordinates")
+    assert not (tmp_path / "inst.svg").exists()
+
+
 REPEATED_TERMINALS = {
     "radius": "1/2",
     "disks": [{"c": ["0/1", "0/1"], "prov": []}, {"c": ["1/1", "0/1"], "prov": []}],
