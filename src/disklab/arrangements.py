@@ -166,10 +166,11 @@ class DiskInstance:
             yn.append(y)
             yd.append(dy)
             tags.append(tuple(e.get("prov", ())))
-        points = {
-            str(k): (rational_from_str(v[0]), rational_from_str(v[1]))
-            for k, v in dict(d.get("points", {})).items()
-        }
+        points = {}
+        for k, v in dict(d.get("points", {})).items():
+            if type(v) is not list or len(v) != 2:
+                raise VerificationError("a marked point must be a JSON list of two coordinates")
+            points[str(k)] = (rational_from_str(v[0]), rational_from_str(v[1]))
         params = d.get("params")
         radius = rational_from_str(d["radius"])
         inst = cls(
@@ -346,6 +347,68 @@ def unit_disk_graph(sc: IntCenters, r: Fraction) -> UnitDiskGraph:
     for a in adj:
         a.sort()
     return UnitDiskGraph(n, edges, adj)
+
+
+class Chain(NamedTuple):
+    """A path between junctions ``a`` and ``b`` (equal for a loop) whose
+    ``inner`` disks, listed from ``a``, are not junctions; its length is
+    ``len(inner)`` and ``sig`` is the XOR of its edges' crossing masks."""
+
+    a: int
+    b: int
+    inner: Tuple[int, ...]
+    sig: int
+
+
+class Kernel(NamedTuple):
+    junctions: List[int]
+    chains: List[Chain]
+
+
+def contract(udg: UnitDiskGraph, masks: Sequence[int]) -> Kernel:
+    """The chain-contracted kernel of ``udg``, with ``masks`` in
+    ``udg.edges`` order (see :func:`edge_crossing_parities`).
+
+    The junctions are every disk of degree other than two, every degree-2
+    disk whose neighbours touch (so filled triangles keep their corners)
+    and the smallest id of each cycle without either.  A cycle through any
+    other disk uses its two edges, hence its whole chain.  So contraction
+    is exact: every edge lies on one chain, and a cycle is a cyclic
+    sequence of whole chains, as long in disks as the sum of their
+    ``len(inner) + 1``, with the XOR of their ``sig`` as its crossing mask.
+    """
+    adj = udg.adj
+    junction = [len(a) != 2 or a[1] in adj[a[0]] for a in adj]
+    chain_of = [-1] * udg.n  # the chain a non-junction disk is inner to
+    ends: List[Tuple[int, int, Tuple[int, ...]]] = []
+    direct: Dict[Tuple[int, int], int] = {}  # junction pair -> chain without inner disks
+
+    def walk(j: int, w: int) -> None:
+        prev, cur, inner = j, w, []
+        while not junction[cur]:
+            chain_of[cur] = len(ends)
+            inner.append(cur)
+            x, y = adj[cur]
+            prev, cur = cur, (y if x == prev else x)
+        if not inner:
+            direct[(j, w)] = len(ends)
+        ends.append((j, cur, tuple(inner)))
+
+    for j in [i for i, x in enumerate(junction) if x]:
+        for w in adj[j]:
+            if chain_of[w] < 0 and (w > j or not junction[w]):
+                walk(j, w)
+    for i in range(udg.n):
+        if chain_of[i] < 0 and not junction[i]:
+            junction[i] = True  # the smallest id of a cycle without junctions
+            walk(i, adj[i][0])
+    sigs = [0] * len(ends)
+    for (i, j), m in zip(udg.edges, masks):
+        if m:
+            k = chain_of[i] if chain_of[i] >= 0 else chain_of[j]
+            sigs[k if k >= 0 else direct[(i, j)]] ^= m
+    chains = [Chain(a, b, inner, sig) for (a, b, inner), sig in zip(ends, sigs)]
+    return Kernel([i for i in range(udg.n) if junction[i]], chains)
 
 
 # ---------------------------------------------------------------------------

@@ -272,6 +272,8 @@ def _check_total(record_table: Dict[str, object], wanted: Iterable, what: str) -
 def plain_graph_from_dict(d: dict) -> Tuple[List[Vertex], List[Tuple[Vertex, Vertex]], Optional[dict]]:
     """Vertices/edges (+ optional drawn coords) of an unembedded graph file."""
     vertices = list(d["vertices"])
+    if any(type(e) is not list or len(e) != 2 for e in d["edges"]):
+        raise StructureError("an edge must be a JSON list of two vertex ids")
     edges = [(e[0], e[1]) for e in d["edges"]]
     vset = set(vertices)
     if len(vset) != len(vertices):

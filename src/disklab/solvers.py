@@ -9,13 +9,17 @@ upward-closed feasibility: a superset of a feasible set is feasible, so a
 subtree whose largest set fails is skipped, and the first feasible subset
 found is the one plain enumeration finds.
 The two-point isolation solver and the terminal-pair cut solver are
-polynomial and handle the synthesized instances directly.
+polynomial and handle the synthesized instances directly; the two-point
+solver searches the chain-contracted kernel
+(:func:`~disklab.arrangements.contract`), on which sound instances keep
+only a few dozen junctions.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import math
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from itertools import combinations
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -24,6 +28,7 @@ from .arrangements import (
     VerificationError,
     check_points_uncovered,
     complement_regions,
+    contract,
     edge_crossing_parities,
     separation,
     unit_disk_graph,
@@ -182,136 +187,119 @@ def brute_min_fvs(
 # disk-level problems
 # ---------------------------------------------------------------------------
 
-def brute_min_isolation_two_points(
-    instance: DiskInstance, max_disks: int = 20000
-) -> OptimumCertificate:
+# the largest kernel the two-point solver searches: the search is about
+# quadratic in its junctions, of which sound instances have a few dozen
+MAX_JUNCTIONS = 20000
+
+
+def brute_min_isolation_two_points(instance: DiskInstance) -> OptimumCertificate:
     """Exact minimum fence for an instance with exactly two marked points.
 
     The union of a chosen set separates the points iff the set's
     intersection graph contains a cycle of odd crossing parity against the
     half-open rays from the two points, so the optimum is the shortest odd
-    cycle in the parity double cover of the full intersection graph —
-    polynomial, no enumeration.
+    cycle of the full intersection graph — polynomial, no enumeration.
 
-    A cycle's parity is the sum of its edge parities, so every odd cycle
-    contains an odd edge, and both of that edge's endpoints lie on the
-    cycle.  Rooting one double-cover BFS at the smaller endpoint of each
-    odd edge therefore reaches the shortest odd cycle: the BFS from a root
-    on it finds an odd closed walk no longer than the cycle, and
-    ``_extract_odd_cycle`` turns that walk into a simple odd cycle that is
-    no longer either.  The cost is O(#odd edges · (n + m)) for n disks and
-    m intersecting pairs; an instance without odd edges is refused without
-    any search.  When every edge is odd this is still quadratic, hence the
-    ``max_disks`` cap.  ``detail`` reports the cycle, the number of odd
-    edges and the number of roots searched.
+    The search runs on the chain-contracted kernel (:func:`contract`),
+    where a cycle is a cyclic sequence of whole chains, as long in disks as
+    the sum of their ``len(inner) + 1`` and as odd as the XOR of their
+    signatures.  An odd cycle contains an odd chain, and both end junctions
+    of that chain lie on it.  So one Dijkstra over the (junction, parity)
+    double cover from the smaller end of each odd chain reaches the
+    optimum: from a root on the lightest odd cycle it finds an odd closed
+    walk no heavier, which ``_extract_odd_cycle`` cuts to a simple odd
+    cycle no heavier either.  Each search stops at the best cycle so far;
+    the best cycle then expands to disk ids.  ``detail`` reports that
+    cycle and the numbers of odd edges, roots searched, junctions and
+    chains.
     """
     instance.validate()
     if len(instance.points) != 2:
         raise VerificationError("this solver handles exactly two marked points")
-    if len(instance.tags) > max_disks:
-        raise SolverCapExceeded(f"{len(instance.tags)} disks exceeds {max_disks}")
     check_points_uncovered(instance)
     p, q = [instance.points[k] for k in sorted(instance.points)]
     sc = instance.centers
     udg = unit_disk_graph(sc, instance.radius)
-    # an edge's parity against both rays is the XOR of its two mask bits
-    parity = {e: (m ^ (m >> 1)) & 1
-              for e, m in zip(udg.edges, edge_crossing_parities(sc, udg, (p, q)))}
+    masks = edge_crossing_parities(sc, udg, (p, q))
+    kernel = contract(udg, masks)
+    if len(kernel.junctions) > MAX_JUNCTIONS:
+        raise SolverCapExceeded(
+            f"{len(kernel.junctions)} kernel junctions exceeds {MAX_JUNCTIONS}")
+    chains = kernel.chains
+    # a parity against both rays is the XOR of the two mask bits
+    odd = [(c.sig ^ c.sig >> 1) & 1 for c in chains]
+    adj: Dict[int, List[Tuple[int, int]]] = {j: [] for j in kernel.junctions}
+    for k, c in enumerate(chains):
+        adj[c.a].append((c.b, k))
+        if c.b != c.a:
+            adj[c.b].append((c.a, k))
 
-    n = udg.n
-    adj: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
-    for (i, j) in udg.edges:
-        x = parity[(i, j)]
-        adj[i].append((j, x))
-        adj[j].append((i, x))
-
-    odd_edges = [e for e, x in parity.items() if x]
-    roots = sorted({i for (i, _) in odd_edges})
-    best_len: Optional[int] = None
-    best_cycle: Optional[List[int]] = None
+    best_len = math.inf
+    best: List[Tuple[int, int]] = []
     searched = 0
-    for s in roots:
-        # BFS over (vertex, parity) states from (s, 0) to (s, 1)
-        if best_len is not None and best_len <= 3:
+    for s in sorted({min(c.a, c.b) for c, x in zip(chains, odd) if x}):
+        if best_len <= 3:
             break
         searched += 1
-        dist: Dict[Tuple[int, int], int] = {(s, 0): 0}
-        prev: Dict[Tuple[int, int], Tuple[int, int]] = {}
-        dq = deque([(s, 0)])
         goal = (s, 1)
-        while dq:
-            v, par = dq.popleft()
-            d = dist[(v, par)]
-            if best_len is not None and d + 1 >= best_len:
+        dist = {(s, 0): 0}
+        prev: Dict[Tuple[int, int], Tuple[Tuple[int, int], int]] = {}
+        heap = [(0, s, 0)]
+        while heap:
+            d, v, par = heappop(heap)
+            if (v, par) == goal:
+                break
+            if d > dist[(v, par)]:
                 continue
-            for (w, x) in adj[v]:
-                state = (w, par ^ x)
-                if state not in dist:
-                    dist[state] = d + 1
-                    prev[state] = (v, par)
-                    if state == goal:
-                        dq.clear()
-                        break
-                    dq.append(state)
-        if goal in dist and (best_len is None or dist[goal] < best_len):
-            walk = [goal]
-            while walk[-1] != (s, 0):
-                walk.append(prev[walk[-1]])
-            cyc = _extract_odd_cycle([v for (v, _) in reversed(walk)], parity)
-            if cyc is not None:
-                best_len = len(cyc)
-                best_cycle = cyc
-    if best_cycle is None:
+            for w, k in adj[v]:
+                state, nd = (w, par ^ odd[k]), d + len(chains[k].inner) + 1
+                if nd < dist.get(state, best_len):
+                    dist[state] = nd
+                    prev[state] = ((v, par), k)
+                    heappush(heap, (nd, *state))
+        if goal in dist:
+            walk, state = [], goal
+            while state in prev:
+                state, k = prev[state]
+                walk.append((state[0], k))
+            best = _extract_odd_cycle(walk[::-1], odd)
+            best_len = sum(len(chains[k].inner) + 1 for _, k in best)
+    if not best:
         raise VerificationError("no subset of the disks separates the two points")
+    cycle: List[int] = []
+    for v, k in best:
+        cycle.append(v)
+        c = chains[k]
+        cycle.extend(c.inner if c.a == v else reversed(c.inner))
     return OptimumCertificate(
         problem="two-point-isolation",
-        optimum=best_len,
-        witness=sorted(best_cycle),
+        optimum=len(cycle),
+        witness=sorted(cycle),
         method="parity double cover",
-        detail={
-            "cycle": best_cycle,
-            "odd_edges": len(odd_edges),
-            "bfs_roots": searched,
-        },
+        detail={"cycle": cycle, "odd_edges": sum((m ^ m >> 1) & 1 for m in masks),
+                "roots": searched, "junctions": len(kernel.junctions), "chains": len(chains)},
     )
 
 
 def _extract_odd_cycle(
-    walk: List[int], parity: Dict[Tuple[int, int], int]
-) -> Optional[List[int]]:
-    """A simple odd-parity cycle inside a closed odd walk.
-
-    Splicing out an even closed subwalk preserves odd total parity;
-    recursing into an odd closed subwalk shortens the problem.  Either way
-    the walk loses vertices, so this terminates with a simple cycle.
-    """
-
-    def par_of(a: int, b: int) -> int:
-        return parity[(a, b) if a < b else (b, a)]
-
-    def total(w: List[int]) -> int:
-        x = 0
-        for a, b in zip(w, w[1:]):
-            x ^= par_of(a, b)
-        return x
-
-    w = list(walk)
+    walk: List[Tuple[int, int]], odd: Sequence[int]
+) -> List[Tuple[int, int]]:
+    """A simple odd cycle inside a closed odd walk of (junction, chain)
+    steps.  Splicing out an even closed subwalk keeps the parity odd;
+    recursing into an odd one shortens the walk.  The junctions end up
+    distinct, and then so are the chains (one chain twice between two
+    junctions would be even), so the cycle is simple in disks too."""
     while True:
         seen: Dict[int, int] = {}
-        repeat = None
-        for idx, v in enumerate(w[:-1]):
+        for j, (v, _) in enumerate(walk):
             if v in seen:
-                repeat = (seen[v], idx)
                 break
-            seen[v] = idx
-        if repeat is None:
-            return w[:-1] if total(w) == 1 else None
-        i, j = repeat
-        inner = w[i: j + 1]  # closed: w[i] == w[j]
-        if total(inner) == 1:
-            w = inner
+            seen[v] = j
         else:
-            w = w[:i] + w[j:]
+            return walk
+        i = seen[v]
+        sub = walk[i:j]  # closed: it starts and ends at v
+        walk = sub if sum(odd[k] for _, k in sub) % 2 else walk[:i] + walk[j:]
 
 
 def brute_min_isolation(

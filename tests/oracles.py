@@ -20,8 +20,13 @@
   upward-closed feasibility, of :mod:`disklab.solvers` replaced; each must
   return the same optimum, witness, ``detail`` and ``method``, or refuse
   alike.
+* The two-point fence solver by a (disk, parity) BFS over the whole
+  intersection graph, rooted at each odd edge, which the Dijkstra over the
+  chain-contracted kernel of :func:`disklab.solvers.brute_min_isolation_two_points`
+  replaced; it must give the same optimum.
 """
 
+from collections import deque
 from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Optional, Tuple
@@ -423,3 +428,136 @@ def reference_min_isolation(
     raise SolverCapExceeded(
         f"no fence of size <= {max_subset} found within the subset cap"
     )
+
+
+def bfs_min_isolation_two_points(instance: ar.DiskInstance) -> OptimumCertificate:
+    """The shortest odd cycle by one double-cover BFS over every disk,
+    rooted at the smaller endpoint of each odd edge and pruned by the best
+    cycle so far; ``detail`` holds the cycle, the number of odd edges and
+    the number of roots searched."""
+    instance.validate()
+    if len(instance.points) != 2:
+        raise ar.VerificationError("this solver handles exactly two marked points")
+    ar.check_points_uncovered(instance)
+    p, q = [instance.points[k] for k in sorted(instance.points)]
+    sc = instance.centers
+    udg = ar.unit_disk_graph(sc, instance.radius)
+    parity = {e: (m ^ (m >> 1)) & 1
+              for e, m in zip(udg.edges, ar.edge_crossing_parities(sc, udg, (p, q)))}
+    adj: List[List[Tuple[int, int]]] = [[] for _ in range(udg.n)]
+    for (i, j), x in parity.items():
+        adj[i].append((j, x))
+        adj[j].append((i, x))
+    odd_edges = [e for e, x in parity.items() if x]
+    best_len: Optional[int] = None
+    best_cycle: Optional[List[int]] = None
+    searched = 0
+    for s in sorted({i for (i, _) in odd_edges}):
+        # BFS over (vertex, parity) states from (s, 0) to (s, 1)
+        if best_len is not None and best_len <= 3:
+            break
+        searched += 1
+        dist: Dict[Tuple[int, int], int] = {(s, 0): 0}
+        prev: Dict[Tuple[int, int], Tuple[int, int]] = {}
+        dq = deque([(s, 0)])
+        goal = (s, 1)
+        while dq:
+            v, par = dq.popleft()
+            d = dist[(v, par)]
+            if best_len is not None and d + 1 >= best_len:
+                continue
+            for (w, x) in adj[v]:
+                state = (w, par ^ x)
+                if state not in dist:
+                    dist[state] = d + 1
+                    prev[state] = (v, par)
+                    if state == goal:
+                        dq.clear()
+                        break
+                    dq.append(state)
+        if goal in dist and (best_len is None or dist[goal] < best_len):
+            walk = [goal]
+            while walk[-1] != (s, 0):
+                walk.append(prev[walk[-1]])
+            cyc = _extract_odd_disk_cycle([v for (v, _) in reversed(walk)], parity)
+            if cyc is not None:
+                best_len = len(cyc)
+                best_cycle = cyc
+    if best_cycle is None:
+        raise ar.VerificationError("no subset of the disks separates the two points")
+    return OptimumCertificate(
+        problem="two-point-isolation",
+        optimum=best_len,
+        witness=sorted(best_cycle),
+        method="parity double cover",
+        detail={"cycle": best_cycle, "odd_edges": len(odd_edges), "bfs_roots": searched},
+    )
+
+
+def _extract_odd_disk_cycle(
+    walk: List[int], parity: Dict[Tuple[int, int], int]
+) -> Optional[List[int]]:
+    """A simple odd-parity cycle inside a closed odd walk of disks."""
+
+    def total(w: List[int]) -> int:
+        x = 0
+        for a, b in zip(w, w[1:]):
+            x ^= parity[(a, b) if a < b else (b, a)]
+        return x
+
+    w = list(walk)
+    while True:
+        seen: Dict[int, int] = {}
+        repeat = None
+        for idx, v in enumerate(w[:-1]):
+            if v in seen:
+                repeat = (seen[v], idx)
+                break
+            seen[v] = idx
+        if repeat is None:
+            return w[:-1] if total(w) == 1 else None
+        i, j = repeat
+        inner = w[i: j + 1]  # closed: w[i] == w[j]
+        if total(inner) == 1:
+            w = inner
+        else:
+            w = w[:i] + w[j:]
+
+
+def assert_contraction_exact(
+    udg: ar.UnitDiskGraph, masks: List[int], kernel: ar.Kernel
+) -> Tuple[int, int]:
+    """Check :func:`disklab.arrangements.contract` against its definition:
+    the junctions are the disks of degree other than two, the degree-2
+    disks whose neighbours touch and the smallest disk of each cycle without
+    either; every other disk is inner to exactly one chain; the chains'
+    edges are the graph's edges, each once; each signature is the XOR of
+    its edges' masks.  Returns the numbers of loops at a junction of the
+    first two kinds and of junction-free cycles."""
+    edges = set(udg.edges)
+    mask_of = dict(zip(udg.edges, masks))
+    plain = {i for i, a in enumerate(udg.adj) if len(a) != 2 or (a[0], a[1]) in edges}
+    assert kernel.junctions == sorted(set(kernel.junctions))
+    covered = list(kernel.junctions)
+    walked: List[Tuple[int, int]] = []
+    loops = rings = 0
+    for c in kernel.chains:
+        path = [c.a, *c.inner, c.b]
+        sig = 0
+        for u, w in zip(path, path[1:]):
+            walked.append((min(u, w), max(u, w)))
+            sig ^= mask_of[walked[-1]]
+        assert sig == c.sig
+        assert not plain & set(c.inner)
+        covered += c.inner
+        if c.a == c.b:
+            loops += c.a in plain
+            rings += c.a not in plain
+    assert sorted(covered) == list(range(udg.n))
+    assert sorted(walked) == udg.edges
+    assert sum(len(c.inner) + 1 for c in kernel.chains) == len(udg.edges)
+    # a junction of the third kind closes one loop through disks above it
+    for j in set(kernel.junctions) - plain:
+        (c,) = [c for c in kernel.chains if j in (c.a, c.b)]
+        assert c.a == c.b == j < min(c.inner)
+    return loops, rings

@@ -12,6 +12,7 @@ import json
 import random
 import time
 from fractions import Fraction
+from itertools import combinations
 
 import networkx as nx
 import pytest
@@ -24,7 +25,12 @@ from floodfill import (
     random_robust_rings,
 )
 from instances import build_weighted_edge_instance, disk_instance
-from oracles import assert_all_pairs_match_oracle, dist_sq
+from oracles import (
+    assert_all_pairs_match_oracle,
+    assert_contraction_exact,
+    bfs_min_isolation_two_points,
+    dist_sq,
+)
 from test_gadgets import assert_round_trip_equal, build_sound
 
 from disklab import arrangements as ar
@@ -54,6 +60,7 @@ from disklab.gridembed import GridEmbedding
 from disklab.solvers import (
     brute_min_acc,
     brute_min_fvs,
+    brute_min_isolation_two_points,
     brute_min_multiterminal,
     brute_min_subdivision,
     min_terminal_pair_cut,
@@ -478,3 +485,59 @@ def test_all_pairs_separation_matches_per_pair_oracle_on_sound_corpus(sound_corp
                 merged += sum(not res.separated for res in results)
     # with wall 0 dropped, 19 of the corpus' 245 pairs of face points merge
     assert merged == 19
+
+
+# ---------------------------------------------------------------------------
+# two-point fences on the chain-contracted kernel
+# ---------------------------------------------------------------------------
+
+def two_point(inst, a, b):
+    """``inst`` with only its marked points ``a`` and ``b``."""
+    return ar.DiskInstance(inst.radius, inst.centers, inst.tags,
+                           {a: inst.points[a], b: inst.points[b]}, inst.params, inst.meta)
+
+
+def test_contraction_is_exact_on_sound_and_toy_corpora(sound_corpus, toy_fence_corpus):
+    toy = [ar.DiskInstance.from_dict(pl.read_json(d / "iso.json")) for d in toy_fence_corpus]
+    for inst in [art.instance for _, art in sound_corpus] + toy:
+        udg = ar.unit_disk_graph(inst.centers, inst.radius)
+        masks = ar.edge_crossing_parities(
+            inst.centers, udg, [inst.points[a] for a in sorted(inst.points)])
+        assert_contraction_exact(udg, masks, ar.contract(udg, masks))
+
+
+def test_two_point_optima_match_bfs_oracle_on_grid_2_sound_pairs(sound_corpus):
+    rng = random.Random(SOUND_CORPUS_SEED)
+    pairs = 0
+    for emb, art in sound_corpus:
+        if emb.grid_size != 2:
+            continue
+        for a, b in combinations(sorted(art.instance.points), 2):
+            inst = two_point(art.instance, a, b)
+            cert = brute_min_isolation_two_points(inst)
+            assert cert.optimum == bfs_min_isolation_two_points(inst).optimum, (a, b)
+            assert ar.verify_isolation(inst, cert.witness, cert.optimum).ok
+            short = list(cert.witness)
+            del short[rng.randrange(len(short))]
+            assert not ar.verify_isolation(inst, short).ok
+            pairs += 1
+    assert pairs == 49  # in 11 instances
+
+
+def test_two_point_solve_at_grid_3_matches_bfs_oracle(sound_corpus, tmp_path):
+    # the grid-3 pair the oracle solves fastest (one odd edge, about 1 s)
+    emb, art = sound_corpus[16]
+    assert (emb.grid_size, len(art.instance.tags)) == (3, 69220)
+    inst = two_point(art.instance, "p1", "p4")
+    iso, sol = tmp_path / "iso.json", tmp_path / "sol.json"
+    iso.write_text(pl.instance_json(inst)[0], encoding="utf-8")
+    code, lines = pl.cli_solve("isolation", iso, sol)
+    assert code == 0, lines
+    got = pl.read_json(sol)
+    assert got["optimum"] == len(got["witness"]) == 20546
+    assert got["optimum"] == bfs_min_isolation_two_points(inst).optimum
+    short = got["witness"][:100] + got["witness"][101:]
+    for name, ids, want in (("all", got["witness"], 0), ("short", short, 1)):
+        cert = tmp_path / f"{name}.json"
+        pl.write_json({"candidate": ids, "budget": got["optimum"]}, cert)
+        assert pl.cli_verify("isolation", iso, cert)[0] == want, name

@@ -784,6 +784,37 @@ def test_a_disk_centre_that_is_not_two_coordinates_is_malformed(tmp_path, verb, 
     assert not (tmp_path / "inst.svg").exists()
 
 
+@pytest.mark.parametrize("verb", ["verify", "solve", "render"])
+def test_a_marked_point_that_is_not_two_coordinates_is_malformed(tmp_path, verb):
+    inst, cert = tmp_path / "inst.json", tmp_path / "cert.json"
+    write_json({"disks": [{"c": ["0/1", "0/1"], "prov": []}], "radius": "1/2",
+                "points": {"p": ["3/1"]}}, inst)
+    write_json({"candidate": [0]}, cert)
+    out = str(tmp_path / "out")
+    args = {"verify": ["verify", "isolation", str(inst), str(cert)],
+            "solve": ["solve", "isolation", str(inst), "--out", out],
+            "render": ["render", str(inst), "--out", out]}[verb]
+    run = run_python("-m", "disklab", *args)
+    assert run.returncode == 2, run.stderr
+    assert "Traceback" not in run.stderr
+    [line] = run.stderr.splitlines()
+    assert json.loads(line)["msg"] == (
+        "malformed: a marked point must be a JSON list of two coordinates")
+    assert not Path(out).exists()
+
+
+@pytest.mark.parametrize("edge", [["b"], ["c", "a", "b"]])
+def test_a_plain_graph_edge_that_is_not_two_vertices_is_malformed(tmp_path, edge):
+    src, cert = tmp_path / "src.json", tmp_path / "cert.json"
+    write_json({**TRIANGLE_PLAIN, "edges": [["a", "b"], ["b", "c"], edge]}, src)
+    write_json({"candidate": ["a"]}, cert)
+    for code, lines in (cli_verify("fvs", src, cert),
+                        cli_solve("fvs", src, tmp_path / "opt.json"),
+                        cli_reduce("fvs->acc", src, tmp_path / "x.json")):
+        assert (code, lines) == (2, ["malformed: an edge must be a JSON list of two vertex ids"])
+    assert not (tmp_path / "opt.json").exists() and not (tmp_path / "x.json").exists()
+
+
 REPEATED_TERMINALS = {
     "radius": "1/2",
     "disks": [{"c": ["0/1", "0/1"], "prov": []}, {"c": ["1/1", "0/1"], "prov": []}],

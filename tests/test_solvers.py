@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 from floodfill import quarter, ring_centers
 from instances import build_weighted_edge_instance, disk_instance, int_centers
 from oracles import (
+    assert_contraction_exact,
     assert_cuts_match_networkx,
+    bfs_min_isolation_two_points,
     dist_sq,
     pair_parities,
     reference_min_fvs,
@@ -26,6 +28,8 @@ from disklab import solvers
 from disklab.arrangements import (
     CenterIndex,
     VerificationError,
+    contract,
+    edge_crossing_parities,
     unit_disk_graph,
     verify_acc,
     verify_isolation,
@@ -318,9 +322,11 @@ def test_two_point_rejects_covered_points():
     assert brute_min_isolation_two_points(inst).optimum == 4
 
 
-def test_two_point_cap():
-    with pytest.raises(SolverCapExceeded):
-        brute_min_isolation_two_points(ring4(), max_disks=3)
+def test_two_point_cap(monkeypatch):
+    # two junctions: the ring's smallest disk and the lone disk
+    monkeypatch.setattr(solvers, "MAX_JUNCTIONS", 1)
+    with pytest.raises(SolverCapExceeded, match="2 kernel junctions exceeds 1"):
+        brute_min_isolation_two_points(ring4())
 
 
 def test_witness_is_locally_minimal():
@@ -434,6 +440,31 @@ def two_point_oracle_instances(seed, count):
     return out
 
 
+def _kernel_of(r, centers, points):
+    sc = int_centers(centers, r)
+    udg = unit_disk_graph(sc, r)
+    masks = edge_crossing_parities(sc, udg, points)
+    return udg, masks, contract(udg, masks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([_rings_layout, _nested_rings_layout, _lattice_layout]),
+       st.randoms(use_true_random=False))
+def test_contraction_is_exact_on_random_layouts(layout, rng):
+    r, centers, holes = layout(rng)
+    centers = list(dict.fromkeys(centers))
+    assert_contraction_exact(*_kernel_of(r, centers, holes[:3]))
+
+
+def test_contraction_covers_loops_and_rings():
+    counts = [assert_contraction_exact(*_kernel_of(
+        inst.radius, [d.center for d in inst.disks], [inst.points["p"], inst.points["q"]]))
+        for inst in two_point_oracle_instances(seed=8128, count=240)]
+    loops, rings = map(sum, zip(*counts))
+    # rings with one spoke, and rings that touch nothing: 21 and 69 at this seed
+    assert loops >= 10 and rings >= 10, (loops, rings)
+
+
 def test_two_point_odd_edge_roots_match_all_roots_oracle():
     separated = many_odd_unseparated = no_odd = 0
     for inst in two_point_oracle_instances(seed=8128, count=240):
@@ -441,13 +472,15 @@ def test_two_point_odd_edge_roots_match_all_roots_oracle():
         if expect is None:
             with pytest.raises(VerificationError, match="no subset"):
                 brute_min_isolation_two_points(inst)
+            with pytest.raises(VerificationError, match="no subset"):
+                bfs_min_isolation_two_points(inst)
             no_odd += odd == 0
             many_odd_unseparated += odd >= 2
             continue
         cert = brute_min_isolation_two_points(inst)
-        assert cert.optimum == expect
+        assert cert.optimum == expect == bfs_min_isolation_two_points(inst).optimum
         assert cert.detail["odd_edges"] == odd >= 1
-        assert 1 <= cert.detail["bfs_roots"] <= odd
+        assert 1 <= cert.detail["roots"] <= odd
         cycle = cert.detail["cycle"]
         assert len(cycle) == len(set(cycle)) == cert.optimum
         assert sorted(cycle) == cert.witness
