@@ -12,9 +12,12 @@ Usage:
 
 ``reduce`` and ``check-params`` take ``--params sound|toy`` and the
 rational overrides ``--r``, ``--h``, ``--s`` and ``--a``.  ``solve`` has no
-cap option: each solver's caps are fixed, and it refuses above them.
+cap option: the caps are the constants ``MAX_EDGES``, ``MAX_GROUPS``,
+``MAX_VERTICES``, ``MAX_FENCE_DISKS``, ``MAX_ACC_DISKS``, ``MAX_SUBSET`` and
+``MAX_JUNCTIONS`` of ``disklab.solvers``, and it refuses above them.
 
-Exit codes: 0 accepted/succeeded, 1 rejected/refused, 2 malformed input.
+Exit codes: 0 accepted/succeeded, 1 rejected/refused (an instance with no
+solution included), 2 malformed input.
 Diagnostics go to stderr as JSON lines; result payloads go to --out files
 (or stdout for the report commands).
 """

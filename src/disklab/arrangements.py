@@ -41,7 +41,7 @@ from .geometry import (
     ray_crossing,
     triple_intersection_nonempty,
 )
-from .graphs import components
+from .graphs import components, json_ints
 
 
 class VerificationError(ValueError):
@@ -117,7 +117,8 @@ class DiskInstance:
             raise VerificationError("radius must be positive")
         if len(self.points) != len(set(self.points.values())):
             raise VerificationError("marked points must be distinct")
-        terminals = json_ints(self.meta.get("terminal_disks", []), "terminal disk")
+        terminals = json_ints(
+            self.meta.get("terminal_disks", []), "terminal disk ids", VerificationError)
         for t in terminals:
             if not (0 <= t < len(self.tags)):
                 raise VerificationError(f"terminal disk id {t} out of range")
@@ -220,6 +221,8 @@ class UnitDiskGraph:
     n: int
     edges: List[Tuple[int, int]]
     adj: List[List[int]]
+    # the bucket grid the graph was built on, for later proximity queries
+    index: "CenterIndex" = field(compare=False, repr=False)
 
     def degree(self, i: int) -> int:
         return len(self.adj[i])
@@ -287,7 +290,7 @@ class CenterIndex:
     def __init__(self, sc: IntCenters, r: Fraction):
         two_r = 2 * r * sc.den
         assert two_r.denominator == 1
-        self.sc = sc
+        self.sc, self.r = sc, r
         self.four_r2 = int(two_r) ** 2
         self.cell = cell = int(two_r) + 1
         self.buckets: Dict[Tuple[int, int], List[int]] = {}
@@ -346,7 +349,7 @@ def unit_disk_graph(sc: IntCenters, r: Fraction) -> UnitDiskGraph:
     edges.sort()
     for a in adj:
         a.sort()
-    return UnitDiskGraph(n, edges, adj)
+    return UnitDiskGraph(n, edges, adj, index)
 
 
 class Chain(NamedTuple):
@@ -419,7 +422,6 @@ def contract(udg: UnitDiskGraph, masks: Sequence[int]) -> Kernel:
 class RegionSummary:
     union_components: int
     bounded_complement_regions: int   # first Betti number of the union
-    nerve_edges: int
     nerve_triangles: int
 
 
@@ -472,7 +474,6 @@ def complement_regions(sc: IntCenters, r: Fraction) -> RegionSummary:
     return RegionSummary(
         union_components=comps,
         bounded_complement_regions=beta1,
-        nerve_edges=len(udg.edges),
         nerve_triangles=len(tris),
     )
 
@@ -620,30 +621,20 @@ class IsolationReport:
         return out
 
 
-def json_ints(ids: Iterable, what: str) -> list:
-    """``ids`` as a list, refused unless each is an ``int``, what a JSON
-    integer parses to (``int()`` would truncate a float and read ``true``
-    as 1)."""
-    out = list(ids)
-    if any(type(i) is not int for i in out):
-        raise VerificationError(f"{what} ids must be JSON integers")
-    return out
-
-
 def check_ids(ids: Iterable[int], n: int, what: str) -> List[int]:
     """``ids`` sorted and deduplicated, refused unless each is a JSON
     integer in ``range(n)``."""
-    out = sorted(set(json_ints(ids, what)))
+    out = sorted(set(json_ints(ids, f"{what} ids", VerificationError)))
     if out and (out[0] < 0 or out[-1] >= n):
         raise VerificationError(f"{what} contains out-of-range ids")
     return out
 
 
-def check_points_uncovered(instance: DiskInstance) -> None:
-    """Raise :class:`VerificationError` if a disk covers a marked point."""
-    index = CenterIndex(instance.centers, instance.radius)
-    for pid, p in instance.points.items():
-        hit = index.within(p, instance.radius)
+def check_points_uncovered(points: Dict[str, Point], index: CenterIndex) -> None:
+    """Raise :class:`VerificationError` if a disk of ``index`` covers one
+    of the marked ``points``."""
+    for pid, p in points.items():
+        hit = index.within(p, index.r)
         if hit:
             raise VerificationError(f"marked point {pid!r} is covered by disk {hit[0]}")
 
@@ -666,7 +657,7 @@ def verify_isolation(
     messages = []
     if budget is not None and len(chosen) > budget:
         messages.append(f"budget: certificate uses {len(chosen)} disks, cap {budget}")
-    check_points_uncovered(instance)
+    check_points_uncovered(instance.points, CenterIndex(instance.centers, instance.radius))
     sub = instance.centers.subset(chosen)
     results = separation(sub, unit_disk_graph(sub, instance.radius), instance.points)
     pair_results = {pair: res.separated for pair, res in results.items()}
@@ -741,7 +732,7 @@ def normalize_edge_list(pairs: Iterable) -> List[Tuple[int, int]]:
     """Canonical (min, max) pairs, deduplicated and sorted."""
     out = set()
     for p in pairs:
-        seq = tuple(json_ints(p, "certificate"))
+        seq = tuple(json_ints(p, "certificate ids", VerificationError))
         if len(seq) != 2 or seq[0] == seq[1]:
             raise VerificationError(f"not an edge: {p!r}")
         out.add((min(seq), max(seq)))

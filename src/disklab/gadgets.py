@@ -362,6 +362,8 @@ def _sound_wall_plan(
 TOY_ATTACH = 1.8
 # the largest uniform per-edge disk count toy_edge_budget tries
 TOY_MAX_EDGE_DISKS = 10
+# the most wall disks build_isolation_instance synthesizes
+MAX_WALL_DISKS = 2_000_000
 
 
 def _toy_wall_plan(ax, ay, bx, by, p: ParamSet) -> WallPlan:
@@ -417,16 +419,12 @@ class IsolationArtifacts:
 
 
 def _place_face_points(
-    emb: GridEmbedding,
-    terminals: Dict[str, int],
-    sc: IntCenters,
-    r: Fraction,
+    emb: GridEmbedding, terminals: Dict[str, int], index: CenterIndex
 ) -> Dict[str, Point]:
     """A marked point per terminal face, strictly inside the face and at
-    exact distance > 5r/4 from every disk center."""
+    exact distance > 5r/4 from every disk center of ``index``."""
     g = emb.graph
-    clearance = r + Fraction(r, 4)
-    index = CenterIndex(sc, r)
+    clearance = index.r + Fraction(index.r, 4)
     points: Dict[str, Point] = {}
     for pid, face in terminals.items():
         found = None
@@ -481,7 +479,7 @@ def build_isolation_instance(
     g = emb.graph
     p = params
     total_edge_disks = p.c_edge * len(g.edges)
-    if total_edge_disks > 2_000_000:
+    if total_edge_disks > MAX_WALL_DISKS:
         raise SynthesisError(
             f"instance would need {total_edge_disks} wall disks; refusing"
         )
@@ -521,7 +519,6 @@ def build_isolation_instance(
         for e1, e2 in _incident_pairs(g.edges):
             b.allow(("wall", e1), ("wall", e2), 0, 4)
 
-    points = _place_face_points(emb, sub.terminals, b.centers(), p.r)
     vertex_disk_total = sum(len(v) for v in vertex_ids.values())
     meta = {
         "kind": "isolation",
@@ -530,7 +527,9 @@ def build_isolation_instance(
         "groups": sub.groups,
         "terminal_faces": dict(sub.terminals),
     }
-    inst, report = b.finish("isolation", meta, points=points, params=p)
+    inst, report = b.finish("isolation", meta, points=None, params=p)
+    # placed on the bucket grid the structure check built, in distinct faces
+    inst.points.update(_place_face_points(emb, sub.terminals, report.graph.index))
     if vertex_disk_total >= p.c_edge:
         raise SynthesisError(
             f"vertex structures use {vertex_disk_total} disks, which reaches the "

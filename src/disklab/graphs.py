@@ -25,6 +25,16 @@ class StructureError(ValueError):
     """Raised when a graph, rotation system, or instance is malformed."""
 
 
+def json_ints(values: Iterable, what: str, error: type) -> list:
+    """``values`` as a list, refused with ``error`` unless each is an
+    ``int``, what a JSON integer parses to (``int()`` would truncate a float
+    and read ``true`` as 1)."""
+    out = list(values)
+    if any(type(v) is not int for v in out):
+        raise error(f"{what} must be JSON integers")
+    return out
+
+
 def other_end(dart: Dart) -> Dart:
     return (dart[0], 1 - dart[1])
 
@@ -288,7 +298,8 @@ class PlanarEmbeddedGraph:
         if len(by_name) != len(vertices):
             raise StructureError("vertex names collide after string coercion")
         edges = [tuple(e) for e in d["edges"]]
-        rotation = {by_name[k]: list(v) for k, v in dict(d["rotation"]).items()}
+        rotation = {by_name[k]: json_ints(v, "rotation edge ids", StructureError)
+                    for k, v in dict(d["rotation"]).items()}
         return cls.from_edge_rotation(vertices, edges, rotation)
 
 
@@ -436,7 +447,8 @@ class MultiterminalInstance:
     @classmethod
     def from_dict(cls, d: Dict[str, object]) -> "MultiterminalInstance":
         g = PlanarEmbeddedGraph.from_dict(d)
-        weights = {int(k): int(v) for k, v in dict(d.get("weights", {})).items()}
+        weights = {int(k): v for k, v in dict(d.get("weights", {})).items()}
+        json_ints(weights.values(), "edge weights", StructureError)
         inst = cls(graph=g, terminals=list(d.get("terminals", [])), weights=weights)
         inst.validate()
         return inst
@@ -481,10 +493,13 @@ class SubdivisionInstance:
     def from_dict(cls, d: Dict[str, object]) -> "SubdivisionInstance":
         g = PlanarEmbeddedGraph.from_dict(d)
         groups = d.get("groups")
+        terminals = dict(d["terminals"])
+        json_ints(terminals.values(), "terminal faces", StructureError)
         inst = cls(
             graph=g,
-            terminals={str(k): int(v) for k, v in dict(d["terminals"]).items()},
-            groups=[list(grp) for grp in groups] if groups is not None else None,
+            terminals={str(k): v for k, v in terminals.items()},
+            groups=[json_ints(grp, "group edge ids", StructureError) for grp in groups]
+            if groups is not None else None,
         )
         inst.validate()
         return inst

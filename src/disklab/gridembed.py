@@ -21,7 +21,7 @@ from .geometry import (
     ray_crossing,
     segments_cross_properly,
 )
-from .graphs import Dart, PlanarEmbeddedGraph, Vertex
+from .graphs import Dart, PlanarEmbeddedGraph, Vertex, json_ints
 
 Coords = Dict[Vertex, Tuple[int, int]]
 
@@ -377,11 +377,12 @@ def _box_table(k: int) -> _BoxTable:
     return _BoxTable(k)
 
 
-def search_minimal_drawing(
-    g: PlanarEmbeddedGraph,
-    max_size: int = 4,
-    node_budget: int = 300_000,
-) -> Optional[Coords]:
+# the minimal-grid search's largest box [0,k] x [0,k], and its budget per box
+MAX_SEARCH_BOX = 4
+SEARCH_BUDGET = 300_000
+
+
+def search_minimal_drawing(g: PlanarEmbeddedGraph, max_size: int) -> Optional[Coords]:
     """Backtracking search for a rotation-faithful drawing in the smallest
     [0,k] x [0,k] box, k ascending.  Returns None when no box up to
     ``max_size`` yields one.
@@ -394,9 +395,9 @@ def search_minimal_drawing(
     the cells those segments cover.  The masks rule out every clause of
     :func:`check_drawing` but the rotation, so a complete placement is
     accepted when its drawn rotation is the prescribed one.
-    ``node_budget`` counts candidate cells
-    tried, rejected ones included: a box gives up at its
-    ``node_budget``-th candidate, and the next box starts afresh.
+    ``SEARCH_BUDGET`` counts candidate cells tried, rejected ones
+    included: a box gives up at its ``SEARCH_BUDGET``-th candidate, and the
+    next box starts afresh.
     """
     if not g.is_simple() or not g.is_connected():
         return None
@@ -452,7 +453,7 @@ def search_minimal_drawing(
         if (k + 1) ** 2 < n:
             continue
         box = _box_table(k)
-        budget = node_budget
+        budget = SEARCH_BUDGET
         got = rec(0, [], 0, 0, 0)
         if got is not None:
             return got
@@ -476,27 +477,27 @@ class GridEmbedding:
     def from_dict(cls, d: Dict[str, object]) -> "GridEmbedding":
         g = PlanarEmbeddedGraph.from_dict(d["graph"])
         by_name = {str(v): v for v in g.vertices}
-        coords = {by_name[k]: (int(x), int(y)) for k, (x, y) in dict(d["coords"]).items()}
-        emb = cls(graph=g, coords=coords, grid_size=int(d["grid_size"]))
+        coords = {by_name[k]: (x, y) for k, (x, y) in dict(d["coords"]).items()}
+        json_ints([c for xy in coords.values() for c in xy] + [d["grid_size"]],
+                  "coords and grid size", DrawingError)
+        emb = cls(graph=g, coords=coords, grid_size=d["grid_size"])
         check_drawing(g, coords)
         if emb.grid_size != grid_size_of(coords):
             raise DrawingError("stored grid size disagrees with the coordinates")
         return emb
 
 
-def grid_embed(g: PlanarEmbeddedGraph, search_small: bool = True) -> GridEmbedding:
+def grid_embed(g: PlanarEmbeddedGraph) -> GridEmbedding:
     """Rotation-faithful straight-line drawing on the smallest integer grid
     this module can find.  The result is always re-verified exactly."""
     coords = draw_with_networkx(g)
     if len(g.vertices) > 2:
         check_drawing(g, coords)
         coords = compact_drawing(g, coords)
-        if search_small:
-            # only a drawing of span below target is kept
-            target = max(_spans(coords))
-            limit = min(4, target - 1)
-            found = search_minimal_drawing(g, max_size=limit)
-            if found is not None and max(_spans(found)) < max(_spans(coords)):
-                coords = found
+        # only a drawing of span below the compacted one's is kept
+        target = max(_spans(coords))
+        found = search_minimal_drawing(g, min(MAX_SEARCH_BOX, target - 1))
+        if found is not None and max(_spans(found)) < target:
+            coords = found
     check_drawing(g, coords)
     return GridEmbedding(graph=g, coords=_normalize(coords), grid_size=grid_size_of(coords))

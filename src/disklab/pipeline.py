@@ -7,7 +7,7 @@ owning modules.  Exit-code convention, shared by all verbs:
 
 * 0 — accepted / succeeded,
 * 1 — well-formed but rejected (failed verification, budget overrun,
-  restriction violation, solver refusal),
+  restriction violation, no solution, solver refusal),
 * 2 — malformed input (unparseable files, schema violations, out-of-range
   ids, digest mismatches).
 
@@ -69,6 +69,7 @@ from .graphs import (
     Vertex,
     components,
     fvs_solution_ok,
+    json_ints,
     lift_subdivision_solution,
     multiterminal_solution_ok,
     reduce_pmc_to_subdivision,
@@ -78,6 +79,7 @@ from .gridembed import DrawingError, GridEmbedding, grid_embed
 from .render import svg_for_embedding, svg_for_instance
 from .solvers import (
     OptimumCertificate,
+    Rejected,
     SolverCapExceeded,
     brute_min_acc,
     brute_min_fvs,
@@ -103,10 +105,6 @@ MALFORMED_ERRORS = (
 
 class PipelineError(ValueError):
     """Malformed pipeline input (schema, digest, unknown kind)."""
-
-
-class Rejected(RuntimeError):
-    """Well-formed input that fails a restriction or a verification."""
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +281,8 @@ def plain_graph_from_dict(d: dict) -> Tuple[List[Vertex], List[Tuple[Vertex, Ver
             raise PipelineError(f"edge {(u, w)!r} uses an unknown vertex")
     coords = d.get("coords")
     if coords is not None:
-        coords = {k: (int(x), int(y)) for k, (x, y) in dict(coords).items()}
+        coords = {k: (x, y) for k, (x, y) in dict(coords).items()}
+        json_ints([c for xy in coords.values() for c in xy], "coords", StructureError)
         if set(coords) != set(str(v) for v in vertices):
             raise PipelineError("coords must cover exactly the vertex set")
     return vertices, edges, coords

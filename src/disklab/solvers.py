@@ -13,6 +13,10 @@ polynomial and handle the synthesized instances directly; the two-point
 solver searches the chain-contracted kernel
 (:func:`~disklab.arrangements.contract`), on which sound instances keep
 only a few dozen junctions.
+The caps are the module constants ``MAX_EDGES``, ``MAX_GROUPS``,
+``MAX_VERTICES``, ``MAX_FENCE_DISKS``, ``MAX_ACC_DISKS``, ``MAX_SUBSET`` and
+``MAX_JUNCTIONS``.  Above one a solver raises :class:`SolverCapExceeded`; on
+a well-formed instance with no solution it raises :class:`Rejected`.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from itertools import combinations
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .arrangements import (
+    CenterIndex,
     DiskInstance,
     VerificationError,
     check_points_uncovered,
@@ -46,6 +51,27 @@ from .graphs import (
 
 class SolverCapExceeded(RuntimeError):
     """The instance is larger than this brute-force solver will accept."""
+
+
+class Rejected(RuntimeError):
+    """Well-formed input that fails a restriction or a verification, or has
+    no solution."""
+
+
+# The caps.  MAX_FENCE_DISKS and MAX_ACC_DISKS count an instance's disks and
+# MAX_SUBSET those of a fence or a deletion set.  MAX_JUNCTIONS caps the
+# two-point solver's kernel: its search is about quadratic in the junctions,
+# of which sound instances have a few dozen.
+MAX_EDGES = 18
+MAX_GROUPS = 18
+MAX_VERTICES = 20
+MAX_FENCE_DISKS = 40
+MAX_ACC_DISKS = 64
+MAX_SUBSET = 12
+MAX_JUNCTIONS = 20000
+
+# the refusal of a well-formed isolation instance that no set of its disks fences
+NO_FENCE = "no subset of the disks separates the marked points"
 
 
 @dataclass
@@ -105,16 +131,14 @@ def _feasible_of_size(
     return below((), 0, size)
 
 
-def brute_min_multiterminal(
-    inst: MultiterminalInstance, max_edges: int = 18
-) -> OptimumCertificate:
+def brute_min_multiterminal(inst: MultiterminalInstance) -> OptimumCertificate:
     """Minimum total weight of deleted edges leaving all terminals in
     pairwise distinct components, by enumeration in combinations order,
     pruned by upward-closed feasibility (:func:`_feasible_subsets`)."""
     inst.validate()
     m = len(inst.graph.edges)
-    if m > max_edges:
-        raise SolverCapExceeded(f"{m} edges exceeds the enumeration cap {max_edges}")
+    if m > MAX_EDGES:
+        raise SolverCapExceeded(f"{m} edges exceeds the enumeration cap {MAX_EDGES}")
     best: Optional[Tuple[int, List[int]]] = None
     for combo in _feasible_subsets(m, lambda t: multiterminal_solution_ok(inst, t)):
         w = sum(inst.weights.get(e, 1) for e in combo)
@@ -124,15 +148,13 @@ def brute_min_multiterminal(
             # every later subset is at least as large, so weighs at least best[0]
             break
     if best is None:
-        raise VerificationError("no edge subset separates the terminals")
+        raise AssertionError("deleting every edge always separates distinct terminals")
     return OptimumCertificate(
         problem="multiterminal-cut", optimum=best[0], witness=best[1]
     )
 
 
-def brute_min_subdivision(
-    inst: SubdivisionInstance, max_groups: int = 18
-) -> OptimumCertificate:
+def brute_min_subdivision(inst: SubdivisionInstance) -> OptimumCertificate:
     """Minimum group-counted mass of kept edges that separate the marked
     faces, by enumeration of kept groups in combinations order, pruned by
     upward-closed feasibility (:func:`_feasible_subsets`).  Only whole
@@ -141,8 +163,8 @@ def brute_min_subdivision(
     inst.validate()
     groups = inst.groups or [[e] for e in range(len(inst.graph.edges))]
     g = len(groups)
-    if g > max_groups:
-        raise SolverCapExceeded(f"{g} groups exceeds the enumeration cap {max_groups}")
+    if g > MAX_GROUPS:
+        raise SolverCapExceeded(f"{g} groups exceeds the enumeration cap {MAX_GROUPS}")
 
     def kept(combo: Tuple[int, ...]) -> List[int]:
         return [e for gi in combo for e in groups[gi]]
@@ -155,21 +177,19 @@ def brute_min_subdivision(
             witness=list(combo),
             detail={"kept_edges": sorted(kept(combo))},
         )
-    raise VerificationError("no group subset separates the marked faces")
+    raise AssertionError("keeping every group always separates faces marked once each")
 
 
 def brute_min_fvs(
-    vertices: Sequence[Vertex],
-    edges: Sequence[Tuple[Vertex, Vertex]],
-    max_vertices: int = 20,
+    vertices: Sequence[Vertex], edges: Sequence[Tuple[Vertex, Vertex]]
 ) -> OptimumCertificate:
     """Minimum vertex set meeting every cycle, by enumeration of removed
     vertices in combinations order, pruned by upward-closed feasibility
     (:func:`_feasible_subsets`)."""
     vs = list(vertices)
-    if len(vs) > max_vertices:
+    if len(vs) > MAX_VERTICES:
         raise SolverCapExceeded(
-            f"{len(vs)} vertices exceeds the enumeration cap {max_vertices}"
+            f"{len(vs)} vertices exceeds the enumeration cap {MAX_VERTICES}"
         )
 
     def acyclic_without(combo: Tuple[int, ...]) -> bool:
@@ -186,11 +206,6 @@ def brute_min_fvs(
 # ---------------------------------------------------------------------------
 # disk-level problems
 # ---------------------------------------------------------------------------
-
-# the largest kernel the two-point solver searches: the search is about
-# quadratic in its junctions, of which sound instances have a few dozen
-MAX_JUNCTIONS = 20000
-
 
 def brute_min_isolation_two_points(instance: DiskInstance) -> OptimumCertificate:
     """Exact minimum fence for an instance with exactly two marked points.
@@ -216,10 +231,10 @@ def brute_min_isolation_two_points(instance: DiskInstance) -> OptimumCertificate
     instance.validate()
     if len(instance.points) != 2:
         raise VerificationError("this solver handles exactly two marked points")
-    check_points_uncovered(instance)
     p, q = [instance.points[k] for k in sorted(instance.points)]
     sc = instance.centers
     udg = unit_disk_graph(sc, instance.radius)
+    check_points_uncovered(instance.points, udg.index)
     masks = edge_crossing_parities(sc, udg, (p, q))
     kernel = contract(udg, masks)
     if len(kernel.junctions) > MAX_JUNCTIONS:
@@ -265,7 +280,7 @@ def brute_min_isolation_two_points(instance: DiskInstance) -> OptimumCertificate
             best = _extract_odd_cycle(walk[::-1], odd)
             best_len = sum(len(chains[k].inner) + 1 for _, k in best)
     if not best:
-        raise VerificationError("no subset of the disks separates the two points")
+        raise Rejected(NO_FENCE)
     cycle: List[int] = []
     for v, k in best:
         cycle.append(v)
@@ -302,61 +317,55 @@ def _extract_odd_cycle(
         walk = sub if sum(odd[k] for _, k in sub) % 2 else walk[:i] + walk[j:]
 
 
-def brute_min_isolation(
-    instance: DiskInstance,
-    max_subset: int = 12,
-    max_disks: int = 40,
-) -> OptimumCertificate:
+def brute_min_isolation(instance: DiskInstance) -> OptimumCertificate:
     """Minimum fence for any number of marked points, by enumeration in
-    combinations order up to ``max_subset`` disks, pruned by upward-closed
+    combinations order up to ``MAX_SUBSET`` disks, pruned by upward-closed
     feasibility (:func:`_feasible_of_size`): with the marked points
-    uncovered, a superset of a fence is a fence.  Strictly capped; use the
-    two-point solver for synthesized instances.
+    uncovered, a superset of a fence is a fence, so when all the disks
+    fence nothing, no subset does.  Strictly capped; use the two-point
+    solver for synthesized instances.
     """
     instance.validate()
     n = len(instance.tags)
-    if n > max_disks:
+    if n > MAX_FENCE_DISKS:
         raise SolverCapExceeded(
-            f"{n} disks exceeds the enumeration cap {max_disks}; "
+            f"{n} disks exceeds the enumeration cap {MAX_FENCE_DISKS}; "
             "use the two-point solver or shrink the instance"
         )
     if len(instance.points) < 2:
         raise VerificationError("isolation needs at least two marked points")
-    check_points_uncovered(instance)
     sc, r = instance.centers, instance.radius
+    check_points_uncovered(instance.points, CenterIndex(sc, r))
 
     def fences(combo: Tuple[int, ...]) -> bool:
         sub = sc.subset(combo)
         results = separation(sub, unit_disk_graph(sub, r), instance.points)
         return all(res.separated for res in results.values())
 
-    if fences(tuple(range(n))):
-        for size in range(min(max_subset, n) + 1):
-            for combo in _feasible_of_size(n, fences, size):
-                return OptimumCertificate(
-                    problem="point-isolation", optimum=size, witness=list(combo)
-                )
+    if not fences(tuple(range(n))):
+        raise Rejected(NO_FENCE)
+    for size in range(min(MAX_SUBSET, n) + 1):
+        for combo in _feasible_of_size(n, fences, size):
+            return OptimumCertificate(
+                problem="point-isolation", optimum=size, witness=list(combo)
+            )
     raise SolverCapExceeded(
-        f"no fence of size <= {max_subset} found within the subset cap"
+        f"no fence of size <= {MAX_SUBSET} found within the subset cap"
     )
 
 
-def brute_min_acc(
-    instance: DiskInstance,
-    max_subset: int = 12,
-    max_disks: int = 64,
-) -> OptimumCertificate:
+def brute_min_acc(instance: DiskInstance) -> OptimumCertificate:
     """Minimum number of deleted disks leaving a union with no bounded
     complement region, by subset enumeration over deletions."""
     instance.validate()
     n = len(instance.tags)
-    if n > max_disks:
-        raise SolverCapExceeded(f"{n} disks exceeds the enumeration cap {max_disks}")
+    if n > MAX_ACC_DISKS:
+        raise SolverCapExceeded(f"{n} disks exceeds the enumeration cap {MAX_ACC_DISKS}")
     sc = instance.centers
     r = instance.radius
     if complement_regions(sc, r).bounded_complement_regions == 0:
         return OptimumCertificate(problem="acyclic-cover", optimum=0, witness=[])
-    for size in range(1, min(max_subset, n) + 1):
+    for size in range(1, min(MAX_SUBSET, n) + 1):
         for combo in combinations(range(n), size):
             removed = set(combo)
             remaining = sc.subset([k for k in range(n) if k not in removed])
@@ -364,7 +373,7 @@ def brute_min_acc(
                 return OptimumCertificate(
                     problem="acyclic-cover", optimum=size, witness=list(combo)
                 )
-    raise SolverCapExceeded(f"no deletion set of size <= {max_subset} found")
+    raise SolverCapExceeded(f"no deletion set of size <= {MAX_SUBSET} found")
 
 
 def min_terminal_pair_cut(instance: DiskInstance) -> OptimumCertificate:

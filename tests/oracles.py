@@ -438,7 +438,7 @@ def bfs_min_isolation_two_points(instance: ar.DiskInstance) -> OptimumCertificat
     instance.validate()
     if len(instance.points) != 2:
         raise ar.VerificationError("this solver handles exactly two marked points")
-    ar.check_points_uncovered(instance)
+    ar.check_points_uncovered(instance.points, ar.CenterIndex(instance.centers, instance.radius))
     p, q = [instance.points[k] for k in sorted(instance.points)]
     sc = instance.centers
     udg = ar.unit_disk_graph(sc, instance.radius)

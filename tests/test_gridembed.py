@@ -162,8 +162,25 @@ def test_compaction_never_grows():
     assert cw * ch <= rw * rh
 
 
-def test_search_minimal_drawing_respects_budget():
-    assert ge.search_minimal_drawing(k4(), max_size=4, node_budget=1) is None
+def test_search_minimal_drawing_respects_budget(monkeypatch):
+    monkeypatch.setattr(ge, "SEARCH_BUDGET", 1)
+    assert ge.search_minimal_drawing(k4(), 4) is None
+
+
+def test_search_constants_bound_grid_embed(monkeypatch):
+    # the search shrinks this graph's compacted grid-3 drawing to grid 2; with
+    # one candidate cell per box, or no box that fits five vertices, it
+    # gives up and the compacted drawing stays
+    names = [f"v{i}" for i in range(5)]
+    edges = [("v0", "v1"), ("v0", "v2"), ("v2", "v3"), ("v1", "v4"), ("v3", "v4"),
+             ("v0", "v3"), ("v1", "v3"), ("v2", "v1")]
+    g = rotation_graph(names, edges)
+    assert ge.grid_embed(g).grid_size == 2
+    for name, value in (("SEARCH_BUDGET", 1), ("MAX_SEARCH_BOX", 1)):
+        with monkeypatch.context() as mp:
+            mp.setattr(ge, name, value)
+            assert ge.search_minimal_drawing(g, ge.MAX_SEARCH_BOX) is None
+            assert ge.grid_embed(g).grid_size == 3
 
 
 def _search_cases():
@@ -190,7 +207,7 @@ def _search_cases():
 
 
 @pytest.mark.parametrize("g,max_size", _search_cases())
-def test_search_minimal_drawing_matches_reference(g, max_size):
+def test_search_minimal_drawing_matches_reference(g, max_size, monkeypatch):
     """The table-driven search returns what the per-candidate loops of the
     reference return, at the default budget and at the budgets just above
     and at the count of cells the finding level tries, where that level
@@ -200,13 +217,15 @@ def test_search_minimal_drawing_matches_reference(g, max_size):
     assert got == want and (got is None or list(got) == list(want))
     if want is None:
         return
-    assert ge.search_minimal_drawing(g, max_size, node_budget=tried + 1) == want
+    monkeypatch.setattr(ge, "SEARCH_BUDGET", tried + 1)
+    assert ge.search_minimal_drawing(g, max_size) == want
     short, _ = reference_search_minimal_drawing(g, max_size, node_budget=tried)
     assert short != want
-    assert ge.search_minimal_drawing(g, max_size, node_budget=tried) == short
+    monkeypatch.setattr(ge, "SEARCH_BUDGET", tried)
+    assert ge.search_minimal_drawing(g, max_size) == short
 
 
-def test_search_budget_decides_a_sound_corpus_draw():
+def test_search_budget_decides_a_sound_corpus_draw(monkeypatch):
     # the twelfth draw of the sound corpus' seed (8 vertices, 14 edges):
     # the default budget runs out on grid 3, so grid_embed keeps a grid-4
     # drawing and the corpus discards it, though a grid-3 drawing is the
@@ -216,11 +235,12 @@ def test_search_budget_decides_a_sound_corpus_draw():
              ("v0", "v6"), ("v3", "v7"), ("v7", "v2"), ("v3", "v2"), ("v4", "v6"),
              ("v6", "v5"), ("v4", "v3"), ("v1", "v6"), ("v0", "v3")]
     g = rotation_graph(names, edges)
-    assert ge.search_minimal_drawing(g, max_size=3) is None
+    assert ge.search_minimal_drawing(g, 3) is None
     assert ge.grid_embed(g).grid_size == 4
     want, tried = reference_search_minimal_drawing(g, max_size=3, node_budget=400_000)
     assert tried == 390_650
-    assert ge.search_minimal_drawing(g, max_size=3, node_budget=400_000) == want
+    monkeypatch.setattr(ge, "SEARCH_BUDGET", 400_000)
+    assert ge.search_minimal_drawing(g, 3) == want
     assert max(ge._spans(want)) == 3
 
 
@@ -377,7 +397,10 @@ def small_planar_embedded(draw):
 def test_grid_embed_random_graphs(g):
     if g is None:
         return
-    emb = ge.grid_embed(g, search_small=False)
+    # no search box, to keep the test fast: the compacted networkx drawing
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ge, "MAX_SEARCH_BOX", 0)
+        emb = ge.grid_embed(g)
     ge.check_drawing(g, emb.coords)
     assert emb.grid_size >= 2
 

@@ -815,6 +815,55 @@ def test_a_plain_graph_edge_that_is_not_two_vertices_is_malformed(tmp_path, edge
     assert not (tmp_path / "opt.json").exists() and not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize("points", [2, 3])
+def test_solve_isolation_with_no_fence_is_rejected(tmp_path, points):
+    # one disk, and marked points far from it: well-formed, with no fence
+    inst, out = tmp_path / "inst.json", tmp_path / "opt.json"
+    write_json({"disks": [{"c": ["0/1", "0/1"], "prov": []}], "radius": "1/2",
+                "points": {f"p{k}": [f"{10 * k + 10}/1", "0/1"] for k in range(points)}}, inst)
+    run = run_python("-m", "disklab", "solve", "isolation", str(inst), "--out", str(out))
+    assert run.returncode == 1, run.stderr
+    assert "Traceback" not in run.stderr
+    [line] = run.stderr.splitlines()
+    assert json.loads(line)["msg"] == (
+        "rejected: no subset of the disks separates the marked points")
+    assert not out.exists()
+
+
+def integer_field_cases(value):
+    """(case, verb arguments before the file, file content, refused field)
+    with one integer field of the file set to ``value``."""
+    mc = triangle_mc_dict()
+    drawing = {"graph": {k: mc[k] for k in ("vertices", "edges", "rotation")},
+               "coords": {"a": [0, 0], "b": [1, 0], "c": [0, 1]}, "grid_size": 2}
+    return [
+        ("mc-weight", ["solve", "mc"], {**mc, "weights": {"0": value}}, "edge weights"),
+        ("rotation-edge-id", ["solve", "mc"],
+         {**mc, "rotation": {**mc["rotation"], "b": [value, 0]}}, "rotation edge ids"),
+        ("terminal-face", ["solve", "subdivision"],
+         {**mc, "terminals": {"p": 0, "q": value}}, "terminal faces"),
+        ("plain-coords", ["reduce", "fvs->acc"],
+         {**TRIANGLE_PLAIN, "coords": {"a": [0, 0], "b": [value, 0], "c": [0, 1]}}, "coords"),
+        ("drawing-coords", ["render"],
+         {**drawing, "coords": {**drawing["coords"], "b": [value, 0]}}, "coords and grid size"),
+        ("grid-size", ["render"], {**drawing, "grid_size": value}, "coords and grid size"),
+    ]
+
+
+@pytest.mark.parametrize("value", [1.5, True])
+@pytest.mark.parametrize("case", [c[0] for c in integer_field_cases(0)])
+def test_an_integer_field_that_is_not_a_json_integer_is_malformed(tmp_path, case, value):
+    [(_, verb, content, field)] = [c for c in integer_field_cases(value) if c[0] == case]
+    path, out = tmp_path / "in.json", tmp_path / "out"
+    write_json(content, path)
+    run = run_python("-m", "disklab", *verb, str(path), "--out", str(out))
+    assert run.returncode == 2, run.stderr
+    assert "Traceback" not in run.stderr
+    [line] = run.stderr.splitlines()
+    assert json.loads(line)["msg"] == f"malformed: {field} must be JSON integers"
+    assert not out.exists()
+
+
 REPEATED_TERMINALS = {
     "radius": "1/2",
     "disks": [{"c": ["0/1", "0/1"], "prov": []}, {"c": ["1/1", "0/1"], "prov": []}],

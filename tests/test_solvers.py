@@ -48,6 +48,7 @@ from disklab.graphs import (
 )
 from disklab.solvers import (
     OptimumCertificate,
+    Rejected,
     SolverCapExceeded,
     brute_min_acc,
     brute_min_fvs,
@@ -273,9 +274,11 @@ def test_two_point_ring_optimum():
     assert verify_isolation(ring4(), cert.witness).ok
 
 
-def test_two_point_matches_enumeration_on_ring():
+def test_two_point_matches_enumeration_on_ring(monkeypatch):
+    monkeypatch.setattr(solvers, "MAX_SUBSET", 5)
+    monkeypatch.setattr(solvers, "MAX_FENCE_DISKS", 10)
     a = brute_min_isolation_two_points(ring4())
-    b = brute_min_isolation(ring4(), max_subset=5, max_disks=10)
+    b = brute_min_isolation(ring4())
     assert a.optimum == b.optimum == 4
 
 
@@ -301,7 +304,8 @@ def test_two_point_unseparable_raises():
         disks=[Disk(Fraction(0), Fraction(0)), Disk(Fraction(3, 2), Fraction(0))],
         points={"p": (Fraction(0), Fraction(5)), "q": (Fraction(0), Fraction(-5))},
     )
-    with pytest.raises(VerificationError):
+    # well-formed, with no fence: rejected, not malformed
+    with pytest.raises(Rejected, match="no subset of the disks separates the marked points"):
         brute_min_isolation_two_points(inst)
 
 
@@ -327,6 +331,43 @@ def test_two_point_cap(monkeypatch):
     monkeypatch.setattr(solvers, "MAX_JUNCTIONS", 1)
     with pytest.raises(SolverCapExceeded, match="2 kernel junctions exceeds 1"):
         brute_min_isolation_two_points(ring4())
+
+
+def acc_ring():
+    return disk_instance(radius=Fraction(3, 2), disks=ring4(extra=False).disks)
+
+
+# (constant, small value, the solve it caps, today's refusal at that value)
+CAPS = [
+    ("MAX_EDGES", 2,
+     lambda: brute_min_multiterminal(MultiterminalInstance(triangle_graph(), [0, 1])),
+     "3 edges exceeds the enumeration cap 2"),
+    ("MAX_GROUPS", 2,
+     lambda: brute_min_subdivision(SubdivisionInstance(triangle_graph(), {"p": 0, "q": 1})),
+     "3 groups exceeds the enumeration cap 2"),
+    ("MAX_VERTICES", 2,
+     lambda: brute_min_fvs([0, 1, 2], triangle_graph().edges),
+     "3 vertices exceeds the enumeration cap 2"),
+    ("MAX_FENCE_DISKS", 4, lambda: brute_min_isolation(ring4()),
+     "5 disks exceeds the enumeration cap 4; use the two-point solver or shrink the instance"),
+    ("MAX_ACC_DISKS", 3, lambda: brute_min_acc(acc_ring()),
+     "4 disks exceeds the enumeration cap 3"),
+    ("MAX_SUBSET", 3, lambda: brute_min_isolation(ring4()),
+     "no fence of size <= 3 found within the subset cap"),
+    ("MAX_SUBSET", 0, lambda: brute_min_acc(acc_ring()), "no deletion set of size <= 0 found"),
+    ("MAX_JUNCTIONS", 1, lambda: brute_min_isolation_two_points(ring4()),
+     "2 kernel junctions exceeds 1"),
+]
+
+
+@pytest.mark.parametrize("name, value, solve, refusal", CAPS,
+                         ids=[f"{c[0]}-{c[1]}" for c in CAPS])
+def test_each_cap_is_a_module_constant(monkeypatch, name, value, solve, refusal):
+    assert solve().optimum >= 1    # at the shipped value, it solves
+    monkeypatch.setattr(solvers, name, value)
+    with pytest.raises(SolverCapExceeded) as exc:
+        solve()
+    assert str(exc.value) == refusal
 
 
 def test_witness_is_locally_minimal():
@@ -470,7 +511,7 @@ def test_two_point_odd_edge_roots_match_all_roots_oracle():
     for inst in two_point_oracle_instances(seed=8128, count=240):
         expect, odd = all_roots_shortest_odd_cycle(inst)
         if expect is None:
-            with pytest.raises(VerificationError, match="no subset"):
+            with pytest.raises(Rejected, match="no subset"):
                 brute_min_isolation_two_points(inst)
             with pytest.raises(VerificationError, match="no subset"):
                 bfs_min_isolation_two_points(inst)
@@ -531,16 +572,26 @@ def solve_outcome(solve, inst, **caps):
     """The certificate, or the type and message of the refusal."""
     try:
         return solve(inst, **caps)
-    except (SolverCapExceeded, VerificationError) as exc:
+    except (SolverCapExceeded, VerificationError, Rejected) as exc:
         return type(exc), str(exc)
 
 
-def test_k_point_fence_matches_oracle_on_seeded_lattices():
+NO_FENCE = (Rejected, "no subset of the disks separates the marked points")
+
+
+def test_k_point_fence_matches_oracle_on_seeded_lattices(monkeypatch):
     optima = []
     for inst in lattice_fence_instances(3141, 40):
+        fenced = verify_isolation(inst, range(len(inst.tags))).ok
         for cap in (5, 12):
+            monkeypatch.setattr(solvers, "MAX_SUBSET", cap)
             want = solve_outcome(reference_min_isolation, inst, max_subset=cap)
-            assert solve_outcome(brute_min_isolation, inst, max_subset=cap) == want
+            got = solve_outcome(brute_min_isolation, inst)
+            # no fence at all is "no solution"; the oracle finds none within its cap
+            if not fenced:
+                assert got == NO_FENCE and want[0] is SolverCapExceeded
+            else:
+                assert got == want
         optima.append(want.optimum if isinstance(want, OptimumCertificate) else None)
     # keep the corpus from going vacuous: at this seed 16 instances have a
     # fence (11 of size 4 and 5 past the subset cap of 5) and 24 have none
@@ -560,11 +611,14 @@ def test_k_point_fence_refuses_like_the_oracle():
         assert solve_outcome(brute_min_isolation, inst) == want
 
 
-def test_brute_isolation_caps():
-    with pytest.raises(SolverCapExceeded):
-        brute_min_isolation(ring4(), max_disks=2)
-    with pytest.raises(SolverCapExceeded):
-        brute_min_isolation(ring4(), max_subset=2)
+def test_brute_isolation_caps(monkeypatch):
+    monkeypatch.setattr(solvers, "MAX_FENCE_DISKS", 2)
+    with pytest.raises(SolverCapExceeded, match="5 disks exceeds the enumeration cap 2"):
+        brute_min_isolation(ring4())
+    monkeypatch.undo()
+    monkeypatch.setattr(solvers, "MAX_SUBSET", 2)
+    with pytest.raises(SolverCapExceeded, match="no fence of size <= 2 found within the subset cap"):
+        brute_min_isolation(ring4())
 
 
 def test_brute_acc_ring_needs_one_deletion():
@@ -593,10 +647,11 @@ def test_brute_acc_two_rings():
     assert verify_acc(inst, cert.witness).ok
 
 
-def test_brute_acc_cap():
+def test_brute_acc_cap(monkeypatch):
     inst = disk_instance(radius=Fraction(3, 2), disks=ring4(extra=False).disks)
-    with pytest.raises(SolverCapExceeded):
-        brute_min_acc(inst, max_disks=3)
+    monkeypatch.setattr(solvers, "MAX_ACC_DISKS", 3)
+    with pytest.raises(SolverCapExceeded, match="4 disks exceeds the enumeration cap 3"):
+        brute_min_acc(inst)
 
 
 def test_acc_matches_fvs_on_builders():
@@ -609,7 +664,7 @@ def test_acc_matches_fvs_on_builders():
     for vs, es, coords in graphs:
         art = build_acc_instance(vs, es, coords)
         fvs = brute_min_fvs(vs, es)
-        disk_cert = brute_min_acc(art.instance, max_disks=64)
+        disk_cert = brute_min_acc(art.instance)
         assert disk_cert.optimum == fvs.optimum
 
 
