@@ -27,9 +27,10 @@ The two load-bearing facts, both for equal radii:
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .geometry import (
@@ -221,7 +222,7 @@ class UnitDiskGraph:
     n: int
     edges: List[Tuple[int, int]]
     adj: List[List[int]]
-    # the bucket grid the graph was built on, for later proximity queries
+    # the cell-key grid the graph was built on, for later proximity queries
     index: "CenterIndex" = field(compare=False, repr=False)
 
     def degree(self, i: int) -> int:
@@ -282,9 +283,12 @@ def _over_common_denominator(
 class CenterIndex:
     """Exact proximity queries on integer centres.
 
-    Centres are bucketed in square cells one unit wider than a disk
-    diameter, so every centre within 2r of a point lies in the point's cell
-    or one of the eight around it; an integer distance test decides.
+    Centres are binned in square cells one unit wider than a disk diameter,
+    so every centre within 2r of a point lies in the point's cell or one of
+    the eight around it; an integer distance test decides.  Cell (x // cell,
+    y // cell) has key ``column * width + row``; ``width``, the span of the
+    occupied rows plus 3, makes a key name one cell on the rows next to a
+    centre.  The ids sorted by key, and their keys, are tuples.
     """
 
     def __init__(self, sc: IntCenters, r: Fraction):
@@ -293,13 +297,15 @@ class CenterIndex:
         self.sc, self.r = sc, r
         self.four_r2 = int(two_r) ** 2
         self.cell = cell = int(two_r) + 1
-        self.buckets: Dict[Tuple[int, int], List[int]] = {}
-        for i, (x, y) in enumerate(zip(sc.xs, sc.ys)):
-            self.buckets.setdefault((x // cell, y // cell), []).append(i)
+        self.width = width = max(sc.ys, default=0) // cell - min(sc.ys, default=0) // cell + 3
+        keys = [x // cell * width + y // cell for x, y in zip(sc.xs, sc.ys)]
+        self.ids = ids = tuple(sorted(range(len(keys)), key=keys.__getitem__))
+        self.keys = tuple(map(keys.__getitem__, ids))
 
     def within(self, p: Point, rho: Fraction) -> List[int]:
         """Indices, ascending, of the centres at distance at most ``rho``
-        from ``p``; ``rho`` must not exceed 2r."""
+        from ``p``; ``rho`` must not exceed 2r.  Three bisected key ranges
+        hold p's cell and its neighbours, and, for a far p, other cells."""
         xs, ys, den = self.sc
         q = math.lcm(p[0].denominator, p[1].denominator)
         # p and the centres scaled by den * q, the bound squared likewise
@@ -307,49 +313,57 @@ class CenterIndex:
         py = p[1].numerator * (q // p[1].denominator) * den
         lim = (rho.numerator * den * q) ** 2
         k = rho.denominator ** 2
-        step = self.cell * q
-        cx, cy = px // step, py // step
+        step, width, keys = self.cell * q, self.width, self.keys
+        key = px // step * width + py // step
         out = []
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for i in self.buckets.get((cx + dx, cy + dy), ()):
-                    ex = xs[i] * q - px
-                    ey = ys[i] * q - py
-                    if (ex * ex + ey * ey) * k <= lim:
-                        out.append(i)
+        for low in (key - width - 1, key - 1, key + width - 1):
+            for s in range(bisect_left(keys, low), bisect_right(keys, low + 2)):
+                i = self.ids[s]
+                ex = xs[i] * q - px
+                ey = ys[i] * q - py
+                if (ex * ex + ey * ey) * k <= lim:
+                    out.append(i)
         out.sort()
         return out
 
 
 def unit_disk_graph(sc: IntCenters, r: Fraction) -> UnitDiskGraph:
-    """Intersection graph of equal closed disks (tangency included), built
-    on the bucket grid of :class:`CenterIndex` so synthesized instances with
-    hundreds of thousands of disks stay tractable."""
-    n = len(sc.xs)
+    """Intersection graph of equal closed disks (tangency included).
+
+    One sweep in :class:`CenterIndex` key order tests a centre with key k
+    against the later centres with keys k .. k + 1 (its cell and the cell
+    above) or k + width - 1 .. k + width + 1 (three cells of the next
+    column): the forward half of the cells next to its own, whose mirror
+    holds the other four.  The ranges are disjoint as width >= 3, and as a
+    key names one cell on the rows next to a centre, they hold no other
+    cell.  Keys ascend along the sweep, so forward-only cursors find them.
+    """
     index = CenterIndex(sc, r)
-    xs, ys, four_r2, grid = sc.xs, sc.ys, index.four_r2, index.buckets
-    edges: List[Tuple[int, int]] = []
-    adj: List[List[int]] = [[] for _ in range(n)]
-    for (cx, cy), bucket in grid.items():
-        neighbors: List[int] = []
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                neighbors.extend(grid.get((cx + dx, cy + dy), ()))
-        for i in bucket:
-            xi, yi = xs[i], ys[i]
-            for j in neighbors:
-                if j <= i:
-                    continue
-                ddx = xi - xs[j]
-                ddy = yi - ys[j]
-                if ddx * ddx + ddy * ddy <= four_r2:
-                    edges.append((i, j))
-                    adj[i].append(j)
-                    adj[j].append(i)
-    edges.sort()
+    ids, keys, width, four_r2 = index.ids, index.keys, index.width, index.four_r2
+    xs, ys = list(map(sc.xs.__getitem__, ids)), list(map(sc.ys.__getitem__, ids))  # key order
+    adj: List[List[int]] = [[] for _ in ids]
+    ks = keys + (keys[-1] + width + 2,) if ids else ()  # a last key stops the cursors
+    up = lo = hi = 0
+    for s, (k, x, y) in enumerate(zip(keys, xs, ys)):
+        while ks[up] <= k + 1:
+            up += 1
+        k += width
+        while ks[lo] < k - 1:
+            lo += 1
+        hi = lo
+        while ks[hi] <= k + 1:
+            hi += 1
+        for t in range(lo, hi) if up == s + 1 else chain(range(s + 1, up), range(lo, hi)):
+            dx = x - xs[t]
+            dy = y - ys[t]
+            if dx * dx + dy * dy <= four_r2:
+                i, j = ids[s], ids[t]
+                adj[i].append(j)
+                adj[j].append(i)
     for a in adj:
         a.sort()
-    return UnitDiskGraph(n, edges, adj, index)
+    edges = [(i, j) for i, a in enumerate(adj) for j in a if j > i]
+    return UnitDiskGraph(len(ids), edges, adj, index)
 
 
 class Chain(NamedTuple):

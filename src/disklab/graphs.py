@@ -447,7 +447,12 @@ class MultiterminalInstance:
     @classmethod
     def from_dict(cls, d: Dict[str, object]) -> "MultiterminalInstance":
         g = PlanarEmbeddedGraph.from_dict(d)
-        weights = {int(k): v for k, v in dict(d.get("weights", {})).items()}
+        weights = {}
+        for k, v in dict(d.get("weights", {})).items():
+            # one spelling per edge id, so "00" or " 0" cannot alias edge 0
+            if type(k) is not str or not k.isdecimal() or str(int(k)) != k:
+                raise StructureError(f"weight key {k!r} is not an edge id in decimal")
+            weights[int(k)] = v
         json_ints(weights.values(), "edge weights", StructureError)
         inst = cls(graph=g, terminals=list(d.get("terminals", [])), weights=weights)
         inst.validate()

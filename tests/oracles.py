@@ -1,5 +1,10 @@
 """Reference implementations the exact kernel replaced, kept as oracles.
 
+* The bucket-grid intersection graph: a dict of cell buckets keyed by
+  (column, row) tuples, each centre tested against the nine cells around
+  its own, which the sorted cell keys and half-neighbourhood sweep of
+  :func:`disklab.arrangements.unit_disk_graph` replaced; the graph and every
+  ``within`` query must come out equal.
 * The ``Fraction`` disk predicates: ``dist_sq``, ``disks_intersect`` and
   ``triple_intersection_nonempty`` with its sign test
   ``_sign_a_plus_b_sqrt_q``, on rational centres and radius.
@@ -26,6 +31,7 @@
   replaced; it must give the same optimum.
 """
 
+import math
 from collections import deque
 from fractions import Fraction
 from itertools import combinations
@@ -50,6 +56,87 @@ from disklab.solvers import (
     min_terminal_pair_cut,
     multiterminal_cut_lower_bound,
 )
+
+
+class BucketIndex:
+    """Exact proximity queries on integer centres.
+
+    Centres are bucketed in square cells one unit wider than a disk
+    diameter, so every centre within 2r of a point lies in the point's cell
+    or one of the eight around it; an integer distance test decides.
+    """
+
+    def __init__(self, sc: ar.IntCenters, r: Fraction):
+        two_r = 2 * r * sc.den
+        assert two_r.denominator == 1
+        self.sc, self.r = sc, r
+        self.four_r2 = int(two_r) ** 2
+        self.cell = cell = int(two_r) + 1
+        self.buckets: Dict[Tuple[int, int], List[int]] = {}
+        for i, (x, y) in enumerate(zip(sc.xs, sc.ys)):
+            self.buckets.setdefault((x // cell, y // cell), []).append(i)
+
+    def within(self, p: Point, rho: Fraction) -> List[int]:
+        """Indices, ascending, of the centres at distance at most ``rho``
+        from ``p``; ``rho`` must not exceed 2r."""
+        xs, ys, den = self.sc
+        q = math.lcm(p[0].denominator, p[1].denominator)
+        # p and the centres scaled by den * q, the bound squared likewise
+        px = p[0].numerator * (q // p[0].denominator) * den
+        py = p[1].numerator * (q // p[1].denominator) * den
+        lim = (rho.numerator * den * q) ** 2
+        k = rho.denominator ** 2
+        step = self.cell * q
+        cx, cy = px // step, py // step
+        out = []
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                for i in self.buckets.get((cx + dx, cy + dy), ()):
+                    ex = xs[i] * q - px
+                    ey = ys[i] * q - py
+                    if (ex * ex + ey * ey) * k <= lim:
+                        out.append(i)
+        out.sort()
+        return out
+
+
+def bucket_unit_disk_graph(sc: ar.IntCenters, r: Fraction) -> ar.UnitDiskGraph:
+    """Intersection graph of equal closed disks (tangency included), built
+    on the bucket grid of :class:`BucketIndex`."""
+    n = len(sc.xs)
+    index = BucketIndex(sc, r)
+    xs, ys, four_r2, grid = sc.xs, sc.ys, index.four_r2, index.buckets
+    edges: List[Tuple[int, int]] = []
+    adj: List[List[int]] = [[] for _ in range(n)]
+    for (cx, cy), bucket in grid.items():
+        neighbors: List[int] = []
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                neighbors.extend(grid.get((cx + dx, cy + dy), ()))
+        for i in bucket:
+            xi, yi = xs[i], ys[i]
+            for j in neighbors:
+                if j <= i:
+                    continue
+                ddx = xi - xs[j]
+                ddy = yi - ys[j]
+                if ddx * ddx + ddy * ddy <= four_r2:
+                    edges.append((i, j))
+                    adj[i].append(j)
+                    adj[j].append(i)
+    edges.sort()
+    for a in adj:
+        a.sort()
+    return ar.UnitDiskGraph(n, edges, adj, index)
+
+
+def assert_graph_matches_bucket_oracle(sc: ar.IntCenters, r: Fraction) -> ar.UnitDiskGraph:
+    """``unit_disk_graph(sc, r)`` has the bucket grid's edges, in order, and
+    its sorted adjacency; returns it."""
+    udg = ar.unit_disk_graph(sc, r)
+    want = bucket_unit_disk_graph(sc, r)
+    assert (udg.n, udg.edges, udg.adj) == (want.n, want.edges, want.adj)
+    return udg
 
 
 def dist_sq(p: Point, q: Point) -> Fraction:

@@ -28,6 +28,7 @@ from instances import build_weighted_edge_instance, disk_instance
 from oracles import (
     assert_all_pairs_match_oracle,
     assert_contraction_exact,
+    assert_graph_matches_bucket_oracle,
     bfs_min_isolation_two_points,
     dist_sq,
 )
@@ -238,6 +239,13 @@ def test_criterion_04_sound_corpus_gadget_contacts(sound_corpus):
             for end_disk in (ids[0], ids[-1]):
                 assert 1 <= ring_contacts.get(end_disk, 0) <= 3, (eid, end_disk)
     assert grids == {2, 3}  # the seed covers both parameter scales
+
+
+def test_sound_corpus_graphs_match_bucket_oracle(sound_corpus):
+    # the sorted cell-key sweep gives the old bucket grid's edges, in order,
+    # and its adjacency on every paper-scale instance
+    for _, art in sound_corpus:
+        assert_graph_matches_bucket_oracle(art.instance.centers, art.instance.radius)
 
 
 def test_sound_corpus_drawings_are_pinned(sound_corpus):

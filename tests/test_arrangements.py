@@ -12,7 +12,14 @@ from disklab.graphs import components
 
 from floodfill import flood_fill_summary, random_robust_centers
 from instances import disk_instance, int_centers
-from oracles import dist_sq, pair_separation, pair_sweep, separation
+from oracles import (
+    BucketIndex,
+    assert_graph_matches_bucket_oracle,
+    dist_sq,
+    pair_separation,
+    pair_sweep,
+    separation,
+)
 
 ONE = F(1)
 
@@ -58,6 +65,67 @@ def test_unit_disk_graph_matches_quadratic_scan(seed):
         if dist_sq(centers[i], centers[j]) <= 4
     ]
     assert udg.edges == sorted(brute)
+
+
+@st.composite
+def cell_key_layouts(draw):
+    """(centres, radius, queries): integer centres over one denominator on
+    layouts that stress the cell keys, and proximity queries (point, rho)
+    with rho <= 2r."""
+    a, b, m = draw(st.integers(1, 5)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    r, den, two_r = F(a, b), b * m, 2 * a * m  # 2r is two_r units of 1/den
+    span = draw(st.sampled_from([two_r, 3 * two_r, 10 * two_r]))
+    coord = st.integers(-span, span)
+    kind = draw(st.sampled_from(["scatter", "column", "row", "corner", "boundary", "huge"]))
+    if kind == "scatter":
+        centres = draw(st.lists(st.tuples(coord, coord), max_size=24))
+    elif kind == "corner":
+        # a cluster around one cell corner, so diagonal cells touch
+        x, y, near = draw(coord), draw(coord), st.integers(-two_r // 2, two_r // 2)
+        x, y = x - x % (two_r + 1), y - y % (two_r + 1)
+        offsets = draw(st.lists(st.tuples(near, near), max_size=12))
+        centres = [(x + dx, y + dy) for dx, dy in offsets]
+    elif kind in ("column", "row"):
+        line, along = draw(coord), draw(st.lists(coord, max_size=24))
+        centres = [(line, t) if kind == "column" else (t, line) for t in along]
+    elif kind == "boundary":
+        # pairs exactly 2r apart and 1/den farther, wherever the cell
+        # boundaries fall; on 3-4-5 diagonals too when 2r allows
+        steps = [(two_r, 0), (0, two_r), (two_r + 1, 0), (0, -two_r - 1)]
+        if two_r % 5 == 0:
+            u = two_r // 5
+            steps += [(3 * u, 4 * u), (4 * u, -3 * u), (3 * u, 4 * u + 1)]
+        centres = []
+        for x, y, (dx, dy) in draw(st.lists(
+                st.tuples(coord, coord, st.sampled_from(steps)), max_size=8)):
+            centres += [(x, y), (x + dx, y + dy)]
+    else:
+        # 2**4000 units apart: the key width is a huge int, never a loop bound
+        x, y = draw(coord), draw(coord)
+        far = 2 ** 4000
+        centres = [(x, y), (x, y + far), (x + far, y), (x + two_r, y + far)]
+    centres += draw(st.lists(st.sampled_from(centres), max_size=4)) if centres else []
+    far_out = st.integers(-50 * span, 50 * span)  # well past the occupied cells
+    coordinate = st.builds(F, st.one_of(st.integers(-2 * span, 2 * span), far_out),
+                           st.sampled_from([den, 1, 3, 7, 2 * den]))
+    queries = draw(st.lists(st.tuples(
+        coordinate, coordinate, st.sampled_from([r, r + r / 4, 2 * r, r / 3])), max_size=8))
+    queries += [(F(x, den), F(y, den), 2 * r) for x, y in centres[:3]]
+    return centres, r, den, queries
+
+
+@given(cell_key_layouts())
+@settings(max_examples=150, deadline=None)
+@example(([], F(1), 1, [(F(0), F(0), F(2)), (F(-5, 3), F(10**9), F(1))]))
+@example(([(-3, 7)], F(1, 2), 2, [(F(-3, 2), F(7, 2), F(1)), (F(-2), F(3), F(1, 2))]))
+@example(([(-1, -1), (0, 0), (-1, 0), (0, -1)], F(1), 1, []))  # four cells at a corner
+def test_cell_key_grid_matches_bucket_oracle(layout):
+    centres, r, den, queries = layout
+    sc = ar.IntCenters(tuple(x for x, _ in centres), tuple(y for _, y in centres), den)
+    udg = assert_graph_matches_bucket_oracle(sc, r)
+    oracle = BucketIndex(sc, r)
+    for x, y, rho in queries:
+        assert udg.index.within((x, y), rho) == oracle.within((x, y), rho), (x, y, rho)
 
 
 def test_components():

@@ -864,6 +864,22 @@ def test_an_integer_field_that_is_not_a_json_integer_is_malformed(tmp_path, case
     assert not out.exists()
 
 
+@pytest.mark.parametrize("weights", [
+    {"0": 5, "00": 7},  # the later alias set edge 0's weight
+    {" 0": 5}, {"+0": 5}, {"0_0": 5}, {"1": 2, "0\u0660": 3},
+])
+def test_a_weight_key_not_in_canonical_decimal_is_malformed(tmp_path, weights):
+    path, out = tmp_path / "in.json", tmp_path / "out"
+    write_json({**triangle_mc_dict(), "weights": weights}, path)
+    run = run_python("-m", "disklab", "solve", "mc", str(path), "--out", str(out))
+    assert run.returncode == 2, run.stderr
+    [line] = run.stderr.splitlines()
+    key = next(k for k in weights if k != "0" and k != "1")
+    assert json.loads(line)["msg"] == (
+        f"malformed: weight key {key!r} is not an edge id in decimal")
+    assert not out.exists()
+
+
 REPEATED_TERMINALS = {
     "radius": "1/2",
     "disks": [{"c": ["0/1", "0/1"], "prov": []}, {"c": ["1/1", "0/1"], "prov": []}],
