@@ -42,7 +42,7 @@ from .geometry import (
     ray_crossing,
     triple_intersection_nonempty,
 )
-from .graphs import components, json_ints
+from .graphs import component_labels, json_ints
 
 
 class VerificationError(ValueError):
@@ -224,9 +224,6 @@ class UnitDiskGraph:
     adj: List[List[int]]
     # the cell-key grid the graph was built on, for later proximity queries
     index: "CenterIndex" = field(compare=False, repr=False)
-
-    def degree(self, i: int) -> int:
-        return len(self.adj[i])
 
 
 class IntCenters(NamedTuple):
@@ -475,7 +472,7 @@ def complement_regions(sc: IntCenters, r: Fraction) -> RegionSummary:
     from the graph, holes from edges - vertices + components - rank of the
     filled-triangle boundary operator over GF(2)."""
     udg = unit_disk_graph(sc, r)
-    comps = len(set(components(range(udg.n), udg.edges).values()))
+    comps = len(set(component_labels(udg.adj)))
     tris = filled_triangles(sc, r, udg)
     eidx = {e: i for i, e in enumerate(udg.edges)}
     masks = []
@@ -772,17 +769,16 @@ def verify_multiterminal_cut(
         raise VerificationError("cut instances need at least two terminal disks")
     removed = normalize_edge_list(removed_edges)
     udg = unit_disk_graph(instance.centers, instance.radius)
-    edge_set = set(udg.edges)
-    for e in removed:
-        if e not in edge_set:
-            raise VerificationError(
-                f"certificate removes {e}, which is not an intersection edge"
-            )
+    for i, j in removed:
+        # adj[i] is sorted; a negative i would read a row from the end
+        row = udg.adj[i] if 0 <= i < udg.n else ()
+        k = bisect_left(row, j)
+        if k == len(row) or row[k] != j:
+            raise VerificationError(f"certificate removes {(i, j)}, which is not an intersection edge")
     reasons = []
     if budget is not None and len(removed) > budget:
         reasons.append(f"budget: certificate removes {len(removed)} edges, cap {budget}")
-    removed_set = set(removed)
-    comp = components(range(udg.n), (e for e in udg.edges if e not in removed_set))
+    comp = component_labels(udg.adj, removed)
     terminal_components = {t: comp[t] for t in terminals}
     separated = len(set(terminal_components.values())) == len(terminals)
     if not separated:

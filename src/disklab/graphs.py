@@ -39,27 +39,39 @@ def other_end(dart: Dart) -> Dart:
     return (dart[0], 1 - dart[1])
 
 
+def component_labels(adj: Sequence[Sequence[int]], cut: Iterable[Tuple[int, int]] = ()) -> List[int]:
+    """The smallest node of each node's component in the graph on nodes
+    ``0 .. len(adj) - 1`` with adjacency lists ``adj``, less the pairs in ``cut``."""
+    blocked: Dict[int, Set[int]] = {}
+    for u, w in cut:
+        blocked.setdefault(u, set()).add(w)
+        blocked.setdefault(w, set()).add(u)
+    label = [-1] * len(adj)
+    for root in range(len(adj)):
+        if label[root] < 0:
+            label[root], reached = root, [root]
+            for v in reached:
+                skip = blocked.get(v, ())
+                for w in adj[v]:
+                    if label[w] < 0 and w not in skip:
+                        label[w] = root
+                        reached.append(w)
+    return label
+
+
 def components(
     nodes: Iterable[Vertex], edges: Iterable[Tuple[Vertex, Vertex]]
 ) -> Dict[Vertex, Vertex]:
-    """Connected components of the multigraph (``nodes``, ``edges``), as a
-    map from each node to the first node of its component in ``nodes``
-    order.  Self-loops and parallel edges are allowed; every edge end must
-    be one of ``nodes``."""
-    parent: Dict[Vertex, Vertex] = {v: v for v in nodes}
-
-    def find(x: Vertex) -> Vertex:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    """Each node of the multigraph (``nodes``, ``edges``) mapped to the first
+    node of its component in ``nodes`` order.  Self-loops and parallel edges
+    are allowed; every edge end must be one of ``nodes``."""
+    order = list(dict.fromkeys(nodes))
+    index = {v: i for i, v in enumerate(order)}
+    adj: List[List[int]] = [[] for _ in order]
     for u, w in edges:
-        ru, rw = find(u), find(w)
-        if ru != rw:
-            parent[ru] = rw
-    label: Dict[Vertex, Vertex] = {}
-    return {v: label.setdefault(find(v), v) for v in parent}
+        adj[index[u]].append(index[w])
+        adj[index[w]].append(index[u])
+    return {v: order[c] for v, c in zip(order, component_labels(adj))}
 
 
 def edge_disjoint_paths(
@@ -518,10 +530,12 @@ def face_components(g: PlanarEmbeddedGraph, kept_edges: Iterable[int]) -> Dict[i
     edges.  Returns a face-id -> smallest face id of its part map.
     """
     kept = set(kept_edges)
-    return components(
-        range(g.face_count()),
-        (faces for eid, faces in enumerate(g.edge_faces()) if eid not in kept),
-    )
+    adj: List[List[int]] = [[] for _ in range(g.face_count())]
+    for eid, (f, h) in enumerate(g.edge_faces()):
+        if eid not in kept:
+            adj[f].append(h)
+            adj[h].append(f)
+    return dict(enumerate(component_labels(adj)))
 
 
 def subdivision_solution_ok(inst: SubdivisionInstance, kept_edges: Iterable[int]) -> bool:

@@ -29,13 +29,18 @@
   intersection graph, rooted at each odd edge, which the Dijkstra over the
   chain-contracted kernel of :func:`disklab.solvers.brute_min_isolation_two_points`
   replaced; it must give the same optimum.
+* The dict union-find over an edge list, which the adjacency-list labeller
+  :func:`disklab.graphs.component_labels` replaced, and the multiterminal
+  cut check built on it and on a set of every intersection edge; the check
+  :func:`disklab.arrangements.verify_multiterminal_cut` must give the same
+  report or refuse alike.
 """
 
 import math
 from collections import deque
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 import networkx as nx
 
@@ -46,7 +51,6 @@ from disklab.graphs import (
     MultiterminalInstance,
     PlanarEmbeddedGraph,
     SubdivisionInstance,
-    components,
     multiterminal_solution_ok,
     subdivision_solution_ok,
 )
@@ -485,7 +489,7 @@ def reference_min_fvs(vertices, edges) -> OptimumCertificate:
             removed = set(combo)
             kept = [v for v in vs if v not in removed]
             kept_edges = [(u, w) for u, w in edges if u not in removed and w not in removed]
-            comp = components(kept, kept_edges)
+            comp = union_find_components(kept, kept_edges)
             if len(kept_edges) - len(comp) + len(set(comp.values())) == 0:
                 return OptimumCertificate(
                     problem="cycle-hitting-set", optimum=size, witness=list(combo)
@@ -648,3 +652,53 @@ def assert_contraction_exact(
         (c,) = [c for c in kernel.chains if j in (c.a, c.b)]
         assert c.a == c.b == j < min(c.inner)
     return loops, rings
+
+
+def union_find_components(
+    nodes: Iterable[Hashable], edges: Iterable[Tuple[Hashable, Hashable]]
+) -> Dict[Hashable, Hashable]:
+    """Each node mapped to the first node of its component in ``nodes``
+    order, by a dict union-find with path halving; every edge end must be
+    one of ``nodes``."""
+    parent = {v: v for v in nodes}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, w in edges:
+        ru, rw = find(u), find(w)
+        if ru != rw:
+            parent[ru] = rw
+    label = {}
+    return {v: label.setdefault(find(v), v) for v in parent}
+
+
+def reference_verify_multiterminal_cut(
+    instance: ar.DiskInstance, removed_edges, budget: Optional[int] = None
+) -> ar.CutReport:
+    instance.validate()
+    terminals = instance.meta.get("terminal_disks", [])
+    if len(terminals) < 2:
+        raise ar.VerificationError("cut instances need at least two terminal disks")
+    removed = ar.normalize_edge_list(removed_edges)
+    udg = ar.unit_disk_graph(instance.centers, instance.radius)
+    edge_set = set(udg.edges)
+    for e in removed:
+        if e not in edge_set:
+            raise ar.VerificationError(
+                f"certificate removes {e}, which is not an intersection edge")
+    reasons = []
+    if budget is not None and len(removed) > budget:
+        reasons.append(f"budget: certificate removes {len(removed)} edges, cap {budget}")
+    removed_set = set(removed)
+    comp = union_find_components(
+        range(udg.n), (e for e in udg.edges if e not in removed_set))
+    terminal_components = {t: comp[t] for t in terminals}
+    separated = len(set(terminal_components.values())) == len(terminals)
+    if not separated:
+        reasons.append("two terminal disks stay connected")
+    return ar.CutReport(ok=separated and not reasons, removed=removed,
+                        terminal_components=terminal_components, reasons=reasons)

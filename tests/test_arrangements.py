@@ -338,8 +338,10 @@ def test_verify_multiterminal_cut():
     assert not ar.verify_multiterminal_cut(inst, []).ok
     rep = ar.verify_multiterminal_cut(inst, [(1, 2), (2, 3)], budget=1)
     assert not rep.ok and any("budget" in m for m in rep.reasons)
-    with pytest.raises(ar.VerificationError, match="not an intersection edge"):
-        ar.verify_multiterminal_cut(inst, [(0, 4)])
+    # adj[-2] is disk 3's row, which holds 4; adj[5] does not exist
+    for pair in [(0, 4), (-2, 4), (4, 5), (5, 6), (-1, 7)]:
+        with pytest.raises(ar.VerificationError, match="not an intersection edge"):
+            ar.verify_multiterminal_cut(inst, [pair])
     with pytest.raises(ar.VerificationError, match="not an edge"):
         ar.verify_multiterminal_cut(inst, [(2, 2)])
     for terminals in ([0.0, 4], [True, 4]):

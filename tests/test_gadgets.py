@@ -9,6 +9,7 @@ for the same shape.
 
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import example, given, strategies as st
 from disklab import gadgets
 from disklab.arrangements import (
     DiskInstance,
+    VerificationError,
     complement_regions,
     unit_disk_graph,
     verify_isolation,
@@ -52,7 +54,7 @@ from disklab.graphs import (
 from disklab.gridembed import DrawingError, GridEmbedding, grid_embed, locate_face
 
 from instances import build_weighted_edge_instance, disk_instance
-from oracles import assert_cuts_match_networkx, dist_sq
+from oracles import assert_cuts_match_networkx, dist_sq, reference_verify_multiterminal_cut
 
 
 def p2_reduction():
@@ -602,7 +604,7 @@ def test_udmc_lone_bundle_is_unbreakable():
     assert len(art.instance.disks) == 1 + BUNDLE_COPIES * 18 == 289
     udg = unit_disk_graph(art.instance.centers, art.instance.radius)
     hub = art.hub_of_vertex["v"]
-    assert udg.degree(hub) == BUNDLE_COPIES
+    assert len(udg.adj[hub]) == BUNDLE_COPIES
     import networkx as nx
     nxg = nx.Graph(udg.edges)
     ring_disk = art.sigma_ids["v"][5]
@@ -655,6 +657,47 @@ def test_udmc_lane_cut_edges_are_severable():
     assert set(art.lane_cut_edge) == {(0, 0), (0, 1)}
     pairs = [art.lane_cut_edge[(0, k)] for k in range(2)]
     assert verify_multiterminal_cut(art.instance, pairs).ok
+
+
+def cut_check_outcome(check, inst, pairs, budget):
+    try:
+        rep = check(inst, pairs, budget)
+    except VerificationError as exc:
+        return "refused", str(exc)
+    return rep.ok, rep.terminal_components, rep.lines()
+
+
+def test_udmc_cut_check_matches_union_find_oracle():
+    # the star and the triangle with seeded weights and terminals, each
+    # checked with its lifted optimum and with random subsets of its lane
+    # cut pairs, plus a few other intersection edges and pairs naming ids
+    # outside the disks
+    from disklab.solvers import brute_min_multiterminal
+    rng = random.Random(2101)
+    outcomes = set()
+    for shape in [_star_k13, _triangle_mti] * 2:
+        base, drawing = shape()
+        vertices = base.graph.vertices
+        mti = MultiterminalInstance(
+            graph=base.graph, terminals=rng.sample(vertices, rng.randint(2, len(vertices))),
+            weights={e: rng.randint(1, 3) for e in range(len(base.graph.edges))})
+        art = build_udmc_instance(mti, drawing)
+        inst, n = art.instance, len(art.instance.disks)
+        edges = unit_disk_graph(inst.centers, inst.radius).edges
+        cut_pairs = list(art.lane_cut_edge.values())
+        trials = [lift_multiterminal_to_udmc(art, brute_min_multiterminal(mti).witness)]
+        for k in range(11):
+            pairs = rng.sample(cut_pairs, rng.randint(0, len(cut_pairs)))
+            pairs += rng.sample(edges, rng.randint(0, 3))
+            if k % 4 == 3:
+                pairs.append(rng.choice([(-2, n - 1), (n - 1, n), (n, n + 1)]))
+            trials.append(pairs)
+        for pairs in trials:
+            budget = rng.choice([None, len(pairs), len(pairs) - 1])
+            got = cut_check_outcome(verify_multiterminal_cut, inst, pairs, budget)
+            assert got == cut_check_outcome(reference_verify_multiterminal_cut, inst, pairs, budget)
+            outcomes.add(got[0])
+    assert outcomes == {True, False, "refused"}
 
 
 def test_udmc_rejects_unsupported_shapes():

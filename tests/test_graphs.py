@@ -1,13 +1,14 @@
 """Rotation systems: faces, duals, subdivision, and the cut-to-subdivision
 reduction."""
 
+import itertools
 import random
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import reference_min_subdivision
+from oracles import reference_min_subdivision, union_find_components
 
 from disklab import graphs as gr
 
@@ -284,12 +285,13 @@ def multigraphs(draw):
     return nodes, draw(st.lists(st.tuples(node, node), max_size=20))
 
 
-@given(multigraphs())
+@given(multigraphs(), st.data())
 @settings(max_examples=300)
-def test_components_match_networkx(graph):
+def test_components_match_networkx(graph, data):
     nodes, edges = graph
     comp = gr.components(nodes, edges)
     assert list(comp) == nodes
+    assert comp == union_find_components(nodes, edges)
     g = nx.MultiGraph()
     g.add_nodes_from(nodes)
     g.add_edges_from(edges)
@@ -301,12 +303,32 @@ def test_components_match_networkx(graph):
     # the cycle-rank test the acyclicity checks use
     forest = not nodes or nx.is_forest(g)
     assert (len(edges) - len(comp) + len(parts) == 0) == forest
+    # the labeller on the same graph as adjacency lists, less a cut that
+    # removes every copy of some node pairs, either way round
+    index = {v: i for i, v in enumerate(nodes)}
+    adj = [[] for _ in nodes]
+    for u, w in edges:
+        adj[index[u]].append(index[w])
+        adj[index[w]].append(index[u])
+    cut = data.draw(st.lists(st.sampled_from(edges), max_size=len(edges))) if edges else []
+    cut_ids = [(index[u], index[w]) for u, w in cut]
+    labels = gr.component_labels(adj, cut_ids)
+    g.remove_edges_from([e for e in g.edges(keys=True)
+                         if (e[0], e[1]) in cut or (e[1], e[0]) in cut])
+    parts = list(nx.connected_components(g))
+    assert len(set(labels)) == len(parts)
+    for part in parts:
+        assert {labels[index[v]] for v in part} == {min(index[v] for v in part)}
 
 
 def test_components_label_by_first_node():
     comp = gr.components(["c", "a", "b", "d"], [("a", "c"), ("b", "b"), ("b", "d"), ("d", "b")])
     assert comp == {"c": "c", "a": "c", "b": "b", "d": "b"}
     assert gr.components([], []) == {}
+    with pytest.raises(KeyError):
+        gr.components(["a"], [("a", "z")])
+    assert gr.component_labels([[1], [0, 2], [1]], [(2, 1)]) == [0, 0, 2]
+    assert gr.component_labels([]) == []
 
 
 @st.composite
@@ -365,6 +387,20 @@ def test_face_components_full_and_empty():
     assert len(set(comp_all.values())) == 2
     comp_none = gr.face_components(g, [])
     assert len(set(comp_none.values())) == 1
+
+
+def test_face_components_match_union_find_oracle():
+    # every kept-edge subset of seeded planar graphs, self-loops and
+    # parallel dual edges included
+    from disklab.corpus import seeded_multiterminal_instances
+    graphs = [triangle()] + [m.graph for m in seeded_multiterminal_instances(5, 6)]
+    for g in graphs:
+        faces = g.edge_faces()
+        for k in range(len(g.edges) + 1):
+            for kept in itertools.combinations(range(len(g.edges)), k):
+                want = union_find_components(
+                    range(g.face_count()), (faces[e] for e in range(len(g.edges)) if e not in kept))
+                assert gr.face_components(g, kept) == want
 
 
 def test_subdivision_solution_check_on_theta():

@@ -904,6 +904,19 @@ def test_verify_refuses_repeated_terminal_disks(tmp_path):
     assert code == 2 and "distinct" in lines[0], lines
 
 
+@pytest.mark.parametrize("pair", [[-2, 4], [4, 5], [5, 6]])
+def test_verify_udmc_refuses_a_pair_outside_the_disk_ids(tmp_path, pair):
+    # on a chain of five touching disks, adj[-2] is disk 3's row, which
+    # holds 4: read as a row, -2 would name a real edge
+    inst = disk_instance(Fraction(1), [Disk(Fraction(2 * i), Fraction(0)) for i in range(5)],
+                         meta={"kind": "udmc", "terminal_disks": [0, 4]})
+    path, cert = tmp_path / "inst.json", tmp_path / "cert.json"
+    write_json(inst.to_dict(), path)
+    write_json({"candidate": [pair, [2, 3]]}, cert)
+    code, lines = cli_verify("udmc", path, cert)
+    assert code == 2 and lines[0].endswith("which is not an intersection edge"), lines
+
+
 def test_main_entry_point(toy_chain, tmp_path):
     out = tmp_path / "oracle.json"
     assert cli_main(["lemma-oracle", "--n", "2", "--out", str(out)]) == 0

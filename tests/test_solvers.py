@@ -46,6 +46,7 @@ from disklab.graphs import (
     SubdivisionInstance,
     reduce_pmc_to_subdivision,
 )
+from disklab.pipeline import cli_solve, read_json, write_json
 from disklab.solvers import (
     OptimumCertificate,
     Rejected,
@@ -337,37 +338,49 @@ def acc_ring():
     return disk_instance(radius=Fraction(3, 2), disks=ring4(extra=False).disks)
 
 
-# (constant, small value, the solve it caps, today's refusal at that value)
+def two_rings():
+    # three marked points, one in each ring and one outside: `solve
+    # isolation` takes them to the k-point solver
+    ring = ring4(extra=False).disks
+    return disk_instance(
+        radius=Fraction(3, 2), disks=ring + [Disk(d.x + 20, d.y) for d in ring],
+        points={"in": (Fraction(0), Fraction(0)), "in2": (Fraction(20), Fraction(0)),
+                "out": (Fraction(12), Fraction(0))})
+
+
+# (constant, small value, the problem it caps, an instance that solves at
+# the shipped value, today's refusal at the small value)
 CAPS = [
-    ("MAX_EDGES", 2,
-     lambda: brute_min_multiterminal(MultiterminalInstance(triangle_graph(), [0, 1])),
+    ("MAX_EDGES", 2, "mc", MultiterminalInstance(triangle_graph(), [0, 1]).to_dict(),
      "3 edges exceeds the enumeration cap 2"),
-    ("MAX_GROUPS", 2,
-     lambda: brute_min_subdivision(SubdivisionInstance(triangle_graph(), {"p": 0, "q": 1})),
+    ("MAX_GROUPS", 2, "subdivision",
+     SubdivisionInstance(triangle_graph(), {"p": 0, "q": 1}).to_dict(),
      "3 groups exceeds the enumeration cap 2"),
-    ("MAX_VERTICES", 2,
-     lambda: brute_min_fvs([0, 1, 2], triangle_graph().edges),
+    ("MAX_VERTICES", 2, "fvs", {"vertices": [0, 1, 2], "edges": [[0, 1], [1, 2], [2, 0]]},
      "3 vertices exceeds the enumeration cap 2"),
-    ("MAX_FENCE_DISKS", 4, lambda: brute_min_isolation(ring4()),
-     "5 disks exceeds the enumeration cap 4; use the two-point solver or shrink the instance"),
-    ("MAX_ACC_DISKS", 3, lambda: brute_min_acc(acc_ring()),
-     "4 disks exceeds the enumeration cap 3"),
-    ("MAX_SUBSET", 3, lambda: brute_min_isolation(ring4()),
+    ("MAX_FENCE_DISKS", 4, "isolation", two_rings().to_dict(),
+     "8 disks exceeds the enumeration cap 4; use the two-point solver or shrink the instance"),
+    ("MAX_ACC_DISKS", 3, "acc", acc_ring().to_dict(), "4 disks exceeds the enumeration cap 3"),
+    ("MAX_SUBSET", 3, "isolation", two_rings().to_dict(),
      "no fence of size <= 3 found within the subset cap"),
-    ("MAX_SUBSET", 0, lambda: brute_min_acc(acc_ring()), "no deletion set of size <= 0 found"),
-    ("MAX_JUNCTIONS", 1, lambda: brute_min_isolation_two_points(ring4()),
-     "2 kernel junctions exceeds 1"),
+    ("MAX_SUBSET", 0, "acc", acc_ring().to_dict(), "no deletion set of size <= 0 found"),
+    ("MAX_JUNCTIONS", 1, "isolation", ring4().to_dict(), "2 kernel junctions exceeds 1"),
 ]
 
 
-@pytest.mark.parametrize("name, value, solve, refusal", CAPS,
+@pytest.mark.parametrize("name, value, problem, instance, refusal", CAPS,
                          ids=[f"{c[0]}-{c[1]}" for c in CAPS])
-def test_each_cap_is_a_module_constant(monkeypatch, name, value, solve, refusal):
-    assert solve().optimum >= 1    # at the shipped value, it solves
+def test_each_cap_is_a_module_constant(monkeypatch, tmp_path, name, value, problem,
+                                       instance, refusal):
+    src, out = tmp_path / "inst.json", tmp_path / "opt.json"
+    write_json(instance, src)
+    assert cli_solve(problem, src, out)[0] == 0    # at the shipped value, it solves
+    assert read_json(out)["optimum"] >= 1
+    out.unlink()
     monkeypatch.setattr(solvers, name, value)
-    with pytest.raises(SolverCapExceeded) as exc:
-        solve()
-    assert str(exc.value) == refusal
+    # `solve` reports the solver's refusal, exits 1 and writes nothing
+    assert cli_solve(problem, src, out) == (1, [f"refused: {refusal}"])
+    assert not out.exists()
 
 
 def test_witness_is_locally_minimal():
