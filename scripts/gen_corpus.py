@@ -1,10 +1,14 @@
 """Write a seeded corpus of instance files for pipeline experiments.
 
 Emits two families under --out-dir:
-  graphNN.json  plain drawn graphs {vertices, edges, coords}; ready-made
-                sources for the fvs->acc and mc->udmc reduction verbs
+  graphNN.json  plain drawn graphs {vertices, edges, coords}; sources for
+                the fvs->acc reduction verb, which refuses vertices of
+                degree above 4 and drawings where two edges leave a shared
+                vertex at a small angle (their disk chains touch too often)
   cutNN.json    embedded multiterminal-cut instances (rotation + terminals);
-                sources for the pmc->subdivision verb
+                sources for the pmc->subdivision and mc->udmc verbs
+                (mc->udmc refuses vertices of degree above 3 and drawings
+                whose ring bundles touch where they must not)
 
 The same --seed always reproduces the same files byte for byte.
 """

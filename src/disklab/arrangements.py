@@ -121,7 +121,7 @@ class DiskInstance:
         terminals = json_ints(
             self.meta.get("terminal_disks", []), "terminal disk ids", VerificationError)
         for t in terminals:
-            if not (0 <= t < len(self.tags)):
+            if not (0 <= t < len(self.centers.xs)):
                 raise VerificationError(f"terminal disk id {t} out of range")
         if len(set(terminals)) != len(terminals):
             raise VerificationError("terminal disk ids must be distinct")
@@ -664,7 +664,7 @@ def verify_isolation(
     instance.validate()
     if len(instance.points) < 2:
         raise VerificationError("isolation needs at least two marked points")
-    chosen = check_ids(chosen_ids, len(instance.tags), "certificate")
+    chosen = check_ids(chosen_ids, len(instance.centers.xs), "certificate")
     messages = []
     if budget is not None and len(chosen) > budget:
         messages.append(f"budget: certificate uses {len(chosen)} disks, cap {budget}")
@@ -707,12 +707,12 @@ def verify_acc(
     """Check that deleting the given disks leaves a union with no bounded
     complement region (an acyclic disk collection)."""
     instance.validate()
-    removed = check_ids(removed_ids, len(instance.tags), "certificate")
+    removed = check_ids(removed_ids, len(instance.centers.xs), "certificate")
     reasons = []
     if budget is not None and len(removed) > budget:
         reasons.append(f"budget: certificate removes {len(removed)} disks, cap {budget}")
     removed_set = set(removed)
-    kept = [i for i in range(len(instance.tags)) if i not in removed_set]
+    kept = [i for i in range(len(instance.centers.xs)) if i not in removed_set]
     regions = complement_regions(instance.centers.subset(kept), instance.radius)
     return AccReport(
         ok=regions.bounded_complement_regions == 0 and not reasons,

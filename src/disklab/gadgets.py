@@ -37,7 +37,7 @@ from .geometry import (
     ceil_frac,
     pi_bounds,
 )
-from .graphs import SubdivisionInstance, Vertex, components
+from .graphs import SubdivisionInstance, Vertex, components, lift_subdivision_solution
 from .gridembed import DrawingError, GridEmbedding, locate_face
 
 Tag = Tuple
@@ -557,20 +557,14 @@ def _ring_is_cycle(ring: Sequence[Tuple[int, int]], two_r: int) -> bool:
     return True
 
 
-def lift_fence_to_edges(instance: DiskInstance, chosen_ids: Iterable[int]) -> List[int]:
-    """Edges whose wall appears in full among the chosen disks.
+def lift_fence_to_edges(walls: Dict[int, List[int]], chosen_ids: Iterable[int]) -> List[int]:
+    """Edges whose wall (``walls``: edge id -> its disk ids) appears in full
+    among the chosen disks.
 
     Partial walls leak, so discarding them never loses separation power; a
     fence of size k therefore lifts to at most floor(k / c_edge) edges.
     """
-    c_edge = int(instance.meta["c_edge"])
-    per_edge: Dict[int, int] = {}
-    tags = instance.tags
-    for i in set(chosen_ids):
-        tag = tags[i]
-        if tag and tag[0] == "wall":
-            per_edge[tag[1]] = per_edge.get(tag[1], 0) + 1
-    return sorted(e for e, cnt in per_edge.items() if cnt == c_edge)
+    return lift_subdivision_solution(walls, chosen_ids)
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,14 @@ explicitly.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
+
+from .graphs import json_ints
 
 Point = Tuple[Fraction, Fraction]
 
@@ -65,8 +69,7 @@ def sqrt_bounds(x: Fraction, err: Fraction = Fraction(1, 10**9)) -> Tuple[Fracti
 
 def sqrt2_upper(mult: int = 1, err: Fraction = Fraction(1, 10**6)) -> Fraction:
     """Certified upper bound on sqrt(2) * mult with error below ``err``."""
-    lo, hi = sqrt_bounds(Fraction(2 * mult * mult), err)
-    return hi
+    return sqrt_bounds(Fraction(2 * mult * mult), err)[1]
 
 
 def _arctan_bounds(x: Fraction, terms: int) -> Tuple[Fraction, Fraction]:
@@ -148,16 +151,20 @@ class ParamSet:
 
     @staticmethod
     def from_dict(d: Dict[str, object]) -> "ParamSet":
+        n, c_edge, c_vertex = json_ints(
+            (d["n"], d["c_edge"], d["c_vertex"]), "params n, c_edge and c_vertex", ValueError)
+        if d["mode"] not in ("sound", "toy"):
+            raise ValueError(f"params mode must be 'sound' or 'toy', not {d['mode']!r}")
         return ParamSet(
-            n=int(d["n"]),
+            n=n,
             r=rational_from_str(d["r"]),
             s=rational_from_str(d["s"]),
             a=rational_from_str(d["a"]),
             h=rational_from_str(d["h"]),
             spacing=rational_from_str(d["spacing"]),
-            c_edge=int(d["c_edge"]),
-            c_vertex=int(d["c_vertex"]),
-            mode=str(d["mode"]),
+            c_edge=c_edge,
+            c_vertex=c_vertex,
+            mode=d["mode"],
         )
 
 
@@ -200,7 +207,7 @@ def compute_params(
     surrogate in place).  Toy mode starts from desk-scale defaults; toy
     parameter sets are allowed to violate the soundness constraints and are
     reported as such by check_constraints.  In either mode ``overrides`` may
-    replace ``r``, ``s``, ``a``, ``h`` and the per-edge count ``c_edge``.
+    replace ``r``, ``s``, ``a`` and ``h``.
     """
     overrides = dict(overrides or {})
     if mode == "sound":
@@ -223,15 +230,13 @@ def compute_params(
     if mode == "sound" and "s" not in overrides:
         s = 6 * r * n * n  # dependent default tracks an overridden radius
     s = overrides.pop("s", s)
-    c_edge_override = overrides.pop("c_edge", None)
     if overrides:
         raise ValueError(f"unknown parameter overrides: {sorted(overrides)}")
     if not (0 < r and 0 < s and 0 < h and 0 <= a):
         raise ValueError("parameters must be positive")
-    c_edge = count_edge_disks(n, r, s)[0] if c_edge_override is None else int(c_edge_override)
     return ParamSet(
         n=n, r=r, s=s, a=a, h=h, spacing=Fraction(9, 5) * r,
-        c_edge=c_edge, c_vertex=count_vertex_disks(r, s), mode=mode,
+        c_edge=count_edge_disks(n, r, s)[0], c_vertex=count_vertex_disks(r, s), mode=mode,
     )
 
 
@@ -379,19 +384,15 @@ def min_grid_angle_exceeds(n: int) -> AngleOracleResult:
     best: Optional[Tuple[int, int]] = None  # (|cross|, |dot|), dot > 0
     best_witness = None
 
-    import itertools
+    def cmp(u, v):
+        c = u[0] * v[1] - u[1] * v[0]
+        return -1 if c > 0 else (1 if c < 0 else 0)
 
     for apex in itertools.product(range(n + 1), repeat=2):
         dirs = _primitive_directions(n, apex)
         if len(dirs) < 2:
             continue
         # directions normalized to [0, pi): sort by angle via cross sign
-        import functools
-
-        def cmp(u, v):
-            c = u[0] * v[1] - u[1] * v[0]
-            return -1 if c > 0 else (1 if c < 0 else 0)
-
         dirs.sort(key=functools.cmp_to_key(cmp))
         # minimum line angle is attained between angularly consecutive
         # directions, including the wrap-around pair

@@ -593,7 +593,10 @@ def reduce_pmc_to_subdivision(mti: MultiterminalInstance) -> PmcReduction:
 def lift_subdivision_solution(
     pairing: Dict[int, List[int]], kept_edges: Iterable[int]
 ) -> List[int]:
-    """Source edges whose fragment group is entirely kept.
+    """Source edges whose group of target elements is entirely kept: the
+    back-map of every reduction that turns a source edge into a group, the
+    fragments of a dual edge here and a fence wall in
+    :func:`~disklab.gadgets.lift_fence_to_edges`.
 
     Fragments of a partially-kept group never change the face partition, so
     closing the solution under pairing (dropping incomplete groups) loses no

@@ -193,17 +193,10 @@ def locate_face(g: PlanarEmbeddedGraph, coords: Coords, p: Point) -> int:
     it, or in the face with no such walk when every winding is <= 0.
     """
     hits = []
-    outer_candidates = []
     for f in range(g.face_count()):
         segs = _walk_segments(g, coords, f)
-        if not segs:
-            outer_candidates.append(f)
-            continue
-        w = winding_number(segs, p)
-        if w == 1:
+        if segs and winding_number(segs, p) == 1:
             hits.append(f)
-        elif w == 0:
-            outer_candidates.append(f)
     if len(hits) == 1:
         return hits[0]
     if not hits:
@@ -489,7 +482,11 @@ class GridEmbedding:
 
 def grid_embed(g: PlanarEmbeddedGraph) -> GridEmbedding:
     """Rotation-faithful straight-line drawing on the smallest integer grid
-    this module can find.  The result is always re-verified exactly."""
+    this module can find.  The result is always re-verified exactly.  A
+    graph with a loop or a parallel edge is refused first: networkx can
+    loop forever on its rotation system."""
+    if not g.is_simple():
+        raise DrawingError("straight-line drawings require a simple graph")
     coords = draw_with_networkx(g)
     if len(g.vertices) > 2:
         check_drawing(g, coords)

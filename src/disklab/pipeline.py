@@ -29,7 +29,7 @@ import functools
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -325,12 +325,10 @@ def _reduce_pmc(mti: MultiterminalInstance, mode: str,
 
 
 def _isolation_params(emb: GridEmbedding, mode: str, overrides: Dict[str, Fraction]) -> ParamSet:
+    params = compute_params(emb.grid_size, mode, overrides)
     if mode == "toy":
-        base = compute_params(emb.grid_size, "toy", overrides)
-        budget = toy_edge_budget(emb, base)
-        return compute_params(
-            emb.grid_size, "toy", {**overrides, "c_edge": Fraction(budget)})
-    return compute_params(emb.grid_size, "sound", overrides)
+        params = replace(params, c_edge=toy_edge_budget(emb, params))
+    return params
 
 
 def _reduce_subdivision(sub: SubdivisionInstance, mode: str,
@@ -597,24 +595,28 @@ def cli_solve(problem: str, instance_path, out_path):
 
 
 # ---------------------------------------------------------------------------
-# lifting: the back-maps of (record, source, target, verified target
-# candidate) to (source candidate, detail)
+# lifting: the back-maps of (record, source, verified target candidate) to
+# (source candidate, detail); each reads the record, never the target
 # ---------------------------------------------------------------------------
 
-def _back_pmc(record, mti, sub, kept) -> Tuple[List[int], dict]:
-    pairing = {int(e): [int(f) for f in frags] for e, frags in record.edges.items()}
-    lifted = lift_subdivision_solution(pairing, kept)
-    return lifted, {"kept_edges": sorted(set(kept))}
+def _groups(record) -> Dict[int, list]:
+    """Source edge -> the target ids it became (dual-edge fragments, wall disks)."""
+    return {int(e): ids for e, ids in record.edges.items()}
 
 
-def _back_isolation(record, sub, inst, chosen) -> Tuple[List[int], dict]:
-    k1 = len(set(chosen))
-    c_edge = int(inst.meta["c_edge"])
-    return lift_fence_to_edges(inst, chosen), {
+def _back_pmc(record, mti, kept) -> Tuple[List[int], dict]:
+    return lift_subdivision_solution(_groups(record), kept), {"kept_edges": sorted(set(kept))}
+
+
+def _back_isolation(record, sub, chosen) -> Tuple[List[int], dict]:
+    if record.params is None or record.params.c_edge < 1:
+        raise PipelineError("an isolation record needs params with c_edge >= 1")
+    k1, c_edge = len(set(chosen)), record.params.c_edge
+    return lift_fence_to_edges(_groups(record), chosen), {
         "k1": k1, "c_edge": c_edge, "floor_bound": k1 // c_edge}
 
 
-def _back_acc(record, graph, inst, removed) -> Tuple[List[str], dict]:
+def _back_acc(record, graph, removed) -> Tuple[List[str], dict]:
     # a hub lifts to its vertex; a chain deletion is dominated by deleting
     # either endpoint hub, so a chain disk lifts to its edge's first end
     vertex_of = {int(h): v for v, h in record.vertices.items()}
@@ -623,7 +625,7 @@ def _back_acc(record, graph, inst, removed) -> Tuple[List[str], dict]:
     return sorted({vertex_of[i] for i in removed}), {}
 
 
-def _back_udmc(record, mti, inst, pairs) -> Tuple[List[int], dict]:
+def _back_udmc(record, mti, pairs) -> Tuple[List[int], dict]:
     removed = normalize_edge_list(pairs)
     sigma_of = {int(i): v for v, entry in record.vertices.items() for i in entry["sigma"]}
 
@@ -643,7 +645,9 @@ class Reduction(NamedTuple):
     # (source instance, mode, overrides) -> (target instance, the record's
     # params, edges, vertices, terminals and notes)
     reduce: Callable[[object, str, Dict[str, Fraction]], Tuple[object, dict]]
-    back_map: Callable[[ReductionRecord, object, object, list], Tuple[list, dict]]
+    # (record, source instance, verified target candidate) -> (source
+    # candidate, detail)
+    back_map: Callable[[ReductionRecord, object, list], Tuple[list, dict]]
     source: str    # PROBLEMS entry of the source instance
     target: str    # PROBLEMS entry of the target instance
     label: str     # "problem" of the lifted certificate
@@ -675,12 +679,11 @@ def cli_lift(record_path, solution_path, source_path, target_path, out_path):
     candidate, budget = read_certificate(read_json(solution_path))
     red = REDUCTIONS[record.kind]
     source, target = PROBLEMS[red.source], PROBLEMS[red.target]
-    tgt_inst = target.parse(tgt)
-    ok, lines = target.verify(tgt_inst, candidate, budget)
+    ok, lines = target.verify(target.parse(tgt), candidate, budget)
     if not ok:
         raise Rejected("target solution rejected: " + "; ".join(lines))
     src_inst = source.parse(src)
-    lifted, detail = red.back_map(record, src_inst, tgt_inst, candidate)
+    lifted, detail = red.back_map(record, src_inst, candidate)
     ok, lines = source.verify(src_inst, lifted, None)
     if not ok:
         raise Rejected("lifted solution rejected: " + "; ".join(lines))

@@ -326,7 +326,7 @@ def brute_min_isolation(instance: DiskInstance) -> OptimumCertificate:
     solver for synthesized instances.
     """
     instance.validate()
-    n = len(instance.tags)
+    n = len(instance.centers.xs)
     if n > MAX_FENCE_DISKS:
         raise SolverCapExceeded(
             f"{n} disks exceeds the enumeration cap {MAX_FENCE_DISKS}; "
@@ -358,7 +358,7 @@ def brute_min_acc(instance: DiskInstance) -> OptimumCertificate:
     """Minimum number of deleted disks leaving a union with no bounded
     complement region, by subset enumeration over deletions."""
     instance.validate()
-    n = len(instance.tags)
+    n = len(instance.centers.xs)
     if n > MAX_ACC_DISKS:
         raise SolverCapExceeded(f"{n} disks exceeds the enumeration cap {MAX_ACC_DISKS}")
     sc = instance.centers

@@ -34,6 +34,11 @@
   cut check built on it and on a set of every intersection edge; the check
   :func:`disklab.arrangements.verify_multiterminal_cut` must give the same
   report or refuse alike.
+* The fence lift from disk tags: each chosen disk tagged ``("wall", e, ...)``
+  counts towards edge ``e``, and an edge whose count reaches the instance's
+  ``meta["c_edge"]`` is lifted.  The lift from the reduction record's wall
+  ids, :func:`disklab.gadgets.lift_fence_to_edges`, must return the same
+  edges.
 """
 
 import math
@@ -702,3 +707,15 @@ def reference_verify_multiterminal_cut(
         reasons.append("two terminal disks stay connected")
     return ar.CutReport(ok=separated and not reasons, removed=removed,
                         terminal_components=terminal_components, reasons=reasons)
+
+
+def lift_fence_by_tags(instance: ar.DiskInstance, chosen_ids: Iterable[int]) -> List[int]:
+    """Edges whose wall appears in full among the chosen disks, read from
+    the disk tags and ``meta["c_edge"]``."""
+    c_edge = int(instance.meta["c_edge"])
+    per_edge: Dict[int, int] = {}
+    for i in set(chosen_ids):
+        tag = instance.tags[i]
+        if tag and tag[0] == "wall":
+            per_edge[tag[1]] = per_edge.get(tag[1], 0) + 1
+    return sorted(e for e, cnt in per_edge.items() if cnt == c_edge)

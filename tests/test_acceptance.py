@@ -31,6 +31,7 @@ from oracles import (
     assert_graph_matches_bucket_oracle,
     bfs_min_isolation_two_points,
     dist_sq,
+    lift_fence_by_tags,
 )
 from test_gadgets import assert_round_trip_equal, build_sound
 
@@ -431,7 +432,60 @@ def test_criterion_11_sound_fence_size_law_and_lift(tmp_path):
     k1 = int(sol["optimum"])
     assert b * c_edge <= k1 < (b + 1) * c_edge, (b, c_edge, k1)
     assert not list(nx.bridges(nx.Graph(g.edges)))  # every edge is kept
-    assert lift_fence_to_edges(inst, sol["witness"]) == [0, 1, 2]
+    record = pl.read_json(tmp_path / "iso.json.record.json")
+    walls = {int(e): ids for e, ids in record["edges"].items()}
+    assert lift_fence_to_edges(walls, sol["witness"]) == [0, 1, 2]
+
+
+def assert_record_lift_matches_tag_oracle(record, inst, rng):
+    """The isolation back-map of ``record`` lifts what the tag-driven oracle
+    lifts from ``inst``: for all disks, all disks less one disk of each wall,
+    and seeded subsets that keep some walls whole, some less one disk and
+    some not at all, plus random other disks."""
+    back_map = pl.REDUCTIONS["subdivision->isolation"].back_map
+    walls = [ids for _, ids in sorted(record.edges.items(), key=lambda kv: int(kv[0]))]
+    everything = range(len(inst.tags))
+    subsets = [list(everything)]
+    for ids in walls:
+        gap = rng.choice(ids)
+        subsets.append([i for i in everything if i != gap])
+    for _ in range(4):
+        chosen = set(rng.sample(everything, len(inst.tags) // 10))
+        for ids in walls:
+            kind = rng.randrange(3)
+            if kind == 0:
+                chosen.update(ids)
+            elif kind == 1:
+                chosen.update(ids)
+                chosen.discard(rng.choice(ids))
+        subsets.append(sorted(chosen))
+    lifted_sizes = set()
+    for chosen in subsets:
+        lifted, detail = back_map(record, None, chosen)
+        assert lifted == lift_fence_by_tags(inst, chosen)
+        assert detail == {"k1": len(chosen), "c_edge": inst.meta["c_edge"],
+                          "floor_bound": len(chosen) // inst.meta["c_edge"]}
+        lifted_sizes.add(len(lifted))
+    assert {len(walls), len(walls) - 1} <= lifted_sizes
+
+
+def test_record_lift_matches_tag_oracle_on_toy_and_sound_fences(
+        toy_fence_corpus, sound_corpus):
+    rng = random.Random(SOUND_CORPUS_SEED)
+    for d in toy_fence_corpus:
+        record = pl.ReductionRecord.from_dict(pl.read_json(d / "iso.json.record.json"))
+        inst = ar.DiskInstance.from_dict(pl.read_json(d / "iso.json"))
+        assert_record_lift_matches_tag_oracle(record, inst, rng)
+        witness = pl.read_json(d / "sol.json")["witness"]
+        assert pl.REDUCTIONS[record.kind].back_map(record, None, witness)[0] == \
+            lift_fence_by_tags(inst, witness) != []
+    for _, art in sound_corpus:
+        # the record cli_reduce writes for this instance, through its JSON form
+        record = pl.ReductionRecord(
+            "subdivision->isolation", "", "", art.instance.params,
+            {str(e): ids for e, ids in art.wall_ids.items()}, {}, {})
+        record = pl.ReductionRecord.from_dict(json.loads(json.dumps(record.to_dict())))
+        assert_record_lift_matches_tag_oracle(record, art.instance, rng)
 
 
 def test_criterion_12_raster_oracle_on_ring_holes(ring_oracle_corpus):

@@ -10,6 +10,7 @@ for the same shape.
 import json
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -54,7 +55,12 @@ from disklab.graphs import (
 from disklab.gridembed import DrawingError, GridEmbedding, grid_embed, locate_face
 
 from instances import build_weighted_edge_instance, disk_instance
-from oracles import assert_cuts_match_networkx, dist_sq, reference_verify_multiterminal_cut
+from oracles import (
+    assert_cuts_match_networkx,
+    dist_sq,
+    lift_fence_by_tags,
+    reference_verify_multiterminal_cut,
+)
 
 
 def p2_reduction():
@@ -68,8 +74,7 @@ def toy_triangle():
     red = p2_reduction()
     emb = grid_embed(red.instance.graph)
     base = compute_params(emb.grid_size, "toy")
-    c = toy_edge_budget(emb, base)
-    params = compute_params(emb.grid_size, "toy", {"c_edge": c})
+    params = replace(base, c_edge=toy_edge_budget(emb, base))
     art = build_isolation_instance(red.instance, emb, params)
     return red, emb, art
 
@@ -171,7 +176,7 @@ def test_sound_wall_detour_outside_vertex_zones():
 
 
 def test_toy_wall_spacing_window():
-    p = compute_params(2, "toy", {"c_edge": 7})
+    p = replace(compute_params(2, "toy"), c_edge=7)
     plan = _toy_wall_plan(0.0, 0.0, 1.0, 0.0, p)
     assert len(plan.centers) == 7
     assert 1.02 <= plan.spacing_over_r <= 1.95
@@ -309,11 +314,11 @@ def test_toy_triangle_full_fence_separates():
 def test_lift_fence_complete_walls_only():
     _, _, art = toy_triangle()
     inst = art.instance
-    full = lift_fence_to_edges(inst, range(len(inst.disks)))
-    assert full == [0, 1, 2]
+    full = lift_fence_to_edges(art.wall_ids, range(len(inst.disks)))
+    assert full == [0, 1, 2] == lift_fence_by_tags(inst, range(len(inst.disks)))
     partial = list(range(len(inst.disks)))
     partial.remove(art.wall_ids[1][3])
-    assert lift_fence_to_edges(inst, partial) == [0, 2]
+    assert lift_fence_to_edges(art.wall_ids, partial) == [0, 2] == lift_fence_by_tags(inst, partial)
 
 
 def test_place_face_points_lets_locate_face_bugs_surface(monkeypatch):
@@ -470,7 +475,7 @@ def test_cached_integer_centers_match_round_trip():
 def test_sound_refuses_oversized_budgets():
     red = p2_reduction()
     emb = grid_embed(red.instance.graph)
-    big = compute_params(emb.grid_size, "sound", {"c_edge": 10**6})
+    big = replace(compute_params(emb.grid_size, "sound"), c_edge=10**6)
     with pytest.raises(SynthesisError):
         build_isolation_instance(red.instance, emb, big)
 

@@ -109,6 +109,8 @@ def test_params_round_trip_and_overrides():
     assert o.s == 6 * F(1, 100) * 4  # dependent values recomputed
     with pytest.raises(ValueError):
         geo.compute_params(1)
+    with pytest.raises(ValueError, match="unknown parameter overrides"):
+        geo.compute_params(2, "toy", {"c_edge": F(7)})
 
 
 def test_toy_params():

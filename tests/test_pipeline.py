@@ -238,12 +238,38 @@ def test_reduce_refuses_a_non_positive_chain_radius(tmp_path, kind, r):
     assert not out.exists()
 
 
-def run_python(*args):
+def run_python(*args, timeout=None):
     """A fresh interpreter on this checkout's sources."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=timeout)
+
+
+# a parallel edge and a self-loop on three vertices, in rotation systems on
+# which networkx's planar embedding check never returns
+NON_SIMPLE = {
+    "parallel": ([["a", "b"], ["b", "c"], ["a", "b"]], {"a": [0, 2], "b": [1, 0, 2], "c": [1]}),
+    "loop": ([["a", "b"], ["b", "c"], ["a", "a"]], {"a": [0, 2, 2], "b": [0, 1], "c": [1]}),
+}
+
+
+@pytest.mark.parametrize("kind, case, terminals", [
+    ("mc->udmc", "parallel", ["a", "c"]),
+    ("mc->udmc", "loop", ["a", "c"]),
+    ("subdivision->isolation", "parallel", {"p": 0, "q": 1}),
+])
+def test_reduce_refuses_a_non_simple_source_without_hanging(tmp_path, kind, case, terminals):
+    edges, rotation = NON_SIMPLE[case]
+    src, out = tmp_path / "src.json", tmp_path / "out.json"
+    write_json({"vertices": ["a", "b", "c"], "edges": edges, "rotation": rotation,
+                "terminals": terminals}, src)
+    run = run_python("-m", "disklab", "reduce", kind, str(src), "--out", str(out), timeout=60)
+    assert run.returncode == 2, run.stderr
+    [line] = run.stderr.splitlines()
+    assert json.loads(line)["msg"] == "malformed: straight-line drawings require a simple graph"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("r", ["abc", "1/0"])
@@ -555,6 +581,36 @@ def test_lift_isolation_round_trip(toy_chain, tmp_path):
     cert = tmp_path / "cert.json"
     write_json({"candidate": out["candidate"]}, cert)
     assert cli_verify("subdivision", sub, cert)[0] == 0
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n", 2.5), ("c_edge", "7"), ("c_vertex", True), ("mode", 3), ("mode", "Sound")])
+def test_a_params_field_of_the_wrong_type_is_malformed(toy_chain, tmp_path, field, value):
+    iso, sub = toy_chain["iso"], toy_chain["sub"]
+    sol = tmp_path / "opt.json"
+    assert cli_solve("isolation", iso, sol)[0] == 0
+    bad_iso, bad_record = tmp_path / "iso.json", tmp_path / "record.json"
+    for path, bad in ((iso, bad_iso), (str(iso) + ".record.json", bad_record)):
+        d = read_json(path)
+        d["params"][field] = value
+        write_json(d, bad)
+    want = (f"malformed: params mode must be 'sound' or 'toy', not {value!r}" if field == "mode"
+            else "malformed: params n, c_edge and c_vertex must be JSON integers")
+    assert cli_verify("isolation", bad_iso, sol) == (2, [want])
+    assert cli_lift(bad_record, sol, sub, iso, tmp_path / "lifted.json") == (2, [want])
+    assert not (tmp_path / "lifted.json").exists()
+
+
+@pytest.mark.parametrize("params", [None, "c_edge 0"])
+def test_lift_refuses_an_isolation_record_without_a_wall_size(toy_chain, tmp_path, params):
+    iso, sub = toy_chain["iso"], toy_chain["sub"]
+    sol, record = tmp_path / "opt.json", tmp_path / "record.json"
+    assert cli_solve("isolation", iso, sol)[0] == 0
+    d = read_json(str(iso) + ".record.json")
+    d["params"] = None if params is None else {**d["params"], "c_edge": 0}
+    write_json(d, record)
+    assert cli_lift(record, sol, sub, iso, tmp_path / "lifted.json") == (
+        2, ["malformed: an isolation record needs params with c_edge >= 1"])
 
 
 def test_lift_pmc_round_trip(tmp_path):
