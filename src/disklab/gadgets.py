@@ -724,7 +724,7 @@ def build_udmc_instance(
         seen_pairs.add(key)
         degree[u] += 1
         degree[v] += 1
-        w = mti.weights.get(eid, 1)
+        w = mti.weight(eid)
         if not (1 <= w <= 5):
             raise SynthesisError(f"edge weight {w} outside the supported range 1..5")
     for v, d in degree.items():
@@ -786,7 +786,7 @@ def build_udmc_instance(
         ux, uy = _unit(bx - ax, by - ay)
         vx, vy = -uy, ux
         theta = math.atan2(uy, ux)
-        w = mti.weights.get(eid, 1)
+        w = mti.weight(eid)
         bend = lane_start + max(6 * rf, pitch * w / 1.5)
         if L + 1e-9 < 2 * bend + 12 * rf:
             raise SynthesisError(
@@ -816,7 +816,7 @@ def build_udmc_instance(
     meta = {
         "kind": "udmc",
         "terminal_disks": [hub_of_vertex[t] for t in mti.terminals],
-        "weights": {str(eid): mti.weights.get(eid, 1) for eid in range(len(g.edges))},
+        "weights": {str(eid): mti.weight(eid) for eid in range(len(g.edges))},
         "copies": copies,
         "scale": scale,
     }
@@ -834,7 +834,7 @@ def build_udmc_instance(
     lane_cut_edge: Dict[Tuple[int, int], Tuple[int, int]] = {}
     for eid, (u, v) in enumerate(g.edges):
         lo, hi, (ax, ay), (ux, uy) = lane_window[eid]
-        lanes = [(i, lane_ids[(eid, i)]) for i in range(mti.weights.get(eid, 1))]
+        lanes = [(i, lane_ids[(eid, i)]) for i in range(mti.weight(eid))]
         mid: Dict[int, int] = {}     # disk id -> lane, for mid-zone disks
         for i, ids in lanes:
             # int / int is correctly rounded, so this is float() of the centre

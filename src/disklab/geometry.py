@@ -31,7 +31,7 @@ def rational_to_str(x: Fraction) -> str:
 
 
 def rational_from_str(s) -> Fraction:
-    if isinstance(s, (int, str)):
+    if type(s) is int or type(s) is str:  # not bool, which JSON true and false parse to
         try:
             return Fraction(s)
         except ZeroDivisionError as exc:

@@ -1,10 +1,9 @@
 """Embedded planar multigraphs as rotation systems.
 
 A graph is stored as a list of edges plus, for every vertex, the clockwise
-cyclic order of its edge ends ("darts").  Faces, geometric duals and edge
-subdivisions are all derived purely combinatorially from that data, so the
-same code handles multi-edges and self-loops (which show up as soon as duals
-of graphs with parallel faces or bridges are taken).
+cyclic order of its edge ends ("darts").  Faces are derived purely
+combinatorially from that data, so the same code handles multi-edges and
+self-loops.
 
 A dart is a pair ``(edge_id, end)``; dart ``(e, 0)`` leaves ``edges[e][0]``
 and dart ``(e, 1)`` leaves ``edges[e][1]``.  For a self-loop both darts leave
@@ -316,108 +315,6 @@ class PlanarEmbeddedGraph:
 
 
 # ---------------------------------------------------------------------------
-# geometric dual
-# ---------------------------------------------------------------------------
-
-@dataclass
-class DualResult:
-    dual: PlanarEmbeddedGraph          # vertex i of the dual is face i of the primal
-    vertex_face: Dict[Vertex, int]     # primal vertex -> face id of the dual
-
-
-def geometric_dual(g: PlanarEmbeddedGraph) -> DualResult:
-    """Geometric dual of a connected embedded graph.
-
-    Dual edge ids coincide with primal edge ids.  Dart labels carry over:
-    dual dart ``(e, end)`` leaves the dual vertex (= primal face) containing
-    primal dart ``(e, end)``, and its rotation around each dual vertex is the
-    facial-walk order of that face.  Faces of the dual then correspond to
-    primal vertices, which is exposed via ``vertex_face``.
-    """
-    if not g.is_connected():
-        raise StructureError("dual requires a connected graph")
-    walks = g.facial_walks()
-    face_of = {d: i for i, w in enumerate(walks) for d in w}
-    dual_vertices = list(range(len(walks)))
-    dual_edges = [
-        (face_of[(e, 0)], face_of[(e, 1)]) for e in range(len(g.edges))
-    ]
-    rotation: Dict[Vertex, List[Dart]] = {i: list(w) for i, w in enumerate(walks)}
-    dual = PlanarEmbeddedGraph(dual_vertices, dual_edges, rotation)
-    vertex_face: Dict[Vertex, int] = {}
-    for v in g.vertices:
-        if g.rot[v]:
-            vertex_face[v] = dual.face_of_dart(g.rot[v][0])
-        elif len(g.vertices) == 1:
-            vertex_face[v] = 0
-        else:
-            raise StructureError(f"isolated vertex {v!r} in a connected dual computation")
-    return DualResult(dual=dual, vertex_face=vertex_face)
-
-
-# ---------------------------------------------------------------------------
-# subdivision
-# ---------------------------------------------------------------------------
-
-@dataclass
-class SubdivisionMap:
-    graph: PlanarEmbeddedGraph
-    fragments: Dict[int, List[int]]    # original edge id -> new edge ids in order
-    face_map: Dict[int, int]           # original face id -> new face id
-
-
-def subdivide_all_edges(g: PlanarEmbeddedGraph) -> SubdivisionMap:
-    """Subdivide every edge once, with new vertex ``x<edge id>``; self-loops
-    are subdivided twice (``x<edge id>a``, ``x<edge id>b``) so the result is
-    simple.  Fragment groups and the face correspondence are returned so
-    solutions can be mapped back.
-    """
-    new_vertices = list(g.vertices)
-    new_edges: List[Tuple[Vertex, Vertex]] = []
-    fragments: Dict[int, List[int]] = {}
-    # replacement darts for the two original ends
-    end_replacement: Dict[Dart, Dart] = {}
-    mid_rotation: Dict[Vertex, List[Dart]] = {}
-
-    for eid, (u, v) in enumerate(g.edges):
-        if u != v:
-            m = f"x{eid}"
-            f1 = len(new_edges); new_edges.append((u, m))
-            f2 = len(new_edges); new_edges.append((m, v))
-            fragments[eid] = [f1, f2]
-            end_replacement[(eid, 0)] = (f1, 0)
-            end_replacement[(eid, 1)] = (f2, 1)
-            mid_rotation[m] = [(f1, 1), (f2, 0)]
-            new_vertices.append(m)
-        else:
-            m1 = f"x{eid}a"
-            m2 = f"x{eid}b"
-            f1 = len(new_edges); new_edges.append((u, m1))
-            f2 = len(new_edges); new_edges.append((m1, m2))
-            f3 = len(new_edges); new_edges.append((m2, v))
-            fragments[eid] = [f1, f2, f3]
-            end_replacement[(eid, 0)] = (f1, 0)
-            end_replacement[(eid, 1)] = (f3, 1)
-            mid_rotation[m1] = [(f1, 1), (f2, 0)]
-            mid_rotation[m2] = [(f2, 1), (f3, 0)]
-            new_vertices.extend([m1, m2])
-
-    rotation: Dict[Vertex, List[Dart]] = {
-        v: [end_replacement[d] for d in g.rot[v]] for v in g.vertices
-    }
-    rotation.update(mid_rotation)
-    g2 = PlanarEmbeddedGraph(new_vertices, new_edges, rotation)
-
-    face_map: Dict[int, int] = {}
-    for i, walk in enumerate(g.facial_walks()):
-        if walk:
-            face_map[i] = g2.face_of_dart(end_replacement[walk[0]])
-    if len(g2.facial_walks()) != len(g.facial_walks()):
-        raise StructureError("subdivision changed the face count")
-    return SubdivisionMap(graph=g2, fragments=fragments, face_map=face_map)
-
-
-# ---------------------------------------------------------------------------
 # problem instances
 # ---------------------------------------------------------------------------
 
@@ -486,6 +383,12 @@ class SubdivisionInstance:
     graph: PlanarEmbeddedGraph
     terminals: Dict[str, int]
     groups: Optional[List[List[int]]] = None
+
+    def edge_groups(self) -> List[List[int]]:
+        """The groups, or one singleton group per edge when there are none."""
+        if self.groups is not None:
+            return self.groups
+        return [[e] for e in range(len(self.graph.edges))]
 
     def validate(self) -> None:
         nf = self.graph.face_count()
@@ -561,12 +464,17 @@ class PmcReduction:
 
 def reduce_pmc_to_subdivision(mti: MultiterminalInstance) -> PmcReduction:
     """Compile a planar multiterminal cut instance into a subdivision
-    instance on the subdivided geometric dual.
+    instance on the subdivided geometric dual, built in one pass from the
+    source's faces.
 
-    Every dual edge is split so the target graph is simple; a face of the
-    target corresponds to each source vertex, and each terminal contributes
-    one marked point in its face.  A solution of mass 2M in the target
-    (counting each used fragment group as 2) corresponds to a source
+    Target vertex ``i`` is source face ``i``.  Source edge ``e`` with faces
+    ``(f0, f1)`` becomes the path ``f0 - x<e> - f1``, or ``f0 - x<e>a -
+    x<e>b - f0`` for a bridge (``f0 == f1``), so the target is simple; its
+    fragments are ``pairing[e]``.  Face ``i``'s rotation is its facial walk
+    with each source dart replaced by the fragment dart at the same end.  A
+    face of the target corresponds to each source vertex, and each terminal
+    contributes one marked point in its face.  A solution of mass 2M in the
+    target (counting each used fragment group as 2) corresponds to a source
     solution of M edges; ``lift_subdivision_solution`` maps back.
     """
     mti.validate()
@@ -575,19 +483,38 @@ def reduce_pmc_to_subdivision(mti: MultiterminalInstance) -> PmcReduction:
         raise StructureError("source graph must be connected")
     if any(w != 1 for w in mti.weights.values()):
         raise StructureError("this reduction handles unweighted instances only")
-    dres = geometric_dual(g)
-    sub = subdivide_all_edges(dres.dual)
-    if not sub.graph.is_simple():
-        raise StructureError("subdivided dual failed to be simple")
-    dual_face_map = {v: dres.vertex_face[v] for v in g.vertices}
-    terminals = {
-        str(t): sub.face_map[dual_face_map[t]] for t in mti.terminals
-    }
-    groups = [sub.fragments[e] for e in range(len(dres.dual.edges))]
-    inst = SubdivisionInstance(graph=sub.graph, terminals=terminals, groups=groups)
+    walks = g.facial_walks()
+    vertices: List[Vertex] = list(range(len(walks)))
+    edges: List[Tuple[Vertex, Vertex]] = []
+    rotation: Dict[Vertex, List[Dart]] = {}
+    pairing: Dict[int, List[int]] = {}
+    for e, (f0, f1) in enumerate(g.edge_faces()):
+        mids = [f"x{e}"] if f0 != f1 else [f"x{e}a", f"x{e}b"]
+        path = [f0, *mids, f1]
+        first = len(edges)
+        edges.extend(zip(path, path[1:]))
+        pairing[e] = list(range(first, len(edges)))
+        for i, m in enumerate(mids):
+            rotation[m] = [(first + i, 1), (first + i + 1, 0)]
+        vertices.extend(mids)
+
+    def fragment_dart(d: Dart) -> Dart:
+        # end 0 leaves f0 on the first fragment, end 1 leaves f1 on the last
+        return pairing[d[0]][-d[1]], d[1]
+
+    for i, walk in enumerate(walks):
+        rotation[i] = [fragment_dart(d) for d in walk]
+    target = PlanarEmbeddedGraph(vertices, edges, rotation)
+    # connected, so only an edgeless one-vertex source has an empty rotation
+    vertex_face = {v: target.face_of_dart(fragment_dart(g.rot[v][0])) if g.rot[v] else 0
+                   for v in g.vertices}
+    inst = SubdivisionInstance(
+        graph=target,
+        terminals={str(t): vertex_face[t] for t in mti.terminals},
+        groups=list(pairing.values()),
+    )
     inst.validate()
-    vertex_face = {v: sub.face_map[dual_face_map[v]] for v in g.vertices}
-    return PmcReduction(instance=inst, pairing=dict(sub.fragments), vertex_face=vertex_face)
+    return PmcReduction(instance=inst, pairing=pairing, vertex_face=vertex_face)
 
 
 def lift_subdivision_solution(

@@ -483,8 +483,7 @@ def _verify_subdivision(sub: SubdivisionInstance, candidate, budget) -> Tuple[bo
     kept = check_ids(candidate, len(sub.graph.edges), "certificate")
     kept_set = set(kept)
     reasons = []
-    groups = sub.groups or [[e] for e in range(len(sub.graph.edges))]
-    mass = 2 * sum(1 for grp in groups if kept_set.issuperset(grp))
+    mass = 2 * sum(1 for grp in sub.edge_groups() if kept_set.issuperset(grp))
     if budget is not None and mass > budget:
         reasons.append(f"budget: certificate has mass {mass}, cap {budget}")
     separated = subdivision_solution_ok(sub, kept)

@@ -141,7 +141,7 @@ def brute_min_multiterminal(inst: MultiterminalInstance) -> OptimumCertificate:
         raise SolverCapExceeded(f"{m} edges exceeds the enumeration cap {MAX_EDGES}")
     best: Optional[Tuple[int, List[int]]] = None
     for combo in _feasible_subsets(m, lambda t: multiterminal_solution_ok(inst, t)):
-        w = sum(inst.weights.get(e, 1) for e in combo)
+        w = sum(inst.weight(e) for e in combo)
         if best is None or w < best[0]:
             best = (w, list(combo))
         if best[0] <= len(combo):
@@ -161,7 +161,7 @@ def brute_min_subdivision(inst: SubdivisionInstance) -> OptimumCertificate:
     groups are worth keeping, and each used group counts two regardless of
     its fragment count."""
     inst.validate()
-    groups = inst.groups or [[e] for e in range(len(inst.graph.edges))]
+    groups = inst.edge_groups()
     g = len(groups)
     if g > MAX_GROUPS:
         raise SolverCapExceeded(f"{g} groups exceeds the enumeration cap {MAX_GROUPS}")

@@ -39,10 +39,16 @@
   ``meta["c_edge"]`` is lifted.  The lift from the reduction record's wall
   ids, :func:`disklab.gadgets.lift_fence_to_edges`, must return the same
   edges.
+* The pmc->subdivision target by composition: the geometric dual, then
+  every edge of it subdivided, with a face map threaded through each step,
+  which the one-pass :func:`disklab.graphs.reduce_pmc_to_subdivision`
+  replaced; the target, its pairing and its vertex faces must come out
+  equal.
 """
 
 import math
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Dict, Hashable, Iterable, List, Optional, Tuple
@@ -53,9 +59,12 @@ from disklab import arrangements as ar
 from disklab import gridembed as ge
 from disklab.geometry import Point, point_on_segment, ray_crossing
 from disklab.graphs import (
+    Dart,
     MultiterminalInstance,
     PlanarEmbeddedGraph,
+    StructureError,
     SubdivisionInstance,
+    Vertex,
     multiterminal_solution_ok,
     subdivision_solution_ok,
 )
@@ -719,3 +728,115 @@ def lift_fence_by_tags(instance: ar.DiskInstance, chosen_ids: Iterable[int]) -> 
         if tag and tag[0] == "wall":
             per_edge[tag[1]] = per_edge.get(tag[1], 0) + 1
     return sorted(e for e, cnt in per_edge.items() if cnt == c_edge)
+
+
+# ---------------------------------------------------------------------------
+# geometric dual
+# ---------------------------------------------------------------------------
+
+@dataclass
+class DualResult:
+    dual: PlanarEmbeddedGraph          # vertex i of the dual is face i of the primal
+    vertex_face: Dict[Vertex, int]     # primal vertex -> face id of the dual
+
+
+def geometric_dual(g: PlanarEmbeddedGraph) -> DualResult:
+    """Geometric dual of a connected embedded graph.
+
+    Dual edge ids coincide with primal edge ids.  Dart labels carry over:
+    dual dart ``(e, end)`` leaves the dual vertex (= primal face) containing
+    primal dart ``(e, end)``, and its rotation around each dual vertex is the
+    facial-walk order of that face.  Faces of the dual then correspond to
+    primal vertices, which is exposed via ``vertex_face``.
+    """
+    if not g.is_connected():
+        raise StructureError("dual requires a connected graph")
+    walks = g.facial_walks()
+    face_of = {d: i for i, w in enumerate(walks) for d in w}
+    dual_vertices = list(range(len(walks)))
+    dual_edges = [
+        (face_of[(e, 0)], face_of[(e, 1)]) for e in range(len(g.edges))
+    ]
+    rotation: Dict[Vertex, List[Dart]] = {i: list(w) for i, w in enumerate(walks)}
+    dual = PlanarEmbeddedGraph(dual_vertices, dual_edges, rotation)
+    vertex_face: Dict[Vertex, int] = {}
+    for v in g.vertices:
+        if g.rot[v]:
+            vertex_face[v] = dual.face_of_dart(g.rot[v][0])
+        elif len(g.vertices) == 1:
+            vertex_face[v] = 0
+        else:
+            raise StructureError(f"isolated vertex {v!r} in a connected dual computation")
+    return DualResult(dual=dual, vertex_face=vertex_face)
+
+
+# ---------------------------------------------------------------------------
+# subdivision
+# ---------------------------------------------------------------------------
+
+@dataclass
+class SubdivisionMap:
+    graph: PlanarEmbeddedGraph
+    fragments: Dict[int, List[int]]    # original edge id -> new edge ids in order
+    face_map: Dict[int, int]           # original face id -> new face id
+
+
+def subdivide_all_edges(g: PlanarEmbeddedGraph) -> SubdivisionMap:
+    """Subdivide every edge once, with new vertex ``x<edge id>``; self-loops
+    are subdivided twice (``x<edge id>a``, ``x<edge id>b``) so the result is
+    simple.  Fragment groups and the face correspondence are returned so
+    solutions can be mapped back.
+    """
+    new_vertices = list(g.vertices)
+    new_edges: List[Tuple[Vertex, Vertex]] = []
+    fragments: Dict[int, List[int]] = {}
+    # replacement darts for the two original ends
+    end_replacement: Dict[Dart, Dart] = {}
+    mid_rotation: Dict[Vertex, List[Dart]] = {}
+
+    for eid, (u, v) in enumerate(g.edges):
+        if u != v:
+            m = f"x{eid}"
+            f1 = len(new_edges); new_edges.append((u, m))
+            f2 = len(new_edges); new_edges.append((m, v))
+            fragments[eid] = [f1, f2]
+            end_replacement[(eid, 0)] = (f1, 0)
+            end_replacement[(eid, 1)] = (f2, 1)
+            mid_rotation[m] = [(f1, 1), (f2, 0)]
+            new_vertices.append(m)
+        else:
+            m1 = f"x{eid}a"
+            m2 = f"x{eid}b"
+            f1 = len(new_edges); new_edges.append((u, m1))
+            f2 = len(new_edges); new_edges.append((m1, m2))
+            f3 = len(new_edges); new_edges.append((m2, v))
+            fragments[eid] = [f1, f2, f3]
+            end_replacement[(eid, 0)] = (f1, 0)
+            end_replacement[(eid, 1)] = (f3, 1)
+            mid_rotation[m1] = [(f1, 1), (f2, 0)]
+            mid_rotation[m2] = [(f2, 1), (f3, 0)]
+            new_vertices.extend([m1, m2])
+
+    rotation: Dict[Vertex, List[Dart]] = {
+        v: [end_replacement[d] for d in g.rot[v]] for v in g.vertices
+    }
+    rotation.update(mid_rotation)
+    g2 = PlanarEmbeddedGraph(new_vertices, new_edges, rotation)
+
+    face_map: Dict[int, int] = {}
+    for i, walk in enumerate(g.facial_walks()):
+        if walk:
+            face_map[i] = g2.face_of_dart(end_replacement[walk[0]])
+    if len(g2.facial_walks()) != len(g.facial_walks()):
+        raise StructureError("subdivision changed the face count")
+    return SubdivisionMap(graph=g2, fragments=fragments, face_map=face_map)
+
+
+def reference_pmc_target(
+    g: PlanarEmbeddedGraph,
+) -> Tuple[PlanarEmbeddedGraph, Dict[int, List[int]], Dict[Vertex, int]]:
+    """The subdivided geometric dual of ``g``, each edge's fragments and each
+    vertex's face in it, by composing the two transforms above."""
+    dres = geometric_dual(g)
+    sub = subdivide_all_edges(dres.dual)
+    return sub.graph, sub.fragments, {v: sub.face_map[dres.vertex_face[v]] for v in g.vertices}

@@ -2,13 +2,20 @@
 reduction."""
 
 import itertools
+import json
 import random
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import reference_min_subdivision, union_find_components
+from oracles import (
+    geometric_dual,
+    reference_min_subdivision,
+    reference_pmc_target,
+    subdivide_all_edges,
+    union_find_components,
+)
 
 from disklab import graphs as gr
 
@@ -136,7 +143,7 @@ def test_duplicate_vertices_rejected():
 # ---------------------------------------------------------------------------
 
 def test_dual_of_path_is_loops_on_one_vertex():
-    d = gr.geometric_dual(path3())
+    d = geometric_dual(path3())
     assert len(d.dual.vertices) == 1
     assert d.dual.edges == [(0, 0), (0, 0)]
     assert d.dual.face_count() == 3
@@ -145,14 +152,14 @@ def test_dual_of_path_is_loops_on_one_vertex():
 
 
 def test_dual_of_triangle_is_banana():
-    d = gr.geometric_dual(triangle())
+    d = geometric_dual(triangle())
     assert len(d.dual.vertices) == 2
     assert all(tuple(sorted(e)) == (0, 1) for e in d.dual.edges)
     assert d.dual.face_count() == 3
 
 
 def test_k4_is_self_dual():
-    d = gr.geometric_dual(k4())
+    d = geometric_dual(k4())
     assert len(d.dual.vertices) == 4
     assert len(d.dual.edges) == 6
     assert d.dual.is_simple()
@@ -161,8 +168,8 @@ def test_k4_is_self_dual():
 
 def test_dual_of_dual_restores_counts():
     for g in (triangle(), k4(), cycle(5)):
-        d = gr.geometric_dual(g)
-        dd = gr.geometric_dual(d.dual)
+        d = geometric_dual(g)
+        dd = geometric_dual(d.dual)
         assert len(dd.dual.vertices) == len(g.vertices)
         assert len(dd.dual.edges) == len(g.edges)
         assert dd.dual.face_count() == g.face_count()
@@ -174,7 +181,7 @@ def test_dual_requires_connectivity():
         {"a": [0], "b": [0], "c": [1], "d": [1]},
     )
     with pytest.raises(gr.StructureError, match="connected"):
-        gr.geometric_dual(g)
+        geometric_dual(g)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +189,7 @@ def test_dual_requires_connectivity():
 # ---------------------------------------------------------------------------
 
 def test_subdivide_plain_edge_makes_two_fragments():
-    sub = gr.subdivide_all_edges(triangle())
+    sub = subdivide_all_edges(triangle())
     assert sub.graph.is_simple()
     assert all(len(frags) == 2 for frags in sub.fragments.values())
     assert sub.graph.face_count() == 2
@@ -191,7 +198,7 @@ def test_subdivide_plain_edge_makes_two_fragments():
 
 def test_subdivide_loop_makes_three_fragments():
     g = gr.PlanarEmbeddedGraph.from_edge_rotation(["v"], [("v", "v")], {"v": [0, 0]})
-    sub = gr.subdivide_all_edges(g)
+    sub = subdivide_all_edges(g)
     assert sub.graph.is_simple()
     assert len(sub.fragments[0]) == 3
     assert sub.graph.face_count() == 2
@@ -199,7 +206,7 @@ def test_subdivide_loop_makes_three_fragments():
 
 def test_subdivision_face_map_is_bijective():
     g = k4()
-    sub = gr.subdivide_all_edges(g)
+    sub = subdivide_all_edges(g)
     assert sorted(sub.face_map.keys()) == list(range(g.face_count()))
     assert sorted(sub.face_map.values()) == sorted(set(sub.face_map.values()))
 
@@ -250,7 +257,7 @@ def test_euler_characteristic_is_even_and_at_most_two(g):
 @given(rotation_systems())
 @settings(max_examples=80)
 def test_dual_swaps_vertices_and_faces(g):
-    d = gr.geometric_dual(g)
+    d = geometric_dual(g)
     assert len(d.dual.vertices) == g.face_count()
     assert len(d.dual.edges) == len(g.edges)
     assert d.dual.face_count() == len(g.vertices)
@@ -261,7 +268,7 @@ def test_dual_swaps_vertices_and_faces(g):
 @given(rotation_systems())
 @settings(max_examples=80)
 def test_subdivision_preserves_faces_and_is_simple(g):
-    sub = gr.subdivide_all_edges(g)
+    sub = subdivide_all_edges(g)
     assert sub.graph.is_simple()
     assert sub.graph.face_count() == g.face_count()
     n_loops = sum(1 for u, v in g.edges if u == v)
@@ -471,7 +478,43 @@ def test_reduction_target_is_simple_even_with_loops_in_dual():
     mti = gr.MultiterminalInstance(graph=path3(), terminals=["a", "b"])
     red = gr.reduce_pmc_to_subdivision(mti)
     assert red.instance.graph.is_simple()
-    assert gr.geometric_dual(mti.graph).dual.edges == [(0, 0), (0, 0)]
+    assert geometric_dual(mti.graph).dual.edges == [(0, 0), (0, 0)]
+
+
+def assert_one_pass_target_matches_composition(mti):
+    """The one-pass target equals the subdivided dual built in two steps,
+    and has the structure the reduction promises."""
+    g = mti.graph
+    red = gr.reduce_pmc_to_subdivision(mti)
+    target = red.instance.graph
+    if g.edges:  # the composition has no face map for an edgeless source
+        want, fragments, vertex_face = reference_pmc_target(g)
+        assert json.dumps(target.to_dict()) == json.dumps(want.to_dict())
+        assert red.pairing == fragments
+        assert red.vertex_face == vertex_face
+    assert target.is_simple()
+    assert target.face_count() == len(g.vertices)
+    assert sorted(red.vertex_face.values()) == list(range(len(g.vertices)))
+    bridges = sum(1 for f0, f1 in g.edge_faces() if f0 == f1)
+    assert len(target.edges) == 2 * len(g.edges) + bridges
+    assert red.instance.groups == [red.pairing[e] for e in range(len(g.edges))]
+
+
+def test_one_pass_target_matches_the_composition_on_seeded_instances():
+    from disklab.corpus import seeded_multiterminal_instances
+    corpus = [mti for seed in range(40) for mti in seeded_multiterminal_instances(seed, 5, 3, 8)]
+    # the seeded corpora of the other test modules
+    for seed, count in ((5, 6), (2718, 8), (31415, 12)):
+        corpus += seeded_multiterminal_instances(seed, count)
+    for mti in corpus:
+        assert_one_pass_target_matches_composition(mti)
+
+
+@given(rotation_systems())
+@settings(max_examples=120)
+def test_one_pass_target_matches_the_composition(g):
+    assert_one_pass_target_matches_composition(
+        gr.MultiterminalInstance(graph=g, terminals=g.vertices[:2]))
 
 
 # ---------------------------------------------------------------------------

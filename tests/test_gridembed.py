@@ -16,7 +16,7 @@ from disklab import gridembed as ge
 from disklab.corpus import random_planar_edges, rotation_graph
 from disklab.geometry import point_on_segment
 
-from oracles import reference_search_minimal_drawing
+from oracles import geometric_dual, reference_search_minimal_drawing, subdivide_all_edges
 
 
 def triangle():
@@ -389,7 +389,7 @@ def small_planar_embedded(draw):
     g = gr.PlanarEmbeddedGraph(verts, edges, rot)
     if len(g.vertices) - len(g.edges) + g.face_count() != 2:
         return None
-    return gr.subdivide_all_edges(gr.geometric_dual(g).dual).graph
+    return subdivide_all_edges(geometric_dual(g).dual).graph
 
 
 @given(small_planar_embedded())

@@ -584,7 +584,8 @@ def test_lift_isolation_round_trip(toy_chain, tmp_path):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("n", 2.5), ("c_edge", "7"), ("c_vertex", True), ("mode", 3), ("mode", "Sound")])
+    ("n", 2.5), ("c_edge", "7"), ("c_vertex", True), ("mode", 3), ("mode", "Sound"),
+    ("r", True)])
 def test_a_params_field_of_the_wrong_type_is_malformed(toy_chain, tmp_path, field, value):
     iso, sub = toy_chain["iso"], toy_chain["sub"]
     sol = tmp_path / "opt.json"
@@ -594,8 +595,9 @@ def test_a_params_field_of_the_wrong_type_is_malformed(toy_chain, tmp_path, fiel
         d = read_json(path)
         d["params"][field] = value
         write_json(d, bad)
-    want = (f"malformed: params mode must be 'sound' or 'toy', not {value!r}" if field == "mode"
-            else "malformed: params n, c_edge and c_vertex must be JSON integers")
+    want = {"mode": f"malformed: params mode must be 'sound' or 'toy', not {value!r}",
+            "r": "malformed: expected 'num/den' string or int, got bool"}.get(
+        field, "malformed: params n, c_edge and c_vertex must be JSON integers")
     assert cli_verify("isolation", bad_iso, sol) == (2, [want])
     assert cli_lift(bad_record, sol, sub, iso, tmp_path / "lifted.json") == (2, [want])
     assert not (tmp_path / "lifted.json").exists()
@@ -629,6 +631,20 @@ def test_lift_pmc_round_trip(tmp_path):
     # the lifted certificate's candidate, not its detail.kept_edges (the
     # target's edges), is the cut
     assert cli_verify("mc", mc, lifted) == (0, ["separated at weight 2"])
+
+
+def test_reduce_and_lift_a_one_vertex_source(tmp_path):
+    src, sub = tmp_path / "one.json", tmp_path / "sub.json"
+    write_json({"vertices": ["v"], "edges": [], "rotation": {"v": []}, "terminals": ["v"]}, src)
+    assert cli_reduce("pmc->subdivision", src, sub)[0] == 0
+    target = SubdivisionInstance.from_dict(read_json(sub))
+    assert target.graph.vertices == [0] and target.graph.face_count() == 1
+    record = str(sub) + ".record.json"
+    assert read_json(record)["vertices"] == {"v": 0}
+    cert, lifted = tmp_path / "cert.json", tmp_path / "lifted.json"
+    write_json({"candidate": []}, cert)
+    assert cli_lift(record, cert, src, sub, lifted)[0] == 0
+    assert read_json(lifted)["candidate"] == []
 
 
 def test_lift_acc_round_trip(tmp_path):
@@ -857,6 +873,25 @@ def test_a_marked_point_that_is_not_two_coordinates_is_malformed(tmp_path, verb)
     assert json.loads(line)["msg"] == (
         "malformed: a marked point must be a JSON list of two coordinates")
     assert not Path(out).exists()
+
+
+@pytest.mark.parametrize("where", ["radius", "centre", "point"])
+@pytest.mark.parametrize("verb", ["verify", "render"])
+def test_a_boolean_rational_is_malformed(tmp_path, verb, where):
+    d = {"disks": [{"c": ["0/1", "0/1"], "prov": []}], "radius": "1/2",
+         "points": {"p": ["5/1", "0/1"]}}
+    if where == "radius":
+        d["radius"] = True
+    elif where == "centre":
+        d["disks"][0]["c"][0] = True
+    else:
+        d["points"]["p"] = [False, "5/1"]
+    inst, cert, out = tmp_path / "inst.json", tmp_path / "cert.json", tmp_path / "inst.svg"
+    write_json(d, inst)
+    write_json({"candidate": [0]}, cert)
+    got = cli_verify("isolation", inst, cert) if verb == "verify" else cli_render(inst, out)
+    assert got == (2, ["malformed: expected 'num/den' string or int, got bool"])
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("edge", [["b"], ["c", "a", "b"]])
