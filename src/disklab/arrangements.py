@@ -42,7 +42,7 @@ from .geometry import (
     ray_crossing,
     triple_intersection_nonempty,
 )
-from .graphs import component_labels, json_ints
+from .graphs import component_labels, json_ints, json_list, json_object
 
 
 class VerificationError(ValueError):
@@ -167,9 +167,9 @@ class DiskInstance:
             xd.append(dx)
             yn.append(y)
             yd.append(dy)
-            tags.append(tuple(e.get("prov", ())))
+            tags.append(tuple(json_list(e.get("prov", []), "a disk's prov", VerificationError)))
         points = {}
-        for k, v in dict(d.get("points", {})).items():
+        for k, v in json_object(d.get("points", {}), "points", VerificationError).items():
             if type(v) is not list or len(v) != 2:
                 raise VerificationError("a marked point must be a JSON list of two coordinates")
             points[str(k)] = (rational_from_str(v[0]), rational_from_str(v[1]))
@@ -181,7 +181,7 @@ class DiskInstance:
             tags=tags,
             points=points,
             params=ParamSet.from_dict(params) if params else None,
-            meta=dict(d.get("meta", {})),
+            meta=json_object(d.get("meta", {}), "meta", VerificationError),
         )
         inst.validate()
         return inst

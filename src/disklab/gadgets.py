@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .arrangements import (
     CenterIndex,
@@ -665,8 +665,8 @@ class UdmcArtifacts:
     instance: DiskInstance
     hub_of_vertex: Dict[Vertex, int]
     sigma_ids: Dict[Vertex, List[int]]             # all ring-copy disk ids
-    lane_ids: Dict[Tuple[int, int], List[int]]     # (edge id, lane) -> chain ids
-    lane_cut_edge: Dict[Tuple[int, int], Tuple[int, int]]
+    lanes: Dict[int, List[List[int]]]              # edge id -> each lane's chain ids
+    cut_pairs: Dict[int, List[Tuple[int, int]]]    # edge id -> each lane's cut pair
     report: ContactReport
 
 
@@ -713,23 +713,14 @@ def build_udmc_instance(
     mti.validate()
     g = mti.graph
     _check_drawing_matches(g, emb)
-    seen_pairs: Set[Tuple[Vertex, Vertex]] = set()
-    degree: Dict[Vertex, int] = {v: 0 for v in g.vertices}
-    for eid, (u, v) in enumerate(g.edges):
-        if u == v:
-            raise SynthesisError("loops cannot be synthesized")
-        key = (u, v) if str(u) <= str(v) else (v, u)
-        if key in seen_pairs:
-            raise SynthesisError("parallel edges cannot be synthesized")
-        seen_pairs.add(key)
-        degree[u] += 1
-        degree[v] += 1
-        w = mti.weight(eid)
-        if not (1 <= w <= 5):
-            raise SynthesisError(f"edge weight {w} outside the supported range 1..5")
-    for v, d in degree.items():
-        if d > 3:
-            raise SynthesisError(f"vertex {v!r} has degree {d}; at most 3 supported")
+    if not g.is_simple():
+        raise SynthesisError("loops and parallel edges cannot be synthesized")
+    for eid in range(len(g.edges)):
+        if not (1 <= mti.weight(eid) <= 5):
+            raise SynthesisError(f"edge weight {mti.weight(eid)} outside the supported range 1..5")
+    for v in g.vertices:
+        if g.degree(v) > 3:
+            raise SynthesisError(f"vertex {v!r} has degree {g.degree(v)}; at most 3 supported")
 
     copies, scale = BUNDLE_COPIES, BUNDLE_SCALE
     rf = float(r)
@@ -778,7 +769,7 @@ def build_udmc_instance(
             for k in range(copies):
                 b.allow(gamma_tags[j], sigma_tags[v][k], 1, 2)
 
-    lane_ids: Dict[Tuple[int, int], List[int]] = {}
+    lanes: Dict[int, List[List[int]]] = {eid: [] for eid in range(len(g.edges))}
     lane_window: Dict[int, Tuple[float, float, Tuple[float, float], Tuple[float, float]]] = {}
     for eid, (u, v) in enumerate(g.edges):
         (ax, ay), (bx, by) = pos[u], pos[v]
@@ -806,7 +797,7 @@ def build_udmc_instance(
                  by - lane_start * math.sin(theta - delta)),
             ]
             lane_tag: Tag = ("lane", eid, i)
-            lane_ids[(eid, i)] = b.chain(lane_tag, _lane_points(way, rf), 0)
+            lanes[eid].append(b.chain(lane_tag, _lane_points(way, rf), 0))
             for end_v in (u, v):
                 for ring_tag in sigma_tags[end_v]:
                     b.allow(lane_tag, ring_tag, 1, 2)
@@ -820,23 +811,17 @@ def build_udmc_instance(
         "copies": copies,
         "scale": scale,
     }
+    # the check fixes each hub's degree at ``copies``: the spec lets every
+    # connector chain touch the hub exactly once and no other structure touch it
     inst, report = b.finish("bundle", meta, points=None, params=None)
 
     xs, ys, den = inst.centers
     adj = [set(a) for a in report.graph.adj]
-    for v in g.vertices:
-        if len(adj[hub_of_vertex[v]]) != copies:
-            raise SynthesisError(
-                f"hub of {v!r} touches {len(adj[hub_of_vertex[v]])} disks, "
-                f"wanted exactly {copies}"
-            )
-
-    lane_cut_edge: Dict[Tuple[int, int], Tuple[int, int]] = {}
+    cut_pairs: Dict[int, List[Tuple[int, int]]] = {eid: [] for eid in lanes}
     for eid, (u, v) in enumerate(g.edges):
         lo, hi, (ax, ay), (ux, uy) = lane_window[eid]
-        lanes = [(i, lane_ids[(eid, i)]) for i in range(mti.weight(eid))]
         mid: Dict[int, int] = {}     # disk id -> lane, for mid-zone disks
-        for i, ids in lanes:
+        for i, ids in enumerate(lanes[eid]):
             # int / int is correctly rounded, so this is float() of the centre
             proj = [(xs[d] / den - ax) * ux + (ys[d] / den - ay) * uy for d in ids]
             inside = [k for k, t in enumerate(proj) if lo <= t <= hi]
@@ -854,7 +839,7 @@ def build_udmc_instance(
             if min(proj[best_k], proj[best_k + 1]) - lo < 2 * rf or \
                     hi - max(proj[best_k], proj[best_k + 1]) < 2 * rf:
                 raise SynthesisError(f"lane {i} of edge {eid}: cut pair too close to the fans")
-            lane_cut_edge[(eid, i)] = (ids[best_k], ids[best_k + 1])
+            cut_pairs[eid].append((ids[best_k], ids[best_k + 1]))
         for d1 in mid:
             for d2 in adj[d1]:
                 if d2 in mid and mid[d2] != mid[d1]:
@@ -863,7 +848,7 @@ def build_udmc_instance(
                     )
         # every lane must enter both rings on its own
         sig_u, sig_v = set(sigma_ids[u]), set(sigma_ids[v])
-        for i, ids in lanes:
+        for i, ids in enumerate(lanes[eid]):
             if not (adj[ids[0]] & sig_u) or not (adj[ids[-1]] & sig_v):
                 raise SynthesisError(f"lane {i} of edge {eid} misses a ring")
 
@@ -871,8 +856,8 @@ def build_udmc_instance(
         instance=inst,
         hub_of_vertex=hub_of_vertex,
         sigma_ids=sigma_ids,
-        lane_ids=lane_ids,
-        lane_cut_edge=lane_cut_edge,
+        lanes=lanes,
+        cut_pairs=cut_pairs,
         report=report,
     )
 
@@ -884,10 +869,7 @@ def lift_multiterminal_to_udmc(
     chain contact per lane of every cut edge."""
     out = []
     for eid in sorted(set(int(e) for e in cut_edge_ids)):
-        lanes = [key for key in art.lane_cut_edge if key[0] == eid]
-        if not lanes:
+        if eid not in art.cut_pairs:
             raise SynthesisError(f"unknown edge id {eid}")
-        for key in sorted(lanes):
-            a, b = art.lane_cut_edge[key]
-            out.append((min(a, b), max(a, b)))
+        out.extend((min(a, b), max(a, b)) for a, b in art.cut_pairs[eid])
     return sorted(out)

@@ -34,6 +34,55 @@ def json_ints(values: Iterable, what: str, error: type) -> list:
     return out
 
 
+def json_list(value, what: str, error: type) -> list:
+    """``value``, refused with ``error`` unless a JSON list (``list()`` takes a string)."""
+    if type(value) is not list:
+        raise error(f"{what} must be a JSON list")
+    return value
+
+
+def json_object(value, what: str, error: type) -> dict:
+    """``value``, refused with ``error`` unless a JSON object (``dict()`` takes pairs)."""
+    if type(value) is not dict:
+        raise error(f"{what} must be a JSON object")
+    return value
+
+
+def json_coords(value, what: str, error: type) -> Dict[str, Tuple[int, int]]:
+    """A ``coords`` object: each vertex name mapped to a JSON list of two
+    integers, refused with ``error``; ``what`` names the integers."""
+    coords = json_object(value, "coords", error)
+    if any(type(xy) is not list or len(xy) != 2 for xy in coords.values()):
+        raise error("each coords value must be a JSON list of two integers")
+    json_ints([c for xy in coords.values() for c in xy], what, error)
+    return {k: (x, y) for k, (x, y) in coords.items()}
+
+
+def json_graph(d: dict) -> Tuple[List[Vertex], List[Tuple[Vertex, Vertex]], Dict[str, Vertex]]:
+    """A graph source's ``vertices`` (a JSON list of distinct ids with distinct
+    ``str`` names), ``edges`` (JSON lists of two of them) and vertices by name."""
+    vertices = json_list(d["vertices"], "vertices", StructureError)
+    vset = set(vertices)
+    if len(vset) != len(vertices):  # also ids equal in Python: 0 and false, 1 and 1.0
+        raise StructureError("duplicate vertex ids")
+    by_name = {str(v): v for v in vertices}
+    if len(by_name) != len(vertices):
+        raise StructureError("vertex names collide after string coercion")
+    edges = json_list(d["edges"], "edges", StructureError)
+    if any(type(e) is not list or len(e) != 2 for e in edges):
+        raise StructureError("an edge must be a JSON list of two vertex ids")
+    for eid, (u, w) in enumerate(edges):
+        if u not in vset or w not in vset:
+            raise StructureError(f"edge {eid} uses an unknown vertex")
+    return vertices, [(u, w) for u, w in edges], by_name
+
+
+def edges_are_simple(edges: Iterable[Tuple[Vertex, Vertex]]) -> bool:
+    """True if no edge is a loop and no two edges join the same two vertices."""
+    pairs = [frozenset(e) for e in edges]
+    return all(len(p) == 2 for p in pairs) and len(set(pairs)) == len(pairs)
+
+
 def other_end(dart: Dart) -> Dart:
     return (dart[0], 1 - dart[1])
 
@@ -184,10 +233,7 @@ class PlanarEmbeddedGraph:
     def _validate(self) -> None:
         if len(set(self.vertices)) != len(self.vertices):
             raise StructureError("duplicate vertex ids")
-        vset = set(self.vertices)
-        for eid, (u, v) in enumerate(self.edges):
-            if u not in vset or v not in vset:
-                raise StructureError(f"edge {eid} references unknown vertex")
+        # an edge end that is no vertex has no rotation to hold its dart
         placed: Dict[Dart, Vertex] = {}
         for v, darts in self.rot.items():
             for d in darts:
@@ -216,15 +262,7 @@ class PlanarEmbeddedGraph:
         return len(self.rot[v])
 
     def is_simple(self) -> bool:
-        seen = set()
-        for u, v in self.edges:
-            if u == v:
-                return False
-            key = frozenset((u, v))
-            if key in seen:
-                return False
-            seen.add(key)
-        return True
+        return edges_are_simple(self.edges)
 
     def is_connected(self) -> bool:
         return len(set(components(self.vertices, self.edges).values())) <= 1
@@ -304,13 +342,10 @@ class PlanarEmbeddedGraph:
 
     @classmethod
     def from_dict(cls, d: Dict[str, object]) -> "PlanarEmbeddedGraph":
-        vertices = list(d["vertices"])
-        by_name = {str(v): v for v in vertices}
-        if len(by_name) != len(vertices):
-            raise StructureError("vertex names collide after string coercion")
-        edges = [tuple(e) for e in d["edges"]]
-        rotation = {by_name[k]: json_ints(v, "rotation edge ids", StructureError)
-                    for k, v in dict(d["rotation"]).items()}
+        vertices, edges, by_name = json_graph(d)
+        rotation = {by_name[k]: json_ints(json_list(v, "a vertex's rotation", StructureError),
+                                          "rotation edge ids", StructureError)
+                    for k, v in json_object(d["rotation"], "rotation", StructureError).items()}
         return cls.from_edge_rotation(vertices, edges, rotation)
 
 
@@ -357,13 +392,13 @@ class MultiterminalInstance:
     def from_dict(cls, d: Dict[str, object]) -> "MultiterminalInstance":
         g = PlanarEmbeddedGraph.from_dict(d)
         weights = {}
-        for k, v in dict(d.get("weights", {})).items():
+        for k, v in json_object(d.get("weights", {}), "weights", StructureError).items():
             # one spelling per edge id, so "00" or " 0" cannot alias edge 0
             if type(k) is not str or not k.isdecimal() or str(int(k)) != k:
                 raise StructureError(f"weight key {k!r} is not an edge id in decimal")
             weights[int(k)] = v
         json_ints(weights.values(), "edge weights", StructureError)
-        inst = cls(graph=g, terminals=list(d.get("terminals", [])), weights=weights)
+        inst = cls(g, json_list(d.get("terminals", []), "terminals", StructureError), weights)
         inst.validate()
         return inst
 
@@ -413,7 +448,7 @@ class SubdivisionInstance:
     def from_dict(cls, d: Dict[str, object]) -> "SubdivisionInstance":
         g = PlanarEmbeddedGraph.from_dict(d)
         groups = d.get("groups")
-        terminals = dict(d["terminals"])
+        terminals = json_object(d["terminals"], "terminals", StructureError)
         json_ints(terminals.values(), "terminal faces", StructureError)
         inst = cls(
             graph=g,

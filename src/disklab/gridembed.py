@@ -21,7 +21,7 @@ from .geometry import (
     ray_crossing,
     segments_cross_properly,
 )
-from .graphs import Dart, PlanarEmbeddedGraph, Vertex, json_ints
+from .graphs import Dart, PlanarEmbeddedGraph, Vertex, edges_are_simple, json_coords, json_ints
 
 Coords = Dict[Vertex, Tuple[int, int]]
 
@@ -119,12 +119,17 @@ def _segments_conflict(a: Point, b: Point, c: Point, d: Point) -> bool:
     )
 
 
+def require_simple(edges: Sequence[Tuple[Vertex, Vertex]]) -> None:
+    """Refuse a loop or a parallel edge: no straight-line drawing has one."""
+    if not edges_are_simple(edges):
+        raise DrawingError("straight-line drawings require a simple graph")
+
+
 def check_drawing(g: PlanarEmbeddedGraph, coords: Coords) -> None:
     """Exact validity: integer coordinates, distinct vertices, no segment
     contacts except at shared endpoints, no vertex on a foreign edge, and the
     drawn rotation matches the combinatorial one.  Raises DrawingError."""
-    if not g.is_simple():
-        raise DrawingError("straight-line drawings require a simple graph")
+    require_simple(g.edges)
     if set(coords) != set(g.vertices):
         raise DrawingError("coordinate map does not cover the vertex set")
     pts: Dict[Vertex, Tuple[int, int]] = {}
@@ -470,9 +475,9 @@ class GridEmbedding:
     def from_dict(cls, d: Dict[str, object]) -> "GridEmbedding":
         g = PlanarEmbeddedGraph.from_dict(d["graph"])
         by_name = {str(v): v for v in g.vertices}
-        coords = {by_name[k]: (x, y) for k, (x, y) in dict(d["coords"]).items()}
-        json_ints([c for xy in coords.values() for c in xy] + [d["grid_size"]],
-                  "coords and grid size", DrawingError)
+        coords = {by_name[k]: xy for k, xy in
+                  json_coords(d["coords"], "coords and grid size", DrawingError).items()}
+        json_ints([d["grid_size"]], "coords and grid size", DrawingError)
         emb = cls(graph=g, coords=coords, grid_size=d["grid_size"])
         check_drawing(g, coords)
         if emb.grid_size != grid_size_of(coords):
@@ -485,8 +490,7 @@ def grid_embed(g: PlanarEmbeddedGraph) -> GridEmbedding:
     this module can find.  The result is always re-verified exactly.  A
     graph with a loop or a parallel edge is refused first: networkx can
     loop forever on its rotation system."""
-    if not g.is_simple():
-        raise DrawingError("straight-line drawings require a simple graph")
+    require_simple(g.edges)
     coords = draw_with_networkx(g)
     if len(g.vertices) > 2:
         check_drawing(g, coords)

@@ -29,6 +29,7 @@ import functools
 import hashlib
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -69,13 +70,16 @@ from .graphs import (
     Vertex,
     components,
     fvs_solution_ok,
-    json_ints,
+    json_coords,
+    json_graph,
+    json_list,
+    json_object,
     lift_subdivision_solution,
     multiterminal_solution_ok,
     reduce_pmc_to_subdivision,
     subdivision_solution_ok,
 )
-from .gridembed import DrawingError, GridEmbedding, grid_embed
+from .gridembed import DrawingError, GridEmbedding, grid_embed, require_simple
 from .render import svg_for_embedding, svg_for_instance
 from .solvers import (
     OptimumCertificate,
@@ -119,9 +123,7 @@ def canonical_digest(obj) -> str:
 def read_json(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    if not isinstance(data, dict):
-        raise PipelineError(f"{path}: expected a JSON object")
-    return data
+    return json_object(data, str(path), PipelineError)
 
 
 def write_json(obj, path) -> None:
@@ -194,8 +196,7 @@ def read_certificate(cert: dict) -> Tuple[list, Optional[int]]:
         candidate = cert["witness"]
     else:
         raise PipelineError("certificate carries neither 'candidate' nor 'witness'")
-    if type(candidate) is not list:
-        raise PipelineError("certificate candidate must be a JSON list")
+    json_list(candidate, "certificate candidate", PipelineError)
     budget = cert.get("budget")
     if budget is not None and type(budget) is not int:
         raise PipelineError("certificate budget must be a JSON integer")
@@ -250,10 +251,10 @@ class ReductionRecord:
             source_digest=str(d["source_digest"]),
             target_digest=str(d["target_digest"]),
             params=ParamSet.from_dict(params) if params else None,
-            edges=dict(d["edges"]),
-            vertices=dict(d["vertices"]),
-            terminals=dict(d["terminals"]),
-            notes=dict(d.get("notes", {})),
+            edges=json_object(d["edges"], "record edges", PipelineError),
+            vertices=json_object(d["vertices"], "record vertices", PipelineError),
+            terminals=json_object(d["terminals"], "record terminals", PipelineError),
+            notes=json_object(d.get("notes", {}), "record notes", PipelineError),
         )
 
 
@@ -269,21 +270,11 @@ def _check_total(record_table: Dict[str, object], wanted: Iterable, what: str) -
 
 def plain_graph_from_dict(d: dict) -> Tuple[List[Vertex], List[Tuple[Vertex, Vertex]], Optional[dict]]:
     """Vertices/edges (+ optional drawn coords) of an unembedded graph file."""
-    vertices = list(d["vertices"])
-    if any(type(e) is not list or len(e) != 2 for e in d["edges"]):
-        raise StructureError("an edge must be a JSON list of two vertex ids")
-    edges = [(e[0], e[1]) for e in d["edges"]]
-    vset = set(vertices)
-    if len(vset) != len(vertices):
-        raise StructureError("duplicate vertex ids")
-    for (u, w) in edges:
-        if u not in vset or w not in vset:
-            raise PipelineError(f"edge {(u, w)!r} uses an unknown vertex")
+    vertices, edges, by_name = json_graph(d)
     coords = d.get("coords")
     if coords is not None:
-        coords = {k: (x, y) for k, (x, y) in dict(coords).items()}
-        json_ints([c for xy in coords.values() for c in xy], "coords", StructureError)
-        if set(coords) != set(str(v) for v in vertices):
+        coords = json_coords(coords, "coords", StructureError)
+        if coords.keys() != by_name.keys():
             raise PipelineError("coords must cover exactly the vertex set")
     return vertices, edges, coords
 
@@ -295,8 +286,6 @@ def embed_plain_graph(vertices, edges) -> GridEmbedding:
     drawer."""
     if not vertices:
         raise Rejected("graph has no vertices")
-    if len({frozenset(e) for e in edges}) != len(edges) or any(u == w for u, w in edges):
-        raise Rejected("graph must be simple for automatic drawing")
     if len(set(components(vertices, edges).values())) != 1:
         raise Rejected("graph is disconnected: supply explicit 'coords'")
     try:
@@ -362,19 +351,14 @@ def _chain_radius(overrides) -> Fraction:
 def _reduce_fvs(graph, mode: str, overrides) -> Tuple[DiskInstance, dict]:
     r = _chain_radius(overrides)
     vertices, edges, coords = graph
-    degree: Dict[object, int] = {}
-    for (u, w) in edges:
-        degree[u] = degree.get(u, 0) + 1
-        degree[w] = degree.get(w, 0) + 1
-    worst = max(degree.values(), default=0)
-    if worst > 4:
-        v = max(degree, key=degree.get)
-        raise Rejected(
-            f"vertex {v!r} has degree {worst}; this reduction accepts maximum degree 4")
-    if coords is None:
-        emb = embed_plain_graph(vertices, edges)
-        coords = {str(v): emb.coords[v] for v in vertices}
-    placed = {v: tuple(coords[str(v)]) for v in vertices}
+    # the first vertex of highest degree, in edge order
+    for v, degree in Counter(v for e in edges for v in e).most_common(1):
+        if degree > 4:
+            raise Rejected(
+                f"vertex {v!r} has degree {degree}; this reduction accepts maximum degree 4")
+    require_simple(edges)
+    placed = (embed_plain_graph(vertices, edges).coords if coords is None
+              else {v: coords[str(v)] for v in vertices})
     art = build_acc_instance(vertices, edges, placed, r=r)
     return art.instance, dict(
         params=None,
@@ -390,17 +374,11 @@ def _reduce_mc(mti: MultiterminalInstance, mode: str, overrides) -> Tuple[DiskIn
     r = _chain_radius(overrides)
     emb = grid_embed(mti.graph)
     art = build_udmc_instance(mti, emb, r=r)
-    edges_table: Dict[str, object] = {}
-    for eid, (u, w) in enumerate(mti.graph.edges):
-        lanes = [k for k in sorted(art.lane_ids) if k[0] == eid]
-        edges_table[str(eid)] = {
-            "ends": [str(u), str(w)],
-            "lanes": [list(art.lane_ids[k]) for k in lanes],
-            "cut_pairs": [list(art.lane_cut_edge[k]) for k in lanes],
-        }
     return art.instance, dict(
         params=None,
-        edges=edges_table,
+        edges={str(eid): {"ends": [str(u), str(w)], "lanes": art.lanes[eid],
+                          "cut_pairs": [list(p) for p in art.cut_pairs[eid]]}
+               for eid, (u, w) in enumerate(mti.graph.edges)},
         vertices={
             str(v): {"hub": art.hub_of_vertex[v], "sigma": list(art.sigma_ids[v])}
             for v in mti.graph.vertices

@@ -11,7 +11,7 @@ cut solvers' and the renderer's tests: no reduction produces it.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from disklab.arrangements import DiskInstance, IntCenters
 from disklab.gadgets import SynthesisError, _Disks, _lane_points
@@ -47,7 +47,7 @@ def disk_instance(radius, disks, points=None, params=None, meta=None):
 @dataclass
 class CutArtifacts:
     instance: DiskInstance
-    lane_ids: Dict[Tuple[int, int], List[int]]  # (edge id, copy) -> chain disk ids
+    lanes: Dict[int, List[List[int]]]  # edge id -> each lane's chain disk ids
 
 
 def build_weighted_edge_instance(weight: int) -> CutArtifacts:
@@ -65,7 +65,7 @@ def build_weighted_edge_instance(weight: int) -> CutArtifacts:
     b = _Disks(r)
     b.single(("terminal", "u"), (0, 0))
     b.single(("terminal", "v"), (b.snapper.numerator(span), 0))
-    lane_ids: Dict[Tuple[int, int], List[int]] = {}
+    lanes: List[List[int]] = []
     lane_pitch = 2.4 * rf
     bend = max(6 * rf, lane_pitch * weight / 1.5)
     if span < 2 * bend + 4 * rf:
@@ -78,7 +78,7 @@ def build_weighted_edge_instance(weight: int) -> CutArtifacts:
         sx, sy = 1.8 * rf * math.cos(ang), 1.8 * rf * math.sin(ang)
         way = [(sx, sy), (bend, y), (span - bend, y), (span - sx, sy)]
         tag = ("lane", 0, j)
-        lane_ids[(0, j)] = b.chain(tag, _lane_points(way, rf), 0)
+        lanes.append(b.chain(tag, _lane_points(way, rf), 0))
         b.allow(tag, ("terminal", "u"), 1, 1)
         b.allow(tag, ("terminal", "v"), 1, 1)
     # lanes may brush inside the end fans; extra contacts there never lower the
@@ -95,7 +95,7 @@ def build_weighted_edge_instance(weight: int) -> CutArtifacts:
     # mid-lane disk per lane really disconnects the ends
     udg = report.graph
     adj = [set(a) for a in udg.adj]
-    for (eid, j), ids in lane_ids.items():
+    for j, ids in enumerate(lanes):
         if not (0 in adj[ids[0]] and 1 in adj[ids[-1]]):
             raise SynthesisError(f"lane {j} fails to reach both terminals")
     # every centre is a numerator over M
@@ -111,4 +111,4 @@ def build_weighted_edge_instance(weight: int) -> CutArtifacts:
             raise SynthesisError(
                 f"lanes {li} and {lj} touch in the middle zone; cut size would drift"
             )
-    return CutArtifacts(instance=inst, lane_ids=lane_ids)
+    return CutArtifacts(instance=inst, lanes={0: lanes})

@@ -541,7 +541,7 @@ def test_weighted_counts_and_terminals():
         art = build_weighted_edge_instance(w)
         assert len(art.instance.disks) == expect
         assert art.instance.meta["terminal_disks"] == [0, 1]
-        assert len(art.lane_ids) == w
+        assert len(art.lanes[0]) == w
 
 
 def test_weighted_lanes_disjoint_mid_span():
@@ -549,7 +549,7 @@ def test_weighted_lanes_disjoint_mid_span():
     inst = art.instance
     udg = unit_disk_graph(inst.centers, inst.radius)
     lane_of = {}
-    for (e, j), ids in art.lane_ids.items():
+    for j, ids in enumerate(art.lanes[0]):
         for k, i in enumerate(ids):
             lane_of[i] = (j, k, len(ids))
     for (i, j) in udg.edges:
@@ -659,8 +659,9 @@ def test_udmc_lane_cut_edges_are_severable():
     mti = MultiterminalInstance(graph=g, terminals=["u", "v"], weights={0: 2})
     emb = GridEmbedding(graph=g, coords={"u": (0, 0), "v": (1, 0)}, grid_size=2)
     art = build_udmc_instance(mti, emb)
-    assert set(art.lane_cut_edge) == {(0, 0), (0, 1)}
-    pairs = [art.lane_cut_edge[(0, k)] for k in range(2)]
+    assert set(art.lanes) == set(art.cut_pairs) == {0}
+    pairs = art.cut_pairs[0]
+    assert len(pairs) == len(art.lanes[0]) == 2
     assert verify_multiterminal_cut(art.instance, pairs).ok
 
 
@@ -689,7 +690,7 @@ def test_udmc_cut_check_matches_union_find_oracle():
         art = build_udmc_instance(mti, drawing)
         inst, n = art.instance, len(art.instance.disks)
         edges = unit_disk_graph(inst.centers, inst.radius).edges
-        cut_pairs = list(art.lane_cut_edge.values())
+        cut_pairs = [p for e in art.cut_pairs for p in art.cut_pairs[e]]
         trials = [lift_multiterminal_to_udmc(art, brute_min_multiterminal(mti).witness)]
         for k in range(11):
             pairs = rng.sample(cut_pairs, rng.randint(0, len(cut_pairs)))

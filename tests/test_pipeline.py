@@ -12,15 +12,17 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from disklab import pipeline
 from disklab.__main__ import main as cli_main
-from disklab.arrangements import DiskInstance
+from disklab.arrangements import DiskInstance, unit_disk_graph
 from disklab.corpus import seeded_multiterminal_instances
-from disklab.gadgets import SynthesisError
+from disklab.gadgets import BUNDLE_COPIES, SynthesisError, build_udmc_instance
 from disklab.geometry import Disk
 from disklab.graphs import (
     MultiterminalInstance,
     PlanarEmbeddedGraph,
+    StructureError,
     SubdivisionInstance,
 )
+from disklab.gridembed import grid_embed
 from disklab.pipeline import (
     ReductionRecord,
     canonical_digest,
@@ -32,6 +34,7 @@ from disklab.pipeline import (
     cli_solve,
     cli_verify,
     instance_json,
+    plain_graph_from_dict,
     read_json,
     write_json,
 )
@@ -188,21 +191,38 @@ def test_reduce_refuses_a_graph_without_vertices(tmp_path):
 
 
 K5_EDGES = [[u, w] for u in "abcde" for w in "abcde" if u < w]
+NOT_SIMPLE = "straight-line drawings require a simple graph"
 
 
 @pytest.mark.parametrize("edges, why", [
-    ([["a", "b"], ["b", "a"], ["b", "c"]], "graph must be simple for automatic drawing"),
-    ([["a", "a"], ["a", "b"], ["b", "c"]], "graph must be simple for automatic drawing"),
+    ([["a", "b"], ["b", "a"], ["b", "c"]], NOT_SIMPLE),
+    ([["a", "a"], ["a", "b"], ["b", "c"]], NOT_SIMPLE),
     # simple before connected: this graph is neither
-    ([["a", "b"], ["a", "b"]], "graph must be simple for automatic drawing"),
+    ([["a", "b"], ["a", "b"]], NOT_SIMPLE),
     ([["a", "b"]], "graph is disconnected: supply explicit 'coords'"),
     (K5_EDGES, "graph is not planar"),
 ])
 def test_reduce_rejects_a_graph_it_cannot_draw(tmp_path, edges, why):
+    # a loop or a parallel edge is malformed, as in every drawn reduction
     src = tmp_path / "plain.json"
     write_json({"vertices": sorted({v for e in edges for v in e} | {"a", "b", "c"}),
                 "edges": edges}, src)
-    assert cli_reduce("fvs->acc", src, tmp_path / "x.json") == (1, [f"rejected: {why}"])
+    code, verdict = (2, "malformed") if why == NOT_SIMPLE else (1, "rejected")
+    assert cli_reduce("fvs->acc", src, tmp_path / "x.json") == (code, [f"{verdict}: {why}"])
+
+
+@pytest.mark.parametrize("edges", [
+    [["a", "b"], ["b", "c"], ["b", "a"]],
+    [["a", "b"], ["b", "c"], ["c", "c"]],
+], ids=["parallel", "loop"])
+def test_reduce_refuses_a_non_simple_graph_with_coords(tmp_path, edges):
+    # the drawing a file supplies is refused by the same rule as the one
+    # the reduction would search for
+    src, out = tmp_path / "plain.json", tmp_path / "x.json"
+    write_json({"vertices": ["a", "b", "c"], "edges": edges,
+                "coords": {"a": [0, 0], "b": [2, 0], "c": [0, 2]}}, src)
+    assert cli_reduce("fvs->acc", src, out) == (2, [f"malformed: {NOT_SIMPLE}"])
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("mode", ["toy", "sound"])
@@ -302,6 +322,47 @@ def test_reduce_keeps_the_outcome_of_a_positive_chain_radius(tmp_path, kind, r, 
         assert not out.exists()
     else:
         assert canonical_digest(read_json(out)) == digest
+
+
+TRIANGLE_EDGES = [["a", "b"], ["b", "c"], ["c", "a"]]
+# (case, vertices, edges, the refusal both graph parsers give)
+GRAPH_FIELD_CASES = [
+    ("vertices-string", "abc", TRIANGLE_EDGES, "vertices must be a JSON list"),
+    ("edges-object", ["a", "b", "c"], {"a": "b"}, "edges must be a JSON list"),
+    ("edge-string", ["a", "b", "c"], ["ab", ["b", "c"], ["c", "a"]],
+     "an edge must be a JSON list of two vertex ids"),
+    ("duplicate", ["a", "a", "b", "c"], TRIANGLE_EDGES, "duplicate vertex ids"),
+    ("equal-int-float", ["a", 1, 1.0], [["a", 1], [1, 1.0], [1.0, "a"]], "duplicate vertex ids"),
+    ("equal-int-bool", ["a", 0, False], [["a", 0], [0, False], [False, "a"]],
+     "duplicate vertex ids"),
+    ("name-collision", ["a", 1, "1"], [["a", 1], [1, "1"], ["1", "a"]],
+     "vertex names collide after string coercion"),
+    ("unknown-vertex", ["a", "b", "c"], [["a", "b"], ["b", "c"], ["c", "d"]],
+     "edge 2 uses an unknown vertex"),
+]
+
+
+@pytest.mark.parametrize("vertices, edges, why", [c[1:] for c in GRAPH_FIELD_CASES],
+                         ids=[c[0] for c in GRAPH_FIELD_CASES])
+def test_plain_and_embedded_graphs_share_one_vertex_edge_rule(tmp_path, vertices, edges, why):
+    # the same refusal from both parsers and from every verb that reads them
+    src = {"vertices": vertices, "edges": edges,
+           "rotation": {"a": [0, 2], "b": [1, 0], "c": [2, 1]}, "terminals": ["a", "b"]}
+    for parse in (plain_graph_from_dict, PlanarEmbeddedGraph.from_dict):
+        with pytest.raises(StructureError) as exc:
+            parse(src)
+        assert str(exc.value) == why
+    path, drawing, cert = tmp_path / "src.json", tmp_path / "drawing.json", tmp_path / "cert.json"
+    write_json(src, path)
+    write_json({"graph": src, "coords": {"a": [0, 0], "b": [1, 0], "c": [0, 1]},
+                "grid_size": 2}, drawing)
+    write_json({"candidate": [0]}, cert)
+    out = tmp_path / "out.json"
+    for got in (cli_verify("mc", path, cert), cli_verify("fvs", path, cert),
+                cli_reduce("pmc->subdivision", path, out), cli_reduce("fvs->acc", path, out),
+                cli_render(drawing, out)):
+        assert got == (2, [f"malformed: {why}"])
+    assert not out.exists()
 
 
 def test_plain_graph_refuses_duplicate_vertex_ids(tmp_path):
@@ -520,6 +581,8 @@ def test_solve_refuses_oversized_instances(tmp_path):
 
 
 def test_solve_refuses_graphs_above_the_enumeration_caps(tmp_path):
+    # one past each graph cap's shipped value; test_each_cap_is_a_module_constant
+    # lowers the caps instead
     path = PlanarEmbeddedGraph.from_edge_rotation(
         list(range(20)), [(i, i + 1) for i in range(19)],
         {v: [e for e in (v - 1, v) if 0 <= e < 19] for v in range(20)})
@@ -689,6 +752,36 @@ def test_lift_udmc_round_trip(tmp_path):
     bound = tmp_path / "bound.json"
     assert cli_solve("udmc-bound", udmc, bound)[0] == 0
     assert read_json(bound)["optimum"] == 2  # matches the witness: optimum pinned
+
+
+def test_every_accepted_udmc_target_has_hubs_of_bundle_degree(toy_corpora, tmp_path):
+    # the structure check alone fixes each hub's degree at BUNDLE_COPIES,
+    # and the record's lane tables are the synthesizer's, edge by edge
+    sources = [path for problem, path in toy_corpora if problem == "mc"]
+    for k, d in enumerate([star_mc_dict(), triangle_mc_dict(weights={0: 3, 1: 1, 2: 2})]):
+        sources.append(tmp_path / f"src{k}.json")
+        write_json(d, sources[-1])
+    accepted = 0
+    for k, src in enumerate(sources):
+        out = tmp_path / f"udmc{k}.json"
+        code, lines = cli_reduce("mc->udmc", src, out)
+        if code:
+            assert code == 1 and lines[0].startswith("rejected: "), lines
+            continue
+        accepted += 1
+        mti = MultiterminalInstance.from_dict(read_json(src))
+        art = build_udmc_instance(mti, grid_embed(mti.graph))
+        record = read_json(str(out) + ".record.json")
+        target = DiskInstance.from_dict(read_json(out))
+        assert target == art.instance
+        adj = unit_disk_graph(target.centers, target.radius).adj
+        assert [len(adj[entry["hub"]]) for entry in record["vertices"].values()] == (
+            [BUNDLE_COPIES] * len(mti.graph.vertices))
+        assert {e: entry["lanes"] for e, entry in record["edges"].items()} == {
+            str(e): lanes for e, lanes in art.lanes.items()}
+        assert {e: entry["cut_pairs"] for e, entry in record["edges"].items()} == {
+            str(e): [list(p) for p in pairs] for e, pairs in art.cut_pairs.items()}
+    assert accepted >= 4
 
 
 def test_lift_rejects_digest_mismatch_and_bad_solutions(toy_chain, tmp_path):
@@ -904,6 +997,74 @@ def test_a_plain_graph_edge_that_is_not_two_vertices_is_malformed(tmp_path, edge
                         cli_reduce("fvs->acc", src, tmp_path / "x.json")):
         assert (code, lines) == (2, ["malformed: an edge must be a JSON list of two vertex ids"])
     assert not (tmp_path / "opt.json").exists() and not (tmp_path / "x.json").exists()
+
+
+def json_shape_cases():
+    """(case, verb, file content, refusal) with one field given a JSON type
+    that ``list()`` or ``dict()`` would once have coerced: a string read as
+    a list, a list of pairs read as an object."""
+    mc = triangle_mc_dict()
+    coords = {"a": [0, 0], "b": [1, 0], "c": [0, 1]}
+    drawing = {"graph": {k: mc[k] for k in ("vertices", "edges", "rotation")},
+               "coords": coords, "grid_size": 2}
+    disks = {"disks": [{"c": ["0/1", "0/1"], "prov": ["x", 0]}], "radius": "1/2",
+             "points": {"p": ["3/1", "0/1"], "q": ["6/1", "0/1"]}}
+
+    def pairs(d):
+        return [[k, v] for k, v in d.items()]
+
+    return [
+        ("mc-terminals", "verify mc", {**mc, "terminals": "ab"}, "terminals must be a JSON list"),
+        ("mc-weights", "verify mc", {**mc, "weights": [["0", 2]]},
+         "weights must be a JSON object"),
+        ("rotation", "verify mc", {**mc, "rotation": pairs(mc["rotation"])},
+         "rotation must be a JSON object"),
+        ("rotation-entry", "verify mc", {**mc, "rotation": {**mc["rotation"], "c": ""}},
+         "a vertex's rotation must be a JSON list"),
+        ("subdivision-terminals", "verify subdivision", {**mc, "terminals": [["p", 0], ["q", 1]]},
+         "terminals must be a JSON object"),
+        ("plain-coords", "reduce", {**TRIANGLE_PLAIN, "coords": pairs(coords)},
+         "coords must be a JSON object"),
+        ("plain-coord", "reduce", {**TRIANGLE_PLAIN, "coords": {**coords, "b": "10"}},
+         "each coords value must be a JSON list of two integers"),
+        ("drawing-coords", "render", {**drawing, "coords": pairs(coords)},
+         "coords must be a JSON object"),
+        ("drawing-coord", "render", {**drawing, "coords": {**coords, "b": [1, 0, 0]}},
+         "each coords value must be a JSON list of two integers"),
+        ("points", "verify isolation", {**disks, "points": pairs(disks["points"])},
+         "points must be a JSON object"),
+        ("meta", "verify isolation", {**disks, "meta": [["kind", "isolation"]]},
+         "meta must be a JSON object"),
+        ("prov", "verify isolation", {**disks, "disks": [{"c": ["0/1", "0/1"], "prov": "x0"}]},
+         "a disk's prov must be a JSON list"),
+    ]
+
+
+@pytest.mark.parametrize("case", [c[0] for c in json_shape_cases()])
+def test_a_field_of_the_wrong_json_type_is_malformed(tmp_path, case):
+    [(_, verb, content, why)] = [c for c in json_shape_cases() if c[0] == case]
+    path, cert, out = tmp_path / "in.json", tmp_path / "cert.json", tmp_path / "out"
+    write_json(content, path)
+    write_json({"candidate": [0]}, cert)
+    if verb == "reduce":
+        got = cli_reduce("fvs->acc", path, out)
+    elif verb == "render":
+        got = cli_render(path, out)
+    else:
+        got = cli_verify(verb.split()[1], path, cert)
+    assert got == (2, [f"malformed: {why}"])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("table", ["edges", "vertices", "terminals", "notes"])
+def test_a_record_table_that_is_not_an_object_is_malformed(lift_cases, tmp_path, table):
+    record, source, target, _, candidate, _ = lift_cases["fvs->acc"]
+    bad, cert = tmp_path / "record.json", tmp_path / "cert.json"
+    d = read_json(record)
+    write_json({**d, table: [[k, v] for k, v in d[table].items()]}, bad)
+    write_json({"candidate": candidate}, cert)
+    assert cli_lift(bad, cert, source, target, tmp_path / "x.json") == (
+        2, [f"malformed: record {table} must be a JSON object"])
 
 
 @pytest.mark.parametrize("points", [2, 3])

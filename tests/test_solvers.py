@@ -99,15 +99,14 @@ def test_multiterminal_weighted():
 
 
 def test_multiterminal_cap():
-    vs = list(range(20))
-    edges = [(i, (i + 1) % 20) for i in range(19)]
-    rot = {v: [] for v in vs}
-    for eid, (a, b) in enumerate(edges):
-        rot[a].append(eid)
-        rot[b].append(eid)
-    g = PlanarEmbeddedGraph.from_edge_rotation(vs, edges, rot)
-    with pytest.raises(SolverCapExceeded):
-        brute_min_multiterminal(MultiterminalInstance(graph=g, terminals=[0, 10]))
+    # a cap is inclusive: a path of MAX_EDGES edges still solves.  Refusals
+    # above a cap are test_each_cap_is_a_module_constant's.
+    n = solvers.MAX_EDGES + 1
+    g = PlanarEmbeddedGraph.from_edge_rotation(
+        list(range(n)), [(i, i + 1) for i in range(n - 1)],
+        {v: [e for e in (v - 1, v) if 0 <= e < n - 1] for v in range(n)})
+    cert = brute_min_multiterminal(MultiterminalInstance(graph=g, terminals=[0, n - 1]))
+    assert cert.optimum == 1
 
 
 def test_subdivision_group_mass_path():
@@ -328,10 +327,10 @@ def test_two_point_rejects_covered_points():
 
 
 def test_two_point_cap(monkeypatch):
-    # two junctions: the ring's smallest disk and the lone disk
-    monkeypatch.setattr(solvers, "MAX_JUNCTIONS", 1)
-    with pytest.raises(SolverCapExceeded, match="2 kernel junctions exceeds 1"):
-        brute_min_isolation_two_points(ring4())
+    # inclusive: ring4's two junctions (the ring's smallest disk and the
+    # lone disk) solve at a cap of two
+    monkeypatch.setattr(solvers, "MAX_JUNCTIONS", 2)
+    assert brute_min_isolation_two_points(ring4()).optimum == 4
 
 
 def acc_ring():
@@ -625,13 +624,11 @@ def test_k_point_fence_refuses_like_the_oracle():
 
 
 def test_brute_isolation_caps(monkeypatch):
-    monkeypatch.setattr(solvers, "MAX_FENCE_DISKS", 2)
-    with pytest.raises(SolverCapExceeded, match="5 disks exceeds the enumeration cap 2"):
-        brute_min_isolation(ring4())
-    monkeypatch.undo()
-    monkeypatch.setattr(solvers, "MAX_SUBSET", 2)
-    with pytest.raises(SolverCapExceeded, match="no fence of size <= 2 found within the subset cap"):
-        brute_min_isolation(ring4())
+    # inclusive: ring4's five disks and its four-disk fence solve at caps
+    # of exactly five and four
+    monkeypatch.setattr(solvers, "MAX_FENCE_DISKS", 5)
+    monkeypatch.setattr(solvers, "MAX_SUBSET", 4)
+    assert brute_min_isolation(ring4()).optimum == 4
 
 
 def test_brute_acc_ring_needs_one_deletion():
@@ -661,10 +658,11 @@ def test_brute_acc_two_rings():
 
 
 def test_brute_acc_cap(monkeypatch):
-    inst = disk_instance(radius=Fraction(3, 2), disks=ring4(extra=False).disks)
-    monkeypatch.setattr(solvers, "MAX_ACC_DISKS", 3)
-    with pytest.raises(SolverCapExceeded, match="4 disks exceeds the enumeration cap 3"):
-        brute_min_acc(inst)
+    # inclusive: the four-disk ring and its one-disk deletion solve at caps
+    # of exactly four and one
+    monkeypatch.setattr(solvers, "MAX_ACC_DISKS", 4)
+    monkeypatch.setattr(solvers, "MAX_SUBSET", 1)
+    assert brute_min_acc(acc_ring()).optimum == 1
 
 
 def test_acc_matches_fvs_on_builders():
