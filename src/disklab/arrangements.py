@@ -31,7 +31,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .geometry import (
     Disk,
@@ -54,6 +54,84 @@ class VerificationError(ValueError):
 # instances
 # ---------------------------------------------------------------------------
 
+def strict_components(values: Iterable) -> bool:
+    """Every value exactly a ``str`` or an ``int``.  A bool or a float can
+    equal an int yet print otherwise, so only such tags share a run."""
+    return all(type(v) is str or type(v) is int for v in values)
+
+
+class TagRuns:
+    """The disks' tags, one run per structure.
+
+    A run ``(start, prefix, first)`` tags disk ``start + j``, up to the
+    next run's start, with ``prefix + (first + j,)``; every component is
+    exactly a ``str`` or an ``int``.  A run ``(start, tag, None)`` tags
+    disk ``start`` alone with the whole ``tag``: one whose last component
+    is not an exact int, or that has a bool, a float or a non-scalar.
+    Runs are maximal, so tag sequences that print alike have equal runs,
+    and two ``TagRuns`` are equal when their runs are.  Indexing and
+    iteration give the tags as tuples."""
+
+    __slots__ = ("runs", "n")
+
+    def __init__(self, tags: Iterable[tuple] = ()):
+        self.runs: List[Tuple[int, tuple, Optional[int]]] = []
+        self.n = 0
+        for tag in tags:
+            self.append(tag)
+
+    def append(self, tag: tuple) -> None:
+        """One more disk, tagged ``tag``."""
+        if tag and type(tag[-1]) is int and strict_components(tag):
+            self.append_run(tag[:-1], tag[-1], 1)
+        else:
+            self.runs.append((self.n, tag, None))
+            self.n += 1
+
+    def append_run(self, prefix: tuple, first: int, count: int) -> None:
+        """``count`` more disks, tagged ``prefix + (first,)``, ``prefix +
+        (first + 1,)``, ...; every component of ``prefix`` is exactly a
+        ``str`` or an ``int``."""
+        if self.runs:
+            start, last, at = self.runs[-1]
+            if at is not None and last == prefix and at + self.n - start == first:
+                self.n += count
+                return
+        self.runs.append((self.n, prefix, first))
+        self.n += count
+
+    def spans(self) -> Iterator[Tuple[int, int, tuple, Optional[int]]]:
+        """Each run as ``(start, stop, prefix or whole tag, first or None)``."""
+        stops = [start for start, _, _ in self.runs[1:]] + [self.n]
+        for (start, tag, first), stop in zip(self.runs, stops):
+            yield start, stop, tag, first
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, i: int) -> tuple:
+        j = i + self.n if i < 0 else i
+        if not 0 <= j < self.n:
+            raise IndexError(f"tag index {i} out of range")
+        # (j + 1,) sorts before exactly the runs that start past j
+        start, tag, first = self.runs[bisect_left(self.runs, (j + 1,)) - 1]
+        return tag if first is None else tag + (first + j - start,)
+
+    def __iter__(self) -> Iterator[tuple]:
+        # prefix + (k,) for each k of a run, made in C
+        return chain.from_iterable(
+            (tag,) if first is None else map(tag.__add__, zip(range(first, first + stop - start)))
+            for start, stop, tag, first in self.spans())
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.runs == other.runs
+
+    def __repr__(self) -> str:
+        return f"TagRuns({list(self)!r})"
+
+
 class DiskInstance:
     """A collection of equal closed disks plus marked points.
 
@@ -62,8 +140,9 @@ class DiskInstance:
     intended budget when the instance ships with one.
 
     The disks are stored once, as integer centres over one denominator
-    (:class:`IntCenters`, a multiple of the radius' denominator) plus one
-    tag per disk, from synthesis to JSON.  ``Fraction`` is met only at the
+    (:class:`IntCenters`, a multiple of the radius' denominator) plus the
+    tags as :class:`TagRuns`, one run per structure, from synthesis to
+    JSON.  ``Fraction`` is met only at the
     JSON boundary, in the radius and the marked points, and in the
     :attr:`disks` view.  Two instances are equal when their centres are
     equal as rationals, whatever denominators they are stored over.  The
@@ -74,14 +153,14 @@ class DiskInstance:
         self,
         radius: Fraction,
         centers: "IntCenters",
-        tags: Sequence[tuple],
+        tags: Iterable[tuple],
         points: Optional[Dict[str, Point]] = None,
         params: Optional[ParamSet] = None,
         meta: Optional[Dict[str, object]] = None,
     ):
         self.radius = radius
         self.centers = centers
-        self.tags = tuple(tags)
+        self.tags = tags if isinstance(tags, TagRuns) else TagRuns(tags)
         self.points = {} if points is None else points
         self.params = params
         self.meta = {} if meta is None else meta
@@ -155,7 +234,12 @@ class DiskInstance:
         xd: List[int] = []
         yn: List[int] = []
         yd: List[int] = []
-        tags = []
+        tags = TagRuns()
+        runs = tags.runs
+        # the prov that continues the last run, and where it must hold ints
+        # (equal values are not enough: True == 1 == 1.0)
+        expect: Optional[list] = None
+        int_at: List[int] = []
         dens: Dict[str, int] = {}
         for e in d["disks"]:
             c = e["c"]
@@ -167,7 +251,23 @@ class DiskInstance:
             xd.append(dx)
             yn.append(y)
             yd.append(dy)
-            tags.append(tuple(json_list(e.get("prov", []), "a disk's prov", VerificationError)))
+            prov = e.get("prov", [])
+            if prov == expect:
+                for k in int_at:
+                    if type(prov[k]) is not int:
+                        break
+                else:
+                    expect[-1] += 1
+                    continue
+            tag = tuple(json_list(prov, "a disk's prov", VerificationError))
+            if tag and type(tag[-1]) is int and strict_components(tag):
+                runs.append((len(xn) - 1, tag[:-1], tag[-1]))
+                expect = [*tag[:-1], tag[-1] + 1]
+                int_at = [k for k, v in enumerate(tag) if type(v) is int]
+            else:
+                runs.append((len(xn) - 1, tag, None))
+                expect = None
+        tags.n = len(xn)
         points = {}
         for k, v in json_object(d.get("points", {}), "points", VerificationError).items():
             if type(v) is not list or len(v) != 2:

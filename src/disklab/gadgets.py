@@ -27,6 +27,7 @@ from .arrangements import (
     CenterIndex,
     DiskInstance,
     IntCenters,
+    TagRuns,
     UnitDiskGraph,
     complement_regions,
     unit_disk_graph,
@@ -195,7 +196,8 @@ def check_structure(instance: DiskInstance, spec: StructureSpec) -> ContactRepor
 class _Disks:
     """The one builder of synthesized instances.  Disks are added a whole
     structure at a time: a single disk carries the structure's tag itself,
-    disk k of a chain or ring carries the tag plus ``(k,)``.  Centres are
+    disk k of a chain or ring carries the tag plus ``(k,)``, and a chain
+    or ring is one run of :class:`TagRuns`.  Centres are
     integer numerators over the snapper's denominator; every structure is
     registered in the spec :meth:`finish` checks the instance against."""
 
@@ -205,7 +207,7 @@ class _Disks:
         self.M = self.snapper.M
         self.xs: List[int] = []
         self.ys: List[int] = []
-        self.tags: List[Tag] = []
+        self.tags = TagRuns()
         self.spec = StructureSpec()
 
     def single(self, tag: Tag, num: Tuple[int, int]) -> int:
@@ -231,7 +233,7 @@ class _Disks:
         start = len(self.tags)
         self.xs.extend(x for x, _ in nums)
         self.ys.extend(y for _, y in nums)
-        self.tags.extend(tag + (k,) for k in range(first, first + len(nums)))
+        self.tags.append_run(tag, first, len(nums))
         into[tag] = ids = list(range(start, len(self.tags)))
         return ids
 

@@ -41,6 +41,11 @@ def json_list(value, what: str, error: type) -> list:
     return value
 
 
+def json_int_list(value, what: str, error: type) -> list:
+    """``value``, refused with ``error`` unless a JSON list of integers."""
+    return json_ints(json_list(value, what, error), what, error)
+
+
 def json_object(value, what: str, error: type) -> dict:
     """``value``, refused with ``error`` unless a JSON object (``dict()`` takes pairs)."""
     if type(value) is not dict:
@@ -436,6 +441,8 @@ class SubdivisionInstance:
             flat = [e for grp in self.groups for e in grp]
             if sorted(flat) != list(range(len(self.graph.edges))):
                 raise StructureError("groups must partition the edge set")
+            if not all(self.groups):
+                raise StructureError("a group must hold at least one edge")
 
     def to_dict(self) -> Dict[str, object]:
         d = self.graph.to_dict()
@@ -453,7 +460,8 @@ class SubdivisionInstance:
         inst = cls(
             graph=g,
             terminals={str(k): v for k, v in terminals.items()},
-            groups=[json_ints(grp, "group edge ids", StructureError) for grp in groups]
+            groups=[json_int_list(grp, "group edge ids", StructureError)
+                    for grp in json_list(groups, "groups", StructureError)]
             if groups is not None else None,
         )
         inst.validate()

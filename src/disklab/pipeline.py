@@ -41,6 +41,7 @@ from .arrangements import (
     VerificationError,
     check_ids,
     normalize_edge_list,
+    strict_components,
     verify_acc,
     verify_isolation,
     verify_multiterminal_cut,
@@ -72,6 +73,8 @@ from .graphs import (
     fvs_solution_ok,
     json_coords,
     json_graph,
+    json_int_list,
+    json_ints,
     json_list,
     json_object,
     lift_subdivision_solution,
@@ -138,15 +141,14 @@ def write_json(obj, path) -> None:
 def instance_json(inst) -> Tuple[str, str]:
     """The file text and the canonical digest of ``d = inst.to_dict()``:
     ``json.dumps(d, sort_keys=True, indent=2) + "\\n"`` and
-    ``canonical_digest(d)``.  A :class:`DiskInstance` whose tags are
-    non-empty runs of ``str`` and ``int`` (every synthesized one) has its
-    disks encoded in one pass over the integer centres, without ``d``: the
-    text of all but a tag's last component is made once per run of disks
-    that share them, and the compact entries are hashed a block at a time."""
-    tags = inst.tags if isinstance(inst, DiskInstance) else ()
-    # a bool or a float can equal an int, so a shared tag prefix stands for
-    # one text only when every component is a str or an int
-    if not (tags and all(tags) and {type(v) for tag in tags for v in tag} <= {str, int}):
+    ``canonical_digest(d)``.  A :class:`DiskInstance` with disks, whose
+    whole-tag runs are non-empty and of ``str`` and ``int`` (every
+    synthesized one), has its disks encoded run by run over the integer
+    centres, without ``d``: the text of a run's prefix is made once, and
+    the compact entries are hashed a block at a time."""
+    runs = inst.tags.runs if isinstance(inst, DiskInstance) else ()
+    if not (runs and all(first is not None or (tag and strict_components(tag))
+                         for _, tag, first in runs)):
         d = inst.to_dict()
         return json.dumps(d, sort_keys=True, indent=2) + "\n", canonical_digest(d)
     # the instance's dict with no disks; "disks" sorts first, so both texts
@@ -160,24 +162,25 @@ def instance_json(inst) -> Tuple[str, str]:
     gcd, esc = math.gcd, encode_basestring_ascii
     digest = hashlib.sha256(compact_open.encode())
     blocks = []
-    prefix = None
-    for start in range(0, len(tags), 4096):    # never the whole compact text at once
-        block = slice(start, start + 4096)
-        texts, compacts = [], []
-        for x, y, tag in zip(xs[block], ys[block], tags[block]):
-            g, h = gcd(x, den), gcd(y, den)
-            cx, cy = f"{x // g}/{den // g}", f"{y // h}/{den // h}"
-            if tag[:-1] != prefix:
-                prefix = tag[:-1]
-                parts = [esc(v) if type(v) is str else int.__repr__(v) for v in prefix]
-                lead = "".join(p + ",\n        " for p in parts)
-                lead_compact = "".join(p + "," for p in parts)
-            last = esc(last) if type(last := tag[-1]) is str else int.__repr__(last)
-            texts.append(f'{{\n      "c": [\n        "{cx}",\n        "{cy}"\n      ],\n'
-                         f'      "prov": [\n        {lead}{last}\n      ]\n    }}')
-            compacts.append(f'{{"c":["{cx}","{cy}"],"prov":[{lead_compact}{last}]}}')
-        digest.update((("," if start else "") + ",".join(compacts)).encode())
-        blocks.append(",\n    ".join(texts))
+    for start, stop, tag, first in inst.tags.spans():
+        parts = [esc(v) if type(v) is str else int.__repr__(v) for v in tag]
+        if first is None:    # a whole tag, one disk: its last part stands as the index
+            parts, lasts = parts[:-1], parts[-1:]
+        lead = "".join(p + ",\n        " for p in parts)
+        lead_compact = "".join(p + "," for p in parts)
+        for lo in range(start, stop, 4096):    # never the whole compact text at once
+            hi = min(lo + 4096, stop)
+            if first is not None:
+                lasts = map(int.__repr__, range(first + lo - start, first + hi - start))
+            texts, compacts = [], []
+            for x, y, last in zip(xs[lo:hi], ys[lo:hi], lasts):
+                g, h = gcd(x, den), gcd(y, den)
+                cx, cy = f"{x // g}/{den // g}", f"{y // h}/{den // h}"
+                texts.append(f'{{\n      "c": [\n        "{cx}",\n        "{cy}"\n      ],\n'
+                             f'      "prov": [\n        {lead}{last}\n      ]\n    }}')
+                compacts.append(f'{{"c":["{cx}","{cy}"],"prov":[{lead_compact}{last}]}}')
+            digest.update((("," if lo else "") + ",".join(compacts)).encode())
+            blocks.append(",\n    ".join(texts))
     digest.update(compact_rest.encode())
     text = text_open + "\n    " + ",\n    ".join(blocks) + "\n  " + text_rest + "\n"
     return text, digest.hexdigest()
@@ -555,7 +558,9 @@ def cli_verify(problem: str, instance_path, certificate_path):
     inst_dict = read_json(instance_path)
     candidate, budget = read_certificate(read_json(certificate_path))
     entry = _problem(problem, "verify")
-    ok, lines = entry.verify(entry.parse(inst_dict), candidate, budget)
+    inst = entry.parse(inst_dict)
+    del inst_dict    # the parsed tree outweighs the instance built from it
+    ok, lines = entry.verify(inst, candidate, budget)
     return (0 if ok else 1), lines, []
 
 
@@ -564,7 +569,9 @@ def cli_solve(problem: str, instance_path, out_path):
     """Solve to optimality (or refuse); writes an OptimumCertificate JSON."""
     inst_dict = read_json(instance_path)
     entry = _problem(problem, "solve")
-    cert = entry.solve(entry.parse(inst_dict))
+    inst = entry.parse(inst_dict)
+    del inst_dict    # as in cli_verify
+    cert = entry.solve(inst)
     out = {"problem": cert.problem, "optimum": cert.optimum, "witness": cert.witness,
            "method": cert.method, "detail": cert.detail}
     return 0, [f"optimum {cert.optimum} with witness of size {len(cert.witness)}"], [
@@ -577,8 +584,13 @@ def cli_solve(problem: str, instance_path, out_path):
 # ---------------------------------------------------------------------------
 
 def _groups(record) -> Dict[int, list]:
-    """Source edge -> the target ids it became (dual-edge fragments, wall disks)."""
-    return {int(e): ids for e, ids in record.edges.items()}
+    """Source edge -> the target ids it became (dual-edge fragments, wall
+    disks).  An empty group would be lifted whatever the candidate keeps."""
+    groups = {int(e): json_int_list(ids, "record group ids", PipelineError)
+              for e, ids in record.edges.items()}
+    if not all(groups.values()):
+        raise PipelineError("a record group must hold at least one id")
+    return groups
 
 
 def _back_pmc(record, mti, kept) -> Tuple[List[int], dict]:
@@ -596,25 +608,30 @@ def _back_isolation(record, sub, chosen) -> Tuple[List[int], dict]:
 def _back_acc(record, graph, removed) -> Tuple[List[str], dict]:
     # a hub lifts to its vertex; a chain deletion is dominated by deleting
     # either endpoint hub, so a chain disk lifts to its edge's first end
-    vertex_of = {int(h): v for v, h in record.vertices.items()}
+    hubs = json_ints(record.vertices.values(), "record hub ids", PipelineError)
+    vertex_of = dict(zip(hubs, record.vertices))
     for e, ids in record.edges.items():
-        vertex_of.update(dict.fromkeys(map(int, ids), record.notes["edge_ends"][e][0]))
+        ids = json_int_list(ids, "record chain ids", PipelineError)
+        vertex_of.update(dict.fromkeys(ids, record.notes["edge_ends"][e][0]))
     return sorted({vertex_of[i] for i in removed}), {}
 
 
 def _back_udmc(record, mti, pairs) -> Tuple[List[int], dict]:
     removed = normalize_edge_list(pairs)
-    sigma_of = {int(i): v for v, entry in record.vertices.items() for i in entry["sigma"]}
+    sigma_of = {i: v for v, entry in record.vertices.items()
+                for i in json_int_list(entry["sigma"], "record sigma ids", PipelineError)}
 
     def severed(lane, ends) -> bool:
         # a removed pair inside the lane, or joining a lane end to the
         # ring copies of the edge's end vertices
-        ids, tips = set(int(i) for i in lane), {int(lane[0]), int(lane[-1])}
+        ids, tips = set(lane), {lane[0], lane[-1]}
         return any((i in ids and j in ids) or (i in tips and sigma_of.get(j) in ends)
                    or (j in tips and sigma_of.get(i) in ends) for i, j in removed)
 
+    lanes = {e: [json_int_list(lane, "record lane ids", PipelineError) for lane in entry["lanes"]]
+             for e, entry in record.edges.items()}
     lifted = sorted(int(e) for e, entry in record.edges.items()
-                    if all(severed(lane, set(entry["ends"])) for lane in entry["lanes"]))
+                    if all(severed(lane, set(entry["ends"])) for lane in lanes[e]))
     return lifted, {"weight": sum(mti.weight(e) for e in lifted)}
 
 
@@ -674,14 +691,22 @@ def cli_lift(record_path, solution_path, source_path, target_path, out_path):
 
 @_file_verb
 def cli_render(input_path, out_path, guides: bool = False):
-    data = read_json(input_path)
-    if "disks" in data:
-        svg = svg_for_instance(DiskInstance.from_dict(data), guides=guides)
-    elif "coords" in data and "graph" in data:
-        svg = svg_for_embedding(GridEmbedding.from_dict(data))
+    drawing = _drawing(read_json(input_path))
+    if isinstance(drawing, DiskInstance):
+        svg = svg_for_instance(drawing, guides=guides)
     else:
-        raise PipelineError("file is neither a disk instance nor an embedding")
+        svg = svg_for_embedding(drawing)
     return 0, [f"wrote {out_path}"], [(svg, out_path)]
+
+
+def _drawing(data: dict):
+    """The disk instance or grid embedding in ``data``; the caller keeps
+    only this, not the parsed tree, while it draws."""
+    if "disks" in data:
+        return DiskInstance.from_dict(data)
+    if "coords" in data and "graph" in data:
+        return GridEmbedding.from_dict(data)
+    raise PipelineError("file is neither a disk instance nor an embedding")
 
 
 def cli_check_params(

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .arrangements import DiskInstance
 from .gridembed import GridEmbedding
@@ -23,9 +24,15 @@ _PALETTE = [
 _CANVAS = 1000.0
 
 
+def _fmts(values: Iterable[float]) -> List[str]:
+    """Each value to three decimals, trailing zeros and point dropped, and
+    no negative zero."""
+    return [t if (t := s.rstrip("0").rstrip(".")) != "-0" else "0"
+            for s in map(format, values, repeat(".3f"))]
+
+
 def _fmt(x: float) -> str:
-    s = f"{x:.3f}".rstrip("0").rstrip(".")
-    return "0" if s == "-0" else s
+    return _fmts((x,))[0]
 
 
 class _Frame:
@@ -47,6 +54,11 @@ class _Frame:
 
     def pt(self, x: float, y: float) -> Tuple[float, float]:
         return ((x - self.x0) * self.k, (self.y1 - y) * self.k)
+
+    def pts(self, xs: Iterable[float], ys: Iterable[float]) -> Tuple[List[float], List[float]]:
+        """:meth:`pt` of every (xs[i], ys[i]), as the two coordinate lists."""
+        x0, y1, k = self.x0, self.y1, self.k
+        return [(x - x0) * k for x in xs], [(y1 - y) * k for y in ys]
 
 
 def _open_svg(frame: _Frame, lines: List[str]) -> None:
@@ -139,19 +151,20 @@ def svg_for_instance(instance: DiskInstance, guides: bool = False) -> str:
     color_of: Dict[Tuple, str] = {}
     terminal = set(int(t) for t in instance.meta.get("terminal_disks", []))
     radius = _fmt(r * frame.k)
+    heavy = ' stroke="#000000" stroke-width="2.4"'
     out.append('<g stroke="#333333" stroke-width="0.6" fill-opacity="0.5">')
-    for i, (tag, x, y) in enumerate(zip(instance.tags, fx, fy)):
-        # the last tag component indexes disks inside one structure; the
-        # prefix identifies the structure itself
-        key = tuple(map(str, tag[:-1])) if len(tag) >= 2 else ("disk",)
-        if key not in color_of:
-            color_of[key] = _PALETTE[len(color_of) % len(_PALETTE)]
-        cx, cy = frame.pt(x, y)
-        extra = ' stroke="#000000" stroke-width="2.4"' if i in terminal else ""
-        out.append(
-            f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{radius}" '
-            f'fill="{color_of[key]}"{extra}/>'
-        )
+    for start, stop, tag, first in instance.tags.spans():
+        # a tag's last component indexes disks inside one structure; the
+        # rest, a run's prefix, identifies the structure itself
+        head = tag if first is not None else tag[:-1]
+        key = tuple(map(str, head)) if head else ("disk",)
+        color = color_of.setdefault(key, _PALETTE[len(color_of) % len(_PALETTE)])
+        cxs, cys = frame.pts(fx[start:stop], fy[start:stop])
+        out.extend([
+            f'<circle cx="{cx}" cy="{cy}" r="{radius}" '
+            f'fill="{color}"{heavy if i in terminal else ""}/>'
+            for i, cx, cy in zip(range(start, stop), _fmts(cxs), _fmts(cys))
+        ])
     out.append("</g>")
 
     if instance.points:

@@ -47,6 +47,7 @@
 """
 
 import math
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -720,13 +721,14 @@ def reference_verify_multiterminal_cut(
 
 def lift_fence_by_tags(instance: ar.DiskInstance, chosen_ids: Iterable[int]) -> List[int]:
     """Edges whose wall appears in full among the chosen disks, read from
-    the disk tags and ``meta["c_edge"]``."""
+    the disk tags, a run at a time, and ``meta["c_edge"]``."""
     c_edge = int(instance.meta["c_edge"])
+    chosen = sorted(set(chosen_ids))
     per_edge: Dict[int, int] = {}
-    for i in set(chosen_ids):
-        tag = instance.tags[i]
+    for start, stop, tag, _ in instance.tags.spans():
         if tag and tag[0] == "wall":
-            per_edge[tag[1]] = per_edge.get(tag[1], 0) + 1
+            per_edge[tag[1]] = (per_edge.get(tag[1], 0)
+                                + bisect_left(chosen, stop) - bisect_left(chosen, start))
     return sorted(e for e, cnt in per_edge.items() if cnt == c_edge)
 
 

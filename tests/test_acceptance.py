@@ -212,6 +212,14 @@ def test_criterion_03_sound_parameters_feasible_to_n64():
     assert time.monotonic() - t0 < 5.0
 
 
+def test_sound_corpus_tags_are_one_run_per_wall_and_ring(sound_corpus):
+    for emb, art in sound_corpus:
+        runs = [(tag, first, list(range(start, stop)))
+                for start, stop, tag, first in art.instance.tags.spans()]
+        assert runs == [(("ring", str(v)), 0, ids) for v, ids in art.vertex_ids.items()] + [
+            (("wall", e), 0, ids) for e, ids in art.wall_ids.items()]
+
+
 def test_criterion_04_sound_corpus_gadget_contacts(sound_corpus):
     assert len(sound_corpus) == 20
     grids = set()

@@ -439,7 +439,7 @@ def test_parse_matches_fraction_oracle(entries, radius):
         return
     inst, (r, disks) = got[1], want[1]
     assert inst.radius == r and inst.disks == disks
-    assert inst.tags == tuple(disk.tag for disk in disks)
+    assert tuple(inst.tags) == tuple(disk.tag for disk in disks)
     assert inst.centers == int_centers([disk.center for disk in disks], r)
 
 
@@ -462,7 +462,7 @@ def test_parsed_disks_are_built_on_demand_and_kept():
     inst = ring4()
     inst.meta = {"kind": "isolation"}
     again = ar.DiskInstance.from_dict(inst.to_dict())
-    assert again.tags == tuple(d.tag for d in inst.disks)
+    assert tuple(again.tags) == tuple(d.tag for d in inst.disks)
     assert again.disks is again.disks and again.disks == inst.disks
     assert again == inst and repr(again) == repr(inst)
     with pytest.raises(TypeError):

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from disklab import pipeline
 from disklab.__main__ import main as cli_main
-from disklab.arrangements import DiskInstance, unit_disk_graph
+from disklab.arrangements import DiskInstance, TagRuns, unit_disk_graph
 from disklab.corpus import seeded_multiterminal_instances
 from disklab.gadgets import BUNDLE_COPIES, SynthesisError, build_udmc_instance
 from disklab.geometry import Disk
@@ -467,6 +467,27 @@ def test_verify_subdivision_accepts_the_solvers_grouped_optimum(tmp_path):
     assert (opt["optimum"], opt["witness"], opt["detail"]["kept_edges"]) == (
         6, [0, 1, 2], [0, 1, 2, 3, 4, 5])
     assert cli_verify("subdivision", sub, sol) == (0, ["separated at mass 6"])
+
+
+@pytest.mark.parametrize("extra", [[], ""])
+def test_an_empty_subdivision_group_is_malformed(tmp_path, extra):
+    # an empty group is kept by every certificate, so the triangle's
+    # keep-all certificate would weigh 8, above the solver's optimum of 6
+    g = PlanarEmbeddedGraph.from_edge_rotation(
+        ["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")],
+        {"a": [0, 2], "b": [1, 0], "c": [2, 1]})
+    d = SubdivisionInstance(graph=g, terminals={"p": 0, "q": 1}, groups=[[0], [1], [2]]).to_dict()
+    sub, sol, cert = tmp_path / "sub.json", tmp_path / "opt.json", tmp_path / "cert.json"
+    write_json(d, sub)
+    assert cli_solve("subdivision", sub, sol)[0] == 0
+    assert read_json(sol)["optimum"] == 6
+    write_json({"candidate": [0, 1, 2], "budget": 6}, cert)
+    assert cli_verify("subdivision", sub, cert) == (0, ["separated at mass 6"])
+    write_json({**d, "groups": d["groups"] + [extra]}, sub)
+    why = ("a group must hold at least one edge" if extra == []
+           else "group edge ids must be a JSON list")
+    assert cli_solve("subdivision", sub, sol) == (2, [f"malformed: {why}"])
+    assert cli_verify("subdivision", sub, cert) == (2, [f"malformed: {why}"])
 
 
 @pytest.mark.parametrize("cert, code", [
@@ -1067,6 +1088,50 @@ def test_a_record_table_that_is_not_an_object_is_malformed(lift_cases, tmp_path,
         2, [f"malformed: record {table} must be a JSON object"])
 
 
+def edit_record_id(d, where, value):
+    """Set one hub, chain, group, lane or sigma id of the record ``d`` to ``value``."""
+    def first(table):
+        return table[min(table)]
+    if where == "hub":
+        d["vertices"][min(d["vertices"])] = value
+    elif where in ("chain", "group"):
+        first(d["edges"])[0] = value
+    elif where == "lane":
+        first(d["edges"])["lanes"][0][0] = value
+    else:
+        first(d["vertices"])["sigma"][0] = value
+
+
+@pytest.mark.parametrize("value", [0.5, "1", True])
+@pytest.mark.parametrize("kind, where", [
+    ("fvs->acc", "hub"), ("fvs->acc", "chain"), ("mc->udmc", "lane"), ("mc->udmc", "sigma"),
+    ("pmc->subdivision", "group"), ("subdivision->isolation", "group")])
+def test_a_record_id_that_is_not_a_json_integer_is_malformed(lift_cases, tmp_path, kind, where,
+                                                             value):
+    # the record has no digest of its own, so a hand edit reaches the back-map
+    record, source, target, _, candidate, _ = lift_cases[kind]
+    bad, cert = tmp_path / "record.json", tmp_path / "cert.json"
+    d = read_json(record)
+    edit_record_id(d, where, value)
+    write_json(d, bad)
+    write_json({"candidate": candidate}, cert)
+    assert cli_lift(bad, cert, source, target, tmp_path / "x.json") == (
+        2, [f"malformed: record {where} ids must be JSON integers"])
+
+
+@pytest.mark.parametrize("kind", ["pmc->subdivision", "subdivision->isolation"])
+def test_an_empty_record_group_is_malformed(lift_cases, tmp_path, kind):
+    # an empty group would be lifted whatever the candidate keeps
+    record, source, target, _, candidate, _ = lift_cases[kind]
+    bad, cert = tmp_path / "record.json", tmp_path / "cert.json"
+    d = read_json(record)
+    d["edges"][min(d["edges"])] = []
+    write_json(d, bad)
+    write_json({"candidate": candidate}, cert)
+    assert cli_lift(bad, cert, source, target, tmp_path / "x.json") == (
+        2, ["malformed: a record group must hold at least one id"])
+
+
 @pytest.mark.parametrize("points", [2, 3])
 def test_solve_isolation_with_no_fence_is_rejected(tmp_path, points):
     # one disk, and marked points far from it: well-formed, with no fence
@@ -1264,15 +1329,35 @@ plain_tag_components = st.one_of(st.sampled_from(["wall", "ring", 0, 1]), st.int
 any_tag_components = st.one_of(plain_tag_components, st.sampled_from([True, False, 1.0, None]))
 
 
-def disk_lists(components, min_tags):
+@st.composite
+def disk_lists(draw, components, min_tags):
     """Disk entries whose tags are drawn from ``components``, many of them
-    one shared prefix and a last component, as a synthesized structure's."""
-    def disks(prefix):
-        prov = st.one_of(st.lists(components, min_size=min_tags, max_size=3),
-                         components.map(lambda last: prefix + [last]))
-        return st.lists(st.fixed_dictionaries({
-            "c": st.lists(rational_text, min_size=2, max_size=2), "prov": prov}), max_size=8)
-    return st.lists(components, max_size=2).flatmap(disks)
+    one shared prefix and an index counting up from a drawn start, as a
+    synthesized structure's; the count now and then repeats, skips or
+    steps back below zero, an int of the tag is swapped for the float or
+    bool equal to it, the last component is another one, or the tag is
+    any list."""
+    prefix = draw(st.lists(components, max_size=2))
+    index = draw(st.integers(-3, 3))
+    disks = []
+    for _ in range(draw(st.integers(0, 8))):
+        step = draw(st.sampled_from([1, 1, 1, 0, 2, -2, "twin", "last", "any"]))
+        if step == "last":
+            prov = prefix + [draw(components)]
+        elif step == "any":
+            prov = draw(st.lists(components, min_size=min_tags, max_size=3))
+        else:
+            index += 1 if step == "twin" else step
+            prov = prefix + [index]
+            k = draw(st.integers(0, len(prov) - 1))
+            if step == "twin" and type(v := prov[k]) is int:
+                prov[k] = draw(st.sampled_from([float(v)] + [bool(v)] * (v in (0, 1))))
+        disks.append({"c": draw(st.lists(rational_text, min_size=2, max_size=2)), "prov": prov})
+    return disks
+
+
+def disks_tagged(*provs):
+    return [{"c": [f"{k}/3", "1/2"], "prov": list(prov)} for k, prov in enumerate(provs)]
 
 
 accepted_instance_dicts = st.fixed_dictionaries({
@@ -1290,6 +1375,15 @@ accepted_instance_dicts = st.fixed_dictionaries({
                     {"c": ["1/2", "1/3"], "prov": ["wall", True, 2]}],
           "meta": {}, "points": {"p": ["1/2", "1/2"]}, "radius": "2/4"})
 @example({"disks": [{"c": ["6/4", "1/1"], "prov": []}], "meta": {}, "points": {}, "radius": "1/2"})
+# runs broken by a gap, a repeat, a step back, a bool or a float beside an
+# int it equals, an empty tag, and tags of one component
+@example({"disks": disks_tagged(("wall", 1, 0), ("wall", 1, 2), ("wall", 1, 2), ("wall", 1, 1),
+                                ("wall", 1, -1), ("wall", 1, 0), ("wall", True, 1),
+                                ("wall", 1, 2), ("wall", 1.0, 3), ("wall", 1, 4), ("wall", 1, 5.0),
+                                (), ("wall", 1, 6), (1,), (True,), (2,), (1.0,), (-2,), (-1,),
+                                (1, 0), (1, True), (1, 1.0), (True, 2), (1, 3),
+                                ("ring",), ("ring", "v", 0), ("ring", "v", 1)),
+          "meta": {}, "points": {}, "radius": "1/2"})
 @example({"disks": [], "meta": {"kind": "isolation"}, "points": {}, "radius": "1/2"})
 # past two hash blocks of 4,096 disks
 @example({"disks": [{"c": [f"{k}/6", "1/2"], "prov": ["wall", k // 1000, k]} for k in range(9000)],
@@ -1298,10 +1392,20 @@ accepted_instance_dicts = st.fixed_dictionaries({
 def test_instance_json_matches_to_dict(obj):
     # as read from a file: every dict from_dict accepts (what it refuses,
     # and how, is not this test's subject)
+    given = json.loads(json.dumps(obj))
     try:
-        inst = DiskInstance.from_dict(json.loads(json.dumps(obj)))
+        inst = DiskInstance.from_dict(given)
     except Exception:
         return
+    provs = tuple(tuple(e.get("prov", [])) for e in given["disks"])
+    # repr tells True and 1.0 from 1, which == does not
+    assert tuple(inst.tags) == provs and repr(tuple(inst.tags)) == repr(provs)
+    assert [inst.tags[i] for i in range(-len(provs), len(provs))] == list(provs + provs)
+    # the runs are the ones built tag by tag, and maximal
+    runs = inst.tags.runs
+    assert inst.tags == TagRuns(provs)
+    for (start, tag, first), (stop, next_tag, next_first) in zip(runs, runs[1:]):
+        assert None in (first, next_first) or (tag, first + stop - start) != (next_tag, next_first)
     d = inst.to_dict()
     text, digest = instance_json(inst)
     assert text == json.dumps(d, sort_keys=True, indent=2) + "\n"
