@@ -5,9 +5,10 @@ arclength walks), then every center is snapped to a fine rational grid and
 all structural claims are re-established by exact arithmetic: chains must
 induce simple paths, rings simple cycles, and cross-structure contacts must
 match an explicit allow-list.  All three synthesizers add their disks
-through one builder, :class:`_Disks`, which snaps, tags and registers each
-structure and runs that check; a failed check raises
-:class:`SynthesisError`, so no instance leaves this module unverified.
+through one builder, :class:`_Disks`, which snaps each structure and tags
+it as one run of its own, the run being the structure's only declaration,
+and runs that check; a failed check raises :class:`SynthesisError`, so no
+instance leaves this module unverified.
 
 Scale conventions.  Drawings live on the integer grid; disk radii come from
 the parameter schedule, which makes structures tiny relative to grid edges
@@ -21,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .arrangements import (
     CenterIndex,
@@ -113,12 +114,13 @@ def _walk_polyline(waypoints: Sequence[Tuple[float, float]], count: int) -> List
 
 @dataclass
 class StructureSpec:
-    """What the intersection graph of a synthesized instance must look like:
-    named chains (paths) and rings (cycles) over disk indices, plus an
-    allow-list for contacts between different structures."""
+    """What the intersection graph of a synthesized instance must look like.
+    The structures are the runs of the instance's tags, each named by its
+    prefix (or a single disk's whole tag): a run is a chain (a path in
+    index order) unless its name is in ``rings`` (a cycle).  Contacts
+    between different structures must match the allow-list."""
 
-    chains: Dict[Tag, List[int]] = field(default_factory=dict)
-    rings: Dict[Tag, List[int]] = field(default_factory=dict)
+    rings: Set[Tag] = field(default_factory=set)
     # (struct_a, struct_b) -> (min_contacts, max_contacts); missing = forbidden
     allowed_contacts: Dict[Tuple[Tag, Tag], Tuple[int, int]] = field(default_factory=dict)
 
@@ -133,51 +135,41 @@ class ContactReport:
 
 
 def check_structure(instance: DiskInstance, spec: StructureSpec) -> ContactReport:
-    """Exact check of intra-structure shape and cross-structure contacts."""
+    """Exact check of intra-structure shape and cross-structure contacts,
+    with each run of ``instance.tags`` one structure."""
     udg = unit_disk_graph(instance.centers, instance.radius)
-    owner: Dict[int, Tag] = {}
-    index_in: Dict[int, int] = {}
-    for tag, ids in {**spec.chains, **spec.rings}.items():
-        for pos, i in enumerate(ids):
-            if i in owner:
-                return ContactReport(False, [f"disk {i} owned by two structures"], {}, udg)
-            owner[i] = tag
-            index_in[i] = pos
+    runs = [(start, stop, name) for start, stop, name, _ in instance.tags.spans()]
+    run_of = [0] * udg.n
+    for k, (start, stop, _) in enumerate(runs):
+        run_of[start:stop] = [k] * (stop - start)
     violations: List[str] = []
-    for i in range(udg.n):
-        if i not in owner:
-            violations.append(f"disk {i} belongs to no declared structure")
     cross: Dict[Tuple[Tag, Tag], int] = {}
-    linked: Dict[Tag, int] = {}    # structure -> its contacts at index gap 1
+    linked = [0] * len(runs)    # run -> its contacts at index gap 1
     for (i, j) in udg.edges:
-        ti, tj = owner.get(i), owner.get(j)
-        if ti is None or tj is None:
-            continue
-        if ti == tj:
-            gap = abs(index_in[i] - index_in[j])
-            size = len(spec.chains.get(ti) or spec.rings[ti])
-            is_ring = ti in spec.rings
-            if is_ring:
-                gap = min(gap, size - gap)
+        ki, kj = run_of[i], run_of[j]
+        start, stop, ti = runs[ki]
+        if ki == kj:
+            gap = j - i
+            if ti in spec.rings:
+                gap = min(gap, stop - start - gap)
             if gap == 1:
-                linked[ti] = linked.get(ti, 0) + 1
+                linked[ki] += 1
             else:
-                violations.append(
-                    f"structure {ti}: disks {i} and {j} touch at index gap {gap}"
-                )
+                violations.append(f"structure {ti}: disks {i} and {j} touch at index gap {gap}")
         else:
+            tj = runs[kj][2]
             key = (ti, tj) if (ti, tj) in spec.allowed_contacts else (tj, ti)
             if key not in spec.allowed_contacts:
                 violations.append(f"forbidden contact between {ti} and {tj}")
             else:
                 cross[key] = cross.get(key, 0) + 1
-    for tag, ids in spec.chains.items():
-        need, have = len(ids) - 1, linked.get(tag, 0)
-        if have != need:
-            violations.append(f"chain {tag}: only {have}/{need} consecutive contacts")
-    for tag, ids in spec.rings.items():
+    for (start, stop, tag), have in zip(runs, linked):
+        if tag not in spec.rings and have != stop - start - 1:
+            violations.append(f"chain {tag}: only {have}/{stop - start - 1} consecutive contacts")
+    for (start, stop, tag), have in zip(runs, linked):
         # a two-disk ring closes with its one contact
-        if len(ids) >= 2 and linked.get(tag, 0) != (len(ids) if len(ids) > 2 else 1):
+        size = stop - start
+        if tag in spec.rings and size >= 2 and have != (size if size > 2 else 1):
             violations.append(f"ring {tag}: broken cycle")
     for key, (lo, hi) in spec.allowed_contacts.items():
         got = cross.get(key, 0)
@@ -185,8 +177,7 @@ def check_structure(instance: DiskInstance, spec: StructureSpec) -> ContactRepor
             violations.append(
                 f"contact {key[0]} ~ {key[1]}: {got} intersecting pairs, wanted [{lo}, {hi}]"
             )
-    return ContactReport(ok=not violations, violations=violations, contact_counts=cross,
-                         graph=udg)
+    return ContactReport(not violations, violations, cross, udg)
 
 
 # ---------------------------------------------------------------------------
@@ -196,10 +187,10 @@ def check_structure(instance: DiskInstance, spec: StructureSpec) -> ContactRepor
 class _Disks:
     """The one builder of synthesized instances.  Disks are added a whole
     structure at a time: a single disk carries the structure's tag itself,
-    disk k of a chain or ring carries the tag plus ``(k,)``, and a chain
-    or ring is one run of :class:`TagRuns`.  Centres are
-    integer numerators over the snapper's denominator; every structure is
-    registered in the spec :meth:`finish` checks the instance against."""
+    disk k of a chain or ring carries the tag plus ``(k,)``, and each
+    structure is one run of :class:`TagRuns` of its own, which is all that
+    declares it to :meth:`finish`'s check.  Centres are integer numerators
+    over the snapper's denominator."""
 
     def __init__(self, r: Fraction):
         self.r = r
@@ -212,42 +203,41 @@ class _Disks:
 
     def single(self, tag: Tag, num: Tuple[int, int]) -> int:
         """One disk centred at ``num`` / M; returns its id."""
-        self.xs.append(num[0])
-        self.ys.append(num[1])
-        self.tags.append(tag)
-        self.spec.chains[tag] = [len(self.tags) - 1]
-        return len(self.tags) - 1
+        return self._structure(tag, [num], None)[0]
 
     def chain(self, tag: Tag, points: Sequence[Tuple[float, float]], first: int) -> List[int]:
         """A chain through the snapped layout ``points``, its disks numbered
         from ``first``; returns their ids."""
         snap = self.snapper.snap_point
-        return self._structure(self.spec.chains, tag, [snap(c) for c in points], first)
+        return self._structure(tag, [snap(c) for c in points], first)
 
     def ring(self, tag: Tag, nums: Sequence[Tuple[int, int]]) -> List[int]:
         """A ring through the snapped centres ``nums``; returns their ids."""
-        return self._structure(self.spec.rings, tag, nums, 0)
+        self.spec.rings.add(tag)
+        return self._structure(tag, nums, 0)
 
-    def _structure(self, into: Dict[Tag, List[int]], tag: Tag,
-                   nums: Sequence[Tuple[int, int]], first: int) -> List[int]:
-        start = len(self.tags)
+    def _structure(self, tag: Tag, nums: Sequence[Tuple[int, int]],
+                   first: Optional[int]) -> List[int]:
+        start, runs = len(self.tags), len(self.tags.runs)
         self.xs.extend(x for x, _ in nums)
         self.ys.extend(y for _, y in nums)
-        self.tags.append_run(tag, first, len(nums))
-        into[tag] = ids = list(range(start, len(self.tags)))
-        return ids
+        if first is None:
+            self.tags.append(tag)
+        else:
+            self.tags.append_run(tag, first, len(nums))
+        if self.tags.runs[runs:] != [(start, tag, first)]:
+            raise SynthesisError(f"structure {tag} does not open a tag run of its own")
+        return list(range(start, len(self.tags)))
 
     def allow(self, a: Tag, b: Tag, lo: int, hi: int) -> None:
         """Structures ``a`` and ``b`` may meet in ``lo``..``hi`` disk pairs."""
         self.spec.allowed_contacts[(a, b)] = (lo, hi)
 
-    def centers(self) -> IntCenters:
-        return IntCenters(tuple(self.xs), tuple(self.ys), self.M)
-
     def finish(self, what: str, meta: Dict[str, object], points: Optional[Dict[str, Point]],
                params: Optional[ParamSet]) -> Tuple[DiskInstance, ContactReport]:
         """The instance, once its intersection graph matches the spec."""
-        inst = DiskInstance(radius=self.r, centers=self.centers(), tags=self.tags,
+        centers = IntCenters(tuple(self.xs), tuple(self.ys), self.M)
+        inst = DiskInstance(radius=self.r, centers=centers, tags=self.tags,
                             points=points, params=params, meta=meta)
         report = check_structure(inst, self.spec)
         if not report.ok:

@@ -46,6 +46,15 @@ def json_int_list(value, what: str, error: type) -> list:
     return json_ints(json_list(value, what, error), what, error)
 
 
+def json_edge_key(key, what: str, error: type) -> int:
+    """The edge id an object key spells, refused with ``error`` unless in
+    canonical decimal: one spelling per id, so "00", " 0", "+0", "0_0" or a
+    non-ASCII digit cannot alias edge 0."""
+    if type(key) is not str or not key.isdecimal() or str(int(key)) != key:
+        raise error(f"{what} {key!r} is not an edge id in decimal")
+    return int(key)
+
+
 def json_object(value, what: str, error: type) -> dict:
     """``value``, refused with ``error`` unless a JSON object (``dict()`` takes pairs)."""
     if type(value) is not dict:
@@ -396,12 +405,8 @@ class MultiterminalInstance:
     @classmethod
     def from_dict(cls, d: Dict[str, object]) -> "MultiterminalInstance":
         g = PlanarEmbeddedGraph.from_dict(d)
-        weights = {}
-        for k, v in json_object(d.get("weights", {}), "weights", StructureError).items():
-            # one spelling per edge id, so "00" or " 0" cannot alias edge 0
-            if type(k) is not str or not k.isdecimal() or str(int(k)) != k:
-                raise StructureError(f"weight key {k!r} is not an edge id in decimal")
-            weights[int(k)] = v
+        weights = {json_edge_key(k, "weight key", StructureError): v for k, v in
+                   json_object(d.get("weights", {}), "weights", StructureError).items()}
         json_ints(weights.values(), "edge weights", StructureError)
         inst = cls(g, json_list(d.get("terminals", []), "terminals", StructureError), weights)
         inst.validate()

@@ -72,6 +72,7 @@ from .graphs import (
     components,
     fvs_solution_ok,
     json_coords,
+    json_edge_key,
     json_graph,
     json_int_list,
     json_ints,
@@ -249,12 +250,15 @@ class ReductionRecord:
         if kind not in REDUCTIONS:
             raise PipelineError(f"unknown reduction kind {kind!r}")
         params = d.get("params")
+        edges = json_object(d["edges"], "record edges", PipelineError)
+        for key in edges:
+            json_edge_key(key, "record edge key", PipelineError)
         return cls(
             kind=kind,
             source_digest=str(d["source_digest"]),
             target_digest=str(d["target_digest"]),
             params=ParamSet.from_dict(params) if params else None,
-            edges=json_object(d["edges"], "record edges", PipelineError),
+            edges=edges,
             vertices=json_object(d["vertices"], "record vertices", PipelineError),
             terminals=json_object(d["terminals"], "record terminals", PipelineError),
             notes=json_object(d.get("notes", {}), "record notes", PipelineError),

@@ -39,6 +39,11 @@
   ``meta["c_edge"]`` is lifted.  The lift from the reduction record's wall
   ids, :func:`disklab.gadgets.lift_fence_to_edges`, must return the same
   edges.
+* The structure check over id lists: each chain and ring declared as a
+  list of disk ids, turned into per-disk owner and index dicts, with every
+  disk audited for an owner, which the check that reads each tag run as one
+  structure, :func:`disklab.gadgets.check_structure`, replaced; both must
+  give the same verdict, violations and contact counts.
 * The pmc->subdivision target by composition: the geometric dual, then
   every edge of it subdivided, with a face map threaded through each step,
   which the one-pass :func:`disklab.graphs.reduce_pmc_to_subdivision`
@@ -58,6 +63,7 @@ import networkx as nx
 
 from disklab import arrangements as ar
 from disklab import gridembed as ge
+from disklab.gadgets import ContactReport, StructureSpec, check_structure
 from disklab.geometry import Point, point_on_segment, ray_crossing
 from disklab.graphs import (
     Dart,
@@ -717,6 +723,98 @@ def reference_verify_multiterminal_cut(
         reasons.append("two terminal disks stay connected")
     return ar.CutReport(ok=separated and not reasons, removed=removed,
                         terminal_components=terminal_components, reasons=reasons)
+
+
+def reference_check_structure(
+    instance: ar.DiskInstance,
+    chains: Dict[tuple, List[int]],
+    rings: Dict[tuple, List[int]],
+    allowed_contacts: Dict[Tuple[tuple, tuple], Tuple[int, int]],
+    udg: Optional[ar.UnitDiskGraph] = None,
+) -> ContactReport:
+    """Exact check of intra-structure shape and cross-structure contacts,
+    with each structure declared as its list of disk ids; the intersection
+    graph ``udg`` is built unless given."""
+    if udg is None:
+        udg = ar.unit_disk_graph(instance.centers, instance.radius)
+    owner: Dict[int, tuple] = {}
+    index_in: Dict[int, int] = {}
+    for tag, ids in {**chains, **rings}.items():
+        for pos, i in enumerate(ids):
+            if i in owner:
+                return ContactReport(False, [f"disk {i} owned by two structures"], {}, udg)
+            owner[i] = tag
+            index_in[i] = pos
+    violations: List[str] = []
+    for i in range(udg.n):
+        if i not in owner:
+            violations.append(f"disk {i} belongs to no declared structure")
+    cross: Dict[Tuple[tuple, tuple], int] = {}
+    linked: Dict[tuple, int] = {}    # structure -> its contacts at index gap 1
+    for (i, j) in udg.edges:
+        ti, tj = owner.get(i), owner.get(j)
+        if ti is None or tj is None:
+            continue
+        if ti == tj:
+            gap = abs(index_in[i] - index_in[j])
+            size = len(chains.get(ti) or rings[ti])
+            is_ring = ti in rings
+            if is_ring:
+                gap = min(gap, size - gap)
+            if gap == 1:
+                linked[ti] = linked.get(ti, 0) + 1
+            else:
+                violations.append(
+                    f"structure {ti}: disks {i} and {j} touch at index gap {gap}"
+                )
+        else:
+            key = (ti, tj) if (ti, tj) in allowed_contacts else (tj, ti)
+            if key not in allowed_contacts:
+                violations.append(f"forbidden contact between {ti} and {tj}")
+            else:
+                cross[key] = cross.get(key, 0) + 1
+    for tag, ids in chains.items():
+        need, have = len(ids) - 1, linked.get(tag, 0)
+        if have != need:
+            violations.append(f"chain {tag}: only {have}/{need} consecutive contacts")
+    for tag, ids in rings.items():
+        # a two-disk ring closes with its one contact
+        if len(ids) >= 2 and linked.get(tag, 0) != (len(ids) if len(ids) > 2 else 1):
+            violations.append(f"ring {tag}: broken cycle")
+    for key, (lo, hi) in allowed_contacts.items():
+        got = cross.get(key, 0)
+        if not (lo <= got <= hi):
+            violations.append(
+                f"contact {key[0]} ~ {key[1]}: {got} intersecting pairs, wanted [{lo}, {hi}]"
+            )
+    return ContactReport(ok=not violations, violations=violations, contact_counts=cross,
+                         graph=udg)
+
+
+def structures_by_name(instance: ar.DiskInstance) -> Dict[tuple, List[int]]:
+    """Disk ids grouped by structure name, read tag by tag: a tag less its
+    last component when that is an int, else the whole tag."""
+    groups: Dict[tuple, List[int]] = {}
+    for i, tag in enumerate(tuple(instance.tags)):
+        name = tag[:-1] if tag and type(tag[-1]) is int else tag
+        groups.setdefault(name, []).append(i)
+    return groups
+
+
+def assert_structure_check_matches_oracle(
+    instance: ar.DiskInstance, spec: StructureSpec
+) -> ContactReport:
+    """``check_structure`` against the id-list check on the structures read
+    from the tags; returns the report."""
+    got = check_structure(instance, spec)
+    groups = structures_by_name(instance)
+    ref = reference_check_structure(
+        instance, {t: ids for t, ids in groups.items() if t not in spec.rings},
+        {t: ids for t, ids in groups.items() if t in spec.rings}, spec.allowed_contacts,
+        got.graph)
+    assert (got.ok, got.contact_counts, got.violations) == (
+        ref.ok, ref.contact_counts, ref.violations)
+    return got
 
 
 def lift_fence_by_tags(instance: ar.DiskInstance, chosen_ids: Iterable[int]) -> List[int]:

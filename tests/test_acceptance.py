@@ -29,6 +29,7 @@ from oracles import (
     assert_all_pairs_match_oracle,
     assert_contraction_exact,
     assert_graph_matches_bucket_oracle,
+    assert_structure_check_matches_oracle,
     bfs_min_isolation_two_points,
     dist_sq,
     lift_fence_by_tags,
@@ -40,6 +41,7 @@ from disklab import pipeline as pl
 from disklab.corpus import seeded_multiterminal_instances, seeded_planar_graphs
 from disklab.gadgets import (
     BUNDLE_COPIES,
+    StructureSpec,
     build_acc_instance,
     build_udmc_instance,
     lift_fence_to_edges,
@@ -218,6 +220,18 @@ def test_sound_corpus_tags_are_one_run_per_wall_and_ring(sound_corpus):
                 for start, stop, tag, first in art.instance.tags.spans()]
         assert runs == [(("ring", str(v)), 0, ids) for v, ids in art.vertex_ids.items()] + [
             (("wall", e), 0, ids) for e, ids in art.wall_ids.items()]
+
+
+def test_structure_check_matches_the_id_list_oracle_on_sound_corpus(sound_corpus):
+    # the spec the sound builder checks: every vertex a ring, and each wall
+    # touching the rings of its two ends 1-3 times
+    for emb, art in sound_corpus:
+        g = emb.graph
+        spec = StructureSpec(
+            rings={("ring", str(v)) for v in g.vertices},
+            allowed_contacts={(("wall", e), ("ring", str(v))): (1, 3)
+                              for e, ends in enumerate(g.edges) for v in ends})
+        assert assert_structure_check_matches_oracle(art.instance, spec).ok
 
 
 def test_criterion_04_sound_corpus_gadget_contacts(sound_corpus):

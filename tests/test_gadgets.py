@@ -10,6 +10,7 @@ for the same shape.
 import json
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from hypothesis import example, given, strategies as st
 from disklab import gadgets
 from disklab.arrangements import (
     DiskInstance,
+    IntCenters,
     VerificationError,
     complement_regions,
     unit_disk_graph,
@@ -44,6 +46,7 @@ from disklab.gadgets import (
     _toy_wall_plan,
     _walk_polyline,
 )
+from disklab.corpus import seeded_multiterminal_instances, seeded_planar_graphs
 from disklab.geometry import Disk, compute_params
 from disklab.pipeline import canonical_digest, instance_json
 from disklab.graphs import (
@@ -54,6 +57,7 @@ from disklab.graphs import (
 )
 from disklab.gridembed import DrawingError, GridEmbedding, grid_embed, locate_face
 
+import oracles
 from instances import build_weighted_edge_instance, disk_instance
 from oracles import (
     assert_cuts_match_networkx,
@@ -210,23 +214,20 @@ def chain_instance(xs, r=Fraction(1, 2)):
 
 def test_check_structure_accepts_clean_chain():
     inst = chain_instance([0, Fraction(9, 10), Fraction(18, 10)])
-    spec = StructureSpec(chains={("c",): [0, 1, 2]})
-    rep = check_structure(inst, spec)
+    rep = check_structure(inst, StructureSpec())
     assert rep.ok and rep.violations == []
 
 
 def test_check_structure_flags_broken_chain():
     inst = chain_instance([0, Fraction(9, 10), Fraction(30, 10)])
-    spec = StructureSpec(chains={("c",): [0, 1, 2]})
-    rep = check_structure(inst, spec)
+    rep = check_structure(inst, StructureSpec())
     assert not rep.ok
     assert any("consecutive contacts" in v for v in rep.violations)
 
 
 def test_check_structure_flags_nonconsecutive_touch():
     inst = chain_instance([0, Fraction(7, 10), Fraction(10, 10)])
-    spec = StructureSpec(chains={("c",): [0, 1, 2]})
-    rep = check_structure(inst, spec)
+    rep = check_structure(inst, StructureSpec())
     assert not rep.ok
     assert any("index gap 2" in v for v in rep.violations)
 
@@ -234,12 +235,9 @@ def test_check_structure_flags_nonconsecutive_touch():
 def test_check_structure_flags_forbidden_and_missing_contacts():
     disks = [Disk(Fraction(0), Fraction(0), ("a",)), Disk(Fraction(1, 2), Fraction(0), ("b",))]
     inst = disk_instance(Fraction(1, 2), disks)
-    rep = check_structure(inst, StructureSpec(chains={("a",): [0], ("b",): [1]}))
+    rep = check_structure(inst, StructureSpec())
     assert not rep.ok and any("forbidden" in v for v in rep.violations)
-    spec = StructureSpec(
-        chains={("a",): [0], ("b",): [1]},
-        allowed_contacts={(("a",), ("b",)): (2, 3)},
-    )
+    spec = StructureSpec(allowed_contacts={(("a",), ("b",)): (2, 3)})
     rep = check_structure(inst, spec)
     assert not rep.ok and any("wanted [2, 3]" in v for v in rep.violations)
 
@@ -254,22 +252,27 @@ def test_check_structure_flags_a_broken_ring():
         return disk_instance(Fraction(1, 2), [Disk(Fraction(x), Fraction(y), ("r", k))
                                               for k, (x, y) in enumerate(corners)])
 
-    spec = StructureSpec(rings={("r",): [0, 1, 2, 3]})
+    spec = StructureSpec(rings={("r",)})
     assert check_structure(ring(square), spec).ok
     rep = check_structure(ring(square[:3] + [(Fraction(-1, 20), Fraction(21, 20))]), spec)
     assert rep.violations == ["ring ('r',): broken cycle"]
     # a two-disk ring closes with its one contact
-    pair = StructureSpec(rings={("r",): [0, 1]})
-    assert check_structure(ring(square[:2]), pair).ok
-    assert check_structure(ring([(0, 0), (2, 0)]), pair).violations == [
+    assert check_structure(ring(square[:2]), spec).ok
+    assert check_structure(ring([(0, 0), (2, 0)]), spec).violations == [
         "ring ('r',): broken cycle"]
 
 
-def test_check_structure_requires_ownership():
-    inst = chain_instance([0, Fraction(9, 10)])
-    rep = check_structure(inst, StructureSpec(chains={("c",): [0]}))
-    assert not rep.ok
-    assert any("no declared structure" in v for v in rep.violations)
+def test_a_structure_that_extends_the_run_before_it_is_refused():
+    # ("c", 2) continues the run ("c", 0), ("c", 1): the two structures
+    # would be one run, so the check would read them as one chain
+    b = gadgets._Disks(Fraction(1, 2))
+    b.chain(("c",), [(0.0, 0.0), (0.9, 0.0)], 0)
+    with pytest.raises(SynthesisError, match="tag run of its own"):
+        b.single(("c", 2), (2 * b.M, 0))
+    b = gadgets._Disks(Fraction(1, 2))
+    b.chain(("c",), [(0.0, 0.0), (0.9, 0.0)], 0)
+    with pytest.raises(SynthesisError, match="tag run of its own"):
+        b.chain(("c",), [(2.0, 0.0), (2.9, 0.0)], 2)
 
 
 # ---------------------------------------------------------------------------
@@ -799,3 +802,112 @@ def test_synthesized_instances_are_pinned(case):
     assert canonical_digest(d) == digest
     # reduce writes and records what its encoder makes, not to_dict's encoding
     assert instance_json(inst) == (json.dumps(d, sort_keys=True, indent=2) + "\n", digest)
+
+
+# ---------------------------------------------------------------------------
+# one tag run per structure, and the run-based check against the id-list one
+# ---------------------------------------------------------------------------
+
+def run_table(inst):
+    return [(tag, first, list(range(start, stop))) for start, stop, tag, first in inst.tags.spans()]
+
+
+@pytest.mark.parametrize("shape", [TRI, FOREST, TWO_TRIANGLES])
+def test_acc_tags_are_one_run_per_hub_and_chain(shape):
+    art = build_acc_instance(*shape)
+    assert run_table(art.instance) == [
+        (("hub", str(v)), None, [i]) for v, i in art.hub_of_vertex.items()] + [
+        (("conn", e), 0, ids) for e, ids in art.chain_ids.items()]
+
+
+@pytest.mark.parametrize("shape", [_star_k13, _triangle_mti])
+def test_udmc_tags_are_one_run_per_hub_ring_chain_and_lane(shape):
+    art = build_udmc_instance(*shape())
+    want = []
+    for v, hub in art.hub_of_vertex.items():
+        want.append((("hub", str(v)), None, [hub]))
+        sigma = art.sigma_ids[v]
+        m = len(sigma) // BUNDLE_COPIES
+        for j in range(BUNDLE_COPIES):
+            ring = sigma[j * m:(j + 1) * m]
+            # the two-disk connector chain follows its ring copy, numbered from 1
+            want += [(("sigma", str(v), j), 0, ring),
+                     (("gamma", str(v), j), 1, [ring[-1] + 1, ring[-1] + 2])]
+    want += [(("lane", e, i), 0, ids) for e, lanes in art.lanes.items()
+             for i, ids in enumerate(lanes)]
+    assert run_table(art.instance) == want
+
+
+@pytest.fixture
+def checked(monkeypatch):
+    """Every (instance, spec) the builders hand to ``check_structure``."""
+    seen = []
+    real = gadgets.check_structure
+
+    def record(inst, spec):
+        seen.append((inst, spec))
+        return real(inst, spec)
+    monkeypatch.setattr(gadgets, "check_structure", record)
+    return seen
+
+
+def moved(inst, i, to):
+    """A copy of ``inst`` with disk ``i`` centred at the numerators ``to``."""
+    xs, ys, den = inst.centers
+    xs, ys = list(xs), list(ys)
+    xs[i], ys[i] = to
+    return DiskInstance(inst.radius, IntCenters(tuple(xs), tuple(ys), den), inst.tags,
+                        meta=inst.meta)
+
+
+def one_disk_moves(inst, spec):
+    """(copy, violation it must show): the middle disk of the longest chain
+    moved far off and onto a structure it may not touch, and the first disk
+    of the first ring moved far off."""
+    xs, ys, den = inst.centers
+    far = (max(xs) + 10 * den, max(ys) + 10 * den)
+    groups = oracles.structures_by_name(inst)
+    name, ids = max(((t, ids) for t, ids in groups.items() if t not in spec.rings),
+                    key=lambda item: len(item[1]))
+    mid = ids[len(ids) // 2]
+    out = [(moved(inst, mid, far), "consecutive contacts")]
+    stranger = next(t for t in groups if t != name and (name, t) not in spec.allowed_contacts
+                    and (t, name) not in spec.allowed_contacts)
+    there = groups[stranger][0]
+    out.append((moved(inst, mid, (xs[there], ys[there])), "forbidden contact"))
+    ring = next((ids for t, ids in groups.items() if t in spec.rings), None)
+    if ring:
+        out.append((moved(inst, ring[0], far), "broken cycle"))
+    return out
+
+
+def test_check_structure_matches_the_id_list_oracle_on_seeded_builds(checked):
+    for seed in range(6):
+        for emb in seeded_planar_graphs(seed, 4, max_vertices=5):
+            g = emb.graph
+            base = compute_params(emb.grid_size, "toy")
+            sub = SubdivisionInstance(graph=g, terminals={f"p{f}": f for f in range(g.face_count())})
+            for build in (
+                    lambda: build_isolation_instance(
+                        sub, emb, replace(base, c_edge=toy_edge_budget(emb, base))),
+                    lambda: build_acc_instance(g.vertices, g.edges, emb.coords)):
+                try:
+                    build()
+                except SynthesisError:
+                    pass
+        for mti in seeded_multiterminal_instances(seed, 4):
+            try:
+                build_udmc_instance(mti, grid_embed(mti.graph))
+            except SynthesisError:
+                pass
+    outcomes = Counter()
+    for inst, spec in checked:
+        report = oracles.assert_structure_check_matches_oracle(inst, spec)
+        outcomes[inst.meta["kind"], report.ok] += 1
+        if report.ok:
+            for copy, violation in one_disk_moves(inst, spec):
+                bad = oracles.assert_structure_check_matches_oracle(copy, spec)
+                assert any(violation in v for v in bad.violations), violation
+    # refused builds too: conn chains and lanes that touch where they must not
+    assert outcomes == {("isolation", True): 14, ("acc", True): 14, ("acc", False): 10,
+                        ("udmc", True): 10, ("udmc", False): 5}

@@ -1119,6 +1119,22 @@ def test_a_record_id_that_is_not_a_json_integer_is_malformed(lift_cases, tmp_pat
         2, [f"malformed: record {where} ids must be JSON integers"])
 
 
+@pytest.mark.parametrize("key", ["00", " 0", "+0", "0_0", "\u0660"])
+@pytest.mark.parametrize("kind", sorted(pipeline.REDUCTIONS))
+def test_a_record_edge_key_not_in_canonical_decimal_is_malformed(lift_cases, tmp_path, kind,
+                                                                 key):
+    # int() reads each of these spellings as edge 0
+    record, source, target, _, candidate, _ = lift_cases[kind]
+    bad, cert = tmp_path / "record.json", tmp_path / "cert.json"
+    d = read_json(record)
+    d["edges"][key] = d["edges"].pop("0")
+    write_json(d, bad)
+    write_json({"candidate": candidate}, cert)
+    assert cli_lift(bad, cert, source, target, tmp_path / "x.json") == (
+        2, [f"malformed: record edge key {key!r} is not an edge id in decimal"])
+    assert cli_lift(record, cert, source, target, tmp_path / "x.json")[0] == 0
+
+
 @pytest.mark.parametrize("kind", ["pmc->subdivision", "subdivision->isolation"])
 def test_an_empty_record_group_is_malformed(lift_cases, tmp_path, kind):
     # an empty group would be lifted whatever the candidate keeps
