@@ -146,7 +146,7 @@ class DiskInstance:
     JSON boundary, in the radius and the marked points, and in the
     :attr:`disks` view.  Two instances are equal when their centres are
     equal as rationals, whatever denominators they are stored over.  The
-    disks must not change after construction.
+    constructor checks the instance, which is not changed after.
     """
 
     def __init__(
@@ -165,6 +165,7 @@ class DiskInstance:
         self.params = params
         self.meta = {} if meta is None else meta
         self._disks: Optional[List[Disk]] = None
+        self.validate()
 
     @property
     def disks(self) -> List[Disk]:
@@ -193,6 +194,8 @@ class DiskInstance:
                 f"points={self.points!r}, params={self.params!r}, meta={self.meta!r})")
 
     def validate(self) -> None:
+        """Raise :class:`VerificationError` unless the instance is well
+        formed; the constructor calls this, and nothing changes it after."""
         if self.radius <= 0:
             raise VerificationError("radius must be positive")
         if len(self.points) != len(set(self.points.values())):
@@ -205,6 +208,18 @@ class DiskInstance:
         if len(set(terminals)) != len(terminals):
             raise VerificationError("terminal disk ids must be distinct")
 
+    def head_dict(self) -> Dict[str, object]:
+        """:meth:`to_dict` without its ``disks``."""
+        return {
+            "radius": rational_to_str(self.radius),
+            "points": {
+                k: [rational_to_str(p[0]), rational_to_str(p[1])]
+                for k, p in self.points.items()
+            },
+            "params": self.params.as_dict() if self.params is not None else None,
+            "meta": self.meta,
+        }
+
     def to_dict(self) -> Dict[str, object]:
         xs, ys, den = self.centers
         gcd = math.gcd
@@ -214,19 +229,9 @@ class DiskInstance:
             g = gcd(n, den)
             return f"{n // g}/{den // g}"
 
-        return {
-            "radius": rational_to_str(self.radius),
-            "disks": [
-                {"c": [coord(x), coord(y)], "prov": list(tag)}
-                for x, y, tag in zip(xs, ys, self.tags)
-            ],
-            "points": {
-                k: [rational_to_str(p[0]), rational_to_str(p[1])]
-                for k, p in self.points.items()
-            },
-            "params": self.params.as_dict() if self.params is not None else None,
-            "meta": self.meta,
-        }
+        return {"disks": [{"c": [coord(x), coord(y)], "prov": list(tag)}
+                          for x, y, tag in zip(xs, ys, self.tags)],
+                **self.head_dict()}
 
     @classmethod
     def from_dict(cls, d: Dict[str, object]) -> "DiskInstance":
@@ -241,8 +246,13 @@ class DiskInstance:
         expect: Optional[list] = None
         int_at: List[int] = []
         dens: Dict[str, int] = {}
-        for e in d["disks"]:
-            c = e["c"]
+        disks = json_list(d["disks"], "disks", VerificationError)
+        if len(disks) > MAX_DISKS:
+            raise VerificationError(f"{len(disks)} disks exceeds the disk cap {MAX_DISKS}")
+        for e in disks:
+            if type(e) is not dict:
+                raise VerificationError("a disk must be a JSON object")
+            c = e.get("c")
             if type(c) is not list or len(c) != 2:
                 raise VerificationError("a disk centre must be a JSON list of two coordinates")
             x, dx = _parse_rational(c[0], dens)
@@ -275,7 +285,7 @@ class DiskInstance:
             points[str(k)] = (rational_from_str(v[0]), rational_from_str(v[1]))
         params = d.get("params")
         radius = rational_from_str(d["radius"])
-        inst = cls(
+        return cls(
             radius=radius,
             centers=_over_common_denominator(xn, xd, yn, yd, radius),
             tags=tags,
@@ -283,8 +293,6 @@ class DiskInstance:
             params=ParamSet.from_dict(params) if params else None,
             meta=json_object(d.get("meta", {}), "meta", VerificationError),
         )
-        inst.validate()
-        return inst
 
 
 def _parse_rational(s, dens: Dict[str, int]) -> Tuple[int, int]:
@@ -347,6 +355,9 @@ class IntCenters(NamedTuple):
 # whose denominators fold to more than this is refused before any centre is
 # scaled, so distinct hostile denominators cannot grow the work quadratically.
 MAX_DENOMINATOR_BITS = 4096
+# A disk file holds at most this many disks, refused before any is read; sound
+# synthesis emits fewer than 2 * gadgets.MAX_WALL_DISKS.
+MAX_DISKS = 4_000_000
 
 
 def _over_common_denominator(
@@ -761,7 +772,6 @@ def verify_isolation(
     :class:`VerificationError`; a well-formed certificate that fails to
     separate — or overshoots the budget — yields ``ok=False`` with reasons.
     """
-    instance.validate()
     if len(instance.points) < 2:
         raise VerificationError("isolation needs at least two marked points")
     chosen = check_ids(chosen_ids, len(instance.centers.xs), "certificate")
@@ -806,7 +816,6 @@ def verify_acc(
 ) -> AccReport:
     """Check that deleting the given disks leaves a union with no bounded
     complement region (an acyclic disk collection)."""
-    instance.validate()
     removed = check_ids(removed_ids, len(instance.centers.xs), "certificate")
     reasons = []
     if budget is not None and len(removed) > budget:
@@ -863,7 +872,6 @@ def verify_multiterminal_cut(
     graph edges, never disks).  Over-budget certificates are rejected, not
     errored.
     """
-    instance.validate()
     terminals = instance.meta.get("terminal_disks", [])
     if len(terminals) < 2:
         raise VerificationError("cut instances need at least two terminal disks")

@@ -112,10 +112,8 @@ def seeded_multiterminal_instances(
         n = rng.randint(min_vertices, max_vertices)
         names, edges = random_planar_edges(rng, n)
         k = rng.randint(2, min(max_terminals, n))
-        inst = MultiterminalInstance(
+        out.append(MultiterminalInstance(
             graph=rotation_graph(names, edges),
             terminals=sorted(rng.sample(names, k)),
-        )
-        inst.validate()
-        out.append(inst)
+        ))
     return out

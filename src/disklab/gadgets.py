@@ -233,18 +233,16 @@ class _Disks:
         """Structures ``a`` and ``b`` may meet in ``lo``..``hi`` disk pairs."""
         self.spec.allowed_contacts[(a, b)] = (lo, hi)
 
-    def finish(self, what: str, meta: Dict[str, object], points: Optional[Dict[str, Point]],
-               params: Optional[ParamSet]) -> Tuple[DiskInstance, ContactReport]:
+    def finish(self, what: str, meta: Dict[str, object],
+               params: Optional[ParamSet] = None) -> Tuple[DiskInstance, ContactReport]:
         """The instance, once its intersection graph matches the spec."""
         centers = IntCenters(tuple(self.xs), tuple(self.ys), self.M)
-        inst = DiskInstance(radius=self.r, centers=centers, tags=self.tags,
-                            points=points, params=params, meta=meta)
+        inst = DiskInstance(self.r, centers, self.tags, params=params, meta=meta)
         report = check_structure(inst, self.spec)
         if not report.ok:
             raise SynthesisError(
                 f"{what} instance failed verification:\n  " + "\n  ".join(report.violations[:12])
             )
-        inst.validate()
         return inst, report
 
 
@@ -466,7 +464,6 @@ def build_isolation_instance(
     end-of-wall pairs meeting at a shared vertex, which the counting
     argument tolerates because entire walls still stand or fall as units.
     """
-    sub.validate()
     _check_drawing_matches(sub.graph, emb)
     g = emb.graph
     p = params
@@ -519,9 +516,10 @@ def build_isolation_instance(
         "groups": sub.groups,
         "terminal_faces": dict(sub.terminals),
     }
-    inst, report = b.finish("isolation", meta, points=None, params=p)
+    inst, report = b.finish("isolation", meta, p)
     # placed on the bucket grid the structure check built, in distinct faces
-    inst.points.update(_place_face_points(emb, sub.terminals, report.graph.index))
+    points = _place_face_points(emb, sub.terminals, report.graph.index)
+    inst = DiskInstance(inst.radius, inst.centers, inst.tags, points, p, meta)
     if vertex_disk_total >= p.c_edge:
         raise SynthesisError(
             f"vertex structures use {vertex_disk_total} disks, which reaches the "
@@ -614,7 +612,7 @@ def build_acc_instance(
     for e1, e2 in _incident_pairs(edges):
         b.allow(("conn", e1), ("conn", e2), 0, 1)
     meta = {"kind": "acc", "hubs": {str(v): i for v, i in hub_of_vertex.items()}}
-    inst, _ = b.finish("acyclicity", meta, points=None, params=None)
+    inst, _ = b.finish("acyclicity", meta)
     # the union must have exactly one hole per independent cycle
     n_comp = len(set(components(vertices, edges).values()))
     cycle_rank = len(edges) - len(vertices) + n_comp
@@ -702,7 +700,6 @@ def build_udmc_instance(
     Everything is gated by exact verification; drawings whose incident edges
     leave too little angular room are rejected rather than approximated.
     """
-    mti.validate()
     g = mti.graph
     _check_drawing_matches(g, emb)
     if not g.is_simple():
@@ -805,7 +802,7 @@ def build_udmc_instance(
     }
     # the check fixes each hub's degree at ``copies``: the spec lets every
     # connector chain touch the hub exactly once and no other structure touch it
-    inst, report = b.finish("bundle", meta, points=None, params=None)
+    inst, report = b.finish("bundle", meta)
 
     xs, ys, den = inst.centers
     adj = [set(a) for a in report.graph.adj]

@@ -372,7 +372,8 @@ class MultiterminalInstance:
     """Edge-deletion multiterminal cut on an embedded graph.
 
     A solution is an edge set whose removal leaves no two terminals in one
-    component; weights default to 1 per edge.
+    component; weights default to 1 per edge.  The constructor checks the
+    instance, which is not changed after.
     """
 
     graph: PlanarEmbeddedGraph
@@ -383,6 +384,8 @@ class MultiterminalInstance:
         return self.weights.get(eid, 1)
 
     def validate(self) -> None:
+        """Raise :class:`StructureError` unless the instance is well formed;
+        the constructor calls this, and nothing changes it after."""
         vset = set(self.graph.vertices)
         for t in self.terminals:
             if t not in vset:
@@ -394,6 +397,8 @@ class MultiterminalInstance:
                 raise StructureError(f"weight names unknown edge {eid}")
             if w < 1:
                 raise StructureError(f"edge {eid} has non-positive weight")
+
+    __post_init__ = validate
 
     def to_dict(self) -> Dict[str, object]:
         d = self.graph.to_dict()
@@ -408,9 +413,7 @@ class MultiterminalInstance:
         weights = {json_edge_key(k, "weight key", StructureError): v for k, v in
                    json_object(d.get("weights", {}), "weights", StructureError).items()}
         json_ints(weights.values(), "edge weights", StructureError)
-        inst = cls(g, json_list(d.get("terminals", []), "terminals", StructureError), weights)
-        inst.validate()
-        return inst
+        return cls(g, json_list(d.get("terminals", []), "terminals", StructureError), weights)
 
 
 @dataclass
@@ -422,7 +425,8 @@ class SubdivisionInstance:
     hosts it.  ``groups``, when present, partitions the edges into the
     fragment groups of one source dual edge each; solutions are then unions
     of whole groups and each used group is counted with mass 2 regardless of
-    its fragment count (see the solver).
+    its fragment count (see the solver).  The constructor checks the
+    instance, which is not changed after.
     """
 
     graph: PlanarEmbeddedGraph
@@ -436,6 +440,8 @@ class SubdivisionInstance:
         return [[e] for e in range(len(self.graph.edges))]
 
     def validate(self) -> None:
+        """Raise :class:`StructureError` unless the instance is well formed;
+        the constructor calls this, and nothing changes it after."""
         nf = self.graph.face_count()
         if len(set(self.terminals.values())) != len(self.terminals):
             raise StructureError("two points share a face")
@@ -448,6 +454,8 @@ class SubdivisionInstance:
                 raise StructureError("groups must partition the edge set")
             if not all(self.groups):
                 raise StructureError("a group must hold at least one edge")
+
+    __post_init__ = validate
 
     def to_dict(self) -> Dict[str, object]:
         d = self.graph.to_dict()
@@ -462,15 +470,13 @@ class SubdivisionInstance:
         groups = d.get("groups")
         terminals = json_object(d["terminals"], "terminals", StructureError)
         json_ints(terminals.values(), "terminal faces", StructureError)
-        inst = cls(
+        return cls(
             graph=g,
             terminals={str(k): v for k, v in terminals.items()},
             groups=[json_int_list(grp, "group edge ids", StructureError)
                     for grp in json_list(groups, "groups", StructureError)]
             if groups is not None else None,
         )
-        inst.validate()
-        return inst
 
 
 def face_components(g: PlanarEmbeddedGraph, kept_edges: Iterable[int]) -> Dict[int, int]:
@@ -525,7 +531,6 @@ def reduce_pmc_to_subdivision(mti: MultiterminalInstance) -> PmcReduction:
     target (counting each used fragment group as 2) corresponds to a source
     solution of M edges; ``lift_subdivision_solution`` maps back.
     """
-    mti.validate()
     g = mti.graph
     if not g.is_connected():
         raise StructureError("source graph must be connected")
@@ -561,7 +566,6 @@ def reduce_pmc_to_subdivision(mti: MultiterminalInstance) -> PmcReduction:
         terminals={str(t): vertex_face[t] for t in mti.terminals},
         groups=list(pairing.values()),
     )
-    inst.validate()
     return PmcReduction(instance=inst, pairing=pairing, vertex_face=vertex_face)
 
 

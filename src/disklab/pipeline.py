@@ -154,8 +154,7 @@ def instance_json(inst) -> Tuple[str, str]:
         return json.dumps(d, sort_keys=True, indent=2) + "\n", canonical_digest(d)
     # the instance's dict with no disks; "disks" sorts first, so both texts
     # of this head open with its empty list
-    head = DiskInstance(inst.radius, inst.centers.subset(()), (), inst.points, inst.params,
-                        inst.meta).to_dict()
+    head = {"disks": [], **inst.head_dict()}
     text_open, compact_open = '{\n  "disks": [', '{"disks":['
     text_rest = json.dumps(head, sort_keys=True, indent=2)[len(text_open):]
     compact_rest = json.dumps(head, sort_keys=True, separators=(",", ":"))[len(compact_open):]

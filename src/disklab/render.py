@@ -149,7 +149,7 @@ def svg_for_instance(instance: DiskInstance, guides: bool = False) -> str:
                     _guide_pitch(span), out)
 
     color_of: Dict[Tuple, str] = {}
-    terminal = set(int(t) for t in instance.meta.get("terminal_disks", []))
+    terminal = set(instance.meta.get("terminal_disks", []))
     radius = _fmt(r * frame.k)
     heavy = ' stroke="#000000" stroke-width="2.4"'
     out.append('<g stroke="#333333" stroke-width="0.6" fill-opacity="0.5">')

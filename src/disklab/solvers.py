@@ -135,7 +135,6 @@ def brute_min_multiterminal(inst: MultiterminalInstance) -> OptimumCertificate:
     """Minimum total weight of deleted edges leaving all terminals in
     pairwise distinct components, by enumeration in combinations order,
     pruned by upward-closed feasibility (:func:`_feasible_subsets`)."""
-    inst.validate()
     m = len(inst.graph.edges)
     if m > MAX_EDGES:
         raise SolverCapExceeded(f"{m} edges exceeds the enumeration cap {MAX_EDGES}")
@@ -160,7 +159,6 @@ def brute_min_subdivision(inst: SubdivisionInstance) -> OptimumCertificate:
     upward-closed feasibility (:func:`_feasible_subsets`).  Only whole
     groups are worth keeping, and each used group counts two regardless of
     its fragment count."""
-    inst.validate()
     groups = inst.edge_groups()
     g = len(groups)
     if g > MAX_GROUPS:
@@ -228,7 +226,6 @@ def brute_min_isolation_two_points(instance: DiskInstance) -> OptimumCertificate
     cycle and the numbers of odd edges, roots searched, junctions and
     chains.
     """
-    instance.validate()
     if len(instance.points) != 2:
         raise VerificationError("this solver handles exactly two marked points")
     p, q = [instance.points[k] for k in sorted(instance.points)]
@@ -325,7 +322,6 @@ def brute_min_isolation(instance: DiskInstance) -> OptimumCertificate:
     fence nothing, no subset does.  Strictly capped; use the two-point
     solver for synthesized instances.
     """
-    instance.validate()
     n = len(instance.centers.xs)
     if n > MAX_FENCE_DISKS:
         raise SolverCapExceeded(
@@ -357,7 +353,6 @@ def brute_min_isolation(instance: DiskInstance) -> OptimumCertificate:
 def brute_min_acc(instance: DiskInstance) -> OptimumCertificate:
     """Minimum number of deleted disks leaving a union with no bounded
     complement region, by subset enumeration over deletions."""
-    instance.validate()
     n = len(instance.centers.xs)
     if n > MAX_ACC_DISKS:
         raise SolverCapExceeded(f"{n} disks exceeds the enumeration cap {MAX_ACC_DISKS}")
@@ -385,7 +380,6 @@ def min_terminal_pair_cut(instance: DiskInstance) -> OptimumCertificate:
     ``udg.edges`` order.  Disconnected terminals answer 0 with an empty
     witness.
     """
-    instance.validate()
     terminals = instance.meta.get("terminal_disks", [])
     if len(terminals) != 2:
         raise VerificationError("terminal-pair cut needs exactly two terminal disks")
@@ -413,7 +407,6 @@ def multiterminal_cut_lower_bound(instance: DiskInstance) -> int:
     terminal's component boundary is itself an isolating cut.  Together with
     a verified certificate of the same size this pins the optimum exactly.
     """
-    instance.validate()
     terminals = instance.meta.get("terminal_disks", [])
     if len(terminals) < 2:
         return 0

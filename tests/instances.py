@@ -89,7 +89,7 @@ def build_weighted_edge_instance(weight: int) -> CutArtifacts:
         for j2 in range(j + 1, weight):
             b.allow(("lane", 0, j), ("lane", 0, j2), 0, 10**9)
     meta = {"kind": "udmc", "terminal_disks": [0, 1], "weight": weight}
-    inst, report = b.finish("cut", meta, points=None, params=None)
+    inst, report = b.finish("cut", meta)
     # each lane alone must connect the terminals, and in the middle zone
     # (between the fans) lanes must be pairwise disjoint so that deleting one
     # mid-lane disk per lane really disconnects the ends

@@ -331,9 +331,8 @@ def test_verify_acc():
 
 
 def test_verify_multiterminal_cut():
-    chain = [(F(2 * i), F(0)) for i in range(5)]
-    inst = disk_instance(ONE, [Disk(x, y) for x, y in chain],
-                         meta={"kind": "udmc", "terminal_disks": [0, 4]})
+    chain = [Disk(F(2 * i), F(0)) for i in range(5)]
+    inst = disk_instance(ONE, chain, meta={"kind": "udmc", "terminal_disks": [0, 4]})
     assert ar.verify_multiterminal_cut(inst, [(2, 3)]).ok
     assert not ar.verify_multiterminal_cut(inst, []).ok
     rep = ar.verify_multiterminal_cut(inst, [(1, 2), (2, 3)], budget=1)
@@ -345,12 +344,28 @@ def test_verify_multiterminal_cut():
     with pytest.raises(ar.VerificationError, match="not an edge"):
         ar.verify_multiterminal_cut(inst, [(2, 2)])
     for terminals in ([0.0, 4], [True, 4]):
-        inst.meta["terminal_disks"] = terminals
         with pytest.raises(ar.VerificationError, match="JSON integers"):
-            ar.verify_multiterminal_cut(inst, [(2, 3)])
+            disk_instance(ONE, chain, meta={"kind": "udmc", "terminal_disks": terminals})
     inst.meta["terminal_disks"] = [0]
     with pytest.raises(ar.VerificationError, match="two terminal"):
         ar.verify_multiterminal_cut(inst, [(2, 3)])
+
+
+@pytest.mark.parametrize("radius, points, terminals, why", [
+    (F(0), None, [0, 4], "radius must be positive"),
+    (-ONE, None, [0, 4], "radius must be positive"),
+    (ONE, {"p": (F(9), F(0)), "q": (F(9), F(0))}, [0, 4], "marked points must be distinct"),
+    (ONE, None, [0, 4.0], "terminal disk ids must be JSON integers"),
+    (ONE, None, [0, "4"], "terminal disk ids must be JSON integers"),
+    (ONE, None, [0, 5], "terminal disk id 5 out of range"),
+    (ONE, None, [-1, 4], "terminal disk id -1 out of range"),
+    (ONE, None, [4, 4], "terminal disk ids must be distinct"),
+])
+def test_a_disk_instance_checks_itself_at_construction(radius, points, terminals, why):
+    chain = [Disk(F(2 * i), F(0)) for i in range(5)]
+    with pytest.raises(ar.VerificationError, match=f"^{why}$"):
+        disk_instance(radius, chain, points=points,
+                      meta={"kind": "udmc", "terminal_disks": terminals})
 
 
 def test_instance_round_trip_and_validation():

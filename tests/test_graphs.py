@@ -542,6 +542,31 @@ def test_instance_round_trips():
     assert inst2.groups == red.instance.groups
 
 
+@pytest.mark.parametrize("terminals, weights, why", [
+    (["a", "z"], {}, "terminal 'z' is not a vertex"),
+    (["a", "b", "a"], {}, "duplicate terminals"),
+    (["a", "b"], {3: 2}, "weight names unknown edge 3"),
+    (["a", "b"], {-1: 2}, "weight names unknown edge -1"),
+    (["a", "b"], {1: 0}, "edge 1 has non-positive weight"),
+])
+def test_a_multiterminal_instance_checks_itself_at_construction(terminals, weights, why):
+    with pytest.raises(gr.StructureError, match=f"^{why}$"):
+        gr.MultiterminalInstance(graph=triangle(), terminals=terminals, weights=weights)
+
+
+@pytest.mark.parametrize("terminals, groups, why", [
+    ({"p": 0, "q": 0}, None, "two points share a face"),
+    ({"p": 0, "q": 2}, None, "point 'q' names unknown face 2"),
+    ({"p": -1}, None, "point 'p' names unknown face -1"),
+    ({"p": 0, "q": 1}, [[0, 1]], "groups must partition the edge set"),
+    ({"p": 0, "q": 1}, [[0, 1], [1, 2]], "groups must partition the edge set"),
+    ({"p": 0, "q": 1}, [[0], [1, 2], []], "a group must hold at least one edge"),
+])
+def test_a_subdivision_instance_checks_itself_at_construction(terminals, groups, why):
+    with pytest.raises(gr.StructureError, match=f"^{why}$"):
+        gr.SubdivisionInstance(graph=triangle(), terminals=terminals, groups=groups)
+
+
 def test_subdivision_instance_validation():
     g = triangle()
     with pytest.raises(gr.StructureError, match="share a face"):

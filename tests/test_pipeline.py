@@ -10,11 +10,11 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from disklab import pipeline
+from disklab import arrangements, pipeline
 from disklab.__main__ import main as cli_main
 from disklab.arrangements import DiskInstance, TagRuns, unit_disk_graph
 from disklab.corpus import seeded_multiterminal_instances
-from disklab.gadgets import BUNDLE_COPIES, SynthesisError, build_udmc_instance
+from disklab.gadgets import BUNDLE_COPIES, MAX_WALL_DISKS, SynthesisError, build_udmc_instance
 from disklab.geometry import Disk
 from disklab.graphs import (
     MultiterminalInstance,
@@ -968,6 +968,47 @@ def test_a_disk_centre_that_is_not_two_coordinates_is_malformed(tmp_path, verb, 
     assert json.loads(line)["msg"] == (
         "malformed: a disk centre must be a JSON list of two coordinates")
     assert not (tmp_path / "inst.svg").exists()
+
+
+@pytest.mark.parametrize("disks, why", [
+    ({"a": 1}, "disks must be a JSON list"),
+    ([[1, 2]], "a disk must be a JSON object"),
+    ([{"prov": []}], "a disk centre must be a JSON list of two coordinates"),
+])
+@pytest.mark.parametrize("verb", ["verify", "render"])
+def test_a_disk_list_of_the_wrong_shape_is_malformed(tmp_path, verb, disks, why):
+    inst, cert, svg = tmp_path / "inst.json", tmp_path / "cert.json", tmp_path / "inst.svg"
+    write_json({"disks": disks, "radius": "1/2", "points": {}}, inst)
+    write_json({"candidate": [0]}, cert)
+    got = cli_verify("isolation", inst, cert) if verb == "verify" else cli_render(inst, svg)
+    assert got == (2, [f"malformed: {why}"])
+    assert not svg.exists()
+
+
+def test_the_disk_cap_admits_every_sound_synthesis():
+    # at most MAX_WALL_DISKS wall disks, and fewer vertex disks than c_edge,
+    # which is at most MAX_WALL_DISKS
+    assert arrangements.MAX_DISKS >= 2 * MAX_WALL_DISKS
+
+
+@pytest.mark.parametrize("verb", ["verify", "render"])
+def test_a_disk_list_over_the_cap_is_refused_before_any_disk_is_read(
+        tmp_path, monkeypatch, verb):
+    monkeypatch.setattr(arrangements, "MAX_DISKS", 3)
+    disks = [{"c": [f"{3 * i}/1", "0/1"], "prov": []} for i in range(3)]
+    inst, cert, svg = tmp_path / "inst.json", tmp_path / "cert.json", tmp_path / "inst.svg"
+    write_json({"candidate": [0]}, cert)
+
+    def run(disks):
+        write_json({"disks": disks, "radius": "1/2", "points": {}}, inst)
+        return cli_verify("acc", inst, cert) if verb == "verify" else cli_render(inst, svg)
+
+    assert run(disks)[0] == 0    # three disks reach the cap, and pass
+    svg.unlink(missing_ok=True)
+    # the fourth entry is malformed, so the cap's message shows that no
+    # entry was read
+    assert run(disks + [[1, 2]]) == (2, ["malformed: 4 disks exceeds the disk cap 3"])
+    assert not svg.exists()
 
 
 @pytest.mark.parametrize("verb", ["verify", "solve", "render"])
