@@ -42,7 +42,7 @@ from .geometry import (
     ray_crossing,
     triple_intersection_nonempty,
 )
-from .graphs import component_labels, json_ints, json_list, json_object
+from .graphs import component_labels, json_ints, json_key, json_list, json_object
 
 
 class VerificationError(ValueError):
@@ -246,7 +246,8 @@ class DiskInstance:
         expect: Optional[list] = None
         int_at: List[int] = []
         dens: Dict[str, int] = {}
-        disks = json_list(d["disks"], "disks", VerificationError)
+        disks = json_list(json_key(d, "disks", "a disk instance", VerificationError),
+                          "disks", VerificationError)
         if len(disks) > MAX_DISKS:
             raise VerificationError(f"{len(disks)} disks exceeds the disk cap {MAX_DISKS}")
         for e in disks:
@@ -284,7 +285,7 @@ class DiskInstance:
                 raise VerificationError("a marked point must be a JSON list of two coordinates")
             points[str(k)] = (rational_from_str(v[0]), rational_from_str(v[1]))
         params = d.get("params")
-        radius = rational_from_str(d["radius"])
+        radius = rational_from_str(json_key(d, "radius", "a disk instance", VerificationError))
         return cls(
             radius=radius,
             centers=_over_common_denominator(xn, xd, yn, yd, radius),

@@ -477,7 +477,6 @@ def build_isolation_instance(
     coords_f = {v: (float(x), float(y)) for v, (x, y) in emb.coords.items()}
     toy = p.mode == "toy"
     vertex_kind = "anchor" if toy else "ring"
-    two_r = int(2 * p.r * M)
     vertex_ids: Dict[Vertex, List[int]] = {}
     for v in g.vertices:
         if toy:
@@ -487,7 +486,7 @@ def build_isolation_instance(
         for phase in (0.0, math.pi / p.c_vertex, math.pi / (2 * p.c_vertex)):
             ring = _ring_centers(*coords_f[v], float(p.s), p.c_vertex, phase)
             snapped = [b.snapper.snap_point(c) for c in ring]
-            if _ring_is_cycle(snapped, two_r):
+            if _ring_is_cycle(snapped, M, p.r):
                 break
         else:
             raise SynthesisError(f"vertex ring at {v!r} failed to close")
@@ -530,21 +529,14 @@ def build_isolation_instance(
     )
 
 
-def _ring_is_cycle(ring: Sequence[Tuple[int, int]], two_r: int) -> bool:
-    """Consecutive disks of the ring touch and no other pair does; centres
-    and the diameter ``two_r`` are integers in one unit."""
+def _ring_is_cycle(ring: Sequence[Tuple[int, int]], den: int, r: Fraction) -> bool:
+    """Consecutive disks of the ring, centres over ``den``, touch and no
+    other pair does: each disk's neighbours are exactly the two beside it."""
     n = len(ring)
     if n < 3:
         return False
-    four_r2 = two_r * two_r
-    for i in range(n):
-        xi, yi = ring[i]
-        for j in range(i + 1, n):
-            dx = xi - ring[j][0]
-            dy = yi - ring[j][1]
-            if (dx * dx + dy * dy <= four_r2) != (j - i == 1 or j - i == n - 1):
-                return False
-    return True
+    adj = unit_disk_graph(IntCenters(*map(tuple, zip(*ring)), den), r).adj
+    return all(a == sorted(((i - 1) % n, (i + 1) % n)) for i, a in enumerate(adj))
 
 
 def lift_fence_to_edges(walls: Dict[int, List[int]], chosen_ids: Iterable[int]) -> List[int]:

@@ -34,6 +34,13 @@ def json_ints(values: Iterable, what: str, error: type) -> list:
     return out
 
 
+def json_key(d: dict, key: str, what: str, error: type):
+    """``d[key]``, refused with ``error`` naming the key when ``what`` lacks it."""
+    if key not in d:
+        raise error(f'{what} needs a "{key}" key')
+    return d[key]
+
+
 def json_list(value, what: str, error: type) -> list:
     """``value``, refused with ``error`` unless a JSON list (``list()`` takes a string)."""
     if type(value) is not list:
@@ -468,7 +475,8 @@ class SubdivisionInstance:
     def from_dict(cls, d: Dict[str, object]) -> "SubdivisionInstance":
         g = PlanarEmbeddedGraph.from_dict(d)
         groups = d.get("groups")
-        terminals = json_object(d["terminals"], "terminals", StructureError)
+        terminals = json_object(json_key(d, "terminals", "a subdivision instance", StructureError),
+                                "terminals", StructureError)
         json_ints(terminals.values(), "terminal faces", StructureError)
         return cls(
             graph=g,

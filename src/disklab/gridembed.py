@@ -447,6 +447,7 @@ def search_minimal_drawing(g: PlanarEmbeddedGraph, max_size: int) -> Optional[Co
                 pos.pop()
         return None
 
+    got = None
     for k in range(1, max_size + 1):
         if (k + 1) ** 2 < n:
             continue
@@ -454,8 +455,9 @@ def search_minimal_drawing(g: PlanarEmbeddedGraph, max_size: int) -> Optional[Co
         budget = SEARCH_BUDGET
         got = rec(0, [], 0, 0, 0)
         if got is not None:
-            return got
-    return None
+            break
+    del rec  # it reaches itself through its closure: a reference cycle
+    return got
 
 
 @dataclass

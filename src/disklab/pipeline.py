@@ -26,6 +26,7 @@ SHA-256 over the compact canonical encoding.
 from __future__ import annotations
 
 import functools
+import gc
 import hashlib
 import json
 import math
@@ -130,13 +131,29 @@ def read_json(path) -> dict:
     return json_object(data, str(path), PipelineError)
 
 
+def indented_json(obj, pad: str = "\n") -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)``, ``pad`` opening each of
+    its lines, by one module function: json's indenting encoder is a nest of
+    closures that reach one another, a reference cycle on every call."""
+    if type(obj) is str:
+        return encode_basestring_ascii(obj)
+    if type(obj) is int:
+        return int.__repr__(obj)
+    if not obj or not isinstance(obj, (dict, list, tuple)):
+        return json.dumps(obj)
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        items = (f"{encode_basestring_ascii(k if isinstance(k, str) else json.dumps(k))}: "
+                 f"{indented_json(v, inner)}" for k, v in sorted(obj.items()))
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    return "[" + inner + ("," + inner).join(indented_json(v, inner) for v in obj) + pad + "]"
+
+
 def write_json(obj, path) -> None:
-    """Write ``json.dumps(obj, sort_keys=True, indent=2)`` and a newline.
-    Disk instances are written from :func:`instance_json`'s text instead."""
+    """Write :func:`indented_json` of ``obj`` and a newline.  Disk instances
+    are written from :func:`instance_json`'s text instead."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    Path(path).write_text(indented_json(obj) + "\n", encoding="utf-8")
 
 
 def instance_json(inst) -> Tuple[str, str]:
@@ -151,12 +168,12 @@ def instance_json(inst) -> Tuple[str, str]:
     if not (runs and all(first is not None or (tag and strict_components(tag))
                          for _, tag, first in runs)):
         d = inst.to_dict()
-        return json.dumps(d, sort_keys=True, indent=2) + "\n", canonical_digest(d)
+        return indented_json(d) + "\n", canonical_digest(d)
     # the instance's dict with no disks; "disks" sorts first, so both texts
     # of this head open with its empty list
     head = {"disks": [], **inst.head_dict()}
     text_open, compact_open = '{\n  "disks": [', '{"disks":['
-    text_rest = json.dumps(head, sort_keys=True, indent=2)[len(text_open):]
+    text_rest = indented_json(head)[len(text_open):]
     compact_rest = json.dumps(head, sort_keys=True, separators=(",", ":"))[len(compact_open):]
     xs, ys, den = inst.centers
     gcd, esc = math.gcd, encode_basestring_ascii
@@ -400,9 +417,14 @@ def _file_verb(verb):
     (exit code, lines).  An expected failure becomes its exit code and one
     prefixed line.  The files are written after, outside that mapping, so a
     failed write is not reported as malformed input: a string payload (an SVG
-    or an :func:`instance_json` text) as it is, anything else as JSON."""
+    or an :func:`instance_json` text) as it is, anything else as JSON.  The
+    cyclic collector is paused meanwhile and then restored: reference counts
+    free what a verb builds, as no verb makes a cycle but networkx's drawing,
+    the size of the source graph (``test_pipeline`` checks)."""
     @functools.wraps(verb)
     def run(*args, **kwargs) -> Tuple[int, List[str]]:
+        was_enabled = gc.isenabled()
+        gc.disable()
         try:
             code, lines, files = verb(*args, **kwargs)
         except SolverCapExceeded as exc:
@@ -411,13 +433,17 @@ def _file_verb(verb):
             return 1, [f"rejected: {exc}"]
         except MALFORMED_ERRORS as exc:
             return 2, [f"malformed: {exc}"]
-        for payload, path in files:
-            if isinstance(payload, str):
-                Path(path).parent.mkdir(parents=True, exist_ok=True)
-                Path(path).write_text(payload, encoding="utf-8")
-            else:
-                write_json(payload, path)
-        return code, lines
+        else:
+            for payload, path in files:
+                if isinstance(payload, str):
+                    Path(path).parent.mkdir(parents=True, exist_ok=True)
+                    Path(path).write_text(payload, encoding="utf-8")
+                else:
+                    write_json(payload, path)
+            return code, lines
+        finally:
+            if was_enabled:
+                gc.enable()
     return run
 
 

@@ -106,29 +106,27 @@ def _feasible_subsets(
 
 
 def _feasible_of_size(
-    n: int, ok: Callable[[Tuple[int, ...]], bool], size: int
+    n: int, ok: Callable[[Tuple[int, ...]], bool], size: int,
+    prefix: Tuple[int, ...] = (), start: int = 0,
 ) -> Iterator[Tuple[int, ...]]:
-    """The ``size``-element tuples of :func:`_feasible_subsets`, in order,
-    for an ``ok`` that holds on the full set, by a depth-first walk of the
-    combinations tree.  Before it descends at index ``c`` under prefix ``P``
-    it tests ``P + range(c, n)``, the largest set below; when that fails,
-    no leaf below ``c``, nor any to its right, can pass, so the level stops.
-    The first branch of a level is not tested again: its largest set is the
-    one tested before descending to that level.
+    """The ``size``-element tuples of :func:`_feasible_subsets` that extend
+    ``prefix`` by indices from ``start`` on, where ``ok(prefix + range(start,
+    n))`` holds, in order, by a depth-first walk of the combinations tree.
+    Before it descends at index ``c`` it tests ``prefix + range(c, n)``, the
+    largest set below; when that fails, no leaf below ``c``, nor any to its
+    right, can pass, so the level stops.  The first branch of a level is not
+    tested again: its largest set is the one tested before descending to
+    that level.  It recurses by module name: a nested function calling
+    itself would be a reference cycle.
     """
-
-    def below(prefix: Tuple[int, ...], start: int, need: int) -> Iterator[Tuple[int, ...]]:
-        # here ok(prefix + range(start, n)) holds
-        if need == 0:
-            if start == n or ok(prefix):
-                yield prefix
+    if size == 0:
+        if start == n or ok(prefix):
+            yield prefix
+        return
+    for c in range(start, n - size + 1):
+        if c > start and not ok(prefix + tuple(range(c, n))):
             return
-        for c in range(start, n - need + 1):
-            if c > start and not ok(prefix + tuple(range(c, n))):
-                return
-            yield from below(prefix + (c,), c + 1, need - 1)
-
-    return below((), 0, size)
+        yield from _feasible_of_size(n, ok, size - 1, prefix + (c,), c + 1)
 
 
 def brute_min_multiterminal(inst: MultiterminalInstance) -> OptimumCertificate:

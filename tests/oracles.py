@@ -44,6 +44,9 @@
   disk audited for an owner, which the check that reads each tag run as one
   structure, :func:`disklab.gadgets.check_structure`, replaced; both must
   give the same verdict, violations and contact counts.
+* The ring closure test over every pair of a vertex ring's disks, which
+  the intersection-graph test of :func:`disklab.gadgets._ring_is_cycle`
+  replaced; both must decide every ring the synthesizer tries alike.
 * The pmc->subdivision target by composition: the geometric dual, then
   every edge of it subdivided, with a face map threaded through each step,
   which the one-pass :func:`disklab.graphs.reduce_pmc_to_subdivision`
@@ -940,3 +943,20 @@ def reference_pmc_target(
     dres = geometric_dual(g)
     sub = subdivide_all_edges(dres.dual)
     return sub.graph, sub.fragments, {v: sub.face_map[dres.vertex_face[v]] for v in g.vertices}
+
+
+def pair_ring_is_cycle(ring: List[Tuple[int, int]], two_r: int) -> bool:
+    """Consecutive disks of the ring touch and no other pair does, by every
+    pair; centres and the diameter ``two_r`` are integers in one unit."""
+    n = len(ring)
+    if n < 3:
+        return False
+    four_r2 = two_r * two_r
+    for i in range(n):
+        xi, yi = ring[i]
+        for j in range(i + 1, n):
+            dx = xi - ring[j][0]
+            dy = yi - ring[j][1]
+            if (dx * dx + dy * dy <= four_r2) != (j - i == 1 or j - i == n - 1):
+                return False
+    return True

@@ -24,12 +24,15 @@ from oracles import (
 ONE = F(1)
 
 
-def ring4(r=F(3, 2)):
+def ring4(r=F(3, 2), points=None, meta=None):
+    """Four disks in a ring, marked points "in" and "out" unless ``points``
+    replaces them."""
     centers = [(F(2), F(0)), (F(0), F(2)), (F(-2), F(0)), (F(0), F(-2))]
     return disk_instance(
         r,
         [Disk(x, y, ("ring", i)) for i, (x, y) in enumerate(centers)],
-        points={"in": (F(0), F(0)), "out": (F(10), F(10))},
+        points={"in": (F(0), F(0)), "out": (F(10), F(10))} if points is None else points,
+        meta=meta,
     )
 
 
@@ -282,8 +285,8 @@ def test_verify_isolation_budget_and_ids():
 
 
 def test_verify_isolation_rejects_covered_point():
-    inst = ring4()
-    inst.points["bad"] = (F(2), F(0))  # the center of disk 0
+    inst = ring4(points={"in": (F(0), F(0)), "out": (F(10), F(10)),
+                         "bad": (F(2), F(0))})  # the center of disk 0
     with pytest.raises(ar.VerificationError, match="covered"):
         ar.verify_isolation(inst, [0, 1, 2, 3])
 
@@ -315,8 +318,7 @@ def test_marked_point_at_exactly_r_is_covered():
 
 
 def test_verify_isolation_needs_two_points():
-    inst = ring4()
-    inst.points = {"only": (F(0), F(0))}
+    inst = ring4(points={"only": (F(0), F(0))})
     with pytest.raises(ar.VerificationError, match="two marked points"):
         ar.verify_isolation(inst, [0])
 
@@ -346,9 +348,9 @@ def test_verify_multiterminal_cut():
     for terminals in ([0.0, 4], [True, 4]):
         with pytest.raises(ar.VerificationError, match="JSON integers"):
             disk_instance(ONE, chain, meta={"kind": "udmc", "terminal_disks": terminals})
-    inst.meta["terminal_disks"] = [0]
+    one = disk_instance(ONE, chain, meta={"kind": "udmc", "terminal_disks": [0]})
     with pytest.raises(ar.VerificationError, match="two terminal"):
-        ar.verify_multiterminal_cut(inst, [(2, 3)])
+        ar.verify_multiterminal_cut(one, [(2, 3)])
 
 
 @pytest.mark.parametrize("radius, points, terminals, why", [
@@ -369,8 +371,7 @@ def test_a_disk_instance_checks_itself_at_construction(radius, points, terminals
 
 
 def test_instance_round_trip_and_validation():
-    inst = ring4()
-    inst.meta = {"kind": "isolation", "budget": 4}
+    inst = ring4(meta={"kind": "isolation", "budget": 4})
     again = ar.DiskInstance.from_dict(inst.to_dict())
     assert again.radius == inst.radius
     assert again.disks == inst.disks
@@ -474,8 +475,7 @@ def test_to_dict_coordinates_match_rational_to_str(nums, den, k):
 
 
 def test_parsed_disks_are_built_on_demand_and_kept():
-    inst = ring4()
-    inst.meta = {"kind": "isolation"}
+    inst = ring4(meta={"kind": "isolation"})
     again = ar.DiskInstance.from_dict(inst.to_dict())
     assert tuple(again.tags) == tuple(d.tag for d in inst.disks)
     assert again.disks is again.disks and again.disks == inst.disks

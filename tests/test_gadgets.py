@@ -401,7 +401,7 @@ def integer_ring_is_cycle(centers, r, unit):
     ints = [(int(x * unit), int(y * unit)) for x, y in centers]
     assert all(Fraction(a, unit) == x and Fraction(b, unit) == y
                for (a, b), (x, y) in zip(ints, centers))
-    return gadgets._ring_is_cycle(ints, int(2 * r * unit))
+    return gadgets._ring_is_cycle(ints, unit, r)
 
 
 def test_ring_check_agrees_with_fraction_oracle():
@@ -427,6 +427,36 @@ def test_ring_check_agrees_with_fraction_oracle():
             for bad in (pushed, moved):
                 assert not fraction_ring_is_cycle(bad, r)
                 assert not integer_ring_is_cycle(bad, r, unit)
+
+
+@pytest.mark.parametrize("grid", [2, 3])
+def test_ring_check_matches_the_pair_oracle_on_every_sound_ring_tried(grid):
+    # every phase the synthesizer tries, at every grid point of the box; then
+    # each ring with one disk pushed out (a gap on both sides) or moved
+    # between its next two neighbours (a contact with a non-neighbour)
+    p = compute_params(grid)
+    snapper = Snapper(p.r)
+    M, two_r = snapper.M, int(2 * p.r * snapper.M)
+    closed = 0
+    for x in range(grid + 1):
+        for y in range(grid + 1):
+            cx, cy = x * M, y * M
+            for phase in (0.0, math.pi / p.c_vertex, math.pi / (2 * p.c_vertex)):
+                ring = [snapper.snap_point(c) for c in
+                        gadgets._ring_centers(x, y, float(p.s), p.c_vertex, phase)]
+                closes = oracles.pair_ring_is_cycle(ring, two_r)
+                assert gadgets._ring_is_cycle(ring, M, p.r) is closes
+                closed += closes
+                for k in (0, 17, len(ring) - 1):
+                    (a, b), (c, d), (e, f) = (ring[k], ring[(k + 1) % len(ring)],
+                                              ring[(k + 2) % len(ring)])
+                    pushed = (a + (a - cx) // 16, b + (b - cy) // 16)
+                    moved = ((c + e) // 2, (d + f) // 2)
+                    for disk in (pushed, moved):
+                        bad = ring[:k] + [disk] + ring[k + 1:]
+                        assert not oracles.pair_ring_is_cycle(bad, two_r)
+                        assert not gadgets._ring_is_cycle(bad, M, p.r)
+    assert closed >= (grid + 1) ** 2  # a phase closes at every grid point
 
 
 @pytest.mark.parametrize("nudge, closes", [(Fraction(0), False), (Fraction(1, 10**12), True)])

@@ -1,5 +1,6 @@
 """File-level orchestration: exit codes, provenance records, round trips."""
 
+import gc
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from disklab import arrangements, pipeline
+from disklab import arrangements, gridembed, pipeline
 from disklab.__main__ import main as cli_main
 from disklab.arrangements import DiskInstance, TagRuns, unit_disk_graph
 from disklab.corpus import seeded_multiterminal_instances
@@ -633,6 +634,122 @@ def test_a_failed_output_write_is_not_malformed_input(toy_chain, tmp_path):
         cli_render(toy_chain["iso"], blocker / "iso.svg")
 
 
+# ---------------------------------------------------------------------------
+# the cyclic collector, paused inside each file verb
+# ---------------------------------------------------------------------------
+
+# each file verb, its leading arguments and how many paths follow them
+FILE_VERBS = [
+    (cli_reduce, ["pmc->subdivision"], 2),
+    (cli_solve, ["isolation"], 2),
+    (cli_verify, ["isolation"], 2),
+    (cli_lift, [], 5),
+    (cli_render, [], 2),
+]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("verb, lead, paths", FILE_VERBS,
+                         ids=[verb.__name__ for verb, _, _ in FILE_VERBS])
+def test_a_verb_pauses_the_collector_and_restores_its_state(
+        tmp_path, monkeypatch, verb, lead, paths, enabled):
+    args = [*lead, *(tmp_path / f"missing{k}.json" for k in range(paths))]
+    seen = []
+
+    def read(path):
+        seen.append(gc.isenabled())
+        raise FileNotFoundError(path)
+
+    monkeypatch.setattr(pipeline, "read_json", read)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert verb(*args)[0] == 2
+        assert seen == [False] and gc.isenabled() is enabled
+        # an error outside the exit mapping leaves the state restored too
+        monkeypatch.setattr(pipeline, "read_json", lambda path: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            verb(*args)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+
+
+@pytest.fixture
+def networkx_garbage_collected(monkeypatch):
+    """Collect the garbage of each networkx call on the verbs' paths as it
+    returns, after checking that nothing before it left any.  networkx's
+    ``PlanarEmbedding`` holds bound methods of itself, a reference cycle,
+    and its planarity test makes more; all of it is as large as the drawn
+    source graph, never the disks."""
+    def collected(fn):
+        def call(*args):
+            assert gc.collect() == 0
+            try:
+                return fn(*args)
+            except ValueError as exc:  # its traceback holds networkx's objects
+                kind, why = type(exc), exc.args
+            finally:
+                gc.collect()
+            raise kind(*why)  # a fresh error: no frame of this call holds it
+        return call
+
+    monkeypatch.setattr(gridembed, "draw_with_networkx", collected(gridembed.draw_with_networkx))
+    monkeypatch.setattr(pipeline, "rotation_graph", collected(pipeline.rotation_graph))
+
+
+def test_no_verb_leaves_cyclic_garbage(toy_corpora, tmp_path, networkx_garbage_collected):
+    # the collector is paused inside every verb, so what a verb leaves in a
+    # reference cycle outlives it; each verb, on every exit code, leaves none
+    t = tmp_path
+    (t / "bad.json").write_text("{")
+    write_json({"radius": "1/2", "points": {}}, t / "no_disks.json")
+    write_json({"vertices": list("abcde"),
+                "edges": [[u, w] for u in "abcde" for w in "abcde" if u < w]}, t / "k5.json")
+    write_json({**triangle_mc_dict(), "terminals": {"p": 0, "q": 1}}, t / "sub3.json")
+    write_json(triangle_mc_dict(), t / "mc3.json")
+    write_json(triangle_mc_dict(weights={0: 2}), t / "weighted.json")
+    write_json(triangle_mc_dict(weights={0: 6}, terminals=("a", "b", "c")), t / "heavy.json")
+    write_json(TRIANGLE_PLAIN, t / "tri.json")
+    write_json({"candidate": []}, t / "empty.json")
+    calls = [
+        # sound, grid 2: the triangle's face separation as 2,874 disks
+        (0, cli_reduce, "subdivision->isolation", t / "sub3.json", t / "iso3.json"),
+        (0, cli_solve, "isolation", t / "iso3.json", t / "iso3.opt.json"),
+        (0, cli_verify, "isolation", t / "iso3.json", t / "iso3.opt.json"),
+        (1, cli_verify, "isolation", t / "iso3.json", t / "empty.json"),
+        (0, cli_lift, str(t / "iso3.json") + ".record.json", t / "iso3.opt.json",
+         t / "sub3.json", t / "iso3.json", t / "iso3.lifted.json"),
+        (1, cli_lift, str(t / "iso3.json") + ".record.json", t / "empty.json",
+         t / "sub3.json", t / "iso3.json", t / "iso3.lifted.json"),
+        (0, cli_render, t / "iso3.json", t / "iso3.svg"),
+        (0, cli_reduce, "fvs->acc", t / "tri.json", t / "acc.json"),
+        (0, cli_reduce, "mc->udmc", t / "mc3.json", t / "udmc.json"),
+        (0, cli_solve, "udmc-bound", t / "udmc.json", t / "udmc.bound.json"),
+        (0, cli_render, t / "udmc.json", t / "udmc.svg"),
+        (1, cli_reduce, "fvs->acc", t / "k5.json", t / "k5.acc.json"),
+        (1, cli_reduce, "pmc->subdivision", t / "weighted.json", t / "x.json"),
+        (1, cli_reduce, "mc->udmc", t / "heavy.json", t / "x.json"),
+        (2, cli_reduce, "pmc->subdivision", t / "bad.json", t / "x.json"),
+        (2, cli_solve, "isolation", t / "no_disks.json", t / "x.json"),
+        (2, cli_verify, "isolation", t / "no_disks.json", t / "empty.json"),
+        (2, cli_lift, t / "bad.json", t / "empty.json", t / "tri.json", t / "acc.json",
+         t / "x.json"),
+        (2, cli_render, t / "no_disks.json", t / "x.svg"),
+    ]
+    for k, (problem, inst) in enumerate(toy_corpora):
+        sol = t / f"opt{k}.json"
+        calls += [(0, cli_solve, problem, inst, sol), (0, cli_verify, problem, inst, sol)]
+    calls.append((0, cli_render, toy_corpora[0][1], t / "toy.svg"))
+    gc.collect()
+    gc.freeze()  # each collection below walks only what was made after this
+    try:
+        for code, verb, *args in calls:
+            assert verb(*args)[0] == code, (verb.__name__, args)
+            assert gc.collect() == 0, (verb.__name__, args)
+    finally:
+        gc.unfreeze()
+
+
 def test_solve_writes_certificate(toy_chain, tmp_path):
     out = tmp_path / "opt.json"
     code, _ = cli_solve("subdivision", toy_chain["sub"], out)
@@ -983,6 +1100,28 @@ def test_a_disk_list_of_the_wrong_shape_is_malformed(tmp_path, verb, disks, why)
     got = cli_verify("isolation", inst, cert) if verb == "verify" else cli_render(inst, svg)
     assert got == (2, [f"malformed: {why}"])
     assert not svg.exists()
+
+
+@pytest.mark.parametrize("verb, inst, why", [
+    ("verify isolation", {"radius": "1/2", "points": {}}, 'a disk instance needs a "disks" key'),
+    ("render", {"disks": [], "points": {}}, 'a disk instance needs a "radius" key'),
+    ("verify subdivision",
+     {"vertices": [0, 1, 2], "edges": [[0, 1], [1, 2], [2, 0]],
+      "rotation": {"0": [0, 2], "1": [1, 0], "2": [2, 1]}},
+     'a subdivision instance needs a "terminals" key'),
+], ids=["disks", "radius", "terminals"])
+def test_a_missing_required_key_is_named(tmp_path, verb, inst, why):
+    path, cert, out = tmp_path / "inst.json", tmp_path / "cert.json", tmp_path / "out.svg"
+    write_json(inst, path)
+    write_json({"candidate": [0]}, cert)
+    args = ["render", str(path), "--out", str(out)] if verb == "render" else [
+        *verb.split(), str(path), str(cert)]
+    run = run_python("-m", "disklab", *args)
+    assert run.returncode == 2, run.stderr
+    assert "Traceback" not in run.stderr
+    [line] = run.stderr.splitlines()
+    assert json.loads(line)["msg"] == f"malformed: {why}"
+    assert not out.exists()
 
 
 def test_the_disk_cap_admits_every_sound_synthesis():

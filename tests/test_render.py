@@ -22,7 +22,7 @@ from test_gadgets import build_sound, k4_every_face_marked, p2_reduction
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def ring_instance():
+def ring_instance(meta=None):
     return disk_instance(
         radius=Fraction(3, 2),
         disks=[Disk(Fraction(2), Fraction(0), ("ring", 0)),
@@ -30,6 +30,7 @@ def ring_instance():
                Disk(Fraction(-2), Fraction(0), ("ring", 0)),
                Disk(Fraction(0), Fraction(-2), ("ring", 0))],
         points={"in": (Fraction(0), Fraction(0)), "out": (Fraction(5), Fraction(5))},
+        meta=meta,
     )
 
 
@@ -65,8 +66,7 @@ def test_rebuild_is_byte_identical():
 
 
 def test_terminal_disks_get_heavy_outline():
-    inst = ring_instance()
-    inst.meta["terminal_disks"] = [0, 2]
+    inst = ring_instance(meta={"terminal_disks": [0, 2]})
     svg = svg_for_instance(inst)
     assert svg.count('stroke-width="2.4"') == 2
 

@@ -253,7 +253,9 @@ def test_every_face_marked_subdivision_prunes_to_quadratic_checks(sound_graphs, 
 # two-point isolation
 # ---------------------------------------------------------------------------
 
-def ring4(extra=True):
+def ring4(extra=True, points=None):
+    """Four disks in a ring around "in", an extra one far off; ``points``
+    adds marked points or moves "in" and "out"."""
     disks = [
         Disk(Fraction(2), Fraction(0)), Disk(Fraction(0), Fraction(2)),
         Disk(Fraction(-2), Fraction(0)), Disk(Fraction(0), Fraction(-2)),
@@ -263,7 +265,8 @@ def ring4(extra=True):
     return disk_instance(
         radius=Fraction(3, 2),
         disks=disks,
-        points={"in": (Fraction(0), Fraction(0)), "out": (Fraction(12), Fraction(0))},
+        points={"in": (Fraction(0), Fraction(0)), "out": (Fraction(12), Fraction(0)),
+                **(points or {})},
     )
 
 
@@ -310,19 +313,17 @@ def test_two_point_unseparable_raises():
 
 
 def test_two_point_requires_two_points():
-    inst = ring4()
-    inst.points["third"] = (Fraction(30), Fraction(0))
+    inst = ring4(points={"third": (Fraction(30), Fraction(0))})
     with pytest.raises(VerificationError):
         brute_min_isolation_two_points(inst)
 
 
 def test_two_point_rejects_covered_points():
-    inst = ring4()
-    inst.points["in"] = (Fraction(2), Fraction(149, 100))  # inside disk (2, 0)
+    inst = ring4(points={"in": (Fraction(2), Fraction(149, 100))})  # inside disk (2, 0)
     with pytest.raises(VerificationError, match="covered"):
         brute_min_isolation_two_points(inst)
     # free, though within r/1000 of disk (2, 0)
-    inst.points["in"] = (Fraction(1, 2) - Fraction(1, 2000), Fraction(0))
+    inst = ring4(points={"in": (Fraction(1, 2) - Fraction(1, 2000), Fraction(0))})
     assert brute_min_isolation_two_points(inst).optimum == 4
 
 
