@@ -17,7 +17,8 @@ cap option: the caps are the constants ``MAX_EDGES``, ``MAX_GROUPS``,
 ``MAX_JUNCTIONS`` of ``disklab.solvers``, and it refuses above them.
 
 Exit codes: 0 accepted/succeeded, 1 rejected/refused (an instance with no
-solution included), 2 malformed input.
+solution included), 2 malformed input, 3 a failure not of the input (an
+internal fault or a failed write, reported with its traceback).
 Diagnostics go to stderr as JSON lines; result payloads go to --out files
 (or stdout for the report commands).
 """
@@ -31,6 +32,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional
 
 from .geometry import rational_from_str
+from .graphs import Malformed
 from . import pipeline
 
 
@@ -52,12 +54,8 @@ def _override_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _collect_overrides(args) -> Dict[str, Fraction]:
-    out: Dict[str, Fraction] = {}
-    for name in OVERRIDES:
-        val = getattr(args, name, None)
-        if val is not None:
-            out[name] = rational_from_str(val)
-    return out
+    return {name: rational_from_str(val) for name in OVERRIDES
+            if (val := getattr(args, name, None)) is not None}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -127,22 +125,25 @@ REPORTS = {
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    try:    # the file verbs map their own exceptions
+    try:    # the file verbs map their own input's exceptions, not a fault
         args.overrides = _collect_overrides(args)
-        if args.command in REPORTS:
-            code, payload = REPORTS[args.command](args)
-    except ValueError as exc:
+        if args.command in VERBS:
+            code, lines = VERBS[args.command](args)
+            _diag("info" if code == 0 else "error", lines)
+            return code
+        code, payload = REPORTS[args.command](args)
+        if args.out:
+            pipeline.write_json(payload, args.out)
+        else:
+            print(json.dumps(payload, sort_keys=True, indent=2))
+        return code
+    except Malformed as exc:
         _diag("error", [f"malformed: {exc}"])
         return 2
-    if args.command in VERBS:
-        code, lines = VERBS[args.command](args)
-        _diag("info" if code == 0 else "error", lines)
-        return code
-    if args.out:
-        pipeline.write_json(payload, args.out)
-    else:
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    return code
+    except Exception:    # a fault or a failed write
+        import traceback    # here, not at start-up, which it would slow by 5 ms
+        _diag("error", ["failed: " + traceback.format_exc()])
+        return 3
 
 
 if __name__ == "__main__":

@@ -42,12 +42,8 @@ from .geometry import (
     ray_crossing,
     triple_intersection_nonempty,
 )
-from .graphs import component_labels, json_ints, json_key, json_list, json_object
-
-
-class VerificationError(ValueError):
-    """Raised for malformed instances or certificates (as opposed to valid
-    certificates that simply fail)."""
+from .graphs import (
+    Malformed, component_labels, json_int_list, json_ints, json_key, json_list, json_object)
 
 
 # ---------------------------------------------------------------------------
@@ -194,19 +190,18 @@ class DiskInstance:
                 f"points={self.points!r}, params={self.params!r}, meta={self.meta!r})")
 
     def validate(self) -> None:
-        """Raise :class:`VerificationError` unless the instance is well
-        formed; the constructor calls this, and nothing changes it after."""
+        """Raise :class:`Malformed` unless the instance is well formed;
+        the constructor calls this, and nothing changes it after."""
         if self.radius <= 0:
-            raise VerificationError("radius must be positive")
+            raise Malformed("radius must be positive")
         if len(self.points) != len(set(self.points.values())):
-            raise VerificationError("marked points must be distinct")
-        terminals = json_ints(
-            self.meta.get("terminal_disks", []), "terminal disk ids", VerificationError)
+            raise Malformed("marked points must be distinct")
+        terminals = json_int_list(self.meta.get("terminal_disks", []), "terminal disk ids")
         for t in terminals:
             if not (0 <= t < len(self.centers.xs)):
-                raise VerificationError(f"terminal disk id {t} out of range")
+                raise Malformed(f"terminal disk id {t} out of range")
         if len(set(terminals)) != len(terminals):
-            raise VerificationError("terminal disk ids must be distinct")
+            raise Malformed("terminal disk ids must be distinct")
 
     def head_dict(self) -> Dict[str, object]:
         """:meth:`to_dict` without its ``disks``."""
@@ -246,16 +241,15 @@ class DiskInstance:
         expect: Optional[list] = None
         int_at: List[int] = []
         dens: Dict[str, int] = {}
-        disks = json_list(json_key(d, "disks", "a disk instance", VerificationError),
-                          "disks", VerificationError)
+        disks = json_list(json_key(d, "disks", "a disk instance"), "disks")
         if len(disks) > MAX_DISKS:
-            raise VerificationError(f"{len(disks)} disks exceeds the disk cap {MAX_DISKS}")
+            raise Malformed(f"{len(disks)} disks exceeds the disk cap {MAX_DISKS}")
         for e in disks:
             if type(e) is not dict:
-                raise VerificationError("a disk must be a JSON object")
+                raise Malformed("a disk must be a JSON object")
             c = e.get("c")
             if type(c) is not list or len(c) != 2:
-                raise VerificationError("a disk centre must be a JSON list of two coordinates")
+                raise Malformed("a disk centre must be a JSON list of two coordinates")
             x, dx = _parse_rational(c[0], dens)
             y, dy = _parse_rational(c[1], dens)
             xn.append(x)
@@ -270,7 +264,7 @@ class DiskInstance:
                 else:
                     expect[-1] += 1
                     continue
-            tag = tuple(json_list(prov, "a disk's prov", VerificationError))
+            tag = tuple(json_list(prov, "a disk's prov"))
             if tag and type(tag[-1]) is int and strict_components(tag):
                 runs.append((len(xn) - 1, tag[:-1], tag[-1]))
                 expect = [*tag[:-1], tag[-1] + 1]
@@ -280,19 +274,19 @@ class DiskInstance:
                 expect = None
         tags.n = len(xn)
         points = {}
-        for k, v in json_object(d.get("points", {}), "points", VerificationError).items():
+        for k, v in json_object(d.get("points", {}), "points").items():
             if type(v) is not list or len(v) != 2:
-                raise VerificationError("a marked point must be a JSON list of two coordinates")
+                raise Malformed("a marked point must be a JSON list of two coordinates")
             points[str(k)] = (rational_from_str(v[0]), rational_from_str(v[1]))
         params = d.get("params")
-        radius = rational_from_str(json_key(d, "radius", "a disk instance", VerificationError))
+        radius = rational_from_str(json_key(d, "radius", "a disk instance"))
         return cls(
             radius=radius,
             centers=_over_common_denominator(xn, xd, yn, yd, radius),
             tags=tags,
             points=points,
             params=ParamSet.from_dict(params) if params else None,
-            meta=json_object(d.get("meta", {}), "meta", VerificationError),
+            meta=json_object(d.get("meta", {}), "meta"),
         )
 
 
@@ -366,7 +360,7 @@ def _over_common_denominator(
 ) -> IntCenters:
     """Integer centres (xn[i] / xd[i], yn[i] / yd[i]) over the least common
     denominator of ``r`` and every coordinate; the fractions need not be in
-    lowest terms.  Raises :class:`VerificationError` when the denominators
+    lowest terms.  Raises :class:`Malformed` when the denominators
     as given fold to more than ``MAX_DENOMINATOR_BITS`` bits."""
     dens = set(xd)
     dens.update(yd)
@@ -374,7 +368,7 @@ def _over_common_denominator(
     for q in dens:
         den = math.lcm(den, q)
         if den.bit_length() > MAX_DENOMINATOR_BITS:
-            raise VerificationError(
+            raise Malformed(
                 f"coordinate denominators need more than {MAX_DENOMINATOR_BITS} bits "
                 "in common")
     factor = {q: den // q for q in dens}
@@ -747,19 +741,19 @@ class IsolationReport:
 def check_ids(ids: Iterable[int], n: int, what: str) -> List[int]:
     """``ids`` sorted and deduplicated, refused unless each is a JSON
     integer in ``range(n)``."""
-    out = sorted(set(json_ints(ids, f"{what} ids", VerificationError)))
+    out = sorted(set(json_ints(ids, f"{what} ids")))
     if out and (out[0] < 0 or out[-1] >= n):
-        raise VerificationError(f"{what} contains out-of-range ids")
+        raise Malformed(f"{what} contains out-of-range ids")
     return out
 
 
 def check_points_uncovered(points: Dict[str, Point], index: CenterIndex) -> None:
-    """Raise :class:`VerificationError` if a disk of ``index`` covers one
+    """Raise :class:`Malformed` if a disk of ``index`` covers one
     of the marked ``points``."""
     for pid, p in points.items():
         hit = index.within(p, index.r)
         if hit:
-            raise VerificationError(f"marked point {pid!r} is covered by disk {hit[0]}")
+            raise Malformed(f"marked point {pid!r} is covered by disk {hit[0]}")
 
 
 def verify_isolation(
@@ -770,11 +764,11 @@ def verify_isolation(
     """Check that the chosen disks separate every pair of marked points.
 
     Malformed input (bad ids, covered marked points) raises
-    :class:`VerificationError`; a well-formed certificate that fails to
+    :class:`Malformed`; a well-formed certificate that fails to
     separate — or overshoots the budget — yields ``ok=False`` with reasons.
     """
     if len(instance.points) < 2:
-        raise VerificationError("isolation needs at least two marked points")
+        raise Malformed("isolation needs at least two marked points")
     chosen = check_ids(chosen_ids, len(instance.centers.xs), "certificate")
     messages = []
     if budget is not None and len(chosen) > budget:
@@ -853,9 +847,9 @@ def normalize_edge_list(pairs: Iterable) -> List[Tuple[int, int]]:
     """Canonical (min, max) pairs, deduplicated and sorted."""
     out = set()
     for p in pairs:
-        seq = tuple(json_ints(p, "certificate ids", VerificationError))
+        seq = tuple(json_ints(p, "certificate ids")) if isinstance(p, (list, tuple)) else ()
         if len(seq) != 2 or seq[0] == seq[1]:
-            raise VerificationError(f"not an edge: {p!r}")
+            raise Malformed(f"not an edge: {p!r}")
         out.add((min(seq), max(seq)))
     return sorted(out)
 
@@ -875,7 +869,7 @@ def verify_multiterminal_cut(
     """
     terminals = instance.meta.get("terminal_disks", [])
     if len(terminals) < 2:
-        raise VerificationError("cut instances need at least two terminal disks")
+        raise Malformed("cut instances need at least two terminal disks")
     removed = normalize_edge_list(removed_edges)
     udg = unit_disk_graph(instance.centers, instance.radius)
     for i, j in removed:
@@ -883,7 +877,7 @@ def verify_multiterminal_cut(
         row = udg.adj[i] if 0 <= i < udg.n else ()
         k = bisect_left(row, j)
         if k == len(row) or row[k] != j:
-            raise VerificationError(f"certificate removes {(i, j)}, which is not an intersection edge")
+            raise Malformed(f"certificate removes {(i, j)}, which is not an intersection edge")
     reasons = []
     if budget is not None and len(removed) > budget:
         reasons.append(f"budget: certificate removes {len(removed)} edges, cap {budget}")

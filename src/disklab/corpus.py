@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Tuple
 
-from .graphs import MultiterminalInstance, PlanarEmbeddedGraph, Vertex
+from .graphs import MultiterminalInstance, PlanarEmbeddedGraph, Rejected, Vertex
 from .gridembed import GridEmbedding, grid_embed
 
 Edge = Tuple[Vertex, Vertex]
@@ -56,7 +56,7 @@ def rotation_graph(vertices: List[Vertex], edges: List[Edge]) -> PlanarEmbeddedG
     g.add_edges_from(edges)
     ok, emb = nx.check_planarity(g)
     if not ok:
-        raise ValueError("graph is not planar")
+        raise Rejected("graph is not planar")
     eid_of = {}
     for i, (u, w) in enumerate(edges):
         eid_of[(u, w)] = i

@@ -84,8 +84,8 @@ def _unit(dx: float, dy: float) -> Tuple[float, float]:
 def _walk_polyline(waypoints: Sequence[Tuple[float, float]], count: int) -> List[Tuple[float, float]]:
     """``count`` points at uniform arclength along a polyline, endpoints
     included."""
-    if count < 2:
-        raise SynthesisError("chains need at least two disks")
+    if not 2 <= count <= MAX_WALL_DISKS:
+        raise SynthesisError(f"a chain needs 2 to {MAX_WALL_DISKS} disks, not {count}")
     lengths = []
     for (x0, y0), (x1, y1) in zip(waypoints, waypoints[1:]):
         lengths.append(math.hypot(x1 - x0, y1 - y0))
@@ -352,7 +352,7 @@ def _sound_wall_plan(
 TOY_ATTACH = 1.8
 # the largest uniform per-edge disk count toy_edge_budget tries
 TOY_MAX_EDGE_DISKS = 10
-# the most wall disks build_isolation_instance synthesizes
+# the most wall disks build_isolation_instance synthesizes, and disks in one chain
 MAX_WALL_DISKS = 2_000_000
 
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Dict, List, Optional, Tuple
 
-from .graphs import json_ints
+from .graphs import Malformed, json_ints, json_key
 
 Point = Tuple[Fraction, Fraction]
 
@@ -31,12 +31,14 @@ def rational_to_str(x: Fraction) -> str:
 
 
 def rational_from_str(s) -> Fraction:
-    if type(s) is int or type(s) is str:  # not bool, which JSON true and false parse to
-        try:
-            return Fraction(s)
-        except ZeroDivisionError as exc:
-            raise ValueError(f"zero denominator in rational {s!r}") from exc
-    raise TypeError(f"expected 'num/den' string or int, got {type(s).__name__}")
+    if type(s) is not int and type(s) is not str:  # not bool, which JSON true and false parse to
+        raise Malformed(f"expected 'num/den' string or int, got {type(s).__name__}")
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise Malformed(f"zero denominator in rational {s!r}") from None
+    except ValueError as exc:
+        raise Malformed(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -151,21 +153,15 @@ class ParamSet:
 
     @staticmethod
     def from_dict(d: Dict[str, object]) -> "ParamSet":
-        n, c_edge, c_vertex = json_ints(
-            (d["n"], d["c_edge"], d["c_vertex"]), "params n, c_edge and c_vertex", ValueError)
-        if d["mode"] not in ("sound", "toy"):
-            raise ValueError(f"params mode must be 'sound' or 'toy', not {d['mode']!r}")
-        return ParamSet(
-            n=n,
-            r=rational_from_str(d["r"]),
-            s=rational_from_str(d["s"]),
-            a=rational_from_str(d["a"]),
-            h=rational_from_str(d["h"]),
-            spacing=rational_from_str(d["spacing"]),
-            c_edge=c_edge,
-            c_vertex=c_vertex,
-            mode=d["mode"],
-        )
+        field = functools.partial(json_key, d, what="params")
+        n, c_edge, c_vertex = json_ints(map(field, ("n", "c_edge", "c_vertex")),
+                                        "params n, c_edge and c_vertex")
+        mode = field("mode")
+        if mode not in ("sound", "toy"):
+            raise Malformed(f"params mode must be 'sound' or 'toy', not {mode!r}")
+        r, s, a, h, spacing = (rational_from_str(field(k)) for k in ("r", "s", "a", "h", "spacing"))
+        return ParamSet(n=n, r=r, s=s, a=a, h=h, spacing=spacing,
+                        c_edge=c_edge, c_vertex=c_vertex, mode=mode)
 
 
 def count_edge_disks(n: int, r: Fraction, s: Fraction) -> Tuple[int, Fraction]:
@@ -212,7 +208,7 @@ def compute_params(
     overrides = dict(overrides or {})
     if mode == "sound":
         if n < 2:
-            raise ValueError("sound mode requires grid size n >= 2")
+            raise Malformed("sound mode requires grid size n >= 2")
         r = Fraction(1, 40 * n**4)
         h = Fraction(1, 12 * n**2)
         a = Fraction(1, 4)
@@ -223,7 +219,7 @@ def compute_params(
         a = Fraction(1, 4)
         s = Fraction(1, 4)
     else:
-        raise ValueError(f"unknown parameter mode: {mode!r}")
+        raise Malformed(f"unknown parameter mode: {mode!r}")
     r = overrides.pop("r", r)
     h = overrides.pop("h", h)
     a = overrides.pop("a", a)
@@ -231,9 +227,9 @@ def compute_params(
         s = 6 * r * n * n  # dependent default tracks an overridden radius
     s = overrides.pop("s", s)
     if overrides:
-        raise ValueError(f"unknown parameter overrides: {sorted(overrides)}")
+        raise Malformed(f"unknown parameter overrides: {sorted(overrides)}")
     if not (0 < r and 0 < s and 0 < h and 0 <= a):
-        raise ValueError("parameters must be positive")
+        raise Malformed("parameters must be positive")
     return ParamSet(
         n=n, r=r, s=s, a=a, h=h, spacing=Fraction(9, 5) * r,
         c_edge=count_edge_disks(n, r, s)[0], c_vertex=count_vertex_disks(r, s), mode=mode,
@@ -323,7 +319,7 @@ def min_grid_line_point_distance_sq(n: int):
     The value equals 1/(2 n^2 - 2 n + 1) for every n >= 2.
     """
     if n < 1:
-        raise ValueError("grid size must be at least 1")
+        raise Malformed("grid size must be at least 1")
     pts = [(x, y) for x in range(n + 1) for y in range(n + 1)]
     best: Optional[Fraction] = None
     witness = None

@@ -20,81 +20,94 @@ Vertex = Hashable
 Dart = Tuple[int, int]
 
 
-class StructureError(ValueError):
-    """Raised when a graph, rotation system, or instance is malformed."""
+class Malformed(ValueError):
+    """Input that no verb can read, raised where it is parsed: exit 2."""
 
 
-def json_ints(values: Iterable, what: str, error: type) -> list:
-    """``values`` as a list, refused with ``error`` unless each is an
-    ``int``, what a JSON integer parses to (``int()`` would truncate a float
-    and read ``true`` as 1)."""
+class Rejected(RuntimeError):
+    """Well-formed input that fails a restriction or a verification, or has
+    no solution."""
+
+
+def json_ints(values: Iterable, what: str) -> list:
+    """``values`` as a list, refused unless each is an ``int``, what a JSON
+    integer parses to (``int()`` would truncate a float and read ``true`` as 1)."""
     out = list(values)
     if any(type(v) is not int for v in out):
-        raise error(f"{what} must be JSON integers")
+        raise Malformed(f"{what} must be JSON integers")
     return out
 
 
-def json_key(d: dict, key: str, what: str, error: type):
-    """``d[key]``, refused with ``error`` naming the key when ``what`` lacks it."""
-    if key not in d:
-        raise error(f'{what} needs a "{key}" key')
+def json_key(d: dict, key: str, what: str):
+    """``d[key]``, refused unless ``d`` (``what``) is a JSON object with ``key``."""
+    if key not in json_object(d, what):
+        raise Malformed(f'{what} needs a "{key}" key')
     return d[key]
 
 
-def json_list(value, what: str, error: type) -> list:
-    """``value``, refused with ``error`` unless a JSON list (``list()`` takes a string)."""
+def json_list(value, what: str) -> list:
+    """``value``, refused unless a JSON list (``list()`` takes a string)."""
     if type(value) is not list:
-        raise error(f"{what} must be a JSON list")
+        raise Malformed(f"{what} must be a JSON list")
     return value
 
 
-def json_int_list(value, what: str, error: type) -> list:
-    """``value``, refused with ``error`` unless a JSON list of integers."""
-    return json_ints(json_list(value, what, error), what, error)
+def json_int_list(value, what: str) -> list:
+    """``value``, refused unless a JSON list of integers."""
+    return json_ints(json_list(value, what), what)
 
 
-def json_edge_key(key, what: str, error: type) -> int:
-    """The edge id an object key spells, refused with ``error`` unless in
-    canonical decimal: one spelling per id, so "00", " 0", "+0", "0_0" or a
-    non-ASCII digit cannot alias edge 0."""
+def json_edge_key(key, what: str) -> int:
+    """The edge id an object key spells, refused unless in canonical decimal: one
+    spelling per id, so "00", " 0", "+0", "0_0" or a non-ASCII digit cannot alias 0."""
     if type(key) is not str or not key.isdecimal() or str(int(key)) != key:
-        raise error(f"{what} {key!r} is not an edge id in decimal")
+        raise Malformed(f"{what} {key!r} is not an edge id in decimal")
     return int(key)
 
 
-def json_object(value, what: str, error: type) -> dict:
-    """``value``, refused with ``error`` unless a JSON object (``dict()`` takes pairs)."""
+def json_object(value, what: str) -> dict:
+    """``value``, refused unless a JSON object (``dict()`` takes pairs)."""
     if type(value) is not dict:
-        raise error(f"{what} must be a JSON object")
+        raise Malformed(f"{what} must be a JSON object")
     return value
 
 
-def json_coords(value, what: str, error: type) -> Dict[str, Tuple[int, int]]:
+def json_coords(value, what: str) -> Dict[str, Tuple[int, int]]:
     """A ``coords`` object: each vertex name mapped to a JSON list of two
-    integers, refused with ``error``; ``what`` names the integers."""
-    coords = json_object(value, "coords", error)
+    integers; ``what`` names the integers."""
+    coords = json_object(value, "coords")
     if any(type(xy) is not list or len(xy) != 2 for xy in coords.values()):
-        raise error("each coords value must be a JSON list of two integers")
-    json_ints([c for xy in coords.values() for c in xy], what, error)
+        raise Malformed("each coords value must be a JSON list of two integers")
+    json_ints([c for xy in coords.values() for c in xy], what)
     return {k: (x, y) for k, (x, y) in coords.items()}
 
 
+def json_by_vertex(obj: dict, by_name: Dict[str, Vertex], what: str) -> dict:
+    """The JSON object ``obj`` keyed by the vertices its keys name in ``by_name``."""
+    for k in json_object(obj, what):
+        if k not in by_name:
+            raise Malformed(f"{what} names an unknown vertex {k!r}")
+    return {by_name[k]: v for k, v in obj.items()}
+
+
 def json_graph(d: dict) -> Tuple[List[Vertex], List[Tuple[Vertex, Vertex]], Dict[str, Vertex]]:
-    """A graph source's ``vertices`` (a JSON list of distinct ids with distinct
+    """A graph source's ``vertices`` (distinct JSON scalars with distinct
     ``str`` names), ``edges`` (JSON lists of two of them) and vertices by name."""
-    vertices = json_list(d["vertices"], "vertices", StructureError)
+    vertices = json_list(json_key(d, "vertices", "a graph"), "vertices")
+    if any(type(v) in (list, dict) for v in vertices):    # unhashable
+        raise Malformed("a vertex id must be a JSON string, number, boolean or null")
     vset = set(vertices)
     if len(vset) != len(vertices):  # also ids equal in Python: 0 and false, 1 and 1.0
-        raise StructureError("duplicate vertex ids")
+        raise Malformed("duplicate vertex ids")
     by_name = {str(v): v for v in vertices}
     if len(by_name) != len(vertices):
-        raise StructureError("vertex names collide after string coercion")
-    edges = json_list(d["edges"], "edges", StructureError)
+        raise Malformed("vertex names collide after string coercion")
+    edges = json_list(json_key(d, "edges", "a graph"), "edges")
     if any(type(e) is not list or len(e) != 2 for e in edges):
-        raise StructureError("an edge must be a JSON list of two vertex ids")
-    for eid, (u, w) in enumerate(edges):
-        if u not in vset or w not in vset:
-            raise StructureError(f"edge {eid} uses an unknown vertex")
+        raise Malformed("an edge must be a JSON list of two vertex ids")
+    for eid, e in enumerate(edges):
+        if not all(type(v) not in (list, dict) and v in vset for v in e):
+            raise Malformed(f"edge {eid} uses an unknown vertex")
     return vertices, [(u, w) for u, w in edges], by_name
 
 
@@ -232,44 +245,44 @@ class PlanarEmbeddedGraph:
             darts: List[Dart] = []
             for eid in rotation_edge_ids.get(v, ()):
                 if not (0 <= eid < len(edges)):
-                    raise StructureError(f"vertex {v!r}: rotation names unknown edge {eid}")
+                    raise Malformed(f"vertex {v!r}: rotation names unknown edge {eid}")
                 u, w = edges[eid]
                 if u == w:  # self-loop
                     if u != v:
-                        raise StructureError(f"vertex {v!r}: edge {eid} is not incident")
+                        raise Malformed(f"vertex {v!r}: edge {eid} is not incident")
                     end = seen_loop.get(eid, 0)
                     seen_loop[eid] = end + 1
                     if end > 1:
-                        raise StructureError(f"vertex {v!r}: loop {eid} appears more than twice")
+                        raise Malformed(f"vertex {v!r}: loop {eid} appears more than twice")
                     darts.append((eid, end))
                 elif v == u:
                     darts.append((eid, 0))
                 elif v == w:
                     darts.append((eid, 1))
                 else:
-                    raise StructureError(f"vertex {v!r}: edge {eid} is not incident")
+                    raise Malformed(f"vertex {v!r}: edge {eid} is not incident")
             rotation[v] = darts
         return cls(vertices, edges, rotation)
 
     def _validate(self) -> None:
         if len(set(self.vertices)) != len(self.vertices):
-            raise StructureError("duplicate vertex ids")
+            raise Malformed("duplicate vertex ids")
         # an edge end that is no vertex has no rotation to hold its dart
         placed: Dict[Dart, Vertex] = {}
         for v, darts in self.rot.items():
             for d in darts:
                 if d in placed:
-                    raise StructureError(f"dart {d} appears at both {placed[d]!r} and {v!r}")
+                    raise Malformed(f"dart {d} appears at both {placed[d]!r} and {v!r}")
                 eid, end = d
                 if not (0 <= eid < len(self.edges)) or end not in (0, 1):
-                    raise StructureError(f"vertex {v!r}: invalid dart {d}")
+                    raise Malformed(f"vertex {v!r}: invalid dart {d}")
                 if self.edges[eid][end] != v:
-                    raise StructureError(f"vertex {v!r}: dart {d} belongs to {self.edges[eid][end]!r}")
+                    raise Malformed(f"vertex {v!r}: dart {d} belongs to {self.edges[eid][end]!r}")
                 placed[d] = v
         for eid, (u, v) in enumerate(self.edges):
             for end, w in ((0, u), (1, v)):
                 if (eid, end) not in placed:
-                    raise StructureError(f"edge {eid} missing from rotation at vertex {w!r}")
+                    raise Malformed(f"edge {eid} missing from rotation at vertex {w!r}")
 
     # -- basic queries -------------------------------------------------------
 
@@ -364,10 +377,9 @@ class PlanarEmbeddedGraph:
     @classmethod
     def from_dict(cls, d: Dict[str, object]) -> "PlanarEmbeddedGraph":
         vertices, edges, by_name = json_graph(d)
-        rotation = {by_name[k]: json_ints(json_list(v, "a vertex's rotation", StructureError),
-                                          "rotation edge ids", StructureError)
-                    for k, v in json_object(d["rotation"], "rotation", StructureError).items()}
-        return cls.from_edge_rotation(vertices, edges, rotation)
+        rotation = json_by_vertex(json_key(d, "rotation", "an embedded graph"), by_name, "rotation")
+        return cls.from_edge_rotation(vertices, edges, {v: json_ints(
+            json_list(ids, "a vertex's rotation"), "rotation edge ids") for v, ids in rotation.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -391,19 +403,19 @@ class MultiterminalInstance:
         return self.weights.get(eid, 1)
 
     def validate(self) -> None:
-        """Raise :class:`StructureError` unless the instance is well formed;
+        """Raise :class:`Malformed` unless the instance is well formed;
         the constructor calls this, and nothing changes it after."""
         vset = set(self.graph.vertices)
         for t in self.terminals:
-            if t not in vset:
-                raise StructureError(f"terminal {t!r} is not a vertex")
+            if type(t) in (list, dict) or t not in vset:
+                raise Malformed(f"terminal {t!r} is not a vertex")
         if len(set(self.terminals)) != len(self.terminals):
-            raise StructureError("duplicate terminals")
+            raise Malformed("duplicate terminals")
         for eid, w in self.weights.items():
             if not (0 <= eid < len(self.graph.edges)):
-                raise StructureError(f"weight names unknown edge {eid}")
+                raise Malformed(f"weight names unknown edge {eid}")
             if w < 1:
-                raise StructureError(f"edge {eid} has non-positive weight")
+                raise Malformed(f"edge {eid} has non-positive weight")
 
     __post_init__ = validate
 
@@ -417,10 +429,10 @@ class MultiterminalInstance:
     @classmethod
     def from_dict(cls, d: Dict[str, object]) -> "MultiterminalInstance":
         g = PlanarEmbeddedGraph.from_dict(d)
-        weights = {json_edge_key(k, "weight key", StructureError): v for k, v in
-                   json_object(d.get("weights", {}), "weights", StructureError).items()}
-        json_ints(weights.values(), "edge weights", StructureError)
-        return cls(g, json_list(d.get("terminals", []), "terminals", StructureError), weights)
+        weights = {json_edge_key(k, "weight key"): v for k, v in
+                   json_object(d.get("weights", {}), "weights").items()}
+        json_ints(weights.values(), "edge weights")
+        return cls(g, json_list(d.get("terminals", []), "terminals"), weights)
 
 
 @dataclass
@@ -447,20 +459,20 @@ class SubdivisionInstance:
         return [[e] for e in range(len(self.graph.edges))]
 
     def validate(self) -> None:
-        """Raise :class:`StructureError` unless the instance is well formed;
+        """Raise :class:`Malformed` unless the instance is well formed;
         the constructor calls this, and nothing changes it after."""
         nf = self.graph.face_count()
         if len(set(self.terminals.values())) != len(self.terminals):
-            raise StructureError("two points share a face")
+            raise Malformed("two points share a face")
         for pid, f in self.terminals.items():
             if not (0 <= f < nf):
-                raise StructureError(f"point {pid!r} names unknown face {f}")
+                raise Malformed(f"point {pid!r} names unknown face {f}")
         if self.groups is not None:
             flat = [e for grp in self.groups for e in grp]
             if sorted(flat) != list(range(len(self.graph.edges))):
-                raise StructureError("groups must partition the edge set")
+                raise Malformed("groups must partition the edge set")
             if not all(self.groups):
-                raise StructureError("a group must hold at least one edge")
+                raise Malformed("a group must hold at least one edge")
 
     __post_init__ = validate
 
@@ -475,14 +487,12 @@ class SubdivisionInstance:
     def from_dict(cls, d: Dict[str, object]) -> "SubdivisionInstance":
         g = PlanarEmbeddedGraph.from_dict(d)
         groups = d.get("groups")
-        terminals = json_object(json_key(d, "terminals", "a subdivision instance", StructureError),
-                                "terminals", StructureError)
-        json_ints(terminals.values(), "terminal faces", StructureError)
+        terminals = json_object(json_key(d, "terminals", "a subdivision instance"), "terminals")
+        json_ints(terminals.values(), "terminal faces")
         return cls(
             graph=g,
             terminals={str(k): v for k, v in terminals.items()},
-            groups=[json_int_list(grp, "group edge ids", StructureError)
-                    for grp in json_list(groups, "groups", StructureError)]
+            groups=[json_int_list(grp, "group edge ids") for grp in json_list(groups, "groups")]
             if groups is not None else None,
         )
 
@@ -541,9 +551,9 @@ def reduce_pmc_to_subdivision(mti: MultiterminalInstance) -> PmcReduction:
     """
     g = mti.graph
     if not g.is_connected():
-        raise StructureError("source graph must be connected")
+        raise Rejected("source graph must be connected")
     if any(w != 1 for w in mti.weights.values()):
-        raise StructureError("this reduction handles unweighted instances only")
+        raise Rejected("this reduction handles unweighted instances only")
     walks = g.facial_walks()
     vertices: List[Vertex] = list(range(len(walks)))
     edges: List[Tuple[Vertex, Vertex]] = []

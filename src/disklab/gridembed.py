@@ -21,13 +21,15 @@ from .geometry import (
     ray_crossing,
     segments_cross_properly,
 )
-from .graphs import Dart, PlanarEmbeddedGraph, Vertex, edges_are_simple, json_coords, json_ints
+from .graphs import (Dart, Malformed, PlanarEmbeddedGraph, Vertex, edges_are_simple,
+                     json_by_vertex, json_coords, json_ints, json_key)
 
 Coords = Dict[Vertex, Tuple[int, int]]
 
 
-class DrawingError(ValueError):
-    """A straight-line drawing violates planarity or the rotation system."""
+class DrawingError(Malformed):
+    """A straight-line drawing violates planarity or the rotation system: the
+    one :class:`Malformed` that :func:`drawing_valid` and marked points catch."""
 
 
 # ---------------------------------------------------------------------------
@@ -475,12 +477,13 @@ class GridEmbedding:
 
     @classmethod
     def from_dict(cls, d: Dict[str, object]) -> "GridEmbedding":
-        g = PlanarEmbeddedGraph.from_dict(d["graph"])
-        by_name = {str(v): v for v in g.vertices}
-        coords = {by_name[k]: xy for k, xy in
-                  json_coords(d["coords"], "coords and grid size", DrawingError).items()}
-        json_ints([d["grid_size"]], "coords and grid size", DrawingError)
-        emb = cls(graph=g, coords=coords, grid_size=d["grid_size"])
+        g = PlanarEmbeddedGraph.from_dict(json_key(d, "graph", "a drawing"))
+        if not g.vertices:    # no grid size to check
+            raise Malformed("a drawing needs at least one vertex")
+        xys = json_coords(json_key(d, "coords", "a drawing"), "coords and grid size")
+        coords = json_by_vertex(xys, {str(v): v for v in g.vertices}, "coords")
+        grid_size, = json_ints([json_key(d, "grid_size", "a drawing")], "coords and grid size")
+        emb = cls(graph=g, coords=coords, grid_size=grid_size)
         check_drawing(g, coords)
         if emb.grid_size != grid_size_of(coords):
             raise DrawingError("stored grid size disagrees with the coordinates")

@@ -9,7 +9,9 @@ owning modules.  Exit-code convention, shared by all verbs:
 * 1 — well-formed but rejected (failed verification, budget overrun,
   restriction violation, no solution, solver refusal),
 * 2 — malformed input (unparseable files, schema violations, out-of-range
-  ids, digest mismatches).
+  ids, digest mismatches), raised as :class:`~disklab.graphs.Malformed`,
+* 3 — a fault or a failed write, not the input: any other exception, which
+  the verbs let through and the command line reports with its traceback.
 
 Certificate files are ``{"problem": ..., "candidate": [...], "budget": n?}``
 (:func:`read_certificate`): the candidate is a JSON list of element ids and
@@ -39,7 +41,6 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .arrangements import (
     DiskInstance,
-    VerificationError,
     check_ids,
     normalize_edge_list,
     strict_components,
@@ -66,8 +67,9 @@ from .geometry import (
     rational_to_str,
 )
 from .graphs import (
+    Malformed,
     MultiterminalInstance,
-    StructureError,
+    Rejected,
     SubdivisionInstance,
     Vertex,
     components,
@@ -77,6 +79,7 @@ from .graphs import (
     json_graph,
     json_int_list,
     json_ints,
+    json_key,
     json_list,
     json_object,
     lift_subdivision_solution,
@@ -84,11 +87,10 @@ from .graphs import (
     reduce_pmc_to_subdivision,
     subdivision_solution_ok,
 )
-from .gridembed import DrawingError, GridEmbedding, grid_embed, require_simple
+from .gridembed import GridEmbedding, grid_embed, require_simple
 from .render import svg_for_embedding, svg_for_instance
 from .solvers import (
     OptimumCertificate,
-    Rejected,
     SolverCapExceeded,
     brute_min_acc,
     brute_min_fvs,
@@ -100,22 +102,6 @@ from .solvers import (
     multiterminal_cut_lower_bound,
 )
 
-MALFORMED_ERRORS = (
-    VerificationError,
-    StructureError,
-    SynthesisError,
-    DrawingError,
-    KeyError,
-    TypeError,
-    ValueError,
-    OSError,
-    json.JSONDecodeError,
-)
-
-class PipelineError(ValueError):
-    """Malformed pipeline input (schema, digest, unknown kind)."""
-
-
 # ---------------------------------------------------------------------------
 # JSON plumbing
 # ---------------------------------------------------------------------------
@@ -126,9 +112,13 @@ def canonical_digest(obj) -> str:
 
 
 def read_json(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return json_object(data, str(path), PipelineError)
+    """The JSON object in the file at ``path``; any file that is not one is :class:`Malformed`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:    # ValueError: JSON or UTF-8
+        raise Malformed(str(exc)) from None
+    return json_object(data, str(path))
 
 
 def indented_json(obj, pad: str = "\n") -> str:
@@ -215,11 +205,11 @@ def read_certificate(cert: dict) -> Tuple[list, Optional[int]]:
     elif "witness" in cert:
         candidate = cert["witness"]
     else:
-        raise PipelineError("certificate carries neither 'candidate' nor 'witness'")
-    json_list(candidate, "certificate candidate", PipelineError)
+        raise Malformed("certificate carries neither 'candidate' nor 'witness'")
+    json_list(candidate, "certificate candidate")
     budget = cert.get("budget")
     if budget is not None and type(budget) is not int:
-        raise PipelineError("certificate budget must be a JSON integer")
+        raise Malformed("certificate budget must be a JSON integer")
     return candidate, budget
 
 
@@ -262,29 +252,29 @@ class ReductionRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ReductionRecord":
-        kind = str(d["kind"])
+        field = functools.partial(json_key, d, what="a record")
+        kind = str(field("kind"))
         if kind not in REDUCTIONS:
-            raise PipelineError(f"unknown reduction kind {kind!r}")
-        params = d.get("params")
-        edges = json_object(d["edges"], "record edges", PipelineError)
+            raise Malformed(f"unknown reduction kind {kind!r}")
+        edges = json_object(field("edges"), "record edges")
         for key in edges:
-            json_edge_key(key, "record edge key", PipelineError)
+            json_edge_key(key, "record edge key")
         return cls(
             kind=kind,
-            source_digest=str(d["source_digest"]),
-            target_digest=str(d["target_digest"]),
-            params=ParamSet.from_dict(params) if params else None,
+            source_digest=str(field("source_digest")),
+            target_digest=str(field("target_digest")),
+            params=ParamSet.from_dict(d["params"]) if d.get("params") else None,
             edges=edges,
-            vertices=json_object(d["vertices"], "record vertices", PipelineError),
-            terminals=json_object(d["terminals"], "record terminals", PipelineError),
-            notes=json_object(d.get("notes", {}), "record notes", PipelineError),
+            vertices=json_object(field("vertices"), "record vertices"),
+            terminals=json_object(field("terminals"), "record terminals"),
+            notes=json_object(d.get("notes", {}), "record notes"),
         )
 
 
 def _check_total(record_table: Dict[str, object], wanted: Iterable, what: str) -> None:
     missing = [k for k in (str(x) for x in wanted) if k not in record_table]
     if missing:
-        raise PipelineError(f"record {what} table misses {missing}")
+        raise Malformed(f"record {what} table misses {missing}")
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +286,9 @@ def plain_graph_from_dict(d: dict) -> Tuple[List[Vertex], List[Tuple[Vertex, Ver
     vertices, edges, by_name = json_graph(d)
     coords = d.get("coords")
     if coords is not None:
-        coords = json_coords(coords, "coords", StructureError)
+        coords = json_coords(coords, "coords")
         if coords.keys() != by_name.keys():
-            raise PipelineError("coords must cover exactly the vertex set")
+            raise Malformed("coords must cover exactly the vertex set")
     return vertices, edges, coords
 
 
@@ -311,11 +301,7 @@ def embed_plain_graph(vertices, edges) -> GridEmbedding:
         raise Rejected("graph has no vertices")
     if len(set(components(vertices, edges).values())) != 1:
         raise Rejected("graph is disconnected: supply explicit 'coords'")
-    try:
-        peg = rotation_graph(vertices, edges)
-    except ValueError as exc:    # not planar
-        raise Rejected(str(exc)) from exc
-    return grid_embed(peg)
+    return grid_embed(rotation_graph(vertices, edges))
 
 
 # ---------------------------------------------------------------------------
@@ -324,10 +310,7 @@ def embed_plain_graph(vertices, edges) -> GridEmbedding:
 
 def _reduce_pmc(mti: MultiterminalInstance, mode: str,
                 overrides) -> Tuple[SubdivisionInstance, dict]:
-    try:
-        red = reduce_pmc_to_subdivision(mti)
-    except StructureError as exc:
-        raise Rejected(str(exc)) from exc
+    red = reduce_pmc_to_subdivision(mti)
     return red.instance, dict(
         params=None,
         edges={str(e): list(frags) for e, frags in red.pairing.items()},
@@ -367,7 +350,7 @@ def _chain_radius(overrides) -> Fraction:
     """The disk radius of the ACC and UDMC chains: ``--r``, default ``CHAIN_RADIUS``."""
     r = overrides.get("r", CHAIN_RADIUS)
     if r <= 0:
-        raise ValueError("parameters must be positive")
+        raise Malformed("parameters must be positive")
     return r
 
 
@@ -414,10 +397,11 @@ def _reduce_mc(mti: MultiterminalInstance, mode: str, overrides) -> Tuple[DiskIn
 def _file_verb(verb):
     """The one exit mapping of the file verbs.  ``verb`` returns (exit code,
     lines, files to write as (payload, path) pairs) and the wrapped verb
-    (exit code, lines).  An expected failure becomes its exit code and one
-    prefixed line.  The files are written after, outside that mapping, so a
-    failed write is not reported as malformed input: a string payload (an SVG
-    or an :func:`instance_json` text) as it is, anything else as JSON.  The
+    (exit code, lines).  A refusal, a rejection or :class:`Malformed` input
+    becomes its exit code and one prefixed line; any other exception, a
+    fault, propagates.  The files are written after, outside that mapping, so
+    a failed write is not reported as malformed input: a string payload (an
+    SVG or an :func:`instance_json` text) as it is, anything else as JSON.  The
     cyclic collector is paused meanwhile and then restored: reference counts
     free what a verb builds, as no verb makes a cycle but networkx's drawing,
     the size of the source graph (``test_pipeline`` checks)."""
@@ -431,7 +415,7 @@ def _file_verb(verb):
             return 1, [f"refused: {exc}"]
         except (Rejected, SynthesisError) as exc:
             return 1, [f"rejected: {exc}"]
-        except MALFORMED_ERRORS as exc:
+        except Malformed as exc:
             return 2, [f"malformed: {exc}"]
         else:
             for payload, path in files:
@@ -454,7 +438,7 @@ def cli_reduce(kind: str, input_path, out_path, record_path=None, mode: str = "s
     provenance record (default: target path + '.record.json')."""
     src = read_json(input_path)
     if kind not in REDUCTIONS:
-        raise PipelineError(f"unknown reduction kind {kind!r}")
+        raise Malformed(f"unknown reduction kind {kind!r}")
     red = REDUCTIONS[kind]
     target, tables = red.reduce(PROBLEMS[red.source].parse(src), mode, dict(overrides or {}))
     text, target_digest = instance_json(target)
@@ -464,7 +448,10 @@ def cli_reduce(kind: str, input_path, out_path, record_path=None, mode: str = "s
         target_digest=target_digest,
         **tables,
     )
-    _check_total(record.terminals, src.get("terminals", []), "terminal")
+    terminals = src.get("terminals", [])    # what the fvs parse ignores
+    if type(terminals) not in (list, dict):
+        raise Malformed("terminals must be a JSON list or object")
+    _check_total(record.terminals, terminals, "terminal")
     _check_total(record.edges, range(len(src["edges"])), "edge")
     _check_total(record.vertices, src["vertices"], "vertex")
     if record_path is None:
@@ -508,7 +495,7 @@ def _verify_fvs(graph, candidate, budget) -> Tuple[bool, List[str]]:
     by_name = {str(v): v for v in vertices}
     names = set(str(v) for v in candidate)
     if not names <= by_name.keys():
-        raise VerificationError("certificate names an unknown vertex")
+        raise Malformed("certificate names an unknown vertex")
     reasons = []
     if budget is not None and len(names) > budget:
         reasons.append(f"budget: certificate removes {len(names)} vertices, cap {budget}")
@@ -577,7 +564,7 @@ def problems_with(verb: str) -> List[str]:
 
 def _problem(name: str, verb: str) -> Problem:
     if name not in problems_with(verb):
-        raise PipelineError(f"unknown problem {name!r}")
+        raise Malformed(f"unknown problem {name!r}")
     return PROBLEMS[name]
 
 
@@ -615,10 +602,9 @@ def cli_solve(problem: str, instance_path, out_path):
 def _groups(record) -> Dict[int, list]:
     """Source edge -> the target ids it became (dual-edge fragments, wall
     disks).  An empty group would be lifted whatever the candidate keeps."""
-    groups = {int(e): json_int_list(ids, "record group ids", PipelineError)
-              for e, ids in record.edges.items()}
+    groups = {int(e): json_int_list(ids, "record group ids") for e, ids in record.edges.items()}
     if not all(groups.values()):
-        raise PipelineError("a record group must hold at least one id")
+        raise Malformed("a record group must hold at least one id")
     return groups
 
 
@@ -628,27 +614,37 @@ def _back_pmc(record, mti, kept) -> Tuple[List[int], dict]:
 
 def _back_isolation(record, sub, chosen) -> Tuple[List[int], dict]:
     if record.params is None or record.params.c_edge < 1:
-        raise PipelineError("an isolation record needs params with c_edge >= 1")
+        raise Malformed("an isolation record needs params with c_edge >= 1")
     k1, c_edge = len(set(chosen)), record.params.c_edge
     return lift_fence_to_edges(_groups(record), chosen), {
         "k1": k1, "c_edge": c_edge, "floor_bound": k1 // c_edge}
 
 
+def _ends(pair, what: str) -> list:
+    """The two vertex names a record gives for an edge's ends."""
+    if type(pair) is not list or len(pair) != 2 or any(type(v) is not str for v in pair):
+        raise Malformed(f"{what} must be JSON lists of two vertex names")
+    return pair
+
+
 def _back_acc(record, graph, removed) -> Tuple[List[str], dict]:
     # a hub lifts to its vertex; a chain deletion is dominated by deleting
     # either endpoint hub, so a chain disk lifts to its edge's first end
-    hubs = json_ints(record.vertices.values(), "record hub ids", PipelineError)
+    hubs = json_ints(record.vertices.values(), "record hub ids")
     vertex_of = dict(zip(hubs, record.vertices))
+    ends = json_key(record.notes, "edge_ends", "record notes")
     for e, ids in record.edges.items():
-        ids = json_int_list(ids, "record chain ids", PipelineError)
-        vertex_of.update(dict.fromkeys(ids, record.notes["edge_ends"][e][0]))
+        first = _ends(json_key(ends, e, "record edge ends"), "record edge ends")[0]
+        vertex_of.update(dict.fromkeys(json_int_list(ids, "record chain ids"), first))
+    if not vertex_of.keys() >= set(removed):
+        raise Malformed("the record maps a removed disk to no vertex")
     return sorted({vertex_of[i] for i in removed}), {}
 
 
 def _back_udmc(record, mti, pairs) -> Tuple[List[int], dict]:
     removed = normalize_edge_list(pairs)
-    sigma_of = {i: v for v, entry in record.vertices.items()
-                for i in json_int_list(entry["sigma"], "record sigma ids", PipelineError)}
+    sigma_of = {i: v for v, entry in record.vertices.items() for i in
+                json_int_list(json_key(entry, "sigma", "a record vertex"), "record sigma ids")}
 
     def severed(lane, ends) -> bool:
         # a removed pair inside the lane, or joining a lane end to the
@@ -657,10 +653,14 @@ def _back_udmc(record, mti, pairs) -> Tuple[List[int], dict]:
         return any((i in ids and j in ids) or (i in tips and sigma_of.get(j) in ends)
                    or (j in tips and sigma_of.get(i) in ends) for i, j in removed)
 
-    lanes = {e: [json_int_list(lane, "record lane ids", PipelineError) for lane in entry["lanes"]]
-             for e, entry in record.edges.items()}
-    lifted = sorted(int(e) for e, entry in record.edges.items()
-                    if all(severed(lane, set(entry["ends"])) for lane in lanes[e]))
+    lanes, ends = {}, {}
+    for e, entry in record.edges.items():
+        lanes[e] = [json_int_list(lane, "record lane ids")
+                    for lane in json_list(json_key(entry, "lanes", "a record edge"), "record lanes")]
+        ends[e] = set(_ends(json_key(entry, "ends", "a record edge"), "record ends"))
+    if not all(lane for group in lanes.values() for lane in group):
+        raise Malformed("a record lane must hold at least one id")
+    lifted = sorted(int(e) for e in record.edges if all(severed(lane, ends[e]) for lane in lanes[e]))
     return lifted, {"weight": sum(mti.weight(e) for e in lifted)}
 
 
@@ -696,9 +696,9 @@ def cli_lift(record_path, solution_path, source_path, target_path, out_path):
     src = read_json(source_path)
     tgt = read_json(target_path)
     if canonical_digest(src) != record.source_digest:
-        raise PipelineError("source file does not match the record digest")
+        raise Malformed("source file does not match the record digest")
     if canonical_digest(tgt) != record.target_digest:
-        raise PipelineError("target file does not match the record digest")
+        raise Malformed("target file does not match the record digest")
     candidate, budget = read_certificate(read_json(solution_path))
     red = REDUCTIONS[record.kind]
     source, target = PROBLEMS[red.source], PROBLEMS[red.target]
@@ -733,9 +733,7 @@ def _drawing(data: dict):
     only this, not the parsed tree, while it draws."""
     if "disks" in data:
         return DiskInstance.from_dict(data)
-    if "coords" in data and "graph" in data:
-        return GridEmbedding.from_dict(data)
-    raise PipelineError("file is neither a disk instance nor an embedding")
+    return GridEmbedding.from_dict(data)
 
 
 def cli_check_params(

@@ -14,6 +14,7 @@ from itertools import repeat
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .arrangements import DiskInstance
+from .graphs import Malformed
 from .gridembed import GridEmbedding
 
 _PALETTE = [
@@ -50,7 +51,7 @@ class _Frame:
         self.width = (x1 - x0) * self.k
         self.height = (y1 - y0) * self.k
         if not (math.isfinite(self.width) and math.isfinite(self.height)):
-            raise ValueError("the drawing's extent is beyond the float range")
+            raise Malformed("the drawing's extent is beyond the float range")
 
     def pt(self, x: float, y: float) -> Tuple[float, float]:
         return ((x - self.x0) * self.k, (self.y1 - y) * self.k)
@@ -113,8 +114,8 @@ def _guide_pitch(span: float) -> float:
 def svg_for_instance(instance: DiskInstance, guides: bool = False) -> str:
     """Render a disk instance; colors follow disk tags, crosses mark points.
 
-    Raises ``ValueError`` when the radius, a centre coordinate or a marked
-    point is beyond the float range, or the frame around them is."""
+    Raises :class:`Malformed` when the radius, a centre coordinate or a
+    marked point is beyond the float range, or the frame around them is."""
     sc = instance.centers
     try:
         r = float(instance.radius)
@@ -129,7 +130,7 @@ def svg_for_instance(instance: DiskInstance, guides: bool = False) -> str:
             try:
                 float(v)
             except OverflowError:
-                raise ValueError(f"{v} is beyond the float range") from None
+                raise Malformed(f"{v} is beyond the float range") from None
         raise
     # rounding is monotone, so the extremes of x ± r over all disks are
     # those of min(x) ± r and max(x) ± r

@@ -30,7 +30,6 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 from .arrangements import (
     CenterIndex,
     DiskInstance,
-    VerificationError,
     check_points_uncovered,
     complement_regions,
     contract,
@@ -39,7 +38,9 @@ from .arrangements import (
     unit_disk_graph,
 )
 from .graphs import (
+    Malformed,
     MultiterminalInstance,
+    Rejected,
     SubdivisionInstance,
     Vertex,
     edge_disjoint_paths,
@@ -51,11 +52,6 @@ from .graphs import (
 
 class SolverCapExceeded(RuntimeError):
     """The instance is larger than this brute-force solver will accept."""
-
-
-class Rejected(RuntimeError):
-    """Well-formed input that fails a restriction or a verification, or has
-    no solution."""
 
 
 # The caps.  MAX_FENCE_DISKS and MAX_ACC_DISKS count an instance's disks and
@@ -225,7 +221,7 @@ def brute_min_isolation_two_points(instance: DiskInstance) -> OptimumCertificate
     chains.
     """
     if len(instance.points) != 2:
-        raise VerificationError("this solver handles exactly two marked points")
+        raise Malformed("this solver handles exactly two marked points")
     p, q = [instance.points[k] for k in sorted(instance.points)]
     sc = instance.centers
     udg = unit_disk_graph(sc, instance.radius)
@@ -327,7 +323,7 @@ def brute_min_isolation(instance: DiskInstance) -> OptimumCertificate:
             "use the two-point solver or shrink the instance"
         )
     if len(instance.points) < 2:
-        raise VerificationError("isolation needs at least two marked points")
+        raise Malformed("isolation needs at least two marked points")
     sc, r = instance.centers, instance.radius
     check_points_uncovered(instance.points, CenterIndex(sc, r))
 
@@ -380,7 +376,7 @@ def min_terminal_pair_cut(instance: DiskInstance) -> OptimumCertificate:
     """
     terminals = instance.meta.get("terminal_disks", [])
     if len(terminals) != 2:
-        raise VerificationError("terminal-pair cut needs exactly two terminal disks")
+        raise Malformed("terminal-pair cut needs exactly two terminal disks")
     s_id, t_id = terminals
     udg = unit_disk_graph(instance.centers, instance.radius)
     value, sink_side = edge_disjoint_paths(udg.adj, [s_id], [t_id])

@@ -71,8 +71,8 @@ from disklab.geometry import Point, point_on_segment, ray_crossing
 from disklab.graphs import (
     Dart,
     MultiterminalInstance,
+    Malformed,
     PlanarEmbeddedGraph,
-    StructureError,
     SubdivisionInstance,
     Vertex,
     multiterminal_solution_ok,
@@ -320,7 +320,7 @@ def nx_terminal_pair_cut(instance: ar.DiskInstance) -> OptimumCertificate:
     instance.validate()
     terminals = [int(t) for t in instance.meta.get("terminal_disks", [])]
     if len(terminals) != 2:
-        raise ar.VerificationError("terminal-pair cut needs exactly two terminal disks")
+        raise Malformed("terminal-pair cut needs exactly two terminal disks")
     s_id, t_id = terminals
     udg = ar.unit_disk_graph(instance.centers, instance.radius)
     g = _unit_digraph(udg)
@@ -481,7 +481,7 @@ def reference_min_multiterminal(inst: MultiterminalInstance) -> OptimumCertifica
             # any larger subset weighs at least its own cardinality
             break
     if best is None:
-        raise ar.VerificationError("no edge subset separates the terminals")
+        raise Malformed("no edge subset separates the terminals")
     return OptimumCertificate(
         problem="multiterminal-cut", optimum=best[0], witness=best[1]
     )
@@ -502,7 +502,7 @@ def reference_min_subdivision(inst: SubdivisionInstance) -> OptimumCertificate:
                     witness=list(combo),
                     detail={"kept_edges": sorted(kept)},
                 )
-    raise ar.VerificationError("no group subset separates the marked faces")
+    raise Malformed("no group subset separates the marked faces")
 
 
 def reference_min_fvs(vertices, edges) -> OptimumCertificate:
@@ -552,7 +552,7 @@ def bfs_min_isolation_two_points(instance: ar.DiskInstance) -> OptimumCertificat
     the number of roots searched."""
     instance.validate()
     if len(instance.points) != 2:
-        raise ar.VerificationError("this solver handles exactly two marked points")
+        raise Malformed("this solver handles exactly two marked points")
     ar.check_points_uncovered(instance.points, ar.CenterIndex(instance.centers, instance.radius))
     p, q = [instance.points[k] for k in sorted(instance.points)]
     sc = instance.centers
@@ -599,7 +599,7 @@ def bfs_min_isolation_two_points(instance: ar.DiskInstance) -> OptimumCertificat
                 best_len = len(cyc)
                 best_cycle = cyc
     if best_cycle is None:
-        raise ar.VerificationError("no subset of the disks separates the two points")
+        raise Malformed("no subset of the disks separates the two points")
     return OptimumCertificate(
         problem="two-point-isolation",
         optimum=best_len,
@@ -706,13 +706,13 @@ def reference_verify_multiterminal_cut(
     instance.validate()
     terminals = instance.meta.get("terminal_disks", [])
     if len(terminals) < 2:
-        raise ar.VerificationError("cut instances need at least two terminal disks")
+        raise Malformed("cut instances need at least two terminal disks")
     removed = ar.normalize_edge_list(removed_edges)
     udg = ar.unit_disk_graph(instance.centers, instance.radius)
     edge_set = set(udg.edges)
     for e in removed:
         if e not in edge_set:
-            raise ar.VerificationError(
+            raise Malformed(
                 f"certificate removes {e}, which is not an intersection edge")
     reasons = []
     if budget is not None and len(removed) > budget:
@@ -853,7 +853,7 @@ def geometric_dual(g: PlanarEmbeddedGraph) -> DualResult:
     primal vertices, which is exposed via ``vertex_face``.
     """
     if not g.is_connected():
-        raise StructureError("dual requires a connected graph")
+        raise Malformed("dual requires a connected graph")
     walks = g.facial_walks()
     face_of = {d: i for i, w in enumerate(walks) for d in w}
     dual_vertices = list(range(len(walks)))
@@ -869,7 +869,7 @@ def geometric_dual(g: PlanarEmbeddedGraph) -> DualResult:
         elif len(g.vertices) == 1:
             vertex_face[v] = 0
         else:
-            raise StructureError(f"isolated vertex {v!r} in a connected dual computation")
+            raise Malformed(f"isolated vertex {v!r} in a connected dual computation")
     return DualResult(dual=dual, vertex_face=vertex_face)
 
 
@@ -931,7 +931,7 @@ def subdivide_all_edges(g: PlanarEmbeddedGraph) -> SubdivisionMap:
         if walk:
             face_map[i] = g2.face_of_dart(end_replacement[walk[0]])
     if len(g2.facial_walks()) != len(g.facial_walks()):
-        raise StructureError("subdivision changed the face count")
+        raise Malformed("subdivision changed the face count")
     return SubdivisionMap(graph=g2, fragments=fragments, face_map=face_map)
 
 

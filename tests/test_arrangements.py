@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from disklab import arrangements as ar
 from disklab.geometry import Disk, rational_from_str, rational_to_str, ray_crossing
-from disklab.graphs import components
+from disklab.graphs import Malformed, components
 
 from floodfill import flood_fill_summary, random_robust_centers
 from instances import disk_instance, int_centers
@@ -279,7 +279,7 @@ def test_verify_isolation_budget_and_ids():
     assert not rep.ok  # separates, but over budget
     assert all(rep.pair_results.values())
     assert any("budget" in m for m in rep.messages)
-    with pytest.raises(ar.VerificationError, match="out-of-range"):
+    with pytest.raises(Malformed, match="out-of-range"):
         ar.verify_isolation(inst, [0, 9])
     assert ar.verify_isolation(inst, [0, 1, 2, 3], budget=4).ok
 
@@ -287,7 +287,7 @@ def test_verify_isolation_budget_and_ids():
 def test_verify_isolation_rejects_covered_point():
     inst = ring4(points={"in": (F(0), F(0)), "out": (F(10), F(10)),
                          "bad": (F(2), F(0))})  # the center of disk 0
-    with pytest.raises(ar.VerificationError, match="covered"):
+    with pytest.raises(Malformed, match="covered"):
         ar.verify_isolation(inst, [0, 1, 2, 3])
 
 
@@ -307,9 +307,9 @@ def test_marked_point_at_exactly_r_is_covered():
     tangent = square_ring((F(3, 2), F(0)))   # distance r from the disk at (2, 0)
     index = ar.CenterIndex(tangent.centers, tangent.radius)
     assert index.within(tangent.points["p"], tangent.radius) == [6]
-    with pytest.raises(ar.VerificationError, match="'p' is covered by disk 6"):
+    with pytest.raises(Malformed, match="'p' is covered by disk 6"):
         ar.verify_isolation(tangent, range(16))
-    with pytest.raises(ar.VerificationError, match="'p' is covered by disk 6"):
+    with pytest.raises(Malformed, match="'p' is covered by disk 6"):
         brute_min_isolation_two_points(tangent)
 
     clear = square_ring((F(3, 2) - F(1, 1000), F(0)))   # distance r + 1/1000
@@ -319,7 +319,7 @@ def test_marked_point_at_exactly_r_is_covered():
 
 def test_verify_isolation_needs_two_points():
     inst = ring4(points={"only": (F(0), F(0))})
-    with pytest.raises(ar.VerificationError, match="two marked points"):
+    with pytest.raises(Malformed, match="two marked points"):
         ar.verify_isolation(inst, [0])
 
 
@@ -341,15 +341,15 @@ def test_verify_multiterminal_cut():
     assert not rep.ok and any("budget" in m for m in rep.reasons)
     # adj[-2] is disk 3's row, which holds 4; adj[5] does not exist
     for pair in [(0, 4), (-2, 4), (4, 5), (5, 6), (-1, 7)]:
-        with pytest.raises(ar.VerificationError, match="not an intersection edge"):
+        with pytest.raises(Malformed, match="not an intersection edge"):
             ar.verify_multiterminal_cut(inst, [pair])
-    with pytest.raises(ar.VerificationError, match="not an edge"):
+    with pytest.raises(Malformed, match="not an edge"):
         ar.verify_multiterminal_cut(inst, [(2, 2)])
     for terminals in ([0.0, 4], [True, 4]):
-        with pytest.raises(ar.VerificationError, match="JSON integers"):
+        with pytest.raises(Malformed, match="JSON integers"):
             disk_instance(ONE, chain, meta={"kind": "udmc", "terminal_disks": terminals})
     one = disk_instance(ONE, chain, meta={"kind": "udmc", "terminal_disks": [0]})
-    with pytest.raises(ar.VerificationError, match="two terminal"):
+    with pytest.raises(Malformed, match="two terminal"):
         ar.verify_multiterminal_cut(one, [(2, 3)])
 
 
@@ -365,7 +365,7 @@ def test_verify_multiterminal_cut():
 ])
 def test_a_disk_instance_checks_itself_at_construction(radius, points, terminals, why):
     chain = [Disk(F(2 * i), F(0)) for i in range(5)]
-    with pytest.raises(ar.VerificationError, match=f"^{why}$"):
+    with pytest.raises(Malformed, match=f"^{why}$"):
         disk_instance(radius, chain, points=points,
                       meta={"kind": "udmc", "terminal_disks": terminals})
 
@@ -380,7 +380,7 @@ def test_instance_round_trip_and_validation():
 
     bad = inst.to_dict()
     bad["radius"] = "-1/2"
-    with pytest.raises(ar.VerificationError, match="radius"):
+    with pytest.raises(Malformed, match="radius"):
         ar.DiskInstance.from_dict(bad)
 
 

@@ -21,7 +21,6 @@ from disklab import gadgets
 from disklab.arrangements import (
     DiskInstance,
     IntCenters,
-    VerificationError,
     complement_regions,
     unit_disk_graph,
     verify_isolation,
@@ -50,6 +49,7 @@ from disklab.corpus import seeded_multiterminal_instances, seeded_planar_graphs
 from disklab.geometry import Disk, compute_params
 from disklab.pipeline import canonical_digest, instance_json
 from disklab.graphs import (
+    Malformed,
     MultiterminalInstance,
     PlanarEmbeddedGraph,
     SubdivisionInstance,
@@ -701,7 +701,7 @@ def test_udmc_lane_cut_edges_are_severable():
 def cut_check_outcome(check, inst, pairs, budget):
     try:
         rep = check(inst, pairs, budget)
-    except VerificationError as exc:
+    except Malformed as exc:
         return "refused", str(exc)
     return rep.ok, rep.terminal_components, rep.lines()
 

@@ -115,26 +115,26 @@ def test_edgeless_single_vertex():
 # ---------------------------------------------------------------------------
 
 def test_missing_edge_at_endpoint_is_reported():
-    with pytest.raises(gr.StructureError, match="missing from rotation at vertex 'v'"):
+    with pytest.raises(gr.Malformed, match="missing from rotation at vertex 'v'"):
         gr.PlanarEmbeddedGraph.from_edge_rotation(
             ["u", "v"], [("u", "v")], {"u": [0], "v": []}
         )
 
 
 def test_foreign_edge_in_rotation_is_reported():
-    with pytest.raises(gr.StructureError, match="not incident"):
+    with pytest.raises(gr.Malformed, match="not incident"):
         gr.PlanarEmbeddedGraph.from_edge_rotation(
             ["u", "v", "w"], [("u", "v"), ("v", "w")], {"u": [0, 1], "v": [0, 1], "w": [1]}
         )
 
 
 def test_unknown_edge_id_is_reported():
-    with pytest.raises(gr.StructureError, match="unknown edge"):
+    with pytest.raises(gr.Malformed, match="unknown edge"):
         gr.PlanarEmbeddedGraph.from_edge_rotation(["u"], [], {"u": [3]})
 
 
 def test_duplicate_vertices_rejected():
-    with pytest.raises(gr.StructureError):
+    with pytest.raises(gr.Malformed):
         gr.PlanarEmbeddedGraph(["u", "u"], [], {"u": []})
 
 
@@ -180,7 +180,7 @@ def test_dual_requires_connectivity():
         ["a", "b", "c", "d"], [("a", "b"), ("c", "d")],
         {"a": [0], "b": [0], "c": [1], "d": [1]},
     )
-    with pytest.raises(gr.StructureError, match="connected"):
+    with pytest.raises(gr.Malformed, match="connected"):
         geometric_dual(g)
 
 
@@ -469,7 +469,7 @@ def test_lift_drops_incomplete_groups():
 
 def test_reduction_rejects_weights():
     mti = gr.MultiterminalInstance(graph=path3(), terminals=["a", "c"], weights={0: 2})
-    with pytest.raises(gr.StructureError, match="unweighted"):
+    with pytest.raises(gr.Rejected, match="unweighted"):
         gr.reduce_pmc_to_subdivision(mti)
 
 
@@ -550,7 +550,7 @@ def test_instance_round_trips():
     (["a", "b"], {1: 0}, "edge 1 has non-positive weight"),
 ])
 def test_a_multiterminal_instance_checks_itself_at_construction(terminals, weights, why):
-    with pytest.raises(gr.StructureError, match=f"^{why}$"):
+    with pytest.raises(gr.Malformed, match=f"^{why}$"):
         gr.MultiterminalInstance(graph=triangle(), terminals=terminals, weights=weights)
 
 
@@ -563,13 +563,13 @@ def test_a_multiterminal_instance_checks_itself_at_construction(terminals, weigh
     ({"p": 0, "q": 1}, [[0], [1, 2], []], "a group must hold at least one edge"),
 ])
 def test_a_subdivision_instance_checks_itself_at_construction(terminals, groups, why):
-    with pytest.raises(gr.StructureError, match=f"^{why}$"):
+    with pytest.raises(gr.Malformed, match=f"^{why}$"):
         gr.SubdivisionInstance(graph=triangle(), terminals=terminals, groups=groups)
 
 
 def test_subdivision_instance_validation():
     g = triangle()
-    with pytest.raises(gr.StructureError, match="share a face"):
+    with pytest.raises(gr.Malformed, match="share a face"):
         gr.SubdivisionInstance(graph=g, terminals={"p": 0, "q": 0}).validate()
-    with pytest.raises(gr.StructureError, match="unknown face"):
+    with pytest.raises(gr.Malformed, match="unknown face"):
         gr.SubdivisionInstance(graph=g, terminals={"p": 9}).validate()

@@ -19,8 +19,9 @@ from disklab.gadgets import BUNDLE_COPIES, MAX_WALL_DISKS, SynthesisError, build
 from disklab.geometry import Disk
 from disklab.graphs import (
     MultiterminalInstance,
+    Malformed,
     PlanarEmbeddedGraph,
-    StructureError,
+    Rejected,
     SubdivisionInstance,
 )
 from disklab.gridembed import grid_embed
@@ -350,7 +351,7 @@ def test_plain_and_embedded_graphs_share_one_vertex_edge_rule(tmp_path, vertices
     src = {"vertices": vertices, "edges": edges,
            "rotation": {"a": [0, 2], "b": [1, 0], "c": [2, 1]}, "terminals": ["a", "b"]}
     for parse in (plain_graph_from_dict, PlanarEmbeddedGraph.from_dict):
-        with pytest.raises(StructureError) as exc:
+        with pytest.raises(Malformed) as exc:
             parse(src)
         assert str(exc.value) == why
     path, drawing, cert = tmp_path / "src.json", tmp_path / "drawing.json", tmp_path / "cert.json"
@@ -655,10 +656,11 @@ def test_a_verb_pauses_the_collector_and_restores_its_state(
         tmp_path, monkeypatch, verb, lead, paths, enabled):
     args = [*lead, *(tmp_path / f"missing{k}.json" for k in range(paths))]
     seen = []
+    real_read = pipeline.read_json
 
-    def read(path):
+    def read(path):    # each path is missing: the real read refuses it
         seen.append(gc.isenabled())
-        raise FileNotFoundError(path)
+        return real_read(path)
 
     monkeypatch.setattr(pipeline, "read_json", read)
     (gc.enable if enabled else gc.disable)()
@@ -686,7 +688,7 @@ def networkx_garbage_collected(monkeypatch):
             assert gc.collect() == 0
             try:
                 return fn(*args)
-            except ValueError as exc:  # its traceback holds networkx's objects
+            except (ValueError, Rejected) as exc:  # its traceback holds networkx's objects
                 kind, why = type(exc), exc.args
             finally:
                 gc.collect()
@@ -1447,6 +1449,209 @@ def test_main_entry_point(toy_chain, tmp_path):
                      str(cert)]) == 0
     assert cli_main(["render", str(toy_chain["iso"]),
                      "--out", str(tmp_path / "r.svg"), "--guides"]) == 0
+
+
+# ---------------------------------------------------------------------------
+# malformed input is exit 2 alone; a fault or a failed write is exit 3
+# ---------------------------------------------------------------------------
+
+NESTED = "[" * 100000 + "]" * 100000
+
+
+@pytest.mark.parametrize("where", ["top", "disks"])
+@pytest.mark.parametrize("verb", ["verify", "render"])
+def test_deeply_nested_json_is_malformed(tmp_path, verb, where):
+    path, cert = tmp_path / "deep.json", tmp_path / "cert.json"
+    path.write_text(NESTED if where == "top" else '{"disks": ' + NESTED + ', "radius": "1/2"}')
+    write_json({"candidate": [0]}, cert)
+    args = (["verify", "isolation", str(path), str(cert)] if verb == "verify"
+            else ["render", str(path), "--out", str(tmp_path / "deep.svg")])
+    run = run_python("-m", "disklab", *args)
+    assert run.returncode == 2, run.stderr
+    assert "Traceback" not in run.stderr
+    [line] = run.stderr.splitlines()
+    assert json.loads(line)["msg"].startswith("malformed: maximum recursion depth exceeded")
+
+
+def _edited(path, edit, out):
+    """``out``, holding the JSON of ``path`` after ``edit`` changed it."""
+    d = read_json(path)
+    edit(d)
+    write_json(d, out)
+    return out
+
+
+def _named_case(case, toy_chain, lift_cases, t):
+    """(exit code, lines) of one verb on an input that lacks a key or holds
+    a field of the wrong shape, and the message that must name it."""
+    cert = t / "cert.json"
+    write_json({"candidate": [0]}, cert)
+    if case == "graph-vertices":
+        mc = t / "mc.json"
+        write_json({k: v for k, v in triangle_mc_dict().items() if k != "vertices"}, mc)
+        return cli_verify("mc", mc, cert), 'a graph needs a "vertices" key'
+    if case == "rotation-vertex":
+        mc = t / "mc.json"
+        write_json({**triangle_mc_dict(), "rotation": {
+            **triangle_mc_dict()["rotation"], "zz": [0]}}, mc)
+        return cli_verify("mc", mc, cert), "rotation names an unknown vertex 'zz'"
+    if case == "coords-vertex":
+        drawing = grid_embed(PlanarEmbeddedGraph.from_dict(triangle_mc_dict())).to_dict()
+        drawing["coords"]["zz"] = [9, 9]
+        write_json(drawing, t / "drawing.json")
+        return cli_render(t / "drawing.json", t / "x.svg"), "coords names an unknown vertex 'zz'"
+    if case == "params-c_edge":
+        iso = _edited(toy_chain["iso"], lambda d: d["params"].pop("c_edge"), t / "iso.json")
+        return cli_render(iso, t / "x.svg"), 'params needs a "c_edge" key'
+    if case == "record-kind":
+        record, source, target, _, candidate, _ = lift_cases["pmc->subdivision"]
+        record = _edited(record, lambda d: d.pop("kind"), t / "record.json")
+        write_json({"candidate": candidate}, cert)
+        return (cli_lift(record, cert, source, target, t / "lifted.json"),
+                'a record needs a "kind" key')
+    iso = _edited(toy_chain["iso"], lambda d: d["meta"].update(terminal_disks=5), t / "iso.json")
+    return cli_render(iso, t / "x.svg"), "terminal disk ids must be a JSON list"
+
+
+@pytest.mark.parametrize("case", ["graph-vertices", "rotation-vertex", "coords-vertex",
+                                  "params-c_edge", "record-kind", "terminal_disks"])
+def test_malformed_input_names_its_key_or_field(toy_chain, lift_cases, tmp_path, case):
+    got, why = _named_case(case, toy_chain, lift_cases, tmp_path)
+    assert got == (2, [f"malformed: {why}"])
+
+
+def test_an_internal_fault_exits_3_with_its_traceback(toy_chain, tmp_path, monkeypatch, capsys):
+    # the verb's own exit mapping lets the fault through, and the command
+    # line reports it with the traceback
+    monkeypatch.setattr(pipeline, "read_json", lambda path: 1 / 0)
+    assert cli_main(["render", str(toy_chain["iso"]), "--out", str(tmp_path / "x.svg")]) == 3
+    [line] = capsys.readouterr().err.splitlines()
+    diag = json.loads(line)
+    assert diag["level"] == "error"
+    assert diag["msg"].startswith("failed: Traceback (most recent call last):")
+    assert diag["msg"].rstrip().endswith("ZeroDivisionError: division by zero")
+    assert not (tmp_path / "x.svg").exists()
+
+
+@pytest.mark.parametrize("args", [["render", "EMPTY", "--out", "BLOCKED/x.svg"],
+                                  ["check-params", "--n", "2", "--out", "BLOCKED/p.json"]],
+                         ids=["render", "check-params"])
+def test_a_failed_output_write_exits_3_with_its_traceback(tmp_path, capsys, args):
+    empty, blocker = tmp_path / "empty.json", tmp_path / "existing_file"
+    write_json({"disks": [], "radius": "1/2"}, empty)
+    blocker.write_text("")
+    argv = [a.replace("EMPTY", str(empty)).replace("BLOCKED", str(blocker)) for a in args]
+    assert cli_main(argv) == 3
+    [line] = capsys.readouterr().err.splitlines()
+    msg = json.loads(line)["msg"]
+    assert msg.startswith("failed: Traceback (most recent call last):")
+    assert "FileExistsError" in msg.rstrip().splitlines()[-1]
+
+
+# Each verb on small valid inputs, one of them mutated: a key deleted at
+# any depth, a value swapped for one of another JSON type, or the text cut
+# short.  Each file's required top-level keys, whose loss or whose
+# container of the wrong type is malformed input.
+GRAPH_KEYS = ("vertices", "edges")
+MC_KEYS = GRAPH_KEYS + ("rotation",)
+DISK_KEYS = ("disks", "radius")
+CERT_KEYS = ("candidate",)
+RECORD_KEYS = ("kind", "source_digest", "target_digest", "edges", "vertices", "terminals")
+SWAPS = [None, True, 0, 1.5, 10**30, "x", "1/2", [], [0], {}, {"0": 0}]
+
+
+def _json_type(v) -> str:
+    return {bool: "boolean", int: "number", float: "number", str: "string", list: "array",
+            dict: "object"}.get(type(v), "null")
+
+
+def _nodes(tree, path=()):
+    yield path, tree
+    items = tree.items() if isinstance(tree, dict) else enumerate(tree) if isinstance(
+        tree, list) else ()
+    for k, v in items:
+        yield from _nodes(v, path + (k,))
+
+
+@st.composite
+def mutations(draw, text):
+    """(kind, path, mutated text) of one mutation of the JSON ``text``."""
+    kind = draw(st.sampled_from(["delete", "swap", "cut"]))
+    if kind == "cut":
+        return kind, (), text[:draw(st.integers(0, len(text) - 1))]
+    tree = json.loads(text)
+    if kind == "delete":
+        path, node = draw(st.sampled_from(
+            [(p, n) for p, n in _nodes(tree) if isinstance(n, dict) and n]))
+        key = draw(st.sampled_from(sorted(node)))
+        del node[key]
+        return kind, path + (key,), json.dumps(tree)
+    path, node = draw(st.sampled_from(list(_nodes(tree))[1:]))
+    value = draw(st.sampled_from([v for v in SWAPS if _json_type(v) != _json_type(node)]))
+    parent = tree
+    for k in path[:-1]:
+        parent = parent[k]
+    parent[path[-1]] = value
+    return (kind if isinstance(node, (list, dict)) else "swap-scalar"), path, json.dumps(tree)
+
+
+@pytest.fixture(scope="module")
+def fuzz_cases(tmp_path_factory, toy_chain, lift_cases):
+    """verb -> [(call on the input paths, [(input path, its required keys)])]."""
+    root = tmp_path_factory.mktemp("fuzz")
+    mc, plain, star, cert = root / "mc.json", root / "plain.json", root / "star.json", root / "c.json"
+    write_json(triangle_mc_dict(), mc)
+    write_json(TRIANGLE_PLAIN, plain)
+    write_json(star_mc_dict(), star)
+    write_json({"candidate": ["a"], "budget": 1}, cert)
+    drawing = root / "drawing.json"
+    write_json(grid_embed(PlanarEmbeddedGraph.from_dict(triangle_mc_dict())).to_dict(), drawing)
+    out = root / "out"
+    cases = {"reduce": [
+        (lambda f: cli_reduce("pmc->subdivision", f[0], out / "sub.json"), [(mc, MC_KEYS)]),
+        (lambda f: cli_reduce("subdivision->isolation", f[0], out / "iso.json", mode="toy"),
+         [(toy_chain["sub"], MC_KEYS + ("terminals",))]),
+        (lambda f: cli_reduce("fvs->acc", f[0], out / "acc.json"), [(plain, GRAPH_KEYS)]),
+        (lambda f: cli_reduce("mc->udmc", f[0], out / "udmc.json"), [(star, MC_KEYS)]),
+    ], "verify": [], "solve": [
+        (lambda f: cli_solve("mc", f[0], out / "opt.json"), [(star, MC_KEYS)]),
+        (lambda f: cli_solve("isolation", f[0], out / "opt.json"), [(toy_chain["iso"], DISK_KEYS)]),
+        (lambda f: cli_solve("fvs", f[0], out / "opt.json"), [(plain, GRAPH_KEYS)]),
+    ], "lift": [], "render": [
+        (lambda f: cli_render(f[0], out / "x.svg"), [(toy_chain["iso"], DISK_KEYS)]),
+        (lambda f: cli_render(f[0], out / "x.svg"), [(drawing, ("graph", "coords", "grid_size"))]),
+    ]}
+    for kind, (record, source, target, problem, candidate, budget) in lift_cases.items():
+        sol = root / f"{problem}.sol.json"
+        write_json({"candidate": candidate, "budget": budget}, sol)
+        target_keys = DISK_KEYS if problem != "subdivision" else MC_KEYS + ("terminals",)
+        cases["verify"].append((lambda f, p=problem: cli_verify(p, f[0], f[1]),
+                                [(target, target_keys), (sol, CERT_KEYS)]))
+        cases["lift"].append((lambda f, s=source, t=target: cli_lift(f[0], f[1], s, t, out / "l.json"),
+                              [(Path(record), RECORD_KEYS), (sol, CERT_KEYS)]))
+    cases["verify"].append((lambda f: cli_verify("fvs", f[0], f[1]),
+                            [(plain, GRAPH_KEYS), (cert, CERT_KEYS)]))
+    return root, cases
+
+
+@pytest.mark.parametrize("verb", ["reduce", "verify", "solve", "lift", "render"])
+@given(data=st.data())
+@settings(max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_a_mutated_input_exits_0_1_or_2_and_never_raises(fuzz_cases, verb, data):
+    root, cases = fuzz_cases
+    call, files = data.draw(st.sampled_from(cases[verb]))
+    k = data.draw(st.integers(0, len(files) - 1))
+    path, required = files[k]
+    kind, where, text = data.draw(mutations(path.read_text()))
+    mutant = root / f"mutant{len(list(root.iterdir()))}.json"
+    mutant.write_text(text)
+    paths = [p for p, _ in files]
+    paths[k] = mutant
+    code, lines = call(paths)
+    assert code in (0, 1, 2), lines
+    if kind in ("delete", "swap") and len(where) == 1 and where[0] in required:
+        assert code == 2, (kind, where, lines)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from oracles import (
 from disklab import solvers
 from disklab.arrangements import (
     CenterIndex,
-    VerificationError,
     contract,
     edge_crossing_parities,
     unit_disk_graph,
@@ -41,6 +40,7 @@ from disklab.gadgets import (
 )
 from disklab.geometry import Disk
 from disklab.graphs import (
+    Malformed,
     MultiterminalInstance,
     PlanarEmbeddedGraph,
     SubdivisionInstance,
@@ -314,13 +314,13 @@ def test_two_point_unseparable_raises():
 
 def test_two_point_requires_two_points():
     inst = ring4(points={"third": (Fraction(30), Fraction(0))})
-    with pytest.raises(VerificationError):
+    with pytest.raises(Malformed):
         brute_min_isolation_two_points(inst)
 
 
 def test_two_point_rejects_covered_points():
     inst = ring4(points={"in": (Fraction(2), Fraction(149, 100))})  # inside disk (2, 0)
-    with pytest.raises(VerificationError, match="covered"):
+    with pytest.raises(Malformed, match="covered"):
         brute_min_isolation_two_points(inst)
     # free, though within r/1000 of disk (2, 0)
     inst = ring4(points={"in": (Fraction(1, 2) - Fraction(1, 2000), Fraction(0))})
@@ -526,7 +526,7 @@ def test_two_point_odd_edge_roots_match_all_roots_oracle():
         if expect is None:
             with pytest.raises(Rejected, match="no subset"):
                 brute_min_isolation_two_points(inst)
-            with pytest.raises(VerificationError, match="no subset"):
+            with pytest.raises(Malformed, match="no subset"):
                 bfs_min_isolation_two_points(inst)
             no_odd += odd == 0
             many_odd_unseparated += odd >= 2
@@ -585,7 +585,7 @@ def solve_outcome(solve, inst, **caps):
     """The certificate, or the type and message of the refusal."""
     try:
         return solve(inst, **caps)
-    except (SolverCapExceeded, VerificationError, Rejected) as exc:
+    except (SolverCapExceeded, Malformed, Rejected) as exc:
         return type(exc), str(exc)
 
 
@@ -620,7 +620,7 @@ def test_k_point_fence_refuses_like_the_oracle():
     single = disk_instance(ring.radius, ring.disks, points={"in": ring.points["in"]})
     for inst in (covered, single):
         want = solve_outcome(reference_min_isolation, inst)
-        assert want[0] is VerificationError
+        assert want[0] is Malformed
         assert solve_outcome(brute_min_isolation, inst) == want
 
 
@@ -725,7 +725,7 @@ def test_cut_witness_edges_exist():
 def test_cut_requires_two_terminals():
     inst = disk_instance(radius=Fraction(1), disks=[Disk(Fraction(0), Fraction(0))],
                          meta={"terminal_disks": [0]})
-    with pytest.raises(VerificationError):
+    with pytest.raises(Malformed):
         min_terminal_pair_cut(inst)
 
 
@@ -814,7 +814,7 @@ def test_ring_of_any_size_is_its_own_optimum(k, seed):
     )
     try:
         cert = brute_min_isolation_two_points(inst)
-    except VerificationError:
+    except Malformed:
         return  # radius rounding left the ring open or covered the center
     assert cert.optimum <= n
     assert verify_isolation(inst, cert.witness).ok
