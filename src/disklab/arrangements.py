@@ -257,7 +257,7 @@ class DiskInstance:
             yn.append(y)
             yd.append(dy)
             prov = e.get("prov", [])
-            if prov == expect:
+            if expect is not None and prov == expect:    # a null prov equals no run's None
                 for k in int_at:
                     if type(prov[k]) is not int:
                         break

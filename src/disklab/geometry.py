@@ -33,6 +33,8 @@ def rational_to_str(x: Fraction) -> str:
 def rational_from_str(s) -> Fraction:
     if type(s) is not int and type(s) is not str:  # not bool, which JSON true and false parse to
         raise Malformed(f"expected 'num/den' string or int, got {type(s).__name__}")
+    if type(s) is str and ("e" in s or "E" in s):    # Fraction("1e10000000") takes seconds
+        raise Malformed(f"exponent spelling in rational {s!r}; write 'num/den'")
     try:
         return Fraction(s)
     except ZeroDivisionError:
@@ -214,6 +216,8 @@ def compute_params(
         a = Fraction(1, 4)
         s = 6 * r * n * n
     elif mode == "toy":
+        if n < 1:
+            raise Malformed("grid size must be at least 1")
         r = Fraction(1, 10)
         h = Fraction(1, 2)
         a = Fraction(1, 4)

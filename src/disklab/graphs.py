@@ -8,13 +8,19 @@ self-loops.
 A dart is a pair ``(edge_id, end)``; dart ``(e, 0)`` leaves ``edges[e][0]``
 and dart ``(e, 1)`` leaves ``edges[e][1]``.  For a self-loop both darts leave
 the same vertex and are distinguished by their position in the rotation.
+
+A graph is fixed once built and indexed then: vertex positions, edge ends
+as positions, facial walks and each edge's two faces.  Multiterminal cut and
+face separation are edge multiway cuts of the graph and of its face graph,
+decided by one test on those indices, :func:`terminals_separated`.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from itertools import product
+from typing import Collection, Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 Vertex = Hashable
 Dart = Tuple[int, int]
@@ -141,6 +147,31 @@ def component_labels(adj: Sequence[Sequence[int]], cut: Iterable[Tuple[int, int]
     return label
 
 
+def edge_component_labels(
+    n: int, ends: Iterable[Tuple[int, int]], cut: Iterable[int] = ()
+) -> List[int]:
+    """:func:`component_labels` of the multigraph on nodes ``0 .. n - 1`` in
+    which edge ``e`` joins the two nodes ``ends[e]``, less the edge ids in
+    ``cut``.  Self-loops and parallel edges are allowed."""
+    cut = set(cut)
+    adj: List[List[int]] = [[] for _ in range(n)]
+    for e, (u, w) in enumerate(ends):
+        if e not in cut:
+            adj[u].append(w)
+            adj[w].append(u)
+    return component_labels(adj)
+
+
+def terminals_separated(
+    n: int, ends: Iterable[Tuple[int, int]], cut: Iterable[int], terminals: Collection[int]
+) -> bool:
+    """The multiway-cut test: True if deleting the edge ids in ``cut`` from
+    the multigraph of :func:`edge_component_labels` leaves the ``terminals``
+    (distinct nodes) in pairwise distinct components."""
+    label = edge_component_labels(n, ends, cut)
+    return len({label[t] for t in terminals}) == len(terminals)
+
+
 def components(
     nodes: Iterable[Vertex], edges: Iterable[Tuple[Vertex, Vertex]]
 ) -> Dict[Vertex, Vertex]:
@@ -149,11 +180,8 @@ def components(
     are allowed; every edge end must be one of ``nodes``."""
     order = list(dict.fromkeys(nodes))
     index = {v: i for i, v in enumerate(order)}
-    adj: List[List[int]] = [[] for _ in order]
-    for u, w in edges:
-        adj[index[u]].append(index[w])
-        adj[index[w]].append(index[u])
-    return {v: order[c] for v, c in zip(order, component_labels(adj))}
+    label = edge_component_labels(len(order), [(index[u], index[w]) for u, w in edges])
+    return {v: order[c] for v, c in zip(order, label)}
 
 
 def edge_disjoint_paths(
@@ -220,10 +248,12 @@ class PlanarEmbeddedGraph:
         self.vertices: List[Vertex] = list(vertices)
         self.edges: List[Tuple[Vertex, Vertex]] = [tuple(e) for e in edges]
         self.rot: Dict[Vertex, Tuple[Dart, ...]] = {v: tuple(rotation.get(v, ())) for v in self.vertices}
-        self._faces: Optional[List[List[Dart]]] = None
-        self._face_of_dart: Optional[Dict[Dart, int]] = None
-        self._edge_faces: Optional[Tuple[Tuple[int, int], ...]] = None
         self._validate()
+        self.index: Dict[Vertex, int] = {v: i for i, v in enumerate(self.vertices)}
+        self.ends: Tuple[Tuple[int, int], ...] = tuple((self.index[u], self.index[w]) for u, w in self.edges)
+        self._faces, self._face_of_dart = self._walk_faces()
+        self._edge_faces = tuple((self._face_of_dart[(e, 0)], self._face_of_dart[(e, 1)])
+                                 for e in range(len(self.edges)))
 
     # -- construction -------------------------------------------------------
 
@@ -299,70 +329,45 @@ class PlanarEmbeddedGraph:
         return edges_are_simple(self.edges)
 
     def is_connected(self) -> bool:
-        return len(set(components(self.vertices, self.edges).values())) <= 1
-
-    def next_at_vertex(self, d: Dart) -> Dart:
-        """Next dart clockwise after ``d`` around its tail vertex."""
-        v = self.dart_tail(d)
-        darts = self.rot[v]
-        i = darts.index(d)
-        return darts[(i + 1) % len(darts)]
-
-    def next_in_face(self, d: Dart) -> Dart:
-        """Face-walk successor: step to the head of ``d`` and turn to the
-        next dart clockwise after the reversal."""
-        return self.next_at_vertex(other_end(d))
+        return len(set(edge_component_labels(len(self.vertices), self.ends))) <= 1
 
     # -- faces ---------------------------------------------------------------
 
     def facial_walks(self) -> List[List[Dart]]:
         """All facial walks, canonicalized.
 
-        Each walk is rotated to start at its lexicographically smallest dart
-        and the list of walks is sorted by that dart, so face ids (indices
-        into the returned list) are deterministic.  An edgeless one-vertex
-        graph yields a single empty walk for its only face.
+        Each walk starts at its lexicographically smallest dart and the
+        walks are in the order of that dart, so face ids (indices into the
+        returned list) are deterministic.  An edgeless one-vertex graph
+        yields a single empty walk for its only face.
         """
-        if self._faces is not None:
-            return self._faces
-        if not self.edges:
-            self._faces = [[]]
-            self._face_of_dart = {}
-            return self._faces
-        unvisited = {(e, end) for e in range(len(self.edges)) for end in (0, 1)}
+        return self._faces
+
+    def _walk_faces(self) -> Tuple[List[List[Dart]], Dict[Dart, int]]:
+        # a dart's successor on its face: at its head, the next dart
+        # clockwise after its reversal
+        succ = {other_end(d): nxt for darts in self.rot.values()
+                for d, nxt in zip(darts, darts[1:] + darts[:1])}
         walks: List[List[Dart]] = []
-        while unvisited:
-            start = min(unvisited)
-            walk = [start]
-            unvisited.discard(start)
-            d = self.next_in_face(start)
-            while d != start:
-                walk.append(d)
-                unvisited.discard(d)
-                d = self.next_in_face(d)
-            k = walk.index(min(walk))
-            walks.append(walk[k:] + walk[:k])
-        walks.sort(key=lambda w: w[0])
-        self._faces = walks
-        self._face_of_dart = {d: i for i, w in enumerate(walks) for d in w}
-        return walks
+        face: Dict[Dart, int] = {}
+        for d in product(range(len(self.edges)), (0, 1)):    # in order, so a walk starts at its least
+            if d not in face:
+                walks.append([])
+            while d not in face:
+                face[d] = len(walks) - 1
+                walks[-1].append(d)
+                d = succ[d]
+        return walks or [[]], face
 
     def face_of_dart(self, d: Dart) -> int:
-        self.facial_walks()
-        assert self._face_of_dart is not None
         return self._face_of_dart[d]
 
     def face_count(self) -> int:
-        return len(self.facial_walks())
+        return len(self._faces)
 
     def edge_faces(self) -> Tuple[Tuple[int, int], ...]:
-        """For each edge, the pair (face of dart 0, face of dart 1),
-        computed once per graph."""
-        if self._edge_faces is None:
-            self._edge_faces = tuple(
-                (self.face_of_dart((e, 0)), self.face_of_dart((e, 1)))
-                for e in range(len(self.edges))
-            )
+        """For each edge, the pair (face of dart 0, face of dart 1): the
+        ends of its dual edge in the face graph."""
         return self._edge_faces
 
     # -- serialization -------------------------------------------------------
@@ -497,28 +502,12 @@ class SubdivisionInstance:
         )
 
 
-def face_components(g: PlanarEmbeddedGraph, kept_edges: Iterable[int]) -> Dict[int, int]:
-    """Face partition of the subgraph retaining ``kept_edges``.
-
-    Deleting an edge merges the two faces on its sides, so the faces of the
-    retained subgraph are the components of the dual restricted to deleted
-    edges.  Returns a face-id -> smallest face id of its part map.
-    """
-    kept = set(kept_edges)
-    adj: List[List[int]] = [[] for _ in range(g.face_count())]
-    for eid, (f, h) in enumerate(g.edge_faces()):
-        if eid not in kept:
-            adj[f].append(h)
-            adj[h].append(f)
-    return dict(enumerate(component_labels(adj)))
-
-
 def subdivision_solution_ok(inst: SubdivisionInstance, kept_edges: Iterable[int]) -> bool:
     """True if retaining ``kept_edges`` leaves all marked points in
-    pairwise distinct faces."""
-    comp = face_components(inst.graph, kept_edges)
-    reps = [comp[f] for f in inst.terminals.values()]
-    return len(set(reps)) == len(reps)
+    pairwise distinct faces: a multiway cut of the face graph, where
+    keeping an edge deletes its dual edge (:meth:`~PlanarEmbeddedGraph.edge_faces`)."""
+    g = inst.graph
+    return terminals_separated(g.face_count(), g.edge_faces(), kept_edges, inst.terminals.values())
 
 
 # ---------------------------------------------------------------------------
@@ -605,11 +594,8 @@ def lift_subdivision_solution(
 
 def multiterminal_solution_ok(mti: MultiterminalInstance, removed: Iterable[int]) -> bool:
     """True if deleting ``removed`` separates all terminals pairwise."""
-    removed = set(removed)
     g = mti.graph
-    comp = components(g.vertices, (e for eid, e in enumerate(g.edges) if eid not in removed))
-    reps = [comp[t] for t in mti.terminals]
-    return len(set(reps)) == len(reps)
+    return terminals_separated(len(g.vertices), g.ends, removed, [g.index[t] for t in mti.terminals])
 
 
 def fvs_solution_ok(

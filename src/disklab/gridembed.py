@@ -234,7 +234,7 @@ def _nx_embedding(g: PlanarEmbeddedGraph) -> "nx.PlanarEmbedding":
     ``PYTHONHASHSEED`` as string order does."""
     import networkx as nx
 
-    index = {v: i for i, v in enumerate(g.vertices)}
+    index = g.index
     emb = nx.PlanarEmbedding()
     for v in g.vertices:
         ref = None

@@ -7,7 +7,9 @@ solvers (multiterminal cut, face separation, cycle-hitting set) and the
 k-point fence solver enumerate in combinations order, pruned by
 upward-closed feasibility: a superset of a feasible set is feasible, so a
 subtree whose largest set fails is skipped, and the first feasible subset
-found is the one plain enumeration finds.
+found is the one plain enumeration finds.  The three graph-level solvers
+share one search, :func:`_cheapest_feasible`, weighing an edge by its
+weight, a face-separation group 2 and a vertex 1.
 The two-point isolation solver and the terminal-pair cut solver are
 polynomial and handle the synthesized instances directly; the two-point
 solver searches the chain-contracted kernel
@@ -125,32 +127,42 @@ def _feasible_of_size(
         yield from _feasible_of_size(n, ok, size - 1, prefix + (c,), c + 1)
 
 
+def _cheapest_feasible(
+    weights: Sequence[int], ok: Callable[[Tuple[int, ...]], bool]
+) -> Tuple[int, Tuple[int, ...]]:
+    """The least weight of a subset of ``range(len(weights))`` passing the
+    upward-closed ``ok``, and the first such in :func:`_feasible_subsets`
+    order.  It stops once the best weighs at most ``min(weights)`` times the
+    current size, as no later, larger subset can be strictly cheaper."""
+    floor = min(weights, default=0)
+    best: Optional[Tuple[int, Tuple[int, ...]]] = None
+    for combo in _feasible_subsets(len(weights), ok):
+        w = sum(weights[i] for i in combo)
+        if best is None or w < best[0]:
+            best = (w, combo)
+        if best[0] <= floor * len(combo):
+            break
+    if best is None:
+        raise AssertionError("the full set is always feasible")
+    return best
+
+
 def brute_min_multiterminal(inst: MultiterminalInstance) -> OptimumCertificate:
     """Minimum total weight of deleted edges leaving all terminals in
     pairwise distinct components, by enumeration in combinations order,
-    pruned by upward-closed feasibility (:func:`_feasible_subsets`)."""
+    pruned by upward-closed feasibility (:func:`_cheapest_feasible`)."""
     m = len(inst.graph.edges)
     if m > MAX_EDGES:
         raise SolverCapExceeded(f"{m} edges exceeds the enumeration cap {MAX_EDGES}")
-    best: Optional[Tuple[int, List[int]]] = None
-    for combo in _feasible_subsets(m, lambda t: multiterminal_solution_ok(inst, t)):
-        w = sum(inst.weight(e) for e in combo)
-        if best is None or w < best[0]:
-            best = (w, list(combo))
-        if best[0] <= len(combo):
-            # every later subset is at least as large, so weighs at least best[0]
-            break
-    if best is None:
-        raise AssertionError("deleting every edge always separates distinct terminals")
-    return OptimumCertificate(
-        problem="multiterminal-cut", optimum=best[0], witness=best[1]
-    )
+    w, combo = _cheapest_feasible([inst.weight(e) for e in range(m)],
+                                  lambda t: multiterminal_solution_ok(inst, t))
+    return OptimumCertificate(problem="multiterminal-cut", optimum=w, witness=list(combo))
 
 
 def brute_min_subdivision(inst: SubdivisionInstance) -> OptimumCertificate:
     """Minimum group-counted mass of kept edges that separate the marked
     faces, by enumeration of kept groups in combinations order, pruned by
-    upward-closed feasibility (:func:`_feasible_subsets`).  Only whole
+    upward-closed feasibility (:func:`_cheapest_feasible`).  Only whole
     groups are worth keeping, and each used group counts two regardless of
     its fragment count."""
     groups = inst.edge_groups()
@@ -161,15 +173,9 @@ def brute_min_subdivision(inst: SubdivisionInstance) -> OptimumCertificate:
     def kept(combo: Tuple[int, ...]) -> List[int]:
         return [e for gi in combo for e in groups[gi]]
 
-    # mass is twice the number of used groups, so the first feasible set wins
-    for combo in _feasible_subsets(g, lambda t: subdivision_solution_ok(inst, kept(t))):
-        return OptimumCertificate(
-            problem="face-separation",
-            optimum=2 * len(combo),
-            witness=list(combo),
-            detail={"kept_edges": sorted(kept(combo))},
-        )
-    raise AssertionError("keeping every group always separates faces marked once each")
+    mass, combo = _cheapest_feasible([2] * g, lambda t: subdivision_solution_ok(inst, kept(t)))
+    return OptimumCertificate(problem="face-separation", optimum=mass, witness=list(combo),
+                              detail={"kept_edges": sorted(kept(combo))})
 
 
 def brute_min_fvs(
@@ -177,22 +183,15 @@ def brute_min_fvs(
 ) -> OptimumCertificate:
     """Minimum vertex set meeting every cycle, by enumeration of removed
     vertices in combinations order, pruned by upward-closed feasibility
-    (:func:`_feasible_subsets`)."""
+    (:func:`_cheapest_feasible`)."""
     vs = list(vertices)
     if len(vs) > MAX_VERTICES:
         raise SolverCapExceeded(
             f"{len(vs)} vertices exceeds the enumeration cap {MAX_VERTICES}"
         )
-
-    def acyclic_without(combo: Tuple[int, ...]) -> bool:
-        return fvs_solution_ok(vs, edges, {vs[i] for i in combo})
-
-    for combo in _feasible_subsets(len(vs), acyclic_without):
-        return OptimumCertificate(
-            problem="cycle-hitting-set", optimum=len(combo),
-            witness=[vs[i] for i in combo],
-        )
-    raise AssertionError("removing all vertices always leaves an acyclic graph")
+    size, combo = _cheapest_feasible(
+        [1] * len(vs), lambda t: fvs_solution_ok(vs, edges, {vs[i] for i in t}))
+    return OptimumCertificate(problem="cycle-hitting-set", optimum=size, witness=[vs[i] for i in combo])
 
 
 # ---------------------------------------------------------------------------

@@ -243,6 +243,15 @@ def test_walk_lengths_sum_to_twice_edges(g):
     assert sum(len(w) for w in walks) == 2 * len(g.edges)
     darts = [d for w in walks for d in w]
     assert len(darts) == len(set(darts))
+    # canonical: each walk starts at its smallest dart, walks sorted by it,
+    # and each step turns clockwise after the reversed dart
+    assert all(w[0] == min(w) for w in walks if w) and walks == sorted(walks)
+    for w in walks:
+        for d, nxt in zip(w, w[1:] + w[:1]):
+            back = gr.other_end(d)
+            rot = g.rot[g.dart_tail(back)]
+            assert nxt == rot[(rot.index(back) + 1) % len(rot)]
+        assert all(g.face_of_dart(d) == walks.index(w) for d in w)
 
 
 @given(rotation_systems())
@@ -388,26 +397,46 @@ def test_edge_disjoint_paths_small_cases():
     assert gr.edge_disjoint_paths(adj, [4], [0]) == (3, {0, 2, 3, 5, 6, 7, 9, 10, 11})
 
 
-def test_face_components_full_and_empty():
-    g = triangle()
-    comp_all = gr.face_components(g, range(3))
-    assert len(set(comp_all.values())) == 2
-    comp_none = gr.face_components(g, [])
-    assert len(set(comp_none.values())) == 1
+def seeded_multigraph(rng, n, m):
+    """An embedded graph on ``n`` vertices with ``m`` random edges, loops and
+    parallels among them, in a random rotation; it may be disconnected."""
+    edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(m)]
+    rot = {v: [] for v in range(n)}
+    for e, (u, w) in enumerate(edges):
+        rot[u].append((e, 0))
+        rot[w].append((e, 1))
+    for darts in rot.values():
+        rng.shuffle(darts)
+    return gr.PlanarEmbeddedGraph(list(range(n)), edges, rot)
 
 
-def test_face_components_match_union_find_oracle():
-    # every kept-edge subset of seeded planar graphs, self-loops and
-    # parallel dual edges included
+def test_cut_checks_match_union_find_on_multigraphs():
+    # every removal set of at most two edges, and every set of all edges but
+    # two, on seeded planar graphs, their duals and seeded multigraphs, which
+    # bring loops, parallel edges and isolated vertices to the graph or to
+    # its face graph
     from disklab.corpus import seeded_multiterminal_instances
-    graphs = [triangle()] + [m.graph for m in seeded_multiterminal_instances(5, 6)]
+    rng = random.Random(3003)
+    planar = [triangle()] + [m.graph for m in seeded_multiterminal_instances(5, 6)]
+    graphs = (planar + [geometric_dual(g).dual for g in planar]
+              + [seeded_multigraph(rng, rng.randint(1, 6), rng.randint(0, 9)) for _ in range(8)])
+    assert any(not g.is_simple() for g in graphs)
     for g in graphs:
-        faces = g.edge_faces()
-        for k in range(len(g.edges) + 1):
-            for kept in itertools.combinations(range(len(g.edges)), k):
-                want = union_find_components(
-                    range(g.face_count()), (faces[e] for e in range(len(g.edges)) if e not in kept))
-                assert gr.face_components(g, kept) == want
+        m, faces = len(g.edges), g.edge_faces()
+        everyone = gr.MultiterminalInstance(graph=g, terminals=list(g.vertices))
+        every_face = gr.SubdivisionInstance(graph=g, terminals={str(f): f for f in range(g.face_count())})
+        small = [c for k in range(3) for c in itertools.combinations(range(m), k)]
+        for cut in small + [[e for e in range(m) if e not in c] for c in small]:
+            comp = union_find_components(g.vertices, (g.edges[e] for e in range(m) if e not in cut))
+            part = union_find_components(range(g.face_count()), (faces[e] for e in range(m) if e not in cut))
+            assert gr.multiterminal_solution_ok(everyone, cut) == (len(set(comp.values())) == len(comp))
+            assert gr.subdivision_solution_ok(every_face, cut) == (len(set(part.values())) == len(part))
+            for u, w in itertools.combinations(g.vertices, 2):
+                mti = gr.MultiterminalInstance(graph=g, terminals=[u, w])
+                assert gr.multiterminal_solution_ok(mti, cut) == (comp[u] != comp[w])
+            for f, h in itertools.combinations(range(g.face_count()), 2):
+                sub = gr.SubdivisionInstance(graph=g, terminals={"p": f, "q": h})
+                assert gr.subdivision_solution_ok(sub, cut) == (part[f] != part[h])
 
 
 def test_subdivision_solution_check_on_theta():

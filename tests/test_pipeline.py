@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -1518,6 +1519,38 @@ def _named_case(case, toy_chain, lift_cases, t):
 def test_malformed_input_names_its_key_or_field(toy_chain, lift_cases, tmp_path, case):
     got, why = _named_case(case, toy_chain, lift_cases, tmp_path)
     assert got == (2, [f"malformed: {why}"])
+
+
+DISK = {"c": ["0/1", "0/1"], "prov": []}
+
+
+@pytest.mark.parametrize("case, why", [
+    ({"disks": [{**DISK, "prov": None}], "radius": "1/10"}, "a disk's prov must be a JSON list"),
+    ({"disks": [{**DISK, "prov": ["a"]}, {"c": ["1/1", "0/1"], "prov": None}], "radius": "1/10"},
+     "a disk's prov must be a JSON list"),
+    # Fraction("1e10000000") alone takes seconds
+    ({"disks": [DISK], "radius": "1e10000000"}, "exponent spelling in rational '1e10000000'"),
+], ids=["null-prov-first", "null-prov-after-whole-tag", "exponent-radius"])
+@pytest.mark.parametrize("verb", ["render", "verify"])
+def test_a_null_prov_or_an_exponent_is_malformed(tmp_path, case, why, verb):
+    path, cert = tmp_path / "inst.json", tmp_path / "cert.json"
+    write_json({**case, "points": {}}, path)
+    write_json({"candidate": [0]}, cert)
+    start = time.perf_counter()
+    code, lines = (cli_render(path, tmp_path / "x.svg") if verb == "render"
+                   else cli_verify("isolation", path, cert))
+    assert time.perf_counter() - start < 1
+    assert code == 2 and len(lines) == 1 and lines[0].startswith(f"malformed: {why}"), lines
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_a_toy_grid_size_below_1_is_malformed(capsys, n):
+    # 0 once divided by zero (exit 3), and -1 got a constraint report (exit 1)
+    assert cli_main(["check-params", "--n", n, "--params", "toy"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    [line] = out.err.splitlines()
+    assert json.loads(line) == {"level": "error", "msg": "malformed: grid size must be at least 1"}
 
 
 def test_an_internal_fault_exits_3_with_its_traceback(toy_chain, tmp_path, monkeypatch, capsys):

@@ -214,6 +214,36 @@ def test_multiterminal_matches_oracle_on_seeded_terminals(sound_graphs):
             assert brute_min_multiterminal(mti) == reference_min_multiterminal(mti)
 
 
+def test_multiterminal_matches_oracle_with_every_weight_at_least_2(sound_graphs, monkeypatch):
+    # the search stops once the best weight is at most the least weight
+    # times the subset size, which with unit weights is the size alone; so
+    # weighing every edge 3 checks as many subsets as weighing each 1
+    calls = [0]
+    check = solvers.multiterminal_solution_ok
+
+    def counted(*args):
+        calls[0] += 1
+        return check(*args)
+
+    monkeypatch.setattr(solvers, "multiterminal_solution_ok", counted)
+    rng = random.Random(5005)
+    corpus = sound_graphs + [m.graph for m in seeded_multiterminal_instances(CUT_CORPUS_SEED, 12)]
+    for g in corpus:
+        terminals = rng.sample(g.vertices, rng.randint(2, min(4, len(g.vertices))))
+        weights = {e: rng.randint(2, 5) for e in range(len(g.edges))}
+        mti = MultiterminalInstance(graph=g, terminals=terminals, weights=weights)
+        assert brute_min_multiterminal(mti) == reference_min_multiterminal(mti)
+        got = []
+        for w in (1, 3):
+            calls[0] = 0
+            mti = MultiterminalInstance(graph=g, terminals=terminals,
+                                        weights=dict.fromkeys(range(len(g.edges)), w))
+            got.append((brute_min_multiterminal(mti), calls[0]))
+        (unit, unit_calls), (triple, triple_calls) = got
+        assert triple.optimum == 3 * unit.optimum and triple.witness == unit.witness
+        assert triple_calls == unit_calls
+
+
 def test_graph_solvers_match_oracles_on_the_criterion_05_corpus():
     for mti in seeded_multiterminal_instances(CUT_CORPUS_SEED, 12):
         assert brute_min_multiterminal(mti) == reference_min_multiterminal(mti)
