@@ -346,7 +346,7 @@ class IntCenters(NamedTuple):
         return IntCenters(tuple([xs[i] for i in ids]), tuple([ys[i] for i in ids]), self.den)
 
 
-# Sound instances need about 46 bits (3240 * 2**34 at grid size 3); a file
+# Sound instances need about 46 bits (2160 * 2**34 at grid size 3); a file
 # whose denominators fold to more than this is refused before any centre is
 # scaled, so distinct hostile denominators cannot grow the work quadratically.
 MAX_DENOMINATOR_BITS = 4096

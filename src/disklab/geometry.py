@@ -199,19 +199,35 @@ def compute_params(
 ) -> ParamSet:
     """Build the parameter set for grid size ``n``.
 
-    Sound mode uses r = 1/(40 n^4), h = 1/(12 n^2), a = 1/4 and the rational
+    Sound mode uses r = 1/(80 n^3), h = 1/(12 n^2), a = 1/4 and the rational
     clearance surrogate s = 6 r n^2 (an upper bound on the irrational
     closed form; see check_constraints, which re-verifies everything with the
-    surrogate in place).  Toy mode starts from desk-scale defaults; toy
-    parameter sets are allowed to violate the soundness constraints and are
-    reported as such by check_constraints.  In either mode ``overrides`` may
-    replace ``r``, ``s``, ``a`` and ``h``.
+    surrogate in place).  The paper's r = 1/(40 n^4) is the same at n = 2;
+    at larger n this radius keeps c_edge near 40 sqrt(2) n^4 rather than
+    20 sqrt(2) n^5.  The five constraints hold for every n >= 2:
+
+    - C1: 2(r + s) <= 2(1/640 + 3/80) < 1.
+    - C2: n (r + s + h/2) = 1/(80 n^2) + 3/40 + 1/(24 n) < 0.1, and
+      n / sqrt(2n^2 - 2n + 1) > 1/sqrt(2) > 0.1.
+    - C3: n h = 1/(12 n) < 1/sqrt(2), by the same bound.
+    - C4: (s + a)/(6 n^2) > a/(6 n^2) = h/2, for any s > 0.
+    - C5: 1/(2r) = 40 n^3, so the hallways take 2 a/(2r) = 20 n^3 disks,
+      rows = floor(10 n/3) >= (10 n - 2)/3 and cols = 20 n^3 - 6 n^2 - 1;
+      with 2s/(2r) = 6 n^2 and sqrt(2) n bounded above within 1e-6,
+      c_edge <= 40 sqrt(2) n^4 + 4e-5 n^3 - 6 n^2 + 1.  The capacity
+      rows * cols then exceeds c_edge - 20 n^3 by at least
+      10.09 n^4 - 13.34 n^3 + 10 n^2 - 3.34 n - 0.34 > 0.
+
+    Toy mode starts from desk-scale defaults; toy parameter sets are
+    allowed to violate the soundness constraints and are reported as such
+    by check_constraints.  In either mode ``overrides`` may replace ``r``,
+    ``s``, ``a`` and ``h``.
     """
     overrides = dict(overrides or {})
     if mode == "sound":
         if n < 2:
             raise Malformed("sound mode requires grid size n >= 2")
-        r = Fraction(1, 40 * n**4)
+        r = Fraction(1, 80 * n**3)
         h = Fraction(1, 12 * n**2)
         a = Fraction(1, 4)
         s = 6 * r * n * n

@@ -280,13 +280,19 @@ def test_sound_corpus_drawings_are_pinned(sound_corpus):
 
 
 def test_sound_corpus_instances_are_pinned(sound_corpus):
-    # one digest over the 20 synthesized instances, in corpus order, made
-    # by to_dict and by the encoder reduce records with
-    digests = [pl.canonical_digest(art.instance.to_dict()) for _, art in sound_corpus]
-    shipped = [pl.instance_json(art.instance)[1] for _, art in sound_corpus]
-    for got in (digests, shipped):
-        assert pl.canonical_digest(got) == (
-            "805fa896180598ab7be360380ee196b30941371e86bdf45f242d0b0387b556bf")
+    # one digest per grid size over its synthesized instances, in corpus
+    # order, made by to_dict and by the encoder reduce records with; the
+    # sound radius 1/(80 n^3) equals the paper's 1/(40 n^4) at n = 2, so
+    # the grid-2 digest is the one the paper's schedule gave
+    want = {2: "ebe4fb03ab50af94a3dc47d382fbe0846d2b84d05fe8ef89f82cb87093541823",
+            3: "bf0523d86e1a21cd9cb8477d1d94f9d0c9b31b10b88b8b9055f6c5ce843e44c9"}
+    for grid, digest in want.items():
+        arts = [art for emb, art in sound_corpus if emb.grid_size == grid]
+        digests = [pl.canonical_digest(art.instance.to_dict()) for art in arts]
+        shipped = [pl.instance_json(art.instance)[1] for art in arts]
+        for got in (digests, shipped):
+            assert pl.canonical_digest(got) == digest, grid
+    assert sorted({emb.grid_size for emb, _ in sound_corpus}) == [2, 3]
 
 
 def test_sound_corpus_cached_centers_match_round_trip(sound_corpus):
@@ -608,18 +614,32 @@ def test_two_point_optima_match_bfs_oracle_on_grid_2_sound_pairs(sound_corpus):
     assert pairs == 49  # in 11 instances
 
 
+def test_sound_anchor_fits_in_65000_disks(sound_corpus):
+    # the benchmark's grid-3 anchor is the corpus' first graph
+    emb, art = sound_corpus[0]
+    assert (emb.grid_size, len(emb.graph.edges), len(art.instance.tags)) == (3, 14, 64766)
+
+
 def test_two_point_solve_at_grid_3_matches_bfs_oracle(sound_corpus, tmp_path):
     # the grid-3 pair the oracle solves fastest (one odd edge, about 1 s)
     emb, art = sound_corpus[16]
-    assert (emb.grid_size, len(art.instance.tags)) == (3, 69220)
+    assert (emb.grid_size, len(art.instance.tags)) == (3, 46310)
     inst = two_point(art.instance, "p1", "p4")
     iso, sol = tmp_path / "iso.json", tmp_path / "sol.json"
     iso.write_text(pl.instance_json(inst)[0], encoding="utf-8")
     code, lines = pl.cli_solve("isolation", iso, sol)
     assert code == 0, lines
     got = pl.read_json(sol)
-    assert got["optimum"] == len(got["witness"]) == 20546
+    assert got["optimum"] == len(got["witness"]) == 13673
     assert got["optimum"] == bfs_min_isolation_two_points(inst).optimum
+    # the size law: the fence is b walls of c_edge disks, where b is the
+    # source's face-separation optimum for the same two faces, plus less
+    # than one wall's worth of vertex rings
+    sub = SubdivisionInstance(graph=emb.graph, terminals={"p1": 1, "p4": 4})
+    b = len(brute_min_subdivision(sub).detail["kept_edges"])
+    c_edge = int(inst.meta["c_edge"])
+    assert c_edge == 4529
+    assert b * c_edge <= got["optimum"] < (b + 1) * c_edge, (b, c_edge, got["optimum"])
     short = got["witness"][:100] + got["witness"][101:]
     for name, ids, want in (("all", got["witness"], 0), ("short", short, 1)):
         cert = tmp_path / f"{name}.json"
