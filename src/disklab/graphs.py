@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Callable, Collection, Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Collection, Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 Vertex = Hashable
 Dart = Tuple[int, int]
@@ -598,32 +598,12 @@ def multiterminal_solution_ok(mti: MultiterminalInstance, removed: Iterable[int]
     return terminals_separated(len(g.vertices), g.ends, removed, [g.index[t] for t in mti.terminals])
 
 
-def forest_test(
-    vertices: Sequence[Vertex], edges: Sequence[Tuple[Vertex, Vertex]]
-) -> Callable[[Iterable[Vertex]], bool]:
-    """The test that deleting a set of vertices from the multigraph
-    (``vertices``, ``edges``) leaves a forest, on an index built once.
-
-    A deleted set T cuts the edges that touch it and leaves its vertices as
-    isolated nodes, so with C the components over all n nodes the cycle
-    rank E - |cut(T)| - n + C is zero exactly for a forest.  Vertices of T
-    that are not in the graph are ignored."""
-    index = {v: i for i, v in enumerate(dict.fromkeys(vertices))}
-    ends = [(index[u], index[w]) for u, w in edges]
-    touching: List[List[int]] = [[] for _ in index]
-    for e, (u, w) in enumerate(ends):
-        touching[u].append(e)
-        touching[w].append(e)
-
-    def acyclic(removed: Iterable[Vertex]) -> bool:
-        cut = {e for v in removed if v in index for e in touching[index[v]]}
-        label = edge_component_labels(len(index), ends, cut)
-        return len(ends) - len(cut) - len(index) + len(set(label)) == 0
-    return acyclic
-
-
 def fvs_solution_ok(
     vertices: Sequence[Vertex], edges: Sequence[Tuple[Vertex, Vertex]], removed: Set[Vertex]
 ) -> bool:
     """True if deleting the vertices in ``removed`` leaves a forest."""
-    return forest_test(vertices, edges)(removed)
+    kept = [v for v in vertices if v not in removed]
+    kept_edges = [(u, w) for u, w in edges if u not in removed and w not in removed]
+    comp = components(kept, kept_edges)
+    # cycle rank edges - nodes + components is zero exactly for a forest
+    return len(kept_edges) - len(comp) + len(set(comp.values())) == 0

@@ -136,8 +136,6 @@ def indented_json(obj, pad: str = "\n") -> str:
         items = (f"{encode_basestring_ascii(k if isinstance(k, str) else json.dumps(k))}: "
                  f"{indented_json(v, inner)}" for k, v in sorted(obj.items()))
         return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if all(type(v) is int for v in obj):    # a record's id list: one join
-        return "[" + inner + ("," + inner).join(map(int.__repr__, obj)) + pad + "]"
     return "[" + inner + ("," + inner).join(indented_json(v, inner) for v in obj) + pad + "]"
 
 

@@ -46,7 +46,7 @@ from .graphs import (
     SubdivisionInstance,
     Vertex,
     edge_disjoint_paths,
-    forest_test,
+    fvs_solution_ok,
     multiterminal_solution_ok,
     subdivision_solution_ok,
 )
@@ -189,8 +189,8 @@ def brute_min_fvs(
         raise SolverCapExceeded(
             f"{len(vs)} vertices exceeds the enumeration cap {MAX_VERTICES}"
         )
-    acyclic = forest_test(vs, edges)
-    size, combo = _cheapest_feasible([1] * len(vs), lambda t: acyclic(vs[i] for i in t))
+    size, combo = _cheapest_feasible(
+        [1] * len(vs), lambda t: fvs_solution_ok(vs, edges, {vs[i] for i in t}))
     return OptimumCertificate(problem="cycle-hitting-set", optimum=size, witness=[vs[i] for i in combo])
 
 
