@@ -29,11 +29,11 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from pathlib import Path
 from typing import Dict, List, Optional
 
-from .geometry import rational_from_str
+from .geometry import cli_check_params, cli_lemma_oracle, rational_from_str
 from .graphs import Malformed
-from . import pipeline
 
 
 def _diag(level: str, lines: List[str]) -> None:
@@ -58,13 +58,27 @@ def _collect_overrides(args) -> Dict[str, Fraction]:
             if (val := getattr(args, name, None)) is not None}
 
 
+class _PipelineNames:
+    """The choices ``names(pipeline)``, read only when argparse checks a
+    value (``in`` falls back to ``__iter__``) or prints them, so the reports
+    never import :mod:`pipeline`.  Set after ``add_argument``, whose metavar
+    check would read them at once."""
+
+    def __init__(self, names):
+        self.names = names
+
+    def __iter__(self):
+        from . import pipeline
+        return iter(self.names(pipeline))
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="disklab", description=__doc__,
                                   formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("reduce", help="compile an instance into a harder one")
-    p.add_argument("kind", choices=list(pipeline.REDUCTIONS))
+    p.add_argument("kind").choices = _PipelineNames(lambda pl: pl.REDUCTIONS)
     p.add_argument("input")
     p.add_argument("--out", required=True)
     p.add_argument("--record", default=None,
@@ -72,12 +86,12 @@ def build_parser() -> argparse.ArgumentParser:
     _override_flags(p)
 
     p = sub.add_parser("verify", help="check a certificate against an instance")
-    p.add_argument("problem", choices=pipeline.problems_with("verify"))
+    p.add_argument("problem").choices = _PipelineNames(lambda pl: pl.problems_with("verify"))
     p.add_argument("instance")
     p.add_argument("certificate")
 
     p = sub.add_parser("solve", help="ground-truth optimum (may refuse)")
-    p.add_argument("problem", choices=pipeline.problems_with("solve"))
+    p.add_argument("problem").choices = _PipelineNames(lambda pl: pl.problems_with("solve"))
     p.add_argument("instance")
     p.add_argument("--out", required=True)
 
@@ -105,21 +119,21 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-# command -> pipeline call on the parsed arguments and ``overrides``.  The file
-# verbs return (exit code, diagnostic lines); the reports (exit code, payload).
+# command -> call on the parsed arguments and ``overrides``: the file verbs, given
+# the pipeline, return (exit code, diagnostic lines); the reports (exit code, payload).
 VERBS = {
-    "reduce": lambda a: pipeline.cli_reduce(
+    "reduce": lambda pl, a: pl.cli_reduce(
         a.kind, a.input, a.out, record_path=a.record, mode=a.params,
         overrides=a.overrides),
-    "verify": lambda a: pipeline.cli_verify(a.problem, a.instance, a.certificate),
-    "solve": lambda a: pipeline.cli_solve(a.problem, a.instance, a.out),
-    "lift": lambda a: pipeline.cli_lift(
+    "verify": lambda pl, a: pl.cli_verify(a.problem, a.instance, a.certificate),
+    "solve": lambda pl, a: pl.cli_solve(a.problem, a.instance, a.out),
+    "lift": lambda pl, a: pl.cli_lift(
         a.record, a.solution, a.source_instance, a.target_instance, a.out),
-    "render": lambda a: pipeline.cli_render(a.input, a.out, guides=a.guides),
+    "render": lambda pl, a: pl.cli_render(a.input, a.out, guides=a.guides),
 }
 REPORTS = {
-    "check-params": lambda a: pipeline.cli_check_params(a.n, a.params, a.overrides),
-    "lemma-oracle": lambda a: (0, pipeline.cli_lemma_oracle(a.n)),
+    "check-params": lambda a: cli_check_params(a.n, a.params, a.overrides),
+    "lemma-oracle": lambda a: (0, cli_lemma_oracle(a.n)),
 }
 
 
@@ -128,14 +142,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:    # the file verbs map their own input's exceptions, not a fault
         args.overrides = _collect_overrides(args)
         if args.command in VERBS:
-            code, lines = VERBS[args.command](args)
+            from . import pipeline
+            code, lines = VERBS[args.command](pipeline, args)
             _diag("info" if code == 0 else "error", lines)
             return code
         code, payload = REPORTS[args.command](args)
+        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
         if args.out:
-            pipeline.write_json(payload, args.out)
+            Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+            Path(args.out).write_text(text, encoding="utf-8")
         else:
-            print(json.dumps(payload, sort_keys=True, indent=2))
+            sys.stdout.write(text)
         return code
     except Malformed as exc:
         _diag("error", [f"malformed: {exc}"])

@@ -327,6 +327,21 @@ def check_constraints(p: ParamSet) -> ConstraintReport:
     return ConstraintReport(entries)
 
 
+def cli_check_params(n: int, mode: str = "sound",
+                     overrides: Optional[Dict[str, Fraction]] = None) -> Tuple[int, dict]:
+    params = compute_params(n, mode, dict(overrides or {}))
+    report = check_constraints(params)
+    payload = {
+        "params": params.as_dict(),
+        "ok": report.ok,
+        "constraints": [
+            {"name": name, "ok": passed, "detail": detail}
+            for name, passed, detail in report.entries
+        ],
+    }
+    return (0 if report.ok else 1), payload
+
+
 # ---------------------------------------------------------------------------
 # grid oracles
 # ---------------------------------------------------------------------------
@@ -432,6 +447,27 @@ def min_grid_angle_exceeds(n: int) -> AngleOracleResult:
         threshold_tan=threshold,
         witness=best_witness,
     )
+
+
+def cli_lemma_oracle(n: int) -> dict:
+    """Exhaustive grid facts for one grid size: the minimum squared
+    line-to-off-line-point distance with its witness, and the minimum angle
+    between grid lines through a common point compared against the
+    drawing-perturbation threshold."""
+    d2, (p, q, t) = min_grid_line_point_distance_sq(n)
+    angle = min_grid_angle_exceeds(n)
+    return {
+        "n": n,
+        "min_line_point_distance_sq": rational_to_str(d2),
+        "distance_witness": {"line": [list(p), list(q)], "point": list(t)},
+        "min_angle_tan": rational_to_str(angle.min_tan),
+        "angle_threshold_tan": rational_to_str(angle.threshold_tan),
+        "angle_exceeds_threshold": angle.ok,
+        "angle_witness": {
+            "apex": list(angle.witness[0]),
+            "directions": [list(angle.witness[1]), list(angle.witness[2])],
+        },
+    }
 
 
 # ---------------------------------------------------------------------------

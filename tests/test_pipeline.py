@@ -17,7 +17,7 @@ from disklab.__main__ import main as cli_main
 from disklab.arrangements import DiskInstance, TagRuns, unit_disk_graph
 from disklab.corpus import seeded_multiterminal_instances
 from disklab.gadgets import BUNDLE_COPIES, MAX_WALL_DISKS, SynthesisError, build_udmc_instance
-from disklab.geometry import Disk
+from disklab.geometry import Disk, cli_check_params, cli_lemma_oracle
 from disklab.graphs import (
     MultiterminalInstance,
     Malformed,
@@ -29,8 +29,6 @@ from disklab.gridembed import grid_embed
 from disklab.pipeline import (
     ReductionRecord,
     canonical_digest,
-    cli_check_params,
-    cli_lemma_oracle,
     cli_lift,
     cli_reduce,
     cli_render,
@@ -1846,6 +1844,74 @@ def test_instance_json_matches_to_dict(obj):
     assert digest == canonical_digest(d) == canonical_digest(json.loads(text))
 
 
-def test_cli_import_leaves_networkx_unloaded():
-    code = "import sys, disklab.__main__; sys.exit('networkx' in sys.modules)"
-    assert run_python("-c", code).returncode == 0
+# runs the command line on its arguments, then prints the disklab and
+# networkx modules loaded
+FRESH_CLI = ("import json, sys\n"
+             "from disklab.__main__ import main\n"
+             "code = main(sys.argv[1:])\n"
+             "print(json.dumps(sorted(m for m in sys.modules\n"
+             "                        if m.split('.')[0] in ('disklab', 'networkx'))))\n"
+             "sys.exit(code)")
+REPORT_MODULES = ["disklab", "disklab.__main__", "disklab.geometry", "disklab.graphs"]
+
+
+@pytest.mark.parametrize("argv", [["check-params", "--n", "2"], ["lemma-oracle", "--n", "2"],
+                                  ["render", "{iso}", "--out", "{tmp}/out.svg"],
+                                  ["verify", "isolation", "{iso}", "{tmp}/cert.json"]],
+                         ids=["check-params", "lemma-oracle", "render", "verify"])
+def test_a_fresh_cli_process_loads_what_its_command_runs(toy_chain, tmp_path, argv):
+    # the reports import geometry alone; the file verbs import the pipeline,
+    # and no command networkx
+    keep_all = list(range(len(read_json(toy_chain["iso"])["disks"])))
+    write_json({"candidate": keep_all}, tmp_path / "cert.json")
+    proc = run_python("-c", FRESH_CLI, *[a.format(iso=toy_chain["iso"], tmp=tmp_path) for a in argv],
+                      timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    if argv[0] in ("check-params", "lemma-oracle"):
+        assert loaded == REPORT_MODULES
+    else:
+        assert "disklab.pipeline" in loaded and not any(m.startswith("networkx") for m in loaded)
+
+
+CHOICES = {"reduce": lambda: list(pipeline.REDUCTIONS),
+           "verify": lambda: pipeline.problems_with("verify"),
+           "solve": lambda: pipeline.problems_with("solve")}
+
+
+@pytest.mark.parametrize("command", [None, *CHOICES])
+def test_help_lists_the_commands_and_the_tables_choices(capsys, command):
+    with pytest.raises(SystemExit) as exit_:
+        cli_main([command, "--help"] if command else ["--help"])
+    assert exit_.value.code == 0
+    names = CHOICES[command]() if command else [
+        "reduce", "verify", "solve", "lift", "render", "check-params", "lemma-oracle"]
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: disklab {command or ''}".rstrip())
+    assert "{" + ",".join(names) + "}" in out
+
+
+@pytest.mark.parametrize("argv", [["reduce", "nope", "in.json", "--out", "out.json"],
+                                  ["verify", "nope", "in.json", "cert.json"],
+                                  ["solve", "nope", "in.json", "--out", "out.json"]],
+                         ids=list(CHOICES))
+def test_an_unknown_kind_or_problem_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        cli_main(argv)
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    dest = "kind" if argv[0] == "reduce" else "problem"
+    assert err[0].startswith(f"usage: disklab {argv[0]} ")
+    assert err[-1].startswith(f"disklab {argv[0]}: error: argument {dest}: invalid choice: 'nope'")
+    assert all(repr(name) in err[-1] for name in CHOICES[argv[0]]())
+
+
+@pytest.mark.parametrize("argv", [["check-params", "--n", "2"], ["lemma-oracle", "--n", "3"],
+                                  ["check-params", "--n", "3", "--params", "toy"]])
+def test_a_report_writes_one_text_to_stdout_or_out(tmp_path, capsys, argv):
+    code = cli_main(argv)
+    text = capsys.readouterr().out
+    path = tmp_path / "missing" / "dir" / "report.json"
+    assert cli_main([*argv, "--out", str(path)]) == code
+    assert capsys.readouterr().out == ""
+    assert path.read_text() == text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
