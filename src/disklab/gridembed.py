@@ -361,6 +361,11 @@ class _BoxTable:
                 ))
         # conflicts[s]: the segments s conflicts with, filled on first use
         self.conflicts: List[Optional[int]] = [None] * len(self.ends)
+        # orbit_min[c]: the least cell of c's orbit under the box's quarter
+        # turns; centre: the cell they all fix, -1 when k is odd
+        self.orbit_min = [min(c, (k - y) * side + x, (k - x) * side + k - y, y * side + k - x)
+                          for c, (x, y) in enumerate(self.points)]
+        self.centre = k // 2 * (side + 1) if k % 2 == 0 else -1
 
     def fill_conflicts(self, s: int) -> int:
         a, b = self.ends[s]
@@ -398,6 +403,13 @@ def search_minimal_drawing(g: PlanarEmbeddedGraph, max_size: int) -> Optional[Co
     ``SEARCH_BUDGET`` counts candidate cells tried, rejected ones
     included: a box gives up at its ``SEARCH_BUDGET``-th candidate, and the
     next box starts afresh.
+
+    A quarter turn of the box keeps every mask and every clockwise order,
+    so it maps a failed subtree onto a failed one that tries as many cells.
+    While every placed vertex sits at the box centre, a cell whose
+    quarter-turn orbit holds a smaller cell is skipped, and the budget is
+    charged the candidates the smaller cell's subtree tried: the drawings
+    found and the boxes that give up are those of the plain search.
     """
     if not g.is_simple() or not g.is_connected():
         return None
@@ -418,11 +430,19 @@ def search_minimal_drawing(g: PlanarEmbeddedGraph, max_size: int) -> Optional[Co
             cand = {v: box.points[c] for v, c in zip(verts, pos)}
             return _normalize(cand) if rotation_equivalent(g, cand) else None
         blocked = occupied | covered
-        seg_cells, conflicts = box.seg_cells, box.conflicts
+        seg_cells, conflicts, orbit_min = box.seg_cells, box.conflicts, box.orbit_min
+        # spent[c]: the candidates tried below cell c, while the quarter
+        # turns fix what is placed
+        spent = [0] * len(orbit_min) if not pos or pos == [box.centre] else None
         for c, seg_row in enumerate(box.seg_id):
             budget -= 1
             if budget <= 0:
                 return None
+            if spent is not None and orbit_min[c] < c:
+                budget -= spent[orbit_min[c]]  # a turned copy of a failed subtree
+                if budget <= 0:
+                    return None
+                continue
             bit = 1 << c
             if blocked & bit:
                 continue  # occupied, or on a placed edge
@@ -443,10 +463,13 @@ def search_minimal_drawing(g: PlanarEmbeddedGraph, max_size: int) -> Optional[Co
                 new_cells |= seg_cells[s]
             else:
                 pos.append(c)
+                before = budget
                 got = rec(i + 1, pos, occupied | bit, segs | new_segs, covered | new_cells)
                 if got is not None:
                     return got
                 pos.pop()
+                if spent is not None:
+                    spent[c] = before - budget
         return None
 
     got = None

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from disklab import graphs as gr
 from disklab import gridembed as ge
-from disklab.corpus import random_planar_edges, rotation_graph
+from disklab.corpus import random_planar_edges, rotation_graph, seeded_planar_graphs
 from disklab.geometry import point_on_segment
 
 from oracles import geometric_dual, reference_search_minimal_drawing, subdivide_all_edges
@@ -203,6 +203,21 @@ def _search_cases():
     edges = [("a", "b"), ("a", "d"), ("a", "e"), ("b", "d"), ("b", "e"),
              ("c", "d"), ("c", "e"), ("c", "f"), ("f", "b")]
     cases.append(pytest.param(rotation_graph(list("abcdef"), edges), 3, id="apart-k3"))
+    # the quarter-turn skip: the diamond's pmc->subdivision target (8
+    # vertices) fails in the 3x3 box, where the root and the second vertex,
+    # under a first one at the centre, skip turned subtrees, and the 4x4
+    # box finds a drawing; the wheel with four spokes is drawn with its hub
+    # at the 3x3 box's centre, after the root skips two failed subtrees, so
+    # their charge is part of the count of cells tried
+    names = ["d0", "d1", "d2", "d3"]
+    diamond = rotation_graph(names, [(names[a], names[b])
+                                     for a, b in ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2))])
+    sub = gr.reduce_pmc_to_subdivision(gr.MultiterminalInstance(graph=diamond, terminals=["d0", "d2"]))
+    cases.append(pytest.param(sub.instance.graph, 3, id="diamond-subdivision-k3"))
+    edges = [("v0", "v1"), ("v0", "v2"), ("v2", "v3"), ("v1", "v4"), ("v3", "v0"),
+             ("v3", "v4"), ("v4", "v2"), ("v3", "v1")]
+    cases.append(pytest.param(rotation_graph([f"v{i}" for i in range(5)], edges), 2,
+                              id="wheel4-k2"))
     return cases
 
 
@@ -223,6 +238,20 @@ def test_search_minimal_drawing_matches_reference(g, max_size, monkeypatch):
     assert short != want
     monkeypatch.setattr(ge, "SEARCH_BUDGET", tried)
     assert ge.search_minimal_drawing(g, max_size) == short
+
+
+@pytest.mark.parametrize("budget", [7, 40, 300, 2_000, 20_000, ge.SEARCH_BUDGET])
+def test_search_matches_reference_at_every_budget(budget, monkeypatch):
+    """Seed 4's first four drawn graphs (4 to 7 vertices, up to grid 3)
+    searched up to their grid size: the same drawing or the same give-up
+    as the reference under each budget."""
+    embs = seeded_planar_graphs(4, 4)
+    monkeypatch.setattr(ge, "SEARCH_BUDGET", budget)
+    for emb in embs:
+        max_size = min(ge.MAX_SEARCH_BOX, emb.grid_size)
+        want, _ = reference_search_minimal_drawing(emb.graph, max_size, node_budget=budget)
+        got = ge.search_minimal_drawing(emb.graph, max_size)
+        assert got == want and (got is None or list(got) == list(want))
 
 
 def test_search_budget_decides_a_sound_corpus_draw(monkeypatch):

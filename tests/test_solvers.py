@@ -34,7 +34,7 @@ from disklab.arrangements import (
     verify_isolation,
     verify_multiterminal_cut,
 )
-from disklab.corpus import seeded_multiterminal_instances, seeded_planar_graphs
+from disklab.corpus import random_planar_edges, seeded_multiterminal_instances, seeded_planar_graphs
 from disklab.gadgets import (
     build_acc_instance,
 )
@@ -44,6 +44,7 @@ from disklab.graphs import (
     MultiterminalInstance,
     PlanarEmbeddedGraph,
     SubdivisionInstance,
+    fvs_solution_ok,
     reduce_pmc_to_subdivision,
 )
 from disklab.pipeline import cli_solve, read_json, write_json
@@ -260,6 +261,19 @@ def test_fvs_matches_oracle_on_seeded_graphs():
             es = [(u, w) for x, u in enumerate(vs) for w in vs[x:]
                   if rng.random() < (0.05 if u == w else 0.35)]
             assert brute_min_fvs(vs, es) == reference_min_fvs(vs, es)
+
+
+def test_fvs_on_indices_matches_the_check_on_names():
+    # brute_min_fvs tests each subset on vertex positions; the same pruned
+    # search over fvs_solution_ok, which tests it on names, must return the
+    # same optimum and witness, up to the cap
+    rng = random.Random(1619)
+    for n in range(3, solvers.MAX_VERTICES + 1):
+        vs, es = random_planar_edges(rng, n)
+        size, combo = solvers._cheapest_feasible(
+            [1] * n, lambda t: fvs_solution_ok(vs, es, {vs[i] for i in t}))
+        cert = brute_min_fvs(vs, es)
+        assert (cert.optimum, cert.witness) == (size, [vs[i] for i in combo])
 
 
 def test_every_face_marked_subdivision_prunes_to_quadratic_checks(sound_graphs, monkeypatch):
