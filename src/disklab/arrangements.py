@@ -30,6 +30,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -320,13 +321,29 @@ def _parse_rational(s, dens: Dict[str, int]) -> Tuple[int, int]:
 # intersection graph
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class UnitDiskGraph:
+    """The intersection graph of ``n`` disks: ``adj[i]`` lists, ascending,
+    the disks that meet disk i.  ``edges``, every pair (i, j) with i < j in
+    ascending order, is built from ``adj`` on first read: flows, cut checks
+    and component labels read only the lists.  Two graphs are equal when
+    their ``n``, ``edges`` and ``adj`` are."""
+
     n: int
-    edges: List[Tuple[int, int]]
     adj: List[List[int]]
     # the cell-key grid the graph was built on, for later proximity queries
-    index: "CenterIndex" = field(compare=False, repr=False)
+    index: "CenterIndex" = field(repr=False)
+
+    @cached_property
+    def edges(self) -> List[Tuple[int, int]]:
+        return [(i, j) for i, a in enumerate(self.adj) for j in a if j > i]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, UnitDiskGraph):
+            return NotImplemented
+        return (self.n, self.edges, self.adj) == (other.n, other.edges, other.adj)
+
+    __hash__ = None  # type: ignore[assignment]
 
 
 class IntCenters(NamedTuple):
@@ -465,8 +482,7 @@ def unit_disk_graph(sc: IntCenters, r: Fraction) -> UnitDiskGraph:
                 adj[j].append(i)
     for a in adj:
         a.sort()
-    edges = [(i, j) for i, a in enumerate(adj) for j in a if j > i]
-    return UnitDiskGraph(len(ids), edges, adj, index)
+    return UnitDiskGraph(len(ids), adj, index)
 
 
 class Chain(NamedTuple):

@@ -20,6 +20,8 @@ pick the budget so a straight chain works.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -136,33 +138,46 @@ class ContactReport:
 
 def check_structure(instance: DiskInstance, spec: StructureSpec) -> ContactReport:
     """Exact check of intra-structure shape and cross-structure contacts,
-    with each run of ``instance.tags`` one structure."""
+    with each run of ``instance.tags`` one structure.
+
+    Contacts are tallied per disk and per pair of runs, not per edge: runs
+    are id ranges and adjacency lists ascend, so the later neighbours of a
+    disk in its own run come first among its later neighbours, and the
+    others are counted by their run.  Each pair of runs that meet is mapped
+    to its tags once.  Only a failed check walks the edges, to word each
+    bad contact in ``udg.edges`` order."""
     udg = unit_disk_graph(instance.centers, instance.radius)
     runs = [(start, stop, name) for start, stop, name, _ in instance.tags.spans()]
     run_of = [0] * udg.n
     for k, (start, stop, _) in enumerate(runs):
         run_of[start:stop] = [k] * (stop - start)
-    violations: List[str] = []
+    adj, allowed = udg.adj, spec.allowed_contacts
     cross: Dict[Tuple[Tag, Tag], int] = {}
     linked = [0] * len(runs)    # run -> its contacts at index gap 1
-    for (i, j) in udg.edges:
-        ki, kj = run_of[i], run_of[j]
-        start, stop, ti = runs[ki]
-        if ki == kj:
-            gap = j - i
-            if ti in spec.rings:
-                gap = min(gap, stop - start - gap)
-            if gap == 1:
-                linked[ki] += 1
-            else:
-                violations.append(f"structure {ti}: disks {i} and {j} touch at index gap {gap}")
-        else:
+    bad = False                 # a contact at another gap, or a forbidden one
+    for k, (start, stop, ti) in enumerate(runs):
+        # the run's own contacts at gap 1: i -> i + 1, and a ring's first
+        # disk -> its last
+        wraps = ti in spec.rings and stop - start > 2
+        met: Counter = Counter()    # later run -> contacts with it
+        for i in range(start, stop):
+            a = adj[i]
+            p = bisect_right(a, i)
+            q = bisect_left(a, stop, p)
+            if q > p:
+                good = (a[p] == i + 1) + (wraps and i == start and a[q - 1] == stop - 1)
+                linked[k] += good
+                bad = bad or good != q - p
+            if q < len(a):
+                met.update(map(run_of.__getitem__, a[q:]))
+        for kj, c in met.items():
             tj = runs[kj][2]
-            key = (ti, tj) if (ti, tj) in spec.allowed_contacts else (tj, ti)
-            if key not in spec.allowed_contacts:
-                violations.append(f"forbidden contact between {ti} and {tj}")
+            key = (ti, tj) if (ti, tj) in allowed else (tj, ti)
+            if key in allowed:
+                cross[key] = cross.get(key, 0) + c
             else:
-                cross[key] = cross.get(key, 0) + 1
+                bad = True
+    violations = _bad_contacts(udg, runs, run_of, spec) if bad else []
     for (start, stop, tag), have in zip(runs, linked):
         if tag not in spec.rings and have != stop - start - 1:
             violations.append(f"chain {tag}: only {have}/{stop - start - 1} consecutive contacts")
@@ -171,13 +186,35 @@ def check_structure(instance: DiskInstance, spec: StructureSpec) -> ContactRepor
         size = stop - start
         if tag in spec.rings and size >= 2 and have != (size if size > 2 else 1):
             violations.append(f"ring {tag}: broken cycle")
-    for key, (lo, hi) in spec.allowed_contacts.items():
+    for key, (lo, hi) in allowed.items():
         got = cross.get(key, 0)
         if not (lo <= got <= hi):
             violations.append(
                 f"contact {key[0]} ~ {key[1]}: {got} intersecting pairs, wanted [{lo}, {hi}]"
             )
     return ContactReport(not violations, violations, cross, udg)
+
+
+def _bad_contacts(udg: UnitDiskGraph, runs: Sequence[Tuple[int, int, Tag]],
+                  run_of: Sequence[int], spec: StructureSpec) -> List[str]:
+    """:func:`check_structure`'s per-edge violations, in ``udg.edges``
+    order: two disks of one structure that touch at an index gap other
+    than 1, and a contact between structures that the spec forbids."""
+    out = []
+    for (i, j) in udg.edges:
+        ki, kj = run_of[i], run_of[j]
+        start, stop, ti = runs[ki]
+        if ki == kj:
+            gap = j - i
+            if ti in spec.rings:
+                gap = min(gap, stop - start - gap)
+            if gap != 1:
+                out.append(f"structure {ti}: disks {i} and {j} touch at index gap {gap}")
+        else:
+            tj = runs[kj][2]
+            if (ti, tj) not in spec.allowed_contacts and (tj, ti) not in spec.allowed_contacts:
+                out.append(f"forbidden contact between {ti} and {tj}")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -797,7 +834,7 @@ def build_udmc_instance(
     inst, report = b.finish("bundle", meta)
 
     xs, ys, den = inst.centers
-    adj = [set(a) for a in report.graph.adj]
+    adj = report.graph.adj
     cut_pairs: Dict[int, List[Tuple[int, int]]] = {eid: [] for eid in lanes}
     for eid, (u, v) in enumerate(g.edges):
         lo, hi, (ax, ay), (ux, uy) = lane_window[eid]
@@ -830,7 +867,7 @@ def build_udmc_instance(
         # every lane must enter both rings on its own
         sig_u, sig_v = set(sigma_ids[u]), set(sigma_ids[v])
         for i, ids in enumerate(lanes[eid]):
-            if not (adj[ids[0]] & sig_u) or not (adj[ids[-1]] & sig_v):
+            if sig_u.isdisjoint(adj[ids[0]]) or sig_v.isdisjoint(adj[ids[-1]]):
                 raise SynthesisError(f"lane {i} of edge {eid} misses a ring")
 
     return UdmcArtifacts(

@@ -17,7 +17,6 @@ decided by one test on those indices, :func:`terminals_separated`.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Collection, Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
@@ -188,54 +187,72 @@ def edge_disjoint_paths(
     adj: Sequence[Sequence[int]],
     sources: Iterable[int],
     sinks: Iterable[int],
-) -> Tuple[int, Set[int]]:
+) -> Tuple[int, List[Set[int]]]:
     """Maximum number of edge-disjoint paths from ``sources`` to ``sinks``
-    (disjoint node sets) in the simple graph with adjacency lists ``adj``,
-    and the sink side of the final residual graph.
+    (disjoint node sets) in the simple graph on nodes 0 .. len(adj) - 1
+    with adjacency lists ``adj``, and a flow that carries them: ``w in
+    flow[v]`` when one unit flows v -> w.
 
     BFS augmenting paths in the unit-capacity residual, one skew-symmetric
-    flow per ordered pair; a path never enters a source and ends at its
-    first sink, so each adds exactly 1: O(value · (n + m)).  ``sink_side``
-    holds the nodes that can still reach a sink over residual arcs; for a
-    maximum flow it is the same whichever one was found, and the edges
-    with one end in it form a minimum cut.
+    flow per ordered pair, on index lists; a path never enters a source and
+    ends at its first sink, where its search stops, so each adds exactly
+    1: O(value · (n + m)).  A minimum cut is read off the flow by
+    :func:`residual_sink_side`, a separate sweep for the callers that need
+    one.
     """
-    sources, sink_set = list(sources), set(sinks)
-    flow: Dict[int, Set[int]] = {}  # w in flow[v]: one unit flows v -> w
+    sources = list(sources)
+    is_sink = [False] * len(adj)
+    for t in sinks:
+        is_sink[t] = True
+    flow: List[Set[int]] = [set() for _ in adj]
     value = 0
     while True:
-        prev: Dict[int, Optional[int]] = dict.fromkeys(sources)
-        queue = deque(sources)
-        end = None
-        while queue and end is None:
-            v = queue.popleft()
-            full = flow.get(v, ())
-            for w in adj[v]:
-                if w not in prev and w not in full:
-                    prev[w] = v
-                    if w in sink_set:
-                        end = w
-                        break
-                    queue.append(w)
-        if end is None:
-            break
-        w = end
-        while (v := prev[w]) is not None:
-            if v in flow.get(w, ()):
+        prev = [-1] * len(adj)
+        w = _augmenting_path_end(adj, flow, sources, is_sink, prev)
+        if w < 0:
+            return value, flow
+        while (v := prev[w]) != w:
+            if v in flow[w]:
                 flow[w].remove(v)
             else:
-                flow.setdefault(v, set()).add(w)
+                flow[v].add(w)
             w = v
         value += 1
-    sink_side = set(sink_set)
-    queue = deque(sink_side)
-    while queue:
-        w = queue.popleft()
+
+
+def _augmenting_path_end(adj: Sequence[Sequence[int]], flow: Sequence[Set[int]],
+                         sources: List[int], is_sink: List[bool], prev: List[int]) -> int:
+    """The sink a BFS in the residual of ``flow`` reaches first, or -1;
+    ``prev``, all -1 on entry, gets each reached node's BFS parent, and
+    each source itself."""
+    for s in sources:
+        prev[s] = s
+    queue = list(sources)
+    for v in queue:
+        full = flow[v]
+        for w in adj[v]:
+            if prev[w] < 0 and w not in full:
+                prev[w] = v
+                if is_sink[w]:
+                    return w
+                queue.append(w)
+    return -1
+
+
+def residual_sink_side(adj: Sequence[Sequence[int]], flow: Sequence[Set[int]],
+                       sinks: Iterable[int]) -> Set[int]:
+    """The nodes that can still reach ``sinks`` over the residual arcs of
+    ``flow`` (as :func:`edge_disjoint_paths` returns it).  For a maximum
+    flow it is the same whichever one was found, and the edges with one end
+    in it form a minimum cut."""
+    side = set(sinks)
+    queue = list(side)
+    for w in queue:
         for v in adj[w]:
-            if v not in sink_side and w not in flow.get(v, ()):
-                sink_side.add(v)
+            if v not in side and w not in flow[v]:
+                side.add(v)
                 queue.append(v)
-    return value, sink_side
+    return side
 
 
 class PlanarEmbeddedGraph:

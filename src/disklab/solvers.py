@@ -48,6 +48,7 @@ from .graphs import (
     edge_component_labels,
     edge_disjoint_paths,
     multiterminal_solution_ok,
+    residual_sink_side,
     subdivision_solution_ok,
 )
 
@@ -378,17 +379,20 @@ def min_terminal_pair_cut(instance: DiskInstance) -> OptimumCertificate:
     the two terminal disks: by Menger's theorem, the number of edge-disjoint
     paths between them (:func:`~disklab.graphs.edge_disjoint_paths`).
 
-    The witness lists the disk-id pairs across the flow's sink side, in
-    ``udg.edges`` order.  Disconnected terminals answer 0 with an empty
-    witness.
+    The witness lists the disk-id pairs across the flow's sink side
+    (:func:`~disklab.graphs.residual_sink_side`), read from the sink side's
+    adjacency lists and sorted into ``udg.edges`` order.  Disconnected
+    terminals answer 0 with an empty witness.
     """
     terminals = instance.meta.get("terminal_disks", [])
     if len(terminals) != 2:
         raise Malformed("terminal-pair cut needs exactly two terminal disks")
     s_id, t_id = terminals
-    udg = unit_disk_graph(instance.centers, instance.radius)
-    value, sink_side = edge_disjoint_paths(udg.adj, [s_id], [t_id])
-    cut_edges = [[i, j] for i, j in udg.edges if (i in sink_side) != (j in sink_side)]
+    adj = unit_disk_graph(instance.centers, instance.radius).adj
+    value, flow = edge_disjoint_paths(adj, [s_id], [t_id])
+    sink_side = residual_sink_side(adj, flow, [t_id])
+    cut_edges = sorted([min(v, w), max(v, w)] for v in sink_side for w in adj[v]
+                       if w not in sink_side)
     assert len(cut_edges) == value
     return OptimumCertificate(
         problem="terminal-pair-cut",
@@ -402,7 +406,8 @@ def multiterminal_cut_lower_bound(instance: DiskInstance) -> int:
     """Certified lower bound on the minimum intersection-edge cut that
     pairwise separates the terminal disks: half the sum of single-terminal
     isolating cuts (edge-disjoint paths from one terminal to the others),
-    rounded up.
+    rounded up.  Two terminals take one flow: both isolating cuts are the
+    minimum cut between them, and half their sum is its size.
 
     Sound because every edge of an optimal cut lies on the boundary of at
     most two terminal components, while the cut's restriction to one
@@ -412,9 +417,11 @@ def multiterminal_cut_lower_bound(instance: DiskInstance) -> int:
     terminals = instance.meta.get("terminal_disks", [])
     if len(terminals) < 2:
         return 0
-    udg = unit_disk_graph(instance.centers, instance.radius)
+    adj = unit_disk_graph(instance.centers, instance.radius).adj
+    if len(terminals) == 2:
+        return edge_disjoint_paths(adj, terminals[:1], terminals[1:])[0]
     total = sum(
-        edge_disjoint_paths(udg.adj, [t], [o for o in terminals if o != t])[0]
+        edge_disjoint_paths(adj, [t], [o for o in terminals if o != t])[0]
         for t in terminals
     )
     return -(-total // 2)

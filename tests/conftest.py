@@ -1,0 +1,16 @@
+"""Fixtures that more than one test module reads, built once per session."""
+
+import pytest
+
+from disklab.corpus import seeded_planar_graphs
+
+SOUND_CORPUS_SEED = 20260814   # the acceptance suite's sound corpus (criterion 4)
+
+
+@pytest.fixture(scope="session")
+def sound_drawings():
+    """Twenty seeded planar graphs (3..8 vertices) drawn on grids of size
+    at most 3: the sound corpus before synthesis, which the acceptance
+    suite synthesizes and the solver suite reads the graphs of."""
+    return tuple(seeded_planar_graphs(
+        SOUND_CORPUS_SEED, 20, min_vertices=3, max_vertices=8, max_grid=3))

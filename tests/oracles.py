@@ -14,7 +14,12 @@
   verdict and witness for every pair.
 * The networkx max-flow cut solvers: the two-terminal cut and the
   isolating-cut lower bound on an ``nx.DiGraph`` with unit capacities,
-  which :func:`disklab.graphs.edge_disjoint_paths` replaced.
+  which :func:`disklab.graphs.edge_disjoint_paths` replaced, and networkx's
+  minimum cut between a terminal and the others, whose sink side
+  :func:`disklab.graphs.residual_sink_side` must equal.
+* The terminal-pair cut's witness by a filter over the eager list of every
+  intersection edge, which the read of the sink side's adjacency lists in
+  :func:`disklab.solvers.min_terminal_pair_cut` replaced.
 * The minimal-grid drawing search with its per-candidate ``feasible``
   loops over every edge and vertex, which the bit-mask tables of
   :func:`disklab.gridembed.search_minimal_drawing` replaced; it also counts
@@ -60,9 +65,10 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Dict, Hashable, Iterable, List, NamedTuple, Optional, Tuple
 
 import networkx as nx
+from networkx.algorithms.flow import edmonds_karp
 
 from disklab import arrangements as ar
 from disklab import gridembed as ge
@@ -75,7 +81,9 @@ from disklab.graphs import (
     PlanarEmbeddedGraph,
     SubdivisionInstance,
     Vertex,
+    edge_disjoint_paths,
     multiterminal_solution_ok,
+    residual_sink_side,
     subdivision_solution_ok,
 )
 from disklab.solvers import (
@@ -128,7 +136,17 @@ class BucketIndex:
         return out
 
 
-def bucket_unit_disk_graph(sc: ar.IntCenters, r: Fraction) -> ar.UnitDiskGraph:
+class BucketGraph(NamedTuple):
+    """An intersection graph with its edge list built eagerly: every pair
+    (i, j), i < j, in ascending order, beside the sorted adjacency lists."""
+
+    n: int
+    edges: List[Tuple[int, int]]
+    adj: List[List[int]]
+    index: BucketIndex
+
+
+def bucket_unit_disk_graph(sc: ar.IntCenters, r: Fraction) -> BucketGraph:
     """Intersection graph of equal closed disks (tangency included), built
     on the bucket grid of :class:`BucketIndex`."""
     n = len(sc.xs)
@@ -155,7 +173,7 @@ def bucket_unit_disk_graph(sc: ar.IntCenters, r: Fraction) -> ar.UnitDiskGraph:
     edges.sort()
     for a in adj:
         a.sort()
-    return ar.UnitDiskGraph(n, edges, adj, index)
+    return BucketGraph(n, edges, adj, index)
 
 
 def assert_graph_matches_bucket_oracle(sc: ar.IntCenters, r: Fraction) -> ar.UnitDiskGraph:
@@ -362,6 +380,37 @@ def nx_multiterminal_cut_lower_bound(instance: ar.DiskInstance) -> int:
             total += int(nx.maximum_flow_value(g, t, sink))
         g.remove_node(sink)
     return -(-total // 2)
+
+
+def nx_isolating_cuts(n: int, edges: Iterable[Tuple[int, int]],
+                      terminals: List[int]) -> List[Tuple[int, set]]:
+    """For each terminal, against the others, the value of a minimum edge
+    cut in the graph on nodes 0 .. n - 1 and the nodes that reach the
+    others in networkx's final residual graph, the others included."""
+    g = nx.Graph(edges)
+    g.add_nodes_from(range(n))
+    d = g.to_directed()
+    nx.set_edge_attributes(d, 1, "capacity")
+    sink = ("sink",)
+    out = []
+    for t in terminals:
+        d.add_edges_from((o, sink) for o in terminals if o != t)  # unbounded
+        # augmenting paths: the cuts are a few edges of a dense graph
+        value, (_, reaches_sink) = nx.minimum_cut(d, t, sink, flow_func=edmonds_karp)
+        d.remove_node(sink)
+        out.append((int(value), reaches_sink - {sink}))
+    return out
+
+
+def pair_cut_by_edge_filter(instance: ar.DiskInstance) -> List[List[int]]:
+    """The terminal-pair cut's witness read by a filter over the eager list
+    of every intersection edge: the pairs with one end on the flow's sink
+    side, in edge-list order."""
+    s_id, t_id = instance.meta["terminal_disks"]
+    graph = bucket_unit_disk_graph(instance.centers, instance.radius)
+    _, flow = edge_disjoint_paths(graph.adj, [s_id], [t_id])
+    sink_side = residual_sink_side(graph.adj, flow, [t_id])
+    return [[i, j] for i, j in graph.edges if (i in sink_side) != (j in sink_side)]
 
 
 def assert_cuts_match_networkx(inst: ar.DiskInstance) -> None:

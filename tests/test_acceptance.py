@@ -38,7 +38,7 @@ from test_gadgets import assert_round_trip_equal, build_sound
 
 from disklab import arrangements as ar
 from disklab import pipeline as pl
-from disklab.corpus import seeded_multiterminal_instances, seeded_planar_graphs
+from disklab.corpus import seeded_multiterminal_instances
 from disklab.gadgets import (
     BUNDLE_COPIES,
     StructureSpec,
@@ -72,7 +72,7 @@ from disklab.solvers import (
 
 ONE = Fraction(1)
 
-SOUND_CORPUS_SEED = 20260814   # criterion 4
+SOUND_CORPUS_SEED = 20260814   # criterion 4; conftest.sound_drawings draws its graphs
 CUT_CORPUS_SEED = 31415        # criterion 5
 ORACLE_SEED = 271828           # criteria 9 and 10
 RING_ORACLE_SEED = 141421      # criterion 12
@@ -83,14 +83,11 @@ RING_ORACLE_SEED = 141421      # criterion 12
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def sound_corpus():
-    """Twenty seeded planar graphs (3..8 vertices, drawn on grids of size at
-    most 3) synthesized as sound-mode fence instances, every face marked."""
-    embs = seeded_planar_graphs(
-        SOUND_CORPUS_SEED, 20, min_vertices=3, max_vertices=8, max_grid=3
-    )
+def sound_corpus(sound_drawings):
+    """The sound corpus' drawings (``conftest.sound_drawings``) synthesized
+    as sound-mode fence instances, every face marked."""
     built = []
-    for emb in embs:
+    for emb in sound_drawings:
         g = emb.graph
         sub = SubdivisionInstance(
             graph=g, terminals={f"p{f}": f for f in range(g.face_count())}
@@ -269,6 +266,13 @@ def test_sound_corpus_graphs_match_bucket_oracle(sound_corpus):
     # and its adjacency on every paper-scale instance
     for _, art in sound_corpus:
         assert_graph_matches_bucket_oracle(art.instance.centers, art.instance.radius)
+
+
+def test_toy_fence_graphs_match_bucket_oracle(toy_fence_corpus):
+    # the edge list built on first read is the bucket grid's eager one
+    for d in toy_fence_corpus:
+        inst = ar.DiskInstance.from_dict(json.loads((d / "iso.json").read_text()))
+        assert_graph_matches_bucket_oracle(inst.centers, inst.radius)
 
 
 def test_sound_corpus_drawings_are_pinned(sound_corpus):

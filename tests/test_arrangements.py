@@ -131,6 +131,18 @@ def test_cell_key_grid_matches_bucket_oracle(layout):
         assert udg.index.within((x, y), rho) == oracle.within((x, y), rho), (x, y, rho)
 
 
+def test_graph_equality_compares_n_edges_and_adj():
+    sc = int_centers([(F(0), F(0)), (F(2), F(0)), (F(4), F(0))], ONE)
+    udg = ar.unit_disk_graph(sc, ONE)
+    assert udg.edges == [(0, 1), (1, 2)] and udg.adj == [[1], [0, 2], [1]]
+    twin = ar.UnitDiskGraph(3, [[1], [0, 2], [1]], udg.index)
+    assert twin == udg
+    assert ar.UnitDiskGraph(4, [[1], [0, 2], [1], []], udg.index) != udg
+    assert ar.UnitDiskGraph(3, [[1], [0], []], udg.index) != udg
+    twin.edges = [(0, 1)]
+    assert twin != udg
+
+
 def test_components():
     centers = [(F(0), F(0)), (F(1), F(0)), (F(10), F(0)), (F(11), F(0))]
     comp = components(range(4), ar.unit_disk_graph(int_centers(centers, ONE), ONE).edges)

@@ -262,6 +262,32 @@ def test_check_structure_flags_a_broken_ring():
         "ring ('r',): broken cycle"]
 
 
+def test_check_structure_words_every_kind_of_violation():
+    # touches at an index gap in a chain and in a ring, interleaved in edge
+    # order with a forbidden contact, then a broken chain and ring and an
+    # allowed contact counted outside its range: worded as the id-list
+    # oracle words them, in its order
+    disks = [Disk(Fraction(0), Fraction(0), ("c", 0)), Disk(Fraction(9, 10), Fraction(0), ("c", 1)),
+             Disk(Fraction(1), Fraction(0), ("c", 2)), Disk(Fraction(0), Fraction(9, 10), ("a",))]
+    square = [(10, 0), (Fraction(109, 10), 0), (Fraction(109, 10), Fraction(9, 10)),
+              (Fraction(109, 10), Fraction(1, 10))]
+    disks += [Disk(Fraction(x), Fraction(y), ("r", k)) for k, (x, y) in enumerate(square)]
+    disks += [Disk(Fraction(19, 10), Fraction(0), ("b",)),
+              Disk(Fraction(30), Fraction(0), ("d", 0)), Disk(Fraction(40), Fraction(0), ("d", 1))]
+    disks += [Disk(50 + Fraction(9, 10) * k, Fraction(0), ("s", k)) for k in range(3)]
+    spec = StructureSpec(rings={("r",), ("s",)}, allowed_contacts={(("c",), ("b",)): (1, 1)})
+    rep = oracles.assert_structure_check_matches_oracle(disk_instance(Fraction(1, 2), disks), spec)
+    assert rep.contact_counts == {(("c",), ("b",)): 2}
+    assert rep.violations == [
+        "structure ('c',): disks 0 and 2 touch at index gap 2",
+        "forbidden contact between ('c',) and ('a',)",
+        "structure ('r',): disks 5 and 7 touch at index gap 2",
+        "chain ('d',): only 0/1 consecutive contacts",
+        "ring ('s',): broken cycle",
+        "contact ('c',) ~ ('b',): 2 intersecting pairs, wanted [1, 1]",
+    ]
+
+
 def test_a_structure_that_extends_the_run_before_it_is_refused():
     # ("c", 2) continues the run ("c", 0), ("c", 1): the two structures
     # would be one run, so the check would read them as one chain
@@ -892,8 +918,9 @@ def moved(inst, i, to):
 
 def one_disk_moves(inst, spec):
     """(copy, violation it must show): the middle disk of the longest chain
-    moved far off and onto a structure it may not touch, and the first disk
-    of the first ring moved far off."""
+    moved far off, onto a structure it may not touch and onto the disk two
+    places on in its chain, and the first disk of the first ring moved far
+    off."""
     xs, ys, den = inst.centers
     far = (max(xs) + 10 * den, max(ys) + 10 * den)
     groups = oracles.structures_by_name(inst)
@@ -905,6 +932,9 @@ def one_disk_moves(inst, spec):
                     and (t, name) not in spec.allowed_contacts)
     there = groups[stranger][0]
     out.append((moved(inst, mid, (xs[there], ys[there])), "forbidden contact"))
+    if len(ids) // 2 + 2 < len(ids):
+        on = ids[len(ids) // 2 + 2]
+        out.append((moved(inst, mid, (xs[on], ys[on])), "touch at index gap 2"))
     ring = next((ids for t, ids in groups.items() if t in spec.rings), None)
     if ring:
         out.append((moved(inst, ring[0], far), "broken cycle"))

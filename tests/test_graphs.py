@@ -362,6 +362,12 @@ def graphs_with_terminals(draw):
     return adj, edges, ends[0], ends[1:]
 
 
+def flow_and_sink_side(adj, sources, sinks):
+    """The flow's value and the sink side of its residual graph."""
+    value, flow = gr.edge_disjoint_paths(adj, sources, sinks)
+    return value, gr.residual_sink_side(adj, flow, sinks)
+
+
 @given(graphs_with_terminals())
 @settings(max_examples=300)
 def test_edge_disjoint_paths_match_networkx(graph):
@@ -375,7 +381,7 @@ def test_edge_disjoint_paths_match_networkx(graph):
     flow, (_, reaches_sink) = nx.minimum_cut(d, s, "sink")
     if len(sinks) == 1:
         assert flow == nx.edge_connectivity(g, s, sinks[0])
-    value, sink_side = gr.edge_disjoint_paths(adj, [s], sinks)
+    value, sink_side = flow_and_sink_side(adj, [s], sinks)
     assert value == flow
     assert sink_side == reaches_sink - {"sink"}
     assert sum((i in sink_side) != (j in sink_side) for i, j in edges) == flow
@@ -383,9 +389,9 @@ def test_edge_disjoint_paths_match_networkx(graph):
 
 def test_edge_disjoint_paths_small_cases():
     star = [[1, 2, 3], [0], [0], [0]]
-    assert gr.edge_disjoint_paths(star, [0], [1, 2, 3]) == (3, {1, 2, 3})
-    assert gr.edge_disjoint_paths(star, [1], [2]) == (1, {2})
-    assert gr.edge_disjoint_paths([[], []], [0], [1]) == (0, {1})
+    assert flow_and_sink_side(star, [0], [1, 2, 3]) == (3, {1, 2, 3})
+    assert flow_and_sink_side(star, [1], [2]) == (1, {2})
+    assert flow_and_sink_side([[], []], [0], [1]) == (0, {1})
     # a later augmenting path cancels flow on an edge of an earlier one;
     # blocking that edge both ways instead would leave 3 and 7 off the sink side
     edges = [(0, 2), (0, 7), (0, 9), (0, 11), (1, 7), (1, 8), (2, 10), (3, 6), (3, 7),
@@ -394,7 +400,7 @@ def test_edge_disjoint_paths_small_cases():
     for i, j in edges:
         adj[i].append(j)
         adj[j].append(i)
-    assert gr.edge_disjoint_paths(adj, [4], [0]) == (3, {0, 2, 3, 5, 6, 7, 9, 10, 11})
+    assert flow_and_sink_side(adj, [4], [0]) == (3, {0, 2, 3, 5, 6, 7, 9, 10, 11})
 
 
 def seeded_multigraph(rng, n, m):

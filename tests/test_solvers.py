@@ -15,8 +15,11 @@ from instances import build_weighted_edge_instance, disk_instance, int_centers
 from oracles import (
     assert_contraction_exact,
     assert_cuts_match_networkx,
+    assert_graph_matches_bucket_oracle,
     bfs_min_isolation_two_points,
     dist_sq,
+    nx_isolating_cuts,
+    pair_cut_by_edge_filter,
     pair_parities,
     reference_min_fvs,
     reference_min_isolation,
@@ -27,6 +30,7 @@ from oracles import (
 from disklab import solvers
 from disklab.arrangements import (
     CenterIndex,
+    DiskInstance,
     contract,
     edge_crossing_parities,
     unit_disk_graph,
@@ -34,19 +38,20 @@ from disklab.arrangements import (
     verify_isolation,
     verify_multiterminal_cut,
 )
-from disklab.corpus import random_planar_edges, seeded_multiterminal_instances, seeded_planar_graphs
-from disklab.gadgets import (
-    build_acc_instance,
-)
+from disklab.corpus import random_planar_edges, seeded_multiterminal_instances
+from disklab.gadgets import SynthesisError, build_acc_instance, build_udmc_instance
 from disklab.geometry import Disk
 from disklab.graphs import (
     Malformed,
     MultiterminalInstance,
     PlanarEmbeddedGraph,
     SubdivisionInstance,
+    edge_disjoint_paths,
     fvs_solution_ok,
     reduce_pmc_to_subdivision,
+    residual_sink_side,
 )
+from disklab.gridembed import grid_embed
 from disklab.pipeline import cli_solve, read_json, write_json
 from disklab.solvers import (
     OptimumCertificate,
@@ -146,7 +151,6 @@ def test_fvs_witness_breaks_all_cycles():
 # pruned enumeration against plain enumeration
 # ---------------------------------------------------------------------------
 
-SOUND_CORPUS_SEED = 20260814   # the graphs of the acceptance suite's sound corpus
 CUT_CORPUS_SEED = 31415        # the acceptance suite's criterion-05 corpus
 
 
@@ -178,9 +182,8 @@ def test_feasible_subsets_equal_the_filtered_combinations(family):
 
 
 @pytest.fixture(scope="module")
-def sound_graphs():
-    return [emb.graph for emb in seeded_planar_graphs(
-        SOUND_CORPUS_SEED, 20, min_vertices=3, max_vertices=8, max_grid=3)]
+def sound_graphs(sound_drawings):
+    return [emb.graph for emb in sound_drawings]
 
 
 def every_face_marked(g):
@@ -834,6 +837,56 @@ def test_cut_lower_bound_degenerate_cases():
         meta={"terminal_disks": [0, 1]},
     )
     assert multiterminal_cut_lower_bound(apart) == 0
+
+
+@pytest.fixture(scope="module")
+def udmc_targets():
+    """The mc->udmc targets of the seeded cut instances that synthesize:
+    931 to 1,256 disks with about 20 intersection edges per disk."""
+    targets = []
+    for seed in (1, 2):
+        for mti in seeded_multiterminal_instances(seed, 4):
+            try:
+                targets.append(build_udmc_instance(mti, grid_embed(mti.graph)).instance)
+            except SynthesisError:
+                pass
+    assert len(targets) == 5
+    return targets
+
+
+def with_terminals(inst, terminals):
+    return DiskInstance(inst.radius, inst.centers, inst.tags,
+                        meta={"terminal_disks": list(terminals)})
+
+
+def test_udmc_target_graphs_match_bucket_oracle(udmc_targets):
+    # the edge list built on first read is the bucket grid's eager one
+    for inst in udmc_targets:
+        assert_graph_matches_bucket_oracle(inst.centers, inst.radius)
+
+
+def test_flows_match_networkx_min_cut_on_udmc_targets(udmc_targets):
+    # each terminal against the rest: the value and the residual sink side
+    for inst in udmc_targets:
+        udg = unit_disk_graph(inst.centers, inst.radius)
+        terminals = inst.meta["terminal_disks"]
+        want = nx_isolating_cuts(udg.n, udg.edges, terminals)
+        for t, cut in zip(terminals, want):
+            others = [o for o in terminals if o != t]
+            value, flow = edge_disjoint_paths(udg.adj, [t], others)
+            assert (value, residual_sink_side(udg.adj, flow, others)) == cut, t
+
+
+def test_two_terminal_bound_is_the_pair_cut_on_udmc_targets(udmc_targets):
+    # one flow gives the bound, and the witness read from the sink side's
+    # adjacency lists is the filter over the eager edge list
+    for inst in udmc_targets:
+        for pair in combinations(inst.meta["terminal_disks"], 2):
+            two = with_terminals(inst, pair)
+            cert = min_terminal_pair_cut(two)
+            assert multiterminal_cut_lower_bound(two) == cert.optimum > 0
+            assert cert.witness == pair_cut_by_edge_filter(two)
+            assert verify_multiterminal_cut(two, cert.witness).ok
 
 
 # ---------------------------------------------------------------------------
