@@ -343,8 +343,6 @@ class UnitDiskGraph:
             return NotImplemented
         return (self.n, self.edges, self.adj) == (other.n, other.edges, other.adj)
 
-    __hash__ = None  # type: ignore[assignment]
-
 
 class IntCenters(NamedTuple):
     """Disk centres (xs[i] / den, ys[i] / den): integer numerators over one
