@@ -27,11 +27,11 @@ The two load-bearing facts, both for equal radii:
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, count, islice
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .geometry import (
@@ -398,32 +398,60 @@ def _over_common_denominator(
     return IntCenters(tuple(xs), tuple(ys), den)
 
 
+# A column of the index is SUB_CELLS square sub-cells wide, so a sub-cell's
+# side is about 2r/64: an mc->udmc bundle (copies moved by at most 16r/1000)
+# fills a few sub-cells, which unit_disk_graph decides as boxes, while
+# sound instances keep one disk per sub-cell, and random layouts nearly so.
+SUB_CELLS = 64
+
+
 class CenterIndex:
     """Exact proximity queries on integer centres.
 
-    Centres are binned in square cells one unit wider than a disk diameter,
-    so every centre within 2r of a point lies in the point's cell or one of
-    the eight around it; an integer distance test decides.  Cell (x // cell,
-    y // cell) has key ``column * width + row``; ``width``, the span of the
-    occupied rows plus 3, makes a key name one cell on the rows next to a
-    centre.  The ids sorted by key, and their keys, are tuples.
+    Centres are binned in square sub-cells of side ``sub``: sub-cell (u, v)
+    holds the centres with x // sub == u and y // sub == v.  SUB_CELLS
+    sub-columns make a column at least one unit wider than a disk
+    diameter, so every centre within 2r of a point lies in the point's
+    column or one beside it, at most SUB_CELLS rows above or below; an
+    integer distance test decides.  Sub-cell (u, v) in column
+    c = u // SUB_CELLS has key ``(c * width + v) * SUB_CELLS + u % SUB_CELLS``:
+    keys run column by column, then row by row, then across the row.
+    ``width``, the span of the occupied rows plus 2 * SUB_CELLS + 2, keeps
+    the SUB_CELLS + 1 rows either side of an occupied row inside its
+    column.  The disks of one sub-cell sit next to each other in key
+    order.  The ids sorted by key (ties by id), and their keys, are tuples.
+
+    Where 2r + 1 is under SUB_CELLS² units, keys are taken on the centres
+    times ``scale``, and ``sub`` counts scaled units; either way a column
+    is over 2r and at most (2r + 1)(1 + 1/SUB_CELLS) wide.  A sub-cell's
+    side, sub / scale units, is at most 2r / SUB_CELLS + (2r + 1) /
+    SUB_CELLS², under 2r/√2 even at 2r = 1: the centres of one sub-cell
+    pairwise meet.
     """
 
     def __init__(self, sc: IntCenters, r: Fraction):
         two_r = 2 * r * sc.den
         assert two_r.denominator == 1
+        two_r = int(two_r)
         self.sc, self.r = sc, r
-        self.four_r2 = int(two_r) ** 2
-        self.cell = cell = int(two_r) + 1
-        self.width = width = max(sc.ys, default=0) // cell - min(sc.ys, default=0) // cell + 3
-        keys = [x // cell * width + y // cell for x, y in zip(sc.xs, sc.ys)]
+        self.four_r2 = two_r ** 2
+        d = SUB_CELLS
+        self.scale = m = -(-d * d // (two_r + 1))
+        self.sub = sub = -(-(m * two_r + 1) // d)
+        xs, ys = sc.xs, sc.ys
+        if m > 1:
+            xs, ys = [x * m for x in xs], [y * m for y in ys]
+        self.width = width = max(ys, default=0) // sub - min(ys, default=0) // sub + 2 * d + 2
+        c_step = (width - 1) * d  # (c * width + v) * d + u % d == c * c_step + v * d + u
+        keys = [(u := x // sub) // d * c_step + y // sub * d + u for x, y in zip(xs, ys)]
         self.ids = ids = tuple(sorted(range(len(keys)), key=keys.__getitem__))
         self.keys = tuple(map(keys.__getitem__, ids))
 
     def within(self, p: Point, rho: Fraction) -> List[int]:
         """Indices, ascending, of the centres at distance at most ``rho``
         from ``p``; ``rho`` must not exceed 2r.  Three bisected key ranges
-        hold p's cell and its neighbours, and, for a far p, other cells."""
+        hold the rows within SUB_CELLS of p's, in p's column and the two
+        beside it, and, for a far p, other sub-cells."""
         xs, ys, den = self.sc
         q = math.lcm(p[0].denominator, p[1].denominator)
         # p and the centres scaled by den * q, the bound squared likewise
@@ -431,11 +459,11 @@ class CenterIndex:
         py = p[1].numerator * (q // p[1].denominator) * den
         lim = (rho.numerator * den * q) ** 2
         k = rho.denominator ** 2
-        step, width, keys = self.cell * q, self.width, self.keys
-        key = px // step * width + py // step
+        d, width, keys, step = SUB_CELLS, self.width, self.keys, self.sub * q
+        row = (px * self.scale // step // d - 1) * width + py * self.scale // step - d
         out = []
-        for low in (key - width - 1, key - 1, key + width - 1):
-            for s in range(bisect_left(keys, low), bisect_right(keys, low + 2)):
+        for low in (row, row + width, row + 2 * width):
+            for s in range(bisect_left(keys, low * d), bisect_left(keys, (low + 2 * d + 1) * d)):
                 i = self.ids[s]
                 ex = xs[i] * q - px
                 ey = ys[i] * q - py
@@ -448,39 +476,109 @@ class CenterIndex:
 def unit_disk_graph(sc: IntCenters, r: Fraction) -> UnitDiskGraph:
     """Intersection graph of equal closed disks (tangency included).
 
-    One sweep in :class:`CenterIndex` key order tests a centre with key k
-    against the later centres with keys k .. k + 1 (its cell and the cell
-    above) or k + width - 1 .. k + width + 1 (three cells of the next
-    column): the forward half of the cells next to its own, whose mirror
-    holds the other four.  The ranges are disjoint as width >= 3, and as a
-    key names one cell on the rows next to a centre, they hold no other
-    cell.  Keys ascend along the sweep, so forward-only cursors find them.
+    One sweep in :class:`CenterIndex` key order takes each centre, key k,
+    to the later centres with keys below k + d(d + 1), its column up to d
+    rows above, and from k + d(width - d - 1) + 1 below k + d(width + d + 1),
+    the next column up to d rows above or below (d = SUB_CELLS).  These two
+    spans hold every later centre within 2r, and a little more, which the
+    distance test turns away; their mirror holds the earlier ones.  They
+    are disjoint as width >= 2d + 2, they never split a sub-cell, and they
+    ascend along the sweep, so forward-only cursors find them.
+
+    A sub-cell with one disk tests it against each centre of its spans.  A
+    sub-cell with several, spotted by one comparison of neighbouring keys,
+    is a box: the bounding box of its centres.  Its own disks all meet, as
+    a sub-cell's side is under 2r/√2.  Each later sub-cell of its spans is
+    a box too, and the pair of boxes decides on integers.  Two centres, one
+    in each box, are no farther apart than the boxes' largest distance and
+    no nearer than their smallest, each taken axis by axis.  So if the
+    largest squared distance is at most 4r², every pair meets and the
+    member lists are joined whole; if the smallest is over 4r², none does;
+    only boxes in between are tested pair by pair.  On sound instances
+    every sub-cell holds one disk; a bundle of near-coincident copies costs
+    one box test per pair of sub-cells, not one test per pair of disks.
     """
     index = CenterIndex(sc, r)
     ids, keys, width, four_r2 = index.ids, index.keys, index.width, index.four_r2
     xs, ys = list(map(sc.xs.__getitem__, ids)), list(map(sc.ys.__getitem__, ids))  # key order
     adj: List[List[int]] = [[] for _ in ids]
-    ks = keys + (keys[-1] + width + 2,) if ids else ()  # a last key stops the cursors
+    d = SUB_CELLS
+    up_to, next_from, next_to = d * (d + 1), d * (width - d - 1) + 1, d * (width + d + 1)
+    ks = keys + (keys[-1] + next_to,) if ids else ()  # a last key stops the cursors
     up = lo = hi = 0
-    for s, (k, x, y) in enumerate(zip(keys, xs, ys)):
-        while ks[up] <= k + 1:
+    sweep = zip(count(), keys, ks[1:], xs, ys)
+    for s, k, k_next, x, y in sweep:
+        while ks[up] < k + up_to:
             up += 1
-        k += width
-        while ks[lo] < k - 1:
+        while ks[lo] < k + next_from:
             lo += 1
-        hi = lo
-        while ks[hi] <= k + 1:
+        if hi < lo:
+            hi = lo
+        while ks[hi] < k + next_to:
             hi += 1
-        for t in range(lo, hi) if up == s + 1 else chain(range(s + 1, up), range(lo, hi)):
-            dx = x - xs[t]
-            dy = y - ys[t]
-            if dx * dx + dy * dy <= four_r2:
-                i, j = ids[s], ids[t]
-                adj[i].append(j)
-                adj[j].append(i)
+        if k_next != k:
+            for t in range(lo, hi) if up == s + 1 else chain(range(s + 1, up), range(lo, hi)):
+                dx = x - xs[t]
+                dy = y - ys[t]
+                if dx * dx + dy * dy <= four_r2:
+                    i, j = ids[s], ids[t]
+                    adj[i].append(j)
+                    adj[j].append(i)
+        else:
+            end = _join_sub_cell(s, up, lo, hi, ids, ks, xs, ys, four_r2, adj)
+            next(islice(sweep, end - s - 1, end - s - 1), None)  # the sub-cell's other disks
     for a in adj:
         a.sort()
     return UnitDiskGraph(len(ids), adj, index)
+
+
+def _join_sub_cell(s: int, up: int, lo: int, hi: int, ids: Sequence[int], ks: Sequence[int],
+                   xs: Sequence[int], ys: Sequence[int], four_r2: int,
+                   adj: List[List[int]]) -> int:
+    """Join the several disks of the sub-cell from key-order position ``s``
+    to each other and to the later sub-cells from its end to ``up`` and
+    from ``lo`` to ``hi``, box by box (see :func:`unit_disk_graph`);
+    returns the position past its last disk."""
+
+    def box(t: int) -> Tuple[int, int, int, int, int]:
+        end, k = t + 1, ks[t]
+        while ks[end] == k:
+            end += 1
+        bx, by = xs[t:end], ys[t:end]
+        return end, min(bx), max(bx), min(by), max(by)
+
+    def pair_by_pair(a: range, b: range) -> None:
+        for u in a:
+            x, y = xs[u], ys[u]
+            for t in b:
+                dx = x - xs[t]
+                dy = y - ys[t]
+                if dx * dx + dy * dy <= four_r2:
+                    i, j = ids[u], ids[t]
+                    adj[i].append(j)
+                    adj[j].append(i)
+
+    stop, x0, x1, y0, y1 = box(s)
+    own = ids[s:stop]
+    for m, i in enumerate(own):
+        adj[i] += own[:m]
+        adj[i] += own[m + 1:]
+    for t, last in ((stop, up), (lo, hi)):
+        while t < last:
+            end, bx0, bx1, by0, by1 = box(t)
+            far_x, far_y = max(x1 - bx0, bx1 - x0), max(y1 - by0, by1 - y0)
+            if far_x * far_x + far_y * far_y <= four_r2:
+                other = ids[t:end]
+                for i in own:
+                    adj[i] += other
+                for j in other:
+                    adj[j] += own
+            else:
+                near_x, near_y = max(bx0 - x1, x0 - bx1, 0), max(by0 - y1, y0 - by1, 0)
+                if near_x * near_x + near_y * near_y <= four_r2:
+                    pair_by_pair(range(s, stop), range(t, end))
+            t = end
+    return stop
 
 
 class Chain(NamedTuple):

@@ -219,15 +219,17 @@ def brute_min_isolation_two_points(instance: DiskInstance) -> OptimumCertificate
     The search runs on the chain-contracted kernel (:func:`contract`),
     where a cycle is a cyclic sequence of whole chains, as long in disks as
     the sum of their ``len(inner) + 1`` and as odd as the XOR of their
-    signatures.  An odd cycle contains an odd chain, and both end junctions
-    of that chain lie on it.  So one Dijkstra over the (junction, parity)
-    double cover from the smaller end of each odd chain reaches the
-    optimum: from a root on the lightest odd cycle it finds an odd closed
-    walk no heavier, which ``_extract_odd_cycle`` cuts to a simple odd
-    cycle no heavier either.  Each search stops at the best cycle so far;
-    the best cycle then expands to disk ids.  ``detail`` reports that
-    cycle and the numbers of odd edges, roots searched, junctions and
-    chains.
+    signatures.  One parity forest over the chains first decides whether
+    any cycle is odd (:func:`_closes_odd_cycle`); with none there is no
+    fence, refused before any search.  An odd cycle contains an odd chain,
+    and both end junctions of that chain lie on it.  So one Dijkstra over
+    the (junction, parity) double cover from the smaller end of each odd
+    chain reaches the optimum: from a root on the lightest odd cycle it
+    finds an odd closed walk no heavier, which ``_extract_odd_cycle`` cuts
+    to a simple odd cycle no heavier either.  Each search stops at the
+    best cycle so far; the best cycle then expands to disk ids.  ``detail``
+    reports that cycle and the numbers of odd edges, roots searched,
+    junctions and chains.
     """
     if len(instance.points) != 2:
         raise Malformed("this solver handles exactly two marked points")
@@ -249,6 +251,8 @@ def brute_min_isolation_two_points(instance: DiskInstance) -> OptimumCertificate
         if c.b != c.a:
             adj[c.b].append((c.a, k))
 
+    if not _closes_odd_cycle(adj, odd):
+        raise Rejected(NO_FENCE)
     best_len = math.inf
     best: List[Tuple[int, int]] = []
     searched = 0
@@ -294,6 +298,29 @@ def brute_min_isolation_two_points(instance: DiskInstance) -> OptimumCertificate
         detail={"cycle": cycle, "odd_edges": sum((m ^ m >> 1) & 1 for m in masks),
                 "roots": searched, "junctions": len(kernel.junctions), "chains": len(chains)},
     )
+
+
+def _closes_odd_cycle(adj: Dict[int, List[Tuple[int, int]]], odd: Sequence[int]) -> bool:
+    """Whether some cycle of the kernel ``adj`` (junction -> (junction,
+    chain) steps) is odd.  One spanning forest gives each junction the
+    parity of its tree path from the root; a chain closes an odd cycle
+    exactly when its parity differs from its ends' XOR."""
+    pot: Dict[int, int] = {}
+    for root in adj:
+        if root in pot:
+            continue
+        pot[root] = 0
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for w, k in adj[v]:
+                par = pot[v] ^ odd[k]
+                if w not in pot:
+                    pot[w] = par
+                    stack.append(w)
+                elif pot[w] != par:
+                    return True
+    return False
 
 
 def _extract_odd_cycle(

@@ -1,5 +1,6 @@
 """Disk-union topology, separation verdicts and cut/acyclicity verifiers."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -123,6 +124,89 @@ def cell_key_layouts(draw):
 @example(([(-3, 7)], F(1, 2), 2, [(F(-3, 2), F(7, 2), F(1)), (F(-2), F(3), F(1, 2))]))
 @example(([(-1, -1), (0, 0), (-1, 0), (0, -1)], F(1), 1, []))  # four cells at a corner
 def test_cell_key_grid_matches_bucket_oracle(layout):
+    centres, r, den, queries = layout
+    sc = ar.IntCenters(tuple(x for x, _ in centres), tuple(y for _, y in centres), den)
+    udg = assert_graph_matches_bucket_oracle(sc, r)
+    oracle = BucketIndex(sc, r)
+    for x, y, rho in queries:
+        assert udg.index.within((x, y), rho) == oracle.within((x, y), rho), (x, y, rho)
+
+
+@st.composite
+def clustered_layouts(draw):
+    """(centres, radius, den, queries): bundles of 2-20 near-coincident
+    copies, whose boxes the sweep decides whole, on integer centres over
+    one denominator.  Bundles straddle the index's sub-cell and column
+    edges, sit in pairs whose boxes are exactly 2r, 2r +- 1/den or 2r√2
+    apart, nearest or farthest, mix with single disks, or pile into one
+    stacked block; queries (point, rho) have rho <= 2r."""
+    a, b, m = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(
+        st.sampled_from([1, 3, 40, 1000, 2**20]))
+    r, den, two_r = F(a, b), b * m, 2 * a * m  # 2r is two_r units of 1/den
+    index = ar.CenterIndex(ar.IntCenters((), (), den), r)
+    sub = F(index.sub, index.scale)  # a sub-cell's side, in units
+    assert 2 * sub**2 < two_r**2  # so one sub-cell's centres pairwise meet
+    assert two_r < ar.SUB_CELLS * sub <= (two_r + 1) * (1 + F(1, ar.SUB_CELLS))  # a column
+    spread = draw(st.integers(0, max(1, two_r // 100)))  # a bundle's box side
+    coord = st.integers(-3 * two_r, 3 * two_r)
+
+    def bundle(x, y):
+        # its box is [x, x + spread] x [y, y + spread], with a disk at two
+        # or four corners, so the boxes' distances are between disks
+        near = st.integers(0, spread)
+        corners = draw(st.sampled_from([[(0, 0), (spread, spread)],
+                                        [(0, 0), (spread, 0), (0, spread), (spread, spread)]]))
+        copies = draw(st.lists(st.tuples(near, near), max_size=16))
+        return [(x + u, y + v) for u, v in corners + copies]
+
+    kind = draw(st.sampled_from(["edges", "pairs", "mixed", "stack"]))
+    centres = []
+    if kind == "edges":
+        # across a sub-cell edge, or a column edge (every SUB_CELLS sub-cells)
+        for _ in range(draw(st.integers(1, 4))):
+            j = draw(st.integers(-3, 3)) * draw(st.sampled_from([1, ar.SUB_CELLS]))
+            x = math.floor(j * sub) - draw(st.integers(0, spread))
+            y = math.floor(draw(st.integers(-3, 3)) * sub) - draw(st.integers(0, spread))
+            centres += bundle(*draw(st.sampled_from([(x, y), (y, x)])))
+    elif kind == "pairs":
+        # the second box's nearest (e = spread) or farthest (e = -spread)
+        # corner a step from the first's, here or across a column edge
+        steps = [(two_r, 0), (0, two_r), (two_r + 1, 0), (two_r - 1, 0), (0, -two_r - 1),
+                 (two_r, two_r), (-two_r, two_r), (1, two_r - 1), (1, 1 - two_r)]
+        if two_r % 5 == 0:
+            u = two_r // 5
+            steps += [(3 * u, 4 * u), (4 * u, -3 * u), (3 * u, 4 * u + 1)]
+        column = st.builds(lambda j, e: math.floor(j * ar.SUB_CELLS * sub) - e,
+                           st.integers(-2, 2), st.integers(1, spread + 1))
+        for _ in range(draw(st.integers(1, 3))):
+            x, y = draw(st.one_of(coord, column)), draw(coord)
+            dx, dy = draw(st.sampled_from(steps))
+            e = draw(st.sampled_from([spread, -spread]))
+            bx = x + dx + ((dx > 0) - (dx < 0)) * e
+            by = y + dy + ((dy > 0) - (dy < 0)) * e
+            centres += bundle(x, y) + bundle(bx, by)
+    elif kind == "mixed":
+        for _ in range(draw(st.integers(1, 5))):
+            x, y = draw(coord), draw(coord)
+            centres += bundle(x, y) if draw(st.booleans()) else [(x, y)]
+    else:
+        side = draw(st.integers(0, max(1, two_r // 50)))
+        x, y, near = draw(coord), draw(coord), st.integers(0, side)
+        centres = [(x + u, y + v) for u, v in draw(st.lists(st.tuples(near, near), max_size=60))]
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    rng.shuffle(centres)  # bundles need not be contiguous in id order
+    points = [F(x, den) for x, _ in centres[:4]], [F(y, den) for _, y in centres[:4]]
+    queries = [(x + F(dx, den), y + F(dy, den), rho) for x, y in zip(*points)
+               for dx, dy, rho in [(0, 0, 2 * r), (spread, -1, r), (two_r, 0, 2 * r)]]
+    return centres, r, den, queries
+
+
+@given(clustered_layouts())
+@settings(max_examples=200, deadline=None)
+@example(([(0, 0)] * 20, F(1), 1, [(F(0), F(0), F(2))]))  # one sub-cell, 20 copies
+# two boxes neither wholly within 2r nor wholly beyond: tested pair by pair
+@example(([(0, 0), (10, 10), (2000, 0), (2010, 10)], F(1), 1000, []))
+def test_sub_cell_boxes_match_bucket_oracle(layout):
     centres, r, den, queries = layout
     sc = ar.IntCenters(tuple(x for x, _ in centres), tuple(y for _, y in centres), den)
     udg = assert_graph_matches_bucket_oracle(sc, r)

@@ -3,6 +3,7 @@
 import gc
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -1338,6 +1339,24 @@ def test_solve_isolation_with_no_fence_is_rejected(tmp_path, points):
     run = run_python("-m", "disklab", "solve", "isolation", str(inst), "--out", str(out))
     assert run.returncode == 1, run.stderr
     assert "Traceback" not in run.stderr
+    [line] = run.stderr.splitlines()
+    assert json.loads(line)["msg"] == (
+        "rejected: no subset of the disks separates the marked points")
+    assert not out.exists()
+
+
+def test_solve_isolation_on_a_stacked_block_with_no_fence_is_rejected(tmp_path):
+    # 300 disks in a square of side 1/400 at r = 1/10, every pair meeting,
+    # and two marked points outside: one ray crosses the block, so there
+    # are odd chains but no odd cycle, and the refusal comes before any
+    # root's search
+    rng = random.Random(300)
+    inst, out = tmp_path / "stack.json", tmp_path / "opt.json"
+    write_json({"disks": [{"c": [f"{rng.randrange(1000)}/400000", f"{rng.randrange(1000)}/400000"],
+                           "prov": []} for _ in range(300)],
+                "radius": "1/10", "points": {"p": ["-1/1", "1/800"], "q": ["0/1", "-1/1"]}}, inst)
+    run = run_python("-m", "disklab", "solve", "isolation", str(inst), "--out", str(out))
+    assert run.returncode == 1, run.stderr
     [line] = run.stderr.splitlines()
     assert json.loads(line)["msg"] == (
         "rejected: no subset of the disks separates the marked points")

@@ -359,6 +359,26 @@ def test_two_point_unseparable_raises():
         brute_min_isolation_two_points(inst)
 
 
+def test_two_point_solver_refuses_without_an_odd_cycle_before_any_search(monkeypatch):
+    # a 40-disk stacked block with one marked point left of it and one
+    # below: edges crossing the first ray are odd, no cycle is, so the
+    # parity forest refuses and no root's search starts
+    rng = random.Random(40)
+    inst = disk_instance(
+        radius=Fraction(1, 10),
+        disks=[Disk(Fraction(rng.randrange(1000), 400000), Fraction(rng.randrange(1000), 400000))
+               for _ in range(40)],
+        points={"p": (Fraction(-1), Fraction(1, 800)), "q": (Fraction(0), Fraction(-1))},
+    )
+
+    def no_search(*_args):
+        raise AssertionError("a root's search started")
+
+    monkeypatch.setattr(solvers, "heappush", no_search)
+    with pytest.raises(Rejected, match="no subset of the disks separates the marked points"):
+        brute_min_isolation_two_points(inst)
+
+
 def test_two_point_requires_two_points():
     inst = ring4(points={"third": (Fraction(30), Fraction(0))})
     with pytest.raises(Malformed):
