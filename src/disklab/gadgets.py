@@ -41,7 +41,7 @@ from .geometry import (
     ceil_frac,
     pi_bounds,
 )
-from .graphs import SubdivisionInstance, Vertex, components, lift_subdivision_solution
+from .graphs import Graph, SubdivisionInstance, Vertex, lift_subdivision_solution
 from .gridembed import DrawingError, GridEmbedding, locate_face
 
 Tag = Tuple
@@ -603,8 +603,7 @@ class AccArtifacts:
 
 
 def build_acc_instance(
-    vertices: Sequence[Vertex],
-    edges: Sequence[Tuple[Vertex, Vertex]],
+    g: Graph,
     coords: Dict[Vertex, Tuple[int, int]],
     r: Fraction = CHAIN_RADIUS,
 ) -> AccArtifacts:
@@ -620,10 +619,10 @@ def build_acc_instance(
     b = _Disks(r)
     hub_of_vertex: Dict[Vertex, int] = {}
     chain_ids: Dict[int, List[int]] = {}
-    for v in vertices:
+    for v in g.vertices:
         x, y = coords[v]
         hub_of_vertex[v] = b.single(("hub", str(v)), (x * b.M, y * b.M))
-    for eid, (u, w) in enumerate(edges):
+    for eid, (u, w) in enumerate(g.edges):
         if u == w:
             raise SynthesisError("loops are not drawable as chains")
         (ax, ay), (bx, by) = coords[u], coords[w]
@@ -638,13 +637,12 @@ def build_acc_instance(
         chain_ids[eid] = b.chain(("conn", eid), _walk_polyline(ends, m), 0)
         b.allow(("conn", eid), ("hub", str(u)), 1, 1)
         b.allow(("conn", eid), ("hub", str(w)), 1, 1)
-    for e1, e2 in _incident_pairs(edges):
+    for e1, e2 in _incident_pairs(g.edges):
         b.allow(("conn", e1), ("conn", e2), 0, 1)
     meta = {"kind": "acc", "hubs": {str(v): i for v, i in hub_of_vertex.items()}}
     inst, _ = b.finish("acyclicity", meta)
     # the union must have exactly one hole per independent cycle
-    n_comp = len(set(components(vertices, edges).values()))
-    cycle_rank = len(edges) - len(vertices) + n_comp
+    n_comp, cycle_rank = g.component_count(), g.cycle_rank()
     regions = complement_regions(inst.centers, r)
     if regions.bounded_complement_regions != cycle_rank or \
             regions.union_components != n_comp:

@@ -1,18 +1,21 @@
-"""Embedded planar multigraphs as rotation systems.
+"""Plain multigraphs, and embedded planar multigraphs as rotation systems.
 
-A graph is stored as a list of edges plus, for every vertex, the clockwise
-cyclic order of its edge ends ("darts").  Faces are derived purely
+A :class:`Graph` is a vertex list and an edge list; loops and parallel edges
+are allowed.  It is fixed once built and indexed then: vertex positions and
+edge ends as positions.  Its cycle rank, edges - vertices + components, is
+zero exactly for a forest, and decides feedback vertex sets
+(:func:`fvs_solution_ok`).
+
+A :class:`PlanarEmbeddedGraph` is a graph plus, for every vertex, the
+clockwise cyclic order of its edge ends ("darts").  Faces are derived purely
 combinatorially from that data, so the same code handles multi-edges and
-self-loops.
-
-A dart is a pair ``(edge_id, end)``; dart ``(e, 0)`` leaves ``edges[e][0]``
-and dart ``(e, 1)`` leaves ``edges[e][1]``.  For a self-loop both darts leave
-the same vertex and are distinguished by their position in the rotation.
-
-A graph is fixed once built and indexed then: vertex positions, edge ends
-as positions, facial walks and each edge's two faces.  Multiterminal cut and
-face separation are edge multiway cuts of the graph and of its face graph,
-decided by one test on those indices, :func:`terminals_separated`.
+self-loops.  A dart is a pair ``(edge_id, end)``; dart ``(e, 0)`` leaves
+``edges[e][0]`` and dart ``(e, 1)`` leaves ``edges[e][1]``.  For a self-loop
+both darts leave the same vertex and are distinguished by their position in
+the rotation.  It is indexed further when built: facial walks and each
+edge's two faces.  Multiterminal cut and face separation are edge multiway
+cuts of the graph and of its face graph, decided by one test on those
+indices, :func:`terminals_separated`.
 """
 
 from __future__ import annotations
@@ -116,12 +119,6 @@ def json_graph(d: dict) -> Tuple[List[Vertex], List[Tuple[Vertex, Vertex]], Dict
     return vertices, [(u, w) for u, w in edges], by_name
 
 
-def edges_are_simple(edges: Iterable[Tuple[Vertex, Vertex]]) -> bool:
-    """True if no edge is a loop and no two edges join the same two vertices."""
-    pairs = [frozenset(e) for e in edges]
-    return all(len(p) == 2 for p in pairs) and len(set(pairs)) == len(pairs)
-
-
 def other_end(dart: Dart) -> Dart:
     return (dart[0], 1 - dart[1])
 
@@ -169,18 +166,6 @@ def terminals_separated(
     (distinct nodes) in pairwise distinct components."""
     label = edge_component_labels(n, ends, cut)
     return len({label[t] for t in terminals}) == len(terminals)
-
-
-def components(
-    nodes: Iterable[Vertex], edges: Iterable[Tuple[Vertex, Vertex]]
-) -> Dict[Vertex, Vertex]:
-    """Each node of the multigraph (``nodes``, ``edges``) mapped to the first
-    node of its component in ``nodes`` order.  Self-loops and parallel edges
-    are allowed; every edge end must be one of ``nodes``."""
-    order = list(dict.fromkeys(nodes))
-    index = {v: i for i, v in enumerate(order)}
-    label = edge_component_labels(len(order), [(index[u], index[w]) for u, w in edges])
-    return {v: order[c] for v, c in zip(order, label)}
 
 
 def edge_disjoint_paths(
@@ -255,19 +240,58 @@ def residual_sink_side(adj: Sequence[Sequence[int]], flow: Sequence[Set[int]],
     return side
 
 
-class PlanarEmbeddedGraph:
+class Graph:
+    """A multigraph on distinct vertices, indexed once it is checked:
+    ``index`` maps a vertex to its position, ``ends[e]`` holds the positions
+    of edge ``e``'s two ends."""
+
+    def __init__(self, vertices: Sequence[Vertex], edges: Sequence[Tuple[Vertex, Vertex]]):
+        self.vertices: List[Vertex] = list(vertices)
+        self.edges: List[Tuple[Vertex, Vertex]] = [tuple(e) for e in edges]
+        self._validate()
+        self.index: Dict[Vertex, int] = {v: i for i, v in enumerate(self.vertices)}
+        self.ends: Tuple[Tuple[int, int], ...] = tuple((self.index[u], self.index[w]) for u, w in self.edges)
+
+    def _validate(self) -> None:
+        if len(set(self.vertices)) != len(self.vertices):
+            raise Malformed("duplicate vertex ids")
+        vset = set(self.vertices)
+        for eid, e in enumerate(self.edges):
+            if not all(v in vset for v in e):
+                raise Malformed(f"edge {eid} uses an unknown vertex")
+
+    def is_simple(self) -> bool:
+        """True if no edge is a loop and no two edges join the same two vertices."""
+        pairs = [frozenset(e) for e in self.ends]
+        return all(len(p) == 2 for p in pairs) and len(set(pairs)) == len(pairs)
+
+    def component_count(self) -> int:
+        return len(set(edge_component_labels(len(self.vertices), self.ends)))
+
+    def is_connected(self) -> bool:
+        return self.component_count() <= 1
+
+    def cycle_rank(self, removed: Iterable[int] = ()) -> int:
+        """Edges - vertices + components of the graph less the vertices at
+        the positions in ``removed``: its number of independent cycles,
+        zero exactly for a forest.  A removed vertex stays as a node of its
+        own component, which adds one to each of the last two terms."""
+        removed = set(removed)
+        kept = [(u, w) for u, w in self.ends if u not in removed and w not in removed]
+        n = len(self.vertices)
+        return len(kept) - n + len(set(edge_component_labels(n, kept)))
+
+
+class PlanarEmbeddedGraph(Graph):
     def __init__(
         self,
         vertices: Sequence[Vertex],
         edges: Sequence[Tuple[Vertex, Vertex]],
         rotation: Dict[Vertex, Sequence[Dart]],
     ):
-        self.vertices: List[Vertex] = list(vertices)
-        self.edges: List[Tuple[Vertex, Vertex]] = [tuple(e) for e in edges]
-        self.rot: Dict[Vertex, Tuple[Dart, ...]] = {v: tuple(rotation.get(v, ())) for v in self.vertices}
-        self._validate()
-        self.index: Dict[Vertex, int] = {v: i for i, v in enumerate(self.vertices)}
-        self.ends: Tuple[Tuple[int, int], ...] = tuple((self.index[u], self.index[w]) for u, w in self.edges)
+        vertices = list(vertices)
+        self.rot: Dict[Vertex, Tuple[Dart, ...]] = {v: tuple(rotation.get(v, ())) for v in vertices}
+        super().__init__(vertices, edges)
         self._faces, self._face_of_dart = self._walk_faces()
         self._edge_faces = tuple((self._face_of_dart[(e, 0)], self._face_of_dart[(e, 1)])
                                  for e in range(len(self.edges)))
@@ -341,12 +365,6 @@ class PlanarEmbeddedGraph:
 
     def degree(self, v: Vertex) -> int:
         return len(self.rot[v])
-
-    def is_simple(self) -> bool:
-        return edges_are_simple(self.edges)
-
-    def is_connected(self) -> bool:
-        return len(set(edge_component_labels(len(self.vertices), self.ends))) <= 1
 
     # -- faces ---------------------------------------------------------------
 
@@ -615,12 +633,6 @@ def multiterminal_solution_ok(mti: MultiterminalInstance, removed: Iterable[int]
     return terminals_separated(len(g.vertices), g.ends, removed, [g.index[t] for t in mti.terminals])
 
 
-def fvs_solution_ok(
-    vertices: Sequence[Vertex], edges: Sequence[Tuple[Vertex, Vertex]], removed: Set[Vertex]
-) -> bool:
-    """True if deleting the vertices in ``removed`` leaves a forest."""
-    kept = [v for v in vertices if v not in removed]
-    kept_edges = [(u, w) for u, w in edges if u not in removed and w not in removed]
-    comp = components(kept, kept_edges)
-    # cycle rank edges - nodes + components is zero exactly for a forest
-    return len(kept_edges) - len(comp) + len(set(comp.values())) == 0
+def fvs_solution_ok(g: Graph, removed: Iterable[int]) -> bool:
+    """True if deleting the vertices at the positions in ``removed`` leaves a forest."""
+    return g.cycle_rank(removed) == 0

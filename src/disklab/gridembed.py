@@ -21,8 +21,8 @@ from .geometry import (
     ray_crossing,
     segments_cross_properly,
 )
-from .graphs import (Dart, Malformed, PlanarEmbeddedGraph, Vertex, edges_are_simple,
-                     json_by_vertex, json_coords, json_ints, json_key)
+from .graphs import (Dart, Graph, Malformed, PlanarEmbeddedGraph, Vertex, json_by_vertex,
+                     json_coords, json_ints, json_key)
 
 Coords = Dict[Vertex, Tuple[int, int]]
 
@@ -121,9 +121,9 @@ def _segments_conflict(a: Point, b: Point, c: Point, d: Point) -> bool:
     )
 
 
-def require_simple(edges: Sequence[Tuple[Vertex, Vertex]]) -> None:
+def require_simple(g: Graph) -> None:
     """Refuse a loop or a parallel edge: no straight-line drawing has one."""
-    if not edges_are_simple(edges):
+    if not g.is_simple():
         raise DrawingError("straight-line drawings require a simple graph")
 
 
@@ -131,7 +131,7 @@ def check_drawing(g: PlanarEmbeddedGraph, coords: Coords) -> None:
     """Exact validity: integer coordinates, distinct vertices, no segment
     contacts except at shared endpoints, no vertex on a foreign edge, and the
     drawn rotation matches the combinatorial one.  Raises DrawingError."""
-    require_simple(g.edges)
+    require_simple(g)
     if set(coords) != set(g.vertices):
         raise DrawingError("coordinate map does not cover the vertex set")
     pts: Dict[Vertex, Tuple[int, int]] = {}
@@ -518,7 +518,7 @@ def grid_embed(g: PlanarEmbeddedGraph) -> GridEmbedding:
     this module can find.  The result is always re-verified exactly.  A
     graph with a loop or a parallel edge is refused first: networkx can
     loop forever on its rotation system."""
-    require_simple(g.edges)
+    require_simple(g)
     coords = draw_with_networkx(g)
     if len(g.vertices) > 2:
         check_drawing(g, coords)

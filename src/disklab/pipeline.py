@@ -65,12 +65,11 @@ from .geometry import (
     rational_to_str,
 )
 from .graphs import (
+    Graph,
     Malformed,
     MultiterminalInstance,
     Rejected,
     SubdivisionInstance,
-    Vertex,
-    components,
     fvs_solution_ok,
     json_coords,
     json_edge_key,
@@ -279,27 +278,28 @@ def _check_total(record_table: Dict[str, object], wanted: Iterable, what: str) -
 # graph-shaped inputs
 # ---------------------------------------------------------------------------
 
-def plain_graph_from_dict(d: dict) -> Tuple[List[Vertex], List[Tuple[Vertex, Vertex]], Optional[dict]]:
-    """Vertices/edges (+ optional drawn coords) of an unembedded graph file."""
+def plain_graph_from_dict(d: dict) -> Tuple[Graph, Optional[dict]]:
+    """The graph (+ optional drawn coords, by vertex name) of an unembedded
+    graph file."""
     vertices, edges, by_name = json_graph(d)
     coords = d.get("coords")
     if coords is not None:
         coords = json_coords(coords, "coords")
         if coords.keys() != by_name.keys():
             raise Malformed("coords must cover exactly the vertex set")
-    return vertices, edges, coords
+    return Graph(vertices, edges), coords
 
 
-def embed_plain_graph(vertices, edges) -> GridEmbedding:
+def embed_plain_graph(g: Graph) -> GridEmbedding:
     """Deterministic straight-line grid drawing of a plain (connected,
     planar, simple) graph: take networkx's combinatorial embedding
     (:func:`~disklab.corpus.rotation_graph`) and hand it to the grid
     drawer."""
-    if not vertices:
+    if not g.vertices:
         raise Rejected("graph has no vertices")
-    if len(set(components(vertices, edges).values())) != 1:
+    if not g.is_connected():
         raise Rejected("graph is disconnected: supply explicit 'coords'")
-    return grid_embed(rotation_graph(vertices, edges))
+    return grid_embed(rotation_graph(g.vertices, g.edges))
 
 
 # ---------------------------------------------------------------------------
@@ -352,25 +352,26 @@ def _chain_radius(overrides) -> Fraction:
     return r
 
 
-def _reduce_fvs(graph, mode: str, overrides) -> Tuple[DiskInstance, dict]:
+def _reduce_fvs(src, mode: str, overrides) -> Tuple[DiskInstance, dict]:
     r = _chain_radius(overrides)
-    vertices, edges, coords = graph
+    g, coords = src
+    # simple first: a loop is malformed whatever the degrees
+    require_simple(g)
     # the first vertex of highest degree, in edge order
-    for v, degree in Counter(v for e in edges for v in e).most_common(1):
+    for v, degree in Counter(v for e in g.edges for v in e).most_common(1):
         if degree > 4:
             raise Rejected(
                 f"vertex {v!r} has degree {degree}; this reduction accepts maximum degree 4")
-    require_simple(edges)
-    placed = (embed_plain_graph(vertices, edges).coords if coords is None
-              else {v: coords[str(v)] for v in vertices})
-    art = build_acc_instance(vertices, edges, placed, r=r)
+    placed = (embed_plain_graph(g).coords if coords is None
+              else {v: coords[str(v)] for v in g.vertices})
+    art = build_acc_instance(g, placed, r=r)
     return art.instance, dict(
         params=None,
         edges={str(e): ids for e, ids in art.chain_ids.items()},
-        vertices={str(v): art.hub_of_vertex[v] for v in vertices},
+        vertices={str(v): art.hub_of_vertex[v] for v in g.vertices},
         terminals={},
         notes={"r": rational_to_str(r), "cycle_rank": art.cycle_rank,
-               "edge_ends": {str(e): [str(u), str(w)] for e, (u, w) in enumerate(edges)}},
+               "edge_ends": {str(e): [str(u), str(w)] for e, (u, w) in enumerate(g.edges)}},
     )
 
 
@@ -487,17 +488,17 @@ def _verify_subdivision(sub: SubdivisionInstance, candidate, budget) -> Tuple[bo
     return separated and not reasons, reasons or [f"separated at mass {mass}"]
 
 
-def _verify_fvs(graph, candidate, budget) -> Tuple[bool, List[str]]:
+def _verify_fvs(src, candidate, budget) -> Tuple[bool, List[str]]:
     # vertex ids match by their string form: a lifted solution names them so
-    vertices, edges, _ = graph
-    by_name = {str(v): v for v in vertices}
+    g, _ = src
+    position = {str(v): i for i, v in enumerate(g.vertices)}
     names = set(str(v) for v in candidate)
-    if not names <= by_name.keys():
+    if not names <= position.keys():
         raise Malformed("certificate names an unknown vertex")
     reasons = []
     if budget is not None and len(names) > budget:
         reasons.append(f"budget: certificate removes {len(names)} vertices, cap {budget}")
-    acyclic = fvs_solution_ok(vertices, edges, {by_name[n] for n in names})
+    acyclic = fvs_solution_ok(g, [position[n] for n in names])
     if not acyclic:
         reasons.append("a cycle survives the removal")
     return acyclic and not reasons, reasons or [f"acyclic after removing {len(names)} vertices"]
@@ -542,8 +543,7 @@ PROBLEMS = {
                   lambda mti: brute_min_multiterminal(mti)),
     "subdivision": Problem(lambda d: SubdivisionInstance.from_dict(d), _verify_subdivision,
                            lambda sub: brute_min_subdivision(sub)),
-    "fvs": Problem(plain_graph_from_dict, _verify_fvs,
-                   lambda graph: brute_min_fvs(graph[0], graph[1])),
+    "fvs": Problem(plain_graph_from_dict, _verify_fvs, lambda src: brute_min_fvs(src[0])),
     "isolation": Problem(
         _disks, lambda inst, c, b: _disk_report(verify_isolation(inst, c, b)), _solve_isolation),
     "acc": Problem(_disks, lambda inst, c, b: _disk_report(verify_acc(inst, c, b)),

@@ -40,13 +40,13 @@ from .arrangements import (
     unit_disk_graph,
 )
 from .graphs import (
+    Graph,
     Malformed,
     MultiterminalInstance,
     Rejected,
     SubdivisionInstance,
-    Vertex,
-    edge_component_labels,
     edge_disjoint_paths,
+    fvs_solution_ok,
     multiterminal_solution_ok,
     residual_sink_side,
     subdivision_solution_ok,
@@ -179,29 +179,16 @@ def brute_min_subdivision(inst: SubdivisionInstance) -> OptimumCertificate:
                               detail={"kept_edges": sorted(kept(combo))})
 
 
-def brute_min_fvs(
-    vertices: Sequence[Vertex], edges: Sequence[Tuple[Vertex, Vertex]]
-) -> OptimumCertificate:
+def brute_min_fvs(g: Graph) -> OptimumCertificate:
     """Minimum vertex set meeting every cycle, by enumeration of removed
-    vertices in combinations order, pruned by upward-closed feasibility
-    (:func:`_cheapest_feasible`), each subset tested on vertex indices."""
-    vs = list(vertices)
-    if len(vs) > MAX_VERTICES:
-        raise SolverCapExceeded(
-            f"{len(vs)} vertices exceeds the enumeration cap {MAX_VERTICES}"
-        )
-    index = {v: i for i, v in enumerate(vs)}
-    ends = [(index[u], index[w]) for u, w in edges]
-
-    def forest(t: Tuple[int, ...]) -> bool:
-        removed = set(t)
-        kept = [(u, w) for u, w in ends if u not in removed and w not in removed]
-        # the cycle rank, edges - nodes + components, is zero exactly for a
-        # forest; a removed vertex stays as a node of its own component
-        return len(kept) - len(vs) + len(set(edge_component_labels(len(vs), kept))) == 0
-
-    size, combo = _cheapest_feasible([1] * len(vs), forest)
-    return OptimumCertificate(problem="cycle-hitting-set", optimum=size, witness=[vs[i] for i in combo])
+    vertex positions in combinations order, pruned by upward-closed
+    feasibility (:func:`_cheapest_feasible`) over :func:`fvs_solution_ok`."""
+    n = len(g.vertices)
+    if n > MAX_VERTICES:
+        raise SolverCapExceeded(f"{n} vertices exceeds the enumeration cap {MAX_VERTICES}")
+    size, combo = _cheapest_feasible([1] * n, lambda t: fvs_solution_ok(g, t))
+    return OptimumCertificate(problem="cycle-hitting-set", optimum=size,
+                              witness=[g.vertices[i] for i in combo])
 
 
 # ---------------------------------------------------------------------------

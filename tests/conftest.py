@@ -1,8 +1,14 @@
 """Fixtures that more than one test module reads, built once per session."""
 
 import pytest
+from hypothesis import settings
 
 from disklab.corpus import seeded_planar_graphs
+
+# every @given test draws the same examples on every run, so the suite's
+# verdict does not depend on a random seed
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 SOUND_CORPUS_SEED = 20260814   # the acceptance suite's sound corpus (criterion 4)
 

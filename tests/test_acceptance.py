@@ -55,6 +55,7 @@ from disklab.geometry import (
     min_grid_line_point_distance_sq,
 )
 from disklab.graphs import (
+    Graph,
     MultiterminalInstance,
     PlanarEmbeddedGraph,
     SubdivisionInstance,
@@ -352,9 +353,10 @@ def test_criterion_07_acyclic_complement_matches_vertex_deletion():
                   [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")],
                   {"a": (0, 0), "b": (1, 0), "c": (1, 1), "d": (0, 1)}, 1)
     for vertices, edges, coords, expect in (triangle, two_triangles, four_cycle):
-        art = build_acc_instance(vertices, edges, coords)
+        g = Graph(vertices, edges)
+        art = build_acc_instance(g, coords)
         acc = brute_min_acc(art.instance)
-        fvs = brute_min_fvs(vertices, edges)
+        fvs = brute_min_fvs(g)
         assert acc.optimum == expect
         assert fvs.optimum == expect
         removed = lift_vertex_set_to_acc(art, fvs.witness)

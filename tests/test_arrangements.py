@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from disklab import arrangements as ar
 from disklab.geometry import Disk, rational_from_str, rational_to_str, ray_crossing
-from disklab.graphs import Malformed, components
+from disklab.graphs import Malformed, edge_component_labels
 
 from floodfill import flood_fill_summary, random_robust_centers
 from instances import disk_instance, int_centers
@@ -229,8 +229,8 @@ def test_graph_equality_compares_n_edges_and_adj():
 
 def test_components():
     centers = [(F(0), F(0)), (F(1), F(0)), (F(10), F(0)), (F(11), F(0))]
-    comp = components(range(4), ar.unit_disk_graph(int_centers(centers, ONE), ONE).edges)
-    assert comp == {0: 0, 1: 0, 2: 2, 3: 2}
+    udg = ar.unit_disk_graph(int_centers(centers, ONE), ONE)
+    assert edge_component_labels(udg.n, udg.edges) == [0, 0, 2, 2]
 
 
 # ---------------------------------------------------------------------------

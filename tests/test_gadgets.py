@@ -49,6 +49,7 @@ from disklab.corpus import seeded_multiterminal_instances, seeded_planar_graphs
 from disklab.geometry import Disk, compute_params
 from disklab.pipeline import canonical_digest, instance_json
 from disklab.graphs import (
+    Graph,
     Malformed,
     MultiterminalInstance,
     PlanarEmbeddedGraph,
@@ -543,7 +544,7 @@ def test_sound_refuses_oversized_budgets():
 # acyclicity gadgets
 # ---------------------------------------------------------------------------
 
-TRI = (["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")],
+TRI = (Graph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")]),
        {"a": (0, 0), "b": (1, 0), "c": (0, 1)})
 
 
@@ -556,11 +557,11 @@ def test_acc_triangle_counts_and_topology():
     assert reg.bounded_complement_regions == 1
 
 
-FOREST = (["a", "b", "c"], [("a", "b"), ("b", "c")],
+FOREST = (Graph(["a", "b", "c"], [("a", "b"), ("b", "c")]),
           {"a": (0, 0), "b": (1, 0), "c": (1, 1)})
 TWO_TRIANGLES = (
-    ["a", "b", "c", "x", "y", "z"],
-    [("a", "b"), ("b", "c"), ("c", "a"), ("x", "y"), ("y", "z"), ("z", "x")],
+    Graph(["a", "b", "c", "x", "y", "z"],
+          [("a", "b"), ("b", "c"), ("c", "a"), ("x", "y"), ("y", "z"), ("z", "x")]),
     {"a": (0, 0), "b": (1, 0), "c": (0, 1), "x": (4, 0), "y": (5, 0), "z": (4, 1)})
 
 
@@ -581,9 +582,9 @@ def test_acc_disconnected_components_counted():
 
 def test_acc_rejects_loops_and_short_edges():
     with pytest.raises(SynthesisError):
-        build_acc_instance(["a"], [("a", "a")], {"a": (0, 0)})
+        build_acc_instance(Graph(["a"], [("a", "a")]), {"a": (0, 0)})
     with pytest.raises(SynthesisError):
-        build_acc_instance(["a", "b"], [("a", "b")], {"a": (0, 0), "b": (0, 0)})
+        build_acc_instance(Graph(["a", "b"], [("a", "b")]), {"a": (0, 0), "b": (0, 0)})
 
 
 def test_acc_lift():
@@ -950,7 +951,7 @@ def test_check_structure_matches_the_id_list_oracle_on_seeded_builds(checked):
             for build in (
                     lambda: build_isolation_instance(
                         sub, emb, replace(base, c_edge=toy_edge_budget(emb, base))),
-                    lambda: build_acc_instance(g.vertices, g.edges, emb.coords)):
+                    lambda: build_acc_instance(g, emb.coords)):
                 try:
                     build()
                 except SynthesisError:

@@ -119,6 +119,16 @@ def test_missing_edge_at_endpoint_is_reported():
         gr.PlanarEmbeddedGraph.from_edge_rotation(
             ["u", "v"], [("u", "v")], {"u": [0], "v": []}
         )
+    # an end that is no vertex: the rotation check, not the plain graph's
+    with pytest.raises(gr.Malformed, match="^edge 0 missing from rotation at vertex 'z'$"):
+        gr.PlanarEmbeddedGraph(["u"], [("u", "z")], {"u": [(0, 0)]})
+
+
+def test_plain_and_embedded_graphs_index_alike(sound_drawings):
+    for emb in sound_drawings:
+        g = emb.graph
+        plain = gr.Graph(g.vertices, g.edges)
+        assert (plain.index, plain.ends, plain.is_connected()) == (g.index, g.ends, g.is_connected())
 
 
 def test_foreign_edge_in_rotation_is_reported():
@@ -305,20 +315,30 @@ def multigraphs(draw):
 @settings(max_examples=300)
 def test_components_match_networkx(graph, data):
     nodes, edges = graph
-    comp = gr.components(nodes, edges)
-    assert list(comp) == nodes
+    pg = gr.Graph(nodes, edges)
+    assert pg.index == {v: i for i, v in enumerate(nodes)}
+    assert pg.ends == tuple((nodes.index(u), nodes.index(w)) for u, w in edges)
+    comp = {v: nodes[c] for v, c in zip(nodes, gr.edge_component_labels(len(nodes), pg.ends))}
     assert comp == union_find_components(nodes, edges)
     g = nx.MultiGraph()
     g.add_nodes_from(nodes)
     g.add_edges_from(edges)
     parts = list(nx.connected_components(g))
-    assert len(set(comp.values())) == len(parts)
+    assert len(set(comp.values())) == len(parts) == pg.component_count()
+    assert pg.is_connected() == (len(parts) <= 1)
+    assert pg.is_simple() == (nx.number_of_selfloops(g) == 0
+                              and nx.Graph(g).number_of_edges() == len(edges))
     for part in parts:
         first = min(part, key=nodes.index)
         assert {comp[v] for v in part} == {first}
-    # the cycle-rank test the acyclicity checks use
-    forest = not nodes or nx.is_forest(g)
-    assert (len(edges) - len(comp) + len(parts) == 0) == forest
+    # the cycle rank, zero exactly for a forest
+    assert pg.cycle_rank() == len(edges) - len(nodes) + len(parts)
+    assert (pg.cycle_rank() == 0) == (not nodes or nx.is_forest(g))
+    # the forest test of feedback vertex sets, less a drawn removed set
+    removed = data.draw(st.sets(st.sampled_from(nodes))) if nodes else set()
+    rest = g.subgraph([v for v in nodes if v not in removed])
+    assert gr.fvs_solution_ok(pg, [pg.index[v] for v in removed]) == (
+        len(rest) == 0 or nx.is_forest(rest))
     # the labeller on the same graph as adjacency lists, less a cut that
     # removes every copy of some node pairs, either way round
     index = {v: i for i, v in enumerate(nodes)}
@@ -338,11 +358,18 @@ def test_components_match_networkx(graph, data):
 
 
 def test_components_label_by_first_node():
-    comp = gr.components(["c", "a", "b", "d"], [("a", "c"), ("b", "b"), ("b", "d"), ("d", "b")])
-    assert comp == {"c": "c", "a": "c", "b": "b", "d": "b"}
-    assert gr.components([], []) == {}
-    with pytest.raises(KeyError):
-        gr.components(["a"], [("a", "z")])
+    g = gr.Graph(["c", "a", "b", "d"], [("a", "c"), ("b", "b"), ("b", "d"), ("d", "b")])
+    assert gr.edge_component_labels(len(g.vertices), g.ends) == [0, 0, 2, 2]
+    assert (g.component_count(), g.is_connected(), g.is_simple()) == (2, False, False)
+    assert g.cycle_rank() == 2    # the loop, and the two parallel edges
+    assert gr.fvs_solution_ok(g, [g.index["b"]])
+    empty = gr.Graph([], [])
+    assert (empty.component_count(), empty.is_connected(), empty.cycle_rank()) == (0, True, 0)
+    # a bad end is malformed, never a KeyError
+    with pytest.raises(gr.Malformed, match="^edge 0 uses an unknown vertex$"):
+        gr.Graph(["a"], [("a", "z")])
+    with pytest.raises(gr.Malformed, match="^duplicate vertex ids$"):
+        gr.Graph(["a", "a"], [])
     assert gr.component_labels([[1], [0, 2], [1]], [(2, 1)]) == [0, 0, 2]
     assert gr.component_labels([]) == []
 

@@ -227,6 +227,19 @@ def test_reduce_refuses_a_non_simple_graph_with_coords(tmp_path, edges):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("edges", [
+    [["a", "b"], ["a", "c"], ["a", "d"], ["a", "a"]],
+    [["a", "b"], ["a", "c"], ["a", "a"]],
+], ids=["degree-5", "degree-4"])
+def test_reduce_refuses_a_looped_graph_whatever_its_degrees(tmp_path, edges):
+    # simple before the degree rule, as mc->udmc checks it first: the loop
+    # gives "a" degree 5 in the first source, and 4 in the second
+    src, out = tmp_path / "plain.json", tmp_path / "x.json"
+    write_json({"vertices": sorted({v for e in edges for v in e}), "edges": edges}, src)
+    assert cli_reduce("fvs->acc", src, out) == (2, [f"malformed: {NOT_SIMPLE}"])
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("mode", ["toy", "sound"])
 @pytest.mark.parametrize("n", [2, 3])
 def test_reduce_refuses_a_disconnected_graph(tmp_path, n, mode):
