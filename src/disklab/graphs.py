@@ -289,7 +289,6 @@ class PlanarEmbeddedGraph(Graph):
         edges: Sequence[Tuple[Vertex, Vertex]],
         rotation: Dict[Vertex, Sequence[Dart]],
     ):
-        vertices = list(vertices)
         self.rot: Dict[Vertex, Tuple[Dart, ...]] = {v: tuple(rotation.get(v, ())) for v in vertices}
         super().__init__(vertices, edges)
         self._faces, self._face_of_dart = self._walk_faces()
