@@ -11,10 +11,10 @@ Usage:
     python -m disklab lemma-oracle --n 3
 
 ``reduce`` and ``check-params`` take ``--params sound|toy`` and the
-rational overrides ``--r``, ``--h``, ``--s`` and ``--a``.  ``solve`` has no
-cap option: the caps are the constants ``MAX_EDGES``, ``MAX_GROUPS``,
-``MAX_VERTICES``, ``MAX_FENCE_DISKS``, ``MAX_ACC_DISKS``, ``MAX_SUBSET`` and
-``MAX_JUNCTIONS`` of ``disklab.solvers``, and it refuses above them.
+rational overrides ``--r``, ``--h``, ``--s`` and ``--a``.  No verb has a
+work option: a meter refuses past either of two allowances, the
+``EDGES_PER_DISK * n + EDGE_SLACK`` edges of an n-disk intersection graph
+(``disklab.arrangements``) and the ``SEARCH_ALLOWANCE`` units of a search.
 
 Exit codes: 0 accepted/succeeded, 1 rejected/refused (an instance with no
 solution included), 2 malformed input, 3 a failure not of the input (an

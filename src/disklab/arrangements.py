@@ -44,7 +44,7 @@ from .geometry import (
     triple_intersection_nonempty,
 )
 from .graphs import (
-    Malformed, component_labels, json_int_list, json_ints, json_key, json_list, json_object)
+    Malformed, Meter, component_labels, json_int_list, json_ints, json_key, json_list, json_object)
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +404,10 @@ def _over_common_denominator(
 # sound instances keep one disk per sub-cell, and random layouts nearly so.
 SUB_CELLS = 64
 
+# The edge meter's allowance; reduction targets have at most 22.4 edges a disk.
+EDGES_PER_DISK = 32
+EDGE_SLACK = 2 ** 16
+
 
 class CenterIndex:
     """Exact proximity queries on integer centres.
@@ -497,11 +501,16 @@ def unit_disk_graph(sc: IntCenters, r: Fraction) -> UnitDiskGraph:
     only boxes in between are tested pair by pair.  On sound instances
     every sub-cell holds one disk; a bundle of near-coincident copies costs
     one box test per pair of sub-cells, not one test per pair of disks.
+
+    An edge :class:`~disklab.graphs.Meter` of ``EDGES_PER_DISK * n + EDGE_SLACK``
+    is charged each whole join before it is made; pair-by-pair contacts are checked per step.
     """
     index = CenterIndex(sc, r)
     ids, keys, width, four_r2 = index.ids, index.keys, index.width, index.four_r2
     xs, ys = list(map(sc.xs.__getitem__, ids)), list(map(sc.ys.__getitem__, ids))  # key order
     adj: List[List[int]] = [[] for _ in ids]
+    meter = Meter("edge", EDGES_PER_DISK * len(ids) + EDGE_SLACK)
+    found, room = 0, meter.allowance    # contacts not yet charged, and room for them
     d = SUB_CELLS
     up_to, next_from, next_to = d * (d + 1), d * (width - d - 1) + 1, d * (width + d + 1)
     ks = keys + (keys[-1] + next_to,) if ids else ()  # a last key stops the cursors
@@ -524,8 +533,13 @@ def unit_disk_graph(sc: IntCenters, r: Fraction) -> UnitDiskGraph:
                     i, j = ids[s], ids[t]
                     adj[i].append(j)
                     adj[j].append(i)
+                    found += 1
+            if found > room:
+                meter.charge(found)
         else:
-            end = _join_sub_cell(s, up, lo, hi, ids, ks, xs, ys, four_r2, adj)
+            meter.charge(found)
+            end = _join_sub_cell(s, up, lo, hi, ids, ks, xs, ys, four_r2, adj, meter)
+            found, room = 0, meter.allowance - meter.spent
             next(islice(sweep, end - s - 1, end - s - 1), None)  # the sub-cell's other disks
     for a in adj:
         a.sort()
@@ -534,11 +548,11 @@ def unit_disk_graph(sc: IntCenters, r: Fraction) -> UnitDiskGraph:
 
 def _join_sub_cell(s: int, up: int, lo: int, hi: int, ids: Sequence[int], ks: Sequence[int],
                    xs: Sequence[int], ys: Sequence[int], four_r2: int,
-                   adj: List[List[int]]) -> int:
+                   adj: List[List[int]], meter: Meter) -> int:
     """Join the several disks of the sub-cell from key-order position ``s``
     to each other and to the later sub-cells from its end to ``up`` and
-    from ``lo`` to ``hi``, box by box (see :func:`unit_disk_graph`);
-    returns the position past its last disk."""
+    from ``lo`` to ``hi``, box by box, charging ``meter`` (see
+    :func:`unit_disk_graph`); returns the position past its last disk."""
 
     def box(t: int) -> Tuple[int, int, int, int, int]:
         end, k = t + 1, ks[t]
@@ -550,6 +564,7 @@ def _join_sub_cell(s: int, up: int, lo: int, hi: int, ids: Sequence[int], ks: Se
     def pair_by_pair(a: range, b: range) -> None:
         for u in a:
             x, y = xs[u], ys[u]
+            found = 0
             for t in b:
                 dx = x - xs[t]
                 dy = y - ys[t]
@@ -557,9 +572,12 @@ def _join_sub_cell(s: int, up: int, lo: int, hi: int, ids: Sequence[int], ks: Se
                     i, j = ids[u], ids[t]
                     adj[i].append(j)
                     adj[j].append(i)
+                    found += 1
+            meter.charge(found)
 
     stop, x0, x1, y0, y1 = box(s)
     own = ids[s:stop]
+    meter.charge(len(own) * (len(own) - 1) // 2)
     for m, i in enumerate(own):
         adj[i] += own[:m]
         adj[i] += own[m + 1:]
@@ -569,6 +587,7 @@ def _join_sub_cell(s: int, up: int, lo: int, hi: int, ids: Sequence[int], ks: Se
             far_x, far_y = max(x1 - bx0, bx1 - x0), max(y1 - by0, by1 - y0)
             if far_x * far_x + far_y * far_y <= four_r2:
                 other = ids[t:end]
+                meter.charge(len(own) * len(other))
                 for i in own:
                     adj[i] += other
                 for j in other:

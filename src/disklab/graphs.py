@@ -37,6 +37,24 @@ class Rejected(RuntimeError):
     no solution."""
 
 
+class Refused(RuntimeError):
+    """Well-formed input that needs more work than a :class:`Meter` allows."""
+
+
+class Meter:
+    """Units of work, charged where the work is done; :meth:`charge` raises
+    :class:`Refused` once more than ``allowance`` units are spent."""
+
+    def __init__(self, what: str, allowance: int):
+        self.what, self.allowance, self.spent = what, allowance, 0
+
+    def charge(self, units: int) -> None:
+        self.spent += units
+        if self.spent > self.allowance:
+            raise Refused(f"the {self.what} meter's allowance of {self.allowance} is spent: "
+                          f"{self.spent} charged")
+
+
 def json_ints(values: Iterable, what: str) -> list:
     """``values`` as a list, refused unless each is an ``int``, what a JSON
     integer parses to (``int()`` would truncate a float and read ``true`` as 1)."""

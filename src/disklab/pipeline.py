@@ -7,7 +7,7 @@ owning modules.  Exit-code convention, shared by all verbs:
 
 * 0 — accepted / succeeded,
 * 1 — well-formed but rejected (failed verification, budget overrun,
-  restriction violation, no solution, solver refusal),
+  restriction violation, no solution, work past a meter's allowance),
 * 2 — malformed input (unparseable files, schema violations, out-of-range
   ids, digest mismatches), raised as :class:`~disklab.graphs.Malformed`,
 * 3 — a fault or a failed write, not the input: any other exception, which
@@ -68,6 +68,7 @@ from .graphs import (
     Graph,
     Malformed,
     MultiterminalInstance,
+    Refused,
     Rejected,
     SubdivisionInstance,
     fvs_solution_ok,
@@ -88,7 +89,6 @@ from .gridembed import GridEmbedding, grid_embed, require_simple
 from .render import svg_for_embedding, svg_for_instance
 from .solvers import (
     OptimumCertificate,
-    SolverCapExceeded,
     brute_min_acc,
     brute_min_fvs,
     brute_min_isolation,
@@ -410,7 +410,7 @@ def _file_verb(verb):
         gc.disable()
         try:
             code, lines, files = verb(*args, **kwargs)
-        except SolverCapExceeded as exc:
+        except Refused as exc:
             return 1, [f"refused: {exc}"]
         except (Rejected, SynthesisError) as exc:
             return 1, [f"rejected: {exc}"]

@@ -1,24 +1,23 @@
 """Exact brute-force and polynomial reference solvers.
 
 These establish ground-truth optima for small instances so the reduction
-laws can be checked end to end.  Enumeration solvers refuse instances above
-hard caps instead of silently running forever.  The three graph-level
-solvers (multiterminal cut, face separation, cycle-hitting set) and the
-k-point fence solver enumerate in combinations order, pruned by
-upward-closed feasibility: a superset of a feasible set is feasible, so a
-subtree whose largest set fails is skipped, and the first feasible subset
-found is the one plain enumeration finds.  The three graph-level solvers
-share one search, :func:`_cheapest_feasible`, weighing an edge by its
-weight, a face-separation group 2 and a vertex 1.
+laws can be checked end to end.  The three graph-level solvers
+(multiterminal cut, face separation, cycle-hitting set) and the k-point
+fence solver share one search, :func:`_cheapest_feasible`, in combinations
+order, pruned by upward-closed feasibility: a superset of a feasible set
+is feasible, so a subtree whose largest set fails is skipped, and the first
+feasible subset found is the one plain enumeration finds.  It weighs an
+edge by its weight, a face-separation group 2, a vertex or a disk 1.
 The two-point isolation solver and the terminal-pair cut solver are
 polynomial and handle the synthesized instances directly; the two-point
 solver searches the chain-contracted kernel
 (:func:`~disklab.arrangements.contract`), on which sound instances keep
 only a few dozen junctions.
-The caps are the module constants ``MAX_EDGES``, ``MAX_GROUPS``,
-``MAX_VERTICES``, ``MAX_FENCE_DISKS``, ``MAX_ACC_DISKS``, ``MAX_SUBSET`` and
-``MAX_JUNCTIONS``.  Above one a solver raises :class:`SolverCapExceeded`; on
-a well-formed instance with no solution it raises :class:`Rejected`.
+Meters bound the work (:class:`~disklab.graphs.Refused` when spent): the
+intersection graph's edge meter, and a search meter of ``SEARCH_ALLOWANCE``
+units a search.  A candidate test costs one unit plus one for each edge,
+group, vertex or disk of the instance; a two-point heap pop costs one.  A
+well-formed instance with no solution raises :class:`Rejected`.
 """
 
 from __future__ import annotations
@@ -33,15 +32,16 @@ from .arrangements import (
     CenterIndex,
     DiskInstance,
     check_points_uncovered,
-    complement_regions,
     contract,
     edge_crossing_parities,
     separation,
     unit_disk_graph,
+    verify_acc,
 )
 from .graphs import (
     Graph,
     Malformed,
+    Meter,
     MultiterminalInstance,
     Rejected,
     SubdivisionInstance,
@@ -53,30 +53,13 @@ from .graphs import (
 )
 
 
-class SolverCapExceeded(RuntimeError):
-    """The instance is larger than this brute-force solver will accept."""
-
-
-# The caps.  MAX_FENCE_DISKS and MAX_ACC_DISKS count an instance's disks and
-# MAX_SUBSET those of a fence or a deletion set.  MAX_JUNCTIONS caps the
-# two-point solver's kernel: its search is about quadratic in the junctions,
-# of which sound instances have a few dozen.
-MAX_EDGES = 18
-MAX_GROUPS = 18
-MAX_VERTICES = 20
-MAX_FENCE_DISKS = 40
-MAX_ACC_DISKS = 64
-MAX_SUBSET = 12
-MAX_JUNCTIONS = 20000
-
-# the refusal of a well-formed isolation instance that no set of its disks fences
+SEARCH_ALLOWANCE = 4_000_000
 NO_FENCE = "no subset of the disks separates the marked points"
 
 
 @dataclass
 class OptimumCertificate:
-    """A solved instance: the optimum value, one witness, and how it was
-    obtained."""
+    """A solved instance: the optimum value, one witness, and how it was obtained."""
 
     problem: str
     optimum: int
@@ -89,15 +72,11 @@ class OptimumCertificate:
 # graph-level problems
 # ---------------------------------------------------------------------------
 
-def _feasible_subsets(
-    n: int, ok: Callable[[Tuple[int, ...]], bool]
-) -> Iterator[Tuple[int, ...]]:
+def _feasible_subsets(n: int, ok: Callable[[Tuple[int, ...]], bool]) -> Iterator[Tuple[int, ...]]:
     """Every index tuple ``t`` over ``range(n)`` with ``ok(t)``, in
     ``itertools.combinations`` order (by size, then lexicographic), for an
-    upward-closed ``ok``: a superset of a feasible set is feasible.
-
-    The full set is tested first, so an infeasible instance yields nothing
-    at once.
+    upward-closed ``ok``: a superset of a feasible set is feasible.  The
+    full set is tested first, so an infeasible instance yields nothing at once.
     """
     if ok(tuple(range(n))):
         for size in range(n + 1):
@@ -128,23 +107,30 @@ def _feasible_of_size(
         yield from _feasible_of_size(n, ok, size - 1, prefix + (c,), c + 1)
 
 
-def _cheapest_feasible(
-    weights: Sequence[int], ok: Callable[[Tuple[int, ...]], bool]
-) -> Tuple[int, Tuple[int, ...]]:
+def _cheapest_feasible(weights: Sequence[int], ok: Callable[[Tuple[int, ...]], bool],
+                       infeasible: str = "no subset is feasible") -> Tuple[int, Tuple[int, ...]]:
     """The least weight of a subset of ``range(len(weights))`` passing the
     upward-closed ``ok``, and the first such in :func:`_feasible_subsets`
-    order.  It stops once the best weighs at most ``min(weights)`` times the
-    current size, as no later, larger subset can be strictly cheaper."""
+    order; :class:`Rejected` with ``infeasible`` when none does.  It stops
+    once the best weighs at most ``min(weights)`` times the current size, as
+    no later, larger subset can be strictly cheaper.  Each test of ``ok`` is
+    charged ``1 + len(weights)`` units to a search meter."""
+    meter = Meter("search", SEARCH_ALLOWANCE)
+
+    def tested(combo: Tuple[int, ...]) -> bool:
+        meter.charge(1 + len(weights))
+        return ok(combo)
+
     floor = min(weights, default=0)
     best: Optional[Tuple[int, Tuple[int, ...]]] = None
-    for combo in _feasible_subsets(len(weights), ok):
+    for combo in _feasible_subsets(len(weights), tested):
         w = sum(weights[i] for i in combo)
         if best is None or w < best[0]:
             best = (w, combo)
         if best[0] <= floor * len(combo):
             break
     if best is None:
-        raise AssertionError("the full set is always feasible")
+        raise Rejected(infeasible)
     return best
 
 
@@ -152,10 +138,7 @@ def brute_min_multiterminal(inst: MultiterminalInstance) -> OptimumCertificate:
     """Minimum total weight of deleted edges leaving all terminals in
     pairwise distinct components, by enumeration in combinations order,
     pruned by upward-closed feasibility (:func:`_cheapest_feasible`)."""
-    m = len(inst.graph.edges)
-    if m > MAX_EDGES:
-        raise SolverCapExceeded(f"{m} edges exceeds the enumeration cap {MAX_EDGES}")
-    w, combo = _cheapest_feasible([inst.weight(e) for e in range(m)],
+    w, combo = _cheapest_feasible([inst.weight(e) for e in range(len(inst.graph.edges))],
                                   lambda t: multiterminal_solution_ok(inst, t))
     return OptimumCertificate(problem="multiterminal-cut", optimum=w, witness=list(combo))
 
@@ -167,14 +150,12 @@ def brute_min_subdivision(inst: SubdivisionInstance) -> OptimumCertificate:
     groups are worth keeping, and each used group counts two regardless of
     its fragment count."""
     groups = inst.edge_groups()
-    g = len(groups)
-    if g > MAX_GROUPS:
-        raise SolverCapExceeded(f"{g} groups exceeds the enumeration cap {MAX_GROUPS}")
 
     def kept(combo: Tuple[int, ...]) -> List[int]:
         return [e for gi in combo for e in groups[gi]]
 
-    mass, combo = _cheapest_feasible([2] * g, lambda t: subdivision_solution_ok(inst, kept(t)))
+    mass, combo = _cheapest_feasible([2] * len(groups),
+                                     lambda t: subdivision_solution_ok(inst, kept(t)))
     return OptimumCertificate(problem="face-separation", optimum=mass, witness=list(combo),
                               detail={"kept_edges": sorted(kept(combo))})
 
@@ -183,10 +164,7 @@ def brute_min_fvs(g: Graph) -> OptimumCertificate:
     """Minimum vertex set meeting every cycle, by enumeration of removed
     vertex positions in combinations order, pruned by upward-closed
     feasibility (:func:`_cheapest_feasible`) over :func:`fvs_solution_ok`."""
-    n = len(g.vertices)
-    if n > MAX_VERTICES:
-        raise SolverCapExceeded(f"{n} vertices exceeds the enumeration cap {MAX_VERTICES}")
-    size, combo = _cheapest_feasible([1] * n, lambda t: fvs_solution_ok(g, t))
+    size, combo = _cheapest_feasible([1] * len(g.vertices), lambda t: fvs_solution_ok(g, t))
     return OptimumCertificate(problem="cycle-hitting-set", optimum=size,
                               witness=[g.vertices[i] for i in combo])
 
@@ -217,6 +195,10 @@ def brute_min_isolation_two_points(instance: DiskInstance) -> OptimumCertificate
     best cycle so far; the best cycle then expands to disk ids.  ``detail``
     reports that cycle and the numbers of odd edges, roots searched,
     junctions and chains.
+
+    The graph and its edge meter come before the covered-point check, so a
+    graph past its allowance is refused with a point covered too.  Each
+    root's heap pops are charged to a search meter when its search ends.
     """
     if len(instance.points) != 2:
         raise Malformed("this solver handles exactly two marked points")
@@ -226,9 +208,6 @@ def brute_min_isolation_two_points(instance: DiskInstance) -> OptimumCertificate
     check_points_uncovered(instance.points, udg.index)
     masks = edge_crossing_parities(sc, udg, (p, q))
     kernel = contract(udg, masks)
-    if len(kernel.junctions) > MAX_JUNCTIONS:
-        raise SolverCapExceeded(
-            f"{len(kernel.junctions)} kernel junctions exceeds {MAX_JUNCTIONS}")
     chains = kernel.chains
     # a parity against both rays is the XOR of the two mask bits
     odd = [(c.sig ^ c.sig >> 1) & 1 for c in chains]
@@ -240,6 +219,7 @@ def brute_min_isolation_two_points(instance: DiskInstance) -> OptimumCertificate
 
     if not _closes_odd_cycle(adj, odd):
         raise Rejected(NO_FENCE)
+    meter = Meter("search", SEARCH_ALLOWANCE)
     best_len = math.inf
     best: List[Tuple[int, int]] = []
     searched = 0
@@ -251,8 +231,10 @@ def brute_min_isolation_two_points(instance: DiskInstance) -> OptimumCertificate
         dist = {(s, 0): 0}
         prev: Dict[Tuple[int, int], Tuple[Tuple[int, int], int]] = {}
         heap = [(0, s, 0)]
+        pops = 0
         while heap:
             d, v, par = heappop(heap)
+            pops += 1
             if (v, par) == goal:
                 break
             if d > dist[(v, par)]:
@@ -263,6 +245,7 @@ def brute_min_isolation_two_points(instance: DiskInstance) -> OptimumCertificate
                     dist[state] = nd
                     prev[state] = ((v, par), k)
                     heappush(heap, (nd, *state))
+        meter.charge(pops)
         if goal in dist:
             walk, state = [], goal
             while state in prev:
@@ -270,8 +253,6 @@ def brute_min_isolation_two_points(instance: DiskInstance) -> OptimumCertificate
                 walk.append((state[0], k))
             best = _extract_odd_cycle(walk[::-1], odd)
             best_len = sum(len(chains[k].inner) + 1 for _, k in best)
-    if not best:
-        raise Rejected(NO_FENCE)
     cycle: List[int] = []
     for v, k in best:
         cycle.append(v)
@@ -332,19 +313,12 @@ def _extract_odd_cycle(
 
 
 def brute_min_isolation(instance: DiskInstance) -> OptimumCertificate:
-    """Minimum fence for any number of marked points, by enumeration in
-    combinations order up to ``MAX_SUBSET`` disks, pruned by upward-closed
-    feasibility (:func:`_feasible_of_size`): with the marked points
-    uncovered, a superset of a fence is a fence, so when all the disks
-    fence nothing, no subset does.  Strictly capped; use the two-point
-    solver for synthesized instances.
+    """Minimum fence for any number of marked points, by
+    :func:`_cheapest_feasible` over the disks: with the marked points
+    uncovered, a superset of a fence is a fence.  At least two marked points
+    and none covered are checked before any work is charged.  Use the
+    two-point solver for synthesized instances.
     """
-    n = len(instance.centers.xs)
-    if n > MAX_FENCE_DISKS:
-        raise SolverCapExceeded(
-            f"{n} disks exceeds the enumeration cap {MAX_FENCE_DISKS}; "
-            "use the two-point solver or shrink the instance"
-        )
     if len(instance.points) < 2:
         raise Malformed("isolation needs at least two marked points")
     sc, r = instance.centers, instance.radius
@@ -355,37 +329,24 @@ def brute_min_isolation(instance: DiskInstance) -> OptimumCertificate:
         results = separation(sub, unit_disk_graph(sub, r), instance.points)
         return all(res.separated for res in results.values())
 
-    if not fences(tuple(range(n))):
-        raise Rejected(NO_FENCE)
-    for size in range(min(MAX_SUBSET, n) + 1):
-        for combo in _feasible_of_size(n, fences, size):
-            return OptimumCertificate(
-                problem="point-isolation", optimum=size, witness=list(combo)
-            )
-    raise SolverCapExceeded(
-        f"no fence of size <= {MAX_SUBSET} found within the subset cap"
-    )
+    size, combo = _cheapest_feasible([1] * len(sc.xs), fences, NO_FENCE)
+    return OptimumCertificate(problem="point-isolation", optimum=size, witness=list(combo))
 
 
 def brute_min_acc(instance: DiskInstance) -> OptimumCertificate:
     """Minimum number of deleted disks leaving a union with no bounded
-    complement region, by subset enumeration over deletions."""
+    complement region, by subset enumeration over deletions, each charged
+    ``1 + n`` units for n disks to a search meter.  Deleting every disk
+    leaves an acyclic union, so some size finds one."""
     n = len(instance.centers.xs)
-    if n > MAX_ACC_DISKS:
-        raise SolverCapExceeded(f"{n} disks exceeds the enumeration cap {MAX_ACC_DISKS}")
-    sc = instance.centers
-    r = instance.radius
-    if complement_regions(sc, r).bounded_complement_regions == 0:
-        return OptimumCertificate(problem="acyclic-cover", optimum=0, witness=[])
-    for size in range(1, min(MAX_SUBSET, n) + 1):
-        for combo in combinations(range(n), size):
-            removed = set(combo)
-            remaining = sc.subset([k for k in range(n) if k not in removed])
-            if complement_regions(remaining, r).bounded_complement_regions == 0:
-                return OptimumCertificate(
-                    problem="acyclic-cover", optimum=size, witness=list(combo)
-                )
-    raise SolverCapExceeded(f"no deletion set of size <= {MAX_SUBSET} found")
+    meter = Meter("search", SEARCH_ALLOWANCE)
+
+    def acyclic(combo: Tuple[int, ...]) -> bool:
+        meter.charge(1 + n)
+        return verify_acc(instance, combo).ok
+
+    combo = next(c for size in range(n + 1) for c in combinations(range(n), size) if acyclic(c))
+    return OptimumCertificate(problem="acyclic-cover", optimum=len(combo), witness=list(combo))
 
 
 def min_terminal_pair_cut(instance: DiskInstance) -> OptimumCertificate:

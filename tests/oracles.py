@@ -79,6 +79,7 @@ from disklab.graphs import (
     MultiterminalInstance,
     Malformed,
     PlanarEmbeddedGraph,
+    Refused,
     SubdivisionInstance,
     Vertex,
     edge_disjoint_paths,
@@ -88,7 +89,6 @@ from disklab.graphs import (
 )
 from disklab.solvers import (
     OptimumCertificate,
-    SolverCapExceeded,
     min_terminal_pair_cut,
     multiterminal_cut_lower_bound,
 )
@@ -574,24 +574,22 @@ def reference_min_isolation(
     instance: ar.DiskInstance, max_subset: int = 12, max_disks: int = 40
 ) -> OptimumCertificate:
     """The minimum fence by plain subset enumeration, each subset checked
-    by ``verify_isolation``, with the caps of
-    :func:`disklab.solvers.brute_min_isolation`."""
+    by ``verify_isolation``.  Its own caps bound it: over ``max_disks``
+    disks, or with no fence of at most ``max_subset`` disks, it raises
+    :class:`~disklab.graphs.Refused`.  The solver it checks,
+    :func:`disklab.solvers.brute_min_isolation`, has no cap: a search meter
+    bounds it."""
     instance.validate()
     n = len(instance.tags)
     if n > max_disks:
-        raise SolverCapExceeded(
-            f"{n} disks exceeds the enumeration cap {max_disks}; "
-            "use the two-point solver or shrink the instance"
-        )
+        raise Refused(f"{n} disks exceeds the enumeration cap {max_disks}")
     for size in range(min(max_subset, n) + 1):
         for combo in combinations(range(n), size):
             if ar.verify_isolation(instance, list(combo)).ok:
                 return OptimumCertificate(
                     problem="point-isolation", optimum=size, witness=list(combo)
                 )
-    raise SolverCapExceeded(
-        f"no fence of size <= {max_subset} found within the subset cap"
-    )
+    raise Refused(f"no fence of size <= {max_subset} found within the subset cap")
 
 
 def bfs_min_isolation_two_points(instance: ar.DiskInstance) -> OptimumCertificate:

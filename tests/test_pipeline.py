@@ -13,10 +13,10 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from disklab import arrangements, gridembed, pipeline
+from disklab import arrangements, gridembed, pipeline, solvers
 from disklab.__main__ import main as cli_main
 from disklab.arrangements import DiskInstance, TagRuns, unit_disk_graph
-from disklab.corpus import seeded_multiterminal_instances
+from disklab.corpus import seeded_multiterminal_instances, seeded_planar_graphs
 from disklab.gadgets import BUNDLE_COPIES, MAX_WALL_DISKS, SynthesisError, build_udmc_instance
 from disklab.geometry import Disk, cli_check_params, cli_lemma_oracle
 from disklab.graphs import (
@@ -593,38 +593,53 @@ def test_verify_refuses_hostile_denominators(tmp_path):
     assert code == 2 and "bits" in lines[0], lines
 
 
+def stacked_block(n):
+    """The JSON of ``n`` seeded disks in a square of side 1/400 at r = 1/10,
+    every pair meeting, two marked points outside it, one ray crossing the
+    block, and terminal disks 0 and 1 for the cut verbs."""
+    rng = random.Random(n)
+    return {"disks": [{"c": [f"{rng.randrange(1000)}/400000", f"{rng.randrange(1000)}/400000"],
+                       "prov": []} for _ in range(n)],
+            "radius": "1/10", "points": {"p": ["-1/1", "1/800"], "q": ["0/1", "-1/1"]},
+            "meta": {"terminal_disks": [0, 1]}}
+
+
 def test_solve_refuses_oversized_instances(tmp_path):
-    inst = disk_instance(
-        radius=Fraction(1, 4),
-        disks=[Disk(Fraction(i), Fraction(0)) for i in range(41)],
-        points={"a": (Fraction(100), Fraction(0)),
-                "b": (Fraction(200), Fraction(0)),
-                "c": (Fraction(300), Fraction(0))},
-    )
+    # 400 stacked disks have 79,800 edges, over the edge allowance of
+    # 32 * 400 + 2**16 = 78,336: with a third marked point the k-point
+    # fence solver builds the graph of all of them first, and is refused
+    inst = stacked_block(400)
+    inst["points"]["r"] = ["5/1", "5/1"]
     path = tmp_path / "big.json"
-    write_json(inst.to_dict(), path)
-    code, lines = cli_solve("isolation", path, tmp_path / "x.json")
-    assert code == 1 and "refused" in lines[0]
+    write_json(inst, path)
+    assert cli_solve("isolation", path, tmp_path / "x.json") == (
+        1, ["refused: the edge meter's allowance of 78336 is spent: 79800 charged"])
 
 
-def test_solve_refuses_graphs_above_the_enumeration_caps(tmp_path):
-    # one past each graph cap's shipped value; test_each_cap_is_a_module_constant
-    # lowers the caps instead
+def test_solve_refuses_graphs_above_the_enumeration_caps(monkeypatch, tmp_path):
+    # one past each graph cap that once refused them, they answer within
+    # the search allowance; at an allowance of one unit the search meter
+    # refuses each at its first test, which costs one unit and one for each
+    # edge, group or vertex (test_each_cap_is_a_module_constant lowers the
+    # allowances on the instances the caps refused)
     path = PlanarEmbeddedGraph.from_edge_rotation(
         list(range(20)), [(i, i + 1) for i in range(19)],
         {v: [e for e in (v - 1, v) if 0 <= e < 19] for v in range(20)})
     cases = [
-        ("mc", MultiterminalInstance(graph=path, terminals=[0, 19]).to_dict(),
-         "19 edges exceeds the enumeration cap 18"),
-        ("subdivision", SubdivisionInstance(graph=path, terminals={"p": 0}).to_dict(),
-         "19 groups exceeds the enumeration cap 18"),
-        ("fvs", {"vertices": list(range(21)), "edges": []},
-         "21 vertices exceeds the enumeration cap 20"),
+        ("mc", MultiterminalInstance(graph=path, terminals=[0, 19]).to_dict(), 1, 20),
+        ("subdivision", SubdivisionInstance(graph=path, terminals={"p": 0}).to_dict(), 0, 20),
+        ("fvs", {"vertices": list(range(21)), "edges": []}, 0, 22),
     ]
-    for problem, inst, why in cases:
+    for problem, inst, optimum, charged in cases:
         src, out = tmp_path / f"{problem}.json", tmp_path / f"{problem}.opt.json"
         write_json(inst, src)
-        assert cli_solve(problem, src, out) == (1, [f"refused: {why}"])
+        assert cli_solve(problem, src, out)[0] == 0
+        assert read_json(out)["optimum"] == optimum
+        out.unlink()
+        with monkeypatch.context() as m:
+            m.setattr(solvers, "SEARCH_ALLOWANCE", 1)
+            assert cli_solve(problem, src, out) == (
+                1, [f"refused: the search meter's allowance of 1 is spent: {charged} charged"])
         assert not out.exists()
 
 
@@ -1350,21 +1365,86 @@ def test_solve_isolation_with_no_fence_is_rejected(tmp_path, points):
 
 
 def test_solve_isolation_on_a_stacked_block_with_no_fence_is_rejected(tmp_path):
-    # 300 disks in a square of side 1/400 at r = 1/10, every pair meeting,
-    # and two marked points outside: one ray crosses the block, so there
-    # are odd chains but no odd cycle, and the refusal comes before any
-    # root's search
-    rng = random.Random(300)
+    # 300 stacked disks, whose 44,850 edges fit the edge allowance: one ray
+    # crosses the block, so there are odd chains but no odd cycle, and the
+    # refusal comes before any root's search
     inst, out = tmp_path / "stack.json", tmp_path / "opt.json"
-    write_json({"disks": [{"c": [f"{rng.randrange(1000)}/400000", f"{rng.randrange(1000)}/400000"],
-                           "prov": []} for _ in range(300)],
-                "radius": "1/10", "points": {"p": ["-1/1", "1/800"], "q": ["0/1", "-1/1"]}}, inst)
+    write_json(stacked_block(300), inst)
     run = run_python("-m", "disklab", "solve", "isolation", str(inst), "--out", str(out))
     assert run.returncode == 1, run.stderr
     [line] = run.stderr.splitlines()
     assert json.loads(line)["msg"] == (
         "rejected: no subset of the disks separates the marked points")
     assert not out.exists()
+
+
+# runs the command line on its arguments in a fresh process, then prints the
+# process's peak RSS in KB: VmHWM counts the pages of this program only, where
+# a child's ru_maxrss also counts those of the parent it was forked from
+PEAK_RSS = ("import sys\nfrom disklab.__main__ import main\ncode = main(sys.argv[1:])\n"
+            "print(next(l.split()[1] for l in open('/proc/self/status') if l.startswith('VmHWM')))\n"
+            "sys.exit(code)")
+
+
+def test_a_stacked_block_past_the_edge_allowance_is_refused_in_bounded_work(tmp_path):
+    # 2,000 stacked disks have 1,999,000 edges: each verb that builds the
+    # graph of them all is refused by the edge meter in a fresh process,
+    # within 5 s and 300 MB, the graph never built
+    inst, out = tmp_path / "stack.json", tmp_path / "out.json"
+    write_json(stacked_block(2000), inst)
+    write_json({"candidate": list(range(2000))}, tmp_path / "all.json")
+    write_json({"candidate": []}, tmp_path / "none.json")
+    for verb in (["solve", "isolation", inst, "--out", out],
+                 ["verify", "isolation", inst, tmp_path / "all.json"],
+                 ["verify", "acc", inst, tmp_path / "none.json"],
+                 ["solve", "udmc-bound", inst, "--out", out],
+                 ["solve", "terminal-pair-cut", inst, "--out", out]):
+        start = time.perf_counter()
+        run = run_python("-c", PEAK_RSS, *map(str, verb), timeout=60)
+        seconds = time.perf_counter() - start
+        assert run.returncode == 1, run.stderr
+        [line] = run.stderr.splitlines()
+        assert json.loads(line)["msg"] == (
+            "refused: the edge meter's allowance of 129536 is spent: 1999000 charged")
+        peak_kb = int(run.stdout)
+        assert seconds < 5 and peak_kb < 300 * 1024, (verb, seconds, peak_kb)
+        assert not out.exists()
+
+
+# the fvs->acc targets, as (seed, graph number), of scripts/gen_corpus.py
+# seeds 1-10 whose ACC optimum is 2 where their source's FVS optimum is 1:
+# two chains leaving one vertex touch next to its hub, so deleting the hub
+# leaves a cycle through them
+ACC_ABOVE_FVS = {(2, 8), (3, 0), (3, 8), (4, 9), (7, 2), (8, 3), (8, 9)}
+
+
+def test_solve_acc_on_the_corpus_targets_matches_solve_fvs_on_their_sources(tmp_path):
+    # the 32 fvs->acc targets scripts/gen_corpus.py seeds 1-10 admit (the
+    # largest 46 disks, so none was past the 64-disk cap that once refused
+    # solve acc) each answer; the optimum is solve fvs's on the source but
+    # in ACC_ABOVE_FVS, and a refusal could only be the search meter's
+    admitted, above = 0, set()
+    acc_opt, fvs_opt = tmp_path / "acc.opt.json", tmp_path / "fvs.opt.json"
+    for seed in range(1, 11):
+        for k, emb in enumerate(seeded_planar_graphs(seed, 10)):
+            src, acc = tmp_path / f"graph{seed}_{k}.json", tmp_path / f"graph{seed}_{k}.acc.json"
+            write_json({"vertices": list(emb.graph.vertices),
+                        "edges": [[u, w] for u, w in emb.graph.edges],
+                        "coords": {v: [x, y] for v, (x, y) in emb.coords.items()}}, src)
+            if cli_reduce("fvs->acc", src, acc)[0] != 0:
+                continue
+            admitted += 1
+            code, lines = cli_solve("acc", acc, acc_opt)
+            if code == 1:
+                assert lines[0].startswith("refused: the search meter's allowance"), lines
+                continue
+            assert code == 0 and cli_solve("fvs", src, fvs_opt)[0] == 0
+            got, want = read_json(acc_opt)["optimum"], read_json(fvs_opt)["optimum"]
+            if got != want:
+                assert (got, want) == (2, 1)
+                above.add((seed, k))
+    assert admitted == 32
+    assert above == ACC_ABOVE_FVS
 
 
 def integer_field_cases(value):

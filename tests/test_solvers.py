@@ -1,4 +1,4 @@
-"""Ground-truth solvers: enumeration caps, exactness, witnesses."""
+"""Ground-truth solvers: work meters, exactness, witnesses."""
 
 import math
 import random
@@ -27,7 +27,7 @@ from oracles import (
     reference_min_subdivision,
 )
 
-from disklab import solvers
+from disklab import arrangements, solvers
 from disklab.arrangements import (
     CenterIndex,
     DiskInstance,
@@ -44,8 +44,10 @@ from disklab.geometry import Disk
 from disklab.graphs import (
     Graph,
     Malformed,
+    Meter,
     MultiterminalInstance,
     PlanarEmbeddedGraph,
+    Refused,
     SubdivisionInstance,
     edge_disjoint_paths,
     reduce_pmc_to_subdivision,
@@ -56,7 +58,6 @@ from disklab.pipeline import cli_solve, read_json, write_json
 from disklab.solvers import (
     OptimumCertificate,
     Rejected,
-    SolverCapExceeded,
     brute_min_acc,
     brute_min_fvs,
     brute_min_isolation,
@@ -105,9 +106,10 @@ def test_multiterminal_weighted():
 
 
 def test_multiterminal_cap():
-    # a cap is inclusive: a path of MAX_EDGES edges still solves.  Refusals
-    # above a cap are test_each_cap_is_a_module_constant's.
-    n = solvers.MAX_EDGES + 1
+    # a path of 20 edges, past the 18-edge cap that once refused it, solves
+    # within the search allowance.  Refusals at a low allowance are
+    # test_each_cap_is_a_module_constant's.
+    n = 21
     g = PlanarEmbeddedGraph.from_edge_rotation(
         list(range(n)), [(i, i + 1) for i in range(n - 1)],
         {v: [e for e in (v - 1, v) if 0 <= e < n - 1] for v in range(n)})
@@ -311,9 +313,7 @@ def test_two_point_ring_optimum():
     assert verify_isolation(ring4(), cert.witness).ok
 
 
-def test_two_point_matches_enumeration_on_ring(monkeypatch):
-    monkeypatch.setattr(solvers, "MAX_SUBSET", 5)
-    monkeypatch.setattr(solvers, "MAX_FENCE_DISKS", 10)
+def test_two_point_matches_enumeration_on_ring():
     a = brute_min_isolation_two_points(ring4())
     b = brute_min_isolation(ring4())
     assert a.optimum == b.optimum == 4
@@ -381,11 +381,50 @@ def test_two_point_rejects_covered_points():
     assert brute_min_isolation_two_points(inst).optimum == 4
 
 
+def search_spend(monkeypatch, solve, inst):
+    """The certificate of ``solve(inst)`` and the units its search meter spent."""
+    meters = []
+
+    class Recorded(Meter):
+        def __init__(self, what, allowance):
+            super().__init__(what, allowance)
+            meters.append(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(solvers, "Meter", Recorded)
+        cert = solve(inst)
+    assert [meter.what for meter in meters] == ["search"]
+    return cert, meters[0].spent
+
+
+def assert_allowance_is_inclusive(monkeypatch, solve, inst, optimum):
+    """``solve(inst)`` answers ``optimum`` at an allowance of exactly its
+    spend, and one unit less refuses it."""
+    cert, spent = search_spend(monkeypatch, solve, inst)
+    assert cert.optimum == optimum and spent >= 1
+    monkeypatch.setattr(solvers, "SEARCH_ALLOWANCE", spent)
+    assert solve(inst).optimum == optimum
+    monkeypatch.setattr(solvers, "SEARCH_ALLOWANCE", spent - 1)
+    with pytest.raises(Refused, match=f"allowance of {spent - 1} is spent"):
+        solve(inst)
+
+
 def test_two_point_cap(monkeypatch):
-    # inclusive: ring4's two junctions (the ring's smallest disk and the
-    # lone disk) solve at a cap of two
-    monkeypatch.setattr(solvers, "MAX_JUNCTIONS", 2)
-    assert brute_min_isolation_two_points(ring4()).optimum == 4
+    # the heap pops of ring4's one root search
+    assert_allowance_is_inclusive(monkeypatch, brute_min_isolation_two_points, ring4(), 4)
+
+
+def test_two_point_charges_the_edge_allowance_before_the_covered_point_check(monkeypatch):
+    # the graph is built, and charged, first: over the edge allowance a
+    # covered point is refused, within it malformed
+    inst = ring4(points={"in": (Fraction(2), Fraction(149, 100))})  # inside disk (2, 0)
+    monkeypatch.setattr(arrangements, "EDGE_SLACK", 3)
+    monkeypatch.setattr(arrangements, "EDGES_PER_DISK", 0)
+    with pytest.raises(Refused, match="the edge meter's allowance of 3 is spent: 4 charged"):
+        brute_min_isolation_two_points(inst)
+    monkeypatch.setattr(arrangements, "EDGE_SLACK", 4)
+    with pytest.raises(Malformed, match="covered"):
+        brute_min_isolation_two_points(inst)
 
 
 def acc_ring():
@@ -402,37 +441,48 @@ def two_rings():
                 "out": (Fraction(12), Fraction(0))})
 
 
-# (constant, small value, the problem it caps, an instance that solves at
-# the shipped value, today's refusal at the small value)
+# (id, the module and allowance constant patched, its low value, the
+# problem, an instance that solves at the shipped allowances, the meter
+# that refuses it at the low value and the units charged by then).  The
+# ids name the size caps these rows once lowered: each instance is the one
+# that cap's row refused.  A candidate test costs one unit and one for
+# each edge, group, vertex or disk of the instance, so the search rows are
+# refused at their first test: 1 + 3 on the triangle, 1 + 8 on two_rings
+# and 1 + 4 on acc_ring.  ring4's first root pops 2 heap states.
 CAPS = [
-    ("MAX_EDGES", 2, "mc", MultiterminalInstance(triangle_graph(), [0, 1]).to_dict(),
-     "3 edges exceeds the enumeration cap 2"),
-    ("MAX_GROUPS", 2, "subdivision",
-     SubdivisionInstance(triangle_graph(), {"p": 0, "q": 1}).to_dict(),
-     "3 groups exceeds the enumeration cap 2"),
-    ("MAX_VERTICES", 2, "fvs", {"vertices": [0, 1, 2], "edges": [[0, 1], [1, 2], [2, 0]]},
-     "3 vertices exceeds the enumeration cap 2"),
-    ("MAX_FENCE_DISKS", 4, "isolation", two_rings().to_dict(),
-     "8 disks exceeds the enumeration cap 4; use the two-point solver or shrink the instance"),
-    ("MAX_ACC_DISKS", 3, "acc", acc_ring().to_dict(), "4 disks exceeds the enumeration cap 3"),
-    ("MAX_SUBSET", 3, "isolation", two_rings().to_dict(),
-     "no fence of size <= 3 found within the subset cap"),
-    ("MAX_SUBSET", 0, "acc", acc_ring().to_dict(), "no deletion set of size <= 0 found"),
-    ("MAX_JUNCTIONS", 1, "isolation", ring4().to_dict(), "2 kernel junctions exceeds 1"),
+    ("MAX_EDGES-2", "solvers", "SEARCH_ALLOWANCE", 2, "mc",
+     MultiterminalInstance(triangle_graph(), [0, 1]).to_dict(), "search", 4),
+    ("MAX_GROUPS-2", "solvers", "SEARCH_ALLOWANCE", 2, "subdivision",
+     SubdivisionInstance(triangle_graph(), {"p": 0, "q": 1}).to_dict(), "search", 4),
+    ("MAX_VERTICES-2", "solvers", "SEARCH_ALLOWANCE", 2, "fvs",
+     {"vertices": [0, 1, 2], "edges": [[0, 1], [1, 2], [2, 0]]}, "search", 4),
+    ("MAX_FENCE_DISKS-4", "arrangements", "EDGE_SLACK", 7, "isolation",
+     two_rings().to_dict(), "edge", 8),
+    ("MAX_ACC_DISKS-3", "arrangements", "EDGE_SLACK", 3, "acc",
+     acc_ring().to_dict(), "edge", 4),
+    ("MAX_SUBSET-3", "solvers", "SEARCH_ALLOWANCE", 3, "isolation",
+     two_rings().to_dict(), "search", 9),
+    ("MAX_SUBSET-0", "solvers", "SEARCH_ALLOWANCE", 0, "acc",
+     acc_ring().to_dict(), "search", 5),
+    ("MAX_JUNCTIONS-1", "solvers", "SEARCH_ALLOWANCE", 1, "isolation",
+     ring4().to_dict(), "search", 2),
 ]
 
 
-@pytest.mark.parametrize("name, value, problem, instance, refusal", CAPS,
-                         ids=[f"{c[0]}-{c[1]}" for c in CAPS])
-def test_each_cap_is_a_module_constant(monkeypatch, tmp_path, name, value, problem,
-                                       instance, refusal):
+@pytest.mark.parametrize("module, name, value, problem, instance, meter, charged",
+                         [c[1:] for c in CAPS], ids=[c[0] for c in CAPS])
+def test_each_cap_is_a_module_constant(monkeypatch, tmp_path, module, name, value, problem,
+                                       instance, meter, charged):
     src, out = tmp_path / "inst.json", tmp_path / "opt.json"
     write_json(instance, src)
-    assert cli_solve(problem, src, out)[0] == 0    # at the shipped value, it solves
+    assert cli_solve(problem, src, out)[0] == 0    # at the shipped allowances, it solves
     assert read_json(out)["optimum"] >= 1
     out.unlink()
-    monkeypatch.setattr(solvers, name, value)
-    # `solve` reports the solver's refusal, exits 1 and writes nothing
+    # an edge row's allowance is its EDGE_SLACK alone
+    monkeypatch.setattr(arrangements, "EDGES_PER_DISK", 0)
+    monkeypatch.setattr({"solvers": solvers, "arrangements": arrangements}[module], name, value)
+    # `solve` reports the meter's refusal, exits 1 and writes nothing
+    refusal = f"the {meter} meter's allowance of {value} is spent: {charged} charged"
     assert cli_solve(problem, src, out) == (1, [f"refused: {refusal}"])
     assert not out.exists()
 
@@ -639,29 +689,33 @@ def solve_outcome(solve, inst, **caps):
     """The certificate, or the type and message of the refusal."""
     try:
         return solve(inst, **caps)
-    except (SolverCapExceeded, Malformed, Rejected) as exc:
+    except (Refused, Malformed, Rejected) as exc:
         return type(exc), str(exc)
 
 
 NO_FENCE = (Rejected, "no subset of the disks separates the marked points")
 
 
-def test_k_point_fence_matches_oracle_on_seeded_lattices(monkeypatch):
+def test_k_point_fence_matches_oracle_on_seeded_lattices():
     optima = []
     for inst in lattice_fence_instances(3141, 40):
         fenced = verify_isolation(inst, range(len(inst.tags))).ok
+        got = solve_outcome(brute_min_isolation, inst)
         for cap in (5, 12):
-            monkeypatch.setattr(solvers, "MAX_SUBSET", cap)
             want = solve_outcome(reference_min_isolation, inst, max_subset=cap)
-            got = solve_outcome(brute_min_isolation, inst)
             # no fence at all is "no solution"; the oracle finds none within its cap
             if not fenced:
-                assert got == NO_FENCE and want[0] is SolverCapExceeded
+                assert got == NO_FENCE and want[0] is Refused
+            elif not isinstance(want, OptimumCertificate):
+                # past the oracle's subset cap: the solver's fence verifies
+                assert want[0] is Refused
+                assert got.optimum > cap and verify_isolation(inst, got.witness).ok
             else:
                 assert got == want
-        optima.append(want.optimum if isinstance(want, OptimumCertificate) else None)
+        optima.append(got.optimum if isinstance(got, OptimumCertificate) else None)
     # keep the corpus from going vacuous: at this seed 16 instances have a
-    # fence (11 of size 4 and 5 past the subset cap of 5) and 24 have none
+    # fence (11 of size 4 and 5 past the oracle's subset cap of 5) and 24
+    # have none
     assert optima.count(4) >= 8
     assert sum(o is not None and o > 5 for o in optima) >= 4
     assert optima.count(None) >= 15
@@ -679,11 +733,39 @@ def test_k_point_fence_refuses_like_the_oracle():
 
 
 def test_brute_isolation_caps(monkeypatch):
-    # inclusive: ring4's five disks and its four-disk fence solve at caps
-    # of exactly five and four
-    monkeypatch.setattr(solvers, "MAX_FENCE_DISKS", 5)
-    monkeypatch.setattr(solvers, "MAX_SUBSET", 4)
-    assert brute_min_isolation(ring4()).optimum == 4
+    # the sets ring4's four-disk fence search tests
+    assert_allowance_is_inclusive(monkeypatch, brute_min_isolation, ring4(), 4)
+
+
+def line_of_disks(n, points):
+    """``n`` disks of radius 1/4 spaced 1 apart on the x-axis, and ``points``."""
+    return disk_instance(radius=Fraction(1, 4),
+                         disks=[Disk(Fraction(i), Fraction(0)) for i in range(n)],
+                         points=points)
+
+
+@pytest.mark.parametrize("points, why", [
+    ({"a": (Fraction(100), Fraction(0))}, "isolation needs at least two marked points"),
+    ({"a": (Fraction(100), Fraction(0)), "b": (Fraction(0), Fraction(0))},
+     "marked point 'b' is covered by disk 0"),
+])
+def test_k_point_fence_checks_its_points_before_any_work(monkeypatch, points, why):
+    # 41 disks, once refused by a 40-disk cap before the points were
+    # looked at: malformed, before the search meter is charged at all
+    monkeypatch.setattr(solvers, "SEARCH_ALLOWANCE", 0)
+    with pytest.raises(Malformed, match=why):
+        brute_min_isolation(line_of_disks(41, points))
+
+
+def test_k_point_fence_answers_past_forty_disks():
+    # two_rings and 40 far disks in a line: 48 disks, past the 40-disk cap
+    # that refused them, and the two four-disk rings fence the three points
+    inst = two_rings()
+    inst = disk_instance(inst.radius, inst.disks + [Disk(Fraction(3 * k), Fraction(50))
+                                                    for k in range(40)], points=inst.points)
+    cert = brute_min_isolation(inst)
+    assert cert.optimum == 8 and cert.witness == list(range(8))
+    assert verify_isolation(inst, cert.witness).ok
 
 
 def test_brute_acc_ring_needs_one_deletion():
@@ -713,11 +795,8 @@ def test_brute_acc_two_rings():
 
 
 def test_brute_acc_cap(monkeypatch):
-    # inclusive: the four-disk ring and its one-disk deletion solve at caps
-    # of exactly four and one
-    monkeypatch.setattr(solvers, "MAX_ACC_DISKS", 4)
-    monkeypatch.setattr(solvers, "MAX_SUBSET", 1)
-    assert brute_min_acc(acc_ring()).optimum == 1
+    # the deletion sets tested before the ring's one-disk deletion
+    assert_allowance_is_inclusive(monkeypatch, brute_min_acc, acc_ring(), 1)
 
 
 def test_acc_matches_fvs_on_builders():
