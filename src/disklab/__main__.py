@@ -32,8 +32,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Optional
 
+from .base import Malformed
 from .geometry import cli_check_params, cli_lemma_oracle, rational_from_str
-from .graphs import Malformed
 
 
 def _diag(level: str, lines: List[str]) -> None:

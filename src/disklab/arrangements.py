@@ -34,6 +34,7 @@ from functools import cached_property
 from itertools import chain, count, islice
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
+from .base import Malformed, Meter, json_int_list, json_ints, json_key, json_list, json_object
 from .geometry import (
     Disk,
     ParamSet,
@@ -43,8 +44,7 @@ from .geometry import (
     ray_crossing,
     triple_intersection_nonempty,
 )
-from .graphs import (
-    Malformed, Meter, component_labels, json_int_list, json_ints, json_key, json_list, json_object)
+from .graphs import component_labels
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +502,7 @@ def unit_disk_graph(sc: IntCenters, r: Fraction) -> UnitDiskGraph:
     every sub-cell holds one disk; a bundle of near-coincident copies costs
     one box test per pair of sub-cells, not one test per pair of disks.
 
-    An edge :class:`~disklab.graphs.Meter` of ``EDGES_PER_DISK * n + EDGE_SLACK``
+    An edge :class:`~disklab.base.Meter` of ``EDGES_PER_DISK * n + EDGE_SLACK``
     is charged each whole join before it is made; pair-by-pair contacts are checked per step.
     """
     index = CenterIndex(sc, r)

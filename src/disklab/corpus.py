@@ -12,7 +12,8 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Tuple
 
-from .graphs import MultiterminalInstance, PlanarEmbeddedGraph, Rejected, Vertex
+from .base import Rejected, Vertex
+from .graphs import MultiterminalInstance, PlanarEmbeddedGraph
 from .gridembed import GridEmbedding, grid_embed
 
 Edge = Tuple[Vertex, Vertex]

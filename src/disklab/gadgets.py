@@ -35,13 +35,14 @@ from .arrangements import (
     complement_regions,
     unit_disk_graph,
 )
+from .base import Vertex
 from .geometry import (
     ParamSet,
     Point,
     ceil_frac,
     pi_bounds,
 )
-from .graphs import Graph, SubdivisionInstance, Vertex, lift_subdivision_solution
+from .graphs import Graph, SubdivisionInstance, lift_subdivision_solution
 from .gridembed import DrawingError, GridEmbedding, locate_face
 
 Tag = Tuple

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .graphs import Malformed, json_ints, json_key
+from .base import Malformed, json_ints, json_key
 
 Point = Tuple[Fraction, Fraction]
 
@@ -117,8 +116,7 @@ def floor_frac(x: Fraction) -> int:
 # parameter sets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ParamSet:
+class ParamSet(NamedTuple):
     """Geometric constants shared by one synthesized disk instance.
 
     ``n`` is the bounding grid size of the embedding the instance lives on.
@@ -256,8 +254,7 @@ def compute_params(
     )
 
 
-@dataclass
-class ConstraintReport:
+class ConstraintReport(NamedTuple):
     """Outcome of the five sizing constraints for one parameter set."""
 
     entries: List[Tuple[str, bool, str]]
@@ -391,8 +388,7 @@ def _primitive_directions(n: int, apex: Tuple[int, int]) -> List[Tuple[int, int]
     return sorted(seen)
 
 
-@dataclass
-class AngleOracleResult:
+class AngleOracleResult(NamedTuple):
     ok: bool
     n: int
     min_tan: Optional[Fraction]       # None means the minimum angle is pi/2
@@ -474,8 +470,7 @@ def cli_lemma_oracle(n: int) -> dict:
 # disks
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Disk:
+class Disk(NamedTuple):
     x: Fraction
     y: Fraction
     tag: Tuple = ()

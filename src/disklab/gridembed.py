@@ -15,14 +15,14 @@ import functools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .base import Dart, Malformed, Vertex, json_by_vertex, json_coords, json_ints, json_key
 from .geometry import (
     Point,
     point_on_segment,
     ray_crossing,
     segments_cross_properly,
 )
-from .graphs import (Dart, Graph, Malformed, PlanarEmbeddedGraph, Vertex, json_by_vertex,
-                     json_coords, json_ints, json_key)
+from .graphs import Graph, PlanarEmbeddedGraph
 
 Coords = Dict[Vertex, Tuple[int, int]]
 
@@ -54,31 +54,33 @@ def _cw_angle_cmp(u: Tuple[int, int], v: Tuple[int, int]) -> int:
     return -1 if cross < 0 else 1
 
 
-def induced_rotation(g: PlanarEmbeddedGraph, coords: Coords) -> Dict[Vertex, List[Dart]]:
-    """Clockwise dart order around each vertex as drawn.
+def _drawn_rotation(g: PlanarEmbeddedGraph, coords: Coords, v: Vertex) -> List[Dart]:
+    """Clockwise dart order around ``v`` as drawn.
 
-    Raises :class:`DrawingError` when two darts at a vertex point the same
-    way (the cyclic order would be ambiguous).
+    Raises :class:`DrawingError` when two darts at ``v`` point the same way
+    (the cyclic order would be ambiguous).
     """
-    rot: Dict[Vertex, List[Dart]] = {}
-    for v in g.vertices:
-        vecs: List[Tuple[Tuple[int, int], Dart]] = []
-        vx, vy = coords[v]
-        for d in g.rot[v]:
-            w = g.dart_head(d)
-            wx, wy = coords[w]
-            vec = (wx - vx, wy - vy)
-            if vec == (0, 0):
-                raise DrawingError(f"edge {d[0]} has zero length at {v!r}")
-            vecs.append((vec, d))
-        vecs.sort(key=functools.cmp_to_key(lambda a, b: _cw_angle_cmp(a[0], b[0])))
-        for (u, du), (w, dw) in zip(vecs, vecs[1:]):
-            if _cw_angle_cmp(u, w) == 0:
-                raise DrawingError(
-                    f"darts {du} and {dw} leave {v!r} in the same direction"
-                )
-        rot[v] = [d for _, d in vecs]
-    return rot
+    vecs: List[Tuple[Tuple[int, int], Dart]] = []
+    vx, vy = coords[v]
+    for d in g.rot[v]:
+        w = g.dart_head(d)
+        wx, wy = coords[w]
+        vec = (wx - vx, wy - vy)
+        if vec == (0, 0):
+            raise DrawingError(f"edge {d[0]} has zero length at {v!r}")
+        vecs.append((vec, d))
+    vecs.sort(key=functools.cmp_to_key(lambda a, b: _cw_angle_cmp(a[0], b[0])))
+    for (u, du), (w, dw) in zip(vecs, vecs[1:]):
+        if _cw_angle_cmp(u, w) == 0:
+            raise DrawingError(
+                f"darts {du} and {dw} leave {v!r} in the same direction"
+            )
+    return [d for _, d in vecs]
+
+
+def induced_rotation(g: PlanarEmbeddedGraph, coords: Coords) -> Dict[Vertex, List[Dart]]:
+    """Clockwise dart order around each vertex as drawn (:func:`_drawn_rotation`)."""
+    return {v: _drawn_rotation(g, coords, v) for v in g.vertices}
 
 
 def cyclic_equal(a: Sequence, b: Sequence) -> bool:
@@ -163,6 +165,32 @@ def drawing_valid(g: PlanarEmbeddedGraph, coords: Coords) -> bool:
     try:
         check_drawing(g, coords)
         return True
+    except DrawingError:
+        return False
+
+
+def moved_vertex_valid(g: PlanarEmbeddedGraph, coords: Coords, v: Vertex) -> bool:
+    """:func:`drawing_valid` of a drawing that was valid before its vertex
+    ``v`` alone moved, by the clauses of :func:`check_drawing` that involve
+    ``v``: its point is free, its edges meet no edge and pass through no
+    vertex, its point is on no other edge, and the drawn rotation at ``v``
+    and at each neighbour is the prescribed one."""
+    p = coords[v]
+    if any(xy == p and w != v for w, xy in coords.items()):
+        return False
+    segs = [(coords[a], coords[b]) for a, b in g.edges]
+    own = {e for e, _ in g.rot[v]}
+    for e in own:
+        a, b = segs[e]
+        if any(f != e and _segments_conflict(a, b, c, d) for f, (c, d) in enumerate(segs)):
+            return False
+        if any(w not in g.edges[e] and point_on_segment(xy, a, b) for w, xy in coords.items()):
+            return False
+    if any(f not in own and point_on_segment(p, a, b) for f, (a, b) in enumerate(segs)):
+        return False
+    try:
+        return all(cyclic_equal(list(g.rot[u]), _drawn_rotation(g, coords, u))
+                   for u in [v, *map(g.dart_head, g.rot[v])])
     except DrawingError:
         return False
 
@@ -280,8 +308,8 @@ def draw_with_networkx(g: PlanarEmbeddedGraph) -> Coords:
 
 def compact_drawing(g: PlanarEmbeddedGraph, coords: Coords) -> Coords:
     """Shrink a valid drawing by deleting empty grid rows/columns and nudging
-    vertices toward the origin, keeping only moves that re-verify exactly;
-    at most eight moves."""
+    vertices toward the origin, keeping only moves that re-verify exactly
+    (a nudge by :func:`moved_vertex_valid`); at most eight moves."""
     best = _normalize(dict(coords))
 
     def try_axis_compression(cur: Coords) -> Optional[Coords]:
@@ -321,7 +349,7 @@ def compact_drawing(g: PlanarEmbeddedGraph, coords: Coords) -> Coords:
                     continue
                 cand = dict(cur)
                 cand[v] = nxy
-                if drawing_valid(g, cand):
+                if moved_vertex_valid(g, cand, v):
                     nw, nh = _spans(cand)
                     if (max(nw, nh), nw * nh) <= (max(w, h), w * h):
                         return _normalize(cand)

@@ -9,7 +9,7 @@ owning modules.  Exit-code convention, shared by all verbs:
 * 1 — well-formed but rejected (failed verification, budget overrun,
   restriction violation, no solution, work past a meter's allowance),
 * 2 — malformed input (unparseable files, schema violations, out-of-range
-  ids, digest mismatches), raised as :class:`~disklab.graphs.Malformed`,
+  ids, digest mismatches), raised as :class:`~disklab.base.Malformed`,
 * 3 — a fault or a failed write, not the input: any other exception, which
   the verbs let through and the command line reports with its traceback.
 
@@ -33,7 +33,7 @@ import hashlib
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -48,6 +48,8 @@ from .arrangements import (
     verify_isolation,
     verify_multiterminal_cut,
 )
+from .base import (Malformed, Refused, Rejected, json_coords, json_edge_key, json_graph,
+                   json_int_list, json_ints, json_key, json_list, json_object)
 from .corpus import rotation_graph
 from .gadgets import (
     CHAIN_RADIUS,
@@ -66,20 +68,9 @@ from .geometry import (
 )
 from .graphs import (
     Graph,
-    Malformed,
     MultiterminalInstance,
-    Refused,
-    Rejected,
     SubdivisionInstance,
     fvs_solution_ok,
-    json_coords,
-    json_edge_key,
-    json_graph,
-    json_int_list,
-    json_ints,
-    json_key,
-    json_list,
-    json_object,
     lift_subdivision_solution,
     multiterminal_solution_ok,
     reduce_pmc_to_subdivision,
@@ -133,6 +124,8 @@ def indented_json(obj, pad: str = "\n") -> str:
         items = (f"{encode_basestring_ascii(k if isinstance(k, str) else json.dumps(k))}: "
                  f"{indented_json(v, inner)}" for k, v in sorted(obj.items()))
         return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if type(obj[0]) is int and set(map(type, obj)) == {int}:    # ids: no call per id
+        return "[" + inner + ("," + inner).join(map(int.__repr__, obj)) + pad + "]"
     return "[" + inner + ("," + inner).join(indented_json(v, inner) for v in obj) + pad + "]"
 
 
@@ -320,7 +313,7 @@ def _reduce_pmc(mti: MultiterminalInstance, mode: str,
 def _isolation_params(emb: GridEmbedding, mode: str, overrides: Dict[str, Fraction]) -> ParamSet:
     params = compute_params(emb.grid_size, mode, overrides)
     if mode == "toy":
-        params = replace(params, c_edge=toy_edge_budget(emb, params))
+        params = params._replace(c_edge=toy_edge_budget(emb, params))
     return params
 
 

@@ -14,7 +14,7 @@ from itertools import repeat
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .arrangements import DiskInstance
-from .graphs import Malformed
+from .base import Malformed
 from .gridembed import GridEmbedding
 
 _PALETTE = [

@@ -13,7 +13,7 @@ polynomial and handle the synthesized instances directly; the two-point
 solver searches the chain-contracted kernel
 (:func:`~disklab.arrangements.contract`), on which sound instances keep
 only a few dozen junctions.
-Meters bound the work (:class:`~disklab.graphs.Refused` when spent): the
+Meters bound the work (:class:`~disklab.base.Refused` when spent): the
 intersection graph's edge meter, and a search meter of ``SEARCH_ALLOWANCE``
 units a search.  A candidate test costs one unit plus one for each edge,
 group, vertex or disk of the instance; a two-point heap pop costs one.  A
@@ -38,12 +38,10 @@ from .arrangements import (
     unit_disk_graph,
     verify_acc,
 )
+from .base import Malformed, Meter, Rejected
 from .graphs import (
     Graph,
-    Malformed,
-    Meter,
     MultiterminalInstance,
-    Rejected,
     SubdivisionInstance,
     edge_disjoint_paths,
     fvs_solution_ok,

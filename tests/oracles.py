@@ -72,16 +72,13 @@ from networkx.algorithms.flow import edmonds_karp
 
 from disklab import arrangements as ar
 from disklab import gridembed as ge
+from disklab.base import Dart, Malformed, Refused, Vertex
 from disklab.gadgets import ContactReport, StructureSpec, check_structure
 from disklab.geometry import Point, point_on_segment, ray_crossing
 from disklab.graphs import (
-    Dart,
     MultiterminalInstance,
-    Malformed,
     PlanarEmbeddedGraph,
-    Refused,
     SubdivisionInstance,
-    Vertex,
     edge_disjoint_paths,
     multiterminal_solution_ok,
     residual_sink_side,
@@ -576,7 +573,7 @@ def reference_min_isolation(
     """The minimum fence by plain subset enumeration, each subset checked
     by ``verify_isolation``.  Its own caps bound it: over ``max_disks``
     disks, or with no fence of at most ``max_subset`` disks, it raises
-    :class:`~disklab.graphs.Refused`.  The solver it checks,
+    :class:`~disklab.base.Refused`.  The solver it checks,
     :func:`disklab.solvers.brute_min_isolation`, has no cap: a search meter
     bounds it."""
     instance.validate()

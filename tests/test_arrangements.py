@@ -8,8 +8,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from disklab import arrangements as ar
+from disklab.base import Malformed
 from disklab.geometry import Disk, rational_from_str, rational_to_str, ray_crossing
-from disklab.graphs import Malformed, edge_component_labels
+from disklab.graphs import edge_component_labels
 
 from floodfill import flood_fill_summary, random_robust_centers
 from instances import disk_instance, int_centers

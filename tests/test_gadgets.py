@@ -11,7 +11,6 @@ import json
 import math
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -48,9 +47,9 @@ from disklab.gadgets import (
 from disklab.corpus import seeded_multiterminal_instances, seeded_planar_graphs
 from disklab.geometry import Disk, compute_params
 from disklab.pipeline import canonical_digest, instance_json
+from disklab.base import Malformed
 from disklab.graphs import (
     Graph,
-    Malformed,
     MultiterminalInstance,
     PlanarEmbeddedGraph,
     SubdivisionInstance,
@@ -79,7 +78,7 @@ def toy_triangle():
     red = p2_reduction()
     emb = grid_embed(red.instance.graph)
     base = compute_params(emb.grid_size, "toy")
-    params = replace(base, c_edge=toy_edge_budget(emb, base))
+    params = base._replace(c_edge=toy_edge_budget(emb, base))
     art = build_isolation_instance(red.instance, emb, params)
     return red, emb, art
 
@@ -181,7 +180,7 @@ def test_sound_wall_detour_outside_vertex_zones():
 
 
 def test_toy_wall_spacing_window():
-    p = replace(compute_params(2, "toy"), c_edge=7)
+    p = compute_params(2, "toy")._replace(c_edge=7)
     plan = _toy_wall_plan(0.0, 0.0, 1.0, 0.0, p)
     assert len(plan.centers) == 7
     assert 1.02 <= plan.spacing_over_r <= 1.95
@@ -535,7 +534,7 @@ def test_cached_integer_centers_match_round_trip():
 def test_sound_refuses_oversized_budgets():
     red = p2_reduction()
     emb = grid_embed(red.instance.graph)
-    big = replace(compute_params(emb.grid_size, "sound"), c_edge=10**6)
+    big = compute_params(emb.grid_size, "sound")._replace(c_edge=10**6)
     with pytest.raises(SynthesisError):
         build_isolation_instance(red.instance, emb, big)
 
@@ -950,7 +949,7 @@ def test_check_structure_matches_the_id_list_oracle_on_seeded_builds(checked):
             sub = SubdivisionInstance(graph=g, terminals={f"p{f}": f for f in range(g.face_count())})
             for build in (
                     lambda: build_isolation_instance(
-                        sub, emb, replace(base, c_edge=toy_edge_budget(emb, base))),
+                        sub, emb, base._replace(c_edge=toy_edge_budget(emb, base))),
                     lambda: build_acc_instance(g, emb.coords)):
                 try:
                     build()

@@ -113,6 +113,38 @@ def test_params_round_trip_and_overrides():
         geo.compute_params(2, "toy", {"c_edge": F(7)})
 
 
+@pytest.mark.parametrize("mode", ["sound", "toy"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_param_sets_are_frozen_values(n, mode):
+    # equal to their round trip, hashed as the tuple of their fields, and
+    # refusing assignment
+    p = geo.compute_params(n, mode)
+    assert geo.ParamSet.from_dict(p.as_dict()) == p
+    assert hash(p) == hash((p.n, p.r, p.s, p.a, p.h, p.spacing, p.c_edge, p.c_vertex, p.mode))
+    with pytest.raises(AttributeError):
+        p.c_edge = 1
+    assert p._replace(c_edge=7).c_edge == 7 and p.c_edge != 7
+
+
+def test_geometry_values_keep_their_reprs():
+    assert repr(geo.compute_params(2)) == (
+        "ParamSet(n=2, r=Fraction(1, 640), s=Fraction(3, 80), a=Fraction(1, 4), "
+        "h=Fraction(1, 48), spacing=Fraction(9, 3200), c_edge=882, c_vertex=76, mode='sound')")
+    assert repr(geo.ParamSet(2, F(1), F(1), F(1), F(1), F(1), 1, 1)).endswith(
+        "c_edge=1, c_vertex=1, mode='sound')")
+    assert repr(geo.Disk(F(1, 2), F(3), ("a", 1))) == \
+        "Disk(x=Fraction(1, 2), y=Fraction(3, 1), tag=('a', 1))"
+    assert geo.Disk(F(1), F(2)) == geo.Disk(F(1), F(2), ())
+    assert hash(geo.Disk(F(1), F(2))) == hash((F(1), F(2), ()))
+    with pytest.raises(AttributeError):
+        geo.Disk(F(1), F(2)).x = F(0)
+    assert repr(geo.min_grid_angle_exceeds(2)) == (
+        "AngleOracleResult(ok=True, n=2, min_tan=Fraction(1, 3), "
+        "threshold_tan=Fraction(48, 575), witness=((0, 0), (2, 1), (1, 1)))")
+    assert repr(geo.check_constraints(geo.compute_params(2))).startswith(
+        "ConstraintReport(entries=[('C1: 2(r+s) < 1', True, '2(r+s) = 5/64'), ")
+
+
 def test_toy_params():
     p = geo.compute_params(2, mode="toy")
     assert (p.r, p.s, p.a, p.h) == (F(1, 10), F(1, 4), F(1, 4), F(1, 2))

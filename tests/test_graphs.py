@@ -18,6 +18,7 @@ from oracles import (
 )
 
 from disklab import graphs as gr
+from disklab.base import Malformed, Rejected
 
 
 def triangle():
@@ -115,12 +116,12 @@ def test_edgeless_single_vertex():
 # ---------------------------------------------------------------------------
 
 def test_missing_edge_at_endpoint_is_reported():
-    with pytest.raises(gr.Malformed, match="missing from rotation at vertex 'v'"):
+    with pytest.raises(Malformed, match="missing from rotation at vertex 'v'"):
         gr.PlanarEmbeddedGraph.from_edge_rotation(
             ["u", "v"], [("u", "v")], {"u": [0], "v": []}
         )
     # an end that is no vertex: the rotation check, not the plain graph's
-    with pytest.raises(gr.Malformed, match="^edge 0 missing from rotation at vertex 'z'$"):
+    with pytest.raises(Malformed, match="^edge 0 missing from rotation at vertex 'z'$"):
         gr.PlanarEmbeddedGraph(["u"], [("u", "z")], {"u": [(0, 0)]})
 
 
@@ -132,19 +133,19 @@ def test_plain_and_embedded_graphs_index_alike(sound_drawings):
 
 
 def test_foreign_edge_in_rotation_is_reported():
-    with pytest.raises(gr.Malformed, match="not incident"):
+    with pytest.raises(Malformed, match="not incident"):
         gr.PlanarEmbeddedGraph.from_edge_rotation(
             ["u", "v", "w"], [("u", "v"), ("v", "w")], {"u": [0, 1], "v": [0, 1], "w": [1]}
         )
 
 
 def test_unknown_edge_id_is_reported():
-    with pytest.raises(gr.Malformed, match="unknown edge"):
+    with pytest.raises(Malformed, match="unknown edge"):
         gr.PlanarEmbeddedGraph.from_edge_rotation(["u"], [], {"u": [3]})
 
 
 def test_duplicate_vertices_rejected():
-    with pytest.raises(gr.Malformed):
+    with pytest.raises(Malformed):
         gr.PlanarEmbeddedGraph(["u", "u"], [], {"u": []})
 
 
@@ -190,7 +191,7 @@ def test_dual_requires_connectivity():
         ["a", "b", "c", "d"], [("a", "b"), ("c", "d")],
         {"a": [0], "b": [0], "c": [1], "d": [1]},
     )
-    with pytest.raises(gr.Malformed, match="connected"):
+    with pytest.raises(Malformed, match="connected"):
         geometric_dual(g)
 
 
@@ -366,9 +367,9 @@ def test_components_label_by_first_node():
     empty = gr.Graph([], [])
     assert (empty.component_count(), empty.is_connected(), empty.cycle_rank()) == (0, True, 0)
     # a bad end is malformed, never a KeyError
-    with pytest.raises(gr.Malformed, match="^edge 0 uses an unknown vertex$"):
+    with pytest.raises(Malformed, match="^edge 0 uses an unknown vertex$"):
         gr.Graph(["a"], [("a", "z")])
-    with pytest.raises(gr.Malformed, match="^duplicate vertex ids$"):
+    with pytest.raises(Malformed, match="^duplicate vertex ids$"):
         gr.Graph(["a", "a"], [])
     assert gr.component_labels([[1], [0, 2], [1]], [(2, 1)]) == [0, 0, 2]
     assert gr.component_labels([]) == []
@@ -531,7 +532,7 @@ def test_lift_drops_incomplete_groups():
 
 def test_reduction_rejects_weights():
     mti = gr.MultiterminalInstance(graph=path3(), terminals=["a", "c"], weights={0: 2})
-    with pytest.raises(gr.Rejected, match="unweighted"):
+    with pytest.raises(Rejected, match="unweighted"):
         gr.reduce_pmc_to_subdivision(mti)
 
 
@@ -612,7 +613,7 @@ def test_instance_round_trips():
     (["a", "b"], {1: 0}, "edge 1 has non-positive weight"),
 ])
 def test_a_multiterminal_instance_checks_itself_at_construction(terminals, weights, why):
-    with pytest.raises(gr.Malformed, match=f"^{why}$"):
+    with pytest.raises(Malformed, match=f"^{why}$"):
         gr.MultiterminalInstance(graph=triangle(), terminals=terminals, weights=weights)
 
 
@@ -625,13 +626,13 @@ def test_a_multiterminal_instance_checks_itself_at_construction(terminals, weigh
     ({"p": 0, "q": 1}, [[0], [1, 2], []], "a group must hold at least one edge"),
 ])
 def test_a_subdivision_instance_checks_itself_at_construction(terminals, groups, why):
-    with pytest.raises(gr.Malformed, match=f"^{why}$"):
+    with pytest.raises(Malformed, match=f"^{why}$"):
         gr.SubdivisionInstance(graph=triangle(), terminals=terminals, groups=groups)
 
 
 def test_subdivision_instance_validation():
     g = triangle()
-    with pytest.raises(gr.Malformed, match="share a face"):
+    with pytest.raises(Malformed, match="share a face"):
         gr.SubdivisionInstance(graph=g, terminals={"p": 0, "q": 0}).validate()
-    with pytest.raises(gr.Malformed, match="unknown face"):
+    with pytest.raises(Malformed, match="unknown face"):
         gr.SubdivisionInstance(graph=g, terminals={"p": 9}).validate()

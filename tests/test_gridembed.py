@@ -162,6 +162,35 @@ def test_compaction_never_grows():
     assert cw * ch <= rw * rh
 
 
+def test_moved_vertex_valid_gives_the_verdict_of_the_whole_drawing_check(monkeypatch):
+    # every nudge compaction tries while seeded_planar_graphs seeds 1-6 embed
+    # ten graphs each; then every move of each vertex to each point of its
+    # drawing's box grown by one, in seeds 1-3 and in a path beside two
+    # isolated vertices, where no edge of the moved or the landed-on vertex
+    # would catch a vertex on an edge or two vertices on one point
+    incremental, verdicts = ge.moved_vertex_valid, []
+
+    def checked(g, coords, v):
+        verdicts.append(incremental(g, coords, v))
+        assert verdicts[-1] == ge.drawing_valid(g, coords), (g.to_dict(), coords, v)
+        return verdicts[-1]
+
+    monkeypatch.setattr(ge, "moved_vertex_valid", checked)
+    drawn = [(e.graph, e.coords) for seed in range(1, 7) for e in seeded_planar_graphs(seed, 10)]
+    assert verdicts.count(True) == 210 and verdicts.count(False) == 1114
+    path = gr.PlanarEmbeddedGraph.from_edge_rotation(
+        ["a", "b", "c", "y", "z"], [("a", "b"), ("b", "c")],
+        {"a": [0], "b": [0, 1], "c": [1], "y": [], "z": []})
+    for g, coords in drawn[:30] + [(path, {"a": (0, 0), "b": (2, 0), "c": (2, 2),
+                                           "y": (0, 2), "z": (1, 1)})]:
+        assert ge.drawing_valid(g, coords)
+        side = max(ge._spans(coords)) + 2
+        for v in g.vertices:
+            for xy in ((x, y) for x in range(-1, side) for y in range(-1, side)):
+                checked(g, {**coords, v: xy}, v)
+    assert verdicts.count(True) > 1100 and verdicts.count(False) > 5000
+
+
 def test_search_minimal_drawing_respects_budget(monkeypatch):
     monkeypatch.setattr(ge, "SEARCH_BUDGET", 1)
     assert ge.search_minimal_drawing(k4(), 4) is None

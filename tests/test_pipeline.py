@@ -1,6 +1,7 @@
 """File-level orchestration: exit codes, provenance records, round trips."""
 
 import gc
+import hashlib
 import json
 import os
 import random
@@ -16,16 +17,11 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from disklab import arrangements, gridembed, pipeline, solvers
 from disklab.__main__ import main as cli_main
 from disklab.arrangements import DiskInstance, TagRuns, unit_disk_graph
+from disklab.base import Malformed, Rejected
 from disklab.corpus import seeded_multiterminal_instances, seeded_planar_graphs
 from disklab.gadgets import BUNDLE_COPIES, MAX_WALL_DISKS, SynthesisError, build_udmc_instance
 from disklab.geometry import Disk, cli_check_params, cli_lemma_oracle
-from disklab.graphs import (
-    MultiterminalInstance,
-    Malformed,
-    PlanarEmbeddedGraph,
-    Rejected,
-    SubdivisionInstance,
-)
+from disklab.graphs import MultiterminalInstance, PlanarEmbeddedGraph, SubdivisionInstance
 from disklab.gridembed import grid_embed
 from disklab.pipeline import (
     ReductionRecord,
@@ -1858,6 +1854,23 @@ def test_write_json_matches_indented_json_dumps(tmp_path, obj):
     assert path.read_bytes() == want.encode("utf-8")
 
 
+def test_write_json_writes_a_record_as_json_dumps_does(tmp_path):
+    # a subdivision->isolation record's shape: id lists under edge and
+    # vertex keys, and beside them lists that open with an int but hold a
+    # bool, a float or a list, an empty list and bools
+    record = {
+        "edges": {"0": list(range(40, 80)), "1": [-3, 0, 2**70]},
+        "kind": "subdivision->isolation",
+        "notes": {"constraints_ok": True, "grid_size": 3, "flags": [1, True, 0, False],
+                  "floats": [1, 1.0], "nested": [0, [1, 2], [[3], []]], "none": []},
+        "terminals": {"p1": ["3/2", "7/3"]},
+        "vertices": {"v0": [0, 1, 2], "v1": [7], "v2": []},
+    }
+    write_json(record, tmp_path / "r.json")
+    want = json.dumps(record, sort_keys=True, indent=2) + "\n"
+    assert (tmp_path / "r.json").read_bytes() == want.encode("utf-8")
+
+
 plain_tag_components = st.one_of(st.sampled_from(["wall", "ring", 0, 1]), st.integers(), tricky_text)
 # bools and 1.0 beside the ints they equal: tags that compare equal but
 # encode apart
@@ -1948,14 +1961,14 @@ def test_instance_json_matches_to_dict(obj):
 
 
 # runs the command line on its arguments, then prints the disklab and
-# networkx modules loaded
+# networkx modules loaded, and dataclasses and inspect if loaded
 FRESH_CLI = ("import json, sys\n"
              "from disklab.__main__ import main\n"
              "code = main(sys.argv[1:])\n"
-             "print(json.dumps(sorted(m for m in sys.modules\n"
-             "                        if m.split('.')[0] in ('disklab', 'networkx'))))\n"
+             "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in\n"
+             "                        ('disklab', 'networkx', 'dataclasses', 'inspect'))))\n"
              "sys.exit(code)")
-REPORT_MODULES = ["disklab", "disklab.__main__", "disklab.geometry", "disklab.graphs"]
+REPORT_MODULES = ["disklab", "disklab.__main__", "disklab.base", "disklab.geometry"]
 
 
 @pytest.mark.parametrize("argv", [["check-params", "--n", "2"], ["lemma-oracle", "--n", "2"],
@@ -1963,8 +1976,9 @@ REPORT_MODULES = ["disklab", "disklab.__main__", "disklab.geometry", "disklab.gr
                                   ["verify", "isolation", "{iso}", "{tmp}/cert.json"]],
                          ids=["check-params", "lemma-oracle", "render", "verify"])
 def test_a_fresh_cli_process_loads_what_its_command_runs(toy_chain, tmp_path, argv):
-    # the reports import geometry alone; the file verbs import the pipeline,
-    # and no command networkx
+    # the reports import geometry and the leaf module alone, and neither
+    # dataclasses nor inspect; the file verbs import the pipeline, and no
+    # command networkx
     keep_all = list(range(len(read_json(toy_chain["iso"])["disks"])))
     write_json({"candidate": keep_all}, tmp_path / "cert.json")
     proc = run_python("-c", FRESH_CLI, *[a.format(iso=toy_chain["iso"], tmp=tmp_path) for a in argv],
@@ -1973,6 +1987,7 @@ def test_a_fresh_cli_process_loads_what_its_command_runs(toy_chain, tmp_path, ar
     loaded = json.loads(proc.stdout.splitlines()[-1])
     if argv[0] in ("check-params", "lemma-oracle"):
         assert loaded == REPORT_MODULES
+        assert not {"dataclasses", "inspect"} & set(loaded)
     else:
         assert "disklab.pipeline" in loaded and not any(m.startswith("networkx") for m in loaded)
 
@@ -2007,6 +2022,35 @@ def test_an_unknown_kind_or_problem_is_a_usage_error(capsys, argv):
     assert err[0].startswith(f"usage: disklab {argv[0]} ")
     assert err[-1].startswith(f"disklab {argv[0]}: error: argument {dest}: invalid choice: 'nope'")
     assert all(repr(name) in err[-1] for name in CHOICES[argv[0]]())
+
+
+# sha256 of each report's stdout, as computed before geometry's dataclasses
+# became named tuples
+REPORT_DIGESTS = {
+    ("check-params", 2, "sound"): "ef61b47d91550ded838f1fa29992a395ca49b1085f47d62b354951722206402c",
+    ("check-params", 2, "toy"): "0b3f1b7ba96f9fcb55ba7fa9a43aebe1cb89dab57d82426c8b7d8069fdc31484",
+    ("check-params", 3, "sound"): "124902758d24cd9d4327fbee20a62930a1817fb6041b33a8dd8626b833f4355e",
+    ("check-params", 3, "toy"): "04c04d426a48b469d860e6eafa79d3f7ba11912c5a9815f6ad7417638e2e8ed7",
+    ("check-params", 4, "sound"): "9c0a421b91166a8f04dceaf5b6cf39ab74267f540ccc993ca78b4b11c342cca6",
+    ("check-params", 4, "toy"): "7d4f08355070cadc742b88f1b46ef54d7bfa6a711f723e466a0cfcc66c743193",
+    ("check-params", 5, "sound"): "3a2bebf3d587c99f564ad5871fe5e292e81b8f384ea905c21fcd3dbc88e7fd6b",
+    ("check-params", 5, "toy"): "191e0674561f78eee578a3bf12932802089a6e8b831d879fc02471683328e44f",
+    ("lemma-oracle", 2, None): "43df05377282c5e5cf0387860d56c98537c268d206d2c24519fdc164d325fb01",
+    ("lemma-oracle", 3, None): "9e42c26214d2fa45a9312d4b9ee9c37075ccb77c3c62fff6353c4955317fa975",
+    ("lemma-oracle", 4, None): "810668c5e49dfc1c02857bb8c3701f218b89d3eff736b4646eb19d81f13bee4f",
+    ("lemma-oracle", 5, None): "0fe5e4fcd4d3a05fef8bbbc6e901d13b337ec95972bf0b3a43d440121e126fa3",
+    ("lemma-oracle", 6, None): "52e259de6febbbbecf9e3c9dfa3db0c87534871f7d7e84e793e0bbfd535efbd1",
+}
+
+
+@pytest.mark.parametrize("command, n, params", list(REPORT_DIGESTS),
+                         ids=lambda v: str(v) if v is not None else "-")
+def test_report_stdout_is_pinned(capsys, command, n, params):
+    # toy parameters fail the sizing constraints: exit 1, as before
+    argv = [command, "--n", str(n)] + (["--params", params] if params else [])
+    assert cli_main(argv) == (params == "toy")
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == REPORT_DIGESTS[command, n, params]
 
 
 @pytest.mark.parametrize("argv", [["check-params", "--n", "2"], ["lemma-oracle", "--n", "3"],

@@ -38,16 +38,14 @@ from disklab.arrangements import (
     verify_isolation,
     verify_multiterminal_cut,
 )
+from disklab.base import Malformed, Meter, Refused
 from disklab.corpus import seeded_multiterminal_instances
 from disklab.gadgets import SynthesisError, build_acc_instance, build_udmc_instance
 from disklab.geometry import Disk
 from disklab.graphs import (
     Graph,
-    Malformed,
-    Meter,
     MultiterminalInstance,
     PlanarEmbeddedGraph,
-    Refused,
     SubdivisionInstance,
     edge_disjoint_paths,
     reduce_pmc_to_subdivision,
