@@ -7,15 +7,20 @@ the combinatorial one.  All drawing validity checks run in exact integer
 arithmetic on the grid coordinates (face location takes rational query
 points); floats appear only inside networkx's coordinate assignment, whose
 integer output is then re-verified from scratch.
+
+One set of clauses, keyed by the vertices that moved, decides validity:
+for :func:`check_drawing` every vertex moved, and for each move of
+:func:`compact_drawing` the ones it moved, exact as the drawing was valid
+before.  Each rotation is tested in one pass round it, with no sort.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .base import Dart, Malformed, Vertex, json_by_vertex, json_coords, json_ints, json_key
+from .base import Malformed, Vertex, json_by_vertex, json_coords, json_ints, json_key
 from .geometry import (
     Point,
     point_on_segment,
@@ -29,7 +34,7 @@ Coords = Dict[Vertex, Tuple[int, int]]
 
 class DrawingError(Malformed):
     """A straight-line drawing violates planarity or the rotation system: the
-    one :class:`Malformed` that :func:`drawing_valid` and marked points catch."""
+    one :class:`Malformed` that marked points catch."""
 
 
 # ---------------------------------------------------------------------------
@@ -54,51 +59,20 @@ def _cw_angle_cmp(u: Tuple[int, int], v: Tuple[int, int]) -> int:
     return -1 if cross < 0 else 1
 
 
-def _drawn_rotation(g: PlanarEmbeddedGraph, coords: Coords, v: Vertex) -> List[Dart]:
-    """Clockwise dart order around ``v`` as drawn.
+def _rotation_holds(g: PlanarEmbeddedGraph, pts: Coords, v: Vertex) -> bool:
+    """Whether the darts at ``v`` leave it in distinct directions, drawn
+    clockwise in the order of ``rot[v]``, in one pass round the rotation.
 
-    Raises :class:`DrawingError` when two darts at ``v`` point the same way
-    (the cyclic order would be ambiguous).
-    """
-    vecs: List[Tuple[Tuple[int, int], Dart]] = []
-    vx, vy = coords[v]
-    for d in g.rot[v]:
-        w = g.dart_head(d)
-        wx, wy = coords[w]
-        vec = (wx - vx, wy - vy)
-        if vec == (0, 0):
-            raise DrawingError(f"edge {d[0]} has zero length at {v!r}")
-        vecs.append((vec, d))
-    vecs.sort(key=functools.cmp_to_key(lambda a, b: _cw_angle_cmp(a[0], b[0])))
-    for (u, du), (w, dw) in zip(vecs, vecs[1:]):
-        if _cw_angle_cmp(u, w) == 0:
-            raise DrawingError(
-                f"darts {du} and {dw} leave {v!r} in the same direction"
-            )
-    return [d for _, d in vecs]
-
-
-def induced_rotation(g: PlanarEmbeddedGraph, coords: Coords) -> Dict[Vertex, List[Dart]]:
-    """Clockwise dart order around each vertex as drawn (:func:`_drawn_rotation`)."""
-    return {v: _drawn_rotation(g, coords, v) for v in g.vertices}
-
-
-def cyclic_equal(a: Sequence, b: Sequence) -> bool:
-    if len(a) != len(b):
+    Under the total order :func:`_cw_angle_cmp`, a cyclic sequence of two
+    or more distinct directions is a clockwise rotation exactly when every
+    step turns clockwise (-1) but one, the wrap (+1); a step of 0 is two
+    darts in one direction."""
+    vx, vy = pts[v]
+    vecs = [(pts[w][0] - vx, pts[w][1] - vy) for w in map(g.dart_head, g.rot[v])]
+    if (0, 0) in vecs:
         return False
-    if not a:
-        return True
-    try:
-        k = list(b).index(a[0])
-    except ValueError:
-        return False
-    n = len(a)
-    return all(a[i] == b[(k + i) % n] for i in range(n))
-
-
-def rotation_equivalent(g: PlanarEmbeddedGraph, coords: Coords) -> bool:
-    drawn = induced_rotation(g, coords)
-    return all(cyclic_equal(list(g.rot[v]), drawn[v]) for v in g.vertices)
+    turns = [_cw_angle_cmp(a, b) for a, b in zip(vecs, vecs[1:] + vecs[:1])]
+    return len(vecs) < 2 or (0 not in turns and turns.count(1) == 1)
 
 
 def _segments_conflict(a: Point, b: Point, c: Point, d: Point) -> bool:
@@ -129,6 +103,39 @@ def require_simple(g: Graph) -> None:
         raise DrawingError("straight-line drawings require a simple graph")
 
 
+def _fault(g: PlanarEmbeddedGraph, pts: Coords, moved: Iterable[Vertex]) -> Optional[str]:
+    """The message of the first failing clause of :func:`check_drawing`,
+    past its input checks, that involves a vertex in ``moved``, or None: no
+    two vertices share a point, no segment pair with a moved end conflicts,
+    no vertex lies on an edge where either moved, and the rotation holds at
+    each moved vertex and its neighbours.  With every vertex moved this is
+    the whole check; with fewer, it is the whole check's verdict on a
+    drawing that was valid before: the other clauses read unmoved points."""
+    moved = set(moved)
+    if len(set(pts.values())) != len(pts):
+        return "two vertices share a grid point"
+    segs = [(pts[u], pts[v]) for u, v in g.edges]
+    hot = [u in moved or v in moved for u, v in g.edges]
+    for i, (a, b) in enumerate(segs):
+        if hot[i]:
+            for j, (c, d) in enumerate(segs):
+                if (j > i or not hot[j]) and _segments_conflict(a, b, c, d):
+                    if a in (c, d) or b in (c, d):
+                        return f"edges {i} and {j} overlap beyond their shared vertex"
+                    return f"edges {i} and {j} intersect"
+    # a vertex with an edge lies on a foreign edge only where the two edges
+    # conflict, which the segment pairs caught: edgeless vertices remain
+    for w, p in pts.items():
+        if not g.rot[w]:
+            for e, (a, b) in enumerate(segs):
+                if (hot[e] or w in moved) and point_on_segment(p, a, b):
+                    return f"vertex {w!r} lies on edge {e}"
+    near = moved.union(*(map(g.dart_head, g.rot[v]) for v in moved))
+    if not all(_rotation_holds(g, pts, v) for v in near):
+        return "drawn rotation differs from the prescribed one"
+    return None
+
+
 def check_drawing(g: PlanarEmbeddedGraph, coords: Coords) -> None:
     """Exact validity: integer coordinates, distinct vertices, no segment
     contacts except at shared endpoints, no vertex on a foreign edge, and the
@@ -141,58 +148,14 @@ def check_drawing(g: PlanarEmbeddedGraph, coords: Coords) -> None:
         if len(xy) != 2 or not all(isinstance(c, int) for c in xy):
             raise DrawingError(f"vertex {v!r} has non-integer coordinates {xy!r}")
         pts[v] = (xy[0], xy[1])
-    if len(set(pts.values())) != len(pts):
-        raise DrawingError("two vertices share a grid point")
-
-    segs = [(pts[u], pts[v]) for u, v in g.edges]
-    for i in range(len(segs)):
-        a, b = segs[i]
-        for j in range(i + 1, len(segs)):
-            c, d = segs[j]
-            if _segments_conflict(a, b, c, d):
-                if a in (c, d) or b in (c, d):
-                    raise DrawingError(f"edges {i} and {j} overlap beyond their shared vertex")
-                raise DrawingError(f"edges {i} and {j} intersect")
-    for w, p in pts.items():
-        for eid, (u, v) in enumerate(g.edges):
-            if w not in (u, v) and point_on_segment(p, pts[u], pts[v]):
-                raise DrawingError(f"vertex {w!r} lies on edge {eid}")
-    if not rotation_equivalent(g, coords):
-        raise DrawingError("drawn rotation differs from the prescribed one")
+    if (fault := _fault(g, pts, g.vertices)) is not None:
+        raise DrawingError(fault)
 
 
-def drawing_valid(g: PlanarEmbeddedGraph, coords: Coords) -> bool:
-    try:
-        check_drawing(g, coords)
-        return True
-    except DrawingError:
-        return False
-
-
-def moved_vertex_valid(g: PlanarEmbeddedGraph, coords: Coords, v: Vertex) -> bool:
-    """:func:`drawing_valid` of a drawing that was valid before its vertex
-    ``v`` alone moved, by the clauses of :func:`check_drawing` that involve
-    ``v``: its point is free, its edges meet no edge and pass through no
-    vertex, its point is on no other edge, and the drawn rotation at ``v``
-    and at each neighbour is the prescribed one."""
-    p = coords[v]
-    if any(xy == p and w != v for w, xy in coords.items()):
-        return False
-    segs = [(coords[a], coords[b]) for a, b in g.edges]
-    own = {e for e, _ in g.rot[v]}
-    for e in own:
-        a, b = segs[e]
-        if any(f != e and _segments_conflict(a, b, c, d) for f, (c, d) in enumerate(segs)):
-            return False
-        if any(w not in g.edges[e] and point_on_segment(xy, a, b) for w, xy in coords.items()):
-            return False
-    if any(f not in own and point_on_segment(p, a, b) for f, (a, b) in enumerate(segs)):
-        return False
-    try:
-        return all(cyclic_equal(list(g.rot[u]), _drawn_rotation(g, coords, u))
-                   for u in [v, *map(g.dart_head, g.rot[v])])
-    except DrawingError:
-        return False
+def _move_valid(g: PlanarEmbeddedGraph, cur: Coords, cand: Coords) -> bool:
+    """Whether ``cand``, the valid drawing ``cur`` with some vertices moved,
+    is valid, by :func:`_fault` on the vertices that moved."""
+    return _fault(g, cand, [v for v, xy in cur.items() if cand[v] != xy]) is None
 
 
 # ---------------------------------------------------------------------------
@@ -308,34 +271,28 @@ def draw_with_networkx(g: PlanarEmbeddedGraph) -> Coords:
 
 def compact_drawing(g: PlanarEmbeddedGraph, coords: Coords) -> Coords:
     """Shrink a valid drawing by deleting empty grid rows/columns and nudging
-    vertices toward the origin, keeping only moves that re-verify exactly
-    (a nudge by :func:`moved_vertex_valid`); at most eight moves."""
+    vertices toward the origin; at most eight moves.  A move is kept when
+    the clauses of :func:`check_drawing` that involve the vertices it moved
+    hold (:func:`_move_valid`), which is exact because the drawing was
+    valid before the move."""
     best = _normalize(dict(coords))
+
+    def remap(cur: Coords, axis: int, f) -> Coords:
+        return {v: (f(x), y) if axis == 0 else (x, f(y)) for v, (x, y) in cur.items()}
 
     def try_axis_compression(cur: Coords) -> Optional[Coords]:
         for axis in (0, 1):
             used = sorted({xy[axis] for xy in cur.values()})
-            rank = {c: i for i, c in enumerate(used)}
-            if rank and used[-1] + 1 > len(used):
-                cand = {
-                    v: ((rank[xy[0]], xy[1]) if axis == 0 else (xy[0], rank[xy[1]]))
-                    for v, xy in cur.items()
-                }
-                if cand != cur and drawing_valid(g, cand):
+            if used[-1] >= len(used):
+                cand = remap(cur, axis, {c: i for i, c in enumerate(used)}.__getitem__)
+                if _move_valid(g, cur, cand):
                     return cand
-                # all-at-once failed: drop empty lines one at a time
-                for gap in range(len(used)):
-                    if used[gap] != gap:
-                        shift = used[gap] - gap
-                        c2 = {
-                            v: ((xy[0] - shift, xy[1]) if axis == 0 and xy[0] >= used[gap]
-                                else (xy[0], xy[1] - shift) if axis == 1 and xy[1] >= used[gap]
-                                else xy)
-                            for v, xy in cur.items()
-                        }
-                        if drawing_valid(g, c2):
-                            return c2
-                        break
+                # all-at-once failed: drop the first run of empty lines alone
+                gap = next(i for i, c in enumerate(used) if c != i)
+                top, shift = used[gap], used[gap] - gap
+                cand = remap(cur, axis, lambda c: c - shift if c >= top else c)
+                if _move_valid(g, cur, cand):
+                    return cand
         return None
 
     def try_nudges(cur: Coords) -> Optional[Coords]:
@@ -344,12 +301,10 @@ def compact_drawing(g: PlanarEmbeddedGraph, coords: Coords) -> Coords:
         for v in order:
             x, y = cur[v]
             for dx, dy in ((-1, -1), (-1, 0), (0, -1)):
-                nxy = (x + dx, y + dy)
-                if nxy[0] < 0 or nxy[1] < 0:
+                if x + dx < 0 or y + dy < 0:
                     continue
-                cand = dict(cur)
-                cand[v] = nxy
-                if moved_vertex_valid(g, cand, v):
+                cand = {**cur, v: (x + dx, y + dy)}
+                if _move_valid(g, cur, cand):
                     nw, nh = _spans(cand)
                     if (max(nw, nh), nw * nh) <= (max(w, h), w * h):
                         return _normalize(cand)
@@ -456,7 +411,7 @@ def search_minimal_drawing(g: PlanarEmbeddedGraph, max_size: int) -> Optional[Co
             return None
         if i == n:
             cand = {v: box.points[c] for v, c in zip(verts, pos)}
-            return _normalize(cand) if rotation_equivalent(g, cand) else None
+            return _normalize(cand) if all(_rotation_holds(g, cand, v) for v in verts) else None
         blocked = occupied | covered
         seg_cells, conflicts, orbit_min = box.seg_cells, box.conflicts, box.orbit_min
         # spent[c]: the candidates tried below cell c, while the quarter

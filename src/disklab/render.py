@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import repeat
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from .arrangements import DiskInstance
 from .base import Malformed
@@ -24,6 +24,9 @@ _PALETTE = [
 
 _CANVAS = 1000.0
 
+# the most guide lines a drawing's axis gets: past it their pitch doubles
+MAX_GUIDE_LINES = 4096
+
 
 def _fmts(values: Iterable[float]) -> List[str]:
     """Each value to three decimals, trailing zeros and point dropped, and
@@ -34,6 +37,14 @@ def _fmts(values: Iterable[float]) -> List[str]:
 
 def _fmt(x: float) -> str:
     return _fmts((x,))[0]
+
+
+def _float(v) -> float:
+    """float() of an exact value, or :class:`Malformed` naming it."""
+    try:
+        return float(v)
+    except OverflowError:
+        raise Malformed(f"{v} is beyond the float range") from None
 
 
 class _Frame:
@@ -127,10 +138,7 @@ def svg_for_instance(instance: DiskInstance, guides: bool = False) -> str:
     except OverflowError:
         for v in (instance.radius, *(Fraction(n, sc.den) for n in sc.xs + sc.ys),
                   *(c for pt in instance.points.values() for c in pt)):
-            try:
-                float(v)
-            except OverflowError:
-                raise Malformed(f"{v} is beyond the float range") from None
+            _float(v)
         raise
     # rounding is monotone, so the extremes of x ± r over all disks are
     # those of min(x) ± r and max(x) ± r
@@ -185,24 +193,29 @@ def svg_for_instance(instance: DiskInstance, guides: bool = False) -> str:
 
 
 def svg_for_embedding(emb: GridEmbedding) -> str:
-    """Render a straight-line grid drawing with unit guide lines and vertex
-    labels."""
-    coords = emb.coords
-    xs = [float(x) for x, _ in coords.values()] or [0.0]
-    ys = [float(y) for _, y in coords.values()] or [0.0]
+    """Render a straight-line grid drawing with guide lines and vertex
+    labels.  The guides are a unit apart, or the least power of two apart
+    that gives no axis more than ``MAX_GUIDE_LINES`` of them.  Raises
+    :class:`Malformed` when a coordinate is beyond the float range."""
+    pts = {v: (_float(x), _float(y)) for v, (x, y) in emb.coords.items()}
+    xs = [x for x, _ in pts.values()] or [0.0]
+    ys = [y for _, y in pts.values()] or [0.0]
     frame = _Frame(min(xs), min(ys), max(xs), max(ys))
     out: List[str] = []
     _open_svg(frame, out)
-    _grid_lines(frame, min(xs), min(ys), max(xs), max(ys), 1.0, out)
+    pitch = 1.0
+    while max(max(xs) - min(xs), max(ys) - min(ys)) >= MAX_GUIDE_LINES * pitch:
+        pitch *= 2
+    _grid_lines(frame, min(xs), min(ys), max(xs), max(ys), pitch, out)
     out.append('<g stroke="#4477aa" stroke-width="3">')
     for (u, v) in emb.graph.edges:
-        ax, ay = frame.pt(*[float(c) for c in coords[u]])
-        bx, by = frame.pt(*[float(c) for c in coords[v]])
+        ax, ay = frame.pt(*pts[u])
+        bx, by = frame.pt(*pts[v])
         out.append(f'<line x1="{_fmt(ax)}" y1="{_fmt(ay)}" x2="{_fmt(bx)}" y2="{_fmt(by)}"/>')
     out.append("</g>")
     out.append('<g font-size="18" text-anchor="middle">')
     for v in emb.graph.vertices:
-        cx, cy = frame.pt(*[float(c) for c in coords[v]])
+        cx, cy = frame.pt(*pts[v])
         out.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="6" fill="#222222"/>')
         out.append(f'<text x="{_fmt(cx)}" y="{_fmt(cy - 12)}" fill="#222222">{v}</text>')
     out.append("</g>")

@@ -16,8 +16,6 @@ import random
 import numpy as np
 from scipy import ndimage
 
-from disklab.geometry import Disk
-
 from oracles import _sign_a_plus_b_sqrt_q, dist_sq
 
 FOUR_CONN = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])

@@ -20,6 +20,11 @@
 * The terminal-pair cut's witness by a filter over the eager list of every
   intersection edge, which the read of the sink side's adjacency lists in
   :func:`disklab.solvers.min_terminal_pair_cut` replaced.
+* The drawn rotation by sorting: each vertex's darts sorted by
+  ``cmp_to_key`` of their clockwise angle, then compared cyclically with
+  the prescribed rotation, which the one pass round each rotation of
+  :func:`disklab.gridembed._rotation_holds` replaced; both must decide
+  every vertex alike.
 * The minimal-grid drawing search with its per-candidate ``feasible``
   loops over every edge and vertex, which the bit-mask tables of
   :func:`disklab.gridembed.search_minimal_drawing` replaced; it also counts
@@ -59,13 +64,14 @@
   equal.
 """
 
+import functools
 import math
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, Hashable, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Dict, Hashable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import networkx as nx
 from networkx.algorithms.flow import edmonds_karp
@@ -419,13 +425,54 @@ def assert_cuts_match_networkx(inst: ar.DiskInstance) -> None:
     assert min_terminal_pair_cut(pair) == nx_terminal_pair_cut(pair)
 
 
+def drawn_rotation(g: PlanarEmbeddedGraph, coords: ge.Coords, v: Vertex) -> List[Dart]:
+    """Clockwise dart order around ``v`` as drawn, by sorting.
+
+    Raises :class:`DrawingError` when a dart has zero length or two darts at
+    ``v`` point the same way (the cyclic order would be ambiguous).
+    """
+    vecs: List[Tuple[Tuple[int, int], Dart]] = []
+    vx, vy = coords[v]
+    for d in g.rot[v]:
+        wx, wy = coords[g.dart_head(d)]
+        vec = (wx - vx, wy - vy)
+        if vec == (0, 0):
+            raise ge.DrawingError(f"edge {d[0]} has zero length at {v!r}")
+        vecs.append((vec, d))
+    vecs.sort(key=functools.cmp_to_key(lambda a, b: ge._cw_angle_cmp(a[0], b[0])))
+    for (u, du), (w, dw) in zip(vecs, vecs[1:]):
+        if ge._cw_angle_cmp(u, w) == 0:
+            raise ge.DrawingError(f"darts {du} and {dw} leave {v!r} in the same direction")
+    return [d for _, d in vecs]
+
+
+def cyclic_equal(a: Sequence, b: Sequence) -> bool:
+    if len(a) != len(b):
+        return False
+    if not a:
+        return True
+    try:
+        k = list(b).index(a[0])
+    except ValueError:
+        return False
+    n = len(a)
+    return all(a[i] == b[(k + i) % n] for i in range(n))
+
+
+def rotation_equivalent(g: PlanarEmbeddedGraph, coords: ge.Coords) -> bool:
+    """Whether every vertex's darts, sorted as drawn, are its rotation."""
+    return all(cyclic_equal(list(g.rot[v]), drawn_rotation(g, coords, v)) for v in g.vertices)
+
+
 def reference_search_minimal_drawing(
     g: PlanarEmbeddedGraph,
     max_size: int = 4,
     node_budget: int = 300_000,
 ) -> Tuple[Optional[ge.Coords], int]:
     """The minimal-grid search with ``feasible`` checking each candidate
-    cell against every placed edge and vertex.  Returns the drawing (or
+    cell against every placed edge and vertex, and a complete placement
+    accepted when its sorted drawn rotation is the prescribed one
+    (:func:`rotation_equivalent`).  Returns the drawing (or
     None) and the number of candidate cells the level that found it tried
     (0 for None): that level succeeds under any ``node_budget`` above the
     count and runs out under any budget at or below it."""
@@ -483,7 +530,7 @@ def reference_search_minimal_drawing(
             return None
         if i == n:
             cand = dict(placed)
-            if ge.drawing_valid(g, cand):
+            if rotation_equivalent(g, cand):
                 return ge._normalize(cand)
             return None
         v = verts[i]

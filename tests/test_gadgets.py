@@ -27,7 +27,6 @@ from disklab.arrangements import (
 )
 from disklab.gadgets import (
     BUNDLE_COPIES,
-    ContactReport,
     Snapper,
     StructureSpec,
     SynthesisError,

@@ -16,7 +16,14 @@ from disklab import gridembed as ge
 from disklab.corpus import random_planar_edges, rotation_graph, seeded_planar_graphs
 from disklab.geometry import point_on_segment
 
-from oracles import geometric_dual, reference_search_minimal_drawing, subdivide_all_edges
+from oracles import (
+    cyclic_equal,
+    drawn_rotation,
+    geometric_dual,
+    reference_search_minimal_drawing,
+    rotation_equivalent,
+    subdivide_all_edges,
+)
 
 
 def triangle():
@@ -50,7 +57,6 @@ def test_mirrored_drawing_fails_rotation_check():
     mirrored = {v: (x, -y) for v, (x, y) in K4_COORDS.items()}
     with pytest.raises(ge.DrawingError, match="rotation"):
         ge.check_drawing(k4(), mirrored)
-    assert not ge.rotation_equivalent(k4(), mirrored)
 
 
 def test_coincident_vertices_rejected():
@@ -93,16 +99,18 @@ def test_rotation_check_needs_distinct_directions():
     g = gr.PlanarEmbeddedGraph.from_edge_rotation(
         ["a", "b", "c"], [("a", "b"), ("a", "c")], {"a": [0, 1], "b": [0], "c": [1]}
     )
+    coords = {"a": (0, 0), "b": (1, 0), "c": (2, 0)}
+    assert not ge._rotation_holds(g, coords, "a")
     with pytest.raises(ge.DrawingError, match="same direction"):
-        ge.induced_rotation(g, {"a": (0, 0), "b": (1, 0), "c": (2, 0)})
+        drawn_rotation(g, coords, "a")
 
 
 def test_cyclic_equal():
-    assert ge.cyclic_equal([1, 2, 3], [2, 3, 1])
-    assert ge.cyclic_equal([], [])
-    assert not ge.cyclic_equal([1, 2, 3], [1, 3, 2])
-    assert not ge.cyclic_equal([1, 2], [1, 2, 3])
-    assert not ge.cyclic_equal([1, 2], [3, 4])
+    assert cyclic_equal([1, 2, 3], [2, 3, 1])
+    assert cyclic_equal([], [])
+    assert not cyclic_equal([1, 2, 3], [1, 3, 2])
+    assert not cyclic_equal([1, 2], [1, 2, 3])
+    assert not cyclic_equal([1, 2], [3, 4])
 
 
 # ---------------------------------------------------------------------------
@@ -162,32 +170,33 @@ def test_compaction_never_grows():
     assert cw * ch <= rw * rh
 
 
-def test_moved_vertex_valid_gives_the_verdict_of_the_whole_drawing_check(monkeypatch):
-    # every nudge compaction tries while seeded_planar_graphs seeds 1-6 embed
-    # ten graphs each; then every move of each vertex to each point of its
-    # drawing's box grown by one, in seeds 1-3 and in a path beside two
-    # isolated vertices, where no edge of the moved or the landed-on vertex
-    # would catch a vertex on an edge or two vertices on one point
-    incremental, verdicts = ge.moved_vertex_valid, []
+def test_moved_set_verdicts_equal_the_whole_drawing_check(monkeypatch):
+    # every move compaction tries, nudges and axis compressions, while
+    # seeded_planar_graphs seeds 1-6 embed ten graphs each; then every move
+    # of each vertex to each point of its drawing's box grown by one, in
+    # seeds 1-3 and in a path beside two isolated vertices, where no edge of
+    # the moved or the landed-on vertex would catch a vertex on an edge or
+    # two vertices on one point
+    move_valid, verdicts = ge._move_valid, []
 
-    def checked(g, coords, v):
-        verdicts.append(incremental(g, coords, v))
-        assert verdicts[-1] == ge.drawing_valid(g, coords), (g.to_dict(), coords, v)
+    def checked(g, cur, cand):
+        verdicts.append(move_valid(g, cur, cand))
+        assert verdicts[-1] == (drawing_outcome(ge.check_drawing, g, cand) is None), (g, cand)
         return verdicts[-1]
 
-    monkeypatch.setattr(ge, "moved_vertex_valid", checked)
+    monkeypatch.setattr(ge, "_move_valid", checked)
     drawn = [(e.graph, e.coords) for seed in range(1, 7) for e in seeded_planar_graphs(seed, 10)]
-    assert verdicts.count(True) == 210 and verdicts.count(False) == 1114
+    assert verdicts.count(True) == 329 and verdicts.count(False) == 1318
     path = gr.PlanarEmbeddedGraph.from_edge_rotation(
         ["a", "b", "c", "y", "z"], [("a", "b"), ("b", "c")],
         {"a": [0], "b": [0, 1], "c": [1], "y": [], "z": []})
     for g, coords in drawn[:30] + [(path, {"a": (0, 0), "b": (2, 0), "c": (2, 2),
                                            "y": (0, 2), "z": (1, 1)})]:
-        assert ge.drawing_valid(g, coords)
+        assert drawing_outcome(ge.check_drawing, g, coords) is None
         side = max(ge._spans(coords)) + 2
         for v in g.vertices:
             for xy in ((x, y) for x in range(-1, side) for y in range(-1, side)):
-                checked(g, {**coords, v: xy}, v)
+                checked(g, coords, {**coords, v: xy})
     assert verdicts.count(True) > 1100 and verdicts.count(False) > 5000
 
 
@@ -494,7 +503,7 @@ def fraction_check_drawing(g, coords):
         for eid, (u, v) in enumerate(g.edges):
             if w not in (u, v) and point_on_segment(p, pts[u], pts[v]):
                 raise ge.DrawingError(f"vertex {w!r} lies on edge {eid}")
-    if not ge.rotation_equivalent(g, coords):
+    if not rotation_equivalent(g, coords):
         raise ge.DrawingError("drawn rotation differs from the prescribed one")
 
 
@@ -506,15 +515,16 @@ def drawing_outcome(check, g, coords):
         return str(exc)
 
 
-def lattice_case(coords, edges, drawn_rotation=True):
+def lattice_case(coords, edges, induced=True):
     """The graph of ``edges`` with the rotation its drawing induces, or the
-    edges' id order where the drawing has none (or when asked to)."""
+    edges' id order where the drawing has none (or when ``induced`` is
+    False)."""
     n = len(coords)
     g = gr.PlanarEmbeddedGraph.from_edge_rotation(
         list(range(n)), edges, {v: [e for e, uv in enumerate(edges) if v in uv] for v in range(n)})
-    if drawn_rotation:
+    if induced:
         try:
-            drawn = ge.induced_rotation(g, coords)
+            drawn = {v: drawn_rotation(g, coords, v) for v in range(n)}
         except ge.DrawingError:
             return g, coords
         g = gr.PlanarEmbeddedGraph.from_edge_rotation(
@@ -549,6 +559,22 @@ def test_check_drawing_matches_fraction_oracle(case):
         p = point_in_face(g, coords, f)
         assert all(type(c) is Fraction for c in p)
         assert ge.locate_face(g, coords, p) == f
+
+
+@given(lattice_drawings())
+@example(lattice_case({0: (0, 0), 1: (1, 0)}, [(0, 1)]))  # one dart
+@example(lattice_case({0: (1, 0), 1: (0, 0), 2: (2, 0)}, [(0, 1), (0, 2)]))  # opposite darts
+@example(lattice_case({0: (0, 0), 1: (1, 0), 2: (2, 0)}, [(0, 1), (0, 2)]))  # one direction
+@example((k4(), {v: (x, -y) for v, (x, y) in K4_COORDS.items()}))  # mirrored K4
+@settings(max_examples=400, deadline=None)
+def test_one_pass_rotation_test_matches_sorting_reference(case):
+    g, coords = case
+    for v in g.vertices:
+        try:
+            want = cyclic_equal(list(g.rot[v]), drawn_rotation(g, coords, v))
+        except ge.DrawingError:
+            want = False
+        assert ge._rotation_holds(g, coords, v) == want, v
 
 
 def test_drawing_does_not_depend_on_the_hash_seed():

@@ -1087,6 +1087,23 @@ def test_render_refuses_a_frame_beyond_the_float_range(tmp_path):
     assert not (tmp_path / "wide.svg").exists()
 
 
+@pytest.mark.parametrize("x,code", [(10**400, 2), (10**300, 0)])
+def test_render_of_a_far_flung_drawing_ends_in_time(tmp_path, x, code):
+    # a coordinate of 10^400 once escaped as an OverflowError traceback,
+    # exit 3; a span of 10^300 once drew one guide line per unit and never
+    # finished
+    path, svg = tmp_path / "far.json", tmp_path / "far.svg"
+    write_json({"graph": {"vertices": ["a", "b"], "edges": [["a", "b"]],
+                          "rotation": {"a": [0], "b": [0]}},
+                "coords": {"a": [0, 0], "b": [x, 0]}, "grid_size": x}, path)
+    run = run_python("-m", "disklab", "render", str(path), "--out", str(svg), timeout=10)
+    assert run.returncode == code, run.stderr
+    assert "Traceback" not in run.stderr
+    if code == 2:
+        assert f"malformed: {x} is beyond the float range" in run.stderr
+        assert not svg.exists()
+
+
 @pytest.mark.parametrize("centre", [["0/1"], "12", ["0/1", "0/1", "7/1"]])
 @pytest.mark.parametrize("verb", ["verify", "render"])
 def test_a_disk_centre_that_is_not_two_coordinates_is_malformed(tmp_path, verb, centre):

@@ -10,10 +10,10 @@ from hypothesis import given, settings, strategies as st
 from disklab.arrangements import DiskInstance
 from disklab.geometry import Disk
 from disklab.graphs import PlanarEmbeddedGraph
-from disklab.gridembed import grid_embed
+from disklab.gridembed import GridEmbedding, grid_embed
 from disklab.render import (
-    _PALETTE, _Frame, _fmt, _grid_lines, _guide_pitch, _open_svg, svg_for_embedding,
-    svg_for_instance,
+    MAX_GUIDE_LINES, _PALETTE, _Frame, _fmt, _grid_lines, _guide_pitch, _open_svg,
+    svg_for_embedding, svg_for_instance,
 )
 
 from instances import build_weighted_edge_instance, disk_instance
@@ -57,6 +57,18 @@ def test_embedding_golden():
         [0, 1, 2], [(0, 1), (1, 2), (2, 0)], {0: [0, 2], 1: [1, 0], 2: [2, 1]})
     assert svg_for_embedding(grid_embed(tri)) == (
         GOLDEN / "triangle_embedding.svg").read_text()
+
+
+@pytest.mark.parametrize("span,pitch", [(MAX_GUIDE_LINES - 1, 1), (MAX_GUIDE_LINES, 2)])
+def test_embedding_guides_stay_within_the_line_bound(span, pitch):
+    # the widest span drawn with unit guides, then the narrowest whose
+    # guides are two apart
+    edge = PlanarEmbeddedGraph.from_edge_rotation(["a", "b"], [("a", "b")], {"a": [0], "b": [0]})
+    svg = svg_for_embedding(GridEmbedding(edge, {"a": (0, 0), "b": (span, span)}, span))
+    want: List[str] = []
+    _grid_lines(_Frame(0, 0, span, span), 0, 0, span, span, pitch, want)
+    assert "\n".join(want) in svg
+    assert len(want) - 2 == 2 * (span // pitch + 1) <= 2 * MAX_GUIDE_LINES
 
 
 def test_rebuild_is_byte_identical():
