@@ -1,12 +1,13 @@
 """Exact-arithmetic toolkit for unit-disk separation reductions.
 
-Subpackages cover the exit-code exceptions, work meter and JSON input
-checks every layer shares (:mod:`base`), parameter schedules and grid
-oracles (:mod:`geometry`), rotation-system graphs and duals (:mod:`graphs`),
-straight-line grid drawing (:mod:`gridembed`), disk/segment arrangements and
-certificate verification (:mod:`arrangements`), instance synthesis
-(:mod:`gadgets`), brute-force reference solvers (:mod:`solvers`), and the
-command-line pipeline (:mod:`pipeline`).
+Its modules cover the exit-code exceptions, work meter, verdict type and
+JSON input checks every layer shares (:mod:`base`), parameter schedules and
+grid oracles (:mod:`geometry`), rotation-system graphs and duals
+(:mod:`graphs`), straight-line grid drawing (:mod:`gridembed`), disk/segment
+arrangements and certificate verification (:mod:`arrangements`), instance
+synthesis (:mod:`gadgets`), brute-force reference solvers (:mod:`solvers`),
+seeded random corpora (:mod:`corpus`), SVG rendering (:mod:`render`), and
+the command-line pipeline (:mod:`pipeline`).
 """
 
 __all__ = [

@@ -11,10 +11,12 @@ Usage:
     python -m disklab lemma-oracle --n 3
 
 ``reduce`` and ``check-params`` take ``--params sound|toy`` and the
-rational overrides ``--r``, ``--h``, ``--s`` and ``--a``.  No verb has a
-work option: a meter refuses past either of two allowances, the
-``EDGES_PER_DISK * n + EDGE_SLACK`` edges of an n-disk intersection graph
-(``disklab.arrangements``) and the ``SEARCH_ALLOWANCE`` units of a search.
+rational overrides ``--r``, ``--h``, ``--s`` and ``--a``; a reduction
+refuses one it does not read.  No verb has a work option: a meter refuses
+past any of three allowances, the ``EDGES_PER_DISK * n + EDGE_SLACK`` edges
+of an n-disk intersection graph (``disklab.arrangements``), the
+``SEARCH_ALLOWANCE`` units of a search and the ``CHECK_PAIRS`` pairs of a
+drawing check (``disklab.gridembed``).
 
 Exit codes: 0 accepted/succeeded, 1 rejected/refused (an instance with no
 solution included), 2 malformed input, 3 a failure not of the input (an

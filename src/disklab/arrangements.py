@@ -34,7 +34,8 @@ from functools import cached_property
 from itertools import chain, count, islice
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .base import Malformed, Meter, json_int_list, json_ints, json_key, json_list, json_object
+from .base import (Malformed, Meter, Verdict, json_int_list, json_ints, json_key, json_list,
+                   json_object)
 from .geometry import (
     Disk,
     ParamSet,
@@ -853,22 +854,6 @@ def _tree_cycle(parent: List[Optional[int]], i: int, j: int) -> List[int]:
 # certificate verifiers
 # ---------------------------------------------------------------------------
 
-@dataclass
-class IsolationReport:
-    ok: bool
-    pair_results: Dict[Tuple[str, str], bool]
-    witnesses: Dict[Tuple[str, str], List[int]]
-    chosen: List[int]
-    messages: List[str] = field(default_factory=list)
-
-    def lines(self) -> List[str]:
-        out = [f"chosen disks: {len(self.chosen)}"]
-        for pair, sep in sorted(self.pair_results.items()):
-            out.append(f"{'ok  ' if sep else 'FAIL'} {pair[0]} | {pair[1]} separated: {sep}")
-        out.extend(self.messages)
-        return out
-
-
 def check_ids(ids: Iterable[int], n: int, what: str) -> List[int]:
     """``ids`` sorted and deduplicated, refused unless each is a JSON
     integer in ``range(n)``."""
@@ -891,7 +876,7 @@ def verify_isolation(
     instance: DiskInstance,
     chosen_ids: Iterable[int],
     budget: Optional[int] = None,
-) -> IsolationReport:
+) -> Verdict:
     """Check that the chosen disks separate every pair of marked points.
 
     Malformed input (bad ids, covered marked points) raises
@@ -901,77 +886,37 @@ def verify_isolation(
     if len(instance.points) < 2:
         raise Malformed("isolation needs at least two marked points")
     chosen = check_ids(chosen_ids, len(instance.centers.xs), "certificate")
-    messages = []
-    if budget is not None and len(chosen) > budget:
-        messages.append(f"budget: certificate uses {len(chosen)} disks, cap {budget}")
     check_points_uncovered(instance.points, CenterIndex(instance.centers, instance.radius))
     sub = instance.centers.subset(chosen)
     results = separation(sub, unit_disk_graph(sub, instance.radius), instance.points)
-    pair_results = {pair: res.separated for pair, res in results.items()}
-    return IsolationReport(
-        ok=all(pair_results.values()) and not messages,
-        pair_results=pair_results,
-        witnesses={pair: [chosen[k] for k in res.witness_cycle]
-                   for pair, res in results.items() if res.separated},
-        chosen=chosen,
-        messages=messages,
-    )
-
-
-@dataclass
-class AccReport:
-    ok: bool
-    removed: List[int]
-    remaining_regions: RegionSummary
-    reasons: List[str] = field(default_factory=list)
-
-    def lines(self) -> List[str]:
-        rs = self.remaining_regions
-        return [
-            f"removed disks: {len(self.removed)}",
-            f"{'ok  ' if self.ok else 'FAIL'} remaining union has "
-            f"{rs.bounded_complement_regions} bounded complement region(s)",
-            *self.reasons,
-        ]
+    lines = [f"chosen disks: {len(chosen)}"] + [
+        f"{'ok  ' if res.separated else 'FAIL'} {a} | {b} separated: {res.separated}"
+        for (a, b), res in results.items()]
+    over = budget is not None and len(chosen) > budget
+    if over:
+        lines.append(f"budget: certificate uses {len(chosen)} disks, cap {budget}")
+    return Verdict(all(res.separated for res in results.values()) and not over, lines)
 
 
 def verify_acc(
     instance: DiskInstance,
     removed_ids: Iterable[int],
     budget: Optional[int] = None,
-) -> AccReport:
+) -> Verdict:
     """Check that deleting the given disks leaves a union with no bounded
     complement region (an acyclic disk collection)."""
     removed = check_ids(removed_ids, len(instance.centers.xs), "certificate")
-    reasons = []
-    if budget is not None and len(removed) > budget:
-        reasons.append(f"budget: certificate removes {len(removed)} disks, cap {budget}")
     removed_set = set(removed)
     kept = [i for i in range(len(instance.centers.xs)) if i not in removed_set]
-    regions = complement_regions(instance.centers.subset(kept), instance.radius)
-    return AccReport(
-        ok=regions.bounded_complement_regions == 0 and not reasons,
-        removed=removed,
-        remaining_regions=regions,
-        reasons=reasons,
-    )
-
-
-@dataclass
-class CutReport:
-    ok: bool
-    removed: List[Tuple[int, int]]
-    terminal_components: Dict[int, int]
-    reasons: List[str] = field(default_factory=list)
-
-    def lines(self) -> List[str]:
-        groups = len(set(self.terminal_components.values()))
-        return [
-            f"removed intersection edges: {len(self.removed)}",
-            f"{'ok  ' if self.ok else 'FAIL'} {len(self.terminal_components)} "
-            f"terminals in {groups} component(s)",
-            *self.reasons,
-        ]
+    holes = complement_regions(instance.centers.subset(kept),
+                               instance.radius).bounded_complement_regions
+    over = budget is not None and len(removed) > budget
+    ok = holes == 0 and not over
+    lines = [f"removed disks: {len(removed)}",
+             f"{'ok  ' if ok else 'FAIL'} remaining union has {holes} bounded complement region(s)"]
+    if over:
+        lines.append(f"budget: certificate removes {len(removed)} disks, cap {budget}")
+    return Verdict(ok, lines)
 
 
 def normalize_edge_list(pairs: Iterable) -> List[Tuple[int, int]]:
@@ -989,7 +934,7 @@ def verify_multiterminal_cut(
     instance: DiskInstance,
     removed_edges: Iterable,
     budget: Optional[int] = None,
-) -> CutReport:
+) -> Verdict:
     """Check that deleting the given intersection-graph edges leaves all
     terminal disks in pairwise distinct components.
 
@@ -1013,13 +958,12 @@ def verify_multiterminal_cut(
     if budget is not None and len(removed) > budget:
         reasons.append(f"budget: certificate removes {len(removed)} edges, cap {budget}")
     comp = component_labels(udg.adj, removed)
-    terminal_components = {t: comp[t] for t in terminals}
-    separated = len(set(terminal_components.values())) == len(terminals)
-    if not separated:
+    groups = len({comp[t] for t in terminals})    # the terminals are distinct
+    if groups != len(terminals):
         reasons.append("two terminal disks stay connected")
-    return CutReport(
-        ok=separated and not reasons,
-        removed=removed,
-        terminal_components=terminal_components,
-        reasons=reasons,
-    )
+    ok = not reasons
+    return Verdict(ok, [
+        f"removed intersection edges: {len(removed)}",
+        f"{'ok  ' if ok else 'FAIL'} {len(terminals)} terminals in {groups} component(s)",
+        *reasons,
+    ])

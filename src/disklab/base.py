@@ -1,5 +1,5 @@
-"""What every layer shares: the exit-code exceptions, the work meter and the
-checks that read JSON input.
+"""What every layer shares: the exit-code exceptions, the work meter, the
+verdict every verifier returns and the checks that read JSON input.
 
 :class:`Malformed` is exit 2, :class:`Rejected` and :class:`Refused` exit 1.
 The ``json_*`` helpers refuse input that is not the JSON type they expect,
@@ -10,7 +10,7 @@ without the graph layer.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Tuple
+from typing import Dict, Hashable, Iterable, List, NamedTuple, Tuple
 
 Vertex = Hashable
 Dart = Tuple[int, int]
@@ -41,6 +41,13 @@ class Meter:
         if self.spent > self.allowance:
             raise Refused(f"the {self.what} meter's allowance of {self.allowance} is spent: "
                           f"{self.spent} charged")
+
+
+class Verdict(NamedTuple):
+    """A verifier's finding on a well-formed certificate: accepted or not,
+    and the lines ``verify`` prints (``lift`` joins them into a rejection)."""
+    ok: bool
+    lines: List[str]
 
 
 def json_ints(values: Iterable, what: str) -> list:

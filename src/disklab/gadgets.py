@@ -35,7 +35,7 @@ from .arrangements import (
     complement_regions,
     unit_disk_graph,
 )
-from .base import Vertex
+from .base import Rejected, Vertex
 from .geometry import (
     ParamSet,
     Point,
@@ -48,8 +48,9 @@ from .gridembed import DrawingError, GridEmbedding, locate_face
 Tag = Tuple
 
 
-class SynthesisError(ValueError):
-    """A synthesized instance failed its exact post-verification."""
+class SynthesisError(Rejected):
+    """A synthesized instance failed its exact post-verification: the source
+    is rejected (exit 1)."""
 
 
 # ---------------------------------------------------------------------------

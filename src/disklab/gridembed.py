@@ -20,7 +20,7 @@ import functools
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .base import Malformed, Vertex, json_by_vertex, json_coords, json_ints, json_key
+from .base import Malformed, Meter, Vertex, json_by_vertex, json_coords, json_ints, json_key
 from .geometry import (
     Point,
     point_on_segment,
@@ -136,10 +136,17 @@ def _fault(g: PlanarEmbeddedGraph, pts: Coords, moved: Iterable[Vertex]) -> Opti
     return None
 
 
+# the pairs a whole check may test: each pair of edges, and each edgeless
+# vertex with each edge
+CHECK_PAIRS = 2 ** 17
+
+
 def check_drawing(g: PlanarEmbeddedGraph, coords: Coords) -> None:
     """Exact validity: integer coordinates, distinct vertices, no segment
     contacts except at shared endpoints, no vertex on a foreign edge, and the
-    drawn rotation matches the combinatorial one.  Raises DrawingError."""
+    drawn rotation matches the combinatorial one.  Raises DrawingError, or
+    :class:`~disklab.base.Refused` before any pair is tested if the clauses
+    would test more than ``CHECK_PAIRS``."""
     require_simple(g)
     if set(coords) != set(g.vertices):
         raise DrawingError("coordinate map does not cover the vertex set")
@@ -148,6 +155,8 @@ def check_drawing(g: PlanarEmbeddedGraph, coords: Coords) -> None:
         if len(xy) != 2 or not all(isinstance(c, int) for c in xy):
             raise DrawingError(f"vertex {v!r} has non-integer coordinates {xy!r}")
         pts[v] = (xy[0], xy[1])
+    m, edgeless = len(g.edges), sum(not g.rot[v] for v in g.vertices)
+    Meter("drawing check", CHECK_PAIRS).charge(m * (m - 1) // 2 + edgeless * m)
     if (fault := _fault(g, pts, g.vertices)) is not None:
         raise DrawingError(fault)
 

@@ -48,12 +48,11 @@ from .arrangements import (
     verify_isolation,
     verify_multiterminal_cut,
 )
-from .base import (Malformed, Refused, Rejected, json_coords, json_edge_key, json_graph,
-                   json_int_list, json_ints, json_key, json_list, json_object)
+from .base import (Malformed, Refused, Rejected, Verdict, json_coords, json_edge_key,
+                   json_graph, json_int_list, json_ints, json_key, json_list, json_object)
 from .corpus import rotation_graph
 from .gadgets import (
     CHAIN_RADIUS,
-    SynthesisError,
     build_acc_instance,
     build_isolation_instance,
     build_udmc_instance,
@@ -299,8 +298,19 @@ def embed_plain_graph(g: Graph) -> GridEmbedding:
 # reductions
 # ---------------------------------------------------------------------------
 
+def _refuse_unread(mode: str, overrides, reads: Iterable[str] = ()) -> None:
+    """Refuse the toy regime and every override but ``reads``: a reduction
+    of fixed gadgets would ignore them and write the same bytes."""
+    unread = sorted(overrides.keys() - set(reads))
+    if unread:
+        raise Malformed("this reduction does not read " + ", ".join(f"--{n}" for n in unread))
+    if mode != "sound":
+        raise Malformed(f"this reduction has no --params {mode} regime")
+
+
 def _reduce_pmc(mti: MultiterminalInstance, mode: str,
                 overrides) -> Tuple[SubdivisionInstance, dict]:
+    _refuse_unread(mode, overrides)
     red = reduce_pmc_to_subdivision(mti)
     return red.instance, dict(
         params=None,
@@ -337,8 +347,10 @@ def _reduce_subdivision(sub: SubdivisionInstance, mode: str,
     )
 
 
-def _chain_radius(overrides) -> Fraction:
-    """The disk radius of the ACC and UDMC chains: ``--r``, default ``CHAIN_RADIUS``."""
+def _chain_radius(mode: str, overrides) -> Fraction:
+    """The disk radius of the ACC and UDMC chains: ``--r``, default
+    ``CHAIN_RADIUS``, their only parameter."""
+    _refuse_unread(mode, overrides, reads=("r",))
     r = overrides.get("r", CHAIN_RADIUS)
     if r <= 0:
         raise Malformed("parameters must be positive")
@@ -346,7 +358,7 @@ def _chain_radius(overrides) -> Fraction:
 
 
 def _reduce_fvs(src, mode: str, overrides) -> Tuple[DiskInstance, dict]:
-    r = _chain_radius(overrides)
+    r = _chain_radius(mode, overrides)
     g, coords = src
     # simple first: a loop is malformed whatever the degrees
     require_simple(g)
@@ -369,7 +381,7 @@ def _reduce_fvs(src, mode: str, overrides) -> Tuple[DiskInstance, dict]:
 
 
 def _reduce_mc(mti: MultiterminalInstance, mode: str, overrides) -> Tuple[DiskInstance, dict]:
-    r = _chain_radius(overrides)
+    r = _chain_radius(mode, overrides)
     emb = grid_embed(mti.graph)
     art = build_udmc_instance(mti, emb, r=r)
     return art.instance, dict(
@@ -405,7 +417,7 @@ def _file_verb(verb):
             code, lines, files = verb(*args, **kwargs)
         except Refused as exc:
             return 1, [f"refused: {exc}"]
-        except (Rejected, SynthesisError) as exc:
+        except Rejected as exc:
             return 1, [f"rejected: {exc}"]
         except Malformed as exc:
             return 2, [f"malformed: {exc}"]
@@ -456,7 +468,7 @@ def cli_reduce(kind: str, input_path, out_path, record_path=None, mode: str = "s
 # problems: parse, verify, solve
 # ---------------------------------------------------------------------------
 
-def _verify_mc(mti: MultiterminalInstance, candidate, budget) -> Tuple[bool, List[str]]:
+def _verify_mc(mti: MultiterminalInstance, candidate, budget) -> Verdict:
     removed = check_ids(candidate, len(mti.graph.edges), "certificate")
     reasons = []
     mass = sum(mti.weight(e) for e in removed)
@@ -465,10 +477,10 @@ def _verify_mc(mti: MultiterminalInstance, candidate, budget) -> Tuple[bool, Lis
     separated = multiterminal_solution_ok(mti, removed)
     if not separated:
         reasons.append("two terminals stay connected")
-    return separated and not reasons, reasons or [f"separated at weight {mass}"]
+    return Verdict(separated and not reasons, reasons or [f"separated at weight {mass}"])
 
 
-def _verify_subdivision(sub: SubdivisionInstance, candidate, budget) -> Tuple[bool, List[str]]:
+def _verify_subdivision(sub: SubdivisionInstance, candidate, budget) -> Verdict:
     kept = check_ids(candidate, len(sub.graph.edges), "certificate")
     kept_set = set(kept)
     reasons = []
@@ -478,10 +490,10 @@ def _verify_subdivision(sub: SubdivisionInstance, candidate, budget) -> Tuple[bo
     separated = subdivision_solution_ok(sub, kept)
     if not separated:
         reasons.append("two marked faces stay in one region")
-    return separated and not reasons, reasons or [f"separated at mass {mass}"]
+    return Verdict(separated and not reasons, reasons or [f"separated at mass {mass}"])
 
 
-def _verify_fvs(src, candidate, budget) -> Tuple[bool, List[str]]:
+def _verify_fvs(src, candidate, budget) -> Verdict:
     # vertex ids match by their string form: a lifted solution names them so
     g, _ = src
     position = {str(v): i for i, v in enumerate(g.vertices)}
@@ -494,11 +506,8 @@ def _verify_fvs(src, candidate, budget) -> Tuple[bool, List[str]]:
     acyclic = fvs_solution_ok(g, [position[n] for n in names])
     if not acyclic:
         reasons.append("a cycle survives the removal")
-    return acyclic and not reasons, reasons or [f"acyclic after removing {len(names)} vertices"]
-
-
-def _disk_report(report) -> Tuple[bool, List[str]]:
-    return report.ok, report.lines()
+    return Verdict(acyclic and not reasons,
+                   reasons or [f"acyclic after removing {len(names)} vertices"])
 
 
 def _solve_isolation(inst: DiskInstance) -> OptimumCertificate:
@@ -519,8 +528,8 @@ def _solve_udmc_bound(inst: DiskInstance) -> OptimumCertificate:
 
 class Problem(NamedTuple):
     parse: Callable[[dict], object]    # instance dict -> instance
-    # (instance, candidate, budget or None) -> (ok, lines); None: no verify
-    verify: Optional[Callable[[object, list, Optional[int]], Tuple[bool, List[str]]]] = None
+    # (instance, candidate, budget or None) -> verdict; None: no verify
+    verify: Optional[Callable[[object, list, Optional[int]], Verdict]] = None
     # instance -> optimum; None: no solve
     solve: Optional[Callable[[object], OptimumCertificate]] = None
 
@@ -537,12 +546,10 @@ PROBLEMS = {
     "subdivision": Problem(lambda d: SubdivisionInstance.from_dict(d), _verify_subdivision,
                            lambda sub: brute_min_subdivision(sub)),
     "fvs": Problem(plain_graph_from_dict, _verify_fvs, lambda src: brute_min_fvs(src[0])),
-    "isolation": Problem(
-        _disks, lambda inst, c, b: _disk_report(verify_isolation(inst, c, b)), _solve_isolation),
-    "acc": Problem(_disks, lambda inst, c, b: _disk_report(verify_acc(inst, c, b)),
+    "isolation": Problem(_disks, lambda inst, c, b: verify_isolation(inst, c, b), _solve_isolation),
+    "acc": Problem(_disks, lambda inst, c, b: verify_acc(inst, c, b),
                    lambda inst: brute_min_acc(inst)),
-    "udmc": Problem(
-        _disks, lambda inst, c, b: _disk_report(verify_multiterminal_cut(inst, c, b))),
+    "udmc": Problem(_disks, lambda inst, c, b: verify_multiterminal_cut(inst, c, b)),
     "terminal-pair-cut": Problem(_disks, solve=lambda inst: min_terminal_pair_cut(inst)),
     "udmc-bound": Problem(_disks, solve=_solve_udmc_bound),
 }

@@ -43,7 +43,8 @@
   :func:`disklab.graphs.component_labels` replaced, and the multiterminal
   cut check built on it and on a set of every intersection edge; the check
   :func:`disklab.arrangements.verify_multiterminal_cut` must give the same
-  report or refuse alike.
+  verdict, with each terminal's component by ``component_labels``, or refuse
+  alike.
 * The fence lift from disk tags: each chosen disk tagged ``("wall", e, ...)``
   counts towards edge ``e``, and an edge whose count reaches the instance's
   ``meta["c_edge"]`` is lifted.  The lift from the reduction record's wall
@@ -793,7 +794,9 @@ def union_find_components(
 
 def reference_verify_multiterminal_cut(
     instance: ar.DiskInstance, removed_edges, budget: Optional[int] = None
-) -> ar.CutReport:
+) -> Tuple[bool, Dict[int, int], List[str]]:
+    """Whether the cut is accepted, each terminal's component label and the
+    lines of the verdict."""
     instance.validate()
     terminals = instance.meta.get("terminal_disks", [])
     if len(terminals) < 2:
@@ -815,8 +818,13 @@ def reference_verify_multiterminal_cut(
     separated = len(set(terminal_components.values())) == len(terminals)
     if not separated:
         reasons.append("two terminal disks stay connected")
-    return ar.CutReport(ok=separated and not reasons, removed=removed,
-                        terminal_components=terminal_components, reasons=reasons)
+    ok = separated and not reasons
+    groups = len(set(terminal_components.values()))
+    return ok, terminal_components, [
+        f"removed intersection edges: {len(removed)}",
+        f"{'ok  ' if ok else 'FAIL'} {len(terminal_components)} terminals in {groups} component(s)",
+        *reasons,
+    ]
 
 
 def reference_check_structure(

@@ -128,6 +128,14 @@ def toy_fence_corpus(tmp_path_factory):
     return dirs
 
 
+def one_pair_verdict(chosen, separated):
+    """The isolation verdict on the disks ``chosen`` (distinct ids) of an
+    instance whose only marked points are a and b, when the sweep finds
+    them ``separated``."""
+    return (separated, [f"chosen disks: {len(chosen)}",
+                        f"{'ok  ' if separated else 'FAIL'} a | b separated: {separated}"])
+
+
 @pytest.fixture(scope="module")
 def oracle_corpus():
     """A thousand robust random disk layouts (at most 10 disks each) with a
@@ -359,10 +367,11 @@ def test_criterion_07_acyclic_complement_matches_vertex_deletion():
         fvs = brute_min_fvs(g)
         assert acc.optimum == expect
         assert fvs.optimum == expect
-        removed = lift_vertex_set_to_acc(art, fvs.witness)
-        rep = ar.verify_acc(art.instance, removed)
-        assert rep.ok
-        assert rep.remaining_regions.bounded_complement_regions == 0
+        removed = set(lift_vertex_set_to_acc(art, fvs.witness))
+        assert ar.verify_acc(art.instance, removed).ok
+        kept = [i for i in range(len(art.instance.disks)) if i not in removed]
+        regions = ar.complement_regions(art.instance.centers.subset(kept), art.instance.radius)
+        assert regions.bounded_complement_regions == 0
 
 
 def test_criterion_08_weighted_lane_cuts_and_bundle_flow():
@@ -403,7 +412,7 @@ def test_criterion_09_raster_oracle_agreement(oracle_corpus):
         raster_sep = flood_fill_separated(
             [centers[i] for i in chosen], ONE, inst.points["a"], inst.points["b"]
         )
-        if report.pair_results[("a", "b")] != raster_sep:
+        if report != one_pair_verdict(chosen, raster_sep):
             disagreements += 1
     assert disagreements == 0
 
@@ -415,25 +424,27 @@ def test_criterion_10_accepted_certificates_carry_udg_cycles(
     for d in toy_fence_corpus:
         inst = ar.DiskInstance.from_dict(json.loads((d / "iso.json").read_text()))
         sol = json.loads((d / "sol.json").read_text())
-        report = ar.verify_isolation(inst, sol["witness"])
-        assert report.ok
-        accepted.append((inst, report))
+        assert ar.verify_isolation(inst, sol["witness"]).ok
+        accepted.append((inst, sol["witness"]))
     accepted.extend(
-        (inst, report) for _, _, inst, report in oracle_corpus if report.ok
+        (inst, chosen) for _, chosen, inst, report in oracle_corpus if report.ok
     )
     assert len(accepted) >= 5
     cycles_checked = 0
-    for inst, report in accepted:
+    for inst, chosen in accepted:
         centers = [d.center for d in inst.disks]
         four_r2 = 4 * inst.radius ** 2
-        chosen = set(report.chosen)
-        for pair, separated in report.pair_results.items():
-            assert separated
-            assert pair in report.witnesses, f"no cycle witness for {pair}"
-            cyc = report.witnesses[pair]
+        # the sweep's witnesses, on the chosen disks numbered in id order
+        chosen = sorted(set(chosen))
+        sub = inst.centers.subset(chosen)
+        results = ar.separation(sub, ar.unit_disk_graph(sub, inst.radius), inst.points)
+        for pair, res in results.items():
+            assert res.separated
+            assert res.witness_cycle is not None, f"no cycle witness for {pair}"
+            cyc = [chosen[k] for k in res.witness_cycle]
             assert len(cyc) >= 3
             assert len(set(cyc)) == len(cyc)
-            assert set(cyc) <= chosen
+            assert set(cyc) <= set(chosen)
             for a, b in zip(cyc, cyc[1:] + cyc[:1]):
                 assert dist_sq(centers[a], centers[b]) <= four_r2
             cycles_checked += 1
@@ -534,7 +545,7 @@ def test_criterion_12_raster_oracle_on_ring_holes(ring_oracle_corpus):
         raster_sep = flood_fill_separated(
             [centers[i] for i in chosen], ONE, inst.points["a"], inst.points["b"]
         )
-        if report.pair_results[("a", "b")] != raster_sep:
+        if report != one_pair_verdict(chosen, raster_sep):
             disagreements += 1
         holes += exact.bounded_complement_regions
         separated += raster_sep
@@ -558,9 +569,7 @@ def test_all_pairs_separation_matches_per_pair_oracle_on_raster_corpora(
             sub = inst.centers.subset(chosen)
             udg = ar.unit_disk_graph(sub, inst.radius)
             (res,) = assert_all_pairs_match_oracle(sub, udg, inst.points)
-            assert report.pair_results == {("a", "b"): res.separated}
-            assert report.witnesses == (
-                {("a", "b"): [chosen[k] for k in res.witness_cycle]} if res.separated else {})
+            assert report == one_pair_verdict(chosen, res.separated)
             separated += res.separated
     assert separated == 40  # all in the ring corpus
 

@@ -340,8 +340,7 @@ def test_verify_isolation_with_disk_centres_on_every_probe_path():
         disks += [Disk(bx / 2, by / 2), Disk(bx / 2 + r, by / 2)]
     inst = disk_instance(r, disks, points={"p": (F(0), F(0)), "q": (F(10), F(0))})
     rep = ar.verify_isolation(inst, range(len(disks)))
-    assert not rep.ok
-    assert rep.pair_results == {("p", "q"): False}
+    assert rep == (False, [f"chosen disks: {len(disks)}", "FAIL p | q separated: False"])
 
 
 def test_far_disks_do_not_affect_separation():
@@ -358,11 +357,12 @@ def test_far_disks_do_not_affect_separation():
 # ---------------------------------------------------------------------------
 
 def test_verify_isolation_accepts_full_ring():
-    rep = ar.verify_isolation(ring4(), [0, 1, 2, 3])
-    assert rep.ok
-    assert rep.pair_results[("in", "out")]
-    assert len(rep.witnesses[("in", "out")]) == 4
-    assert any("separated" in line for line in rep.lines())
+    inst = ring4()
+    rep = ar.verify_isolation(inst, [0, 1, 2, 3])
+    assert rep == (True, ["chosen disks: 4", "ok   in | out separated: True"])
+    udg = ar.unit_disk_graph(inst.centers, inst.radius)
+    [res] = ar.separation(inst.centers, udg, inst.points).values()
+    assert res.separated and sorted(res.witness_cycle) == [0, 1, 2, 3]
 
 
 def test_verify_isolation_rejects_partial_ring():
@@ -373,9 +373,8 @@ def test_verify_isolation_rejects_partial_ring():
 def test_verify_isolation_budget_and_ids():
     inst = ring4()
     rep = ar.verify_isolation(inst, [0, 1, 2, 3], budget=3)
-    assert not rep.ok  # separates, but over budget
-    assert all(rep.pair_results.values())
-    assert any("budget" in m for m in rep.messages)
+    assert rep == (False, ["chosen disks: 4", "ok   in | out separated: True",  # over budget
+                           "budget: certificate uses 4 disks, cap 3"])
     with pytest.raises(Malformed, match="out-of-range"):
         ar.verify_isolation(inst, [0, 9])
     assert ar.verify_isolation(inst, [0, 1, 2, 3], budget=4).ok
@@ -423,10 +422,14 @@ def test_verify_isolation_needs_two_points():
 def test_verify_acc():
     centers = [(F(0), F(0)), (F(2), F(0)), (F(1), F(17, 10))]
     inst = disk_instance(ONE, [Disk(x, y) for x, y in centers])
-    assert not ar.verify_acc(inst, []).ok
+    assert ar.verify_acc(inst, []) == (
+        False, ["removed disks: 0", "FAIL remaining union has 1 bounded complement region(s)"])
     rep = ar.verify_acc(inst, [1])
-    assert rep.ok and rep.remaining_regions.bounded_complement_regions == 0
-    assert any("bounded complement" in line for line in rep.lines())
+    assert rep == (
+        True, ["removed disks: 1", "ok   remaining union has 0 bounded complement region(s)"])
+    assert ar.complement_regions(inst.centers.subset([0, 2]), ONE).bounded_complement_regions == 0
+    assert ar.verify_acc(inst, [0, 1], budget=1).lines[2:] == [
+        "budget: certificate removes 2 disks, cap 1"]
 
 
 def test_verify_multiterminal_cut():
@@ -435,7 +438,10 @@ def test_verify_multiterminal_cut():
     assert ar.verify_multiterminal_cut(inst, [(2, 3)]).ok
     assert not ar.verify_multiterminal_cut(inst, []).ok
     rep = ar.verify_multiterminal_cut(inst, [(1, 2), (2, 3)], budget=1)
-    assert not rep.ok and any("budget" in m for m in rep.reasons)
+    assert rep == (False, ["removed intersection edges: 2", "FAIL 2 terminals in 2 component(s)",
+                           "budget: certificate removes 2 edges, cap 1"])
+    assert ar.verify_multiterminal_cut(inst, []).lines[1:] == [
+        "FAIL 2 terminals in 1 component(s)", "two terminal disks stay connected"]
     # adj[-2] is disk 3's row, which holds 4; adj[5] does not exist
     for pair in [(0, 4), (-2, 4), (4, 5), (5, 6), (-1, 7)]:
         with pytest.raises(Malformed, match="not an intersection edge"):

@@ -326,6 +326,25 @@ def test_reduce_keeps_the_outcome_of_a_positive_chain_radius(tmp_path, kind, r, 
         assert canonical_digest(read_json(out)) == digest
 
 
+@pytest.mark.parametrize("kind, mode, overrides, why", [
+    ("pmc->subdivision", "sound", {"r": "1/3"}, "does not read --r"),
+    ("pmc->subdivision", "toy", {}, "has no --params toy regime"),
+    ("fvs->acc", "sound", {"s": "1/2"}, "does not read --s"),
+    ("fvs->acc", "toy", {"s": "1/2", "h": "7/3", "a": "9"}, "does not read --a, --h, --s"),
+    ("fvs->acc", "toy", {"r": "1/10"}, "has no --params toy regime"),
+    ("mc->udmc", "sound", {"r": "1/10", "h": "1/5"}, "does not read --h"),
+    ("mc->udmc", "toy", {}, "has no --params toy regime"),
+])
+def test_reduce_refuses_a_parameter_it_does_not_read(tmp_path, kind, mode, overrides, why):
+    # without the refusal these runs wrote the bytes of a run without the flags
+    src, out = tmp_path / "src.json", tmp_path / "x.json"
+    write_json(TRIANGLE_PLAIN if kind == "fvs->acc" else triangle_mc_dict(), src)
+    got = cli_reduce(kind, src, out, mode=mode,
+                     overrides={k: Fraction(v) for k, v in overrides.items()})
+    assert got == (2, [f"malformed: this reduction {why}"])
+    assert not out.exists()
+
+
 TRIANGLE_EDGES = [["a", "b"], ["b", "c"], ["c", "a"]]
 # (case, vertices, edges, the refusal both graph parsers give)
 GRAPH_FIELD_CASES = [
@@ -1028,6 +1047,88 @@ def test_lift_and_verify_agree(lift_cases, tmp_path, kind, variant):
     assert lifted == code, lines
 
 
+def lines_digest(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+# (problem, variant) -> (exit code, sha256 of the lines joined by
+# newlines), pinned when each verifier still built its own report type
+PINNED_VERIFY_LINES = {
+    ("acc", "accepted"):
+        (0, "4b955612fa8c1ca16190bad27fb30adb2e18dfe87ea22de187c5474db828d3ed"),
+    ("acc", "budget-short"):
+        (1, "7cb0a02519f68801ec38a6a9ab9a4e44ec00786c61d81d8b55b1ef76b58f6799"),
+    ("acc", "one-dropped"):
+        (1, "5a6de6c351d733a18ad3e0ab5650c8c043dfa3de9007330ee63c2c33ceb973f1"),
+    ("fvs", "accepted"):
+        (0, "894113e9a871e5f7615c4fcccb1810deeb941593e72bb9fd7d6c629e0b728d67"),
+    ("fvs", "budget-short"):
+        (1, "6730e5e94fe66f0eaa68a4d45205decbb7ee5296b90edbc467c30cd1d8c9461e"),
+    ("fvs", "one-dropped"):
+        (1, "c65b4bcc4f1c18e0a9fd3e54fb1369e53db19557203fcf95c9b2fa89d93c577e"),
+    ("isolation", "accepted"):
+        (0, "0e7b66f9d6a107db0dd3a7a48bda209bd4ecbd21df1982926545b77113667384"),
+    ("isolation", "budget-short"):
+        (1, "5a00362ce55b47cbcd9d8510fcef38a9bf05a934a62b3bbf199352920dc262ea"),
+    ("isolation", "one-dropped"):
+        (1, "0dc1ddaf475f3797ad115de7e2237a526975b30c1f8d0e02711a7885719e0abd"),
+    ("mc", "accepted"):
+        (0, "a0582c3d52a909029a6af81c0cd1a0aaf001d30adf3356dee1de8ab8a545277d"),
+    ("mc", "budget-short"):
+        (1, "d25f4d0e0e3a710526c8b1e477c814494587a99159de965cffc95f0df20d23a6"),
+    ("mc", "one-dropped"):
+        (1, "49d3cfaf3a7773d864ac4dee5a4456c53a53e6de7e7ef8f1cee2e7243875eaaa"),
+    ("subdivision", "accepted"):
+        (0, "34613b1dc5401eb7dcf2d69531fc02ed0673cfb59b5b4561d1fc137149eae2d7"),
+    ("subdivision", "budget-short"):
+        (1, "212bfb880bece5286fb37679a0bee1b58bc6425cf96a38676c703693047a98f7"),
+    ("subdivision", "one-dropped"):
+        (1, "03983fda58d5662933c6f7108a4ad6dce4101b32b6b431b0712642e659dc82fa"),
+    ("udmc", "accepted"):
+        (0, "808be1b140a90f9cdf28ee3e1e7cf89afbea88bff8ca2ffd526536b819c9202a"),
+    ("udmc", "budget-short"):
+        (1, "30d036ee8cf9971ac98e3fab19a0c07bda064a6d943f3f233a90beb8c2779944"),
+    ("udmc", "one-dropped"):
+        (1, "a79fa93a523e5229e4156012576074da129031f54c68c4baf966c7f2e9bb03fa"),
+}
+# reduction kind -> the same for lift given a rejected target solution
+PINNED_LIFT_LINES = {
+    "fvs->acc":
+        (1, "8bfd578b0eba9baf445ed2ee922a7113a53b994ab0d5ed8d3aa3c497c11b03cc"),
+    "mc->udmc":
+        (1, "c4c3f1ce51568c19e875a72125bd12fd8a6dce49e7e65ac60a0ef20b70e3ce2a"),
+    "pmc->subdivision":
+        (1, "2199b607c6e29512d9f2d8a1c8f5cbe15bb504afa2f1240a05e91142fef27335"),
+    "subdivision->isolation":
+        (1, "a9a5184e87faf7d97bec5d8bc45fca202167b361d059b7e2e5e0e3e8f07551b1"),
+}
+
+
+@pytest.mark.parametrize("variant", ["accepted", "one-dropped", "budget-short"])
+@pytest.mark.parametrize("problem", ["mc", "subdivision", "fvs", "isolation", "acc", "udmc"])
+def test_verify_lines_are_pinned(lift_cases, tmp_path, problem, variant):
+    # the four reduction targets, and two sources: the star cut instance
+    # (weights 2, 1, 1; optimum edges 1 and 2) and the plain triangle
+    cases = {target: (inst, candidate, budget)
+             for _, _, inst, target, candidate, budget in lift_cases.values()}
+    cases["mc"] = (lift_cases["mc->udmc"][1], [1, 2], 2)
+    cases["fvs"] = (lift_cases["fvs->acc"][1], ["a"], 1)
+    inst, candidate, budget = cases[problem]
+    cert = tmp_path / "cert.json"
+    write_json(CERTIFICATE_VARIANTS[variant][0](candidate, budget), cert)
+    code, lines = cli_verify(problem, inst, cert)
+    assert (code, lines_digest(lines)) == PINNED_VERIFY_LINES[problem, variant], lines
+
+
+@pytest.mark.parametrize("kind", sorted(pipeline.REDUCTIONS))
+def test_lift_lines_of_a_rejected_target_solution_are_pinned(lift_cases, tmp_path, kind):
+    record, source, target, _, candidate, budget = lift_cases[kind]
+    cert = tmp_path / "cert.json"
+    write_json(CERTIFICATE_VARIANTS["one-dropped"][0](candidate, budget), cert)
+    code, lines = cli_lift(record, cert, source, target, tmp_path / "lifted.json")
+    assert (code, lines_digest(lines)) == PINNED_LIFT_LINES[kind], lines
+
+
 # ---------------------------------------------------------------------------
 # render and the argparse front end
 # ---------------------------------------------------------------------------
@@ -1101,6 +1202,31 @@ def test_render_of_a_far_flung_drawing_ends_in_time(tmp_path, x, code):
     assert "Traceback" not in run.stderr
     if code == 2:
         assert f"malformed: {x} is beyond the float range" in run.stderr
+        assert not svg.exists()
+
+
+def path_drawing(n):
+    """A valid drawing of the path v0 - v1 - ... on one grid row."""
+    vs = [f"v{i}" for i in range(n)]
+    return {"graph": {"vertices": vs, "edges": [[u, w] for u, w in zip(vs, vs[1:])],
+                      "rotation": {v: [e for e in (i - 1, i) if 0 <= e < n - 1]
+                                   for i, v in enumerate(vs)}},
+            "coords": {v: [i, 0] for i, v in enumerate(vs)}, "grid_size": n - 1}
+
+
+@pytest.mark.parametrize("n, code", [(513, 0), (514, 1), (2_000, 1)])
+def test_the_drawing_check_refuses_more_pairs_than_its_allowance(tmp_path, n, code):
+    # a path of n vertices has (n - 1)(n - 2)/2 pairs of edges, which the
+    # check once tested one by one, unmetered: 513 vertices are just within
+    # the allowance of 2^17 pairs and 514 just past it
+    path, svg = tmp_path / "path.json", tmp_path / "path.svg"
+    write_json(path_drawing(n), path)
+    got, lines = cli_render(path, svg)
+    if code == 0:
+        assert got == 0 and svg.exists(), lines
+    else:
+        assert (got, lines) == (1, ["refused: the drawing check meter's allowance of 131072 "
+                                    f"is spent: {(n - 1) * (n - 2) // 2} charged"])
         assert not svg.exists()
 
 
