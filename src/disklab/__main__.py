@@ -82,9 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduce", help="compile an instance into a harder one")
     p.add_argument("kind").choices = _PipelineNames(lambda pl: pl.REDUCTIONS)
     p.add_argument("input")
-    p.add_argument("--out", required=True)
-    p.add_argument("--record", default=None,
-                   help="provenance record path (default: OUT.record.json)")
+    p.add_argument("--out", required=True, help="target path; the record goes to OUT.record.json")
     _override_flags(p)
 
     p = sub.add_parser("verify", help="check a certificate against an instance")
@@ -125,8 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
 # the pipeline, return (exit code, diagnostic lines); the reports (exit code, payload).
 VERBS = {
     "reduce": lambda pl, a: pl.cli_reduce(
-        a.kind, a.input, a.out, record_path=a.record, mode=a.params,
-        overrides=a.overrides),
+        a.kind, a.input, a.out, mode=a.params, overrides=a.overrides),
     "verify": lambda pl, a: pl.cli_verify(a.problem, a.instance, a.certificate),
     "solve": lambda pl, a: pl.cli_solve(a.problem, a.instance, a.out),
     "lift": lambda pl, a: pl.cli_lift(

@@ -20,7 +20,8 @@ import functools
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .base import Malformed, Meter, Vertex, json_by_vertex, json_coords, json_ints, json_key
+from .base import (Malformed, Meter, Vertex, json_by_vertex, json_coords, json_graph, json_ints,
+                   json_key)
 from .geometry import (
     Point,
     point_on_segment,
@@ -141,6 +142,16 @@ def _fault(g: PlanarEmbeddedGraph, pts: Coords, moved: Iterable[Vertex]) -> Opti
 CHECK_PAIRS = 2 ** 17
 
 
+def charge_drawing_check(vertices: Sequence[Vertex],
+                         edges: Sequence[Tuple[Vertex, Vertex]]) -> None:
+    """Charge the pairs a whole :func:`check_drawing` of this graph tests to
+    a meter of ``CHECK_PAIRS``: it reads only the counts, so a drawing past
+    the allowance is refused before it is parsed, drawn or checked."""
+    m, ends = len(edges), {v for e in edges for v in e}
+    edgeless = sum(v not in ends for v in vertices)
+    Meter("drawing check", CHECK_PAIRS).charge(m * (m - 1) // 2 + edgeless * m)
+
+
 def check_drawing(g: PlanarEmbeddedGraph, coords: Coords) -> None:
     """Exact validity: integer coordinates, distinct vertices, no segment
     contacts except at shared endpoints, no vertex on a foreign edge, and the
@@ -155,8 +166,7 @@ def check_drawing(g: PlanarEmbeddedGraph, coords: Coords) -> None:
         if len(xy) != 2 or not all(isinstance(c, int) for c in xy):
             raise DrawingError(f"vertex {v!r} has non-integer coordinates {xy!r}")
         pts[v] = (xy[0], xy[1])
-    m, edgeless = len(g.edges), sum(not g.rot[v] for v in g.vertices)
-    Meter("drawing check", CHECK_PAIRS).charge(m * (m - 1) // 2 + edgeless * m)
+    charge_drawing_check(g.vertices, g.edges)
     if (fault := _fault(g, pts, g.vertices)) is not None:
         raise DrawingError(fault)
 
@@ -492,7 +502,9 @@ class GridEmbedding:
 
     @classmethod
     def from_dict(cls, d: Dict[str, object]) -> "GridEmbedding":
-        g = PlanarEmbeddedGraph.from_dict(json_key(d, "graph", "a drawing"))
+        graph = json_key(d, "graph", "a drawing")
+        charge_drawing_check(*json_graph(graph)[:2])
+        g = PlanarEmbeddedGraph.from_dict(graph)
         if not g.vertices:    # no grid size to check
             raise Malformed("a drawing needs at least one vertex")
         xys = json_coords(json_key(d, "coords", "a drawing"), "coords and grid size")
@@ -509,8 +521,11 @@ def grid_embed(g: PlanarEmbeddedGraph) -> GridEmbedding:
     """Rotation-faithful straight-line drawing on the smallest integer grid
     this module can find.  The result is always re-verified exactly.  A
     graph with a loop or a parallel edge is refused first: networkx can
-    loop forever on its rotation system."""
+    loop forever on its rotation system.  A connected graph whose drawing
+    check would pass its allowance is refused before it is drawn."""
     require_simple(g)
+    if g.is_connected():   # draw_with_networkx refuses a disconnected one as malformed
+        charge_drawing_check(g.vertices, g.edges)
     coords = draw_with_networkx(g)
     if len(g.vertices) > 2:
         check_drawing(g, coords)

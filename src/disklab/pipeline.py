@@ -75,7 +75,7 @@ from .graphs import (
     reduce_pmc_to_subdivision,
     subdivision_solution_ok,
 )
-from .gridembed import GridEmbedding, grid_embed, require_simple
+from .gridembed import GridEmbedding, charge_drawing_check, grid_embed, require_simple
 from .render import svg_for_embedding, svg_for_instance
 from .solvers import (
     OptimumCertificate,
@@ -286,11 +286,12 @@ def embed_plain_graph(g: Graph) -> GridEmbedding:
     """Deterministic straight-line grid drawing of a plain (connected,
     planar, simple) graph: take networkx's combinatorial embedding
     (:func:`~disklab.corpus.rotation_graph`) and hand it to the grid
-    drawer."""
+    drawer, once the drawing check's meter admits the graph's size."""
     if not g.vertices:
         raise Rejected("graph has no vertices")
     if not g.is_connected():
         raise Rejected("graph is disconnected: supply explicit 'coords'")
+    charge_drawing_check(g.vertices, g.edges)
     return grid_embed(rotation_graph(g.vertices, g.edges))
 
 
@@ -436,10 +437,10 @@ def _file_verb(verb):
 
 
 @_file_verb
-def cli_reduce(kind: str, input_path, out_path, record_path=None, mode: str = "sound",
+def cli_reduce(kind: str, input_path, out_path, mode: str = "sound",
                overrides: Optional[Dict[str, Fraction]] = None):
     """Run one reduction end to end; writes the target instance and its
-    provenance record (default: target path + '.record.json')."""
+    provenance record, at the target path + '.record.json'."""
     src = read_json(input_path)
     if kind not in REDUCTIONS:
         raise Malformed(f"unknown reduction kind {kind!r}")
@@ -458,8 +459,7 @@ def cli_reduce(kind: str, input_path, out_path, record_path=None, mode: str = "s
     _check_total(record.terminals, terminals, "terminal")
     _check_total(record.edges, range(len(src["edges"])), "edge")
     _check_total(record.vertices, src["vertices"], "vertex")
-    if record_path is None:
-        record_path = str(out_path) + ".record.json"
+    record_path = str(out_path) + ".record.json"
     return 0, [f"wrote {out_path}", f"wrote {record_path}"], [
         (text, out_path), (record.to_dict(), record_path)]
 

@@ -32,9 +32,8 @@ from .arrangements import (
     CenterIndex,
     DiskInstance,
     check_points_uncovered,
-    contract,
-    edge_crossing_parities,
-    separation,
+    kernel_separation,
+    point_kernel,
     unit_disk_graph,
     verify_acc,
 )
@@ -182,9 +181,9 @@ def brute_min_isolation_two_points(instance: DiskInstance) -> OptimumCertificate
     The search runs on the chain-contracted kernel (:func:`contract`),
     where a cycle is a cyclic sequence of whole chains, as long in disks as
     the sum of their ``len(inner) + 1`` and as odd as the XOR of their
-    signatures.  One parity forest over the chains first decides whether
-    any cycle is odd (:func:`_closes_odd_cycle`); with none there is no
-    fence, refused before any search.  An odd cycle contains an odd chain,
+    signatures.  With no odd cycle, which
+    :func:`~disklab.arrangements.kernel_separation` decides first, there is
+    no fence, refused before any search.  An odd cycle contains an odd chain,
     and both end junctions of that chain lie on it.  So one Dijkstra over
     the (junction, parity) double cover from the smaller end of each odd
     chain reaches the optimum: from a root on the lightest odd cycle it
@@ -200,12 +199,10 @@ def brute_min_isolation_two_points(instance: DiskInstance) -> OptimumCertificate
     """
     if len(instance.points) != 2:
         raise Malformed("this solver handles exactly two marked points")
-    p, q = [instance.points[k] for k in sorted(instance.points)]
-    sc = instance.centers
-    udg = unit_disk_graph(sc, instance.radius)
+    udg, masks, kernel = point_kernel(instance.centers, instance.radius, instance.points)
     check_points_uncovered(instance.points, udg.index)
-    masks = edge_crossing_parities(sc, udg, (p, q))
-    kernel = contract(udg, masks)
+    if not all(kernel_separation(kernel, sorted(instance.points)).values()):
+        raise Rejected(NO_FENCE)
     chains = kernel.chains
     # a parity against both rays is the XOR of the two mask bits
     odd = [(c.sig ^ c.sig >> 1) & 1 for c in chains]
@@ -215,8 +212,6 @@ def brute_min_isolation_two_points(instance: DiskInstance) -> OptimumCertificate
         if c.b != c.a:
             adj[c.b].append((c.a, k))
 
-    if not _closes_odd_cycle(adj, odd):
-        raise Rejected(NO_FENCE)
     meter = Meter("search", SEARCH_ALLOWANCE)
     best_len = math.inf
     best: List[Tuple[int, int]] = []
@@ -266,29 +261,6 @@ def brute_min_isolation_two_points(instance: DiskInstance) -> OptimumCertificate
     )
 
 
-def _closes_odd_cycle(adj: Dict[int, List[Tuple[int, int]]], odd: Sequence[int]) -> bool:
-    """Whether some cycle of the kernel ``adj`` (junction -> (junction,
-    chain) steps) is odd.  One spanning forest gives each junction the
-    parity of its tree path from the root; a chain closes an odd cycle
-    exactly when its parity differs from its ends' XOR."""
-    pot: Dict[int, int] = {}
-    for root in adj:
-        if root in pot:
-            continue
-        pot[root] = 0
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for w, k in adj[v]:
-                par = pot[v] ^ odd[k]
-                if w not in pot:
-                    pot[w] = par
-                    stack.append(w)
-                elif pot[w] != par:
-                    return True
-    return False
-
-
 def _extract_odd_cycle(
     walk: List[Tuple[int, int]], odd: Sequence[int]
 ) -> List[Tuple[int, int]]:
@@ -314,18 +286,19 @@ def brute_min_isolation(instance: DiskInstance) -> OptimumCertificate:
     """Minimum fence for any number of marked points, by
     :func:`_cheapest_feasible` over the disks: with the marked points
     uncovered, a superset of a fence is a fence.  At least two marked points
-    and none covered are checked before any work is charged.  Use the
-    two-point solver for synthesized instances.
+    and none covered are checked before any work is charged.  A candidate
+    drops the other disks from one kernel (:func:`kernel_separation`).  Use
+    the two-point solver for synthesized instances.
     """
     if len(instance.points) < 2:
         raise Malformed("isolation needs at least two marked points")
     sc, r = instance.centers, instance.radius
     check_points_uncovered(instance.points, CenterIndex(sc, r))
+    ids, everything = sorted(instance.points), set(range(len(sc.xs)))
+    kernel = point_kernel(sc, r, instance.points)[2]
 
     def fences(combo: Tuple[int, ...]) -> bool:
-        sub = sc.subset(combo)
-        results = separation(sub, unit_disk_graph(sub, r), instance.points)
-        return all(res.separated for res in results.values())
+        return all(kernel_separation(kernel, ids, everything.difference(combo)).values())
 
     size, combo = _cheapest_feasible([1] * len(sc.xs), fences, NO_FENCE)
     return OptimumCertificate(problem="point-isolation", optimum=size, witness=list(combo))

@@ -593,6 +593,80 @@ def test_all_pairs_separation_matches_per_pair_oracle_on_sound_corpus(sound_corp
 
 
 # ---------------------------------------------------------------------------
+# separation on the chain-contracted kernel
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def sound_kernels(sound_corpus):
+    """Each instance's intersection graph, masks and kernel."""
+    return [ar.point_kernel(art.instance.centers, art.instance.radius, art.instance.points)
+            for _, art in sound_corpus]
+
+
+def separation_flags(inst, udg, dropped):
+    """``separation``'s flags for the union of ``inst`` less ``dropped``.
+    Intersection is pairwise, so the graph of the disks kept is the induced
+    subgraph of ``udg``, renumbered in id order."""
+    kept = [i for i in range(udg.n) if i not in dropped]
+    new = [-1] * udg.n
+    for k, i in enumerate(kept):
+        new[i] = k
+    sub = ar.UnitDiskGraph(len(kept), [[new[w] for w in udg.adj[i] if new[w] >= 0] for i in kept],
+                           None)
+    if len(kept) < 10_000:
+        assert sub == ar.unit_disk_graph(inst.centers.subset(kept), inst.radius)
+    results = ar.separation(inst.centers.subset(kept), sub, inst.points)
+    return {pair: res.separated for pair, res in results.items()}
+
+
+def test_kernel_separation_matches_separation_on_every_sound_wall(sound_corpus, sound_kernels):
+    # the whole union, then each wall dropped, on all 20 instances
+    unions = 0
+    for (_, art), (udg, _, kernel) in zip(sound_corpus, sound_kernels):
+        ids = sorted(art.instance.points)
+        for dropped in [()] + [art.wall_ids[e] for e in sorted(art.wall_ids)]:
+            want = separation_flags(art.instance, udg, set(dropped))
+            assert ar.kernel_separation(kernel, ids, dropped) == want
+            unions += 1
+    assert unions == 20 + 159
+
+
+def test_kernel_separation_matches_separation_on_toy_fences(toy_fence_corpus):
+    # the whole union, the solved fence alone, and the fence less each of
+    # its disks, which no minimum fence survives
+    unions = 0
+    for d in toy_fence_corpus:
+        inst = ar.DiskInstance.from_dict(pl.read_json(d / "iso.json"))
+        fence = set(pl.read_json(d / "sol.json")["witness"])
+        udg, _, kernel = ar.point_kernel(inst.centers, inst.radius, inst.points)
+        ids = sorted(inst.points)
+        outside = {i for i in range(udg.n) if i not in fence}
+        for dropped in [set(), outside] + [outside | {i} for i in sorted(fence)]:
+            flags = ar.kernel_separation(kernel, ids, dropped)
+            assert flags == separation_flags(inst, udg, dropped)
+            assert all(flags.values()) == (len(dropped) <= len(outside))
+            unions += 1
+    assert unions >= 5 * 3
+
+
+def test_dropping_a_sound_wall_merges_only_the_faces_beside_it(sound_corpus, sound_kernels):
+    # every wall of every instance: dropped alone, it merges the two faces
+    # beside its edge and keeps every other pair of face points separated;
+    # a bridge has one face on both sides and merges none
+    walls = bridges = 0
+    for (emb, art), (_, _, kernel) in zip(sound_corpus, sound_kernels):
+        ids = sorted(art.instance.points)
+        faces = emb.graph.edge_faces()
+        for e, wall in art.wall_ids.items():
+            beside = {f"p{f}" for f in faces[e]}
+            flags = ar.kernel_separation(kernel, ids, wall)
+            assert flags == {(a, b): {a, b} != beside for a, b in flags}, e
+            walls += 1
+            bridges += len(beside) == 1
+    assert (walls, bridges) == (159, 5)
+
+
+# ---------------------------------------------------------------------------
 # two-point fences on the chain-contracted kernel
 # ---------------------------------------------------------------------------
 

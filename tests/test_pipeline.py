@@ -1230,6 +1230,37 @@ def test_the_drawing_check_refuses_more_pairs_than_its_allowance(tmp_path, n, co
         assert not svg.exists()
 
 
+def fail_if_called(*args, **kwargs):
+    raise AssertionError("an oversized drawing reached work that its refusal should precede")
+
+
+@pytest.mark.parametrize("reader", ["render", "fvs->acc", "mc->udmc", "subdivision->isolation"])
+def test_an_oversized_drawing_is_refused_before_it_is_parsed_or_drawn(tmp_path, monkeypatch,
+                                                                     reader):
+    # the drawing check's charge needs only the edge and vertex counts, so
+    # each reader refuses a 514-vertex path before its first expensive step:
+    # render before building the embedded graph (its face walks included),
+    # reduce before networkx's planarity test and drawing
+    n = 514
+    drawing = path_drawing(n)
+    graph = drawing["graph"]
+    src, out = tmp_path / "src.json", tmp_path / "out"
+    write_json({"render": drawing,
+                "fvs->acc": {"vertices": graph["vertices"], "edges": graph["edges"]},
+                "mc->udmc": {**graph, "terminals": ["v0", "v1"]},
+                "subdivision->isolation": {**graph, "terminals": {"p": 0}}}[reader], src)
+    monkeypatch.setattr(pipeline, "rotation_graph", fail_if_called)
+    monkeypatch.setattr(gridembed, "draw_with_networkx", fail_if_called)
+    if reader == "render":
+        monkeypatch.setattr(PlanarEmbeddedGraph, "from_dict", fail_if_called)
+        got, lines = cli_render(src, out)
+    else:
+        got, lines = cli_reduce(reader, src, out)
+    assert (got, lines) == (1, ["refused: the drawing check meter's allowance of 131072 "
+                                f"is spent: {(n - 1) * (n - 2) // 2} charged"])
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("centre", [["0/1"], "12", ["0/1", "0/1", "7/1"]])
 @pytest.mark.parametrize("verb", ["verify", "render"])
 def test_a_disk_centre_that_is_not_two_coordinates_is_malformed(tmp_path, verb, centre):

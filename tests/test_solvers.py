@@ -612,6 +612,28 @@ def test_contraction_is_exact_on_random_layouts(layout, rng):
     assert_contraction_exact(*_kernel_of(r, centers, holes[:3]))
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([_rings_layout, _nested_rings_layout, _lattice_layout]),
+       st.randoms(use_true_random=False), st.data())
+def test_kernel_separation_matches_separation_with_disks_dropped(layout, rng, data):
+    # up to three junctions, and the middle inner disk of up to three
+    # chains, dropped together: the flags for the union less them equal
+    # separation's on the disks kept
+    r, centers, holes = layout(rng)
+    centers = list(dict.fromkeys(centers))
+    points = {f"p{t}": pt for t, pt in enumerate(holes[:3])}
+    udg, _, kernel = _kernel_of(r, centers, list(points.values()))
+    inner = [c.inner[len(c.inner) // 2] for c in kernel.chains if c.inner]
+    dropped = set()
+    for pool in (kernel.junctions, inner):
+        if pool:
+            dropped |= data.draw(st.sets(st.sampled_from(pool), max_size=3))
+    sc = int_centers(centers, r).subset([i for i in range(udg.n) if i not in dropped])
+    want = arrangements.separation(sc, unit_disk_graph(sc, r), points)
+    assert arrangements.kernel_separation(kernel, sorted(points), dropped) == {
+        pair: res.separated for pair, res in want.items()}
+
+
 def test_contraction_covers_loops_and_rings():
     counts = [assert_contraction_exact(*_kernel_of(
         inst.radius, [d.center for d in inst.disks], [inst.points["p"], inst.points["q"]]))
