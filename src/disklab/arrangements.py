@@ -26,7 +26,9 @@ The two load-bearing facts, both for equal radii:
 
 from __future__ import annotations
 
+import json
 import math
+import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -275,6 +277,13 @@ class DiskInstance:
                 runs.append((len(xn) - 1, tag, None))
                 expect = None
         tags.n = len(xn)
+        return cls._with_head(d, xn, xd, yn, yd, tags)
+
+    @classmethod
+    def _with_head(cls, d: Dict[str, object], xn: List[int], xd: List[int],
+                   yn: List[int], yd: List[int], tags: TagRuns) -> "DiskInstance":
+        """The instance of the disks read, centre i at (xn[i] / xd[i],
+        yn[i] / yd[i]), and of the rest of the JSON object ``d``."""
         points = {}
         for k, v in json_object(d.get("points", {}), "points").items():
             if type(v) is not list or len(v) != 2:
@@ -290,6 +299,110 @@ class DiskInstance:
             params=ParamSet.from_dict(params) if params else None,
             meta=json_object(d.get("meta", {}), "meta"),
         )
+
+    @classmethod
+    def from_text(cls, text: str) -> Optional["DiskInstance"]:
+        """The instance in the JSON text of a disk file, read without a JSON
+        tree, when its disk list has the layout ``pipeline.instance_json``
+        writes; else None.
+
+        One pattern match per disk entry gives its centre's numerators and
+        denominators as ints and its prov as text.  An entry whose prov text
+        is the one the run going on predicts, its prefix and the next last
+        int, extends that run; any other prov is decoded by ``json.loads``
+        and starts runs as ``from_dict`` does.  The text after the list, less
+        its comma, is a JSON object of its own, the head, which
+        ``from_dict``'s code reads.  Whatever this does not decide gives
+        None, never an exception: a layout of any other kind, a zero
+        denominator, a numeral that ``int`` refuses, more than ``MAX_DISKS``
+        entries, a head that does not parse or names "disks" again, or a
+        head ``from_dict`` refuses.  Then ``from_dict(json.loads(text))``
+        decides the text, and says why it refuses it.  An instance returned
+        equals that one."""
+        if not text.startswith(_LIST_OPEN):
+            return None
+        xn: List[int] = []
+        xd: List[int] = []
+        yn: List[int] = []
+        yd: List[int] = []
+        tags = TagRuns()
+        runs = tags.runs
+        dens: Dict[str, int] = {}
+        # the int run going on: its prefix, the last component that extends
+        # it, and the prov text that spells the two (None: not known)
+        prefix: Optional[tuple] = None
+        expect: Optional[int] = None
+        spelt: Optional[str] = None
+        match, pos = _DISK_ENTRY.match, len(_LIST_OPEN)
+        # bound once: the loop runs once a disk
+        xn_add, xd_add, yn_add, yd_add = xn.append, xd.append, yn.append, yd.append
+        den_of, to_int = dens.get, int
+        try:
+            for i in range(MAX_DISKS):
+                m = match(text, pos)
+                if m is None:
+                    return None
+                x, qx, y, qy, prov, more = m.groups()
+                xn_add(to_int(x))
+                xd_add(den_of(qx) or _positive_int(qx, dens))
+                yn_add(to_int(y))
+                yd_add(den_of(qy) or _positive_int(qy, dens))
+                if prov == spelt:
+                    expect += 1
+                    spelt = f"{lead}{expect}{tail}"
+                else:
+                    tag = tuple(json.loads(f"[{prov}]"))
+                    if tag and type(tag[-1]) is int and strict_components(tag):
+                        if tag[:-1] != prefix or tag[-1] != expect:
+                            prefix = tag[:-1]
+                            runs.append((i, prefix, tag[-1]))
+                        expect = tag[-1] + 1
+                        # the last int's canonical spelling ends the text
+                        core, last = prov.rstrip(" \t\n\r"), repr(tag[-1])
+                        lead, tail = core[:-len(last)], prov[len(core):]
+                        spelt = (f"{lead}{expect}{tail}"
+                                 if core.endswith(last) and not lead.endswith("-") else None)
+                    else:
+                        runs.append((i, tag, None))
+                        prefix = expect = spelt = None
+                pos = m.end()
+                if more is None:
+                    break
+            else:
+                return None    # more than MAX_DISKS entries
+        except (ValueError, RecursionError):
+            return None
+        if not text.startswith(_LIST_CLOSE, pos):
+            return None
+        tags.n = len(xn)
+        try:
+            head = json.loads("{" + text[pos + len(_LIST_CLOSE):])
+            if not head or "disks" in head:    # {} would leave "],}", no JSON
+                return None
+            return cls._with_head(head, xn, xd, yn, yd, tags)
+        except Exception:    # from_dict meets it again, in its turn
+            return None
+
+
+# The disk list of a file in the layout pipeline.instance_json writes (that of
+# json.dumps(..., indent=2) with sorted keys), entry by entry: the two centre
+# coordinates as canonical rationals, then the prov's text, up to the first
+# "]" (so a prov holding one is not read here).  A comma after the entry
+# means more.
+_DISK_ENTRY = re.compile(
+    r'\{\n      "c": \[\n        "(-?[0-9]+)/([0-9]+)",\n        "(-?[0-9]+)/([0-9]+)"'
+    r'\n      \],\n      "prov": \[([^\]]*)\]\n    \}(,\n    )?')
+_LIST_OPEN = '{\n  "disks": [\n    '
+_LIST_CLOSE = "\n  ],"
+
+
+def _positive_int(s: str, dens: Dict[str, int]) -> int:
+    """``int(s)``, kept in ``dens``; ValueError unless positive."""
+    q = int(s)
+    if q <= 0:
+        raise ValueError(f"denominator {s}")
+    dens[s] = q
+    return q
 
 
 def _parse_rational(s, dens: Dict[str, int]) -> Tuple[int, int]:
@@ -841,6 +954,7 @@ def separation(
     mask_of = dict(zip(udg.edges, masks))
     pot = [-1] * udg.n
     parent: List[Optional[int]] = [None] * udg.n
+    depth = [0] * udg.n
     for s in range(udg.n):
         if pot[s] != -1:
             continue
@@ -852,6 +966,7 @@ def separation(
                 if pot[w] == -1:
                     pot[w] = pot[v] ^ mask_of[(v, w) if v < w else (w, v)]
                     parent[w] = v
+                    depth[w] = depth[v] + 1
                     stack.append(w)
     pairs = [(x, y) for x in range(len(ids)) for y in range(x + 1, len(ids))]
     found: Dict[Tuple[int, int], List[int]] = {}
@@ -863,7 +978,7 @@ def separation(
             continue  # every tree edge
         hit = [xy for xy in pairs if xy not in found and (sig >> xy[0] ^ sig >> xy[1]) & 1]
         if hit:
-            cycle = _tree_cycle(parent, i, j)
+            cycle = _tree_cycle(parent, depth, i, j)
             for xy in hit:
                 found[xy] = list(cycle)
     return {
@@ -872,20 +987,22 @@ def separation(
     }
 
 
-def _tree_cycle(parent: List[Optional[int]], i: int, j: int) -> List[int]:
-    anc_i = []
-    v: Optional[int] = i
-    while v is not None:
-        anc_i.append(v)
-        v = parent[v]
-    seen = {v: k for k, v in enumerate(anc_i)}
-    path_j = []
-    v = j
-    while v not in seen:
-        path_j.append(v)
-        v = parent[v]
-    meet = seen[v]
-    return anc_i[: meet + 1] + list(reversed(path_j))
+def _tree_cycle(parent: List[Optional[int]], depth: List[int], i: int, j: int) -> List[int]:
+    """The tree path from i up to where it meets j's, then down to j: both
+    ends climb, the deeper first, until they meet."""
+    up_i: List[int] = []
+    up_j: List[int] = []
+    while depth[i] > depth[j]:
+        up_i.append(i)
+        i = parent[i]
+    while depth[j] > depth[i]:
+        up_j.append(j)
+        j = parent[j]
+    while i != j:
+        up_i.append(i)
+        up_j.append(j)
+        i, j = parent[i], parent[j]
+    return up_i + [i] + up_j[::-1]
 
 
 # ---------------------------------------------------------------------------

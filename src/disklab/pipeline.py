@@ -20,7 +20,15 @@ the budget, if present and not null, a JSON integer.  Solver outputs carry
 ``kept_edges`` (the face-separation solver, whose witness lists group ids)
 those edge ids are the candidate.  Every verb but ``render`` parses its
 instances with the :data:`PROBLEMS` entry of their problem, and ``verify``
-and ``lift`` check certificates with that entry too.  All outputs are
+and ``lift`` check certificates with that entry too.  ``verify`` and
+``solve`` of a disk problem, and ``render``, read a disk file in the layout
+:func:`instance_json` writes straight into its :class:`DiskInstance`, with
+no JSON tree (:func:`read_instance`, by ``DiskInstance.from_text``); every
+other file they read, and every file ``reduce`` and ``lift`` read (their
+digests need the tree), is parsed by ``json.loads``.  Either way, JSON that
+does not parse is refused as the file is read, before the certificate, and
+an instance that does not hold only after the certificate and the problem
+name are checked.  All outputs are
 deterministic: JSON is written with sorted keys and instance digests are
 SHA-256 over the compact canonical encoding.
 """
@@ -98,14 +106,40 @@ def canonical_digest(obj) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def read_json(path) -> dict:
-    """The JSON object in the file at ``path``; any file that is not one is :class:`Malformed`."""
+def read_text(path) -> str:
+    """The text of the file at ``path``; a file that cannot be read as UTF-8
+    is :class:`Malformed`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, ValueError, RecursionError) as exc:    # ValueError: JSON or UTF-8
+            return fh.read()
+    except (OSError, ValueError) as exc:    # ValueError: UTF-8
+        raise Malformed(str(exc)) from None
+
+
+def json_text(text: str, path) -> dict:
+    """The JSON object ``text``, the file at ``path``; any text that is not
+    one is :class:`Malformed`."""
+    try:
+        data = json.loads(text)
+    except (ValueError, RecursionError) as exc:
         raise Malformed(str(exc)) from None
     return json_object(data, str(path))
+
+
+def read_json(path) -> dict:
+    """The JSON object in the file at ``path``; any file that is not one is :class:`Malformed`."""
+    return json_text(read_text(path), path)
+
+
+def read_instance(path, disks: bool):
+    """The instance file at ``path``: when ``disks`` and its text is in the
+    layout :func:`instance_json` writes, the :class:`DiskInstance` it holds,
+    read without a JSON tree (:meth:`DiskInstance.from_text`); else its
+    JSON object, as :func:`read_json` reads it.  Malformed JSON is refused
+    here, and a malformed instance only where the tree is parsed."""
+    text = read_text(path)
+    inst = DiskInstance.from_text(text) if disks else None
+    return json_text(text, path) if inst is None else inst
 
 
 def indented_json(obj, pad: str = "\n") -> str:
@@ -534,8 +568,9 @@ class Problem(NamedTuple):
     solve: Optional[Callable[[object], OptimumCertificate]] = None
 
 
-def _disks(d: dict) -> DiskInstance:
-    return DiskInstance.from_dict(d)
+def _disks(data) -> DiskInstance:
+    """The instance :func:`read_instance` read, or the one in its JSON object."""
+    return data if isinstance(data, DiskInstance) else DiskInstance.from_dict(data)
 
 
 # problem -> its stages.  Like REDUCTIONS, the entries call the public stage
@@ -560,6 +595,11 @@ def problems_with(verb: str) -> List[str]:
     return [name for name, entry in PROBLEMS.items() if getattr(entry, verb) is not None]
 
 
+def _reads_disks(name: str) -> bool:
+    """Whether ``name`` is a problem on disk instances."""
+    return name in PROBLEMS and PROBLEMS[name].parse is _disks
+
+
 def _problem(name: str, verb: str) -> Problem:
     if name not in problems_with(verb):
         raise Malformed(f"unknown problem {name!r}")
@@ -569,11 +609,11 @@ def _problem(name: str, verb: str) -> Problem:
 @_file_verb
 def cli_verify(problem: str, instance_path, certificate_path):
     """Check a certificate file; exit 1 if it fails."""
-    inst_dict = read_json(instance_path)
+    data = read_instance(instance_path, _reads_disks(problem))
     candidate, budget = read_certificate(read_json(certificate_path))
     entry = _problem(problem, "verify")
-    inst = entry.parse(inst_dict)
-    del inst_dict    # the parsed tree outweighs the instance built from it
+    inst = entry.parse(data)
+    del data    # a parsed tree outweighs the instance built from it
     ok, lines = entry.verify(inst, candidate, budget)
     return (0 if ok else 1), lines, []
 
@@ -581,10 +621,10 @@ def cli_verify(problem: str, instance_path, certificate_path):
 @_file_verb
 def cli_solve(problem: str, instance_path, out_path):
     """Solve to optimality (or refuse); writes an OptimumCertificate JSON."""
-    inst_dict = read_json(instance_path)
+    data = read_instance(instance_path, _reads_disks(problem))
     entry = _problem(problem, "solve")
-    inst = entry.parse(inst_dict)
-    del inst_dict    # as in cli_verify
+    inst = entry.parse(data)
+    del data    # as in cli_verify
     cert = entry.solve(inst)
     out = {"problem": cert.problem, "optimum": cert.optimum, "witness": cert.witness,
            "method": cert.method, "detail": cert.detail}
@@ -718,7 +758,7 @@ def cli_lift(record_path, solution_path, source_path, target_path, out_path):
 
 @_file_verb
 def cli_render(input_path, out_path, guides: bool = False):
-    drawing = _drawing(read_json(input_path))
+    drawing = _drawing(read_instance(input_path, disks=True))
     if isinstance(drawing, DiskInstance):
         svg = svg_for_instance(drawing, guides=guides)
     else:
@@ -726,10 +766,10 @@ def cli_render(input_path, out_path, guides: bool = False):
     return 0, [f"wrote {out_path}"], [(svg, out_path)]
 
 
-def _drawing(data: dict):
-    """The disk instance or grid embedding in ``data``; the caller keeps
-    only this, not the parsed tree, while it draws."""
-    if "disks" in data:
-        return DiskInstance.from_dict(data)
+def _drawing(data):
+    """The disk instance or grid embedding :func:`read_instance` read; the
+    caller keeps only this, not a parsed tree, while it draws."""
+    if isinstance(data, DiskInstance) or "disks" in data:
+        return _disks(data)
     return GridEmbedding.from_dict(data)
 

@@ -302,8 +302,27 @@ def pair_sweep(
                     stack.append(w)
     for (i, j), x in parity.items():
         if pot[i] ^ pot[j] != x:
-            return ar.SeparationResult(True, ar._tree_cycle(parent, i, j))
+            return ar.SeparationResult(True, tree_cycle(parent, i, j))
     return ar.SeparationResult(False, None)
+
+
+def tree_cycle(parent: List[Optional[int]], i: int, j: int) -> List[int]:
+    """The tree path from i to j through their meeting point, from i's
+    ancestors as a dict: the reference for ``arrangements._tree_cycle``,
+    which climbs by depth instead."""
+    anc_i = []
+    v: Optional[int] = i
+    while v is not None:
+        anc_i.append(v)
+        v = parent[v]
+    seen = {v: k for k, v in enumerate(anc_i)}
+    path_j = []
+    v = j
+    while v not in seen:
+        path_j.append(v)
+        v = parent[v]
+    meet = seen[v]
+    return anc_i[: meet + 1] + list(reversed(path_j))
 
 
 def pair_separation(sc, udg, p, q) -> ar.SeparationResult:

@@ -8,11 +8,13 @@ measured work.
 """
 
 import hashlib
+import importlib.util
 import json
 import random
 import time
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -311,6 +313,29 @@ def test_sound_corpus_instances_are_pinned(sound_corpus):
 def test_sound_corpus_cached_centers_match_round_trip(sound_corpus):
     emb, art = next((e, a) for e, a in sound_corpus if e.grid_size == 3)
     assert_round_trip_equal(art.instance)
+
+
+def test_every_disk_file_disklab_writes_is_read_without_a_tree(
+        sound_corpus, toy_fence_corpus, tmp_path):
+    # the demo's, the toy fence corpus' and the sound corpus' instance
+    # files: the text reader decides each, as json.loads + from_dict would
+    spec = importlib.util.spec_from_file_location(
+        "run_pipeline_demo", Path(__file__).parent.parent / "scripts" / "run_pipeline_demo.py")
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    for chain in (demo.fence_chain, demo.acyclic_chain, demo.weighted_chain):
+        chain(tmp_path)
+    texts = [p.read_text() for p in sorted(tmp_path.glob("*.json"))]
+    texts = [t for t in texts if "disks" in json.loads(t)]
+    assert len(texts) == 3    # isolation, acc and udmc
+    texts += [(d / "iso.json").read_text() for d in toy_fence_corpus]
+    for text in texts:
+        inst = ar.DiskInstance.from_text(text)
+        assert inst is not None
+        tree = ar.DiskInstance.from_dict(json.loads(text))
+        assert inst == tree and inst.centers == tree.centers and inst.tags.runs == tree.tags.runs
+    for _, art in sound_corpus:
+        assert ar.DiskInstance.from_text(pl.instance_json(art.instance)[0]) == art.instance
 
 
 def test_criterion_05_subdivision_optimum_doubles_cut_optimum():

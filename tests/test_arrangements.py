@@ -1,5 +1,6 @@
 """Disk-union topology, separation verdicts and cut/acyclicity verifiers."""
 
+import json
 import math
 import random
 from fractions import Fraction as F
@@ -9,8 +10,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from disklab import arrangements as ar
 from disklab.base import Malformed
-from disklab.geometry import Disk, rational_from_str, rational_to_str, ray_crossing
+from disklab.geometry import (Disk, compute_params, rational_from_str, rational_to_str,
+                              ray_crossing)
 from disklab.graphs import edge_component_labels
+from disklab.pipeline import indented_json, instance_json
 
 from floodfill import flood_fill_summary, random_robust_centers
 from instances import disk_instance, int_centers
@@ -575,6 +578,132 @@ def test_to_dict_coordinates_match_rational_to_str(nums, den, k):
     got = [e["c"] for e in inst.to_dict()["disks"]]
     assert got == [[rational_to_str(F(x, den * k)), rational_to_str(F(y, den * k))]
                    for x, y in zip(xs, ys)]
+
+
+# ---------------------------------------------------------------------------
+# the text reader against json.loads + from_dict
+# ---------------------------------------------------------------------------
+
+json_scalars = st.one_of(st.none(), st.booleans(), st.integers(-10**20, 10**20),
+                         st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=4))
+json_values = st.recursive(json_scalars, lambda inner: st.one_of(
+    st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=6)
+# an int run (prefix, first, count), or one whole tag of any JSON values
+tag_items = st.one_of(
+    st.tuples(st.lists(st.one_of(st.text(max_size=4), st.integers(-5, 5)), max_size=3),
+              st.integers(-3, 3), st.integers(1, 4)),
+    st.lists(json_values, max_size=3))
+small_rationals = st.builds(F, st.integers(-50, 50), st.integers(1, 12))
+
+
+def run_tags(items):
+    """The tags the drawn items spell, run by run."""
+    tags = []
+    for item in items:
+        if isinstance(item, tuple):
+            prefix, first, count = item
+            tags += [(*prefix, first + j) for j in range(count)]
+        else:
+            tags.append(tuple(item))
+    return tags
+
+
+def assert_reads_alike(text):
+    """``from_text`` gives None or the instance ``from_dict`` reads from
+    ``json.loads(text)``, never an exception; the instance it gives when
+    ``from_dict`` refuses the text is None.  Returns what it gave."""
+    fast = ar.DiskInstance.from_text(text)
+    got = outcome(lambda: ar.DiskInstance.from_dict(json.loads(text)))
+    if fast is not None:
+        # equal radius, tag runs, points, params and meta, and the same
+        # integer centres, not only equal rationals
+        assert got[0] == "ok" and fast == got[1] and fast.centers == got[1].centers
+    return fast
+
+
+@given(st.lists(tag_items, max_size=6),
+       st.sampled_from([F(1, 2), F(3, 8), F(2), F(1, 3240)]), st.sampled_from([1, 6, 2**40]),
+       st.data(),
+       st.lists(st.tuples(st.text(max_size=3), st.tuples(small_rationals, small_rationals)),
+                max_size=3, unique_by=(lambda kv: kv[0], lambda kv: kv[1])).map(dict),
+       st.sampled_from([None, compute_params(2, "toy"), compute_params(3, "sound")]),
+       st.dictionaries(st.text(max_size=4).filter(lambda k: k != "terminal_disks"),
+                       json_values, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_the_text_reader_matches_from_dict_on_written_instances(
+        items, r, k, data, points, params, meta):
+    tags = run_tags(items)
+    den = r.denominator * k
+    coords = st.integers(-10**18, 10**18)
+    xs = data.draw(st.lists(coords, min_size=len(tags), max_size=len(tags)))
+    ys = data.draw(st.lists(coords, min_size=len(tags), max_size=len(tags)))
+    inst = ar.DiskInstance(r, ar.IntCenters(tuple(xs), tuple(ys), den), tags, points,
+                           params, meta)
+    text = instance_json(inst)[0]
+    fast = assert_reads_alike(text)
+    # only a prov whose text holds a "]" (a nested list, or a string with
+    # one) is left to the tree, and a file with no disks
+    assert (fast is None) == (not tags or any("]" in json.dumps(list(t))[1:-1] for t in tags))
+    if fast is not None:
+        assert fast == inst
+
+
+@given(st.lists(st.tuples(coordinate_spellings, coordinate_spellings,
+                          st.one_of(st.lists(json_values, max_size=3), json_scalars)),
+                max_size=4),
+       st.sampled_from(["1/2", "3/8", "1/3240", "2", "0/1", True]))
+@settings(max_examples=300, deadline=None)
+def test_the_text_reader_matches_from_dict_on_any_spelling(entries, radius):
+    # indented_json writes the layout instance_json does, whatever the values
+    d = {"radius": radius,
+         "disks": [{"c": [x, y], "prov": prov} for x, y, prov in entries],
+         "points": {"p": ["1/3", "0/1"], "q": ["5/1", "-1/7"]}}
+    assert_reads_alike(indented_json(d) + "\n")
+
+
+def test_the_text_reader_leaves_what_it_does_not_decide_to_the_tree(monkeypatch):
+    inst = ring4(meta={"kind": "isolation"})
+    text = instance_json(inst)[0]
+    assert ar.DiskInstance.from_text(text) == inst
+
+    def first_x(spelling):
+        return text.replace('"2/1"', spelling, 1)
+
+    for spelt in [
+        first_x('"1/0"'),                                 # a zero denominator
+        first_x('"' + "1" * 5000 + '/1"'),                # past int's digit limit
+        first_x('"6/4"').replace("{", "{ ", 1),           # another layout
+        text.replace('\n  "meta"', '\n  "disks": [],\n  "meta"'),   # "disks" again
+        text.replace('"radius": "3/2"', '"radius": "-3/2"'),    # a head from_dict refuses
+        text.replace('"ring",', '{"a":' * 100000 + "0" + "}" * 100000 + ",", 1),   # too deep
+        text[:-5],                                        # cut short
+        text + "x",                                       # trailing bytes
+        "\ufeff" + text,                                  # a byte order mark
+    ]:
+        assert spelt != text
+        assert ar.DiskInstance.from_text(spelt) is None
+        assert_reads_alike(spelt)
+    # spellings that read the same are read the same, runs and all
+    for spelt in [
+        first_x('"6/3"'),
+        text.replace('"ring",\n        1\n', '"\\u0072ing",\n        1\n'),
+        text.replace('"ring",\n        0\n', '"ring",\n        -0\n'),
+        text.replace('"ring",\n        0\n', '"ring"  ,  0\n'),
+    ]:
+        assert spelt != text
+        assert assert_reads_alike(spelt) == inst
+        assert ar.DiskInstance.from_text(spelt).tags.runs == [(0, ("ring",), 0)]
+    # a last of "-0" then "-1": 0 and -1, two runs, not one spelt "-0", "-1"
+    spelt = text.replace('"ring",\n        0\n', '"ring",\n        -0\n').replace(
+        '"ring",\n        1\n', '"ring",\n        -1\n')
+    assert assert_reads_alike(spelt).tags.runs == [
+        (0, ("ring",), 0), (1, ("ring",), -1), (2, ("ring",), 2)]
+    # more entries than MAX_DISKS: none is read past the cap
+    monkeypatch.setattr(ar, "MAX_DISKS", 3)
+    assert ar.DiskInstance.from_text(text) is None
+    monkeypatch.setattr(ar, "MAX_DISKS", 4)
+    assert ar.DiskInstance.from_text(text) == inst
 
 
 def test_parsed_disks_are_built_on_demand_and_kept():

@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -690,19 +691,20 @@ def test_a_verb_pauses_the_collector_and_restores_its_state(
         tmp_path, monkeypatch, verb, lead, paths, enabled):
     args = [*lead, *(tmp_path / f"missing{k}.json" for k in range(paths))]
     seen = []
-    real_read = pipeline.read_json
+    real_read = pipeline.read_text
 
     def read(path):    # each path is missing: the real read refuses it
         seen.append(gc.isenabled())
         return real_read(path)
 
-    monkeypatch.setattr(pipeline, "read_json", read)
+    # every file a verb reads, it reads through read_text
+    monkeypatch.setattr(pipeline, "read_text", read)
     (gc.enable if enabled else gc.disable)()
     try:
         assert verb(*args)[0] == 2
         assert seen == [False] and gc.isenabled() is enabled
         # an error outside the exit mapping leaves the state restored too
-        monkeypatch.setattr(pipeline, "read_json", lambda path: 1 / 0)
+        monkeypatch.setattr(pipeline, "read_text", lambda path: 1 / 0)
         with pytest.raises(ZeroDivisionError):
             verb(*args)
         assert gc.isenabled() is enabled
@@ -1827,7 +1829,7 @@ def test_a_toy_grid_size_below_1_is_malformed(capsys, n):
 def test_an_internal_fault_exits_3_with_its_traceback(toy_chain, tmp_path, monkeypatch, capsys):
     # the verb's own exit mapping lets the fault through, and the command
     # line reports it with the traceback
-    monkeypatch.setattr(pipeline, "read_json", lambda path: 1 / 0)
+    monkeypatch.setattr(pipeline, "read_text", lambda path: 1 / 0)
     assert cli_main(["render", str(toy_chain["iso"]), "--out", str(tmp_path / "x.svg")]) == 3
     [line] = capsys.readouterr().err.splitlines()
     diag = json.loads(line)
@@ -1956,6 +1958,93 @@ def test_a_mutated_input_exits_0_1_or_2_and_never_raises(fuzz_cases, verb, data)
     assert code in (0, 1, 2), lines
     if kind in ("delete", "swap") and len(where) == 1 and where[0] in required:
         assert code == 2, (kind, where, lines)
+
+
+# A disk file in the layout reduce writes, mutated so that the text reader
+# may or may not decide it: each verb must answer it as json.loads and
+# DiskInstance.from_dict do, exit code, lines and output bytes alike.
+HEAD_DUPLICATES = [('"radius"', '"7/2"'), ('"points"', "{}"), ('"meta"', "[]"),
+                   ('"params"', "null"), ('"disks"', "[]"), ('"disks"', '{"a": 1}'),
+                   ('"disks"', '[{"c": ["0/1", "0/1"], "prov": []}]')]
+NUMERALS = ["6/4", "1/0", "0/0", "-0/3", "007/010", "1" * 5000 + "/1", "1/" + "3" * 5000,
+            "+1/2", "1.5"]
+
+
+@st.composite
+def layout_mutations(draw, text):
+    """One mutation of a disk file's ``text`` that keeps most of its layout."""
+    kind = draw(st.sampled_from(["cut", "move", "repeat", "whitespace", "numeral",
+                                 "trailing", "bom"]))
+    if kind == "cut":
+        return text[:draw(st.integers(0, len(text) - 1))]
+    if kind == "move":    # one object's keys rotated, the file written by json
+        tree = json.loads(text)
+        node = draw(st.sampled_from([tree, *tree["disks"]]))
+        keys = list(node)
+        r = draw(st.integers(1, len(keys) - 1))
+        items = [(k, node.pop(k)) for k in keys]
+        node.update(items[r:] + items[:r])
+        return json.dumps(tree, indent=2) + "\n"
+    if kind == "repeat":    # a head key again, right after the disk list or last
+        key, value = draw(st.sampled_from(HEAD_DUPLICATES))
+        if draw(st.booleans()):
+            return text.replace("\n  ],\n", f"\n  ],\n  {key}: {value},\n", 1)
+        return text.rstrip()[:-1] + f",\n  {key}: {value}\n}}\n"
+    if kind == "whitespace":
+        k = draw(st.integers(0, len(text)))
+        return text[:k] + draw(st.sampled_from([" ", "\n", "\t", "\r"])) + text[k:]
+    if kind == "numeral":    # one centre coordinate respelt
+        spans = [m.span(1) for m in re.finditer(r'\n        "(-?[0-9]+/[0-9]+)"', text)]
+        i, j = draw(st.sampled_from(spans))
+        return text[:i] + draw(st.sampled_from(NUMERALS)) + text[j:]
+    if kind == "trailing":
+        return text + draw(st.sampled_from(["x", "}", " ", "\n\n", "{}", "\u00a0"]))
+    return "\ufeff" + text
+
+
+@pytest.fixture(scope="module")
+def disk_file_verbs(tmp_path_factory, lift_cases, toy_chain):
+    """[(disk file, call on a file path -> (exit code, lines, output bytes))]:
+    verify of the three disk problems' targets, solve, render."""
+    root = tmp_path_factory.mktemp("layouts")
+    out = root / "out"
+
+    def verify(problem, candidate):
+        cert = root / f"{problem}.cert.json"
+        write_json({"candidate": candidate}, cert)
+        return lambda f: (*cli_verify(problem, f, cert), b"")
+
+    def writes(run):
+        def call(f):
+            path = out / "out"
+            path.unlink(missing_ok=True)
+            code, lines = run(f, path)
+            return code, lines, path.read_bytes() if path.exists() else b""
+        return call
+
+    calls = [(target, verify(problem, candidate))
+             for _, _, target, problem, candidate, _ in lift_cases.values()
+             if problem in ("isolation", "acc", "udmc")]
+    acc = next(t for _, _, t, p, _, _ in lift_cases.values() if p == "acc")
+    calls += [(toy_chain["iso"], writes(lambda f, o: cli_solve("isolation", f, o))),
+              (acc, writes(lambda f, o: cli_solve("acc", f, o))),
+              (toy_chain["iso"], writes(cli_render)), (acc, writes(cli_render))]
+    assert all(DiskInstance.from_text(Path(path).read_text()) is not None for path, _ in calls)
+    return root, calls
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None, database=None)
+def test_a_verb_answers_a_disk_file_in_any_layout_as_the_tree_does(disk_file_verbs, data):
+    root, calls = disk_file_verbs
+    path, call = data.draw(st.sampled_from(calls))
+    mutant = root / "mutant.json"
+    mutant.write_text(data.draw(layout_mutations(Path(path).read_text())), encoding="utf-8")
+    fast = call(mutant)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(DiskInstance, "from_text", classmethod(lambda cls, text: None))
+        tree = call(mutant)
+    assert fast == tree
 
 
 # ---------------------------------------------------------------------------
