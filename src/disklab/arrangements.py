@@ -22,6 +22,9 @@ The two load-bearing facts, both for equal radii:
   decides separation exactly.  No case is degenerate: a center-to-center
   segment of intersecting disks is covered, so it never passes through an
   uncovered point, and the half-open rule settles centers on a ray's line.
+
+Every fence check starts from the kernel of the instance, :func:`fence_kernel`,
+and judges a certificate by the disks it drops from it (:func:`kernel_separation`).
 """
 
 from __future__ import annotations
@@ -806,10 +809,16 @@ def kernel_separation(kernel: Kernel, ids: Sequence[str],
             for x in range(len(ids)) for y in range(x + 1, len(ids))}
 
 
-def point_kernel(sc: IntCenters, r: Fraction,
-                 points: Dict[str, Point]) -> Tuple[UnitDiskGraph, List[int], Kernel]:
-    """The graph, its masks against ``points`` by sorted id, and its kernel."""
+def fence_kernel(instance: DiskInstance) -> Tuple[UnitDiskGraph, List[int], Kernel]:
+    """The graph of every disk, charged to its edge meter first; then the
+    refusal of a covered marked point, on that graph's own grid; then the
+    masks against the points by sorted id, and the graph's kernel."""
+    sc, r, points = instance.centers, instance.radius, instance.points
     udg = unit_disk_graph(sc, r)
+    for pid, p in points.items():
+        hit = udg.index.within(p, r)
+        if hit:
+            raise Malformed(f"marked point {pid!r} is covered by disk {hit[0]}")
     masks = edge_crossing_parities(sc, udg, [points[a] for a in sorted(points)])
     return udg, masks, contract(udg, masks)
 
@@ -825,11 +834,9 @@ class RegionSummary:
     nerve_triangles: int
 
 
-def filled_triangles(
-    sc: IntCenters, r: Fraction, udg: UnitDiskGraph
-) -> List[Tuple[int, int, int]]:
-    """Triples of pairwise-intersecting disks with a common point."""
-    xs, ys, den = sc
+def filled_triangles(udg: UnitDiskGraph) -> List[Tuple[int, int, int]]:
+    """Triples of pairwise-intersecting disks of ``udg`` with a common point."""
+    (xs, ys, den), r = udg.index.sc, udg.index.r
     two_r, rem = divmod(2 * r.numerator * den, r.denominator)
     assert rem == 0
     out = []
@@ -855,14 +862,13 @@ def _gf2_rank(masks: Iterable[int]) -> int:
     return len(pivots)
 
 
-def complement_regions(sc: IntCenters, r: Fraction) -> RegionSummary:
-    """Connected components of the union and the number of bounded holes in
-    its complement, computed from the intersection complex: components come
-    from the graph, holes from edges - vertices + components - rank of the
-    filled-triangle boundary operator over GF(2)."""
-    udg = unit_disk_graph(sc, r)
+def complement_regions(udg: UnitDiskGraph) -> RegionSummary:
+    """Connected components of the union of ``udg``'s disks and the number
+    of bounded holes in its complement, from the intersection complex:
+    components come from the graph, holes from edges - vertices +
+    components - rank of the filled-triangle boundary operator over GF(2)."""
     comps = len(set(component_labels(udg.adj)))
-    tris = filled_triangles(sc, r, udg)
+    tris = filled_triangles(udg)
     eidx = {e: i for i, e in enumerate(udg.edges)}
     masks = []
     for (i, j, k) in tris:
@@ -1018,21 +1024,14 @@ def check_ids(ids: Iterable[int], n: int, what: str) -> List[int]:
     return out
 
 
-def check_points_uncovered(points: Dict[str, Point], index: CenterIndex) -> None:
-    """Raise :class:`Malformed` if a disk of ``index`` covers one
-    of the marked ``points``."""
-    for pid, p in points.items():
-        hit = index.within(p, index.r)
-        if hit:
-            raise Malformed(f"marked point {pid!r} is covered by disk {hit[0]}")
-
-
 def verify_isolation(
     instance: DiskInstance,
     chosen_ids: Iterable[int],
     budget: Optional[int] = None,
 ) -> Verdict:
-    """Check that the chosen disks separate every pair of marked points.
+    """Check that the chosen disks separate every pair of marked points:
+    the instance's kernel (:func:`fence_kernel`) less every disk not
+    chosen, by :func:`kernel_separation`.
 
     Malformed input (bad ids, covered marked points) raises
     :class:`Malformed`; a well-formed certificate that fails to
@@ -1040,10 +1039,10 @@ def verify_isolation(
     """
     if len(instance.points) < 2:
         raise Malformed("isolation needs at least two marked points")
-    chosen = check_ids(chosen_ids, len(instance.centers.xs), "certificate")
-    check_points_uncovered(instance.points, CenterIndex(instance.centers, instance.radius))
-    kernel = point_kernel(instance.centers.subset(chosen), instance.radius, instance.points)[2]
-    flags = kernel_separation(kernel, sorted(instance.points))
+    n = len(instance.centers.xs)
+    chosen = check_ids(chosen_ids, n, "certificate")
+    kernel = fence_kernel(instance)[2]
+    flags = kernel_separation(kernel, sorted(instance.points), set(range(n)).difference(chosen))
     lines = [f"chosen disks: {len(chosen)}"] + [
         f"{'ok  ' if sep else 'FAIL'} {a} | {b} separated: {sep}" for (a, b), sep in flags.items()]
     over = budget is not None and len(chosen) > budget
@@ -1062,8 +1061,8 @@ def verify_acc(
     removed = check_ids(removed_ids, len(instance.centers.xs), "certificate")
     removed_set = set(removed)
     kept = [i for i in range(len(instance.centers.xs)) if i not in removed_set]
-    holes = complement_regions(instance.centers.subset(kept),
-                               instance.radius).bounded_complement_regions
+    holes = complement_regions(unit_disk_graph(instance.centers.subset(kept),
+                                               instance.radius)).bounded_complement_regions
     over = budget is not None and len(removed) > budget
     ok = holes == 0 and not over
     lines = [f"removed disks: {len(removed)}",

@@ -642,10 +642,10 @@ def build_acc_instance(
     for e1, e2 in _incident_pairs(g.edges):
         b.allow(("conn", e1), ("conn", e2), 0, 1)
     meta = {"kind": "acc", "hubs": {str(v): i for v, i in hub_of_vertex.items()}}
-    inst, _ = b.finish("acyclicity", meta)
+    inst, report = b.finish("acyclicity", meta)
     # the union must have exactly one hole per independent cycle
     n_comp, cycle_rank = g.component_count(), g.cycle_rank()
-    regions = complement_regions(inst.centers, r)
+    regions = complement_regions(report.graph)
     if regions.bounded_complement_regions != cycle_rank or \
             regions.union_components != n_comp:
         raise SynthesisError(

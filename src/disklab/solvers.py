@@ -9,10 +9,9 @@ is feasible, so a subtree whose largest set fails is skipped, and the first
 feasible subset found is the one plain enumeration finds.  It weighs an
 edge by its weight, a face-separation group 2, a vertex or a disk 1.
 The two-point isolation solver and the terminal-pair cut solver are
-polynomial and handle the synthesized instances directly; the two-point
-solver searches the chain-contracted kernel
-(:func:`~disklab.arrangements.contract`), on which sound instances keep
-only a few dozen junctions.
+polynomial and handle the synthesized instances directly.  Both fence
+solvers use the kernel ``verify isolation`` reads (:func:`~disklab.arrangements.fence_kernel`),
+on which sound instances keep only a few dozen junctions.
 Meters bound the work (:class:`~disklab.base.Refused` when spent): the
 intersection graph's edge meter, and a search meter of ``SEARCH_ALLOWANCE``
 units a search.  A candidate test costs one unit plus one for each edge,
@@ -29,11 +28,9 @@ from itertools import combinations
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .arrangements import (
-    CenterIndex,
     DiskInstance,
-    check_points_uncovered,
+    fence_kernel,
     kernel_separation,
-    point_kernel,
     unit_disk_graph,
     verify_acc,
 )
@@ -193,14 +190,14 @@ def brute_min_isolation_two_points(instance: DiskInstance) -> OptimumCertificate
     reports that cycle and the numbers of odd edges, roots searched,
     junctions and chains.
 
-    The graph and its edge meter come before the covered-point check, so a
-    graph past its allowance is refused with a point covered too.  Each
-    root's heap pops are charged to a search meter when its search ends.
+    :func:`~disklab.arrangements.fence_kernel` charges the graph before the
+    covered-point check, so a graph past its allowance is refused with a
+    point covered too.  Each root's heap pops are charged to a search meter
+    when its search ends.
     """
     if len(instance.points) != 2:
         raise Malformed("this solver handles exactly two marked points")
-    udg, masks, kernel = point_kernel(instance.centers, instance.radius, instance.points)
-    check_points_uncovered(instance.points, udg.index)
+    _, masks, kernel = fence_kernel(instance)
     if not all(kernel_separation(kernel, sorted(instance.points)).values()):
         raise Rejected(NO_FENCE)
     chains = kernel.chains
@@ -286,21 +283,20 @@ def brute_min_isolation(instance: DiskInstance) -> OptimumCertificate:
     """Minimum fence for any number of marked points, by
     :func:`_cheapest_feasible` over the disks: with the marked points
     uncovered, a superset of a fence is a fence.  At least two marked points
-    and none covered are checked before any work is charged.  A candidate
-    drops the other disks from one kernel (:func:`kernel_separation`).  Use
-    the two-point solver for synthesized instances.
+    are checked before any work is charged.  A candidate drops the other
+    disks from the instance's :func:`~disklab.arrangements.fence_kernel`.
+    Use the two-point solver for synthesized instances.
     """
     if len(instance.points) < 2:
         raise Malformed("isolation needs at least two marked points")
-    sc, r = instance.centers, instance.radius
-    check_points_uncovered(instance.points, CenterIndex(sc, r))
-    ids, everything = sorted(instance.points), set(range(len(sc.xs)))
-    kernel = point_kernel(sc, r, instance.points)[2]
+    kernel = fence_kernel(instance)[2]
+    n = len(instance.centers.xs)
+    ids, everything = sorted(instance.points), set(range(n))
 
     def fences(combo: Tuple[int, ...]) -> bool:
         return all(kernel_separation(kernel, ids, everything.difference(combo)).values())
 
-    size, combo = _cheapest_feasible([1] * len(sc.xs), fences, NO_FENCE)
+    size, combo = _cheapest_feasible([1] * n, fences, NO_FENCE)
     return OptimumCertificate(problem="point-isolation", optimum=size, witness=list(combo))
 
 

@@ -35,6 +35,12 @@
   upward-closed feasibility, of :mod:`disklab.solvers` replaced; each must
   return the same optimum, witness, ``detail`` and ``method``, or refuse
   alike.
+* The fence check on the graph of the chosen disks alone: a covered-point
+  check on ``Fraction`` distances, then the chosen disks' own grid, graph,
+  masks and kernel, nothing dropped.  The verifier that drops every disk
+  not chosen from the instance's one kernel,
+  :func:`disklab.arrangements.verify_isolation`, replaced it; both must
+  return the same ``Verdict``.
 * The two-point fence solver by a (disk, parity) BFS over the whole
   intersection graph, rooted at each odd edge, which the Dijkstra over the
   chain-contracted kernel of :func:`disklab.solvers.brute_min_isolation_two_points`
@@ -79,7 +85,7 @@ from networkx.algorithms.flow import edmonds_karp
 
 from disklab import arrangements as ar
 from disklab import gridembed as ge
-from disklab.base import Dart, Malformed, Refused, Vertex
+from disklab.base import Dart, Malformed, Refused, Verdict, Vertex
 from disklab.gadgets import ContactReport, StructureSpec, check_structure
 from disklab.geometry import Point, point_on_segment, ray_crossing
 from disklab.graphs import (
@@ -634,22 +640,66 @@ def reference_min_fvs(vertices, edges) -> OptimumCertificate:
     raise AssertionError("removing all vertices always leaves an acyclic graph")
 
 
+def refuse_covered_points(instance: ar.DiskInstance) -> None:
+    """Raise :class:`Malformed` as the fence checks do when a disk covers a
+    marked point: each point, in ``points`` order, against each disk by
+    ``Fraction`` distance, naming the smallest id of a disk covering it."""
+    r2 = instance.radius ** 2
+    for pid, p in instance.points.items():
+        for i, d in enumerate(instance.disks):
+            if dist_sq(p, d.center) <= r2:
+                raise Malformed(f"marked point {pid!r} is covered by disk {i}")
+
+
+def subset_separation(
+    instance: ar.DiskInstance, chosen: Sequence[int]
+) -> Dict[Tuple[str, str], bool]:
+    """Whether the union of the ``chosen`` disks (distinct ids) separates
+    each pair of sorted marked points, on the kernel of their own graph."""
+    sc, ids = instance.centers.subset(chosen), sorted(instance.points)
+    udg = ar.unit_disk_graph(sc, instance.radius)
+    masks = ar.edge_crossing_parities(sc, udg, [instance.points[a] for a in ids])
+    return ar.kernel_separation(ar.contract(udg, masks), ids)
+
+
+def subset_verify_isolation(
+    instance: ar.DiskInstance, chosen_ids: Iterable[int], budget: Optional[int] = None
+) -> Verdict:
+    """The isolation verdict on the graph of the chosen disks alone, after
+    the covered-point check of :func:`refuse_covered_points`."""
+    if len(instance.points) < 2:
+        raise Malformed("isolation needs at least two marked points")
+    chosen = ar.check_ids(chosen_ids, len(instance.centers.xs), "certificate")
+    refuse_covered_points(instance)
+    flags = subset_separation(instance, chosen)
+    lines = [f"chosen disks: {len(chosen)}"] + [
+        f"{'ok  ' if sep else 'FAIL'} {a} | {b} separated: {sep}" for (a, b), sep in flags.items()]
+    over = budget is not None and len(chosen) > budget
+    if over:
+        lines.append(f"budget: certificate uses {len(chosen)} disks, cap {budget}")
+    return Verdict(all(flags.values()) and not over, lines)
+
+
 def reference_min_isolation(
     instance: ar.DiskInstance, max_subset: int = 12, max_disks: int = 40
 ) -> OptimumCertificate:
     """The minimum fence by plain subset enumeration, each subset checked
-    by ``verify_isolation``.  Its own caps bound it: over ``max_disks``
-    disks, or with no fence of at most ``max_subset`` disks, it raises
-    :class:`~disklab.base.Refused`.  The solver it checks,
+    on its own graph (:func:`subset_separation`) once the marked points are
+    checked (:func:`refuse_covered_points`).  Its own caps bound it: over
+    ``max_disks`` disks, or with no fence of at most ``max_subset`` disks,
+    it raises :class:`~disklab.base.Refused`.  The solver it checks,
     :func:`disklab.solvers.brute_min_isolation`, has no cap: a search meter
     bounds it."""
     instance.validate()
     n = len(instance.tags)
     if n > max_disks:
         raise Refused(f"{n} disks exceeds the enumeration cap {max_disks}")
+    if len(instance.points) < 2:
+        raise Malformed("isolation needs at least two marked points")
+    refuse_covered_points(instance)
     for size in range(min(max_subset, n) + 1):
         for combo in combinations(range(n), size):
-            if ar.verify_isolation(instance, list(combo)).ok:
+            if all(subset_separation(instance, combo).values()):
                 return OptimumCertificate(
                     problem="point-isolation", optimum=size, witness=list(combo)
                 )
@@ -664,10 +714,13 @@ def bfs_min_isolation_two_points(instance: ar.DiskInstance) -> OptimumCertificat
     instance.validate()
     if len(instance.points) != 2:
         raise Malformed("this solver handles exactly two marked points")
-    ar.check_points_uncovered(instance.points, ar.CenterIndex(instance.centers, instance.radius))
     p, q = [instance.points[k] for k in sorted(instance.points)]
     sc = instance.centers
     udg = ar.unit_disk_graph(sc, instance.radius)
+    for pid, pt in instance.points.items():
+        hit = udg.index.within(pt, instance.radius)
+        if hit:
+            raise Malformed(f"marked point {pid!r} is covered by disk {hit[0]}")
     parity = {e: (m ^ (m >> 1)) & 1
               for e, m in zip(udg.edges, ar.edge_crossing_parities(sc, udg, (p, q)))}
     adj: List[List[Tuple[int, int]]] = [[] for _ in range(udg.n)]

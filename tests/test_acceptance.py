@@ -18,6 +18,7 @@ from pathlib import Path
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from floodfill import (
     flood_fill_separated,
@@ -35,11 +36,14 @@ from oracles import (
     bfs_min_isolation_two_points,
     dist_sq,
     lift_fence_by_tags,
+    subset_verify_isolation,
 )
 from test_gadgets import assert_round_trip_equal, build_sound
+from test_solvers import lattice_fence_instances
 
 from disklab import arrangements as ar
 from disklab import pipeline as pl
+from disklab.base import Malformed
 from disklab.corpus import seeded_multiterminal_instances
 from disklab.gadgets import (
     BUNDLE_COPIES,
@@ -395,7 +399,8 @@ def test_criterion_07_acyclic_complement_matches_vertex_deletion():
         removed = set(lift_vertex_set_to_acc(art, fvs.witness))
         assert ar.verify_acc(art.instance, removed).ok
         kept = [i for i in range(len(art.instance.disks)) if i not in removed]
-        regions = ar.complement_regions(art.instance.centers.subset(kept), art.instance.radius)
+        regions = ar.complement_regions(
+            ar.unit_disk_graph(art.instance.centers.subset(kept), art.instance.radius))
         assert regions.bounded_complement_regions == 0
 
 
@@ -429,7 +434,7 @@ def test_criterion_09_raster_oracle_agreement(oracle_corpus):
     assert len(oracle_corpus) == 1000
     disagreements = 0
     for centers, chosen, inst, report in oracle_corpus:
-        exact = ar.complement_regions(inst.centers, ONE)
+        exact = ar.complement_regions(ar.unit_disk_graph(inst.centers, ONE))
         occ, holes = flood_fill_summary(centers, ONE)
         if (occ, holes) != (exact.union_components,
                             exact.bounded_complement_regions):
@@ -562,7 +567,7 @@ def test_criterion_12_raster_oracle_on_ring_holes(ring_oracle_corpus):
     assert len(ring_oracle_corpus) == 60
     disagreements = holes = separated = 0
     for centers, chosen, inst, report in ring_oracle_corpus:
-        exact = ar.complement_regions(inst.centers, ONE)
+        exact = ar.complement_regions(ar.unit_disk_graph(inst.centers, ONE))
         if flood_fill_summary(centers, ONE) != (
             exact.union_components, exact.bounded_complement_regions
         ):
@@ -624,7 +629,7 @@ def test_all_pairs_separation_matches_per_pair_oracle_on_sound_corpus(sound_corp
 @pytest.fixture(scope="module")
 def sound_kernels(sound_corpus):
     """Each instance's intersection graph, masks and kernel."""
-    return [ar.point_kernel(art.instance.centers, art.instance.radius, art.instance.points)
+    return [ar.fence_kernel(art.instance)
             for _, art in sound_corpus]
 
 
@@ -663,7 +668,7 @@ def test_kernel_separation_matches_separation_on_toy_fences(toy_fence_corpus):
     for d in toy_fence_corpus:
         inst = ar.DiskInstance.from_dict(pl.read_json(d / "iso.json"))
         fence = set(pl.read_json(d / "sol.json")["witness"])
-        udg, _, kernel = ar.point_kernel(inst.centers, inst.radius, inst.points)
+        udg, _, kernel = ar.fence_kernel(inst)
         ids = sorted(inst.points)
         outside = {i for i in range(udg.n) if i not in fence}
         for dropped in [set(), outside] + [outside | {i} for i in sorted(fence)]:
@@ -672,6 +677,57 @@ def test_kernel_separation_matches_separation_on_toy_fences(toy_fence_corpus):
             assert all(flags.values()) == (len(dropped) <= len(outside))
             unions += 1
     assert unions >= 5 * 3
+
+
+@pytest.fixture(scope="module")
+def verify_corpus(sound_corpus, toy_fence_corpus):
+    """The instances ``verify_isolation`` is held to its subset-graph oracle
+    on, each with its kernel's junctions: the k-point solver's seeded
+    lattices, the toy fences, the grid-2 sound instances, and two disks
+    with a covered marked point."""
+    toy = [ar.DiskInstance.from_dict(pl.read_json(d / "iso.json")) for d in toy_fence_corpus]
+    grid_2 = [art.instance for emb, art in sound_corpus if emb.grid_size == 2]
+    covered = disk_instance(Fraction(3, 5), [Disk(Fraction(0), Fraction(0)),
+                                             Disk(Fraction(1), Fraction(0))],
+                            points={"a": (Fraction(5), Fraction(5)),
+                                    "b": (Fraction(1, 2), Fraction(0))})
+    out = []
+    for inst in lattice_fence_instances(3141, 40) + toy + grid_2 + [covered]:
+        udg = ar.unit_disk_graph(inst.centers, inst.radius)
+        out.append((inst, ar.contract(udg, [0] * len(udg.edges)).junctions))
+    return out
+
+
+def verify_outcome(verify, inst, chosen, budget):
+    """The verdict, or the type and message of the refusal."""
+    try:
+        return verify(inst, chosen, budget)
+    except Malformed as exc:
+        return Malformed, str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_verify_isolation_matches_the_subset_graph_oracle(verify_corpus, data):
+    # the certificate empty, every disk, every disk but one, or every disk
+    # less some kernel junctions, then perhaps with ids repeated
+    inst, junctions = data.draw(st.sampled_from(verify_corpus))
+    everything = range(len(inst.tags))
+    kind = data.draw(st.sampled_from(["empty", "all", "all but one", "junctions dropped"]))
+    if kind == "empty":
+        dropped = set(everything)
+    elif kind == "all":
+        dropped = set()
+    elif kind == "all but one":
+        dropped = {data.draw(st.sampled_from(everything))}
+    else:
+        dropped = data.draw(st.sets(st.sampled_from(junctions), min_size=1, max_size=3))
+    chosen = [i for i in everything if i not in dropped]
+    if chosen and data.draw(st.booleans()):
+        chosen += data.draw(st.lists(st.sampled_from(chosen), min_size=1, max_size=5))
+    budget = data.draw(st.none() | st.integers(0, len(everything)))
+    assert verify_outcome(ar.verify_isolation, inst, chosen, budget) == verify_outcome(
+        subset_verify_isolation, inst, chosen, budget)
 
 
 def test_dropping_a_sound_wall_merges_only_the_faces_beside_it(sound_corpus, sound_kernels):

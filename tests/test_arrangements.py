@@ -243,7 +243,7 @@ def test_components():
 
 def test_filled_trio_has_no_hole():
     centers = [(F(0), F(0)), (F(2), F(0)), (F(1), F(1))]
-    rs = ar.complement_regions(int_centers(centers, ONE), ONE)
+    rs = ar.complement_regions(ar.unit_disk_graph(int_centers(centers, ONE), ONE))
     assert rs.union_components == 1
     assert rs.bounded_complement_regions == 0
     assert rs.nerve_triangles == 1
@@ -251,7 +251,7 @@ def test_filled_trio_has_no_hole():
 
 def test_open_trio_has_one_hole():
     centers = [(F(0), F(0)), (F(2), F(0)), (F(1), F(17, 10))]
-    rs = ar.complement_regions(int_centers(centers, ONE), ONE)
+    rs = ar.complement_regions(ar.unit_disk_graph(int_centers(centers, ONE), ONE))
     assert rs.union_components == 1
     assert rs.bounded_complement_regions == 1
     assert rs.nerve_triangles == 0
@@ -260,24 +260,24 @@ def test_open_trio_has_one_hole():
 def test_two_separate_rings_two_holes():
     ring = [(F(2), F(0)), (F(0), F(2)), (F(-2), F(0)), (F(0), F(-2))]
     far = [(x + 20, y) for x, y in ring]
-    rs = ar.complement_regions(int_centers(ring + far, F(3, 2)), F(3, 2))
+    rs = ar.complement_regions(ar.unit_disk_graph(int_centers(ring + far, F(3, 2)), F(3, 2)))
     assert rs.union_components == 2
     assert rs.bounded_complement_regions == 2
 
 
 def test_duplicate_disks_change_nothing():
     centers = [(F(0), F(0)), (F(2), F(0)), (F(1), F(17, 10))]
-    rs1 = ar.complement_regions(int_centers(centers, ONE), ONE)
-    rs2 = ar.complement_regions(int_centers(centers + centers[:1], ONE), ONE)
+    rs1 = ar.complement_regions(ar.unit_disk_graph(int_centers(centers, ONE), ONE))
+    rs2 = ar.complement_regions(ar.unit_disk_graph(int_centers(centers + centers[:1], ONE), ONE))
     assert rs1.union_components == rs2.union_components
     assert rs1.bounded_complement_regions == rs2.bounded_complement_regions
 
 
 def test_single_disks_and_chains():
-    assert ar.complement_regions(int_centers([(F(0), F(0))], ONE), ONE) \
+    assert ar.complement_regions(ar.unit_disk_graph(int_centers([(F(0), F(0))], ONE), ONE)) \
         .bounded_complement_regions == 0
     chain = [(F(i), F(0)) for i in range(8)]
-    rs = ar.complement_regions(int_centers(chain, ONE), ONE)
+    rs = ar.complement_regions(ar.unit_disk_graph(int_centers(chain, ONE), ONE))
     assert rs.union_components == 1
     assert rs.bounded_complement_regions == 0
 
@@ -430,7 +430,8 @@ def test_verify_acc():
     rep = ar.verify_acc(inst, [1])
     assert rep == (
         True, ["removed disks: 1", "ok   remaining union has 0 bounded complement region(s)"])
-    assert ar.complement_regions(inst.centers.subset([0, 2]), ONE).bounded_complement_regions == 0
+    kept = ar.unit_disk_graph(inst.centers.subset([0, 2]), ONE)
+    assert ar.complement_regions(kept).bounded_complement_regions == 0
     assert ar.verify_acc(inst, [0, 1], budget=1).lines[2:] == [
         "budget: certificate removes 2 disks, cap 1"]
 
@@ -498,7 +499,7 @@ def test_flood_fill_agreement_sample():
     rng = random.Random(987123)
     for _ in range(40):
         centers = random_robust_centers(rng)
-        exact = ar.complement_regions(int_centers(centers, ONE), ONE)
+        exact = ar.complement_regions(ar.unit_disk_graph(int_centers(centers, ONE), ONE))
         occ, holes = flood_fill_summary(centers, ONE)
         assert occ == exact.union_components
         assert holes == exact.bounded_complement_regions

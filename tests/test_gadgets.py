@@ -552,7 +552,7 @@ def test_acc_triangle_counts_and_topology():
     art = build_acc_instance(*TRI)
     assert len(art.instance.disks) == 21  # 3 hubs + chains of 5, 8, 5
     assert art.cycle_rank == 1
-    reg = complement_regions(art.instance.centers, art.instance.radius)
+    reg = complement_regions(unit_disk_graph(art.instance.centers, art.instance.radius))
     assert reg.union_components == 1
     assert reg.bounded_complement_regions == 1
 
@@ -568,14 +568,14 @@ TWO_TRIANGLES = (
 def test_acc_forest_has_no_holes():
     art = build_acc_instance(*FOREST)
     assert art.cycle_rank == 0
-    reg = complement_regions(art.instance.centers, art.instance.radius)
+    reg = complement_regions(unit_disk_graph(art.instance.centers, art.instance.radius))
     assert reg.bounded_complement_regions == 0
 
 
 def test_acc_disconnected_components_counted():
     art = build_acc_instance(*TWO_TRIANGLES)
     assert art.cycle_rank == 2
-    reg = complement_regions(art.instance.centers, art.instance.radius)
+    reg = complement_regions(unit_disk_graph(art.instance.centers, art.instance.radius))
     assert reg.union_components == 2
     assert reg.bounded_complement_regions == 2
 

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -438,6 +439,54 @@ def test_verify_exit_codes(toy_chain, tmp_path):
     assert cli_verify("unknown-problem", iso, good)[0] == 2
 
 
+def count_builds(monkeypatch):
+    """A Counter of the grids (``CenterIndex``) and intersection graphs
+    (``UnitDiskGraph``) built from now on, by class name."""
+    built = Counter()
+    for cls in (arrangements.CenterIndex, arrangements.UnitDiskGraph):
+        def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            built[_name] += 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+    return built
+
+
+def test_each_fence_verb_builds_one_grid_and_one_graph(toy_chain, monkeypatch, tmp_path):
+    # verify isolation checks the covered points on the grid of the graph
+    # of every disk, then drops the disks not chosen from that graph's
+    # kernel, whatever the certificate; both fence solvers share that front
+    # end; the acc builder reads its topology off the structure check's graph
+    iso = toy_chain["iso"]
+    n = len(read_json(iso)["disks"])
+    wall = set(read_json(f"{iso}.record.json")["edges"]["0"])
+    rings = tmp_path / "rings.json"
+    ring = [Disk(Fraction(x), Fraction(y)) for x, y in ((2, 0), (0, 2), (-2, 0), (0, -2))]
+    write_json(disk_instance(
+        Fraction(3, 2), ring + [Disk(d.x + 20, d.y) for d in ring],
+        points={"in": (Fraction(0), Fraction(0)), "in2": (Fraction(20), Fraction(0)),
+                "out": (Fraction(12), Fraction(0))}).to_dict(), rings)
+    triangle, acc = tmp_path / "triangle.json", tmp_path / "triangle.acc.json"
+    write_json({"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"], ["c", "a"]],
+                "coords": {"a": [0, 0], "b": [1, 0], "c": [0, 1]}}, triangle)
+    certificates = {"keep-all": range(n), "one wall dropped": set(range(n)) - wall,
+                    "ten disks": range(10)}
+    built = count_builds(monkeypatch)
+    for name, ids in certificates.items():
+        cert = tmp_path / f"{name}.json"
+        write_json({"candidate": sorted(ids)}, cert)
+        built.clear()
+        assert cli_verify("isolation", iso, cert)[0] == (0 if name == "keep-all" else 1)
+        assert built == {"CenterIndex": 1, "UnitDiskGraph": 1}, name
+    for inst, points in ((iso, 2), (rings, 3)):
+        assert len(read_json(inst)["points"]) == points
+        built.clear()
+        assert cli_solve("isolation", inst, tmp_path / "opt.json")[0] == 0
+        assert built == {"CenterIndex": 1, "UnitDiskGraph": 1}, points
+    built.clear()
+    assert cli_reduce("fvs->acc", triangle, acc)[0] == 0
+    assert built == {"CenterIndex": 1, "UnitDiskGraph": 1}
+
+
 def test_verify_graph_level_problems(toy_chain, tmp_path):
     mc, sub = toy_chain["mc"], toy_chain["sub"]
     cert = tmp_path / "cut.json"
@@ -629,6 +678,17 @@ def test_solve_refuses_oversized_instances(tmp_path):
     path = tmp_path / "big.json"
     write_json(inst, path)
     assert cli_solve("isolation", path, tmp_path / "x.json") == (
+        1, ["refused: the edge meter's allowance of 78336 is spent: 79800 charged"])
+
+
+def test_verify_isolation_refuses_an_oversized_instance_whatever_the_certificate(tmp_path):
+    # the same 400 stacked disks: verify builds the graph of every disk,
+    # and drops the rest from its kernel, so a certificate of three disks,
+    # whose own graph fits the allowance, is refused with the instance
+    path, cert = tmp_path / "big.json", tmp_path / "cert.json"
+    write_json(stacked_block(400), path)
+    write_json({"candidate": [0, 1, 2]}, cert)
+    assert cli_verify("isolation", path, cert) == (
         1, ["refused: the edge meter's allowance of 78336 is spent: 79800 charged"])
 
 

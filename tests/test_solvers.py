@@ -412,17 +412,23 @@ def test_two_point_cap(monkeypatch):
     assert_allowance_is_inclusive(monkeypatch, brute_min_isolation_two_points, ring4(), 4)
 
 
-def test_two_point_charges_the_edge_allowance_before_the_covered_point_check(monkeypatch):
-    # the graph is built, and charged, first: over the edge allowance a
-    # covered point is refused, within it malformed
-    inst = ring4(points={"in": (Fraction(2), Fraction(149, 100))})  # inside disk (2, 0)
+@pytest.mark.parametrize("check, points", [
+    (brute_min_isolation_two_points, {}),
+    (brute_min_isolation, {"third": (Fraction(30), Fraction(0))}),
+    (lambda inst: verify_isolation(inst, range(5)), {}),
+], ids=["two-point", "k-point", "verify"])
+def test_each_fence_check_charges_the_edge_allowance_before_the_covered_point_check(
+        monkeypatch, check, points):
+    # each builds, and charges, the graph of every disk first: over the
+    # edge allowance a covered point is refused, within it malformed
+    inst = ring4(points={"in": (Fraction(2), Fraction(149, 100)), **points})  # in disk (2, 0)
     monkeypatch.setattr(arrangements, "EDGE_SLACK", 3)
     monkeypatch.setattr(arrangements, "EDGES_PER_DISK", 0)
     with pytest.raises(Refused, match="the edge meter's allowance of 3 is spent: 4 charged"):
-        brute_min_isolation_two_points(inst)
+        check(inst)
     monkeypatch.setattr(arrangements, "EDGE_SLACK", 4)
-    with pytest.raises(Malformed, match="covered"):
-        brute_min_isolation_two_points(inst)
+    with pytest.raises(Malformed, match="'in' is covered by disk 0"):
+        check(inst)
 
 
 def acc_ring():
