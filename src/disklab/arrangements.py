@@ -24,7 +24,8 @@ The two load-bearing facts, both for equal radii:
   uncovered point, and the half-open rule settles centers on a ray's line.
 
 Every fence check starts from the kernel of the instance, :func:`fence_kernel`,
-and judges a certificate by the disks it drops from it (:func:`kernel_separation`).
+and judges a certificate by the disks it drops from it (:func:`kernel_separation`);
+every hole count, by those it drops from the instance's graph (:func:`complement_regions`).
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .geometry import (
     ray_crossing,
     triple_intersection_nonempty,
 )
-from .graphs import component_labels
+from .graphs import betti_numbers, component_labels
 
 
 # ---------------------------------------------------------------------------
@@ -442,9 +443,9 @@ def _parse_rational(s, dens: Dict[str, int]) -> Tuple[int, int]:
 class UnitDiskGraph:
     """The intersection graph of ``n`` disks: ``adj[i]`` lists, ascending,
     the disks that meet disk i.  ``edges``, every pair (i, j) with i < j in
-    ascending order, is built from ``adj`` on first read: flows, cut checks
-    and component labels read only the lists.  Two graphs are equal when
-    their ``n``, ``edges`` and ``adj`` are."""
+    ascending order, and ``triangles`` (:func:`filled_triangles`) are built
+    on first read: flows, cut checks and component labels read only the
+    lists.  Two graphs are equal when their ``n``, ``edges`` and ``adj`` are."""
 
     n: int
     adj: List[List[int]]
@@ -454,6 +455,10 @@ class UnitDiskGraph:
     @cached_property
     def edges(self) -> List[Tuple[int, int]]:
         return [(i, j) for i, a in enumerate(self.adj) for j in a if j > i]
+
+    @cached_property
+    def triangles(self) -> List[Tuple[int, int, int]]:
+        return filled_triangles(self)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UnitDiskGraph):
@@ -472,10 +477,6 @@ class IntCenters(NamedTuple):
     xs: Tuple[int, ...]
     ys: Tuple[int, ...]
     den: int
-
-    def subset(self, ids: Sequence[int]) -> "IntCenters":
-        xs, ys = self.xs, self.ys
-        return IntCenters(tuple([xs[i] for i in ids]), tuple([ys[i] for i in ids]), self.den)
 
 
 # Sound instances need about 46 bits (2160 * 2**34 at grid size 3); a file
@@ -862,26 +863,18 @@ def _gf2_rank(masks: Iterable[int]) -> int:
     return len(pivots)
 
 
-def complement_regions(udg: UnitDiskGraph) -> RegionSummary:
-    """Connected components of the union of ``udg``'s disks and the number
-    of bounded holes in its complement, from the intersection complex:
-    components come from the graph, holes from edges - vertices +
-    components - rank of the filled-triangle boundary operator over GF(2)."""
-    comps = len(set(component_labels(udg.adj)))
-    tris = filled_triangles(udg)
-    eidx = {e: i for i, e in enumerate(udg.edges)}
-    masks = []
-    for (i, j, k) in tris:
-        masks.append(
-            (1 << eidx[(i, j)]) | (1 << eidx[(i, k)]) | (1 << eidx[(j, k)])
-        )
-    rank = _gf2_rank(masks)
-    beta1 = len(udg.edges) - udg.n + comps - rank
-    return RegionSummary(
-        union_components=comps,
-        bounded_complement_regions=beta1,
-        nerve_triangles=len(tris),
-    )
+def complement_regions(udg: UnitDiskGraph, dropped: Iterable[int] = ()) -> RegionSummary:
+    """Connected components of the union of ``udg``'s disks less the ids in
+    ``dropped``, and the number of bounded holes in its complement: the cycle
+    rank of the graph less them (:func:`~disklab.graphs.betti_numbers`) less
+    the GF(2) rank of the boundaries of the filled triangles with no dropped
+    corner, the kept disks' own (``udg.triangles``), each made as it is read."""
+    drop = set(dropped)
+    comps, cycles = betti_numbers(udg.n, udg.edges, drop)
+    eidx = {e: k for k, e in enumerate(udg.edges)}
+    tris = [t for t in udg.triangles if drop.isdisjoint(t)]
+    rank = _gf2_rank(1 << eidx[i, j] | 1 << eidx[i, k] | 1 << eidx[j, k] for i, j, k in tris)
+    return RegionSummary(comps, cycles - rank, len(tris))
 
 
 # ---------------------------------------------------------------------------
@@ -1057,12 +1050,11 @@ def verify_acc(
     budget: Optional[int] = None,
 ) -> Verdict:
     """Check that deleting the given disks leaves a union with no bounded
-    complement region (an acyclic disk collection)."""
+    complement region (an acyclic disk collection), on the graph of every
+    disk (:func:`complement_regions`): refused past the edge allowance."""
     removed = check_ids(removed_ids, len(instance.centers.xs), "certificate")
-    removed_set = set(removed)
-    kept = [i for i in range(len(instance.centers.xs)) if i not in removed_set]
-    holes = complement_regions(unit_disk_graph(instance.centers.subset(kept),
-                                               instance.radius)).bounded_complement_regions
+    udg = unit_disk_graph(instance.centers, instance.radius)
+    holes = complement_regions(udg, removed).bounded_complement_regions
     over = budget is not None and len(removed) > budget
     ok = holes == 0 and not over
     lines = [f"removed disks: {len(removed)}",

@@ -42,7 +42,7 @@ from .geometry import (
     ceil_frac,
     pi_bounds,
 )
-from .graphs import Graph, SubdivisionInstance, lift_subdivision_solution
+from .graphs import Graph, SubdivisionInstance, betti_numbers, lift_subdivision_solution
 from .gridembed import DrawingError, GridEmbedding, locate_face
 
 Tag = Tuple
@@ -644,10 +644,9 @@ def build_acc_instance(
     meta = {"kind": "acc", "hubs": {str(v): i for v, i in hub_of_vertex.items()}}
     inst, report = b.finish("acyclicity", meta)
     # the union must have exactly one hole per independent cycle
-    n_comp, cycle_rank = g.component_count(), g.cycle_rank()
+    n_comp, cycle_rank = betti_numbers(len(g.vertices), g.ends)
     regions = complement_regions(report.graph)
-    if regions.bounded_complement_regions != cycle_rank or \
-            regions.union_components != n_comp:
+    if (regions.union_components, regions.bounded_complement_regions) != (n_comp, cycle_rank):
         raise SynthesisError(
             f"drawn topology mismatch: {regions} vs cycle rank {cycle_rank}, "
             f"{n_comp} component(s)"

@@ -2,9 +2,9 @@
 
 A :class:`Graph` is a vertex list and an edge list; loops and parallel edges
 are allowed.  It is fixed once built and indexed then: vertex positions and
-edge ends as positions.  Its cycle rank, edges - vertices + components, is
-zero exactly for a forest, and decides feedback vertex sets
-(:func:`fvs_solution_ok`).
+edge ends as positions.  Its cycle rank, edges - vertices + components
+(:func:`betti_numbers`), is zero exactly for a forest, and decides feedback
+vertex sets (:func:`fvs_solution_ok`); disk unions count holes with it.
 
 A :class:`PlanarEmbeddedGraph` is a graph plus, for every vertex, the
 clockwise cyclic order of its edge ends ("darts").  Faces are derived purely
@@ -65,6 +65,14 @@ def edge_component_labels(
             adj[u].append(w)
             adj[w].append(u)
     return component_labels(adj)
+
+
+def betti_numbers(n: int, ends: Iterable[Tuple[int, int]], removed: Iterable[int] = ()) -> Tuple[int, int]:
+    """Components and cycle rank of :func:`edge_component_labels`' multigraph less the nodes ``removed``."""
+    removed = set(removed)
+    kept = [(u, w) for u, w in ends if u not in removed and w not in removed]
+    comps = len(set(edge_component_labels(n, kept))) - len(removed)
+    return comps, len(kept) - n + len(removed) + comps
 
 
 def terminals_separated(
@@ -175,20 +183,13 @@ class Graph:
         return all(len(p) == 2 for p in pairs) and len(set(pairs)) == len(pairs)
 
     def component_count(self) -> int:
-        return len(set(edge_component_labels(len(self.vertices), self.ends)))
+        return betti_numbers(len(self.vertices), self.ends)[0]
 
     def is_connected(self) -> bool:
         return self.component_count() <= 1
 
     def cycle_rank(self, removed: Iterable[int] = ()) -> int:
-        """Edges - vertices + components of the graph less the vertices at
-        the positions in ``removed``: its number of independent cycles,
-        zero exactly for a forest.  A removed vertex stays as a node of its
-        own component, which adds one to each of the last two terms."""
-        removed = set(removed)
-        kept = [(u, w) for u, w in self.ends if u not in removed and w not in removed]
-        n = len(self.vertices)
-        return len(kept) - n + len(set(edge_component_labels(n, kept)))
+        return betti_numbers(len(self.vertices), self.ends, removed)[1]
 
 
 class PlanarEmbeddedGraph(Graph):

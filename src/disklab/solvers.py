@@ -29,10 +29,10 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .arrangements import (
     DiskInstance,
+    complement_regions,
     fence_kernel,
     kernel_separation,
     unit_disk_graph,
-    verify_acc,
 )
 from .base import Malformed, Meter, Rejected
 from .graphs import (
@@ -303,14 +303,16 @@ def brute_min_isolation(instance: DiskInstance) -> OptimumCertificate:
 def brute_min_acc(instance: DiskInstance) -> OptimumCertificate:
     """Minimum number of deleted disks leaving a union with no bounded
     complement region, by subset enumeration over deletions, each charged
-    ``1 + n`` units for n disks to a search meter.  Deleting every disk
-    leaves an acyclic union, so some size finds one."""
+    ``1 + n`` units for n disks to a search meter and judged as ``verify acc``
+    judges it, on the one graph of every disk.  Deleting every disk leaves
+    an acyclic union, so some size finds one."""
     n = len(instance.centers.xs)
+    udg = unit_disk_graph(instance.centers, instance.radius)
     meter = Meter("search", SEARCH_ALLOWANCE)
 
     def acyclic(combo: Tuple[int, ...]) -> bool:
         meter.charge(1 + n)
-        return verify_acc(instance, combo).ok
+        return complement_regions(udg, combo).bounded_complement_regions == 0
 
     combo = next(c for size in range(n + 1) for c in combinations(range(n), size) if acyclic(c))
     return OptimumCertificate(problem="acyclic-cover", optimum=len(combo), witness=list(combo))

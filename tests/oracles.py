@@ -41,6 +41,11 @@
   not chosen from the instance's one kernel,
   :func:`disklab.arrangements.verify_isolation`, replaced it; both must
   return the same ``Verdict``.
+* The hole count on the graph of the kept disks alone: their own centres
+  (:func:`subset_centers`), grid, graph and filled triangles.  The verifier
+  that reads the holes off the graph of every disk less the removed ones,
+  :func:`disklab.arrangements.verify_acc`, replaced it; both must return the
+  same ``Verdict``.
 * The two-point fence solver by a (disk, parity) BFS over the whole
   intersection graph, rooted at each odd edge, which the Dijkstra over the
   chain-contracted kernel of :func:`disklab.solvers.brute_min_isolation_two_points`
@@ -651,12 +656,18 @@ def refuse_covered_points(instance: ar.DiskInstance) -> None:
                 raise Malformed(f"marked point {pid!r} is covered by disk {i}")
 
 
+def subset_centers(sc: ar.IntCenters, ids: Sequence[int]) -> ar.IntCenters:
+    """The centres ``sc`` of the disks ``ids``, in that order, renumbered from 0."""
+    xs, ys = sc.xs, sc.ys
+    return ar.IntCenters(tuple([xs[i] for i in ids]), tuple([ys[i] for i in ids]), sc.den)
+
+
 def subset_separation(
     instance: ar.DiskInstance, chosen: Sequence[int]
 ) -> Dict[Tuple[str, str], bool]:
     """Whether the union of the ``chosen`` disks (distinct ids) separates
     each pair of sorted marked points, on the kernel of their own graph."""
-    sc, ids = instance.centers.subset(chosen), sorted(instance.points)
+    sc, ids = subset_centers(instance.centers, chosen), sorted(instance.points)
     udg = ar.unit_disk_graph(sc, instance.radius)
     masks = ar.edge_crossing_parities(sc, udg, [instance.points[a] for a in ids])
     return ar.kernel_separation(ar.contract(udg, masks), ids)
@@ -678,6 +689,24 @@ def subset_verify_isolation(
     if over:
         lines.append(f"budget: certificate uses {len(chosen)} disks, cap {budget}")
     return Verdict(all(flags.values()) and not over, lines)
+
+
+def subset_verify_acc(
+    instance: ar.DiskInstance, removed_ids: Iterable[int], budget: Optional[int] = None
+) -> Verdict:
+    """The acc verdict on the graph of the kept disks alone."""
+    removed = ar.check_ids(removed_ids, len(instance.centers.xs), "certificate")
+    removed_set = set(removed)
+    kept = [i for i in range(len(instance.centers.xs)) if i not in removed_set]
+    holes = ar.complement_regions(ar.unit_disk_graph(subset_centers(instance.centers, kept),
+                                                     instance.radius)).bounded_complement_regions
+    over = budget is not None and len(removed) > budget
+    ok = holes == 0 and not over
+    lines = [f"removed disks: {len(removed)}",
+             f"{'ok  ' if ok else 'FAIL'} remaining union has {holes} bounded complement region(s)"]
+    if over:
+        lines.append(f"budget: certificate removes {len(removed)} disks, cap {budget}")
+    return Verdict(ok, lines)
 
 
 def reference_min_isolation(

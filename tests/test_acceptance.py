@@ -36,18 +36,21 @@ from oracles import (
     bfs_min_isolation_two_points,
     dist_sq,
     lift_fence_by_tags,
+    subset_centers,
+    subset_verify_acc,
     subset_verify_isolation,
 )
 from test_gadgets import assert_round_trip_equal, build_sound
-from test_solvers import lattice_fence_instances
+from test_solvers import lattice_fence_instances, ring4, two_rings
 
 from disklab import arrangements as ar
 from disklab import pipeline as pl
 from disklab.base import Malformed
-from disklab.corpus import seeded_multiterminal_instances
+from disklab.corpus import seeded_multiterminal_instances, seeded_planar_graphs
 from disklab.gadgets import (
     BUNDLE_COPIES,
     StructureSpec,
+    SynthesisError,
     build_acc_instance,
     build_udmc_instance,
     lift_fence_to_edges,
@@ -400,7 +403,7 @@ def test_criterion_07_acyclic_complement_matches_vertex_deletion():
         assert ar.verify_acc(art.instance, removed).ok
         kept = [i for i in range(len(art.instance.disks)) if i not in removed]
         regions = ar.complement_regions(
-            ar.unit_disk_graph(art.instance.centers.subset(kept), art.instance.radius))
+            ar.unit_disk_graph(subset_centers(art.instance.centers, kept), art.instance.radius))
         assert regions.bounded_complement_regions == 0
 
 
@@ -466,7 +469,7 @@ def test_criterion_10_accepted_certificates_carry_udg_cycles(
         four_r2 = 4 * inst.radius ** 2
         # the sweep's witnesses, on the chosen disks numbered in id order
         chosen = sorted(set(chosen))
-        sub = inst.centers.subset(chosen)
+        sub = subset_centers(inst.centers, chosen)
         results = ar.separation(sub, ar.unit_disk_graph(sub, inst.radius), inst.points)
         for pair, res in results.items():
             assert res.separated
@@ -596,7 +599,7 @@ def test_all_pairs_separation_matches_per_pair_oracle_on_raster_corpora(
     separated = 0
     for corpus in (oracle_corpus, ring_oracle_corpus):
         for centers, chosen, inst, report in corpus:
-            sub = inst.centers.subset(chosen)
+            sub = subset_centers(inst.centers, chosen)
             udg = ar.unit_disk_graph(sub, inst.radius)
             (res,) = assert_all_pairs_match_oracle(sub, udg, inst.points)
             assert report == one_pair_verdict(chosen, res.separated)
@@ -611,7 +614,7 @@ def test_all_pairs_separation_matches_per_pair_oracle_on_sound_corpus(sound_corp
         wall = set(art.wall_ids[0])
         everything = range(len(inst.tags))
         for kept in (list(everything), [i for i in everything if i not in wall]):
-            sub = inst.centers.subset(kept)
+            sub = subset_centers(inst.centers, kept)
             udg = ar.unit_disk_graph(sub, inst.radius)
             results = assert_all_pairs_match_oracle(sub, udg, inst.points)
             if len(kept) == len(inst.tags):
@@ -644,8 +647,8 @@ def separation_flags(inst, udg, dropped):
     sub = ar.UnitDiskGraph(len(kept), [[new[w] for w in udg.adj[i] if new[w] >= 0] for i in kept],
                            None)
     if len(kept) < 10_000:
-        assert sub == ar.unit_disk_graph(inst.centers.subset(kept), inst.radius)
-    results = ar.separation(inst.centers.subset(kept), sub, inst.points)
+        assert sub == ar.unit_disk_graph(subset_centers(inst.centers, kept), inst.radius)
+    results = ar.separation(subset_centers(inst.centers, kept), sub, inst.points)
     return {pair: res.separated for pair, res in results.items()}
 
 
@@ -728,6 +731,46 @@ def test_verify_isolation_matches_the_subset_graph_oracle(verify_corpus, data):
     budget = data.draw(st.none() | st.integers(0, len(everything)))
     assert verify_outcome(ar.verify_isolation, inst, chosen, budget) == verify_outcome(
         subset_verify_isolation, inst, chosen, budget)
+
+
+@pytest.fixture(scope="module")
+def acc_verify_corpus():
+    """The instances ``verify_acc`` is held to its subset-graph oracle on:
+    the ring layouts, the ``fvs->acc`` targets of seeded planar drawings
+    that build, and seeded lattices, where four disks round a cell leave a
+    hole."""
+    targets = []
+    for seed in range(6):
+        for emb in seeded_planar_graphs(seed, 4, max_vertices=5):
+            try:
+                targets.append(build_acc_instance(emb.graph, emb.coords).instance)
+            except SynthesisError:
+                pass
+    assert len(targets) == 14
+    return [ring4(), two_rings()] + targets + lattice_fence_instances(2718, 20)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_verify_acc_matches_the_subset_graph_oracle(acc_verify_corpus, data):
+    # the certificate empty, every disk, every disk but one, or a random
+    # set, then perhaps with ids repeated, under a budget or none
+    inst = data.draw(st.sampled_from(acc_verify_corpus))
+    everything = range(len(inst.tags))
+    kind = data.draw(st.sampled_from(["empty", "all", "all but one", "random"]))
+    if kind == "empty":
+        removed = []
+    elif kind == "all":
+        removed = list(everything)
+    elif kind == "all but one":
+        kept = data.draw(st.sampled_from(everything))
+        removed = [i for i in everything if i != kept]
+    else:
+        removed = data.draw(st.lists(st.sampled_from(everything), unique=True))
+    if removed and data.draw(st.booleans()):
+        removed += data.draw(st.lists(st.sampled_from(removed), min_size=1, max_size=5))
+    budget = data.draw(st.none() | st.integers(0, len(everything)))
+    assert ar.verify_acc(inst, removed, budget) == subset_verify_acc(inst, removed, budget)
 
 
 def test_dropping_a_sound_wall_merges_only_the_faces_beside_it(sound_corpus, sound_kernels):

@@ -24,6 +24,7 @@ from oracles import (
     pair_separation,
     pair_sweep,
     separation,
+    subset_centers,
 )
 
 ONE = F(1)
@@ -430,7 +431,7 @@ def test_verify_acc():
     rep = ar.verify_acc(inst, [1])
     assert rep == (
         True, ["removed disks: 1", "ok   remaining union has 0 bounded complement region(s)"])
-    kept = ar.unit_disk_graph(inst.centers.subset([0, 2]), ONE)
+    kept = ar.unit_disk_graph(subset_centers(inst.centers, [0, 2]), ONE)
     assert ar.complement_regions(kept).bounded_complement_regions == 0
     assert ar.verify_acc(inst, [0, 1], budget=1).lines[2:] == [
         "budget: certificate removes 2 disks, cap 1"]

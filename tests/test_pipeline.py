@@ -441,13 +441,19 @@ def test_verify_exit_codes(toy_chain, tmp_path):
 
 def count_builds(monkeypatch):
     """A Counter of the grids (``CenterIndex``) and intersection graphs
-    (``UnitDiskGraph``) built from now on, by class name."""
+    (``UnitDiskGraph``) built from now on, by class name, and of the calls
+    of ``filled_triangles``."""
     built = Counter()
     for cls in (arrangements.CenterIndex, arrangements.UnitDiskGraph):
         def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
             built[_name] += 1
             _init(self, *args, **kwargs)
         monkeypatch.setattr(cls, "__init__", counted)
+
+    def triangles(udg, _find=arrangements.filled_triangles):
+        built["filled_triangles"] += 1
+        return _find(udg)
+    monkeypatch.setattr(arrangements, "filled_triangles", triangles)
     return built
 
 
@@ -455,7 +461,9 @@ def test_each_fence_verb_builds_one_grid_and_one_graph(toy_chain, monkeypatch, t
     # verify isolation checks the covered points on the grid of the graph
     # of every disk, then drops the disks not chosen from that graph's
     # kernel, whatever the certificate; both fence solvers share that front
-    # end; the acc builder reads its topology off the structure check's graph
+    # end; the acc builder reads its topology off the structure check's
+    # graph; verify acc and solve acc count the holes of each certificate
+    # on the graph of every disk, whose filled triangles are found once
     iso = toy_chain["iso"]
     n = len(read_json(iso)["disks"])
     wall = set(read_json(f"{iso}.record.json")["edges"]["0"])
@@ -482,9 +490,28 @@ def test_each_fence_verb_builds_one_grid_and_one_graph(toy_chain, monkeypatch, t
         built.clear()
         assert cli_solve("isolation", inst, tmp_path / "opt.json")[0] == 0
         assert built == {"CenterIndex": 1, "UnitDiskGraph": 1}, points
+    one = {"CenterIndex": 1, "UnitDiskGraph": 1, "filled_triangles": 1}
     built.clear()
     assert cli_reduce("fvs->acc", triangle, acc)[0] == 0
-    assert built == {"CenterIndex": 1, "UnitDiskGraph": 1}
+    assert built == one
+    two_triangles, acc2 = tmp_path / "two_triangles.json", tmp_path / "two_triangles.acc.json"
+    write_json({"vertices": ["a", "b", "c", "d", "e", "f"],
+                "edges": [["a", "b"], ["b", "c"], ["c", "a"], ["d", "e"], ["e", "f"], ["f", "d"]],
+                "coords": {"a": [0, 0], "b": [1, 0], "c": [0, 1],
+                           "d": [4, 0], "e": [5, 0], "f": [4, 1]}}, two_triangles)
+    assert cli_reduce("fvs->acc", two_triangles, acc2)[0] == 0
+    for target, optimum in ((acc, 1), (acc2, 2)):
+        built.clear()
+        assert cli_solve("acc", target, tmp_path / "acc.opt.json")[0] == 0
+        assert read_json(tmp_path / "acc.opt.json")["optimum"] == optimum
+        assert built == one, optimum
+    n = len(read_json(acc2)["disks"])
+    witness = read_json(tmp_path / "acc.opt.json")["witness"]
+    for ids, code in (([], 1), (witness, 0), (range(n), 0)):
+        write_json({"candidate": list(ids)}, tmp_path / "cert.json")
+        built.clear()
+        assert cli_verify("acc", acc2, tmp_path / "cert.json")[0] == code
+        assert built == one, ids
 
 
 def test_verify_graph_level_problems(toy_chain, tmp_path):
@@ -689,6 +716,17 @@ def test_verify_isolation_refuses_an_oversized_instance_whatever_the_certificate
     write_json(stacked_block(400), path)
     write_json({"candidate": [0, 1, 2]}, cert)
     assert cli_verify("isolation", path, cert) == (
+        1, ["refused: the edge meter's allowance of 78336 is spent: 79800 charged"])
+
+
+def test_verify_acc_refuses_an_oversized_instance_whatever_the_certificate(tmp_path):
+    # the same 400 stacked disks: verify acc builds the graph of every disk
+    # and counts the holes of what the certificate keeps on it, so even a
+    # certificate that removes every disk is refused with the instance
+    path, cert = tmp_path / "big.json", tmp_path / "cert.json"
+    write_json(stacked_block(400), path)
+    write_json({"candidate": list(range(400))}, cert)
+    assert cli_verify("acc", path, cert) == (
         1, ["refused: the edge meter's allowance of 78336 is spent: 79800 charged"])
 
 

@@ -25,6 +25,7 @@ from oracles import (
     reference_min_isolation,
     reference_min_multiterminal,
     reference_min_subdivision,
+    subset_centers,
 )
 
 from disklab import arrangements, solvers
@@ -634,7 +635,7 @@ def test_kernel_separation_matches_separation_with_disks_dropped(layout, rng, da
     for pool in (kernel.junctions, inner):
         if pool:
             dropped |= data.draw(st.sets(st.sampled_from(pool), max_size=3))
-    sc = int_centers(centers, r).subset([i for i in range(udg.n) if i not in dropped])
+    sc = subset_centers(int_centers(centers, r), [i for i in range(udg.n) if i not in dropped])
     want = arrangements.separation(sc, unit_disk_graph(sc, r), points)
     assert arrangements.kernel_separation(kernel, sorted(points), dropped) == {
         pair: res.separated for pair, res in want.items()}
