@@ -23,6 +23,9 @@ The two load-bearing facts, both for equal radii:
   segment of intersecting disks is covered, so it never passes through an
   uncovered point, and the half-open rule settles centers on a ray's line.
 
+The disk-file format lives here too: :meth:`DiskInstance.to_text` writes the
+text :meth:`DiskInstance.from_text` reads, both built from one declaration.
+
 Every fence check starts from the kernel of the instance, :func:`fence_kernel`,
 and judges a certificate by the disks it drops from it (:func:`kernel_separation`);
 every hole count, by those it drops from the instance's graph (:func:`complement_regions`).
@@ -36,12 +39,13 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, count, islice
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
-from .base import (Malformed, Meter, Verdict, json_int_list, json_ints, json_key, json_list,
-                   json_object)
+from .base import (Malformed, Meter, Verdict, indented_json, json_int_list, json_ints, json_key,
+                   json_list, json_object)
 from .geometry import (
     Disk,
     ParamSet,
@@ -57,12 +61,6 @@ from .graphs import betti_numbers, component_labels
 # ---------------------------------------------------------------------------
 # instances
 # ---------------------------------------------------------------------------
-
-def strict_components(values: Iterable) -> bool:
-    """Every value exactly a ``str`` or an ``int``.  A bool or a float can
-    equal an int yet print otherwise, so only such tags share a run."""
-    return all(type(v) is str or type(v) is int for v in values)
-
 
 class TagRuns:
     """The disks' tags, one run per structure.
@@ -86,7 +84,7 @@ class TagRuns:
 
     def append(self, tag: tuple) -> None:
         """One more disk, tagged ``tag``."""
-        if tag and type(tag[-1]) is int and strict_components(tag):
+        if tag and type(tag[-1]) is int and all(type(v) is str or type(v) is int for v in tag):
             self.append_run(tag[:-1], tag[-1], 1)
         else:
             self.runs.append((self.n, tag, None))
@@ -236,14 +234,50 @@ class DiskInstance:
                           for x, y, tag in zip(xs, ys, self.tags)],
                 **self.head_dict()}
 
+    def to_text(self, update: Callable[[bytes], object]) -> str:
+        """The disk file's text, ``json.dumps(d, sort_keys=True, indent=2) +
+        "\\n"`` of ``d = self.to_dict()``, made run by run without ``d``.  The
+        compact canonical text, ``json.dumps(d, sort_keys=True,
+        separators=(",", ":"))``, goes to ``update`` as bytes, at most 4,096
+        disks a piece, never whole."""
+        xs, ys, den = self.centers
+        gcd = math.gcd
+        (t0, t1, t2, t3), (c0, c1, c2, c3) = _ENTRY, _COMPACT_ENTRY
+        update(_COMPACT_LIST[0].encode())
+        blocks = []
+        for start, stop, tag, first in self.tags.spans():
+            if first is None:    # one disk, its whole tag as JSON
+                items = list(tag)
+                text, compact = indented_json(items, _PROV_PAD)[1:-1], _compact(items)[1:-1]
+                tail, lasts = "", [""]
+            else:    # the prefix's str and int items, spelt alike in both; the last counts up
+                parts = [indented_json(v) + "," for v in tag]
+                text, tail = "".join(_ITEM_PAD + p for p in parts) + _ITEM_PAD, _PROV_PAD
+                compact = "".join(parts)
+            before, after, before_c = t2 + text, tail + t3, c2 + compact
+            for lo in range(start, stop, 4096):
+                hi = min(lo + 4096, stop)
+                if first is not None:
+                    lasts = map(int.__repr__, range(first + lo - start, first + hi - start))
+                texts, compacts = [], []
+                for x, y, last in zip(xs[lo:hi], ys[lo:hi], lasts):
+                    g, h = gcd(x, den), gcd(y, den)
+                    cx, cy = f"{x // g}/{den // g}", f"{y // h}/{den // h}"
+                    texts.append(f"{t0}{cx}{t1}{cy}{before}{last}{after}")
+                    compacts.append(f"{c0}{cx}{c1}{cy}{before_c}{last}{c3}")
+                update(((_COMPACT_LIST[1] if lo else "")
+                        + _COMPACT_LIST[1].join(compacts)).encode())
+                blocks.append(_LIST[1].join(texts))
+        head = self.head_dict()    # its keys all sort after "disks"
+        update((_COMPACT_LIST[2] + _compact(head)[1:]).encode())
+        if not blocks:    # no disks: "disks": []
+            return indented_json({"disks": [], **head}) + "\n"
+        return _LIST[0] + _LIST[1].join(blocks) + _LIST[2] + indented_json(head)[1:] + "\n"
+
     @classmethod
     def from_dict(cls, d: Dict[str, object]) -> "DiskInstance":
-        xn: List[int] = []
-        xd: List[int] = []
-        yn: List[int] = []
-        yd: List[int] = []
+        xn, xd, yn, yd = [], [], [], []    # centre i at (xn[i] / xd[i], yn[i] / yd[i])
         tags = TagRuns()
-        runs = tags.runs
         # the prov that continues the last run, and where it must hold ints
         # (equal values are not enough: True == 1 == 1.0)
         expect: Optional[list] = None
@@ -273,21 +307,19 @@ class DiskInstance:
                     expect[-1] += 1
                     continue
             tag = tuple(json_list(prov, "a disk's prov"))
-            if tag and type(tag[-1]) is int and strict_components(tag):
-                runs.append((len(xn) - 1, tag[:-1], tag[-1]))
-                expect = [*tag[:-1], tag[-1] + 1]
-                int_at = [k for k, v in enumerate(tag) if type(v) is int]
-            else:
-                runs.append((len(xn) - 1, tag, None))
-                expect = None
-        tags.n = len(xn)
+            tags.n = len(xn) - 1
+            tags.append(tag)
+            expect = None if tags.runs[-1][2] is None else [*tag[:-1], tag[-1] + 1]
+            int_at = [k for k, v in enumerate(tag) if type(v) is int]
         return cls._with_head(d, xn, xd, yn, yd, tags)
 
     @classmethod
     def _with_head(cls, d: Dict[str, object], xn: List[int], xd: List[int],
                    yn: List[int], yd: List[int], tags: TagRuns) -> "DiskInstance":
         """The instance of the disks read, centre i at (xn[i] / xd[i],
-        yn[i] / yd[i]), and of the rest of the JSON object ``d``."""
+        yn[i] / yd[i]), and of the rest of the JSON object ``d``; ``tags``,
+        whose runs a reader extended without counting, ends at disk len(xn)."""
+        tags.n = len(xn)
         points = {}
         for k, v in json_object(d.get("points", {}), "points").items():
             if type(v) is not list or len(v) != 2:
@@ -307,37 +339,30 @@ class DiskInstance:
     @classmethod
     def from_text(cls, text: str) -> Optional["DiskInstance"]:
         """The instance in the JSON text of a disk file, read without a JSON
-        tree, when its disk list has the layout ``pipeline.instance_json``
-        writes; else None.
+        tree, when its disk list has the layout :meth:`to_text` writes; else
+        None.
 
         One pattern match per disk entry gives its centre's numerators and
         denominators as ints and its prov as text.  An entry whose prov text
         is the one the run going on predicts, its prefix and the next last
         int, extends that run; any other prov is decoded by ``json.loads``
-        and starts runs as ``from_dict`` does.  The text after the list, less
-        its comma, is a JSON object of its own, the head, which
-        ``from_dict``'s code reads.  Whatever this does not decide gives
-        None, never an exception: a layout of any other kind, a zero
+        and goes to ``TagRuns.append``, as in ``from_dict``.  The text after
+        the list, less its comma, is a JSON object of its own, the head,
+        which ``from_dict``'s code reads.  Whatever this does not decide
+        gives None, never an exception: a layout of any other kind, a zero
         denominator, a numeral that ``int`` refuses, more than ``MAX_DISKS``
         entries, a head that does not parse or names "disks" again, or a
         head ``from_dict`` refuses.  Then ``from_dict(json.loads(text))``
         decides the text, and says why it refuses it.  An instance returned
         equals that one."""
-        if not text.startswith(_LIST_OPEN):
+        if not text.startswith(_LIST[0]):
             return None
-        xn: List[int] = []
-        xd: List[int] = []
-        yn: List[int] = []
-        yd: List[int] = []
+        xn, xd, yn, yd = [], [], [], []    # centre i at (xn[i] / xd[i], yn[i] / yd[i])
         tags = TagRuns()
-        runs = tags.runs
         dens: Dict[str, int] = {}
-        # the int run going on: its prefix, the last component that extends
-        # it, and the prov text that spells the two (None: not known)
-        prefix: Optional[tuple] = None
-        expect: Optional[int] = None
+        # the prov text that extends the run going on: lead, expect, tail
         spelt: Optional[str] = None
-        match, pos = _DISK_ENTRY.match, len(_LIST_OPEN)
+        match, pos = _DISK_ENTRY.match, len(_LIST[0])
         # bound once: the loop runs once a disk
         xn_add, xd_add, yn_add, yd_add = xn.append, xd.append, yn.append, yd.append
         den_of, to_int = dens.get, int
@@ -356,19 +381,15 @@ class DiskInstance:
                     spelt = f"{lead}{expect}{tail}"
                 else:
                     tag = tuple(json.loads(f"[{prov}]"))
-                    if tag and type(tag[-1]) is int and strict_components(tag):
-                        if tag[:-1] != prefix or tag[-1] != expect:
-                            prefix = tag[:-1]
-                            runs.append((i, prefix, tag[-1]))
+                    tags.n = i
+                    tags.append(tag)
+                    spelt = None
+                    if tags.runs[-1][2] is not None:
+                        # the last int ends the text, spelt canonically unless "-0"
                         expect = tag[-1] + 1
-                        # the last int's canonical spelling ends the text
-                        core, last = prov.rstrip(" \t\n\r"), repr(tag[-1])
-                        lead, tail = core[:-len(last)], prov[len(core):]
-                        spelt = (f"{lead}{expect}{tail}"
-                                 if core.endswith(last) and not lead.endswith("-") else None)
-                    else:
-                        runs.append((i, tag, None))
-                        prefix = expect = spelt = None
+                        lead, _, tail = prov.rpartition(repr(tag[-1]))
+                        if not lead.endswith("-"):
+                            spelt = f"{lead}{expect}{tail}"
                 pos = m.end()
                 if more is None:
                     break
@@ -376,11 +397,10 @@ class DiskInstance:
                 return None    # more than MAX_DISKS entries
         except (ValueError, RecursionError):
             return None
-        if not text.startswith(_LIST_CLOSE, pos):
+        if not text.startswith(_LIST[2], pos):
             return None
-        tags.n = len(xn)
         try:
-            head = json.loads("{" + text[pos + len(_LIST_CLOSE):])
+            head = json.loads("{" + text[pos + len(_LIST[2]):])
             if not head or "disks" in head:    # {} would leave "],}", no JSON
                 return None
             return cls._with_head(head, xn, xd, yn, yd, tags)
@@ -388,20 +408,29 @@ class DiskInstance:
             return None
 
 
-# The disk list of a file in the layout pipeline.instance_json writes (that of
-# json.dumps(..., indent=2) with sorted keys), entry by entry: the two centre
-# coordinates as canonical rationals, then the prov's text, up to the first
-# "]" (so a prov holding one is not read here).  A comma after the entry
-# means more.
+# The disk list as json.dumps(d, sort_keys=True, indent=2) spells it, for
+# to_text to write and from_text to read: the list's opening, separator and
+# closing; an entry's pieces around its centre's coordinates and its prov's
+# items, JSON indented at _PROV_PAD.  Less their whitespace, the pieces spell
+# the compact canonical text.
+_LIST = ('{\n  "disks": [\n    ', ",\n    ", "\n  ],")
+_ENTRY = ('{\n      "c": [\n        "', '",\n        "', '"\n      ],\n      "prov": [', "]\n    }")
+_PROV_PAD = "\n      "
+_ITEM_PAD = _PROV_PAD + "  "
+_COMPACT_LIST, _COMPACT_ENTRY = (tuple("".join(p.split()) for p in pieces)
+                                 for pieces in (_LIST, _ENTRY))
+_compact = partial(json.dumps, sort_keys=True, separators=(",", ":"))
+# One entry as from_text matches it: canonical rationals, the prov's items up
+# to the first "]" (a prov holding one is left to the tree), a separator if more.
+_RATIONAL = "(-?[0-9]+)/([0-9]+)"
 _DISK_ENTRY = re.compile(
-    r'\{\n      "c": \[\n        "(-?[0-9]+)/([0-9]+)",\n        "(-?[0-9]+)/([0-9]+)"'
-    r'\n      \],\n      "prov": \[([^\]]*)\]\n    \}(,\n    )?')
-_LIST_OPEN = '{\n  "disks": [\n    '
-_LIST_CLOSE = "\n  ],"
+    f"{re.escape(_ENTRY[0])}{_RATIONAL}{re.escape(_ENTRY[1])}{_RATIONAL}"
+    f"{re.escape(_ENTRY[2])}([^\\]]*){re.escape(_ENTRY[3])}({re.escape(_LIST[1])})?")
 
 
 def _positive_int(s: str, dens: Dict[str, int]) -> int:
-    """``int(s)``, kept in ``dens``; ValueError unless positive."""
+    """The denominator the ASCII digits ``s`` spell, kept in ``dens``;
+    ValueError unless positive, or past int's string-conversion digit limit."""
     q = int(s)
     if q <= 0:
         raise ValueError(f"denominator {s}")
@@ -414,23 +443,18 @@ def _parse_rational(s, dens: Dict[str, int]) -> Tuple[int, int]:
 
     The canonical spelling ``-?[0-9]+/[0-9]+`` (ASCII, non-zero
     denominator) is split with ``int``; ``dens`` maps the denominator
-    spellings met so far to their values, so coordinates over one
-    denominator share one int.  Every other value goes through
-    :func:`geometry.rational_from_str`, so which spellings are accepted and
-    how the others are refused stay those of ``Fraction``."""
+    spellings met so far to their values (:func:`_positive_int`), so
+    coordinates over one denominator share one int.  Every other value goes
+    through :func:`geometry.rational_from_str`, so which spellings are
+    accepted and how the others are refused stay those of ``Fraction``."""
     if type(s) is str and s.isascii():
         num, _, den = s.partition("/")
-        q = dens.get(den)
-        if q is None and den.isdigit():
-            try:
-                q = dens[den] = int(den)
-            except ValueError:  # past the int string-conversion digit limit
-                pass
-        if q and (num.isdigit() or (num[:1] == "-" and num[1:].isdigit())):
-            try:
+        try:
+            q = dens.get(den) or den.isdigit() and _positive_int(den, dens)
+            if q and (num.isdigit() or (num[:1] == "-" and num[1:].isdigit())):
                 return int(num), q
-            except ValueError:  # likewise
-                pass
+        except ValueError:    # zero, or past int's digit limit
+            pass
     f = rational_from_str(s)
     return f.numerator, f.denominator
 
@@ -443,9 +467,9 @@ def _parse_rational(s, dens: Dict[str, int]) -> Tuple[int, int]:
 class UnitDiskGraph:
     """The intersection graph of ``n`` disks: ``adj[i]`` lists, ascending,
     the disks that meet disk i.  ``edges``, every pair (i, j) with i < j in
-    ascending order, and ``triangles`` (:func:`filled_triangles`) are built
-    on first read: flows, cut checks and component labels read only the
-    lists.  Two graphs are equal when their ``n``, ``edges`` and ``adj`` are."""
+    ascending order, ``edge_index`` and ``triangles`` (:func:`filled_triangles`)
+    are built on first read: flows, cut checks and component labels read only
+    the lists.  Two graphs are equal when their ``n``, ``edges`` and ``adj`` are."""
 
     n: int
     adj: List[List[int]]
@@ -455,6 +479,11 @@ class UnitDiskGraph:
     @cached_property
     def edges(self) -> List[Tuple[int, int]]:
         return [(i, j) for i, a in enumerate(self.adj) for j in a if j > i]
+
+    @cached_property
+    def edge_index(self) -> Dict[Tuple[int, int], int]:
+        """Each edge's position in ``edges``."""
+        return {e: k for k, e in enumerate(self.edges)}
 
     @cached_property
     def triangles(self) -> List[Tuple[int, int, int]]:
@@ -871,7 +900,7 @@ def complement_regions(udg: UnitDiskGraph, dropped: Iterable[int] = ()) -> Regio
     corner, the kept disks' own (``udg.triangles``), each made as it is read."""
     drop = set(dropped)
     comps, cycles = betti_numbers(udg.n, udg.edges, drop)
-    eidx = {e: k for k, e in enumerate(udg.edges)}
+    eidx = udg.edge_index
     tris = [t for t in udg.triangles if drop.isdisjoint(t)]
     rank = _gf2_rank(1 << eidx[i, j] | 1 << eidx[i, k] | 1 << eidx[j, k] for i, j, k in tris)
     return RegionSummary(comps, cycles - rank, len(tris))

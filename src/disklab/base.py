@@ -1,5 +1,6 @@
 """What every layer shares: the exit-code exceptions, the work meter, the
-verdict every verifier returns and the checks that read JSON input.
+verdict every verifier returns, the checks that read JSON input and the
+indented JSON every file is written in.
 
 :class:`Malformed` is exit 2, :class:`Rejected` and :class:`Refused` exit 1.
 The ``json_*`` helpers refuse input that is not the JSON type they expect,
@@ -10,6 +11,8 @@ without the graph layer.
 
 from __future__ import annotations
 
+import json
+from json.encoder import encode_basestring_ascii
 from typing import Dict, Hashable, Iterable, List, NamedTuple, Tuple
 
 Vertex = Hashable
@@ -48,6 +51,26 @@ class Verdict(NamedTuple):
     and the lines ``verify`` prints (``lift`` joins them into a rejection)."""
     ok: bool
     lines: List[str]
+
+
+def indented_json(obj, pad: str = "\n") -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)``, ``pad`` opening each of
+    its lines, by one module function: json's indenting encoder is a nest of
+    closures that reach one another, a reference cycle on every call."""
+    if type(obj) is str:
+        return encode_basestring_ascii(obj)
+    if type(obj) is int:
+        return int.__repr__(obj)
+    if not obj or not isinstance(obj, (dict, list, tuple)):
+        return json.dumps(obj)
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        items = (f"{encode_basestring_ascii(k if isinstance(k, str) else json.dumps(k))}: "
+                 f"{indented_json(v, inner)}" for k, v in sorted(obj.items()))
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if type(obj[0]) is int and set(map(type, obj)) == {int}:    # ids: no call per id
+        return "[" + inner + ("," + inner).join(map(int.__repr__, obj)) + pad + "]"
+    return "[" + inner + ("," + inner).join(indented_json(v, inner) for v in obj) + pad + "]"
 
 
 def json_ints(values: Iterable, what: str) -> list:

@@ -20,15 +20,15 @@ the budget, if present and not null, a JSON integer.  Solver outputs carry
 ``kept_edges`` (the face-separation solver, whose witness lists group ids)
 those edge ids are the candidate.  Every verb but ``render`` parses its
 instances with the :data:`PROBLEMS` entry of their problem, and ``verify``
-and ``lift`` check certificates with that entry too.  ``verify`` and
-``solve`` of a disk problem, and ``render``, read a disk file in the layout
-:func:`instance_json` writes straight into its :class:`DiskInstance`, with
-no JSON tree (:func:`read_instance`, by ``DiskInstance.from_text``); every
-other file they read, and every file ``reduce`` and ``lift`` read (their
-digests need the tree), is parsed by ``json.loads``.  Either way, JSON that
-does not parse is refused as the file is read, before the certificate, and
-an instance that does not hold only after the certificate and the problem
-name are checked.  All outputs are
+and ``lift`` check certificates with that entry too.  The disk-file format
+is ``arrangements``' own: ``reduce`` writes it by ``DiskInstance.to_text``
+(:func:`instance_json`, which hashes it), and ``verify`` and ``solve`` of a
+disk problem, and ``render``, read it with no JSON tree (:func:`read_instance`,
+by ``DiskInstance.from_text``); every other file they read, and every file
+``reduce`` and ``lift`` read (their digests need the tree), is parsed by
+``json.loads``.  Either way, JSON that does not parse is refused as the file
+is read, before the certificate, and an instance that does not hold only
+after the certificate and the problem name are checked.  All outputs are
 deterministic: JSON is written with sorted keys and instance digests are
 SHA-256 over the compact canonical encoding.
 """
@@ -39,11 +39,9 @@ import functools
 import gc
 import hashlib
 import json
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
@@ -51,13 +49,13 @@ from .arrangements import (
     DiskInstance,
     check_ids,
     normalize_edge_list,
-    strict_components,
     verify_acc,
     verify_isolation,
     verify_multiterminal_cut,
 )
-from .base import (Malformed, Refused, Rejected, Verdict, json_coords, json_edge_key,
-                   json_graph, json_int_list, json_ints, json_key, json_list, json_object)
+from .base import (Malformed, Refused, Rejected, Verdict, indented_json, json_coords,
+                   json_edge_key, json_graph, json_int_list, json_ints, json_key, json_list,
+                   json_object)
 from .corpus import rotation_graph
 from .gadgets import (
     CHAIN_RADIUS,
@@ -133,33 +131,13 @@ def read_json(path) -> dict:
 
 def read_instance(path, disks: bool):
     """The instance file at ``path``: when ``disks`` and its text is in the
-    layout :func:`instance_json` writes, the :class:`DiskInstance` it holds,
+    layout ``reduce`` writes, the :class:`DiskInstance` it holds,
     read without a JSON tree (:meth:`DiskInstance.from_text`); else its
     JSON object, as :func:`read_json` reads it.  Malformed JSON is refused
     here, and a malformed instance only where the tree is parsed."""
     text = read_text(path)
     inst = DiskInstance.from_text(text) if disks else None
     return json_text(text, path) if inst is None else inst
-
-
-def indented_json(obj, pad: str = "\n") -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2)``, ``pad`` opening each of
-    its lines, by one module function: json's indenting encoder is a nest of
-    closures that reach one another, a reference cycle on every call."""
-    if type(obj) is str:
-        return encode_basestring_ascii(obj)
-    if type(obj) is int:
-        return int.__repr__(obj)
-    if not obj or not isinstance(obj, (dict, list, tuple)):
-        return json.dumps(obj)
-    inner = pad + "  "
-    if isinstance(obj, dict):
-        items = (f"{encode_basestring_ascii(k if isinstance(k, str) else json.dumps(k))}: "
-                 f"{indented_json(v, inner)}" for k, v in sorted(obj.items()))
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if type(obj[0]) is int and set(map(type, obj)) == {int}:    # ids: no call per id
-        return "[" + inner + ("," + inner).join(map(int.__repr__, obj)) + pad + "]"
-    return "[" + inner + ("," + inner).join(indented_json(v, inner) for v in obj) + pad + "]"
 
 
 def write_json(obj, path) -> None:
@@ -172,48 +150,13 @@ def write_json(obj, path) -> None:
 def instance_json(inst) -> Tuple[str, str]:
     """The file text and the canonical digest of ``d = inst.to_dict()``:
     ``json.dumps(d, sort_keys=True, indent=2) + "\\n"`` and
-    ``canonical_digest(d)``.  A :class:`DiskInstance` with disks, whose
-    whole-tag runs are non-empty and of ``str`` and ``int`` (every
-    synthesized one), has its disks encoded run by run over the integer
-    centres, without ``d``: the text of a run's prefix is made once, and
-    the compact entries are hashed a block at a time."""
-    runs = inst.tags.runs if isinstance(inst, DiskInstance) else ()
-    if not (runs and all(first is not None or (tag and strict_components(tag))
-                         for _, tag, first in runs)):
-        d = inst.to_dict()
-        return indented_json(d) + "\n", canonical_digest(d)
-    # the instance's dict with no disks; "disks" sorts first, so both texts
-    # of this head open with its empty list
-    head = {"disks": [], **inst.head_dict()}
-    text_open, compact_open = '{\n  "disks": [', '{"disks":['
-    text_rest = indented_json(head)[len(text_open):]
-    compact_rest = json.dumps(head, sort_keys=True, separators=(",", ":"))[len(compact_open):]
-    xs, ys, den = inst.centers
-    gcd, esc = math.gcd, encode_basestring_ascii
-    digest = hashlib.sha256(compact_open.encode())
-    blocks = []
-    for start, stop, tag, first in inst.tags.spans():
-        parts = [esc(v) if type(v) is str else int.__repr__(v) for v in tag]
-        if first is None:    # a whole tag, one disk: its last part stands as the index
-            parts, lasts = parts[:-1], parts[-1:]
-        lead = "".join(p + ",\n        " for p in parts)
-        lead_compact = "".join(p + "," for p in parts)
-        for lo in range(start, stop, 4096):    # never the whole compact text at once
-            hi = min(lo + 4096, stop)
-            if first is not None:
-                lasts = map(int.__repr__, range(first + lo - start, first + hi - start))
-            texts, compacts = [], []
-            for x, y, last in zip(xs[lo:hi], ys[lo:hi], lasts):
-                g, h = gcd(x, den), gcd(y, den)
-                cx, cy = f"{x // g}/{den // g}", f"{y // h}/{den // h}"
-                texts.append(f'{{\n      "c": [\n        "{cx}",\n        "{cy}"\n      ],\n'
-                             f'      "prov": [\n        {lead}{last}\n      ]\n    }}')
-                compacts.append(f'{{"c":["{cx}","{cy}"],"prov":[{lead_compact}{last}]}}')
-            digest.update((("," if lo else "") + ",".join(compacts)).encode())
-            blocks.append(",\n    ".join(texts))
-    digest.update(compact_rest.encode())
-    text = text_open + "\n    " + ",\n    ".join(blocks) + "\n  " + text_rest + "\n"
-    return text, digest.hexdigest()
+    ``canonical_digest(d)``; a :class:`DiskInstance`'s without ``d``, by
+    :meth:`DiskInstance.to_text`, which feeds the hash a block at a time."""
+    if isinstance(inst, DiskInstance):
+        digest = hashlib.sha256()
+        return inst.to_text(digest.update), digest.hexdigest()
+    d = inst.to_dict()
+    return indented_json(d) + "\n", canonical_digest(d)
 
 
 def read_certificate(cert: dict) -> Tuple[list, Optional[int]]:
@@ -306,8 +249,10 @@ def _check_total(record_table: Dict[str, object], wanted: Iterable, what: str) -
 
 def plain_graph_from_dict(d: dict) -> Tuple[Graph, Optional[dict]]:
     """The graph (+ optional drawn coords, by vertex name) of an unembedded
-    graph file."""
+    graph file, which names no terminals."""
     vertices, edges, by_name = json_graph(d)
+    if d.get("terminals", []) not in ([], {}):
+        raise Malformed('"terminals" must be absent or empty: this graph has none')
     coords = d.get("coords")
     if coords is not None:
         coords = json_coords(coords, "coords")
@@ -487,10 +432,6 @@ def cli_reduce(kind: str, input_path, out_path, mode: str = "sound",
         target_digest=target_digest,
         **tables,
     )
-    terminals = src.get("terminals", [])    # what the fvs parse ignores
-    if type(terminals) not in (list, dict):
-        raise Malformed("terminals must be a JSON list or object")
-    _check_total(record.terminals, terminals, "terminal")
     _check_total(record.edges, range(len(src["edges"])), "edge")
     _check_total(record.vertices, src["vertices"], "vertex")
     record_path = str(out_path) + ".record.json"

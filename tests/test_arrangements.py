@@ -1,5 +1,6 @@
 """Disk-union topology, separation verdicts and cut/acyclicity verifiers."""
 
+import hashlib
 import json
 import math
 import random
@@ -13,7 +14,7 @@ from disklab.base import Malformed
 from disklab.geometry import (Disk, compute_params, rational_from_str, rational_to_str,
                               ray_crossing)
 from disklab.graphs import edge_component_labels
-from disklab.pipeline import indented_json, instance_json
+from disklab.pipeline import canonical_digest, indented_json, instance_json
 
 from floodfill import flood_fill_summary, random_robust_centers
 from instances import disk_instance, int_centers
@@ -705,6 +706,21 @@ def test_the_text_reader_leaves_what_it_does_not_decide_to_the_tree(monkeypatch)
     monkeypatch.setattr(ar, "MAX_DISKS", 3)
     assert ar.DiskInstance.from_text(text) is None
     monkeypatch.setattr(ar, "MAX_DISKS", 4)
+    assert ar.DiskInstance.from_text(text) == inst
+
+
+def test_the_writer_hands_its_compact_text_over_in_blocks():
+    # one run of 8,999 disks and a whole tag: blocks of at most 4,096 disks,
+    # three for the run and one for the tag, never the whole text
+    n = 9000
+    tags = [("wall", k) for k in range(n - 1)] + [("hub", True)]
+    inst = ar.DiskInstance(F(1, 2), ar.IntCenters(tuple(range(n)), (1,) * n, 6), tags,
+                           meta={"kind": "acc"})
+    pieces = []
+    text = inst.to_text(pieces.append)
+    whole = b"".join(pieces)
+    assert len(pieces) > 1 and max(p.count(b'{"c":') for p in pieces) <= 4096
+    assert hashlib.sha256(whole).hexdigest() == canonical_digest(inst.to_dict())
     assert ar.DiskInstance.from_text(text) == inst
 
 

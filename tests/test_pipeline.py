@@ -548,6 +548,33 @@ def test_verify_fvs(tmp_path):
     assert cli_main(["verify", "fvs", str(src), str(cert)]) == 0
 
 
+@pytest.mark.parametrize("terminals", [["a"], {"p": 0}, "a", None, 0])
+def test_an_fvs_source_with_terminals_is_refused_where_it_is_parsed(tmp_path, monkeypatch,
+                                                                   terminals):
+    # a plain graph has no terminals: its parse refuses them, so reduce
+    # refuses them before it draws or synthesizes, and verify and solve too
+    src, cert, out = tmp_path / "tri.json", tmp_path / "cert.json", tmp_path / "out.json"
+    write_json({**TRIANGLE_PLAIN, "terminals": terminals}, src)
+    write_json({"candidate": ["a"]}, cert)
+
+    def synthesized(*args, **kwargs):
+        raise AssertionError("the refusal of the terminals should come first")
+
+    monkeypatch.setattr(pipeline, "build_acc_instance", synthesized)
+    refusal = (2, ['malformed: "terminals" must be absent or empty: this graph has none'])
+    assert cli_reduce("fvs->acc", src, out) == refusal
+    assert cli_verify("fvs", src, cert) == refusal
+    assert cli_solve("fvs", src, out) == refusal
+    assert not out.exists()
+
+
+def test_an_fvs_source_with_empty_terminals_reduces(tmp_path):
+    src, out = tmp_path / "tri.json", tmp_path / "out.json"
+    for terminals in ([], {}):
+        write_json({**TRIANGLE_PLAIN, "terminals": terminals}, src)
+        assert cli_reduce("fvs->acc", src, out)[0] == 0
+
+
 def pmc_grouped(root):
     mc, sub = root / "mc.json", root / "sub.json"
     write_json(triangle_mc_dict(terminals=("a", "b", "c")), mc)
